@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-fast lint bench bench-quick examples artifacts clean
+.PHONY: install test test-fast lint bench bench-quick bench-e2e-smoke examples artifacts clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -27,6 +27,9 @@ bench:          ## full sweeps; regenerates every paper table/figure
 
 bench-quick:    ## 5-point sweeps for a fast sanity pass
 	REPRO_BENCH_QUICK=1 $(PYTHON) -m pytest benchmarks/ --benchmark-only
+
+bench-e2e-smoke: ## smoke of the end-to-end benchmark (benchmarks/e2e, ~2 min)
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/e2e/test_e2e_smoke.py
 
 examples:
 	for ex in examples/*.py; do echo "== $$ex"; $(PYTHON) $$ex || exit 1; done

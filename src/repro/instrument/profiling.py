@@ -2,9 +2,10 @@
 
 :func:`profile_report` is what ``repro profile`` and ``repro count
 --profile`` print: the per-phase breakdown with imbalance factors and
-communication fractions (always available), plus — when the run was
-traced — byte totals per collective, the hottest rank pairs of the
-communication matrix, the top wait-for edges, and the critical path.
+communication fractions and the engine's hand-off counts (always
+available), plus — when the run was traced — byte totals per collective,
+the hottest rank pairs of the communication matrix, the top wait-for
+edges, and the critical path.
 """
 
 from __future__ import annotations
@@ -43,9 +44,16 @@ def profile_report(
     if counters and metrics.counters:
         parts.append(metrics.counter_table())
 
+    # What the run cost in real time is mostly thread hand-offs, one per
+    # yield; fewer, larger messages (agglomeration) shows up here first.
+    handoffs = (
+        f"Engine hand-offs: {run.yields:,} yields (a rank blocked and passed "
+        f"the token on), {run.scheduler_wakeups:,} scheduler wake-ups"
+    )
     traced = bool(run.tracer.events or run.tracer.spans)
     if traced:
         cm = CommMatrix.from_run(run)
+        parts.append(f"{handoffs}, for {cm.total_messages:,} messages")
         coll = run.tracer.collective_bytes()
         if coll:
             parts.append(
@@ -74,6 +82,7 @@ def profile_report(
         parts.append(wt)
         parts.append(critical_path_table(run))
     else:
+        parts.append(handoffs)
         parts.append(
             "(run was not traced: comm matrix, wait-for and critical-path "
             "analyses need trace=True)"

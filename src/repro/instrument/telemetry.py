@@ -406,7 +406,7 @@ class Telemetry:
     def phase_exit(self, rank: int, name: str, wall_s: float) -> None:
         """One rank left phase ``name`` after ``wall_s`` seconds of
         *executing* wall time (parked/scheduler time already subtracted —
-        see ``Engine._yield_to_scheduler``)."""
+        see ``Engine._yield_token``)."""
         rss = rss_bytes()
         with self._lock:
             self._phase_wall[name] = self._phase_wall.get(name, 0.0) + wall_s

@@ -158,10 +158,11 @@ class Comm:
     # ------------------------------------------------------------------
 
     def _coll_send(self, dest: int, seq: int, op: str, data: Any) -> None:
+        tracer = self.engine.tracer
         # Scans suffix the op with the round distance ("scan1", "scan2", ...)
         # for matching; strip digits so accounting groups by the user-facing
-        # collective name.
-        base_op = op.rstrip("0123456789")
+        # collective name.  Only the tracer reads that name.
+        base_op = op.rstrip("0123456789") if tracer.enabled else None
         nbytes = self.engine.post_send(
             self._world_rank,
             self.members[dest],
@@ -170,7 +171,6 @@ class Comm:
             (_ENVELOPE, seq, op, data),
             coll_op=base_op,
         )
-        tracer = self.engine.tracer
         if tracer.enabled:
             ctx = self.engine.context(self._world_rank)
             tracer.emit(

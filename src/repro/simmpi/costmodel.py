@@ -178,7 +178,37 @@ def payload_nbytes(obj: Any) -> int:
     are traversed recursively with a small per-element envelope, mirroring
     what pickling small Python objects costs.  The estimate only feeds the
     cost model; it never affects correctness.
+
+    The engine calls this once per message, nearly always on a collective's
+    ``(envelope, seq, op, data)`` tuple, so flat tuples and lists of exact
+    builtin types and plain arrays are sized in one loop; anything else
+    (subclasses, numpy scalars, nested containers) takes the generic rules
+    of :func:`_generic_nbytes`, which define the numbers.
     """
+    t = type(obj)
+    if t is np.ndarray:
+        return obj.nbytes + 96
+    if t is not tuple and t is not list:
+        return _generic_nbytes(obj)
+    total = 56
+    for x in obj:
+        t = type(x)
+        if t is np.ndarray:
+            total += x.nbytes + 96
+        elif t is int or t is float or t is bool:
+            total += 32
+        elif t is str and x.isascii():
+            total += len(x) + 49
+        elif x is None:
+            total += 8
+        else:
+            total += payload_nbytes(x)
+    return total
+
+
+def _generic_nbytes(obj: Any) -> int:
+    """The sizing rules, one ``isinstance`` ladder (containers recurse
+    through :func:`payload_nbytes`)."""
     if obj is None:
         return 8
     if isinstance(obj, np.ndarray):

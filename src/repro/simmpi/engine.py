@@ -1,11 +1,25 @@
 """SPMD execution engine: virtual ranks, scheduling, message delivery.
 
 The engine runs ``p`` rank programs on ``p`` real threads, but only one
-thread executes at any moment: a rank runs until it blocks on communication
-(or finishes), then hands control back to the scheduler, which resumes the
-next runnable rank in round-robin order.  This gives normal blocking-style
-rank code (no generators, no async) while keeping execution fully
-deterministic and immune to GIL scheduling noise.
+thread executes at any moment: whoever holds the *execution token*.  A rank
+runs until it blocks on communication (or finishes); it then picks the next
+runnable rank itself — round-robin from a cursor kept on the engine — wakes
+that rank's thread and parks its own.  This gives normal blocking-style rank
+code (no generators, no async) while keeping execution fully deterministic
+and immune to GIL scheduling noise, at the price of one thread hand-off per
+block.
+
+Parking is one raw ``_thread`` lock per rank, allocated held: ``acquire``
+parks, a ``release`` from the thread passing the token wakes, and the woken
+``acquire`` leaves the lock held for the next park.
+
+The scheduler thread (the caller of :meth:`Engine.run`) holds the token only
+when there is something to decide: at start-up, when **no rank is runnable**
+(every rank finished: return; a superstep batch is pending: dispatch it;
+otherwise: report the deadlock) and when a rank failed (unwind the rest).
+In between it sleeps on its own lock in windows of ``real_timeout`` seconds
+and declares the run wedged when a whole window passes without a single
+hand-off between ranks.
 
 Virtual time: every rank owns a :class:`~repro.simmpi.clock.RankClock`.
 Sends are eager (buffered): the sender pays only a small injection overhead
@@ -17,6 +31,7 @@ and the message is stamped with its wire arrival time
 
 from __future__ import annotations
 
+import _thread
 import itertools
 import threading
 import time
@@ -46,7 +61,7 @@ class _Abort(BaseException):
     """
 
 
-@dataclass
+@dataclass(slots=True)
 class _Message:
     """An in-flight (delivered-but-unreceived) message."""
 
@@ -66,7 +81,11 @@ class _RankState:
     def __init__(self, rank: int):
         self.rank = rank
         self.state = _NEW
-        self.resume = threading.Event()
+        #: Parking lock, held whenever the rank is not being woken: the
+        #: rank parks by acquiring it, the token passer wakes it by
+        #: releasing it.
+        self.park = _thread.allocate_lock()
+        self.park.acquire()
         self.thread: threading.Thread | None = None
         self.mailbox: list[_Message] = []
         self.blocked_on: str = ""
@@ -89,6 +108,13 @@ class RunResult:
         :meth:`RankContext.charge`.
     tracer:
         The run's :class:`Tracer` (empty unless tracing was enabled).
+    yields:
+        How many times a rank blocked and gave up the execution token —
+        one real thread hand-off each, the engine's dominant wall-clock
+        cost at large ``p``.
+    scheduler_wakeups:
+        How many times the scheduler thread was woken to decide something
+        (no rank runnable, or a rank failed).
     """
 
     returns: list[Any]
@@ -96,6 +122,8 @@ class RunResult:
     counters: list[dict[str, float]]
     tracer: Tracer
     mem_peaks: list[int] = field(default_factory=list)
+    yields: int = 0
+    scheduler_wakeups: int = 0
 
     @property
     def num_ranks(self) -> int:
@@ -156,7 +184,7 @@ class RankContext:
         self.mem_peak = 0
         #: Open telemetry phase frames: ``[name, enter_wall, parked_s]``.
         #: Parked time (this rank waiting while others run — see
-        #: ``Engine._yield_to_scheduler``) is subtracted at phase exit so
+        #: ``Engine._yield_token``) is subtracted at phase exit so
         #: the reported wall time is *executing* wall time, immune to the
         #: scheduler's serialized phase interleaving across ranks.
         self._tele_frames: list[list] = []
@@ -361,9 +389,12 @@ class Engine:
         live span callbacks (e.g. the serve layer's progress streaming)
         pass a subclass overriding :meth:`Tracer.span_end`.
     real_timeout:
-        Real (wall-clock) seconds the scheduler will wait for a rank thread
-        to respond before declaring the run wedged.  This is a safety net
-        for engine bugs, not part of the simulation.
+        Real (wall-clock) seconds without a single hand-off between ranks
+        after which the scheduler thread declares the run wedged: it
+        checks once per ``real_timeout`` window, so a rank that never
+        yields is reported after at most twice that long.  Also bounds one
+        superstep dispatch and the final join of each rank thread.  This
+        is a safety net for engine bugs, not part of the simulation.
     fault_injector:
         Optional deterministic fault injector (duck-typed; see
         :class:`~repro.resilience.faults.FaultInjector` for the reference
@@ -425,10 +456,19 @@ class Engine:
         self.telemetry = telemetry
         self._states: list[_RankState] = []
         self._ctxs: list[RankContext] = []
-        self._sched_evt = threading.Event()
         self._seq = itertools.count()
+        #: Where the scheduler thread parks (same protocol as a rank's
+        #: ``park`` lock); replaced at the start of every run.
+        self._sched_lock = _thread.allocate_lock()
         self._aborting = False
+        self._failed = False
+        #: Round-robin position: the search for the next runnable rank
+        #: starts here.  Owned by whoever holds the execution token.
+        self._cursor = 0
         self._running_rank: int = -1
+        self._handoffs = 0
+        self._yields = 0
+        self._sched_wakeups = 0
 
     # ------------------------------------------------------------------
     # driver side
@@ -444,7 +484,12 @@ class Engine:
         self._states = [_RankState(r) for r in range(self.num_ranks)]
         self._ctxs = [RankContext(self, r) for r in range(self.num_ranks)]
         self._aborting = False
-        self._sched_evt.clear()  # may be left set by an aborted prior run
+        self._failed = False
+        self._cursor = 0
+        self._handoffs = self._yields = self._sched_wakeups = 0
+        # An aborted earlier run may have left the old lock in either state.
+        self._sched_lock = _thread.allocate_lock()
+        self._sched_lock.acquire()
         if self.superstep is not None:
             # Jobs of an aborted earlier run must not leak into this one.
             self.superstep.reset()
@@ -480,12 +525,15 @@ class Engine:
             counters=[ctx.counters for ctx in self._ctxs],
             tracer=self.tracer,
             mem_peaks=[ctx.mem_peak for ctx in self._ctxs],
+            yields=self._yields,
+            scheduler_wakeups=self._sched_wakeups,
         )
 
     def _schedule_loop(self) -> None:
-        cursor = 0
+        """Scheduler-thread side: decide what happens when no rank holds
+        the token (start-up, nothing runnable, a rank failed)."""
         while True:
-            nxt = self._pick_runnable(cursor)
+            nxt = self._pick_runnable()
             if nxt is None and self.superstep is not None and self.superstep.pending():
                 # Superstep barrier: every rank that could run has either
                 # finished, blocked on a receive, or parked behind an
@@ -508,33 +556,82 @@ class Engine:
                     return  # all done
                 self._abort_parked_ranks()
                 raise DeadlockError(unfinished)
-            st = self._states[nxt]
-            cursor = (nxt + 1) % self.num_ranks
-            st.state = _RUNNING
-            self._running_rank = st.rank
-            st.resume.set()
-            if not self._sched_evt.wait(timeout=self.real_timeout):
-                raise SimMPIError(
-                    f"rank {st.rank} did not yield within {self.real_timeout}s "
-                    "of real time; the run is wedged"
-                )
-            self._sched_evt.clear()
-            if any(s.state == _FAILED for s in self._states):
+            self._resume(nxt)
+            self._await_wakeup()
+            self._sched_wakeups += 1
+            if self._failed:
                 self._abort_parked_ranks()
                 return
 
-    def _pick_runnable(self, cursor: int) -> int | None:
-        for off in range(self.num_ranks):
-            r = (cursor + off) % self.num_ranks
-            if self._states[r].state == _READY:
+    def _await_wakeup(self) -> None:
+        """Park the scheduler thread until a rank hands it the token.
+
+        The ranks pass the token among themselves without involving this
+        thread, so a long silence is normal; a wedged run is one where the
+        hand-off count stood still for a whole ``real_timeout`` window.
+        """
+        while True:
+            seen = self._handoffs
+            if self._sched_lock.acquire(timeout=self.real_timeout):
+                return
+            if self._handoffs == seen:
+                raise SimMPIError(
+                    f"rank {self._running_rank} did not yield within "
+                    f"{self.real_timeout}s of real time; the run is wedged"
+                )
+
+    def _abort_parked_ranks(self) -> None:
+        """Wake every unfinished rank so that it unwinds with ``_Abort``.
+
+        Normally called with the token in hand.  On a wedge (or an
+        interrupt) one rank is still running; it sees ``_aborting`` at its
+        next yield and unwinds too.
+        """
+        self._aborting = True
+        for st in self._states:
+            # locked(): a rank woken by an earlier abort call may not have
+            # recorded its exit yet, and releasing twice is an error.
+            if st.state not in (_FINISHED, _FAILED) and st.park.locked():
+                st.park.release()
+
+    # ------------------------------------------------------------------
+    # token passing (run by whichever thread holds the execution token)
+    # ------------------------------------------------------------------
+
+    def _pick_runnable(self) -> int | None:
+        """First ``_READY`` rank at or after the cursor, wrapping around."""
+        states = self._states
+        cursor = self._cursor
+        for r in range(cursor, self.num_ranks):
+            if states[r].state == _READY:
+                return r
+        for r in range(cursor):
+            if states[r].state == _READY:
                 return r
         return None
 
-    def _abort_parked_ranks(self) -> None:
-        self._aborting = True
-        for st in self._states:
-            if st.state not in (_FINISHED, _FAILED):
-                st.resume.set()
+    def _resume(self, rank: int) -> None:
+        """Hand the execution token to ``rank`` and wake its thread."""
+        st = self._states[rank]
+        self._cursor = (rank + 1) % self.num_ranks
+        st.state = _RUNNING
+        self._running_rank = rank
+        self._handoffs += 1
+        st.park.release()
+
+    def _pass_token(self) -> None:
+        """Give up the token: the calling rank just blocked or finished.
+
+        The next runnable rank in round-robin order gets it directly; the
+        scheduler thread is woken only when there is none, or when the
+        caller failed and the run has to be torn down.
+        """
+        if not self._failed:
+            nxt = self._pick_runnable()
+            if nxt is not None:
+                self._resume(nxt)
+                return
+        self._sched_lock.release()
 
     # ------------------------------------------------------------------
     # rank-thread side
@@ -547,12 +644,10 @@ class Engine:
         args: tuple,
         kwargs: dict,
     ) -> None:
-        # Park until the scheduler hands us the execution token.
-        st.resume.wait()
-        st.resume.clear()
+        # Park until someone hands us the execution token.
+        st.park.acquire()
         if self._aborting:
-            st.state = _FAILED if st.error else _FINISHED
-            self._sched_evt.set()
+            st.state = _FINISHED
             return
         try:
             st.result = program(self._ctxs[st.rank], *args, **kwargs)
@@ -562,10 +657,14 @@ class Engine:
         except BaseException as exc:  # noqa: BLE001 - reported to the driver
             st.error = exc
             st.state = _FAILED
-        self._sched_evt.set()
+            self._failed = True
+        # Under an abort the scheduler thread is unwinding everyone and
+        # nobody waits for the token.
+        if not self._aborting:
+            self._pass_token()
 
-    def _yield_to_scheduler(self, st: _RankState) -> None:
-        """Hand the execution token back and park until rescheduled.
+    def _yield_token(self, st: _RankState) -> None:
+        """Pass the execution token on and park until it comes back.
 
         With telemetry attached, the park duration is added to every open
         phase frame of this rank so phase exits can report executing wall
@@ -576,9 +675,10 @@ class Engine:
         """
         tele = self.telemetry
         t_park = time.perf_counter() if tele is not None else 0.0
-        self._sched_evt.set()
-        st.resume.wait()
-        st.resume.clear()
+        self._yields += 1
+        if not self._aborting:
+            self._pass_token()
+            st.park.acquire()
         if tele is not None:
             parked = time.perf_counter() - t_park
             for frame in self._ctxs[st.rank]._tele_frames:
@@ -591,7 +691,7 @@ class Engine:
         st = self._states[rank]
         st.state = _BLOCKED
         st.blocked_on = why
-        self._yield_to_scheduler(st)
+        self._yield_token(st)
         st.blocked_on = ""
 
     # ------------------------------------------------------------------
@@ -655,14 +755,8 @@ class Engine:
         for i in range(copies):
             dst_state.mailbox.append(
                 _Message(
-                    seq=seq if i == 0 else next(self._seq),
-                    src=src,
-                    dst=dst,
-                    tag=tag,
-                    comm_id=comm_id,
-                    payload=payload,
-                    nbytes=nbytes,
-                    arrival=arrival,
+                    seq if i == 0 else next(self._seq),
+                    src, dst, tag, comm_id, payload, nbytes, arrival,
                 )
             )
         if self.tracer.enabled:

@@ -69,7 +69,7 @@ A resident may also be **file-backed**
 (:meth:`SuperstepPool.put_resident_file`): instead of copying bytes into
 the arena, the slot records ``(path, offset, dtype, count)`` into an
 immutable on-disk file — a store rank file served by
-:class:`~repro.graph.store.MappedRankFile` — and each worker ``mmap``\ s
+:class:`~repro.graph.store.MappedRankFile` — and each worker ``mmap``\\ s
 the file once and rebuilds read-only views on demand.  Warm cache-hit
 runs publish their U/L/task blobs this way: the block bytes go straight
 from the page cache into the kernels without ever being copied through

@@ -78,8 +78,12 @@ def test_profile_report_traced_and_untraced():
     assert "Per-phase breakdown" in text
     assert "Critical path" in text
     assert "Communication matrix" in text
+    handoffs = f"{run.yields:,} yields"
+    assert handoffs in text
+    assert "1 scheduler wake-ups, for" in text  # ... N messages
 
     bare = Engine(3, model=_model()).run(_chain_program)
     text2 = profile_report(bare)
     assert "Per-phase breakdown" in text2
     assert "not traced" in text2
+    assert bare.yields == run.yields and handoffs in text2

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.simmpi import CacheModel, MachineModel
 from repro.simmpi.costmodel import payload_nbytes
@@ -108,3 +110,112 @@ class TestPayloadNbytes:
         small = payload_nbytes(np.zeros(10))
         big = payload_nbytes(np.zeros(10000))
         assert big > small
+
+
+def _reference_nbytes(obj):
+    """``payload_nbytes`` as it was before it grew exact-type fast paths:
+    one isinstance ladder, recursing through itself.  The numbers it gives
+    are part of every recorded clock, so the fast paths must reproduce them
+    exactly."""
+    if obj is None:
+        return 8
+    if isinstance(obj, np.ndarray):
+        return int(obj.nbytes) + 96
+    if isinstance(obj, (bytes, bytearray, memoryview)):
+        return len(obj) + 33
+    if isinstance(obj, (bool, int, float, complex, np.integer, np.floating)):
+        return 32
+    if isinstance(obj, str):
+        return len(obj.encode("utf-8", errors="replace")) + 49
+    if isinstance(obj, (list, tuple, set, frozenset)):
+        return 56 + sum(_reference_nbytes(x) for x in obj)
+    if isinstance(obj, dict):
+        return 64 + sum(
+            _reference_nbytes(k) + _reference_nbytes(v) for k, v in obj.items()
+        )
+    if hasattr(obj, "nbytes_estimate"):
+        return int(obj.nbytes_estimate())
+    if hasattr(obj, "__dict__"):
+        return 64 + sum(_reference_nbytes(v) for v in vars(obj).values())
+    return 64
+
+
+class _Sized:
+    def __init__(self, n):
+        self.n = n
+
+    def nbytes_estimate(self):
+        return self.n
+
+
+class _Plain:
+    def __init__(self, a, b):
+        self.a = a
+        self.b = b
+
+
+class _ArraySubclass(np.ndarray):
+    pass
+
+
+class _Pair(tuple):
+    pass
+
+
+_HASHABLE_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=True),
+    st.sampled_from(
+        [np.int8(-3), np.int64(2**40), np.uint32(7), np.float32(1.5),
+         np.float64("inf"), np.bool_(True), np.bool_(False), 1 + 2j]
+    ),
+    st.text(alphabet=st.characters(max_codepoint=127), max_size=12),
+    st.text(max_size=12),
+    st.sampled_from(["\ud800 lone surrogate", "naïve", "三角形", ""]),
+    st.binary(max_size=16),
+)
+_ARRAYS = st.sampled_from(
+    [
+        np.array(3),  # 0-d
+        np.zeros(0, dtype=np.int64),
+        np.arange(20, dtype=np.int64)[::3],  # strided view
+        np.arange(12, dtype=np.int32).reshape(3, 4).T,
+        np.ones(5, dtype=np.float32),
+        np.arange(6, dtype=np.int64).view(_ArraySubclass),
+    ]
+)
+_LEAVES = st.one_of(
+    _HASHABLE_LEAVES,
+    _ARRAYS,
+    st.builds(bytearray, st.binary(max_size=8)),
+    st.builds(_Sized, st.integers(0, 10**6)),
+)
+_PAYLOADS = st.recursive(
+    _LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.lists(children, max_size=3).map(_Pair),
+        st.dictionaries(_HASHABLE_LEAVES, children, max_size=4),
+        st.builds(_Plain, children, children),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_PAYLOADS)
+def test_payload_nbytes_matches_reference_recursion(payload):
+    got = payload_nbytes(payload)
+    assert type(got) is int
+    assert got == _reference_nbytes(payload)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seq=st.integers(0, 10**6), op=st.sampled_from(["alltoall", "scan4"]),
+       data=_PAYLOADS)
+def test_payload_nbytes_matches_reference_on_collective_envelopes(seq, op, data):
+    envelope = ("__simmpi_coll__", seq, op, data)
+    assert payload_nbytes(envelope) == _reference_nbytes(envelope)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+import time
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,7 @@ from repro.simmpi import (
     Engine,
     MachineModel,
     RankFailedError,
+    SimMPIError,
     SUM,
 )
 
@@ -216,3 +220,99 @@ def test_trace_records_events():
     assert {"send", "recv", "compute"} <= kinds
     sends = res.tracer.of_kind("send")
     assert sends and sends[0].detail["dst"] == 1
+
+
+def test_run_result_counts_yields_and_scheduler_wakeups():
+    def program(ctx):
+        if ctx.rank == 0:
+            return ctx.comm.recv(source=1)  # nothing sent yet: blocks once
+        ctx.comm.send("late", dest=0)
+
+    res = Engine(2).run(program)
+    assert res.returns[0] == "late"
+    assert res.yields == 1
+    # Ranks pass the token among themselves; the scheduler thread is woken
+    # once, by the last rank to finish.
+    assert res.scheduler_wakeups == 1
+
+    wide = Engine(16).run(lambda ctx: ctx.comm.alltoall(list(range(16))))
+    assert wide.yields > 16
+    assert wide.scheduler_wakeups == 1
+
+
+def test_rank_that_never_yields_is_reported_as_wedged():
+    timeout = 0.2
+
+    def program(ctx):
+        ctx.comm.barrier()
+        if ctx.rank == 2:
+            time.sleep(2.5 * timeout)
+        ctx.comm.barrier()
+
+    eng = Engine(4, real_timeout=timeout)
+    t0 = time.perf_counter()
+    with pytest.raises(SimMPIError, match=r"rank 2 did not yield .* wedged"):
+        eng.run(program)
+    elapsed = time.perf_counter() - t0
+    # Noticed in the first window without a hand-off (so after at most two);
+    # run() then waits, up to one more timeout, for the sleeper to unwind.
+    assert timeout <= elapsed < 5 * timeout
+    for st in eng._states:
+        assert not st.thread.is_alive()
+
+    res = eng.run(lambda ctx: ctx.comm.allreduce(ctx.rank, SUM))
+    assert res.returns == [6] * 4
+
+
+def test_long_run_that_keeps_yielding_is_not_wedged():
+    timeout = 0.2
+    steps = 16
+
+    def program(ctx):
+        other = 1 - ctx.rank
+        for i in range(steps):
+            time.sleep(timeout / 10)
+            ctx.comm.sendrecv(i, dest=other, source=other)
+        return ctx.rank
+
+    t0 = time.perf_counter()
+    res = Engine(2, real_timeout=timeout).run(program)
+    assert time.perf_counter() - t0 > 2 * timeout  # outlived whole windows
+    assert res.returns == [0, 1]
+    assert res.yields >= steps
+
+
+def test_only_the_token_holder_runs_under_thread_switch_pressure():
+    """More rank threads than cores, the interpreter switching threads every
+    microsecond: rank code must still never overlap, because a rank touches
+    nothing after it has woken its successor."""
+    p, rounds = 24, 25
+    inside, overlaps, total = [0], [0], [0]
+
+    def critical():
+        inside[0] += 1
+        if inside[0] != 1:
+            overlaps[0] += 1
+        seen = total[0]
+        for _ in range(25):  # room for a second runner to lose this update
+            pass
+        total[0] = seen + 1
+        inside[0] -= 1
+
+    def program(ctx):
+        for i in range(rounds):
+            critical()
+            got = ctx.comm.alltoall([ctx.rank * i] * p)
+            critical()
+            assert got == [src * i for src in range(p)]
+        return ctx.rank
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        res = Engine(p, real_timeout=30.0).run(program)
+    finally:
+        sys.setswitchinterval(interval)
+    assert res.returns == list(range(p))
+    assert overlaps[0] == 0
+    assert total[0] == 2 * p * rounds
