@@ -7,7 +7,7 @@ PYTHON ?= python
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
 
-lint:           ## ruff (if installed) + docstring-coverage + doc-link gates
+lint:           ## ruff (if installed) + docstring-coverage + doc-link + import gates
 	@if $(PYTHON) -m ruff --version >/dev/null 2>&1; then \
 		$(PYTHON) -m ruff check src tests benchmarks examples; \
 	else \
@@ -15,6 +15,7 @@ lint:           ## ruff (if installed) + docstring-coverage + doc-link gates
 	fi
 	$(PYTHON) tools/check_docstrings.py
 	$(PYTHON) tools/check_doclinks.py
+	PYTHONPATH=src $(PYTHON) -W error -c "import repro, repro.cli, repro.core, repro.resilience, repro.serve.service, repro.bench.autotunebench"
 
 test:
 	$(PYTHON) -m pytest tests/

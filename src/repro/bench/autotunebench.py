@@ -36,11 +36,7 @@ import time
 from typing import Any
 
 from repro.bench.calibration import paper_model
-from repro.core import (
-    TC2DConfig,
-    count_triangles_2d,
-    count_triangles_coveredge,
-)
+from repro.core import GRID_DRIVERS, TC2DConfig
 from repro.core.autotune import collect_signals, plan_run
 from repro.graph.datasets import load_dataset
 from repro.instrument.telemetry import host_metadata
@@ -52,17 +48,12 @@ MODES: dict[str, tuple[tuple[str, ...], int]] = {
     "full": (("g500-s12", "g500-s13", "twitter-like", "friendster-like"), 16),
 }
 
-_DRIVERS = {
-    "tc2d": count_triangles_2d,
-    "coveredge": count_triangles_coveredge,
-}
-
 
 def _measure(g, algorithm: str, p: int, seed: int, model) -> dict[str, Any]:
     """Run one candidate; returns measured virtual/wall time + count."""
     cfg = TC2DConfig(algorithm=algorithm, seed=seed)
     t0 = time.perf_counter()
-    res = _DRIVERS[algorithm](g, p, cfg=cfg, model=model)
+    res = GRID_DRIVERS[algorithm](g, p, cfg=cfg, model=model)
     wall = time.perf_counter() - t0
     return {
         "count": res.count,

@@ -310,11 +310,7 @@ def _cmd_autotune(args: argparse.Namespace) -> int:
     import os
 
     from repro.bench.calibration import paper_model
-    from repro.core import (
-        TC2DConfig,
-        count_triangles_2d,
-        count_triangles_coveredge,
-    )
+    from repro.core import GRID_DRIVERS, TC2DConfig
     from repro.core.autotune import format_plan_table, plan_run
     from repro.graph.stats import degree_summary
 
@@ -332,13 +328,9 @@ def _cmd_autotune(args: argparse.Namespace) -> int:
     )
     measured: dict[str, float] = {}
     if args.measure:
-        drivers = {
-            "tc2d": count_triangles_2d,
-            "coveredge": count_triangles_coveredge,
-        }
         for key in sorted(plan.predicted):
             alg, _, ps = key.rpartition("-p")
-            res = drivers[alg](
+            res = GRID_DRIVERS[alg](
                 g, int(ps), TC2DConfig(algorithm=alg), model=model,
                 dataset=args.dataset,
             )
@@ -353,6 +345,8 @@ def _cmd_autotune(args: argparse.Namespace) -> int:
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
+    """``count`` — and ``profile``, which is ``count`` with tracing and
+    ``--profile`` forced on (its parser presets the count-only flags)."""
     from repro.baselines import (
         count_triangles_aop,
         count_triangles_havoq,
@@ -360,18 +354,13 @@ def _cmd_count(args: argparse.Namespace) -> int:
         count_triangles_surrogate,
     )
     from repro.bench.calibration import paper_model
-    from repro.core import (
-        TC2DConfig,
-        count_triangles_2d,
-        count_triangles_coveredge,
-        count_triangles_summa,
-    )
+    from repro.core import GRID_DRIVERS, TC2DConfig, count_triangles_summa
     from repro.graph.stats import degree_summary, triangle_count_linalg
 
     spec = _dataset_spec(args)
     auto_plan = None
     g = None
-    if getattr(args, "auto", False):
+    if args.auto:
         if args.out_of_core:
             raise SystemExit(
                 "--auto inspects the whole graph; it cannot be combined "
@@ -386,10 +375,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
             "(-a tc2d, -a coveredge or -a summa)"
         )
     cfg = TC2DConfig(
-        algorithm=(
-            args.algorithm if args.algorithm in ("tc2d", "coveredge")
-            else "tc2d"
-        ),
+        algorithm=args.algorithm if args.algorithm in GRID_DRIVERS else "tc2d",
         enumeration=args.enumeration,
         doubly_sparse=not args.no_doubly_sparse,
         modified_hashing=not args.no_modified_hashing,
@@ -409,30 +395,23 @@ def _cmd_count(args: argparse.Namespace) -> int:
         return _count_out_of_core(args, spec, cfg, trace_on)
     if g is None:
         g = _load_graph(spec, args.seed)
-    print(f"{spec}: {degree_summary(g)}")
+    if args.command == "count":
+        print(f"{spec}: {degree_summary(g)}")
     model = paper_model()
-    if args.executor == "parallel" and args.algorithm not in (
-        "tc2d", "coveredge"
-    ):
+    if args.executor == "parallel" and args.algorithm not in GRID_DRIVERS:
         raise SystemExit(
             "--executor parallel is implemented for -a tc2d and "
             "-a coveredge only"
         )
     cache = _cache_arg(args)
-    if cache is not None and args.algorithm not in ("tc2d", "coveredge"):
+    if cache is not None and args.algorithm not in GRID_DRIVERS:
         raise SystemExit(
             "--cache/--store are implemented for -a tc2d and "
             "-a coveredge only"
         )
     tele = _start_telemetry(args)
-    if args.algorithm == "tc2d":
-        res = count_triangles_2d(
-            g, args.ranks, cfg=cfg, model=model, trace=trace_on, dataset=spec,
-            cache=cache, telemetry=tele,
-        )
-        _print_cache_status(res)
-    elif args.algorithm == "coveredge":
-        res = count_triangles_coveredge(
+    if args.algorithm in GRID_DRIVERS:
+        res = GRID_DRIVERS[args.algorithm](
             g, args.ranks, cfg=cfg, model=model, trace=trace_on, dataset=spec,
             cache=cache, telemetry=tele,
         )
@@ -526,76 +505,6 @@ def _emit_observability(args: argparse.Namespace, res) -> None:
                 kernel_backend=_backend_label(res),
             )
         )
-
-
-def _cmd_profile(args: argparse.Namespace) -> int:
-    from repro.bench.calibration import paper_model
-    from repro.core import (
-        TC2DConfig,
-        count_triangles_2d,
-        count_triangles_coveredge,
-        count_triangles_summa,
-    )
-
-    spec = _dataset_spec(args)
-    cfg = TC2DConfig(
-        algorithm=(
-            args.algorithm if args.algorithm in ("tc2d", "coveredge")
-            else "tc2d"
-        ),
-        kernel_backend=args.kernel,
-        executor=args.executor,
-        workers=args.workers,
-        dispatch=args.dispatch,
-        offload_ppt=not args.no_offload_ppt,
-        real_timeout=args.real_timeout,
-        seed=args.seed,
-        out_of_core=args.out_of_core,
-        memory_budget=args.chunk_bytes,
-    )
-    if args.out_of_core:
-        args.profile = True
-        return _count_out_of_core(args, spec, cfg, trace_on=True)
-    g = _load_graph(spec, args.seed)
-    if args.executor == "parallel" and args.algorithm not in (
-        "tc2d", "coveredge",
-    ):
-        raise SystemExit(
-            "--executor parallel is implemented for -a tc2d and "
-            "-a coveredge only"
-        )
-    cache = _cache_arg(args)
-    if cache is not None and args.algorithm not in ("tc2d", "coveredge"):
-        raise SystemExit(
-            "--cache/--store are implemented for -a tc2d and -a coveredge only"
-        )
-    tele = _start_telemetry(args)
-    if args.algorithm == "tc2d":
-        res = count_triangles_2d(
-            g, args.ranks, cfg=cfg, model=paper_model(), trace=True,
-            dataset=spec, cache=cache, telemetry=tele,
-        )
-        _print_cache_status(res)
-    elif args.algorithm == "coveredge":
-        res = count_triangles_coveredge(
-            g, args.ranks, cfg=cfg, model=paper_model(), trace=True,
-            dataset=spec, cache=cache, telemetry=tele,
-        )
-        _print_cache_status(res)
-    else:
-        pr = max(1, int(args.ranks**0.5))
-        while args.ranks % pr:
-            pr -= 1
-        res = count_triangles_summa(
-            g, pr, args.ranks // pr, cfg=cfg, model=paper_model(), trace=True,
-            dataset=spec,
-        )
-    print(res.summary())
-    if tele is not None:
-        _finish_telemetry(args, tele, res)
-    args.profile = True
-    _emit_observability(args, res)
-    return 0
 
 
 def _cmd_census(args: argparse.Namespace) -> int:
@@ -1125,7 +1034,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cache_flags(pr)
     _add_executor_flags(pr)
     _add_ooc_flags(pr)
-    pr.set_defaults(fn=_cmd_profile)
+    # The same body as ``count`` with the report forced on; the flags only
+    # ``count`` spells take their defaults.
+    pr.set_defaults(
+        fn=_cmd_count, profile=True, auto=False, verify=False,
+        enumeration="jik", no_doubly_sparse=False, no_modified_hashing=False,
+        no_early_stop=False, no_blob=False,
+    )
 
     s = sub.add_parser("census", help="triangle census / clustering summary")
     s.add_argument("dataset")

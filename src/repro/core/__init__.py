@@ -17,6 +17,11 @@ Public entry points:
 * :func:`~repro.core.autotune.plan_run` — the cost-model auto-tuner
   behind ``repro count --auto``: pick algorithm × grid × kernel ×
   executor from cheap graph signals and the machine model.
+* :data:`GRID_DRIVERS` — ``TC2DConfig.algorithm`` name -> driver, for
+  callers that dispatch on the planned algorithm.
+
+All drivers share one Cannon rotation, run driver and result assembler
+(:mod:`repro.core.cannon`).
 """
 
 from repro.core.autotune import GraphSignals, Plan, collect_signals, plan_run
@@ -32,8 +37,16 @@ from repro.core.listing import TriangleCensus, triangle_census_2d
 from repro.core.tc2d import count_triangles_2d
 from repro.core.summa import count_triangles_summa
 
+#: The square-grid drivers the auto-tuner plans over, by
+#: ``TC2DConfig.algorithm`` name; both take the same arguments.
+GRID_DRIVERS = {
+    "tc2d": count_triangles_2d,
+    "coveredge": count_triangles_coveredge,
+}
+
 __all__ = [
     "ApproxResult",
+    "GRID_DRIVERS",
     "GraphSignals",
     "Plan",
     "ProcessorGrid",

@@ -20,13 +20,13 @@ from __future__ import annotations
 
 from typing import Any
 
+from repro.core.cannon import GridJob, KernelTally, count_blocks, rank_record
 from repro.core.config import TC2DConfig
 from repro.core.counts import TriangleCountResult
 from repro.core.grid import ProcessorGrid
-from repro.core.intersect import count_block_pair
-from repro.core.preprocess import InputChunk, partition_1d, preprocess
+from repro.core.preprocess import InputChunk, preprocess
 from repro.graph.csr import Graph
-from repro.simmpi import SUM, Engine, MachineModel
+from repro.simmpi import SUM, MachineModel
 from repro.simmpi.engine import RankContext
 
 
@@ -48,6 +48,7 @@ def tc2d_allgather_rank_program(
 
     x, y = grid.coords(ctx.rank)
     local_count = 0
+    tally = KernelTally()
     with ctx.phase("tct"):
         # Collect the whole block row of U and block column of L up front.
         row_comm = comm.split(color=x, key=y)
@@ -62,35 +63,12 @@ def tc2d_allgather_rank_program(
                 ctx.alloc_mem(blk.nbytes_estimate())
 
         for zp in range(q):
-            ub = u_blocks[zp]
-            lb = l_blocks[zp]
-            working_set = (
-                ub.nbytes_estimate()
-                + lb.nbytes_estimate()
-                + task_block.nbytes_estimate()
+            _, st = count_blocks(
+                ctx, cfg, task_block, u_blocks[zp], l_blocks[zp], tally
             )
-            st = count_block_pair(task_block, ub, lb, cfg)
-            ctx.charge("row_visit", st.row_visits, working_set)
-            ctx.charge("task", st.tasks, working_set)
-            ctx.charge("hash_insert_fast", st.insert_steps_fast, working_set)
-            ctx.charge("hash_insert", st.insert_steps_slow, working_set)
-            ctx.charge("hash_probe_fast", st.probe_steps_fast, working_set)
-            ctx.charge("hash_probe", st.probe_steps_slow, working_set)
             local_count += st.triangles
         total = comm.allreduce(local_count, SUM)
-
-    counters_total = dict(ctx.counters)
-    counters_tct = {
-        k: counters_total.get(k, 0.0) - counters_ppt.get(k, 0.0)
-        for k in counters_total
-        if counters_total.get(k, 0.0) != counters_ppt.get(k, 0.0)
-    }
-    return {
-        "total": int(total),
-        "local": int(local_count),
-        "counters_ppt": counters_ppt,
-        "counters_tct": counters_tct,
-    }
+    return rank_record(ctx, counters_ppt, total, local_count, tally)
 
 
 def count_triangles_2d_allgather(
@@ -112,30 +90,8 @@ def count_triangles_2d_allgather(
     the same span/byte accounting (and Perfetto export) works for both
     variants.
     """
-    cfg = cfg if cfg is not None else TC2DConfig()
-    chunks = partition_1d(graph, p)
-    engine = Engine(p, model=model, trace=trace)
-    run = engine.run(tc2d_allgather_rank_program, chunks, cfg)
-    rets = run.returns
-    count = rets[0]["total"]
-    if sum(r["local"] for r in rets) != count:
-        raise AssertionError("allgather-variant local counts do not sum up")
-    result = TriangleCountResult(
-        count=count,
-        p=p,
-        dataset=dataset,
-        algorithm="tc2d-allgather",
-        ppt_time=run.phase_time("ppt"),
-        tct_time=run.phase_time("tct"),
-        comm_fraction_ppt=run.phase_comm_fraction("ppt"),
-        comm_fraction_tct=run.phase_comm_fraction("tct"),
-    )
-    from repro.instrument import merge_counters
-
-    result.counters_ppt = merge_counters([r["counters_ppt"] for r in rets])
-    result.counters_tct = merge_counters([r["counters_tct"] for r in rets])
-    result.extras["makespan"] = run.makespan
-    result.extras["mem_peak_bytes"] = max(run.mem_peaks) if run.mem_peaks else 0
-    if keep_run or trace:
-        result.extras["run"] = run
-    return result
+    with GridJob(
+        graph, p, cfg, "tc2d", model=model, trace=trace, dataset=dataset
+    ) as job:
+        run = job.run(tc2d_allgather_rank_program, job.cfg)
+        return job.finish(run, "tc2d-allgather", keep_run)

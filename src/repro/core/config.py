@@ -56,9 +56,9 @@ class TC2DConfig:
         paper's U/L-split pipeline) or ``"coveredge"`` (the cover-edge
         two-pass variant).  Part of :meth:`store_key` because the two
         pipelines emit entirely different preprocessed blocks.  The
-        drivers normalize it (``count_triangles_2d`` ignores it;
-        ``count_triangles_coveredge`` forces ``"coveredge"``), so it is
-        primarily CLI/auto-tuner plumbing.
+        drivers pin it to their own pipeline (``count_triangles_2d``
+        forces ``"tc2d"``, ``count_triangles_coveredge`` forces
+        ``"coveredge"``), so it is primarily CLI/auto-tuner plumbing.
     enumeration:
         ``"jik"`` (tasks = non-zeros of L, hash U's rows) or ``"ijk"``
         (tasks = non-zeros of U).  Section 7.3 reports jik cutting the

@@ -16,8 +16,9 @@ three times:
     T \\;=\\; \\sum_{(u,v) \\in S} |N(u) \\cap N(v)| \\;-\\; 2\\,T_H
 
 where ``T_H`` is the triangle count of the horizontal subgraph ``H``
-(every triangle of ``H`` is all-horizontal).  Both terms map onto the
-same Cannon machinery as :mod:`repro.core.tc2d`:
+(every triangle of ``H`` is all-horizontal).  Both terms are one
+:func:`~repro.core.cannon.cannon_pass` each — the very rotation
+:mod:`repro.core.tc2d` runs, under pass-scoped tags and keys:
 
 * **pass A (cover)** — the travelling blocks carry the *full* adjacency
   matrix (row-major as the "U" operand, column-major as the "L"
@@ -45,11 +46,23 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.blocks import build_block, exchange_block
+from repro.core.arrayutil import (
+    segment_lengths_to_offsets,
+    segment_sums,
+    split_by_owner,
+)
+from repro.core.blocks import build_block
+from repro.core.cannon import (
+    GridJob,
+    KernelTally,
+    Operands,
+    cannon_pass,
+    load_warm_blocks,
+    rank_record,
+)
 from repro.core.config import TC2DConfig
-from repro.core.counts import ShiftRecord, TriangleCountResult
+from repro.core.counts import TriangleCountResult
 from repro.core.grid import ProcessorGrid
-from repro.core.kernels import KernelStats, resolve_backend
 from repro.core.preprocess import (
     InputChunk,
     LocalRows,
@@ -57,18 +70,11 @@ from repro.core.preprocess import (
     cyclic_bounds,
     degree_reorder,
     initial_redistribution,
-    partition_1d,
     split_and_distribute,
     translate_labels,
 )
-from repro.core.superstep import KERNEL_JOB_ENTRY
-from repro.core.arrayutil import (
-    segment_lengths_to_offsets,
-    segment_sums,
-    split_by_owner,
-)
 from repro.graph.csr import CSR, INDEX_DTYPE, Graph
-from repro.simmpi import SUM, Engine, MachineModel, Resident, RunResult, SuperstepPool
+from repro.simmpi import SUM, MachineModel, SuperstepPool
 from repro.simmpi.engine import RankContext
 
 #: Message tags per pass, disjoint from tc2d's (100..130) so a bug can
@@ -252,155 +258,6 @@ def coveredge_preprocess(
     return (u_a, l_a, task_a), blocks_h, (rows.lo, row_labels), info
 
 
-def _cannon_pass(
-    ctx: RankContext,
-    grid: ProcessorGrid,
-    cfg: TC2DConfig,
-    u_block,
-    l_block,
-    task_block,
-    *,
-    label: str,
-    tags: tuple[int, int, int, int],
-    shift_base: int,
-    amortized: bool,
-    shift_records: list[tuple[int, float, int]],
-    backend_uses: dict[str, int],
-) -> tuple[int, int, int]:
-    """One full Cannon rotation (skew + ``q`` count/shift epochs) over a
-    block triple — the tc2d counting loop, parameterized by pass.
-
-    Returns ``(local_sum, hash_builds, hash_fast_builds)``.  Charges,
-    span labels, per-shift records and the Eq. 6 residue assertions are
-    exactly tc2d's; ``shift_base`` offsets the recorded shift ids so the
-    two passes stay distinguishable in one record stream.
-    """
-    comm = ctx.comm
-    q = grid.q
-    x, y = grid.coords(ctx.rank)
-    offloading = ctx.engine.superstep is not None
-    blob = cfg.blob_serialization
-    tag_skew_u, tag_skew_l, tag_shift_u, tag_shift_l = tags
-
-    def swap(old, new):
-        ctx.free_mem(old.nbytes_estimate())
-        ctx.alloc_mem(new.nbytes_estimate())
-        return new
-
-    if q > 1:
-        du, su = grid.skew_u(x, y)
-        u_block = swap(
-            u_block, exchange_block(comm, u_block, du, su, blob, tag_skew_u)
-        )
-        dl, sl = grid.skew_l(x, y)
-        l_block = swap(
-            l_block, exchange_block(comm, l_block, dl, sl, blob, tag_skew_l)
-        )
-
-    task_ref: Any = None
-    if offloading:
-        ctx.put_resident((label, "task", ctx.rank), task_block.as_blob())
-        task_ref = Resident((label, "task", ctx.rank))
-    if amortized:
-        # Schedule-ahead publication under pass-scoped keys (see tc2d):
-        # Eq. 6 pins every epoch's operand content, so each rank's
-        # current U/L blob covers its whole rotation.
-        ctx.put_resident(
-            (label, "U", x, u_block.inner_residue), u_block.as_blob()
-        )
-        ctx.put_resident(
-            (label, "L", y, l_block.inner_residue), l_block.as_blob()
-        )
-
-    local_sum = 0
-    hash_builds = 0
-    hash_fast_builds = 0
-    for z in range(q):
-        ctx.fault_point(f"{label}:shift:{z}")
-        expected = grid.operand_residue(x, y, z)
-        if u_block.inner_residue != expected or l_block.inner_residue != expected:
-            raise AssertionError(
-                f"rank {ctx.rank} {label} step {z}: operands carry residues "
-                f"(U={u_block.inner_residue}, L={l_block.inner_residue}), "
-                f"expected {expected}"
-            )
-        working_set = (
-            u_block.nbytes_estimate()
-            + l_block.nbytes_estimate()
-            + task_block.nbytes_estimate()
-        )
-        t0 = ctx.clock.now
-        bname, kernel_fn = resolve_backend(
-            cfg.kernel_backend, task_block, u_block, l_block, cfg
-        )
-        if offloading:
-            if amortized:
-                operands = (
-                    task_ref,
-                    Resident((label, "U", x, expected)),
-                    Resident((label, "L", y, expected)),
-                )
-            else:
-                operands = (task_ref, u_block.as_blob(), l_block.as_blob())
-            payload = ctx.offload(
-                KERNEL_JOB_ENTRY,
-                operands,
-                meta={
-                    "backend": bname,
-                    "cfg": cfg,
-                    "rank": ctx.rank,
-                    "shift": shift_base + z,
-                },
-                label=f"kernel:{bname}",
-            )
-            st = KernelStats(**payload)
-        else:
-            st = kernel_fn(task_block, u_block, l_block, cfg)
-        backend_uses[bname] = backend_uses.get(bname, 0) + 1
-        ctx.charge("row_visit", st.row_visits, working_set)
-        ctx.charge("task", st.tasks, working_set)
-        ctx.charge("hash_insert_fast", st.insert_steps_fast, working_set)
-        ctx.charge("hash_insert", st.insert_steps_slow, working_set)
-        ctx.charge("hash_probe_fast", st.probe_steps_fast, working_set)
-        ctx.charge("hash_probe", st.probe_steps_slow, working_set)
-        local_sum += st.triangles
-        hash_builds += st.hash_builds
-        hash_fast_builds += st.hash_fast_builds
-        if ctx.tracer.enabled:
-            ctx.tracer.span_point(
-                t0, ctx.clock.now, ctx.rank, "compute",
-                f"kernel:{bname}", shift=shift_base + z, tasks=st.tasks,
-            )
-        if cfg.track_per_shift:
-            shift_records.append((shift_base + z, ctx.clock.now - t0, st.tasks))
-
-        if z < q - 1:
-            ctx.fault_point(f"{label}:shift:{z}:exchange")
-            du, su = grid.shift_u(x, y)
-            u_block = swap(
-                u_block,
-                exchange_block(comm, u_block, du, su, blob, tag_shift_u),
-            )
-            dl, sl = grid.shift_l(x, y)
-            l_block = swap(
-                l_block,
-                exchange_block(comm, l_block, dl, sl, blob, tag_shift_l),
-            )
-            nxt = grid.operand_residue(x, y, z + 1)
-            if u_block.inner_residue != nxt or l_block.inner_residue != nxt:
-                raise AssertionError(
-                    f"rank {ctx.rank} {label} step {z}: exchange delivered "
-                    f"blocks with residues (U={u_block.inner_residue}, "
-                    f"L={l_block.inner_residue}), expected {nxt}"
-                )
-
-    # Cannon's memory property per pass: exactly one U and one L block
-    # live; release this pass's working set before the next begins.
-    for blk in (u_block, l_block, task_block):
-        ctx.free_mem(blk.nbytes_estimate())
-    return local_sum, hash_builds, hash_fast_builds
-
-
 def coveredge_rank_program(
     ctx: RankContext,
     chunks: list[InputChunk],
@@ -418,183 +275,55 @@ def coveredge_rank_program(
     """
     comm = ctx.comm
     grid = ProcessorGrid.for_ranks(comm.size)
-    q = grid.q
     chunk = chunks[ctx.rank]
     cache_a, cache_h = caches if caches is not None else (None, None)
     warm = (
         cache_a is not None and cache_a.hit
         and cache_h is not None and cache_h.hit
     )
-    offloading = ctx.engine.superstep is not None
-    amortized = (
-        offloading and cfg.dispatch == "amortized" and ctx.engine.faults is None
-    )
     info: dict[str, int] = {"bfs_rounds": -1, "cover_local": 0}
 
     if warm:
-        with ctx.phase("cache"):
-            t0 = ctx.clock.now
-            u_a, l_a, task_a, nbytes_a = cache_a.load_rank(ctx.rank)
-            u_h, l_h, task_h, nbytes_h = cache_h.load_rank(ctx.rank)
-            ctx.charge("cache_io", nbytes_a + nbytes_h)
-            if ctx.tracer.enabled:
-                ctx.tracer.span_point(
-                    t0, ctx.clock.now, ctx.rank, "cache",
-                    f"cache:load:{cache_a.digest[:12]}",
-                    nbytes=nbytes_a + nbytes_h,
-                )
-            for blk in (u_a, l_a, task_a, u_h, l_h, task_h):
-                ctx.alloc_mem(blk.nbytes_estimate())
-            comm.barrier()
-        with ctx.phase("ppt"):
-            pass  # keeps run.phase_time("ppt") defined (and zero)
-        info["cover_local"] = task_a.nnz
+        ops_a, ops_h = load_warm_blocks(ctx, caches)
+        info["cover_local"] = ops_a.task.nnz
     else:
         with ctx.phase("ppt"):
             blocks_a, blocks_h, (lo, labels), info = coveredge_preprocess(
                 ctx, chunk, grid, cfg
             )
-            u_a, l_a, task_a = blocks_a
-            u_h, l_h, task_h = blocks_h
             for cache, blocks in ((cache_a, blocks_a), (cache_h, blocks_h)):
                 if cache is not None and cache.writable and not cache.hit:
-                    cache.save_rank(ctx.rank, blocks[0], blocks[1], blocks[2],
-                                    lo, labels)
-            for blk in (u_a, l_a, task_a, u_h, l_h, task_h):
+                    cache.save_rank(ctx.rank, *blocks, lo, labels)
+            ops_a, ops_h = Operands(*blocks_a), Operands(*blocks_h)
+            del blocks_a, blocks_h, blocks  # ops alone hold the travelling blocks
+            for blk in ops_a.blocks() + ops_h.blocks():
                 ctx.alloc_mem(blk.nbytes_estimate())
             comm.barrier()
     counters_ppt = dict(ctx.counters)
 
-    shift_records: list[tuple[int, float, int]] = []
-    backend_uses: dict[str, int] = {}
+    tally = KernelTally()
     with ctx.phase("tct"):
-        cover_sum, hb_a, hfb_a = _cannon_pass(
-            ctx, grid, cfg, u_a, l_a, task_a,
-            label="cover", tags=_TAGS_COVER, shift_base=0,
-            amortized=amortized, shift_records=shift_records,
-            backend_uses=backend_uses,
+        cover_sum = cannon_pass(
+            ctx, grid, cfg, ops_a, tally,
+            tags=_TAGS_COVER, prefix="cover", shift_base=0,
         )
-        h_count, hb_h, hfb_h = _cannon_pass(
-            ctx, grid, cfg, u_h, l_h, task_h,
-            label="horiz", tags=_TAGS_HORIZ, shift_base=q,
-            amortized=amortized, shift_records=shift_records,
-            backend_uses=backend_uses,
+        h_count = cannon_pass(
+            ctx, grid, cfg, ops_h, tally,
+            tags=_TAGS_HORIZ, prefix="horiz", shift_base=grid.q,
         )
         total_cover = comm.allreduce(cover_sum, SUM)
         total_h = comm.allreduce(h_count, SUM)
-        total = int(total_cover) - 2 * int(total_h)
-
-    counters_total = dict(ctx.counters)
-    counters_tct = {
-        k: counters_total.get(k, 0.0) - counters_ppt.get(k, 0.0)
-        for k in counters_total
-        if counters_total.get(k, 0.0) != counters_ppt.get(k, 0.0)
-    }
-    return {
-        "total": total,
-        "local": int(cover_sum) - 2 * int(h_count),
-        "cover_sum": int(total_cover),
-        "horizontal_triangles": int(total_h),
-        "cover_edges_local": int(info.get("cover_local", 0)),
-        "bfs_rounds": int(info.get("bfs_rounds", -1)),
-        "counters_ppt": counters_ppt,
-        "counters_tct": counters_tct,
-        "shifts": shift_records,
-        "hash_builds": hb_a + hb_h,
-        "hash_fast_builds": hfb_a + hfb_h,
-        "backend_uses": backend_uses,
-    }
-
-
-def _merge_counters(dicts: list[dict[str, float]]) -> dict[str, float]:
-    out: dict[str, float] = {}
-    for d in dicts:
-        for k, v in d.items():
-            out[k] = out.get(k, 0.0) + v
-    return out
-
-
-def _open_run_caches(
-    cache: Any,
-    graph: Graph,
-    p: int,
-    cfg: TC2DConfig,
-    model: MachineModel | None,
-    dataset: str,
-) -> tuple[Any, Any]:
-    """Coerce ``cache=`` into the per-pass ``RunCache`` pair.
-
-    Accepts ``None``, ``True`` (default store root), a path or a
-    ``GraphStore`` — the same spellings tc2d's driver takes, except an
-    already-opened single ``RunCache`` (cover-edge needs two entries).
-    """
-    if cache is None:
-        return None, None
-    from repro.graph.store import GraphStore, RunCache, resolve_store
-
-    if isinstance(cache, RunCache):
-        raise TypeError(
-            "count_triangles_coveredge stores two artifacts per run; pass a "
-            "GraphStore (or path / True) instead of an opened RunCache"
-        )
-    store: GraphStore = resolve_store(cache)
-    cache_a = store.open_run(
-        graph, p, cfg, model=model, source=dataset, key_extra={"pass": "cover"}
+    return rank_record(
+        ctx,
+        counters_ppt,
+        int(total_cover) - 2 * int(total_h),
+        int(cover_sum) - 2 * int(h_count),
+        tally,
+        cover_sum=int(total_cover),
+        horizontal_triangles=int(total_h),
+        cover_edges_local=int(info.get("cover_local", 0)),
+        bfs_rounds=int(info.get("bfs_rounds", -1)),
     )
-    cache_h = store.open_run(
-        graph, p, cfg, model=model, source=dataset, key_extra={"pass": "horiz"}
-    )
-    return cache_a, cache_h
-
-
-def _finish_run_caches(
-    cache_a: Any, cache_h: Any, result: TriangleCountResult
-) -> None:
-    """Finalize cold entries / replay a warm run's recorded ppt stats.
-
-    Mirrors tc2d's warm-replay contract: on a double hit the recorded
-    preprocessing statistics (valid for the matching machine-model
-    fingerprint) replace the live — empty — ``ppt`` measurements, and
-    ``result.extras["cache"]`` reports what happened in the same shape
-    tc2d uses (plus the second pass's digest).
-    """
-    if cache_a is None:
-        return
-    warm = cache_a.hit and cache_h.hit
-    if warm:
-        recorded = cache_a.recorded_ppt()
-        if recorded is not None:
-            result.ppt_time = float(recorded["ppt_time"])
-            result.comm_fraction_ppt = float(recorded["comm_fraction_ppt"])
-            result.counters_ppt = dict(recorded["counters_ppt"])
-        else:
-            result.ppt_time = 0.0
-            result.comm_fraction_ppt = 0.0
-        result.extras["cache"] = {
-            "hit": True,
-            "digest": cache_a.digest,
-            "horiz_digest": cache_h.digest,
-            "nbytes": cache_a.loaded_nbytes + cache_h.loaded_nbytes,
-            "replayed_ppt": recorded is not None,
-            "mapped_ranks": cache_a.mapped_ranks + cache_h.mapped_ranks,
-            "file_serving": False,
-        }
-        return
-    ppt_stats = {
-        "ppt_time": result.ppt_time,
-        "comm_fraction_ppt": result.comm_fraction_ppt,
-        "counters_ppt": result.counters_ppt,
-    }
-    stored = []
-    for cache in (cache_a, cache_h):
-        if cache.writable and not cache.hit:
-            stored.append(cache.finalize(ppt_stats=ppt_stats))
-    result.extras["cache"] = {
-        "hit": False,
-        "digest": cache_a.digest,
-        "horiz_digest": cache_h.digest,
-        "stored": bool(stored) and all(stored),
-    }
 
 
 def count_triangles_coveredge(
@@ -624,112 +353,15 @@ def count_triangles_coveredge(
     include the ``algorithm`` store-key component plus a per-pass
     marker, so cover-edge artifacts never collide with tc2d's.
     """
-    cfg = cfg if cfg is not None else TC2DConfig()
-    if cfg.algorithm != "coveredge":
-        cfg = cfg.replace(algorithm="coveredge")
     ProcessorGrid.for_ranks(p)  # validates perfect square early
-    cache_a, cache_h = _open_run_caches(cache, graph, p, cfg, model, dataset)
-    warm = (
-        cache_a is not None and cache_a.hit
-        and cache_h is not None and cache_h.hit
-    )
-    chunks: list[Any] = [None] * p if warm else partition_1d(graph, p)
-    pool = superstep
-    owned = False
-    if pool is None and cfg.executor == "parallel":
-        pool = SuperstepPool(
-            workers=cfg.workers,
-            timeout=cfg.real_timeout,
-            dispatch_mode="perjob" if cfg.dispatch == "perjob" else "batched",
-        )
-        owned = True
-    try:
-        if telemetry is not None:
-            if pool is not None:
-                telemetry.attach_pool(pool)
-            telemetry.begin_run(label=f"{dataset or 'graph'}-p{p}")
-        engine = Engine(
-            p,
-            model=model,
-            trace=trace,
-            real_timeout=cfg.real_timeout,
-            superstep=pool,
-            telemetry=telemetry,
-        )
-        try:
-            run: RunResult = engine.run(
-                coveredge_rank_program, chunks, cfg, (cache_a, cache_h)
-            )
-        except BaseException as exc:
-            if telemetry is not None:
-                telemetry.crash_dump(reason=type(exc).__name__)
-            raise
-        result = assemble_coveredge_result(
-            run, p, cfg, dataset=dataset, keep_run=keep_run or trace
-        )
-        _finish_run_caches(cache_a, cache_h, result)
-        if pool is not None:
-            result.extras["executor"] = "parallel"
-            result.extras["workers"] = pool.workers
-            result.extras["dispatch"] = cfg.dispatch
-            result.extras["worker_spans"] = pool.drain_spans()
-        if telemetry is not None:
-            result.extras["telemetry"] = telemetry.summarize(
-                result=result, run=run, model=engine.model, cfg=cfg
-            )
-        return result
-    finally:
-        for c in (cache_a, cache_h):
-            if c is not None:
-                c.close()
-        if owned:
-            pool.shutdown()
-
-
-def assemble_coveredge_result(
-    run: RunResult,
-    p: int,
-    cfg: TC2DConfig,
-    dataset: str = "",
-    keep_run: bool = False,
-) -> TriangleCountResult:
-    """Build the result record from a finished cover-edge run — the same
-    validations and extras tc2d's assembler performs, plus the
-    ``extras["coveredge"]`` decomposition record."""
+    with GridJob(
+        graph, p, cfg, "coveredge", model=model, trace=trace, dataset=dataset,
+        superstep=superstep, cache=cache, telemetry=telemetry,
+        passes=("cover", "horiz"),
+    ) as job:
+        run = job.run(coveredge_rank_program, job.cfg, tuple(job.caches) or None)
+        result = job.finish(run, "coveredge", keep_run)
     rets = run.returns
-    count = rets[0]["total"]
-    if any(r["total"] != count for r in rets):
-        raise AssertionError("ranks disagree on the reduced triangle count")
-    if sum(r["local"] for r in rets) != count:
-        raise AssertionError("local partial sums do not sum to the count")
-
-    result = TriangleCountResult(
-        count=count,
-        p=p,
-        dataset=dataset,
-        algorithm="coveredge",
-        ppt_time=run.phase_time("ppt"),
-        tct_time=run.phase_time("tct"),
-        counters_ppt=_merge_counters([r["counters_ppt"] for r in rets]),
-        counters_tct=_merge_counters([r["counters_tct"] for r in rets]),
-        comm_fraction_ppt=run.phase_comm_fraction("ppt"),
-        comm_fraction_tct=run.phase_comm_fraction("tct"),
-        shift_records=[
-            ShiftRecord(shift=z, rank=rank, compute_seconds=dt, tasks=nt)
-            for rank, r in enumerate(rets)
-            for (z, dt, nt) in r["shifts"]
-        ],
-        hash_builds=sum(r["hash_builds"] for r in rets),
-        hash_fast_builds=sum(r["hash_fast_builds"] for r in rets),
-    )
-    result.extras["makespan"] = run.makespan
-    result.extras["mem_peak_bytes"] = max(run.mem_peaks) if run.mem_peaks else 0
-    result.extras["kernel_backend"] = cfg.kernel_backend
-    uses: dict[str, int] = {}
-    for r in rets:
-        for name, n in r["backend_uses"].items():
-            uses[name] = uses.get(name, 0) + n
-    result.extras["kernel_backend_uses"] = uses
     rounds = max(r["bfs_rounds"] for r in rets)
     result.extras["coveredge"] = {
         "cover_edges": sum(r["cover_edges_local"] for r in rets),
@@ -737,6 +369,4 @@ def assemble_coveredge_result(
         "horizontal_triangles": rets[0]["horizontal_triangles"],
         "bfs_rounds": rounds if rounds >= 0 else None,
     }
-    if keep_run:
-        result.extras["run"] = run
     return result

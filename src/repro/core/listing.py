@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.blocks import exchange_block
+from repro.core.cannon import TAGS_TC2D, Operands, exchange_operands
 from repro.core.config import TC2DConfig
 from repro.core.grid import ProcessorGrid
 from repro.core.kernels import get_enumerator, resolve_backend
@@ -113,34 +113,25 @@ def _census_rank_program(
     chunk = chunks[ctx.rank]
 
     with ctx.phase("ppt"):
-        (u_block, l_block, task_block), label_info = preprocess_with_labels(
-            ctx, chunk, grid, cfg
-        )
+        blocks, label_info = preprocess_with_labels(ctx, chunk, grid, cfg)
+        ops = Operands(*blocks)
+        del blocks  # ops alone must hold the travelling blocks
+        for blk in ops.blocks():
+            ctx.alloc_mem(blk.nbytes_estimate())
         comm.barrier()
 
-    x, y = grid.coords(ctx.rank)
     triples_parts: list[np.ndarray] = []
     with ctx.phase("tct"):
         if q > 1:
-            du, su = grid.skew_u(x, y)
-            u_block = exchange_block(comm, u_block, du, su, cfg.blob_serialization, 100)
-            dl, sl = grid.skew_l(x, y)
-            l_block = exchange_block(comm, l_block, dl, sl, cfg.blob_serialization, 110)
+            exchange_operands(ctx, grid, cfg, ops, TAGS_TC2D, skew=True)
         for z in range(q):
-            n_tri, triples = _enumerate_block_pair(task_block, u_block, l_block, cfg, q)
+            n_tri, triples = _enumerate_block_pair(ops.task, ops.u, ops.l, cfg, q)
             if n_tri:
                 triples_parts.append(triples)
-            ctx.charge("task", task_block.nnz)
+            ctx.charge("task", ops.task.nnz)
             ctx.charge("hash_probe", n_tri)
             if z < q - 1:
-                du, su = grid.shift_u(x, y)
-                u_block = exchange_block(
-                    comm, u_block, du, su, cfg.blob_serialization, 120
-                )
-                dl, sl = grid.shift_l(x, y)
-                l_block = exchange_block(
-                    comm, l_block, dl, sl, cfg.blob_serialization, 130
-                )
+                exchange_operands(ctx, grid, cfg, ops, TAGS_TC2D)
         local = (
             np.concatenate(triples_parts, axis=0)
             if triples_parts

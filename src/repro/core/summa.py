@@ -22,19 +22,18 @@ from typing import Any
 
 from repro.core.arrayutil import split_by_owner
 from repro.core.blocks import Block, build_block
+from repro.core.cannon import GridJob, KernelTally, count_blocks, rank_record
 from repro.core.config import TC2DConfig
 from repro.core.counts import TriangleCountResult
-from repro.core.kernels import resolve_backend
 from repro.core.preprocess import (
     InputChunk,
     chunk_bounds,
     cyclic_bounds,
     degree_reorder,
     initial_redistribution,
-    partition_1d,
 )
 from repro.graph.csr import INDEX_DTYPE, Graph
-from repro.simmpi import SUM, Engine, MachineModel
+from repro.simmpi import SUM, MachineModel
 from repro.simmpi.engine import RankContext
 
 import numpy as np
@@ -140,45 +139,15 @@ def summa_rank_program(
     counters_ppt = dict(ctx.counters)
 
     local_count = 0
-    backend_uses: dict[str, int] = {}
+    tally = KernelTally()
     with ctx.phase("tct"):
         for t in range(T):
-            u_root = t % pc
-            l_root = t % pr
-            u_blk = row_comm.bcast(u_panels.get(t), root=u_root)
-            l_blk = col_comm.bcast(l_panels.get(t), root=l_root)
-            working_set = (
-                u_blk.nbytes_estimate()
-                + l_blk.nbytes_estimate()
-                + task_block.nbytes_estimate()
-            )
-            bname, kernel_fn = resolve_backend(
-                cfg.kernel_backend, task_block, u_blk, l_blk, cfg
-            )
-            st = kernel_fn(task_block, u_blk, l_blk, cfg)
-            backend_uses[bname] = backend_uses.get(bname, 0) + 1
-            ctx.charge("row_visit", st.row_visits, working_set)
-            ctx.charge("task", st.tasks, working_set)
-            ctx.charge("hash_insert_fast", st.insert_steps_fast, working_set)
-            ctx.charge("hash_insert", st.insert_steps_slow, working_set)
-            ctx.charge("hash_probe_fast", st.probe_steps_fast, working_set)
-            ctx.charge("hash_probe", st.probe_steps_slow, working_set)
+            u_blk = row_comm.bcast(u_panels.get(t), root=t % pc)
+            l_blk = col_comm.bcast(l_panels.get(t), root=t % pr)
+            _, st = count_blocks(ctx, cfg, task_block, u_blk, l_blk, tally)
             local_count += st.triangles
         total = comm.allreduce(local_count, SUM)
-
-    counters_total = dict(ctx.counters)
-    counters_tct = {
-        k: counters_total.get(k, 0.0) - counters_ppt.get(k, 0.0)
-        for k in counters_total
-        if counters_total.get(k, 0.0) != counters_ppt.get(k, 0.0)
-    }
-    return {
-        "total": int(total),
-        "local": int(local_count),
-        "counters_ppt": counters_ppt,
-        "counters_tct": counters_tct,
-        "backend_uses": backend_uses,
-    }
+    return rank_record(ctx, counters_ppt, total, local_count, tally)
 
 
 def count_triangles_summa(
@@ -201,41 +170,10 @@ def count_triangles_summa(
     ``result.extras["run"]`` (same contract as
     :func:`~repro.core.tc2d.count_triangles_2d`).
     """
-    cfg = cfg if cfg is not None else TC2DConfig()
-    if cfg.enumeration != "jik":
+    if cfg is not None and cfg.enumeration != "jik":
         raise ValueError("the SUMMA variant implements the jik enumeration only")
-    p = pr * pc
-    chunks = partition_1d(graph, p)
-    engine = Engine(p, model=model, trace=trace)
-    run = engine.run(summa_rank_program, chunks, pr, pc, cfg)
-    rets = run.returns
-    count = rets[0]["total"]
-    if sum(r["local"] for r in rets) != count:
-        raise AssertionError("local counts do not sum to the global count")
-    result = TriangleCountResult(
-        count=count,
-        p=p,
-        dataset=dataset,
-        algorithm=f"summa-{pr}x{pc}",
-        ppt_time=run.phase_time("ppt"),
-        tct_time=run.phase_time("tct"),
-        comm_fraction_ppt=run.phase_comm_fraction("ppt"),
-        comm_fraction_tct=run.phase_comm_fraction("tct"),
-    )
-    result.counters_ppt = {}
-    result.counters_tct = {}
-    for r in rets:
-        for k, v in r["counters_ppt"].items():
-            result.counters_ppt[k] = result.counters_ppt.get(k, 0.0) + v
-        for k, v in r["counters_tct"].items():
-            result.counters_tct[k] = result.counters_tct.get(k, 0.0) + v
-    result.extras["makespan"] = run.makespan
-    result.extras["kernel_backend"] = cfg.kernel_backend
-    uses: dict[str, int] = {}
-    for r in rets:
-        for name, n in r["backend_uses"].items():
-            uses[name] = uses.get(name, 0) + n
-    result.extras["kernel_backend_uses"] = uses
-    if keep_run or trace:
-        result.extras["run"] = run
-    return result
+    with GridJob(
+        graph, pr * pc, cfg, "tc2d", model=model, trace=trace, dataset=dataset
+    ) as job:
+        run = job.run(summa_rank_program, pr, pc, job.cfg)
+        return job.finish(run, f"summa-{pr}x{pc}", keep_run)

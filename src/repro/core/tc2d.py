@@ -10,38 +10,36 @@ Each rank program:
    redistribution, degree reordering, U/L split, 2D cyclic distribution;
 2. performs Cannon's initial skew, then ``sqrt(p)`` rounds of
    *count local blocks -> shift U left -> shift L up* (phase ``"tct"``),
-   accumulating the local triangle count;
+   accumulating the local triangle count — the shared
+   :func:`~repro.core.cannon.cannon_pass`;
 3. joins a global sum-reduction of the count.
 
-Correctness invariant (checked by the kernel every step): the U and L
-blocks a rank processes always carry the same inner residue
-``z' = (x + y + z) % q`` — Equation 6 of the paper.
+Correctness invariant (checked every step): the U and L blocks a rank
+processes always carry the same inner residue ``z' = (x + y + z) % q`` —
+Equation 6 of the paper.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-from repro.core.blocks import exchange_block
-from repro.core.config import TC2DConfig
-from repro.core.counts import ShiftRecord, TriangleCountResult
-from repro.core.grid import ProcessorGrid
-from repro.core.kernels import KernelStats, resolve_backend
-from repro.core.preprocess import (
-    InputChunk,
-    partition_1d,
-    preprocess,
-    preprocess_with_labels,
+from repro.core.cannon import (
+    TAGS_TC2D,
+    GridJob,
+    KernelTally,
+    Operands,
+    assemble_result,
+    cannon_pass,
+    load_warm_blocks,
+    rank_record,
 )
-from repro.core.superstep import KERNEL_JOB_ENTRY
+from repro.core.config import TC2DConfig
+from repro.core.counts import TriangleCountResult
+from repro.core.grid import ProcessorGrid
+from repro.core.preprocess import InputChunk, preprocess, preprocess_with_labels
 from repro.graph.csr import Graph
-from repro.simmpi import SUM, Engine, MachineModel, Resident, RunResult, SuperstepPool
+from repro.simmpi import SUM, MachineModel, RunResult, SuperstepPool
 from repro.simmpi.engine import RankContext
-
-_TAG_SKEW_U = 100
-_TAG_SKEW_L = 110
-_TAG_SHIFT_U = 120
-_TAG_SHIFT_L = 130
 
 
 def tc2d_rank_program(
@@ -76,361 +74,41 @@ def tc2d_rank_program(
     """
     comm = ctx.comm
     grid = ProcessorGrid.for_ranks(comm.size)
-    q = grid.q
     chunk = chunks[ctx.rank]
 
     snap = resilience.restore_snapshot(ctx.rank) if resilience is not None else None
-    cache_hit = cache is not None and cache.hit and snap is None
-    restored_count = 0
-    start_z = 0
-    x, y = grid.coords(ctx.rank)
-    offloading = ctx.engine.superstep is not None
-    # Amortized residency assumes block *content* is exchange-invariant
-    # (only location rotates under Cannon's schedule).  A fault injector
-    # can break that — corrupt faults rewrite payloads in flight — so
-    # fault-injected runs quietly degrade to per-epoch transient blobs.
-    amortized = (
-        offloading and cfg.dispatch == "amortized" and ctx.engine.faults is None
-    )
-    # Warm hits whose rank files the driver pre-validated as mappable
-    # (RunCache.premap) publish *file-backed* resident slots: workers
-    # mmap the store file instead of receiving arena copies.
-    file_serving = cache_hit and offloading and getattr(
-        cache, "file_serving", False
-    )
-    mapped_task = False
-    mapped_travelling = False
-    if cache_hit:
-        with ctx.phase("cache"):
-            t0 = ctx.clock.now
-            u_block, l_block, task_block, nbytes = cache.load_rank(ctx.rank)
-            ctx.charge("cache_io", nbytes)
-            if ctx.tracer.enabled:
-                ctx.tracer.span_point(
-                    t0, ctx.clock.now, ctx.rank, "cache",
-                    f"cache:load:{cache.digest[:12]}", nbytes=nbytes,
-                )
-            for blk in (u_block, l_block, task_block):
-                ctx.alloc_mem(blk.nbytes_estimate())
-            if file_serving:
-                # The task block is only referenced by this very rank, so
-                # its file slot is safe under any dispatch mode.
-                ctx.put_resident_file(
-                    ("task", ctx.rank), cache.blob_slot(ctx.rank, "task")
-                )
-                mapped_task = True
-            if file_serving and amortized:
-                # Pre-skew schedule-ahead publication.  The stored U/L
-                # blobs carry this rank's *pre-skew* inner residues; over
-                # a grid row (column) those residues are a bijection onto
-                # 0..q-1 exactly like the post-skew ones, so the key
-                # union covers every epoch's operand and the bytes are
-                # the very pages the skewed copies travelled as.  The
-                # barrier below sequences the publications: every rank's
-                # slots are live before any rank can submit a kernel that
-                # references a grid peer's key.
-                ctx.put_resident_file(
-                    ("U", x, u_block.inner_residue),
-                    cache.blob_slot(ctx.rank, "u"),
-                )
-                ctx.put_resident_file(
-                    ("L", y, l_block.inner_residue),
-                    cache.blob_slot(ctx.rank, "l"),
-                )
-                mapped_travelling = True
-            comm.barrier()
-        with ctx.phase("ppt"):
-            pass  # keeps run.phase_time("ppt") defined (and zero)
+    if cache is not None and cache.hit and snap is None:
+        [ops] = load_warm_blocks(ctx, [cache])
     else:
         with ctx.phase("ppt"):
-            if snap is None:
-                if cache is not None and cache.writable:
-                    blocks, (lo, labels) = preprocess_with_labels(
-                        ctx, chunk, grid, cfg
-                    )
-                    u_block, l_block, task_block = blocks
-                    cache.save_rank(
-                        ctx.rank, u_block, l_block, task_block, lo, labels
-                    )
-                else:
-                    u_block, l_block, task_block = preprocess(
-                        ctx, chunk, grid, cfg
-                    )
-            else:
+            if snap is not None:
                 # Restart path: the checkpoint replaces preprocessing.  The
                 # blob deserialization checksum-verifies every block; the
                 # residue assertion in the counting loop then proves the
                 # restored operands sit exactly where the fault-free schedule
                 # would have them.
-                u_block, l_block, task_block = snap.blocks()
-                restored_count = snap.local_count
-                start_z = snap.epoch
+                ops = Operands(*snap.blocks())
                 ctx.charge("checkpoint_io", snap.nbytes)
-            for blk in (u_block, l_block, task_block):
+            elif cache is not None and cache.writable:
+                blocks, (lo, labels) = preprocess_with_labels(ctx, chunk, grid, cfg)
+                cache.save_rank(ctx.rank, *blocks, lo, labels)
+                ops = Operands(*blocks)
+                del blocks  # ops alone must hold the travelling blocks
+            else:
+                ops = Operands(*preprocess(ctx, chunk, grid, cfg))
+            for blk in ops.blocks():
                 ctx.alloc_mem(blk.nbytes_estimate())
             comm.barrier()
     counters_ppt = dict(ctx.counters)
 
-    def swap(old, new):
-        # Memory accounting for a travelling block exchange: the outgoing
-        # block is released once the replacement arrives (Cannon's pattern
-        # keeps exactly one U and one L block live -- the memory-scalability
-        # property Section 5.1 claims).
-        ctx.free_mem(old.nbytes_estimate())
-        ctx.alloc_mem(new.nbytes_estimate())
-        return new
-
-    local_count = restored_count
-    shift_records: list[tuple[int, float, int]] = []
-    hash_builds = 0
-    hash_fast_builds = 0
-    backend_uses: dict[str, int] = {}
-    blob = cfg.blob_serialization
-    task_ref: Any = None
-
+    tally = KernelTally()
     with ctx.phase("tct"):
-        if snap is None:
-            if q > 1:
-                du, su = grid.skew_u(x, y)
-                u_block = swap(
-                    u_block,
-                    exchange_block(comm, u_block, du, su, blob, _TAG_SKEW_U),
-                )
-                dl, sl = grid.skew_l(x, y)
-                l_block = swap(
-                    l_block,
-                    exchange_block(comm, l_block, dl, sl, blob, _TAG_SKEW_L),
-                )
-            if resilience is not None:
-                resilience.save(ctx, 0, local_count, u_block, l_block, task_block)
-
-        if offloading:
-            # The task block never travels: publish its blob once as a
-            # resident slot and reference it every epoch instead of
-            # re-serializing and re-copying it per shift.  (Skipped when
-            # the cache phase already published the store file's bytes.)
-            if not mapped_task:
-                ctx.put_resident(("task", ctx.rank), task_block.as_blob())
-            task_ref = Resident(("task", ctx.rank))
-        if amortized and not mapped_travelling:
-            # Schedule-ahead publication: Eq. 6 pins every later epoch's
-            # operand *content* right now — blocks only rotate location.
-            # Each rank publishing its current U/L blob keyed by (role,
-            # fixed residue, inner residue) covers the rank's whole Cannon
-            # schedule: at epoch z this rank reads ("U", x, (x+y+z) % q),
-            # which a grid peer published under this very protocol.  All
-            # publications precede the first dispatch because drains only
-            # fire once every rank has parked on its epoch job.
-            ctx.put_resident(("U", x, u_block.inner_residue), u_block.as_blob())
-            ctx.put_resident(("L", y, l_block.inner_residue), l_block.as_blob())
-
-        for z in range(start_z, q):
-            ctx.fault_point(f"shift:{z}")
-            expected = grid.operand_residue(x, y, z)
-            if u_block.inner_residue != expected:
-                raise AssertionError(
-                    f"rank {ctx.rank} step {z}: U block carries residue "
-                    f"{u_block.inner_residue}, expected {expected}"
-                )
-            working_set = (
-                u_block.nbytes_estimate()
-                + l_block.nbytes_estimate()
-                + task_block.nbytes_estimate()
-            )
-            t0 = ctx.clock.now
-            # Resolve per block pair so "auto" can pick differently shift
-            # by shift (block shapes change as operands travel the grid).
-            bname, kernel_fn = resolve_backend(
-                cfg.kernel_backend, task_block, u_block, l_block, cfg
-            )
-            if offloading:
-                # Parallel superstep: ship the block operands to the
-                # worker pool and park; every rank's epoch-z kernel lands
-                # in the same dispatch batch (the blocks are data-
-                # independent — Eq. 6 pins all operands before any kernel
-                # runs).  The returned stats are applied below exactly as
-                # inline results would be, so clocks/counters/traces
-                # match the sequential executor bit for bit.
-                if amortized:
-                    # Belt and braces for the resident lookup: the key is
-                    # derived from the residue invariant, so prove the
-                    # travelling block actually carries that residue
-                    # before substituting the resident bytes for it.
-                    if l_block.inner_residue != expected:
-                        raise AssertionError(
-                            f"rank {ctx.rank} step {z}: L block carries "
-                            f"residue {l_block.inner_residue}, expected "
-                            f"{expected}"
-                        )
-                    operands = (
-                        task_ref,
-                        Resident(("U", x, expected)),
-                        Resident(("L", y, expected)),
-                    )
-                else:
-                    # as_blob: exchanged blocks retain their wire buffer,
-                    # so batched dispatch re-ships but never re-packs.
-                    operands = (task_ref, u_block.as_blob(), l_block.as_blob())
-                payload = ctx.offload(
-                    KERNEL_JOB_ENTRY,
-                    operands,
-                    meta={
-                        "backend": bname,
-                        "cfg": cfg,
-                        "rank": ctx.rank,
-                        "shift": z,
-                    },
-                    label=f"kernel:{bname}",
-                )
-                st = KernelStats(**payload)
-            else:
-                st = kernel_fn(task_block, u_block, l_block, cfg)
-            backend_uses[bname] = backend_uses.get(bname, 0) + 1
-            ctx.charge("row_visit", st.row_visits, working_set)
-            ctx.charge("task", st.tasks, working_set)
-            ctx.charge("hash_insert_fast", st.insert_steps_fast, working_set)
-            ctx.charge("hash_insert", st.insert_steps_slow, working_set)
-            ctx.charge("hash_probe_fast", st.probe_steps_fast, working_set)
-            ctx.charge("hash_probe", st.probe_steps_slow, working_set)
-            local_count += st.triangles
-            hash_builds += st.hash_builds
-            hash_fast_builds += st.hash_fast_builds
-            if ctx.tracer.enabled:
-                ctx.tracer.span_point(
-                    t0, ctx.clock.now, ctx.rank, "compute",
-                    f"kernel:{bname}", shift=z, tasks=st.tasks,
-                )
-            if cfg.track_per_shift:
-                shift_records.append((z, ctx.clock.now - t0, st.tasks))
-
-            if z < q - 1:
-                ctx.fault_point(f"shift:{z}:exchange")
-                du, su = grid.shift_u(x, y)
-                u_block = swap(
-                    u_block,
-                    exchange_block(comm, u_block, du, su, blob, _TAG_SHIFT_U),
-                )
-                dl, sl = grid.shift_l(x, y)
-                l_block = swap(
-                    l_block,
-                    exchange_block(comm, l_block, dl, sl, blob, _TAG_SHIFT_L),
-                )
-                # Validate the incoming operands *before* any checkpoint
-                # snapshot: a stale block (e.g. from an injected duplicate
-                # delivery) must abort the step, not poison the on-disk
-                # state a restart would restore from.
-                nxt = grid.operand_residue(x, y, z + 1)
-                if u_block.inner_residue != nxt or l_block.inner_residue != nxt:
-                    raise AssertionError(
-                        f"rank {ctx.rank} step {z}: exchange delivered blocks "
-                        f"with residues (U={u_block.inner_residue}, "
-                        f"L={l_block.inner_residue}), expected {nxt} "
-                        "(stale or misrouted delivery)"
-                    )
-            if resilience is not None:
-                resilience.save(
-                    ctx, z + 1, local_count, u_block, l_block, task_block
-                )
-
-        total = comm.allreduce(local_count, SUM)
-
-    counters_total = dict(ctx.counters)
-    counters_tct = {
-        k: counters_total.get(k, 0.0) - counters_ppt.get(k, 0.0)
-        for k in counters_total
-        if counters_total.get(k, 0.0) != counters_ppt.get(k, 0.0)
-    }
-    return {
-        "total": int(total),
-        "local": int(local_count),
-        "counters_ppt": counters_ppt,
-        "counters_tct": counters_tct,
-        "shifts": shift_records,
-        "hash_builds": hash_builds,
-        "hash_fast_builds": hash_fast_builds,
-        "backend_uses": backend_uses,
-    }
-
-
-def _merge_counters(dicts: list[dict[str, float]]) -> dict[str, float]:
-    out: dict[str, float] = {}
-    for d in dicts:
-        for k, v in d.items():
-            out[k] = out.get(k, 0.0) + v
-    return out
-
-
-def _open_run_cache(
-    cache: Any,
-    graph: Graph,
-    p: int,
-    cfg: TC2DConfig,
-    model: MachineModel | None,
-    dataset: str,
-) -> Any:
-    """Driver helper: coerce ``cache=`` into a per-run ``RunCache``.
-
-    Accepts ``None``, ``True`` (default store root), a path, a
-    ``GraphStore`` or an already-opened ``RunCache``.  Imported lazily so
-    :mod:`repro.core` never depends on the store at import time.
-    """
-    if cache is None:
-        return None
-    from repro.graph.store import GraphStore, RunCache, resolve_store
-
-    if isinstance(cache, RunCache):
-        return cache
-    store: GraphStore = resolve_store(cache)
-    return store.open_run(graph, p, cfg, model=model, source=dataset)
-
-
-def _finish_run_cache(run_cache: Any, result: TriangleCountResult) -> None:
-    """Driver helper: finalize a cold cached run / replay a warm one.
-
-    Cold + writable: writes the entry manifest, recording the measured ppt
-    statistics under the machine-model fingerprint.  Hit: replays the
-    recorded ppt statistics (valid because the simulation is
-    deterministic — they are exactly what a fresh run would measure) into
-    the result so benchmark tables built off a warm store keep honest
-    preprocessing columns.  Either way ``result.extras["cache"]`` records
-    what happened.
-    """
-    if run_cache is None:
-        return
-    if run_cache.hit:
-        recorded = run_cache.recorded_ppt()
-        if recorded is not None:
-            result.ppt_time = float(recorded["ppt_time"])
-            result.comm_fraction_ppt = float(recorded["comm_fraction_ppt"])
-            result.counters_ppt = dict(recorded["counters_ppt"])
-        else:
-            # No recording for this machine model: report the honest truth
-            # — preprocessing did not run.  (The live ``ppt`` phase is
-            # empty; the cross-rank phase_time would otherwise show only
-            # barrier clock skew, not work.)
-            result.ppt_time = 0.0
-            result.comm_fraction_ppt = 0.0
-        result.extras["cache"] = {
-            "hit": True,
-            "digest": run_cache.digest,
-            "nbytes": run_cache.loaded_nbytes,
-            "replayed_ppt": recorded is not None,
-            "mapped_ranks": run_cache.mapped_ranks,
-            "file_serving": getattr(run_cache, "file_serving", False),
-        }
-    else:
-        wrote = run_cache.finalize(
-            ppt_stats={
-                "ppt_time": result.ppt_time,
-                "comm_fraction_ppt": result.comm_fraction_ppt,
-                "counters_ppt": result.counters_ppt,
-            }
+        local_count = cannon_pass(
+            ctx, grid, cfg, ops, tally, tags=TAGS_TC2D, prefix="", shift_base=0,
+            resilience=resilience, snap=snap,
         )
-        result.extras["cache"] = {
-            "hit": False,
-            "digest": run_cache.digest,
-            "stored": wrote,
-        }
+        total = comm.allreduce(local_count, SUM)
+    return rank_record(ctx, counters_ppt, total, local_count, tally)
 
 
 def count_triangles_2d(
@@ -498,76 +176,19 @@ def count_triangles_2d(
         ``extras`` additionally carries ``executor``, ``workers`` and
         the run's wall-clock ``worker_spans``.
     """
-    cfg = cfg if cfg is not None else TC2DConfig()
     ProcessorGrid.for_ranks(p)  # validates perfect square early
-    run_cache = _open_run_cache(cache, graph, p, cfg, model, dataset)
-    if run_cache is not None and run_cache.hit:
-        # The 1D input partition only feeds preprocessing, which a store
-        # hit skips entirely.
-        chunks = [None] * p
-    else:
-        chunks = partition_1d(graph, p)
-    pool = superstep
-    owned = False
-    if pool is None and cfg.executor == "parallel":
-        # cfg.dispatch="amortized" is a rank-side residency protocol on
-        # top of the pool's batched transport, so the pool itself only
-        # distinguishes perjob from batched.  (A borrowed pool keeps its
-        # own dispatch_mode; cfg.dispatch still governs residency.)
-        pool = SuperstepPool(
-            workers=cfg.workers,
-            timeout=cfg.real_timeout,
-            dispatch_mode="perjob" if cfg.dispatch == "perjob" else "batched",
+    with GridJob(
+        graph, p, cfg, "tc2d", model=model, trace=trace, dataset=dataset,
+        superstep=superstep, cache=cache, telemetry=telemetry,
+    ) as job:
+        run = job.run(
+            tc2d_rank_program, job.cfg, None, job.caches[0] if job.caches else None
         )
-        owned = True
-    if run_cache is not None and run_cache.hit and pool is not None:
-        # Decide file-backed resident serving once, driver-side, so every
-        # rank agrees (mixing protocols could leave residues unpublished
-        # — see RunCache.premap).
-        run_cache.premap(p)
-    try:
-        if telemetry is not None:
-            if pool is not None:
-                telemetry.attach_pool(pool)
-            telemetry.begin_run(label=f"{dataset or 'graph'}-p{p}")
-        engine = Engine(
-            p,
-            model=model,
-            trace=trace,
-            real_timeout=cfg.real_timeout,
-            superstep=pool,
-            telemetry=telemetry,
-        )
-        try:
-            run: RunResult = engine.run(
-                tc2d_rank_program, chunks, cfg, None, run_cache
-            )
-        except BaseException as exc:
-            if telemetry is not None:
-                telemetry.crash_dump(reason=type(exc).__name__)
-            raise
-        result = assemble_tc2d_result(
-            run, p, cfg, dataset=dataset, keep_run=keep_run or trace
-        )
-        _finish_run_cache(run_cache, result)
-        if pool is not None:
-            result.extras["executor"] = "parallel"
-            result.extras["workers"] = pool.workers
-            result.extras["dispatch"] = cfg.dispatch
-            result.extras["worker_spans"] = pool.drain_spans()
-        if telemetry is not None:
-            result.extras["telemetry"] = telemetry.summarize(
-                result=result, run=run, model=engine.model, cfg=cfg
-            )
-        return result
-    finally:
-        if run_cache is not None:
-            # Releases the per-digest writer lock even when the run (or
-            # finalize) raised, so a crashed cold run cannot wedge other
-            # writers of the same artifact until process exit.
-            run_cache.close()
-        if owned:
-            pool.shutdown()
+        return job.finish(run, _label(job.cfg), keep_run)
+
+
+def _label(cfg: TC2DConfig) -> str:
+    return "tc2d" if cfg.enumeration == "jik" else "tc2d-ijk"
 
 
 def assemble_tc2d_result(
@@ -577,46 +198,7 @@ def assemble_tc2d_result(
     dataset: str = "",
     keep_run: bool = False,
 ) -> TriangleCountResult:
-    """Build the :class:`TriangleCountResult` record from a finished run.
-
-    Shared by :func:`count_triangles_2d` and the resilience layer's
-    restarting driver (which assembles the record from the first
-    *successful* attempt, possibly one that resumed from a checkpoint).
-    """
-    rets = run.returns
-    count = rets[0]["total"]
-    if any(r["total"] != count for r in rets):
-        raise AssertionError("ranks disagree on the reduced triangle count")
-    if sum(r["local"] for r in rets) != count:
-        raise AssertionError("local counts do not sum to the global count")
-
-    result = TriangleCountResult(
-        count=count,
-        p=p,
-        dataset=dataset,
-        algorithm="tc2d" if cfg.enumeration == "jik" else "tc2d-ijk",
-        ppt_time=run.phase_time("ppt"),
-        tct_time=run.phase_time("tct"),
-        counters_ppt=_merge_counters([r["counters_ppt"] for r in rets]),
-        counters_tct=_merge_counters([r["counters_tct"] for r in rets]),
-        comm_fraction_ppt=run.phase_comm_fraction("ppt"),
-        comm_fraction_tct=run.phase_comm_fraction("tct"),
-        shift_records=[
-            ShiftRecord(shift=z, rank=rank, compute_seconds=dt, tasks=nt)
-            for rank, r in enumerate(rets)
-            for (z, dt, nt) in r["shifts"]
-        ],
-        hash_builds=sum(r["hash_builds"] for r in rets),
-        hash_fast_builds=sum(r["hash_fast_builds"] for r in rets),
-    )
-    result.extras["makespan"] = run.makespan
-    result.extras["mem_peak_bytes"] = max(run.mem_peaks) if run.mem_peaks else 0
-    result.extras["kernel_backend"] = cfg.kernel_backend
-    uses: dict[str, int] = {}
-    for r in rets:
-        for name, n in r["backend_uses"].items():
-            uses[name] = uses.get(name, 0) + n
-    result.extras["kernel_backend_uses"] = uses
-    if keep_run:
-        result.extras["run"] = run
-    return result
+    """Build the :class:`TriangleCountResult` record from a finished
+    :func:`tc2d_rank_program` run (see
+    :func:`~repro.core.cannon.assemble_result`)."""
+    return assemble_result(run, p, cfg, _label(cfg), dataset, keep_run)

@@ -268,6 +268,10 @@ class MappedRankFile:
         except Exception:
             self.close()
             raise
+        # The map holds its own duplicate of the descriptor; the handle was
+        # only needed to create it and to read the zip/npy headers.
+        self._fh.close()
+        self._fh = None
 
     def _parse(self) -> None:
         with zipfile.ZipFile(self._fh) as zf:

@@ -2,7 +2,10 @@
 
 :func:`count_triangles_2d_resilient` wraps
 :func:`~repro.core.tc2d.count_triangles_2d`'s rank program in a restart
-loop: each attempt resumes every rank from the latest *complete*
+loop on the shared run driver (:class:`~repro.core.cannon.GridJob`: one
+job — store entry, worker pool, telemetry — for the whole loop, one
+:meth:`~repro.core.cannon.GridJob.run` per attempt): each attempt resumes
+every rank from the latest *complete*
 checkpoint epoch (see :mod:`repro.resilience.checkpoint`); a
 fault-induced failure — injected crash, deadlock from a dropped message,
 blob-checksum corruption, collective mismatch from a duplicated envelope —
@@ -25,15 +28,15 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.core.blocks import Block
+from repro.core.cannon import GridJob
 from repro.core.config import TC2DConfig
 from repro.core.counts import TriangleCountResult
 from repro.core.grid import ProcessorGrid
-from repro.core.preprocess import partition_1d
-from repro.core.tc2d import assemble_tc2d_result, tc2d_rank_program
+from repro.core.tc2d import tc2d_rank_program
 from repro.graph.csr import Graph
 from repro.resilience.checkpoint import CheckpointStore, RankSnapshot
 from repro.resilience.faults import FaultInjector, FaultPlan
-from repro.simmpi import Engine, MachineModel
+from repro.simmpi import MachineModel
 from repro.simmpi.engine import RankContext
 from repro.simmpi.errors import (
     DeadlockError,
@@ -233,22 +236,9 @@ def count_triangles_2d_resilient(
     ResilienceExhaustedError
         If the run still fails after ``policy.max_restarts`` restarts.
     """
-    cfg = cfg if cfg is not None else TC2DConfig()
     policy = policy if policy is not None else RecoveryPolicy()
     grid = ProcessorGrid.for_ranks(p)
     injector = FaultInjector(fault_plan) if fault_plan is not None else None
-
-    run_cache = None
-    if cache is not None:
-        from repro.core.tc2d import _open_run_cache
-
-        run_cache = _open_run_cache(cache, graph, p, cfg, model, dataset)
-        if injector is not None:
-            run_cache.writable = False
-    if run_cache is not None and run_cache.hit:
-        chunks = [None] * p
-    else:
-        chunks = partition_1d(graph, p)
 
     tmp = None
     if checkpoint_dir is None:
@@ -256,55 +246,37 @@ def count_triangles_2d_resilient(
         checkpoint_dir = tmp.name
     store = CheckpointStore(checkpoint_dir)
 
-    pool = superstep
-    pool_owned = False
-    if pool is None and cfg.executor == "parallel":
-        from repro.simmpi.parallel import SuperstepPool
-
-        pool = SuperstepPool(
-            workers=cfg.workers,
-            timeout=cfg.real_timeout,
-            dispatch_mode="perjob" if cfg.dispatch == "perjob" else "batched",
-        )
-        pool_owned = True
-
-    if telemetry is not None and pool is not None:
-        telemetry.attach_pool(pool)
-
     attempts: list[AttemptRecord] = []
     failed_traces: list[AttemptTrace] = []
     try:
-        for attempt in range(policy.max_restarts + 1):
-            if injector is not None:
-                injector.new_attempt()
-            restore_epoch = store.latest_complete_epoch(p)
-            rctx = ResilienceContext(
-                store, restore_epoch, interval=checkpoint_interval
-            )
-            if telemetry is not None:
-                telemetry.begin_run(
-                    label=f"{dataset or 'graph'}-p{p}-attempt{attempt}"
+        with GridJob(
+            graph, p, cfg, "tc2d", model=model, trace=trace, dataset=dataset,
+            superstep=superstep, cache=cache, telemetry=telemetry,
+            fault_injector=injector,
+        ) as job:
+            run_cache = job.caches[0] if job.caches else None
+            for attempt in range(policy.max_restarts + 1):
+                if injector is not None:
+                    injector.new_attempt()
+                restore_epoch = store.latest_complete_epoch(p)
+                rctx = ResilienceContext(
+                    store, restore_epoch, interval=checkpoint_interval
                 )
-            engine = Engine(
-                p,
-                model=model,
-                trace=trace,
-                real_timeout=cfg.real_timeout,
-                fault_injector=injector,
-                superstep=pool,
-                telemetry=telemetry,
-            )
-            try:
-                run = engine.run(tc2d_rank_program, chunks, cfg, rctx, run_cache)
-            except (RankFailedError, DeadlockError, SimMPIError) as exc:
-                fired = len(injector.fired) if injector is not None else 0
+                failure = None
+                try:
+                    run = job.run(
+                        tc2d_rank_program, job.cfg, rctx, run_cache,
+                        label_suffix=f"-attempt{attempt}",
+                    )
+                except (RankFailedError, DeadlockError, SimMPIError) as exc:
+                    failure = exc
                 rec = AttemptRecord(
                     attempt=attempt,
                     restored_epoch=restore_epoch,
-                    outcome=type(exc).__name__,
-                    error=str(exc),
-                    backoff=policy.backoff(attempt),
-                    faults_fired=fired,
+                    outcome="ok" if failure is None else type(failure).__name__,
+                    error="" if failure is None else str(failure),
+                    backoff=0.0 if failure is None else policy.backoff(attempt),
+                    faults_fired=len(injector.fired) if injector is not None else 0,
                 )
                 attempts.append(rec)
                 if telemetry is not None:
@@ -313,42 +285,25 @@ def count_triangles_2d_resilient(
                         attempt=attempt,
                         restored_epoch=restore_epoch,
                         outcome=rec.outcome,
-                        faults_fired=fired,
+                        faults_fired=rec.faults_fired,
                         backoff=rec.backoff,
                     )
+                if failure is None:
+                    break
                 if trace:
-                    failed_traces.append(AttemptTrace(engine.tracer, p))
+                    failed_traces.append(AttemptTrace(job.engine.tracer, p))
                 if injector is None:
                     # No faults were injected: this is a real bug, not a
                     # simulated outage — never mask it behind retries.
-                    if telemetry is not None:
-                        telemetry.crash_dump(reason=type(exc).__name__)
-                    raise
+                    # (GridJob.run already dumped the flight recorder.)
+                    raise failure
                 if attempt == policy.max_restarts:
                     if telemetry is not None:
                         telemetry.crash_dump(reason="ResilienceExhausted")
-                    raise ResilienceExhaustedError(attempt + 1, exc) from exc
+                    raise ResilienceExhaustedError(attempt + 1, failure) from failure
                 if policy.sleep and rec.backoff > 0:
                     time.sleep(rec.backoff)
-                continue
 
-            attempts.append(
-                AttemptRecord(
-                    attempt=attempt,
-                    restored_epoch=restore_epoch,
-                    outcome="ok",
-                    faults_fired=(
-                        len(injector.fired) if injector is not None else 0
-                    ),
-                )
-            )
-            if telemetry is not None:
-                telemetry.note(
-                    "attempt",
-                    attempt=attempt,
-                    restored_epoch=restore_epoch,
-                    outcome="ok",
-                )
             manifest = store.write_manifest(
                 p,
                 grid.q,
@@ -359,41 +314,19 @@ def count_triangles_2d_resilient(
                     "attempts": len(attempts),
                 },
             )
-            result = assemble_tc2d_result(
-                run, p, cfg, dataset=dataset, keep_run=trace
-            )
-            if run_cache is not None:
-                from repro.core.tc2d import _finish_run_cache
-
-                _finish_run_cache(run_cache, result)
-            result.algorithm = "tc2d-resilient"
-            if pool is not None:
-                result.extras["executor"] = "parallel"
-                result.extras["workers"] = pool.workers
-                result.extras["worker_spans"] = pool.drain_spans()
-            result.extras["attempts"] = attempts
-            result.extras["restarts"] = len(attempts) - 1
-            result.extras["faults_fired"] = (
-                [f.spec.describe() for f in injector.fired]
-                if injector is not None
-                else []
-            )
-            result.extras["checkpoint_manifest"] = (
-                None if tmp is not None else str(manifest)
-            )
-            result.extras["attempt_traces"] = failed_traces
-            if telemetry is not None:
-                result.extras["telemetry"] = telemetry.summarize(
-                    result=result, run=run, model=engine.model, cfg=cfg
-                )
-            return result
-        raise AssertionError("unreachable: restart loop neither returned nor raised")
+            result = job.finish(run, "tc2d-resilient")
+        result.extras["attempts"] = attempts
+        result.extras["restarts"] = len(attempts) - 1
+        result.extras["faults_fired"] = (
+            [f.spec.describe() for f in injector.fired]
+            if injector is not None
+            else []
+        )
+        result.extras["checkpoint_manifest"] = (
+            None if tmp is not None else str(manifest)
+        )
+        result.extras["attempt_traces"] = failed_traces
+        return result
     finally:
-        if run_cache is not None:
-            # Releases the per-digest writer lock even when every attempt
-            # failed, so other writers of the same artifact can proceed.
-            run_cache.close()
-        if pool_owned:
-            pool.shutdown()
         if tmp is not None:
             tmp.cleanup()

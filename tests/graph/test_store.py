@@ -315,3 +315,28 @@ def test_manifest_records_versions_and_provenance(graph, store):
     assert doc["cfg"] == CFG.store_key()
     fp = MODEL.fingerprint()
     assert doc["recorded"][fp]["ppt_time"] == cold.ppt_time
+
+
+# -- mmap serving keeps no file handle ----------------------------------------
+
+
+def test_mapped_rank_file_closes_its_handle_after_parsing(graph, store):
+    import gc
+    import warnings
+
+    from repro.graph.store import MappedRankFile
+
+    cold = _run(graph, cache=store)
+    path = store.rank_path(cold.extras["cache"]["digest"], 0)
+    with np.load(path) as doc:
+        want = doc["u"].copy()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        mapped = MappedRankFile(path)
+        # The map owns a duplicate descriptor; the parse-time handle is gone.
+        assert mapped._fh is None
+        assert np.array_equal(mapped.array("u"), want)
+        assert mapped.block("task").nnz >= 0
+        del mapped
+        gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []

@@ -8,6 +8,12 @@ as it stood before the hand-off moved off the scheduler thread.  A change to
 the hand-off mechanism must leave the file untouched; a deliberate change of
 scheduling *policy* regenerates it with
 ``PYTHONPATH=src python -m tests.simmpi.test_schedule_pin``.
+
+The ``drivers`` section pins what every grid driver reports — count,
+logical counters, virtual clocks, memory peak, shift records, trace bytes,
+cache spans, the recovery attempt log — recorded before the drivers were
+folded onto one Cannon rotation and one run driver (``core/cannon.py``).
+A refactor of that plumbing must leave it untouched too.
 """
 
 from __future__ import annotations
@@ -19,9 +25,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core import TC2DConfig, count_triangles_2d
+from repro.core import (
+    TC2DConfig,
+    count_triangles_2d,
+    count_triangles_2d_allgather,
+    count_triangles_coveredge,
+    count_triangles_summa,
+    triangle_census_2d,
+)
 from repro.graph import Graph
+from repro.graph.store import GraphStore
 from repro.instrument import dumps_chrome_trace
+from repro.resilience import FaultPlan, FaultSpec, count_triangles_2d_resilient
 from repro.simmpi import ANY_SOURCE, SUM, Engine
 from repro.simmpi.parallel import SuperstepPool
 
@@ -107,6 +122,102 @@ def _observe_tc2d() -> dict:
     }
 
 
+def _clocks(res) -> dict:
+    """Count, logical counters and virtual clocks of one result record."""
+    return {
+        "count": int(res.count),
+        "counters_ppt": res.counters_ppt,
+        "counters_tct": res.counters_tct,
+        "ppt_time": res.ppt_time,
+        "tct_time": res.tct_time,
+        "makespan": res.extras["makespan"],
+    }
+
+
+def _full(res) -> dict:
+    """``_clocks`` plus memory peak, shift records and the trace digest."""
+    run = res.extras["run"]
+    blob = dumps_chrome_trace(run).encode()
+    return {
+        **_clocks(res),
+        "mem_peak_bytes": max(run.mem_peaks) if run.mem_peaks else 0,
+        "shift_records": [
+            [s.shift, s.rank, s.compute_seconds, s.tasks]
+            for s in res.shift_records
+        ],
+        "trace_sha256": hashlib.sha256(blob).hexdigest(),
+    }
+
+
+def _warm(driver, store_dir) -> dict:
+    """Cold run into a fresh store, then pin what the warm run reports."""
+    g = _circulant_graph()
+    cold = driver(g, 9, cache=GraphStore(store_dir))
+    assert cold.extras["cache"]["hit"] is False
+    res = driver(g, 9, cache=GraphStore(store_dir), trace=True)
+    cache = dict(res.extras["cache"])
+    spans = sorted(
+        {s.name for s in res.extras["run"].tracer.spans if s.cat == "cache"}
+    )
+    return {**_full(res), "cache": cache, "cache_spans": spans}
+
+
+def _observe_parallel_coveredge(dispatch: str) -> dict:
+    cfg = TC2DConfig(executor="parallel", workers=2, dispatch=dispatch)
+    return _clocks(count_triangles_coveredge(_circulant_graph(), 9, cfg))
+
+
+def _observe_census() -> dict:
+    census = triangle_census_2d(_circulant_graph(), 9)
+    return {
+        "count": int(census.count),
+        "edge_support_sha256": hashlib.sha256(
+            np.ascontiguousarray(census.edge_support, dtype=np.int64).tobytes()
+        ).hexdigest(),
+        "vertex_triangles_sum": int(census.vertex_triangles.sum()),
+    }
+
+
+def _observe_resilient() -> dict:
+    plan = FaultPlan([FaultSpec(kind="crash", rank=4, site="shift:1")], seed=0)
+    res = count_triangles_2d_resilient(
+        _circulant_graph(), 9, fault_plan=plan, trace=True
+    )
+    return {
+        **_full(res),
+        "attempts": [
+            [a.attempt, a.restored_epoch, a.outcome, a.faults_fired]
+            for a in res.extras["attempts"]
+        ],
+        "faults_fired": res.extras["faults_fired"],
+    }
+
+
+#: name -> observer(tmp_dir); every value is compared for exact equality.
+DRIVER_OBSERVERS = {
+    "coveredge_p9": lambda tmp: _full(
+        count_triangles_coveredge(_circulant_graph(), 9, trace=True)
+    ),
+    "coveredge_p9_perjob": lambda tmp: _observe_parallel_coveredge("perjob"),
+    "coveredge_p9_batched": lambda tmp: _observe_parallel_coveredge("batched"),
+    "coveredge_p9_amortized": lambda tmp: _observe_parallel_coveredge(
+        "amortized"
+    ),
+    "summa_2x3": lambda tmp: _full(
+        count_triangles_summa(_circulant_graph(), 2, 3, trace=True)
+    ),
+    "allgather_p9": lambda tmp: _full(
+        count_triangles_2d_allgather(_circulant_graph(), 9, trace=True)
+    ),
+    "census_p9": lambda tmp: _observe_census(),
+    "warm_tc2d_p9": lambda tmp: _warm(count_triangles_2d, tmp / "tc2d"),
+    "warm_coveredge_p9": lambda tmp: _warm(
+        count_triangles_coveredge, tmp / "coveredge"
+    ),
+    "resilient_p9_crash_shift1": lambda tmp: _observe_resilient(),
+}
+
+
 @pytest.fixture(scope="module")
 def expected() -> dict:
     return json.loads(EXPECTED.read_text())
@@ -126,9 +237,23 @@ def test_tc2d_p16_trace_bytes_are_pinned(expected):
     assert _observe_tc2d() == expected["tc2d_p16"]
 
 
+@pytest.mark.parametrize("name", sorted(DRIVER_OBSERVERS))
+def test_driver_reports_are_pinned(expected, name, tmp_path):
+    # Through JSON and back so tuples/ints compare the way they were stored
+    # (floats round-trip exactly via repr).
+    got = json.loads(json.dumps(DRIVER_OBSERVERS[name](tmp_path)))
+    assert got == expected["drivers"][name]
+
+
 if __name__ == "__main__":
+    import tempfile
+
     with SuperstepPool(workers=2) as _pool:
         _doc = {"mixed_p9": _observe_mixed(_pool), "tc2d_p16": _observe_tc2d()}
+    with tempfile.TemporaryDirectory() as _tmp:
+        _doc["drivers"] = {
+            name: fn(Path(_tmp)) for name, fn in sorted(DRIVER_OBSERVERS.items())
+        }
     EXPECTED.parent.mkdir(exist_ok=True)
     EXPECTED.write_text(json.dumps(_doc, separators=(",", ":")) + "\n")
     print(f"wrote {EXPECTED}")

@@ -211,7 +211,7 @@ def test_parallel_worker_crash_is_typed(monkeypatch):
 
     g, _ = _graph_and_truth("rmat")
     monkeypatch.setattr(
-        "repro.core.tc2d.KERNEL_JOB_ENTRY",
+        "repro.core.cannon.KERNEL_JOB_ENTRY",
         "repro.simmpi.parallel:_crash_for_tests",
     )
     with pytest.raises(WorkerCrashError):
