@@ -123,13 +123,13 @@ def test_kernelbench_smoke(tmp_path):
     BENCH_kernels.json with the expected schema."""
     import json
 
-    from repro.bench.kernelbench import check_regressions, main
+    from repro.bench.kernelbench import SCHEMA, check_regressions, main
 
     out = tmp_path / "BENCH_kernels.json"
     rc = main(["--smoke", "--reps", "3", "--out", str(out)])
     assert rc == 0
     report = json.loads(out.read_text())
-    assert report["schema"] == 1
+    assert report["schema"] == SCHEMA
     assert report["mode"] == "smoke"
     assert all(
         {"row", "batch"} <= set(c["backends"]) for c in report["cases"]

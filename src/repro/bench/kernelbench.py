@@ -51,8 +51,10 @@ __all__ = [
 #: ``registered_backends`` registry snapshot so numbers from different
 #: machines (or different backend sets) are never compared blindly.
 #: 3 adds per-backend total ``wall_s`` and per-case ``peak_rss_bytes``
-#: (process high-water mark after the case ran).
-SCHEMA = 3
+#: (process high-water mark after the case ran).  4 adds per-case
+#: ``task_rows`` / ``hash_builds`` / ``hash_fast_builds``, so an artifact
+#: shows which cases put every build on the probed path.
+SCHEMA = 4
 
 #: Backends timed by default ("auto" adds only dispatch overhead on top
 #: of whichever concrete backend it picks, so it is not timed separately).
@@ -110,6 +112,15 @@ class BenchCase:
         return make_block_triple(self.scale, self.q)
 
 
+#: The collision-heavy case, in both sweeps so the ``bench-smoke`` CI
+#: job's ``--check`` gates the bulk probed layout: 1396 task rows, every
+#: build probed (modified hashing off), long rows at high load factor —
+#: the configuration ``auto`` kept on ``row`` until batch stopped
+#: replaying probed rows one at a time.
+PROBED_CASE = BenchCase(
+    "rmat13-q3-probed", 13, 3, TC2DConfig(modified_hashing=False)
+)
+
 #: The standard sweep.  "rmat11-q3" is *the* acceptance case (the same
 #: triple as the pytest-benchmark fixture); the others probe scaling and
 #: the toggles' interaction with the vectorized path.
@@ -129,11 +140,13 @@ CASES = (
         3,
         TC2DConfig(early_stop=False),
     ),
+    PROBED_CASE,
 )
 
 SMOKE_CASES = (
     BenchCase("rmat9-q3-smoke", 9, 3),
     BenchCase("rmat10-q3-smoke", 10, 3),
+    PROBED_CASE,
 )
 
 
@@ -181,9 +194,12 @@ def _time_case(
             "doubly_sparse": case.cfg.doubly_sparse,
         },
         "task_nnz": int(t_blk.nnz),
+        "task_rows": len(t_blk.dcsr.nonempty_rows),
         "u_nnz": int(u_blk.nnz),
         "triangles": int(ref["triangles"]),
         "tasks": int(ref["tasks"]),
+        "hash_builds": int(ref["hash_builds"]),
+        "hash_fast_builds": int(ref["hash_fast_builds"]),
         "backends": timings,
         # Process high-water mark after the case ran; monotone across
         # cases, so per-case deltas only attribute growth, not reuse.

@@ -34,6 +34,22 @@ def multirange(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.cumsum(steps)
 
 
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of a 1-D array: one sort and a neighbour
+    compare.  ``np.unique`` returns the same array several times slower
+    (its generic dispatch), which shows where it runs per row or per
+    relabelling round; ``len(sorted_unique(a)) == len(a)`` is the
+    all-distinct test.
+    """
+    s = np.sort(values)
+    if len(s) < 2:
+        return s
+    keep = np.empty(len(s), dtype=bool)
+    keep[0] = True
+    np.not_equal(s[1:], s[:-1], out=keep[1:])
+    return s[keep]
+
+
 def segment_lengths_to_offsets(lengths: np.ndarray) -> np.ndarray:
     """Exclusive prefix-sum offsets (CSR indptr) for segment lengths."""
     lengths = np.asarray(lengths, dtype=INDEX_DTYPE)

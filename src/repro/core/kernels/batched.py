@@ -20,11 +20,12 @@ time changes.  Two facts make that possible:
   fragment — so fast rows need no hash map at all, just the vectorized
   membership test and closed-form step counts;
 * a *probed* build's step count depends on the collision sequence, so
-  rows classified slow (duplicate ``key & mask`` slots, or modified
-  hashing disabled) are replayed through the very same
-  :class:`~repro.hashing.hashmap.BlockHashMap` code the reference uses.
-  Row generations are independent (the map invalidates by generation
-  stamp), so replaying only the slow rows gives identical counts.
+  the rows classified slow (duplicate ``key & mask`` slots, or modified
+  hashing disabled) are laid out — all of them in one call — by
+  :func:`~repro.hashing.hashmap.probed_layouts`, the very walk
+  :class:`~repro.hashing.hashmap.BlockHashMap` builds with.  Row
+  generations are independent (the map invalidates by generation
+  stamp), so every row starts from an empty table in both backends.
 
 With the paper's modified hashing enabled, fast rows dominate after 2D
 decomposition (fragments are ~1/sqrt(p) of an adjacency list), which is
@@ -42,8 +43,13 @@ from repro.core.blocks import Block
 from repro.core.config import TC2DConfig
 from repro.core.kernels.common import KernelStats, kernel_capacity, require_aligned
 from repro.graph.csr import INDEX_DTYPE
-from repro.hashing import BlockHashMap
-from repro.hashing.hashmap import fib_hash
+from repro.hashing.hashmap import (
+    colliding_rows,
+    fib_hash,
+    fib_shift,
+    probed_layouts,
+    table_capacity,
+)
 
 
 @dataclass
@@ -65,11 +71,9 @@ class _BatchPlan:
     probes_skipped: int  # probes removed by the early-stop cut
     window_vals: np.ndarray  # surviving probe candidate ids
     window_row: np.ndarray  # live-row index per surviving probe
-    w_offsets: np.ndarray  # window row boundaries (len(rows)+1)
     ukeys: np.ndarray  # concatenated U fragments of live rows
-    u_offsets: np.ndarray  # U row boundaries into ukeys (len(rows)+1)
     fast: np.ndarray  # bool per live row: collision-free build?
-    hm: BlockHashMap  # shared map for replaying slow rows
+    capacity: int  # hash-table size (power of two) of every row's build
 
 
 def _build_plan(task_block: Block, u_block: Block, l_block: Block,
@@ -144,23 +148,15 @@ def _build_plan(task_block: Block, u_block: Block, l_block: Block,
     window_vals = l_indices[window_gather]
     window_row = np.repeat(task_row, w_lens)
 
-    row_w = segment_sums(w_lens, segment_lengths_to_offsets(t_lens))
-    w_offsets = np.zeros(len(rows) + 1, dtype=INDEX_DTYPE)
-    np.cumsum(row_w, out=w_offsets[1:])
-
     # Concatenated U fragments of the live rows and the fast/slow split.
     u_gather = multirange(u_indptr[rows], u_lens)
     ukeys = u_indices[u_gather]
-    u_offsets = segment_lengths_to_offsets(u_lens)
-    hm = BlockHashMap(kernel_capacity(cfg, U))
+    capacity = table_capacity(kernel_capacity(cfg, U))
     if cfg.modified_hashing:
         # A row builds fast iff its keys' table slots are pairwise
         # distinct — the same test BlockHashMap.build applies.
         u_row = np.repeat(np.arange(len(rows), dtype=INDEX_DTYPE), u_lens)
-        enc = np.sort(u_row * np.int64(hm.capacity) + (ukeys & hm.mask))
-        dup = enc[1:][enc[1:] == enc[:-1]]
-        fast = np.ones(len(rows), dtype=bool)
-        fast[(dup // hm.capacity).astype(np.int64)] = False
+        fast = ~colliding_rows(u_row, ukeys & (capacity - 1), capacity, len(rows))
     else:
         fast = np.zeros(len(rows), dtype=bool)
 
@@ -168,35 +164,32 @@ def _build_plan(task_block: Block, u_block: Block, l_block: Block,
         rows=rows, t_lens=t_lens, u_lens=u_lens, task_slots=task_slots,
         tcols=tcols, llens=llens, w_lens=w_lens,
         probes_skipped=probes_skipped, window_vals=window_vals,
-        window_row=window_row,
-        w_offsets=w_offsets, ukeys=ukeys, u_offsets=u_offsets, fast=fast,
-        hm=hm,
+        window_row=window_row, ukeys=ukeys, fast=fast, capacity=capacity,
     )
 
 
 #: Upper bound on the dense id->slot scratch used for slow-row lookups
-#: (``n_slow_rows * id_range`` int64 entries); beyond it the batched
-#: backend falls back to a row-encoded ``searchsorted`` membership test.
+#: (``n_slow_rows * id_range`` entries); beyond it the batched backend
+#: falls back to a row-encoded ``searchsorted`` membership test.
 _DENSE_SLOT_LIMIT = 1 << 22
 
 
 def _hit_mask(plan: _BatchPlan, u_block: Block, l_block: Block,
-              cfg: TC2DConfig, stats: KernelStats) -> np.ndarray:
+              stats: KernelStats) -> np.ndarray:
     """Boolean hit mask over the surviving probes, plus step accounting.
 
     Fast (direct-mask) rows' tables are laid side by side in one flat
     ``(n_rows x capacity)`` arena so fast probes resolve with a single
-    gather-and-compare.  Slow rows replay the reference's sequential
-    insert walk for the layout, then resolve their probes with the
-    closed-form linear-probing walk length (see below) — no per-query
-    probing loop runs at all.
+    gather-and-compare.  Slow rows get their layouts from one bulk
+    :func:`probed_layouts` call, then resolve their probes with the
+    closed-form linear-probing walk length (see below) — no per-row or
+    per-query loop runs here at all.
     """
     hit = np.zeros(len(plan.window_vals), dtype=bool)
     fast_probe = plan.fast[plan.window_row]
 
-    hm = plan.hm
-    cap = np.int64(hm.capacity)
-    mask = hm.mask
+    cap = plan.capacity
+    mask = cap - 1
     nlive = len(plan.rows)
     u_row = np.repeat(np.arange(nlive, dtype=INDEX_DTYPE), plan.u_lens)
     fast_key = plan.fast[u_row]
@@ -204,7 +197,7 @@ def _hit_mask(plan: _BatchPlan, u_block: Block, l_block: Block,
     fp = np.nonzero(fast_probe)[0]
     stats.probe_steps_fast += fp.size
     if fp.size:
-        arena = np.full(nlive * int(cap), -1, dtype=np.int64)
+        arena = np.full(nlive * cap, -1, dtype=np.int64)
         fk = np.nonzero(fast_key)[0]
         arena[u_row[fk] * cap + (plan.ukeys[fk] & mask)] = plan.ukeys[fk]
         qf = plan.window_vals[fp]
@@ -215,18 +208,13 @@ def _hit_mask(plan: _BatchPlan, u_block: Block, l_block: Block,
         return hit
     nslow = slow_idx.size
 
-    # The insert walk depends on each row's collision sequence, so slow
-    # layouts are replayed sequentially per row (probed_layout is the
-    # exact build loop).  key_slot holds each slow key's local table
-    # slot, aligned with plan.ukeys.
-    key_slot = np.empty(len(plan.ukeys), dtype=np.int64)
-    insert_steps = 0
-    for r in slow_idx.tolist():
-        o0, o1 = int(plan.u_offsets[r]), int(plan.u_offsets[r + 1])
-        layout, steps = hm.probed_layout(plan.ukeys[o0:o1])
-        key_slot[o0:o1] = layout
-        insert_steps += steps
-    stats.insert_steps_slow += insert_steps
+    # Every slow row's insert walk in one call: each slow key's table
+    # slot and insert steps, aligned with ``skeys``.
+    sl = np.nonzero(~fast_key)[0]
+    skeys = plan.ukeys[sl]
+    shift = fib_shift(cap)
+    key_slot, key_steps = probed_layouts(skeys, u_row[sl], cap, shift)
+    stats.insert_steps_slow += int(key_steps.sum())
 
     sp = np.nonzero(~fast_probe)[0]
     if sp.size == 0:
@@ -234,29 +222,28 @@ def _hit_mask(plan: _BatchPlan, u_block: Block, l_block: Block,
 
     srow_of_live = np.empty(nlive, dtype=INDEX_DTYPE)  # live -> compact slow
     srow_of_live[slow_idx] = np.arange(nslow, dtype=INDEX_DTYPE)
-    sl = np.nonzero(~fast_key)[0]
     skey_row = srow_of_live[u_row[sl]]
 
     queries = plan.window_vals[sp]
     srow = srow_of_live[plan.window_row[sp]]
-    fibs = fib_hash(queries, hm.shift)
+    fibs = fib_hash(queries, shift)
 
     # Membership + matched key's table slot: a dense per-slow-row
     # id -> slot scratch when the id range is small enough (one scatter,
-    # one gather), else a row-encoded searchsorted.
+    # one gather; its element type only has to hold -1 and a slot, which
+    # is int16 up to capacity 32768), else a row-encoded searchsorted.
     ncols = max(int(u_block.dcsr.csr.n_cols), int(l_block.dcsr.csr.n_cols), 1)
-    stride = np.int64(ncols)
     if nslow * ncols <= _DENSE_SLOT_LIMIT:
-        slot_of_id = np.full(nslow * ncols, -1, dtype=np.int64)
-        slot_of_id[skey_row * stride + plan.ukeys[sl]] = key_slot[sl]
-        qslot = slot_of_id[srow * stride + queries]
+        slot_of_id = np.full(nslow * ncols, -1, dtype=np.min_scalar_type(-cap))
+        slot_of_id[skey_row * ncols + skeys] = key_slot
+        qslot = slot_of_id[srow * ncols + queries]
         is_hit = qslot >= 0
     else:
-        enc_su = skey_row * stride + plan.ukeys[sl]
-        enc_q = srow * stride + queries
+        enc_su = skey_row * ncols + skeys
+        enc_q = srow * ncols + queries
         kpos = np.minimum(np.searchsorted(enc_su, enc_q), len(enc_su) - 1)
         is_hit = enc_su[kpos] == enc_q
-        qslot = key_slot[sl][kpos]
+        qslot = key_slot[kpos]
 
     # Linear-probing lookups have a closed-form step count (the table is
     # never deleted from): a present key is found after walking from its
@@ -266,11 +253,9 @@ def _hit_mask(plan: _BatchPlan, u_block: Block, l_block: Block,
     # full table costs the capped capacity+1 rounds of the scalar loop).
     # ``next_empty[r, s]`` is row r's first empty slot at/after s (cap =
     # none), by a reversed running minimum over the slow-row tables.
-    used = np.zeros((nslow, int(cap)), dtype=bool)
-    used[skey_row, key_slot[sl]] = True
-    slot_or_cap = np.where(
-        used, cap, np.arange(int(cap), dtype=np.int64)[None, :]
-    )
+    used = np.zeros((nslow, cap), dtype=bool)
+    used[skey_row, key_slot] = True
+    slot_or_cap = np.where(used, cap, np.arange(cap, dtype=np.int64)[None, :])
     next_empty = np.minimum.accumulate(slot_or_cap[:, ::-1], axis=1)[:, ::-1]
     ne = next_empty[srow, fibs]
     fe = next_empty[:, 0][srow]  # first empty of the row; cap = full
@@ -311,7 +296,7 @@ def count_block_pair_batch(
     stats.hash_fast_builds = int(np.count_nonzero(plan.fast))
     stats.insert_steps_fast = int(plan.u_lens[plan.fast].sum())
 
-    hit = _hit_mask(plan, u_block, l_block, cfg, stats)
+    hit = _hit_mask(plan, u_block, l_block, stats)
     stats.triangles = int(np.count_nonzero(hit))
 
     if support_out is not None:
@@ -341,7 +326,7 @@ def enumerate_hits_batch(
     if plan is None:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty, empty
-    hit = _hit_mask(plan, u_block, l_block, cfg, KernelStats())
+    hit = _hit_mask(plan, u_block, l_block, KernelStats())
     sel = np.nonzero(hit)[0]
     window_tcol = np.repeat(plan.tcols, plan.w_lens)
     return (

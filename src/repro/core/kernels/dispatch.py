@@ -5,7 +5,9 @@ cheap shape statistics — numbers already sitting in the DCSR headers, so
 the decision costs a few scalar reads per Cannon shift.  Both backends
 return identical results and identical logical counters, so the choice
 only ever affects wall time; a bad guess is a performance bug, never a
-correctness bug.
+correctness bug.  No :class:`TC2DConfig` toggle enters the decision:
+with modified hashing off every build is probed, and the batch backend
+lays all probed rows out in one bulk call, so it wins there as well.
 """
 
 from __future__ import annotations
@@ -37,10 +39,6 @@ def choose_backend(
     nnz, nrows, mean_len = block_shape_stats(task_block)
     if nnz == 0 or nrows == 0:
         return "row"  # nothing to do; skip the batch plan setup
-    if not cfg.modified_hashing:
-        # Every build takes the probed path, which batch must replay
-        # row-by-row anyway — batching would only add planning overhead.
-        return "row"
     if nrows >= AUTO_MIN_ROWS:
         return "batch"
     if nnz >= AUTO_MIN_NNZ and mean_len >= AUTO_MIN_MEAN_ROW_LEN:

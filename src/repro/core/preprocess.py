@@ -29,7 +29,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.arrayutil import multirange, segment_lengths_to_offsets, split_by_owner
+from repro.core.arrayutil import (
+    multirange,
+    segment_lengths_to_offsets,
+    sorted_unique,
+    split_by_owner,
+)
 from repro.core.blocks import Block, build_block
 from repro.core.config import TC2DConfig
 from repro.core.grid import ProcessorGrid
@@ -235,7 +240,7 @@ def translate_labels(
     """
     comm = ctx.comm
     p = comm.size
-    uniq = np.unique(np.asarray(entries, dtype=INDEX_DTYPE))
+    uniq = sorted_unique(np.asarray(entries, dtype=INDEX_DTYPE))
     owners = _owner_of(uniq, offsets)
     requests = split_by_owner(owners, uniq, p)
     got_requests = comm.alltoallv(requests)

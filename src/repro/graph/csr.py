@@ -15,6 +15,11 @@ import numpy as np
 
 INDEX_DTYPE = np.int64
 
+#: ``CSR.from_coo`` sorts the single key ``row * n_cols + col`` while
+#: ``n_rows * n_cols`` stays below this (the key then fits int64 with
+#: room to spare); larger shapes take the two-key ``lexsort``.
+_SINGLE_KEY_LIMIT = 2**62
+
 
 class CSR:
     """A compressed-sparse-row pattern matrix (no values, structure only).
@@ -79,13 +84,28 @@ class CSR:
         ncol = int(n_cols) if n_cols is not None else int(n_rows)
         if len(cols) and (cols.min() < 0 or cols.max() >= ncol):
             raise ValueError("col index out of range")
-        order = np.lexsort((cols, rows))
-        rows, cols = rows[order], cols[order]
-        if dedup and len(rows):
-            keep = np.empty(len(rows), dtype=bool)
-            keep[0] = True
-            np.logical_or(rows[1:] != rows[:-1], cols[1:] != cols[:-1], out=keep[1:])
-            rows, cols = rows[keep], cols[keep]
+        stride = max(ncol, 1)
+        if int(n_rows) * stride < _SINGLE_KEY_LIMIT:
+            # Row-major order is the order of the single key
+            # ``row * stride + col``: one sort of one array, then split.
+            key = np.sort(rows * stride + cols)
+            if dedup and len(key):
+                keep = np.empty(len(key), dtype=bool)
+                keep[0] = True
+                np.not_equal(key[1:], key[:-1], out=keep[1:])
+                key = key[keep]
+            rows = key // stride
+            cols = key - rows * stride
+        else:  # the key would overflow int64: two-key sort
+            order = np.lexsort((cols, rows))
+            rows, cols = rows[order], cols[order]
+            if dedup and len(rows):
+                keep = np.empty(len(rows), dtype=bool)
+                keep[0] = True
+                np.logical_or(
+                    rows[1:] != rows[:-1], cols[1:] != cols[:-1], out=keep[1:]
+                )
+                rows, cols = rows[keep], cols[keep]
         counts = np.bincount(rows, minlength=n_rows)
         indptr = np.zeros(n_rows + 1, dtype=INDEX_DTYPE)
         np.cumsum(counts, out=indptr[1:])

@@ -26,6 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.arrayutil import sorted_unique
+
 _EMPTY = np.int64(-1)
 #: Fibonacci hashing multiplier (golden ratio in 64-bit fixed point).
 _FIB = np.uint64(0x9E3779B97F4A7C15)
@@ -63,18 +65,120 @@ def _next_pow2(x: int) -> int:
     return p
 
 
+def table_capacity(requested: int) -> int:
+    """Table size for a requested capacity: the next power of two, at
+    least 4 — the rounding :class:`BlockHashMap` applies."""
+    return max(4, _next_pow2(requested))
+
+
+def fib_shift(capacity: int) -> int:
+    """Right-shift of the Fibonacci hash for a power-of-two ``capacity``
+    (``64 - log2(capacity)``)."""
+    return 64 - (capacity - 1).bit_length()
+
+
 def fib_hash(keys: np.ndarray, shift: int) -> np.ndarray:
     """Vectorized Fibonacci (multiplicative) hash to table slots.
 
-    ``shift`` is ``64 - log2(capacity)`` — use :attr:`BlockHashMap.shift`
-    so external probing loops (the batched kernel backend) land on the
-    same slots as the map itself.
+    ``shift`` is :func:`fib_shift` of the table capacity, so external
+    probing code (the batched kernel backend) lands on the same slots as
+    the map itself.
     """
     with np.errstate(over="ignore"):
         return (
             (np.asarray(keys, dtype=np.int64).astype(np.uint64) * _FIB)
             >> np.uint64(shift)
         ).astype(np.int64)
+
+
+def colliding_rows(
+    row_idx: np.ndarray, slots: np.ndarray, capacity: int, n_rows: int
+) -> np.ndarray:
+    """Bool per row: do two of its keys share a table slot?
+
+    ``row_idx`` (in ``range(n_rows)``) and ``slots`` (in
+    ``range(capacity)``) are aligned per key.  One sort of the combined
+    (row, slot) code and a neighbour compare — the bulk form of the
+    pairwise-distinct test :meth:`BlockHashMap.build` applies to one row.
+    """
+    enc = np.sort(row_idx * capacity + slots)
+    collides = np.zeros(n_rows, dtype=bool)
+    collides[enc[1:][enc[1:] == enc[:-1]] // capacity] = True
+    return collides
+
+
+def probed_layouts(
+    keys: np.ndarray, row_of_key: np.ndarray, capacity: int, shift: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Probed builds of many rows at once: the final slot of every key
+    and the logical steps its insert took, each row built into its own
+    empty table of ``capacity`` slots (a power of two; ``shift`` is its
+    :func:`fib_shift`).
+
+    ``keys`` holds the rows back to back and ``row_of_key`` names each
+    key's row with non-decreasing ids (gaps are fine).  A row's keys are
+    distinct and at most ``capacity`` many.
+
+    This is the one implementation of the sequential
+    insert-with-linear-probing walk: :meth:`BlockHashMap.build` calls it
+    with a single row and the batched kernel backend with all
+    collision-prone rows of a block pair, so both report bit-identical
+    counters.  Rows whose Fibonacci slots are pairwise distinct never hit
+    an occupied slot (whatever the insert order), so one sort-based
+    duplicate scan settles them — layout = slots, one step per key.  Only
+    the remaining rows are walked first come first served, in a single
+    flat Python pass (a fresh generation starts from an empty table, so a
+    per-row dict of taken slots is the whole table state).  An insert's
+    step count is a function of the layout — one plus the cyclic distance
+    from the key's hash slot to its final slot — so the walk records
+    positions only.
+    """
+    keys = np.asarray(keys, dtype=np.int64)
+    row_of_key = np.asarray(row_of_key)
+    n = len(keys)
+    slots = fib_hash(keys, shift)
+    settled = slots, np.ones(n, dtype=np.int64)
+    if n < 2:
+        return settled
+    if row_of_key[0] == row_of_key[-1]:
+        # One row: the duplicate scan needs no row bookkeeping (this is
+        # the per-row cost of the reference backend).
+        if len(sorted_unique(slots)) == n:
+            return settled
+        walk, row_lens = slice(None), [n]
+    else:
+        # Compact row index per key, then the keys of colliding rows.
+        new_row = np.empty(n, dtype=bool)
+        new_row[0] = True
+        np.not_equal(row_of_key[1:], row_of_key[:-1], out=new_row[1:])
+        row_idx = np.cumsum(new_row) - 1
+        collides = colliding_rows(row_idx, slots, capacity, int(row_idx[-1]) + 1)
+        walk = np.nonzero(collides[row_idx])[0]
+        if walk.size == 0:
+            return settled
+        row_lens = np.bincount(row_idx[walk])
+        row_lens = row_lens[row_lens > 0].tolist()
+    if max(row_lens) > capacity:  # pigeonhole: such a row always collides
+        raise ValueError(
+            f"cannot lay out: a row of {max(row_lens)} keys exceeds "
+            f"capacity {capacity}"
+        )
+
+    mask = capacity - 1
+    start = slots[walk].tolist()
+    final: list[int] = []
+    lo = 0
+    for row_len in row_lens:
+        taken: dict[int, None] = {}  # insertion-ordered: the row's layout
+        for pos in start[lo : lo + row_len]:
+            while pos in taken:
+                pos = (pos + 1) & mask
+            taken[pos] = None
+        final.extend(taken)
+        lo += row_len
+    layout = slots.copy()
+    layout[walk] = final
+    return layout, ((layout - slots) & mask) + 1
 
 
 class BlockHashMap:
@@ -87,9 +191,9 @@ class BlockHashMap:
     """
 
     def __init__(self, capacity: int):
-        self.capacity = max(4, _next_pow2(capacity))
+        self.capacity = table_capacity(capacity)
         self.mask = np.int64(self.capacity - 1)
-        self._shift = np.uint64(64 - int(self.mask).bit_length())
+        self._shift = np.uint64(fib_shift(self.capacity))
         self._table = np.full(self.capacity, _EMPTY, dtype=np.int64)
         self._stamp = np.zeros(self.capacity, dtype=np.int64)
         self._gen = 0
@@ -123,7 +227,7 @@ class BlockHashMap:
         if allow_fast:
             slots = keys & self.mask
             # "No collision" heuristic check: slots pairwise distinct.
-            if len(np.unique(slots)) == n:
+            if len(sorted_unique(slots)) == n:
                 self._table[slots] = keys
                 self._stamp[slots] = self._gen
                 self._fast_mode = True
@@ -141,38 +245,13 @@ class BlockHashMap:
 
     def probed_layout(self, keys: np.ndarray) -> tuple[np.ndarray, int]:
         """Final slot of each key and the logical step count of a probed
-        build of ``keys`` into an empty table, without touching the map.
-
-        This is the sequential insert-with-linear-probing walk itself —
-        :meth:`build` applies it to the live table, and the batched kernel
-        backend replays collision-prone rows through it so its counters
-        stay bit-identical to the row-wise reference.  The walk runs on a
-        plain Python set (a fresh generation starts from an empty table,
-        so only slots taken by this build block a probe) instead of numpy
-        scalar reads.
-        """
+        build of ``keys`` into an empty table, without touching the map
+        (:func:`probed_layouts` for this one row)."""
         keys = np.asarray(keys, dtype=np.int64)
-        n = len(keys)
-        cap = self.capacity
-        shift = int(self._shift)
-        slots = fib_hash(keys, shift)
-        if len(np.unique(slots)) == n:
-            # Pairwise-distinct initial slots: no insert ever lands on an
-            # occupied slot (regardless of order), so the walk is the
-            # identity and costs exactly one step per key.
-            return slots, n
-        steps = 0
-        occupied: set[int] = set()
-        positions: list[int] = []
-        for key, pos in zip(keys.tolist(), slots.tolist()):
-            steps += 1
-            while pos in occupied:
-                pos = (pos + 1) % cap
-                steps += 1
-            occupied.add(pos)
-            positions.append(pos)
-        idx = np.fromiter(positions, dtype=np.int64, count=n)
-        return idx, steps
+        layout, steps = probed_layouts(
+            keys, np.zeros(len(keys), dtype=np.int64), self.capacity, self.shift
+        )
+        return layout, int(steps.sum())
 
     # -- querying -----------------------------------------------------------
 

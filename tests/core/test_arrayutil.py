@@ -11,6 +11,7 @@ from repro.core.arrayutil import (
     multirange,
     segment_lengths_to_offsets,
     segment_sums,
+    sorted_unique,
     split_by_owner,
 )
 
@@ -117,3 +118,14 @@ class TestSplitByOwner:
         assert sorted(merged.tolist()) == payload.tolist()
         for r, part in enumerate(parts):
             assert all(owners[i] == r for i in part.tolist())
+
+
+class TestSortedUnique:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(-(2**62), 2**62), max_size=40))
+    def test_property_equals_np_unique(self, values):
+        arr = np.array(values, dtype=np.int64)
+        out = sorted_unique(arr)
+        assert out.dtype == arr.dtype
+        assert out.tolist() == np.unique(arr).tolist()
+        assert arr.tolist() == values  # input untouched

@@ -19,7 +19,12 @@ from hypothesis import strategies as st
 
 from repro.core.config import TC2DConfig
 from repro.core.intersect import count_block_pair
-from repro.core.kernels import enumerate_hits_batch, enumerate_hits_row
+from repro.core.kernels import (
+    batched,
+    enumerate_hits_batch,
+    enumerate_hits_row,
+    resolve_backend,
+)
 from tests.core.test_intersect import random_case, to_blocks
 
 #: All 2^3 combinations of the kernel-relevant Section 5.2 toggles.
@@ -65,35 +70,76 @@ def test_parity_random_blocks(cfg):
         assert np.array_equal(sup_row, sup_batch)
 
 
+def _collision_heavy_case(rng, n_inner=4096):
+    """Ten rows of keys congruent modulo 64: they collide in the
+    direct-mask check, and often in the Fibonacci layout too."""
+    urows = {
+        j: sorted(
+            (rng.choice(64, size=rng.integers(1, 9), replace=False) * 64
+             + j) % n_inner
+        )
+        for j in range(10)
+    }
+    lcols = {
+        i: sorted(
+            rng.choice(n_inner, size=rng.integers(0, 40), replace=False)
+        )
+        for i in range(10)
+    }
+    tasks = sorted({(j, int(rng.integers(0, 10))) for j in range(10)}
+                   | {(int(rng.integers(0, 10)), int(rng.integers(0, 10)))
+                      for _ in range(20)})
+    return to_blocks(tasks, urows, lcols, n_outer=10, n_inner=n_inner)
+
+
 def test_parity_collision_heavy():
     """Force probed (slow) builds: keys congruent modulo the table size
     collide in both the direct-mask check and the Fibonacci layout."""
     cfg = TC2DConfig(modified_hashing=True)
     rng = np.random.default_rng(11)
     for _ in range(50):
-        n_inner = 4096
-        urows = {
-            j: sorted(
-                (rng.choice(64, size=rng.integers(1, 9), replace=False) * 64
-                 + j) % n_inner
-            )
-            for j in range(10)
-        }
-        lcols = {
-            i: sorted(
-                rng.choice(n_inner, size=rng.integers(0, 40), replace=False)
-            )
-            for i in range(10)
-        }
-        tasks = sorted(
-            {(int(rng.integers(0, 10)), int(rng.integers(0, 10)))
-             for _ in range(30)}
-        )
-        tb, ub, lb = to_blocks(tasks, urows, lcols, n_outer=10,
-                               n_inner=n_inner)
+        tb, ub, lb = _collision_heavy_case(rng)
         d_row, d_batch, sup_row, sup_batch = _asdicts(tb, ub, lb, cfg)
         assert d_row == d_batch
         assert np.array_equal(sup_row, sup_batch)
+
+
+def test_parity_probed_mode_under_auto():
+    """``modified_hashing=False`` under the default ``auto`` backend is
+    batched since the bulk layout (every build probed, none replayed row
+    by row) and still reports the reference's counters."""
+    cfg = TC2DConfig(modified_hashing=False)
+    assert cfg.kernel_backend == "auto"
+    rng = np.random.default_rng(13)
+    for _ in range(25):
+        tb, ub, lb = _collision_heavy_case(rng)
+        assert resolve_backend("auto", tb, ub, lb, cfg)[0] == "batch"
+        sup_row = np.zeros(tb.nnz, dtype=np.int64)
+        sup_auto = np.zeros(tb.nnz, dtype=np.int64)
+        st_row = count_block_pair(tb, ub, lb, cfg, sup_row, backend="row")
+        st_auto = count_block_pair(tb, ub, lb, cfg, sup_auto)
+        assert st_auto.hash_fast_builds == 0 < st_auto.insert_steps_slow
+        assert dataclasses.asdict(st_row) == dataclasses.asdict(st_auto)
+        assert np.array_equal(sup_row, sup_auto)
+
+
+def test_parity_without_dense_slot_scratch(monkeypatch):
+    """Above ``_DENSE_SLOT_LIMIT`` slow-row membership goes through the
+    row-encoded ``searchsorted``; a limit of 0 sends every block pair
+    there."""
+    monkeypatch.setattr(batched, "_DENSE_SLOT_LIMIT", 0)
+    rng = np.random.default_rng(17)
+    for cfg in (TC2DConfig(), TC2DConfig(modified_hashing=False),
+                TC2DConfig(early_stop=False, hashmap_slack=2)):
+        for _ in range(15):
+            tb, ub, lb = _collision_heavy_case(rng)
+            d_row, d_batch, sup_row, sup_batch = _asdicts(tb, ub, lb, cfg)
+            assert d_row["probe_steps_slow"] > 0
+            assert d_row == d_batch
+            assert np.array_equal(sup_row, sup_batch)
+            for a, b in zip(enumerate_hits_row(tb, ub, lb, cfg),
+                            enumerate_hits_batch(tb, ub, lb, cfg)):
+                assert np.array_equal(a, b)
 
 
 def test_parity_full_table():

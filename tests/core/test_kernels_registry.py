@@ -96,9 +96,10 @@ def test_auto_dispatch_degenerate_blocks_stay_row():
     assert choose_backend(tb, ub, lb, cfg) == "row"
 
 
-def test_auto_dispatch_probed_mode_stays_row():
-    """Without modified hashing every build replays the probed walk, so
-    batching would only add plan overhead."""
+def test_auto_dispatch_probed_mode_batches():
+    """Without modified hashing every build is probed, and the batch
+    backend lays all of them out in one bulk call — the shape rule
+    decides, the toggle does not."""
     tasks = [(j, j) for j in range(AUTO_MIN_ROWS + 2)]
     tb, ub, lb = to_blocks(
         tasks,
@@ -107,7 +108,7 @@ def test_auto_dispatch_probed_mode_stays_row():
         n_outer=AUTO_MIN_ROWS + 2,
     )
     cfg = TC2DConfig(modified_hashing=False)
-    assert choose_backend(tb, ub, lb, cfg) == "row"
+    assert choose_backend(tb, ub, lb, cfg) == "batch"
 
 
 def test_auto_matches_concrete_backends():

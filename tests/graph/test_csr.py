@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graph import CSR
 
@@ -116,3 +118,67 @@ def test_nbytes_estimate_scales():
     small = CSR.from_coo(2, [0], [1]).nbytes_estimate()
     big = CSR.from_coo(1000, np.zeros(5000, int), np.zeros(5000, int)).nbytes_estimate()
     assert big > small
+
+
+# -- from_coo: single-key sort vs the two-key formulation ---------------------
+
+
+def _lexsort_from_coo(n_rows, rows, cols, dedup):
+    """``from_coo``'s body before the single-key sort: ``(indptr, indices)``
+    by ``np.lexsort`` on the two coordinate arrays."""
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    order = np.lexsort((cols, rows))
+    rows, cols = rows[order], cols[order]
+    if dedup and len(rows):
+        keep = np.ones(len(rows), dtype=bool)
+        keep[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+        rows, cols = rows[keep], cols[keep]
+    indptr = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
+    return indptr, cols
+
+
+@st.composite
+def _coo_inputs(draw):
+    n_rows = draw(st.integers(0, 12))
+    n_cols = draw(st.one_of(st.none(), st.integers(0, 40)))
+    width = n_rows if n_cols is None else n_cols
+    if n_rows == 0 or width == 0:
+        return n_rows, n_cols, [], []
+    pairs = draw(st.lists(
+        st.tuples(st.integers(0, n_rows - 1), st.integers(0, width - 1)),
+        max_size=60,
+    ))
+    return n_rows, n_cols, [r for r, _ in pairs], [c for _, c in pairs]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_coo_inputs(), st.booleans())
+def test_from_coo_equals_lexsort_formulation(case, dedup):
+    """Rectangular, zero-width, empty and duplicate-laden inputs all give
+    the arrays the two-key sort gave."""
+    n_rows, n_cols, rows, cols = case
+    got = CSR.from_coo(n_rows, rows, cols, n_cols=n_cols, dedup=dedup)
+    indptr, indices = _lexsort_from_coo(n_rows, rows, cols, dedup)
+    assert got.n_rows == n_rows
+    assert got.n_cols == (n_rows if n_cols is None else n_cols)
+    assert got.indptr.dtype == got.indices.dtype == np.int64
+    assert np.array_equal(got.indptr, indptr)
+    assert np.array_equal(got.indices, indices)
+
+
+@pytest.mark.parametrize("dedup", [False, True])
+def test_from_coo_overflowing_shape_takes_two_key_sort(dedup):
+    """``n_rows * n_cols >= 2**62``: ``row * n_cols + col`` would wrap
+    int64 (here for every entry of rows 4..7), so the shape alone selects
+    the ``lexsort`` body."""
+    n_rows, n_cols = 8, 2**61
+    rows = [7, 0, 7, 4, 7, 4, 0]
+    cols = [n_cols - 1, 5, 3, n_cols - 2, 3, 0, 5]
+    got = CSR.from_coo(n_rows, rows, cols, n_cols=n_cols, dedup=dedup)
+    indptr, indices = _lexsort_from_coo(n_rows, rows, cols, dedup)
+    assert np.array_equal(got.indptr, indptr)
+    assert np.array_equal(got.indices, indices)
+    assert got.row(7).tolist() == ([3, n_cols - 1] if dedup
+                                   else [3, 3, n_cols - 1])
