@@ -106,12 +106,17 @@ def _metrics(entry: dict[str, Any], **extra: Any) -> dict[str, Any]:
 
 
 def rows_from_bench(report: dict[str, Any]) -> list[dict[str, Any]]:
-    """History rows from a parallelbench / kernelbench report.
+    """History rows from a ``repro.bench`` report, keyed on its ``suite``.
 
-    One row per timed entry: ``<case>-seq`` / ``<case>-w<N>`` for the
-    superstep-executor sweep, ``<case>-<backend>`` for the kernel
-    microbenchmark.  Unknown suites fall back to one row per case with
-    whatever scalar timing fields are present.
+    One row per measured entry: ``<case>-seq`` / ``<case>-w<N>`` for the
+    superstep-executor sweep (parallelbench), ``<case>-<backend>`` for
+    the kernel microbenchmark (kernelbench), ``<case>-cold`` / ``-warm``
+    / ``-mixed`` plus ``overload`` for servebench, one row per measured
+    candidate plus ``<case>-auto`` for autotunebench, and ``<case>-stream``
+    / ``-preprocess`` / ``-count`` — each child's RSS delta next to the
+    ceiling it is gated against — for oocbench's ratio case.  Anything
+    else (oocbench's parity cases, unknown suites) falls back to one row
+    per case with whatever scalar timing fields are present.
     """
     suite = str(report.get("suite") or report.get("kind") or "bench")
     rows: list[dict[str, Any]] = []
@@ -140,18 +145,17 @@ def rows_from_bench(report: dict[str, Any]) -> list[dict[str, Any]]:
                     if wall > 0.0
                     else None
                 )
-                entry: dict[str, Any] = {
-                    "suite": suite,
-                    "case": f"{name}-w{w}",
-                    "metrics": _metrics(
-                        row,
-                        speedup=row.get("speedup_vs_sequential"),
-                        pool_overhead_frac=overhead,
-                    ),
-                }
-                if report.get("dispatch") is not None:
-                    entry["dispatch"] = report["dispatch"]
-                rows.append(entry)
+                rows.append(
+                    {
+                        "suite": suite,
+                        "case": f"{name}-w{w}",
+                        "metrics": _metrics(
+                            row,
+                            speedup=row.get("speedup_vs_sequential"),
+                            pool_overhead_frac=overhead,
+                        ),
+                    }
+                )
         elif suite == "kernel-backends":
             for backend, timing in sorted(
                 (case.get("backends") or {}).items()
@@ -240,6 +244,28 @@ def rows_from_bench(report: dict[str, Any]) -> list[dict[str, Any]]:
                     ),
                 }
             )
+        elif suite == "outofcore" and "graph_bytes" in case:
+            for stage in ("stream", "preprocess", "count"):
+                child = case.get(stage) or {}
+                rows.append(
+                    {
+                        "suite": suite,
+                        "case": f"{name}-{stage}",
+                        "digest": case.get("digest"),
+                        "metrics": _metrics(
+                            child,
+                            rss_delta_bytes=child.get("rss_delta_bytes"),
+                            ceiling_bytes=child.get("ceiling_bytes"),
+                            graph_to_rss_ratio=(
+                                case.get("graph_to_rss_ratio")
+                                if stage == "stream"
+                                else None
+                            ),
+                            count=child.get("count"),
+                            store_hit=child.get("store_hit"),
+                        ),
+                    }
+                )
         else:
             rows.append(
                 {

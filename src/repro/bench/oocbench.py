@@ -71,8 +71,11 @@ import time
 from pathlib import Path
 from typing import Any
 
-#: Artifact schema.
-SCHEMA = 1
+#: Artifact schema.  2 drops the ratio case's top-level
+#: ``peak_rss_bytes``, which held the count child's RSS *delta*;
+#: :func:`repro.bench.history.rows_from_bench` reads each child's own
+#: ``rss_delta_bytes`` / ``ceiling_bytes`` instead.
+SCHEMA = 2
 
 #: The ratio-case graph must be at least this many times larger (on-disk
 #: edge bytes) than the configured ``chunk_bytes`` budget.
@@ -343,10 +346,6 @@ def _ratio_case(
         "count_match": count["count"] == inmem["count"],
         "digest": count["digest"],
         "wall_s": round(pre["wall_s"] + count["wall_s"], 6),
-        # Headline figure for history rows: the warm count's footprint
-        # (the streaming delta is routinely 0 — that is the point —
-        # so it makes a useless trend line).
-        "peak_rss_bytes": count_delta,
         "control": control,
         "stream": {
             **stream,

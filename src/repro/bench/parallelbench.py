@@ -31,13 +31,13 @@ loud ``WARNING`` to stderr and stamps ``core_limited`` / ``warnings``
 into the artifact, and ``--check`` prints exactly which speedup gates
 it skipped (and why) instead of quietly passing.
 
-In ``--dispatch amortized`` mode (the default) the report also records
-each parallel entry's :class:`~repro.simmpi.parallel.PoolStats` delta,
-and — under the same core-aware condition as the speedup gate — checks
-that the non-execute overhead (serialize + dispatch) stays within
-``OVERHEAD_FRACTION`` of the pool's dispatch wall: amortization is the
-whole point of the mode, so regressing it is a failure even when the
-count and speedup still pass.
+The report also records each parallel entry's
+:class:`~repro.simmpi.parallel.PoolStats` delta, and — under the same
+core-aware condition as the speedup gate — checks that the non-execute
+overhead (serialize + dispatch) stays within ``OVERHEAD_FRACTION`` of
+the pool's dispatch wall: amortizing it is the whole point of resident
+blocks, so regressing it is a failure even when the count and speedup
+still pass.
 
 Run it as a module::
 
@@ -56,7 +56,7 @@ import time
 from pathlib import Path
 from typing import Any
 
-from repro.core.config import DISPATCH_MODES, TC2DConfig
+from repro.core.config import TC2DConfig
 from repro.core.tc2d import count_triangles_2d
 from repro.graph import rmat_graph
 from repro.instrument.telemetry import (
@@ -68,11 +68,12 @@ from repro.simmpi.parallel import SuperstepPool
 
 #: Artifact schema (shares the host-metadata convention of
 #: ``BENCH_kernels.json``).  2 added total ``wall_s`` and
-#: ``peak_rss_bytes`` to every sequential/parallel entry; 3 adds the
+#: ``peak_rss_bytes`` to every sequential/parallel entry; 3 added the
 #: report-level ``dispatch`` / ``core_limited`` / ``warnings`` fields
-#: and a per-parallel-entry ``pool`` stats delta.  ``--check`` still
-#: reads schema-1/2 artifacts (every new field is optional).
-SCHEMA = 3
+#: and a per-parallel-entry ``pool`` stats delta; 4 drops ``dispatch``
+#: (there is one transport).  ``--check`` still reads schema-1/2/3
+#: artifacts (every added field is optional, ``dispatch`` is ignored).
+SCHEMA = 4
 
 #: Worker counts swept by default.
 WORKERS = (1, 2, 4)
@@ -87,8 +88,8 @@ TARGET_SPEEDUP = 2.0
 #: cases are tiny and overhead-dominated by construction).
 OVERHEAD_TOLERANCE = 10.0
 
-#: ``--check`` (amortized dispatch, same core-aware condition as the
-#: speedup gate): non-execute pool overhead — serialize + dispatch — may
+#: ``--check`` (same core-aware condition as the speedup gate):
+#: non-execute pool overhead — serialize + dispatch — may
 #: claim at most this fraction of the pool's dispatch wall.
 OVERHEAD_FRACTION = 0.20
 
@@ -138,7 +139,6 @@ def _run_case(
     reps: int,
     pools: dict[int, SuperstepPool],
     store: Any = None,
-    dispatch: str = "amortized",
 ) -> dict[str, Any]:
     graph = rmat_graph(case.scale, seed=case.seed)
     seq_cfg = case.cfg.replace(executor="sequential")
@@ -160,9 +160,7 @@ def _run_case(
         "parallel": {},
     }
     for w in workers:
-        cfg = case.cfg.replace(
-            executor="parallel", workers=w, dispatch=dispatch
-        )
+        cfg = case.cfg.replace(executor="parallel", workers=w)
         before = pools[w].stats_snapshot()
         par_s, par_total, par_res = _best_of(
             lambda: count_triangles_2d(
@@ -196,7 +194,6 @@ def run_bench(
     reps: int = 3,
     workers: tuple[int, ...] = WORKERS,
     store_dir: str | None = None,
-    dispatch: str = "amortized",
 ) -> dict[str, Any]:
     """Run the sweep and return the JSON-serializable report.
 
@@ -207,10 +204,6 @@ def run_bench(
     Counts and virtual clocks are unaffected — cached and fresh runs are
     bit-identical by construction.
     """
-    if dispatch not in DISPATCH_MODES:
-        raise ValueError(
-            f"dispatch must be one of {DISPATCH_MODES}, got {dispatch!r}"
-        )
     cases = SMOKE_CASES if smoke else CASES
     from repro.graph.store import store_from_env
 
@@ -228,17 +221,10 @@ def run_bench(
             "--check speedup gate degrades to an overhead bound"
         )
         print(f"WARNING: {warnings[0]}", file=sys.stderr)
-    # amortized residency is a rank-side protocol atop the batched
-    # transport, so the pools themselves only distinguish perjob/batched.
-    pool_mode = "perjob" if dispatch == "perjob" else "batched"
-    pools = {
-        w: SuperstepPool(workers=w, dispatch_mode=pool_mode)
-        for w in workers
-    }
+    pools = {w: SuperstepPool(workers=w) for w in workers}
     try:
         results = [
-            _run_case(c, workers, reps, pools, store=store, dispatch=dispatch)
-            for c in cases
+            _run_case(c, workers, reps, pools, store=store) for c in cases
         ]
     finally:
         for pool in pools.values():
@@ -247,7 +233,6 @@ def run_bench(
         "schema": SCHEMA,
         "suite": "parallel-superstep",
         "mode": "smoke" if smoke else "full",
-        "dispatch": dispatch,
         "reps": reps,
         "workers": list(workers),
         "host": host,
@@ -269,7 +254,6 @@ def check_regressions(
     """
     failures: list[str] = []
     usable = int((report.get("host") or {}).get("usable_cpus", 1))
-    amortized = report.get("dispatch", "amortized") == "amortized"
     for case in report.get("cases") or []:
         seq_s = (case.get("sequential") or {}).get("best_s", 0.0)
         for w_str, row in (case.get("parallel") or {}).items():
@@ -306,13 +290,13 @@ def check_regressions(
                     )
             pool = row.get("pool") or {}
             wall = float(pool.get("wall_s") or 0.0)
-            if amortized and gated and wall > 0.0:
+            if gated and wall > 0.0:
                 nonexec = float(pool.get("serialize_s") or 0.0) + float(
                     pool.get("dispatch_s") or 0.0
                 )
                 if nonexec > OVERHEAD_FRACTION * wall:
                     failures.append(
-                        f"{tag}: amortized non-execute overhead "
+                        f"{tag}: non-execute overhead "
                         f"{nonexec:.3f}s > {OVERHEAD_FRACTION:.0%} of "
                         f"pool wall {wall:.3f}s"
                     )
@@ -338,12 +322,6 @@ def main(argv: list[str] | None = None) -> int:
         nargs="+",
         default=list(WORKERS),
         help="worker counts to sweep (default: 1 2 4)",
-    )
-    ap.add_argument(
-        "--dispatch",
-        choices=DISPATCH_MODES,
-        default="amortized",
-        help="parallel dispatch mode to benchmark (default: amortized)",
     )
     ap.add_argument(
         "--store",
@@ -376,7 +354,6 @@ def main(argv: list[str] | None = None) -> int:
         reps=args.reps,
         workers=tuple(args.workers),
         store_dir=args.store,
-        dispatch=args.dispatch,
     )
     text = json.dumps(report, indent=2) + "\n"
     if args.out == "-":

@@ -181,7 +181,7 @@ def _count_out_of_core(args: argparse.Namespace, spec: str, cfg, trace_on: bool)
         args.ranks,
         cfg,
         store=_cache_arg(args),
-        chunk_bytes=cfg.memory_budget or DEFAULT_CHUNK_BYTES,
+        chunk_bytes=args.chunk_bytes or DEFAULT_CHUNK_BYTES,
         model=paper_model(),
         trace=trace_on,
         dataset=spec,
@@ -202,82 +202,41 @@ def _count_out_of_core(args: argparse.Namespace, spec: str, cfg, trace_on: bool)
     return 0
 
 
-#: Count-command flags whose explicit use pins the corresponding
-#: auto-tuner plan field (``--auto`` never overrides a pinned flag).
-_PLAN_FLAG_DESTS = {
-    "--ranks": "p",
-    "-p": "p",
-    "--algorithm": "algorithm",
-    "-a": "algorithm",
-    "--kernel": "kernel_backend",
-    "--executor": "executor",
-    "--workers": "workers",
-    "--dispatch": "dispatch",
+#: ``count``/``profile`` flags the auto-tuner can plan: argparse dest ->
+#: (plan field, default).  Their parser default is ``None`` so the parsed
+#: namespace itself says which ones the user spelled (``--auto`` never
+#: overrides those); :func:`_resolve_plan_flags` fills in the rest.
+_PLAN_FLAGS = {
+    "ranks": ("p", 16),
+    "algorithm": ("algorithm", "tc2d"),
+    "kernel": ("kernel_backend", "auto"),
+    "executor": ("executor", "sequential"),
+    "workers": ("workers", 0),
 }
 
 
-def _count_parser() -> argparse.ArgumentParser:
-    """The ``count`` subparser out of the real argparse tree (shared with
-    the doc-link linter, which validates documented invocations)."""
-    parser = build_parser()
-    for act in parser._actions:
-        if isinstance(act, argparse._SubParsersAction):
-            return act.choices["count"]
-    raise RuntimeError("count subparser not found")  # pragma: no cover
-
-
-def _pinned_from_argv(argv) -> set[str]:
-    """Plan fields the user pinned by spelling the flag on the command
-    line (exact, ``--flag=value``, unambiguous-prefix and ``-p16``-style
-    spellings all count, mirroring argparse's own matching)."""
-    longs = sorted(
-        {
-            s
-            for act in _count_parser()._actions
-            for s in act.option_strings
-            if s.startswith("--")
-        }
-    )
-    pinned: set[str] = set()
-    for tok in argv:
-        if not tok.startswith("-") or tok == "--":
-            continue
-        name = tok.split("=", 1)[0]
-        if name.startswith("--"):
-            matches = (
-                [name]
-                if name in longs
-                else [s for s in longs if s.startswith(name)]
-            )
-            if len(matches) != 1:
-                continue
-            name = matches[0]
+def _resolve_plan_flags(args: argparse.Namespace) -> dict:
+    """Replace every unspelled plannable flag by its default; returns the
+    spelled ones as ``{plan field: value}``."""
+    pinned = {}
+    for dest, (field, default) in _PLAN_FLAGS.items():
+        value = getattr(args, dest)
+        if value is None:
+            setattr(args, dest, default)
         else:
-            name = name[:2]  # short flag, possibly glued to its value
-        dest = _PLAN_FLAG_DESTS.get(name)
-        if dest:
-            pinned.add(dest)
+            pinned[field] = value
     return pinned
 
 
-def _apply_auto_plan(args: argparse.Namespace, g: Graph, spec: str):
-    """``count --auto``: plan the run and fold the unpinned fields back
-    into ``args`` (the normal dispatch below then just runs the plan)."""
+def _apply_auto_plan(args: argparse.Namespace, g: Graph, spec: str, pinned: dict):
+    """``count --auto``: plan the run around the ``pinned`` fields and
+    fold the plan back into ``args`` (the normal dispatch below then just
+    runs it)."""
     import os
 
     from repro.bench.calibration import paper_model
     from repro.core.autotune import plan_run
 
-    fields = _pinned_from_argv(getattr(args, "_argv", None) or ())
-    source = {
-        "p": args.ranks,
-        "algorithm": args.algorithm,
-        "kernel_backend": args.kernel,
-        "executor": args.executor,
-        "workers": args.workers,
-        "dispatch": args.dispatch,
-    }
-    pinned = {f: source[f] for f in fields}
     if pinned.get("algorithm") not in (None, "tc2d", "coveredge"):
         raise SystemExit(
             "--auto plans the grid algorithms (tc2d, coveredge); drop "
@@ -294,12 +253,12 @@ def _apply_auto_plan(args: argparse.Namespace, g: Graph, spec: str):
     )
     args.ranks, args.algorithm = plan.p, plan.algorithm
     args.kernel, args.executor = plan.kernel_backend, plan.executor
-    args.workers, args.dispatch = plan.workers, plan.dispatch
+    args.workers = plan.workers
     extra = f"; pinned: {', '.join(plan.pinned)}" if plan.pinned else ""
     print(
         f"auto: -a {plan.algorithm} -p {plan.p} "
         f"--kernel {plan.kernel_backend} --executor {plan.executor} "
-        f"--dispatch {plan.dispatch} (predicted {plan.predicted_s:.6f}s "
+        f"(predicted {plan.predicted_s:.6f}s "
         f"over {len(plan.predicted)} candidates{extra})"
     )
     return plan
@@ -358,6 +317,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
     from repro.graph.stats import degree_summary, triangle_count_linalg
 
     spec = _dataset_spec(args)
+    pinned = _resolve_plan_flags(args)
     auto_plan = None
     g = None
     if args.auto:
@@ -367,7 +327,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
                 "with --out-of-core"
             )
         g = _load_graph(spec, args.seed)
-        auto_plan = _apply_auto_plan(args, g, spec)
+        auto_plan = _apply_auto_plan(args, g, spec, pinned)
     trace_on = bool(args.trace or args.profile)
     if trace_on and args.algorithm not in ("tc2d", "summa", "coveredge"):
         raise SystemExit(
@@ -384,12 +344,8 @@ def _cmd_count(args: argparse.Namespace) -> int:
         kernel_backend=args.kernel,
         executor=args.executor,
         workers=args.workers,
-        dispatch=args.dispatch,
-        offload_ppt=not args.no_offload_ppt,
         real_timeout=args.real_timeout,
         seed=args.seed,
-        out_of_core=args.out_of_core,
-        memory_budget=args.chunk_bytes,
     )
     if args.out_of_core:
         return _count_out_of_core(args, spec, cfg, trace_on)
@@ -758,7 +714,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         store=args.store,
         executor=args.executor,
         workers=args.workers,
-        dispatch="amortized" if args.dispatch == "amortized" else args.dispatch,
         real_timeout=args.real_timeout,
     )
 
@@ -873,33 +828,15 @@ def _add_executor_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--executor",
         choices=["sequential", "parallel"],
-        default="sequential",
         help="superstep executor: run each Cannon epoch's kernels inline "
-        "(sequential) or on a shared-memory worker pool (parallel); "
-        "identical results, clocks and traces either way",
+        "(sequential, default) or on a shared-memory worker pool "
+        "(parallel); identical results, clocks and traces either way",
     )
     p.add_argument(
         "--workers",
         type=int,
-        default=0,
-        help="worker processes for --executor parallel (0 = cpu count)",
-    )
-    p.add_argument(
-        "--dispatch",
-        choices=["perjob", "batched", "amortized"],
-        default="amortized",
-        help="parallel-executor dispatch strategy: one future per "
-        "rank-epoch kernel (perjob), workers-sized batch futures "
-        "(batched), or batches plus resident-arena block blobs "
-        "published once per run (amortized, default); bit-identical "
-        "results in every mode",
-    )
-    p.add_argument(
-        "--no-offload-ppt",
-        action="store_true",
-        dest="no_offload_ppt",
-        help="keep preprocessing hot phases (counting sort, block "
-        "assembly) on the scheduler thread instead of the worker pool",
+        help="worker processes for --executor parallel (default 0 = cpu "
+        "count)",
     )
     p.add_argument(
         "--real-timeout",
@@ -945,13 +882,15 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument(
         "--graph", help="dataset name/path (alternative to the positional)"
     )
-    c.add_argument("--ranks", "-p", type=int, default=16)
+    c.add_argument(
+        "--ranks", "-p", type=int, help="simulated MPI ranks (default: 16)"
+    )
     c.add_argument(
         "--algorithm",
         "-a",
         choices=["tc2d", "coveredge", "summa", "aop", "surrogate", "psp",
                  "havoq"],
-        default="tc2d",
+        help="counting algorithm (default: tc2d)",
     )
     c.add_argument(
         "--auto",
@@ -968,9 +907,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument(
         "--kernel",
         choices=["auto", "row", "batch"],
-        default="auto",
-        help="intersection-kernel backend (identical results; wall time "
-        "only)",
+        help="intersection-kernel backend (default: auto; identical "
+        "results, wall time only)",
     )
     c.add_argument("--no-doubly-sparse", action="store_true")
     c.add_argument("--no-modified-hashing", action="store_true")
@@ -1004,17 +942,18 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument(
         "--graph", help="dataset name/path (alternative to the positional)"
     )
-    pr.add_argument("--ranks", "-p", type=int, default=16)
+    pr.add_argument(
+        "--ranks", "-p", type=int, help="simulated MPI ranks (default: 16)"
+    )
     pr.add_argument(
         "--algorithm", "-a", choices=["tc2d", "coveredge", "summa"],
-        default="tc2d",
+        help="counting algorithm (default: tc2d)",
     )
     pr.add_argument(
         "--kernel",
         choices=["auto", "row", "batch"],
-        default="auto",
-        help="intersection-kernel backend (identical results; wall time "
-        "only)",
+        help="intersection-kernel backend (default: auto; identical "
+        "results, wall time only)",
     )
     pr.add_argument("--seed", type=int, default=0)
     pr.add_argument(
@@ -1134,7 +1073,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     h.add_argument(
         "--bench", action="append", default=[], metavar="FILE",
-        help="parallelbench/kernelbench report to append (repeatable)",
+        help="repro.bench report to append — kernelbench, parallelbench, "
+        "servebench, oocbench or autotunebench (repeatable)",
     )
     h.add_argument(
         "--baseline", default=None, metavar="FILE",
@@ -1180,10 +1120,6 @@ def build_parser() -> argparse.ArgumentParser:
         "long-lived worker pool across every request",
     )
     sv.add_argument("--workers", type=int, default=0)
-    sv.add_argument(
-        "--dispatch", choices=["perjob", "batched", "amortized"],
-        default="amortized",
-    )
     sv.add_argument(
         "--real-timeout", type=float, default=600.0, dest="real_timeout"
     )
@@ -1269,7 +1205,6 @@ def main(argv: list[str] | None = None) -> int:
             rest = rest[1:]
         return chaos_main(rest)
     args = build_parser().parse_args(argv)
-    args._argv = argv  # count --auto: detect explicitly pinned flags
     return args.fn(args)
 
 

@@ -3,7 +3,7 @@
 The decision space of this repository has grown to the point where a
 user faces five independent knobs before the first run: algorithm
 (``tc2d`` vs ``coveredge``), rank count, kernel backend, executor and
-dispatch mode.  :func:`plan_run` collapses that into one call: it
+worker count.  :func:`plan_run` collapses that into one call: it
 collects **cheap graph signals** (degree shape, wedge count, cover-edge
 statistics — everything strictly cheaper than counting triangles),
 combines them with the :class:`~repro.simmpi.costmodel.MachineModel`'s
@@ -50,9 +50,7 @@ from repro.simmpi.costmodel import MachineModel
 CANDIDATE_RANKS = (1, 4, 9, 16, 25, 36, 49, 64, 100, 121, 144, 169)
 
 #: Fields of a :class:`Plan` a user may pin via explicit CLI flags.
-PLANNABLE_FIELDS = (
-    "algorithm", "p", "kernel_backend", "executor", "workers", "dispatch",
-)
+PLANNABLE_FIELDS = ("algorithm", "p", "kernel_backend", "executor", "workers")
 
 
 @dataclass(frozen=True)
@@ -132,7 +130,6 @@ class Plan:
     kernel_backend: str
     executor: str
     workers: int
-    dispatch: str
     predicted_s: float
     predicted: dict[str, float] = field(default_factory=dict)
     signals_fingerprint: str = ""
@@ -158,7 +155,6 @@ class Plan:
             kernel_backend=self.kernel_backend,
             executor=self.executor,
             workers=self.workers,
-            dispatch=self.dispatch,
         )
 
 
@@ -366,7 +362,6 @@ def plan_run(
         workers = max(1, min(cores, best_p))
     else:
         workers = 0
-    dispatch = pinned.get("dispatch", "amortized")
 
     return Plan(
         algorithm=best_alg,
@@ -374,7 +369,6 @@ def plan_run(
         kernel_backend=kernel,
         executor=executor,
         workers=workers,
-        dispatch=dispatch,
         predicted_s=predicted[best_key],
         predicted=predicted,
         signals_fingerprint=signals.fingerprint(),
@@ -401,7 +395,6 @@ def format_plan_table(plan: Plan, measured: dict[str, float] | None = None) -> s
         f"plan: -a {plan.algorithm} -p {plan.p} --kernel {plan.kernel_backend}"
         f" --executor {plan.executor}"
         + (f" --workers {plan.workers}" if plan.executor == "parallel" else "")
-        + f" --dispatch {plan.dispatch}"
         + (f"  [pinned: {', '.join(plan.pinned)}]" if plan.pinned else "")
     )
     return "\n".join(lines)

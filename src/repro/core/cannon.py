@@ -243,13 +243,11 @@ def cannon_pass(
     q = grid.q
     x, y = grid.coords(ctx.rank)
     offloading = ctx.engine.superstep is not None
-    # Amortized residency assumes block *content* is exchange-invariant
-    # (only location rotates under Cannon's schedule).  A fault injector
-    # can break that — corrupt faults rewrite payloads in flight — so
-    # fault-injected runs quietly degrade to per-epoch transient blobs.
-    amortized = (
-        offloading and cfg.dispatch == "amortized" and ctx.engine.faults is None
-    )
+    # Residency assumes block *content* is exchange-invariant (only
+    # location rotates under Cannon's schedule).  A fault injector can
+    # break that — corrupt faults rewrite payloads in flight — so
+    # fault-injected runs ship per-epoch transient blobs instead.
+    resident = offloading and ctx.engine.faults is None
     site = f"{prefix}:shift" if prefix else "shift"
     who = f"rank {ctx.rank} {prefix}".rstrip()
 
@@ -260,9 +258,9 @@ def cannon_pass(
     if slots is not None:
         task_slot, u_slot, l_slot = slots
         # The task block is only referenced by this very rank, so its
-        # file slot is safe under any dispatch mode.
+        # file slot is safe with or without U/L residency.
         ctx.put_resident_file(key("task", ctx.rank), task_slot)
-        if amortized:
+        if resident:
             # Pre-skew schedule-ahead publication.  The stored U/L blobs
             # carry this rank's *pre-skew* inner residues; over a grid row
             # (column) those residues are a bijection onto 0..q-1 exactly
@@ -290,7 +288,7 @@ def cannon_pass(
         if slots is None:
             ctx.put_resident(key("task", ctx.rank), ops.task.as_blob())
         task_ref = Resident(key("task", ctx.rank))
-    if amortized and slots is None:
+    if resident and slots is None:
         # Schedule-ahead publication: Eq. 6 pins every later epoch's
         # operand *content* right now — blocks only rotate location.
         # Each rank publishing its current U/L blob keyed by (role,
@@ -304,7 +302,7 @@ def cannon_pass(
 
     for z in range(start_z, q):
         ctx.fault_point(f"{site}:{z}")
-        # Eq. 6 — also what the amortized resident keys below are derived
+        # Eq. 6 — also what the resident keys below are derived
         # from, so prove the travelling blocks actually carry the residue
         # before substituting resident bytes for them.
         expected = grid.operand_residue(x, y, z)
@@ -315,15 +313,15 @@ def cannon_pass(
                 f"expected {expected}"
             )
         operands = None
-        if amortized:
+        if resident:
             operands = (
                 task_ref,
                 Resident(key("U", x, expected)),
                 Resident(key("L", y, expected)),
             )
         elif offloading:
-            # as_blob: exchanged blocks retain their wire buffer, so
-            # batched dispatch re-ships but never re-packs.
+            # as_blob: exchanged blocks retain their wire buffer, so the
+            # transient path re-ships but never re-packs.
             operands = (task_ref, ops.u.as_blob(), ops.l.as_blob())
         t0 = ctx.clock.now
         bname, st = count_blocks(
@@ -335,8 +333,7 @@ def cannon_pass(
                 t0, ctx.clock.now, ctx.rank, "compute",
                 f"kernel:{bname}", shift=shift_base + z, tasks=st.tasks,
             )
-        if cfg.track_per_shift:
-            tally.shifts.append((shift_base + z, ctx.clock.now - t0, st.tasks))
+        tally.shifts.append((shift_base + z, ctx.clock.now - t0, st.tasks))
 
         if z < q - 1:
             ctx.fault_point(f"{site}:{z}:exchange")
@@ -605,14 +602,8 @@ class GridJob:
         warm = bool(self.caches) and all(c.hit for c in self.caches)
         self.chunks = [None] * p if warm else partition_1d(self.graph, p)
         if self.pool is None and cfg.executor == "parallel":
-            # cfg.dispatch="amortized" is a rank-side residency protocol on
-            # top of the pool's batched transport, so the pool itself only
-            # distinguishes perjob from batched.  (A borrowed pool keeps its
-            # own dispatch_mode; cfg.dispatch still governs residency.)
             self.pool = SuperstepPool(
-                workers=cfg.workers,
-                timeout=cfg.real_timeout,
-                dispatch_mode="perjob" if cfg.dispatch == "perjob" else "batched",
+                workers=cfg.workers, timeout=cfg.real_timeout
             )
             self._owns_pool = True
         if self.pool is not None:
@@ -670,7 +661,6 @@ class GridJob:
         if self.pool is not None:
             result.extras["executor"] = "parallel"
             result.extras["workers"] = self.pool.workers
-            result.extras["dispatch"] = self.cfg.dispatch
             result.extras["worker_spans"] = self.pool.drain_spans()
         if self.telemetry is not None:
             result.extras["telemetry"] = self.telemetry.summarize(

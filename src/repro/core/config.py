@@ -34,16 +34,6 @@ KERNEL_BACKENDS = ("auto", "row", "batch")
 #: worker pool.  Both produce bit-identical results, clocks and traces.
 EXECUTORS = ("sequential", "parallel")
 
-#: Valid dispatch modes for the parallel executor: "perjob" submits one
-#: pool future per rank-epoch kernel (the pre-batching transport, kept
-#: for A/B measurement), "batched" coalesces each drain into at most
-#: ``workers`` futures, and "amortized" additionally publishes the U/L
-#: and task blobs as resident arena slots once per run — the Eq. 6
-#: residue invariant pins every epoch's operand *content* up front, so
-#: steady-state epochs ship only slot references, zero memcpys.  All
-#: three produce bit-identical results, clocks and traces.
-DISPATCH_MODES = ("perjob", "batched", "amortized")
-
 
 @dataclass(frozen=True)
 class TC2DConfig:
@@ -98,56 +88,23 @@ class TC2DConfig:
         Superstep executor for the counting phase: ``"sequential"``
         (kernels run inline under the deterministic scheduler) or
         ``"parallel"`` (each Cannon epoch's per-rank kernels fan out to a
-        persistent shared-memory worker pool; see
-        :mod:`repro.simmpi.parallel`).  Results, virtual clocks, traces
-        and profile reports are bit-identical either way — only wall
-        time changes.
+        persistent shared-memory worker pool, which also runs the
+        preprocessing hot phases; see :mod:`repro.simmpi.parallel`).
+        Results, virtual clocks, traces and profile reports are
+        bit-identical either way — only wall time changes.
     workers:
         Worker-process count for the parallel executor; ``0`` means
         ``os.cpu_count()``.  Ignored under ``executor="sequential"``.
-    dispatch:
-        Dispatch strategy for the parallel executor: ``"perjob"`` (one
-        future per rank-epoch kernel), ``"batched"`` (at most
-        ``workers`` futures per drain, one pickle round-trip each) or
-        ``"amortized"`` (default; batched futures *plus* resident-arena
-        U/L/task blobs published once per run, so steady-state epochs
-        copy no block bytes at all).  Amortized residency of the
-        travelling blocks relies on block content being exchange-
-        invariant, so runs with a fault injector attached (which may
-        corrupt in-flight blocks) quietly degrade to ``"batched"``.
-        Ignored under ``executor="sequential"``; bit-identical results
-        either way.
-    offload_ppt:
-        Run the preprocessing hot phases (counting-sort placement, U/L
-        block assembly + blob serialization) on the worker pool when one
-        is attached.  Virtual-clock charges are computed rank-side from
-        sizes, so results stay bit-identical; off restricts the pool to
-        the counting phase.  Ignored under ``executor="sequential"``.
     real_timeout:
         Real (wall-clock) seconds the engine waits for a rank thread or
         a pool worker before declaring the run wedged.  A safety net for
         engine/worker bugs, not part of the simulation; chaos runs and
         CI tighten it so a wedged run fails fast.
-    track_per_shift:
-        Record per-shift compute spans (Table 3) — small overhead.
     seed:
         Master random seed for the run.  The CLI threads its single
         ``--seed`` flag here; graph generators, any randomized kernel
         choices and the resilience layer's fault plans all derive their
         streams from it, so one integer reproduces an entire chaos run.
-    out_of_core:
-        Preprocess via the external-memory pipeline
-        (:mod:`repro.graph.external`): the edge list streams through
-        disk-spilled sorted runs instead of being materialized, so peak
-        memory is bounded by ``memory_budget``, not graph size.  Only
-        meaningful for file-backed inputs; produces bit-identical store
-        entries, counts and traces.
-    memory_budget:
-        Spill-chunk budget in bytes for the out-of-core pipeline
-        (``0`` = the module default,
-        :data:`repro.graph.external.DEFAULT_CHUNK_BYTES`).  Tuning knob
-        only — it never changes any output byte, so it deliberately
-        stays out of :meth:`store_key`.
     """
 
     algorithm: str = "tc2d"
@@ -162,13 +119,8 @@ class TC2DConfig:
     kernel_backend: str = "auto"
     executor: str = "sequential"
     workers: int = 0
-    dispatch: str = "amortized"
-    offload_ppt: bool = True
     real_timeout: float = 600.0
-    track_per_shift: bool = True
     seed: int = 0
-    out_of_core: bool = False
-    memory_budget: int = 0
 
     def __post_init__(self) -> None:
         if self.algorithm not in ALGORITHMS:
@@ -194,15 +146,8 @@ class TC2DConfig:
             )
         if self.workers < 0:
             raise ValueError("workers must be >= 0 (0 = cpu count)")
-        if self.dispatch not in DISPATCH_MODES:
-            raise ValueError(
-                f"dispatch must be one of {DISPATCH_MODES}, "
-                f"got {self.dispatch!r}"
-            )
         if self.real_timeout <= 0:
             raise ValueError("real_timeout must be > 0 seconds")
-        if self.memory_budget < 0:
-            raise ValueError("memory_budget must be >= 0 (0 = default)")
 
     def replace(self, **kwargs: Any) -> "TC2DConfig":
         """Copy with some fields replaced (ablation helper)."""

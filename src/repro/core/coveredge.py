@@ -206,7 +206,7 @@ def coveredge_preprocess(
     ctx.charge("scan", rows.csr.nnz)
 
     if cfg.degree_reorder:
-        rows, row_labels = degree_reorder(ctx, rows, offsets, n, cfg)
+        rows, row_labels = degree_reorder(ctx, rows, offsets, n)
     else:
         row_labels = rows.labels
     # The reorder translates entries in place (positions preserved), so

@@ -51,21 +51,6 @@ _SORT_JOB_ENTRY = "repro.core.superstep:sort_job"
 _BUILD_JOB_ENTRY = "repro.core.superstep:build_blocks_job"
 
 
-def _offload_ppt(ctx: RankContext, cfg: TC2DConfig | None) -> bool:
-    """Whether this rank should run preprocessing hot phases on the pool.
-
-    Requires an attached superstep pool *and* ``cfg.offload_ppt``; the
-    result is bit-identical either way (the offloaded functions are pure
-    and every virtual-clock charge is computed rank-side from sizes), so
-    this is purely a wall-clock routing decision.
-    """
-    return (
-        cfg is not None
-        and cfg.offload_ppt
-        and getattr(ctx.engine, "superstep", None) is not None
-    )
-
-
 @dataclass(frozen=True)
 class InputChunk:
     """One rank's slice of the initially 1D-block-distributed graph.
@@ -284,16 +269,15 @@ def degree_reorder(
     rows: LocalRows,
     offsets: np.ndarray,
     n: int,
-    cfg: TC2DConfig | None = None,
 ) -> tuple[LocalRows, np.ndarray]:
     """Step 2: relabel vertices in non-decreasing degree order.
 
     Returns the rows with relabeled row-ids *implicit* (the function
     returns ``(rows, new_row_labels)``; entries are already translated).
     Ties order by (owning rank, local stable position), which makes the
-    permutation deterministic.  With ``cfg.offload_ppt`` and a pool
-    attached, the local placement runs on a worker (the collectives
-    around it stay on the scheduler).
+    permutation deterministic.  With a worker pool attached, the local
+    placement runs on a worker (the collectives around it stay on the
+    scheduler).
     """
     comm = ctx.comm
     d = rows.degrees.astype(INDEX_DTYPE)
@@ -320,7 +304,7 @@ def degree_reorder(
     # Stable local placement within each degree bucket.  The charge is a
     # pure function of n_local, so routing the computation through the
     # pool leaves the virtual clock untouched.
-    if _offload_ppt(ctx, cfg):
+    if ctx.engine.superstep is not None:
         out = ctx.offload(
             _SORT_JOB_ENTRY,
             (d, global_start, prior),
@@ -441,7 +425,7 @@ def split_and_distribute(
     n_cols_local = grid.local_count(y, n)
     n_inner = (n + q - 1) // q  # bound on any residue class's local extent
 
-    if _offload_ppt(ctx, cfg):
+    if ctx.engine.superstep is not None:
         # Ship the pair arrays to a worker, get back the three block
         # blobs through shared memory (crc-verified on reconstruction).
         # The csr_build charge below only needs sizes, and the blob
@@ -506,7 +490,7 @@ def preprocess_with_labels(
     rows = initial_redistribution(ctx, chunk, cfg)
     offsets = cyclic_bounds(n, p) if cfg.initial_cyclic else chunk_bounds(n, p)
     if cfg.degree_reorder:
-        rows, row_labels = degree_reorder(ctx, rows, offsets, n, cfg)
+        rows, row_labels = degree_reorder(ctx, rows, offsets, n)
     else:
         row_labels = rows.labels
     blocks = split_and_distribute(ctx, rows, row_labels, grid, n, cfg, offsets)

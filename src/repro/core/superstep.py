@@ -10,8 +10,8 @@ concrete kernel backend, and ships the logical
 the only bytes that cross the pickle channel.
 
 :func:`sort_job` and :func:`build_blocks_job` offload the preprocessing
-hot phases the same way (``cfg.offload_ppt``): the counting sort's local
-placement and the U/L/task block assembly + blob serialization.  Their
+hot phases the same way (whenever a pool is attached): the counting sort's
+local placement and the U/L/task block assembly + blob serialization.  Their
 outputs are arrays, which would be expensive to pickle, so they return
 through :func:`~repro.simmpi.parallel.pack_result_arrays` — a worker-
 created shared-memory segment the parent adopts and unlinks.

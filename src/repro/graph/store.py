@@ -433,8 +433,8 @@ class RunCache:
         """Validate up front that *every* rank file can be served via
         mmap; records the verdict in :attr:`file_serving`.
 
-        All-or-nothing on purpose: the amortized dispatcher's resident
-        keys form a cross-rank protocol (each rank publishes blocks the
+        All-or-nothing on purpose: ``cannon_pass``'s resident keys
+        form a cross-rank protocol (each rank publishes blocks the
         *other* ranks of its grid row/column will reference), and the
         pre-skew file-backed key set only covers every Cannon epoch when
         every rank participates.  Mixing file-backed and arena

@@ -392,12 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes for --executor parallel (0 = cpu count)",
     )
     parser.add_argument(
-        "--dispatch", choices=["perjob", "batched", "amortized"],
-        default="amortized",
-        help="parallel-executor dispatch strategy (fault-injected runs "
-        "degrade amortized block residency to batched automatically)",
-    )
-    parser.add_argument(
         "--real-timeout", type=float, default=600.0, dest="real_timeout",
         help="wall-clock seconds before a wedged rank/worker fails the run "
         "(default 600; CI tightens it)",
@@ -432,7 +426,6 @@ def main(argv: list[str] | None = None) -> int:
     base_cfg = TC2DConfig(
         executor=args.executor,
         workers=args.workers,
-        dispatch=args.dispatch,
         real_timeout=args.real_timeout,
     )
     from repro.graph.store import store_from_env

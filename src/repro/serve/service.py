@@ -96,7 +96,7 @@ class ServeConfig:
     store:
         Preprocessing-store root (``None`` disables the on-disk cache;
         warm *result* caching works regardless).
-    executor / workers / dispatch:
+    executor / workers:
         Superstep-executor knobs for cold runs; ``"parallel"`` creates
         one shared :class:`~repro.simmpi.parallel.SuperstepPool` for the
         service's lifetime.
@@ -112,7 +112,6 @@ class ServeConfig:
     store: str | Path | None = None
     executor: str = "sequential"
     workers: int = 0
-    dispatch: str = "amortized"
     result_cache_size: int = 256
     default_ranks: int = 16
     real_timeout: float = 600.0
@@ -519,11 +518,7 @@ class TriangleService:
             from repro.simmpi.parallel import SuperstepPool
 
             self._pool = SuperstepPool(
-                workers=self.config.workers,
-                timeout=self.config.real_timeout,
-                dispatch_mode=(
-                    "perjob" if self.config.dispatch == "perjob" else "batched"
-                ),
+                workers=self.config.workers, timeout=self.config.real_timeout
             )
         self._workers = [
             threading.Thread(
@@ -755,11 +750,7 @@ class TriangleService:
             "real_timeout": self.config.real_timeout,
         }
         if self._pool is not None:
-            kwargs.update(
-                executor="parallel",
-                workers=self._pool.workers,
-                dispatch=self.config.dispatch,
-            )
+            kwargs.update(executor="parallel", workers=self._pool.workers)
         return TC2DConfig(**kwargs)
 
     def _execute(self, job: Job) -> dict[str, Any]:

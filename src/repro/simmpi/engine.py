@@ -309,11 +309,11 @@ class RankContext:
         :meth:`repro.simmpi.parallel.SuperstepPool.put_resident`).
 
         Later :meth:`offload` calls reference the slot with
-        ``Resident(key)`` instead of re-shipping the bytes — the
-        amortized-dispatch move for inputs whose content is invariant
-        across epochs.  Publishing is a real-time-only side effect: the
-        virtual clock, counters and traces never see it.  Requires a
-        pool attached at engine construction.
+        ``Resident(key)`` instead of re-shipping the bytes — the move
+        for inputs whose content is invariant across epochs.  Publishing
+        is a real-time-only side effect: the virtual clock, counters and
+        traces never see it.  Requires a pool attached at engine
+        construction.
         """
         pool = self.engine.superstep
         if pool is None:

@@ -42,22 +42,21 @@ Batched dispatch
 Submitting one executor future per rank costs one pickle round-trip per
 job — measurably dominant when kernels are small (the fine-grained
 communication failure mode; cf. communication agglomeration in
-Sanders & Uhl).  With ``dispatch_mode="batched"`` (the default) a drain
-coalesces the pending jobs into at most ``workers`` round-robin batches
-and submits **one future per batch**; a worker runs its batch back to
-back and returns the whole result list in one pickle reply.  Per-job
-failure attribution survives batching: an entry that raises is caught
-in the worker and reported per job, so :class:`WorkerCrashError` still
-names the exact rank (a dead worker process or a timeout is attributed
-to every rank of the batch it was running).  ``dispatch_mode="perjob"``
-keeps the one-future-per-job behavior.
+Sanders & Uhl).  A drain therefore coalesces the pending jobs into at
+most ``workers`` round-robin batches and submits **one future per
+batch**; a worker runs its batch back to back and returns the whole
+result list in one pickle reply.  Per-job failure attribution survives
+batching: an entry that raises is caught in the worker and reported per
+job, so :class:`WorkerCrashError` still names the exact rank (a dead
+worker process or a timeout is attributed to every rank of the batch it
+was running).
 
 Resident blocks
 ---------------
 Arrays that are reused across many dispatches (the shift-invariant task
-block; under ``--dispatch amortized`` also the travelling U/L blobs,
-whose *content* is pinned by the Eq. 6 residue invariant even as their
-location rotates) can be published once with
+block and — unless a fault injector may rewrite them in flight — the
+travelling U/L blobs, whose *content* is pinned by the Eq. 6 residue
+invariant even as their location rotates) can be published once with
 :meth:`SuperstepPool.put_resident` and referenced in later submissions
 by a :class:`Resident` key instead of re-copying the bytes every epoch.
 Residents live at the front of the arena segment (they survive arena
@@ -181,7 +180,7 @@ class PoolStats:
 
     dispatches: int = 0
     jobs: int = 0
-    batches: int = 0  # futures submitted (== jobs under "perjob")
+    batches: int = 0  # futures submitted (<= workers per dispatch)
     wall_s: float = 0.0
     serialize_s: float = 0.0
     dispatch_s: float = 0.0
@@ -539,12 +538,6 @@ class SuperstepPool:
         spawned worker (see :func:`_worker_initializer`); required when
         jobs depend on parent-side module-state mutations such as custom
         kernel-backend registrations.
-    dispatch_mode:
-        ``"batched"`` (default) coalesces each drain's pending jobs into
-        at most ``workers`` round-robin batches, one future + one pickle
-        round-trip per batch; ``"perjob"`` submits one future per job
-        (the pre-batching behavior, kept for A/B measurement).  Results
-        and their rank ordering are identical either way.
 
     The pool outlives individual engine runs: the resilient restart
     driver and benchmark harnesses attach one pool to many engines, so
@@ -553,28 +546,18 @@ class SuperstepPool:
     workers and unlink the arena.
     """
 
-    #: Valid ``dispatch_mode`` values.
-    DISPATCH_MODES = ("perjob", "batched")
-
     def __init__(
         self,
         workers: int = 0,
         *,
         timeout: float = 600.0,
         worker_init: str | None = None,
-        dispatch_mode: str = "batched",
     ):
         if workers < 0:
             raise ValueError("workers must be >= 0 (0 = cpu count)")
-        if dispatch_mode not in self.DISPATCH_MODES:
-            raise ValueError(
-                f"dispatch_mode must be one of {self.DISPATCH_MODES}, "
-                f"got {dispatch_mode!r}"
-            )
         self.workers = workers or (os.cpu_count() or 1)
         self.timeout = timeout
         self.worker_init = worker_init
-        self.dispatch_mode = dispatch_mode
         # Explicit spawn context: see the module docstring for why fork
         # is never safe here (inherited registries, tracer state, locks).
         self._executor: ProcessPoolExecutor | None = ProcessPoolExecutor(
@@ -787,9 +770,9 @@ class SuperstepPool:
 
         Transient arrays are packed into the arena after the resident
         region, :class:`Resident` references resolve to their published
-        slots (zero copies), and — under ``dispatch_mode="batched"`` —
-        the jobs are grouped round-robin into at most ``workers`` batch
-        futures.  Results are recorded **in rank order** so the caller's
+        slots (zero copies), and the jobs are grouped round-robin into
+        at most ``workers`` batch futures, one pickle round-trip each.
+        Results are recorded **in rank order** so the caller's
         wake-up sequence is deterministic regardless of batching.  Any
         worker death, in-job exception or timeout raises
         :class:`WorkerCrashError` naming the failing rank (a dead worker
@@ -863,13 +846,8 @@ class SuperstepPool:
                 jobs=len(jobs),
             )
 
-        # Round-robin grouping keeps batch sizes within one of each
-        # other; "perjob" degenerates to singleton batches.
-        nbatches = (
-            len(jobs)
-            if self.dispatch_mode == "perjob"
-            else min(self.workers, len(jobs))
-        )
+        # Round-robin grouping keeps batch sizes within one of each other.
+        nbatches = min(self.workers, len(jobs))
         groups = [
             list(range(i, len(jobs), nbatches)) for i in range(nbatches)
         ]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 from repro.bench.history import (
     HISTORY_SCHEMA,
@@ -12,6 +13,8 @@ from repro.bench.history import (
     row_from_telemetry,
     rows_from_bench,
 )
+
+REPO = Path(__file__).resolve().parents[2]
 
 
 def _db(tmp_path):
@@ -116,6 +119,29 @@ def test_rows_from_kernelbench_report():
     assert {r["case"] for r in rows} == {"rmat9-q3-row", "rmat9-q3-batch"}
     for r in rows:
         assert r["metrics"]["peak_rss_bytes"] == 99
+
+
+def test_rows_from_oocbench_report_carry_what_the_gates_read():
+    """Against the committed artifact: the ratio case becomes one row per
+    measured child, each with its RSS delta next to its ceiling."""
+    report = json.loads((REPO / "BENCH_outofcore.json").read_text())
+    rows = {r["case"]: r for r in rows_from_bench(report)}
+    ratio = "ratio-n1048576-m4194304-p9"
+    assert {c for c in rows if c.startswith(ratio)} == {
+        f"{ratio}-stream", f"{ratio}-preprocess", f"{ratio}-count"
+    }
+    assert sum(c.startswith("parity-") for c in rows) == 4
+    for stage in ("stream", "preprocess", "count"):
+        m = rows[f"{ratio}-{stage}"]["metrics"]
+        child = report["cases"][-1][stage]
+        assert m["rss_delta_bytes"] == child["rss_delta_bytes"]
+        assert m["ceiling_bytes"] == child["ceiling_bytes"]
+        assert m["peak_rss_bytes"] == child["peak_rss_bytes"]  # the real peak
+        assert ("graph_to_rss_ratio" in m) == (stage == "stream")
+        assert ("store_hit" in m) == (stage == "count")
+    assert rows[f"{ratio}-stream"]["metrics"]["graph_to_rss_ratio"] == 64.0
+    assert rows[f"{ratio}-count"]["metrics"]["store_hit"] is True
+    assert rows[f"{ratio}-count"]["metrics"]["count"] == 5473
 
 
 def _baseline(entries):

@@ -103,7 +103,6 @@ def test_every_plannable_field_is_pinnable(signals):
         "kernel_backend": "batch",
         "executor": "sequential",
         "workers": 0,
-        "dispatch": "perjob",
     }
     assert set(pins) == set(PLANNABLE_FIELDS)
     plan = plan_run(signals=signals, pinned=pins)
@@ -133,16 +132,15 @@ def test_plan_lands_in_result_extras(er_graph):
 
 
 def test_to_config_round_trip(signals):
-    base = TC2DConfig(memory_budget=123456)
+    base = TC2DConfig(hashmap_slack=2.5)
     plan = plan_run(signals=signals, max_p=9)
     cfg = plan.to_config(base)
     assert cfg.algorithm == plan.algorithm
     assert cfg.kernel_backend == plan.kernel_backend
     assert cfg.executor == plan.executor
     assert cfg.workers == plan.workers
-    assert cfg.dispatch == plan.dispatch
     # non-plannable fields pass through from base untouched
-    assert cfg.memory_budget == 123456
+    assert cfg.hashmap_slack == 2.5
 
 
 def test_sequential_executor_on_tiny_inputs(signals):

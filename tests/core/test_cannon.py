@@ -15,8 +15,12 @@ from repro.core import (
     count_triangles_coveredge,
     count_triangles_summa,
 )
+from repro.core.cannon import GridJob
+from repro.core.coveredge import coveredge_rank_program
+from repro.core.tc2d import tc2d_rank_program
 from repro.graph.store import GraphStore
-from repro.resilience import count_triangles_2d_resilient
+from repro.instrument import dumps_chrome_trace
+from repro.resilience import FaultInjector, FaultPlan, count_triangles_2d_resilient
 from repro.simmpi.parallel import SuperstepPool
 
 #: name -> (driver taking (graph, cfg=..., **kw) on a 4-rank grid,
@@ -86,13 +90,113 @@ def test_every_driver_runs_both_consistency_checks(
 
 
 def test_parallel_extras_are_the_same_for_plain_and_resilient_runs(er_graph):
-    cfg = TC2DConfig(executor="parallel", workers=2, dispatch="batched")
+    cfg = TC2DConfig(executor="parallel", workers=2)
     with SuperstepPool(workers=2) as pool:
         plain = count_triangles_2d(er_graph, 4, cfg, superstep=pool)
         resilient = count_triangles_2d_resilient(er_graph, 4, cfg, superstep=pool)
     assert set(plain.extras) - set(resilient.extras) == set()
-    assert resilient.extras["dispatch"] == plain.extras["dispatch"] == "batched"
+    assert resilient.extras["workers"] == plain.extras["workers"] == 2
     assert resilient.count == plain.count
+
+
+# -- the one transport: residency chosen from what the run can observe -------
+
+_P, _Q = 9, 3
+
+
+class _PoolLog:
+    """Duck-typed telemetry sink: keeps the pool's ``note`` stream."""
+
+    def __init__(self):
+        self.events = []
+
+    def note(self, kind, **detail):
+        self.events.append((kind, detail))
+
+    def epoch_dispatches(self):
+        """The ``pool.dispatch`` records whose jobs were all kernels."""
+        out, labels = [], []
+        for kind, detail in self.events:
+            if kind == "pool.queue":
+                labels.append(detail["label"])
+            elif kind == "pool.dispatch":
+                if all(lb.startswith("kernel:") for lb in labels):
+                    out.append(detail)
+                labels = []
+        return out
+
+
+def _grid_run(algorithm, graph, store, pool=None, injector=None):
+    """One traced run of ``algorithm``'s rank program under a GridJob —
+    the drivers' own body, plus the ``fault_injector`` they do not expose."""
+    cfg = TC2DConfig(executor="parallel", workers=2) if pool is not None else None
+    passes = ("cover", "horiz") if algorithm == "coveredge" else ()
+    with GridJob(
+        graph, _P, cfg, algorithm, trace=True, superstep=pool, cache=store,
+        passes=passes, fault_injector=injector,
+    ) as job:
+        if algorithm == "tc2d":
+            run = job.run(
+                tc2d_rank_program, job.cfg, None,
+                job.caches[0] if job.caches else None,
+            )
+        else:
+            run = job.run(coveredge_rank_program, job.cfg, tuple(job.caches) or None)
+        return job.finish(run, algorithm)
+
+
+@pytest.fixture(scope="module")
+def pool2():
+    with SuperstepPool(workers=2) as pool:
+        yield pool
+
+
+@pytest.mark.parametrize("algorithm", ["tc2d", "coveredge"])
+@pytest.mark.parametrize("store_state", ["cold", "warm"])
+@pytest.mark.parametrize("injector", [False, True], ids=["clean", "injector"])
+def test_residency_follows_what_the_run_can_observe(
+    er_graph, tmp_path, pool2, injector, store_state, algorithm
+):
+    """A pool with no fault injector publishes every operand once and
+    ships slot references; an attached injector (even one with nothing
+    planned) may rewrite blocks in flight, so U/L travel as per-epoch
+    transient blobs and only the task block stays resident.  Either way
+    the run equals the sequential one bit for bit."""
+    store = GraphStore(tmp_path / "store")
+    if store_state == "warm":
+        _grid_run(algorithm, er_graph, store)
+    seq = _grid_run(algorithm, er_graph, store if store_state == "warm" else None)
+
+    log = _PoolLog()
+    pool2.attach_telemetry(log)
+    try:
+        par = _grid_run(
+            algorithm, er_graph, store, pool=pool2,
+            injector=FaultInjector(FaultPlan()) if injector else None,
+        )
+    finally:
+        pool2.attach_telemetry(None)
+
+    assert par.extras["cache"]["hit"] is (store_state == "warm")
+    assert par.count == seq.count
+    assert (par.ppt_time, par.tct_time) == (seq.ppt_time, seq.tct_time)
+    assert par.counters_ppt == seq.counters_ppt
+    assert par.counters_tct == seq.counters_tct
+    assert par.shift_records == seq.shift_records
+    assert dumps_chrome_trace(par.extras["run"]) == dumps_chrome_trace(
+        seq.extras["run"]
+    )
+
+    epochs = log.epoch_dispatches()
+    passes = 2 if algorithm == "coveredge" else 1
+    assert len(epochs) == passes * _Q and all(e["jobs"] == _P for e in epochs)
+    hits = sum(e["resident_hits"] for e in epochs)
+    if injector:
+        assert hits == passes * _P * _Q  # the task block only
+        assert all(e["payload_bytes"] > 0 for e in epochs)
+    else:
+        assert hits == 3 * passes * _P * _Q
+        assert all(e["payload_bytes"] == 0 for e in epochs)
 
 
 def test_each_driver_keys_the_store_on_its_own_algorithm(er_graph, tmp_path):
@@ -124,7 +228,7 @@ def test_warm_parallel_coveredge_serves_blocks_from_the_store_files(
     store = GraphStore(tmp_path / "store")
     count_triangles_coveredge(er_graph, 4, cache=store)
     warm_seq = count_triangles_coveredge(er_graph, 4, cache=store)
-    cfg = TC2DConfig(executor="parallel", workers=2, dispatch="amortized")
+    cfg = TC2DConfig(executor="parallel", workers=2)
     with SuperstepPool(workers=2) as pool:
         warm_par = count_triangles_coveredge(
             er_graph, 4, cfg, cache=store, superstep=pool

@@ -258,13 +258,10 @@ def test_cache_distinct_from_tc2d_entry(er_graph, tmp_path):
 # -- parallel executor -------------------------------------------------------
 
 
-@pytest.mark.parametrize("dispatch", ["perjob", "batched", "amortized"])
-def test_parallel_executor_bit_identical(er_graph, dispatch):
+def test_parallel_executor_bit_identical(er_graph):
     seq = count_triangles_coveredge(er_graph, 4)
     par = count_triangles_coveredge(
-        er_graph,
-        4,
-        cfg=TC2DConfig(executor="parallel", workers=2, dispatch=dispatch),
+        er_graph, 4, cfg=TC2DConfig(executor="parallel", workers=2)
     )
     assert par.extras["executor"] == "parallel"
     assert par.count == seq.count

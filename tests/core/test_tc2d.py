@@ -100,14 +100,6 @@ def test_shift_records_cover_grid(er_graph):
     assert shifts == {(z, r) for z in range(4) for r in range(16)}
 
 
-def test_shift_records_optional(er_graph):
-    res = count_triangles_2d(
-        er_graph, 9, cfg=TC2DConfig(track_per_shift=False)
-    )
-    assert res.shift_records == []
-    assert res.count == triangle_count_linalg(er_graph)
-
-
 def test_task_counter_grows_with_grid(er_graph):
     """Table 4's redundant-work effect: the per-shift task visits sum to
     roughly m per shift, so totals grow with sqrt(p)."""

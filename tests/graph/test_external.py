@@ -212,9 +212,9 @@ def test_file_backed_residents_keep_clocks_and_counts(graph, tmp_path):
 
     store, seq_res = _inmem_entry(graph, 4, TC2DConfig(), tmp_path / "s")
     warm_seq = count_triangles_2d(graph, 4, TC2DConfig(), cache=store)
-    pool = SuperstepPool(workers=2, dispatch_mode="batched")
+    pool = SuperstepPool(workers=2)
     try:
-        cfg = TC2DConfig(executor="parallel", workers=2, dispatch="amortized")
+        cfg = TC2DConfig(executor="parallel", workers=2)
         warm_par = count_triangles_2d(
             graph, 4, cfg, cache=store, superstep=pool
         )

@@ -208,8 +208,6 @@ def test_shutdown_rejects_new_work():
 def test_workers_validation():
     with pytest.raises(ValueError):
         SuperstepPool(workers=-1)
-    with pytest.raises(ValueError):
-        SuperstepPool(workers=1, dispatch_mode="bogus")
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +230,7 @@ def test_batched_dispatch_caps_futures(pool):
 def test_batched_crash_attributes_exact_rank():
     """A raising job inside a multi-job batch names its own rank, not the
     batch's first rank."""
-    with SuperstepPool(workers=1, dispatch_mode="batched") as p:
+    with SuperstepPool(workers=1) as p:
         p.submit(0, PROBE, (np.arange(2),))
         p.submit(1, "tests.simmpi.test_parallel:raising", (np.arange(2),))
         p.submit(2, PROBE, (np.arange(2),))

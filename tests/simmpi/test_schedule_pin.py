@@ -162,8 +162,8 @@ def _warm(driver, store_dir) -> dict:
     return {**_full(res), "cache": cache, "cache_spans": spans}
 
 
-def _observe_parallel_coveredge(dispatch: str) -> dict:
-    cfg = TC2DConfig(executor="parallel", workers=2, dispatch=dispatch)
+def _observe_parallel_coveredge() -> dict:
+    cfg = TC2DConfig(executor="parallel", workers=2)
     return _clocks(count_triangles_coveredge(_circulant_graph(), 9, cfg))
 
 
@@ -198,11 +198,7 @@ DRIVER_OBSERVERS = {
     "coveredge_p9": lambda tmp: _full(
         count_triangles_coveredge(_circulant_graph(), 9, trace=True)
     ),
-    "coveredge_p9_perjob": lambda tmp: _observe_parallel_coveredge("perjob"),
-    "coveredge_p9_batched": lambda tmp: _observe_parallel_coveredge("batched"),
-    "coveredge_p9_amortized": lambda tmp: _observe_parallel_coveredge(
-        "amortized"
-    ),
+    "coveredge_p9_amortized": lambda tmp: _observe_parallel_coveredge(),
     "summa_2x3": lambda tmp: _full(
         count_triangles_summa(_circulant_graph(), 2, 3, trace=True)
     ),

@@ -295,3 +295,44 @@ def test_history_append_list_check(tmp_path, capsys, small_datasets):
 def test_history_append_requires_input(tmp_path):
     with pytest.raises(SystemExit, match="needs"):
         main(["history", "append", "--db", str(tmp_path / "h.jsonl")])
+
+
+# -- count --auto: pinned fields come from the parsed namespace ---------------
+
+
+@pytest.mark.parametrize(
+    "flags, pinned",
+    [
+        ([], None),
+        (["-p9"], "p"),
+        (["--ranks=9"], "p"),
+        (["-p", "9"], "p"),
+        (["--work", "2"], "workers"),  # unambiguous prefix
+        (["-a", "coveredge", "--kernel", "row"], "algorithm, kernel_backend"),
+    ],
+)
+def test_auto_pins_exactly_the_spelled_flags(capsys, small_datasets, flags, pinned):
+    rc = main(["count", "g500-s12", "--auto", "--auto-max-p", "9", *flags])
+    auto_line = next(
+        ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("auto:")
+    )
+    assert rc == 0
+    assert auto_line.endswith(
+        f"candidates; pinned: {pinned})" if pinned else "candidates)"
+    )
+
+
+def test_auto_rejects_non_grid_algorithms(small_datasets):
+    with pytest.raises(SystemExit, match="plans the grid algorithms"):
+        main(["count", "g500-s12", "--auto", "-a", "aop"])
+
+
+def test_plannable_flag_defaults_still_apply_and_show_in_help(capsys, small_datasets):
+    assert main(["count", "g500-s12"]) == 0
+    assert "tc2d p=16 " in capsys.readouterr().out
+    with pytest.raises(SystemExit):
+        main(["count", "--help"])
+    text = capsys.readouterr().out
+    for default in ("default: 16", "default: tc2d", "default: auto", "default 0"):
+        assert default in text
+    assert "--dispatch" not in text and "--no-offload-ppt" not in text

@@ -164,48 +164,6 @@ def test_parallel_executor_parity(toggle, p, workers, pools):
     assert dumps_chrome_trace(run_par) == dumps_chrome_trace(run_seq)
 
 
-@pytest.fixture(scope="module")
-def mode_pools(pools):
-    """One pool per *transport* mode (amortized shares the batched one —
-    residency is a rank-side protocol atop batched dispatch)."""
-    from repro.simmpi.parallel import SuperstepPool
-
-    perjob = SuperstepPool(workers=2, dispatch_mode="perjob")
-    yield {"perjob": perjob, "batched": pools[2]}
-    perjob.shutdown()
-
-
-@pytest.mark.parametrize("offload", [True, False])
-@pytest.mark.parametrize("dispatch", ["perjob", "batched", "amortized"])
-def test_parallel_dispatch_mode_parity(dispatch, offload, mode_pools):
-    """Every dispatch mode x ppt-offload combination is bit-identical to
-    the sequential engine, down to the exported trace bytes."""
-    from repro.instrument import dumps_chrome_trace
-
-    g, truth = _graph_and_truth("rmat")
-    seq = _sequential_reference("default", 9)
-    cfg = TC2DConfig(
-        executor="parallel", workers=2, dispatch=dispatch, offload_ppt=offload
-    )
-    pool = mode_pools["perjob" if dispatch == "perjob" else "batched"]
-    par = count_triangles_2d(
-        g, 9, cfg, trace=True, keep_run=True, superstep=pool
-    )
-
-    assert par.count == truth == seq.count
-    assert par.extras["dispatch"] == dispatch
-    assert (par.ppt_time, par.tct_time) == (seq.ppt_time, seq.tct_time)
-    assert par.counters_ppt == seq.counters_ppt
-    assert par.counters_tct == seq.counters_tct
-    assert par.shift_records == seq.shift_records
-    assert dumps_chrome_trace(par.extras["run"]) == dumps_chrome_trace(
-        seq.extras["run"]
-    )
-    if dispatch == "amortized":
-        # steady-state epochs resolved their operands from resident slots
-        assert pool.stats.resident_hits > 0
-
-
 def test_parallel_worker_crash_is_typed(monkeypatch):
     from repro.simmpi.errors import WorkerCrashError
 
