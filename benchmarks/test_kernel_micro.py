@@ -123,10 +123,11 @@ def test_kernelbench_smoke(tmp_path):
     BENCH_kernels.json with the expected schema."""
     import json
 
-    from repro.bench.kernelbench import SCHEMA, check_regressions, main
+    from repro.bench.core import bench_main
+    from repro.bench.kernelbench import SCHEMA, SUITE, check
 
     out = tmp_path / "BENCH_kernels.json"
-    rc = main(["--smoke", "--reps", "3", "--out", str(out)])
+    rc = bench_main(SUITE, ["--smoke", "--reps", "3", "--out", str(out)])
     assert rc == 0
     report = json.loads(out.read_text())
     assert report["schema"] == SCHEMA
@@ -134,7 +135,7 @@ def test_kernelbench_smoke(tmp_path):
     assert all(
         {"row", "batch"} <= set(c["backends"]) for c in report["cases"]
     )
-    assert isinstance(check_regressions(report), list)
+    assert isinstance(check(report, []), list)
 
 
 def test_bench_intersection_kernel_no_optimizations(benchmark, block_triple):

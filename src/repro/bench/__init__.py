@@ -6,6 +6,11 @@ in-process memoization so the Table 2 sweep feeds Figures 1-3 and
 Tables 3-4 without re-running) is :mod:`repro.bench.runner`, and the
 machine-model calibration used by all experiments is
 :mod:`repro.bench.calibration`.
+
+The five wall-clock layer suites (``python -m repro.bench.<suite>``:
+kernelbench, parallelbench, servebench, oocbench, autotunebench) share
+one command line, report header and history-row shape, all in
+:mod:`repro.bench.core`; their rows land in :mod:`repro.bench.history`.
 """
 
 from repro.bench.calibration import paper_model, PAPER_RANKS, bench_ranks

@@ -11,9 +11,9 @@ auto-tuner's bet:
 The headline metric per dataset is ``ratio_vs_best``: the chosen plan's
 measured virtual makespan over the best measured candidate (the
 hand-picked optimum).  A perfect tuner scores 1.0; the CI gate
-(``--check``) fails when any dataset exceeds ``--ratio-gate``
-(default 1.25 — the auto plan must stay within 25% of the best
-hand-picked configuration).
+(``--check``) fails when any dataset exceeds ``RATIO_GATE`` (1.25 —
+the auto plan must stay within 25% of the best hand-picked
+configuration).
 
 Candidate rows feed back into the planner: ``repro history append
 --bench BENCH_autotune.json`` records one ``{dataset}-{alg}-p{p}`` row
@@ -21,25 +21,25 @@ per measured candidate with a ``virtual_makespan_s`` metric, which is
 precisely the shape :func:`repro.core.autotune.plan_run` consumes via
 ``history=`` to override its model with ground truth.
 
-Usage::
-
-    python -m repro.bench.autotunebench --smoke --check   # CI gate
-    python -m repro.bench.autotunebench                   # full sweep
+Run it as ``python -m repro.bench.autotunebench``: the common front of
+:func:`repro.bench.core.bench_main` plus ``--dataset`` / ``--max-p`` /
+``--seed``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from typing import Any
 
 from repro.bench.calibration import paper_model
+from repro.bench.core import (
+    TIMING_KEYS, Suite, bench_main, envelope, named_cases, row,
+)
 from repro.core import GRID_DRIVERS, TC2DConfig
 from repro.core.autotune import collect_signals, plan_run
 from repro.graph.datasets import load_dataset
-from repro.instrument.telemetry import host_metadata
 
 #: (datasets, rank candidates) per mode.  Smoke stays small enough for
 #: CI; the full sweep covers the scaled registry at the paper's grids.
@@ -47,6 +47,11 @@ MODES: dict[str, tuple[tuple[str, ...], int]] = {
     "smoke": (("g500-s12", "twitter-like"), 9),
     "full": (("g500-s12", "g500-s13", "twitter-like", "friendster-like"), 16),
 }
+
+#: ``--check``: max measured ratio of the auto plan vs the best
+#: hand-picked candidate (also the ``max`` rule in
+#: ``BENCH_autotune_baseline.json``).
+RATIO_GATE = 1.25
 
 
 def _measure(g, algorithm: str, p: int, seed: int, model) -> dict[str, Any]:
@@ -102,44 +107,66 @@ def bench_dataset(
 
 
 def run_bench(args: argparse.Namespace) -> dict[str, Any]:
-    datasets, max_p = MODES["smoke" if args.smoke else "full"]
+    """Plan + measure every dataset of the sweep; returns the report."""
+    head = envelope(SUITE.name, args.smoke, kind="repro-autotune-bench")
+    datasets, max_p = MODES[head["mode"]]
     if args.dataset:
         datasets = tuple(args.dataset)
     if args.max_p:
         max_p = args.max_p
     model = paper_model()
-    cases = [
-        bench_dataset(ds, max_p, args.seed, model) for ds in datasets
-    ]
+    cases = []
+    for ds in datasets:
+        case = bench_dataset(ds, max_p, args.seed, model)
+        cases.append(case)
+        print(
+            f"autotunebench {case['name']}: chose {case['chosen']}, "
+            f"best {case['best_measured']}, "
+            f"ratio {case['ratio_vs_best']:.3f}x",
+            file=sys.stderr,
+        )
     return {
-        "kind": "repro-autotune-bench",
-        "suite": "autotune",
-        "mode": "smoke" if args.smoke else "full",
-        "host": host_metadata(),
+        **head,
         "config": {
             "max_p": max_p,
             "seed": args.seed,
-            "ratio_gate": args.ratio_gate,
+            "ratio_gate": RATIO_GATE,
             "model_fingerprint": model.fingerprint(),
         },
         "cases": cases,
     }
 
 
-def check_report(report: dict[str, Any], ratio_gate: float) -> list[str]:
+def history_rows(report: dict[str, Any]) -> list[dict[str, Any]]:
+    """One row per measured candidate, shaped exactly as
+    ``repro.core.autotune._history_makespans`` consumes them
+    (``{dataset}-{alg}-p{p}`` / ``virtual_makespan_s``), so appending a
+    report feeds measured ground truth back to the planner; plus one
+    ``<dataset>-auto`` row carrying the plan quality."""
+    rows = []
+    for name, case in named_cases(report):
+        for key, cand in sorted((case.get("candidates") or {}).items()):
+            rows.append(
+                row(SUITE.name, f"{name}-{key}", cand, TIMING_KEYS
+                    + ("count", "virtual_makespan_s", "predicted_s"))
+            )
+        rows.append(
+            row(SUITE.name, f"{name}-auto", case,
+                ("chosen", "best_measured", "ratio_vs_best"))
+        )
+    return rows
+
+
+def check(report: dict[str, Any], notes: list[str]) -> list[str]:
     """Gate an autotunebench report; returns human-readable failures."""
     failures: list[str] = []
-    cases = report.get("cases") or []
-    if not cases:
-        failures.append("report has no cases")
-    for case in cases:
-        name = case.get("name")
+    for name, case in named_cases(report):
         ratio = case.get("ratio_vs_best")
-        if ratio is None or ratio > ratio_gate:
+        if ratio is None or ratio > RATIO_GATE:
             failures.append(
                 f"{name}: auto plan {case.get('chosen')} is {ratio}x the "
                 f"best measured candidate {case.get('best_measured')} "
-                f"(gate {ratio_gate}x)"
+                f"(gate {RATIO_GATE}x)"
             )
         if not case.get("counts_agree"):
             failures.append(
@@ -148,50 +175,21 @@ def check_report(report: dict[str, Any], ratio_gate: float) -> list[str]:
     return failures
 
 
-def main(argv: list[str] | None = None) -> int:
-    ap = argparse.ArgumentParser(
-        prog="autotunebench", description=__doc__.splitlines()[0]
-    )
-    ap.add_argument("--smoke", action="store_true",
-                    help="small dataset/grid sweep for CI")
-    ap.add_argument("--dataset", action="append", default=[],
-                    help="override the sweep's datasets (repeatable)")
-    ap.add_argument("--max-p", type=int, default=0, dest="max_p",
-                    help="override the sweep's largest rank count")
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--out", default="BENCH_autotune.json")
-    ap.add_argument("--check", action="store_true",
-                    help="exit 1 unless every auto plan is within the gate")
-    ap.add_argument("--ratio-gate", type=float, default=1.25,
-                    dest="ratio_gate",
-                    help="max allowed measured ratio of auto vs best "
-                    "hand-picked candidate (default: 1.25)")
-    args = ap.parse_args(argv)
-
-    report = run_bench(args)
-    with open(args.out, "w") as fh:
-        fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    for case in report["cases"]:
-        print(
-            f"autotunebench {case['name']}: chose {case['chosen']}, "
-            f"best {case['best_measured']}, "
-            f"ratio {case['ratio_vs_best']:.3f}x",
-            file=sys.stderr,
-        )
-    print(f"[report written to {args.out}]", file=sys.stderr)
-    if args.check:
-        failures = check_report(report, args.ratio_gate)
-        if failures:
-            for f in failures:
-                print(f"CHECK FAILED: {f}", file=sys.stderr)
-            return 1
-        print(
-            f"check passed: auto within {args.ratio_gate}x of best "
-            "hand-picked on every dataset",
-            file=sys.stderr,
-        )
-    return 0
+SUITE = Suite(
+    name="autotune",
+    out="BENCH_autotune.json",
+    flags={
+        "--dataset": dict(action="append", default=[],
+                          help="override the sweep's datasets (repeatable)"),
+        "--max-p": dict(type=int, default=0,
+                        help="override the sweep's largest rank count"),
+        "--seed": dict(type=int, default=0),
+    },
+    run=run_bench,
+    rows=history_rows,
+    check=check,
+)
 
 
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    sys.exit(bench_main(SUITE))

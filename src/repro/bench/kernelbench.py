@@ -12,40 +12,24 @@ repetitions make the numbers approach the noise floor from above.  The
 harness also cross-checks that every backend returns the same triangle
 count and :class:`KernelStats` before trusting any timing.
 
-Run it as a module::
-
-    python -m repro.bench.kernelbench            # full sweep
-    python -m repro.bench.kernelbench --smoke    # CI-sized subset
-    python -m repro.bench.kernelbench --check    # exit 1 on regression
+Run it as ``python -m repro.bench.kernelbench``: the common front of
+:func:`repro.bench.core.bench_main` plus this suite's own ``--reps``.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 import time
-from pathlib import Path
 from typing import Any
 
+from repro.bench.core import Suite, bench_main, envelope, named_cases, row
 from repro.core.blocks import Block, build_block
 from repro.core.config import TC2DConfig
 from repro.core.kernels import available_backends, get_backend
 from repro.graph import rmat_graph
-from repro.instrument.telemetry import host_metadata, peak_rss_bytes
-
-__all__ = [
-    "SCHEMA",
-    "BACKENDS",
-    "CHECK_TOLERANCE",
-    "BenchCase",
-    "host_metadata",  # moved to repro.instrument.telemetry; re-exported
-    "make_block_triple",
-    "run_bench",
-    "check_regressions",
-    "main",
-]
+from repro.instrument.telemetry import peak_rss_bytes
 
 #: Artifact schema.  2 added ``host`` metadata and the
 #: ``registered_backends`` registry snapshot so numbers from different
@@ -210,109 +194,68 @@ def _time_case(
     return out
 
 
-def run_bench(
-    smoke: bool = False,
-    reps: int = 15,
-    backends: tuple[str, ...] = BACKENDS,
-) -> dict[str, Any]:
+def run_bench(args: argparse.Namespace) -> dict[str, Any]:
     """Run the sweep and return the JSON-serializable report."""
-    cases = SMOKE_CASES if smoke else CASES
     results = []
-    for case in cases:
-        res = _time_case(case, backends, reps)
+    for case in SMOKE_CASES if args.smoke else CASES:
+        res = _time_case(case, BACKENDS, args.reps)
         results.append(res)
         spd = res.get("speedup_batch_vs_row")
         spd_txt = f"  batch speedup {spd:.2f}x" if spd else ""
         timing_txt = "  ".join(
-            f"{b}={res['backends'][b]['best_ms']:.3f}ms" for b in backends
+            f"{b}={res['backends'][b]['best_ms']:.3f}ms" for b in BACKENDS
         )
         print(f"{case.name:<24} {timing_txt}{spd_txt}", file=sys.stderr)
     return {
-        "schema": SCHEMA,
-        "suite": "kernel-backends",
-        "mode": "smoke" if smoke else "full",
-        "reps": reps,
-        "host": host_metadata(),
+        **envelope(SUITE.name, args.smoke, schema=SCHEMA),
+        "reps": args.reps,
         "registered_backends": list(available_backends()),
         "cases": results,
     }
 
 
-def check_regressions(report: dict[str, Any]) -> list[str]:
-    """Regression gate: batch must not be slower than row on any case.
+def history_rows(report: dict[str, Any]) -> list[dict[str, Any]]:
+    """One ``<case>-<backend>`` history row per timed backend."""
+    return [
+        row(
+            SUITE.name, f"{name}-{backend}", timing,
+            count=case.get("triangles"),
+            peak_rss_bytes=case.get("peak_rss_bytes"),
+        )
+        for name, case in named_cases(report)
+        for backend, timing in sorted((case.get("backends") or {}).items())
+    ]
 
-    Reads defensively so artifacts written by older schemas (without
-    ``wall_s``/``peak_rss_bytes``) still check cleanly.
-    """
+
+def check(report: dict[str, Any], notes: list[str]) -> list[str]:
+    """Regression gate: batch must not be slower than row on any case."""
     failures = []
-    for case in report.get("cases") or []:
+    for name, case in named_cases(report):
         t = case.get("backends") or {}
         if "row" not in t or "batch" not in t:
             continue
         row_ms, batch_ms = t["row"]["best_ms"], t["batch"]["best_ms"]
         if batch_ms > row_ms * CHECK_TOLERANCE:
             failures.append(
-                f"{case['name']}: batch {batch_ms:.3f}ms > "
+                f"{name}: batch {batch_ms:.3f}ms > "
                 f"row {row_ms:.3f}ms * {CHECK_TOLERANCE}"
             )
     return failures
 
 
-def main(argv: list[str] | None = None) -> int:
-    ap = argparse.ArgumentParser(
-        prog="python -m repro.bench.kernelbench",
-        description="microbenchmark the intersection-kernel backends",
-    )
-    ap.add_argument(
-        "--smoke",
-        action="store_true",
-        help="small CI-sized cases instead of the full sweep",
-    )
-    ap.add_argument(
-        "--reps", type=int, default=15, help="best-of repetitions per case"
-    )
-    ap.add_argument(
-        "--out",
-        default="BENCH_kernels.json",
-        help="output JSON path ('-' for stdout only)",
-    )
-    ap.add_argument(
-        "--check",
-        action="store_true",
-        help="exit 1 when batch is slower than row on any case",
-    )
-    ap.add_argument(
-        "--history",
-        default=None,
-        metavar="DB",
-        help="also append this run's rows to the given history JSONL "
-        "(see `repro history`)",
-    )
-    args = ap.parse_args(argv)
-
-    report = run_bench(smoke=args.smoke, reps=args.reps)
-    text = json.dumps(report, indent=2) + "\n"
-    if args.out == "-":
-        print(text, end="")
-    else:
-        Path(args.out).write_text(text)
-        print(f"wrote {args.out}", file=sys.stderr)
-
-    if args.history:
-        from repro.bench.history import RunHistory, rows_from_bench
-
-        n = RunHistory(args.history).append(rows_from_bench(report))
-        print(f"appended {n} rows to {args.history}", file=sys.stderr)
-
-    if args.check:
-        failures = check_regressions(report)
-        if failures:
-            for f in failures:
-                print(f"REGRESSION: {f}", file=sys.stderr)
-            return 1
-        print("check passed: batch >= row on every case", file=sys.stderr)
-    return 0
+SUITE = Suite(
+    name="kernel-backends",
+    out="BENCH_kernels.json",
+    flags={
+        "--reps": dict(
+            type=int, default=15, help="best-of repetitions per case"
+        ),
+    },
+    run=run_bench,
+    rows=history_rows,
+    check=check,
+)
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via CI
-    sys.exit(main())
+    sys.exit(bench_main(SUITE))

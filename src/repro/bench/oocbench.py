@@ -52,11 +52,8 @@ Gates (``--check`` exits 1 when violated)
     the edge list.  A regression that reintroduces full-blob copies
     blows this ceiling.
 
-Run it as a module::
-
-    python -m repro.bench.oocbench            # full-size ratio case
-    python -m repro.bench.oocbench --smoke    # CI-sized subset
-    python -m repro.bench.oocbench --check    # exit 1 on gate violation
+Run it as ``python -m repro.bench.oocbench``: the common front of
+:func:`repro.bench.core.bench_main` plus ``--chunk-bytes`` / ``--workdir``.
 """
 
 from __future__ import annotations
@@ -71,10 +68,14 @@ import time
 from pathlib import Path
 from typing import Any
 
+from repro.bench.core import (
+    TIMING_KEYS, Suite, bench_main, envelope, named_cases, row,
+)
+
 #: Artifact schema.  2 drops the ratio case's top-level
 #: ``peak_rss_bytes``, which held the count child's RSS *delta*;
-#: :func:`repro.bench.history.rows_from_bench` reads each child's own
-#: ``rss_delta_bytes`` / ``ceiling_bytes`` instead.
+#: :func:`history_rows` reads each child's own ``rss_delta_bytes`` /
+#: ``ceiling_bytes`` instead.
 SCHEMA = 2
 
 #: The ratio-case graph must be at least this many times larger (on-disk
@@ -164,7 +165,7 @@ def _load_redge(path: Path):
 # -- child processes (isolated peak-RSS measurements) ------------------------
 
 
-def _child_main(args: argparse.Namespace) -> int:
+def _child_main(argv: list[str]) -> int:
     """Run one measured workload and print a single JSON line.
 
     ``ru_maxrss`` is a per-process lifetime high-water mark, so each
@@ -172,6 +173,14 @@ def _child_main(args: argparse.Namespace) -> int:
     the same imports (numpy + the repro stack) without touching a graph,
     giving the baseline the parent subtracts out.
     """
+    ap = argparse.ArgumentParser()
+    ap.add_argument("--child", required=True)
+    ap.add_argument("--graph")
+    ap.add_argument("--store-dir")
+    ap.add_argument("--ranks", type=int, default=4)
+    ap.add_argument("--chunk-bytes", type=int)
+    args = ap.parse_args(argv)
+
     from repro.core.config import TC2DConfig  # noqa: F401 - shared baseline
     from repro.graph.external import (  # noqa: F401 - shared baseline
         count_triangles_oocore,
@@ -217,7 +226,7 @@ def _child_main(args: argparse.Namespace) -> int:
         g = _load_redge(Path(args.graph))
         res = count_triangles_2d(g, args.ranks, cfg)
         out.update(count=int(res.count))
-    else:  # pragma: no cover - argparse choices guard this
+    else:  # pragma: no cover - _run_child only passes the modes above
         raise ValueError(f"unknown child mode {args.child!r}")
     out["peak_rss_bytes"] = peak_rss_bytes()
     print(json.dumps(out, sort_keys=True))
@@ -389,40 +398,67 @@ def _ratio_case(
     return case
 
 
-def run_bench(
-    smoke: bool = False,
-    chunk_bytes: int | None = None,
-    workdir: str | None = None,
-) -> dict[str, Any]:
+def run_bench(args: argparse.Namespace) -> dict[str, Any]:
     """Run parity + ratio cases and return the JSON-serializable report."""
-    from repro.instrument.telemetry import host_metadata
-
-    cases = _parity_cases(smoke)
-    if workdir is not None:
-        Path(workdir).mkdir(parents=True, exist_ok=True)
-        cases.append(_ratio_case(smoke, Path(workdir), chunk_bytes))
+    cases = _parity_cases(args.smoke)
+    if args.workdir is not None:
+        Path(args.workdir).mkdir(parents=True, exist_ok=True)
+        cases.append(
+            _ratio_case(args.smoke, Path(args.workdir), args.chunk_bytes)
+        )
     else:
         with tempfile.TemporaryDirectory(prefix="repro-oocbench-") as td:
-            cases.append(_ratio_case(smoke, Path(td), chunk_bytes))
+            cases.append(_ratio_case(args.smoke, Path(td), args.chunk_bytes))
     return {
-        "schema": SCHEMA,
-        "suite": "outofcore",
-        "mode": "smoke" if smoke else "full",
+        **envelope(SUITE.name, args.smoke, schema=SCHEMA),
         "ratio_target": RATIO_TARGET,
         "rss_ratio_target": RSS_RATIO_TARGET,
-        "host": host_metadata(),
         "cases": cases,
     }
 
 
-def check_regressions(report: dict[str, Any]) -> list[str]:
+#: The ratio case's gated children -> how a failure line names them.
+_STAGES = {
+    "stream": "streaming-stages",
+    "preprocess": "preprocess",
+    "count": "count",
+}
+
+
+def history_rows(report: dict[str, Any]) -> list[dict[str, Any]]:
+    """One row per parity case; the ratio case becomes ``<case>-stream`` /
+    ``-preprocess`` / ``-count``, each child's RSS delta next to the
+    ceiling it is gated against."""
+    rows = []
+    for name, case in named_cases(report):
+        if "graph_bytes" not in case:
+            rows.append(
+                row(SUITE.name, str(name), case, count=case.get("triangles"))
+            )
+            continue
+        ratio = case.get("graph_to_rss_ratio")
+        for stage in _STAGES:
+            rows.append(
+                {
+                    **row(
+                        SUITE.name, f"{name}-{stage}", case.get(stage),
+                        TIMING_KEYS + ("rss_delta_bytes", "ceiling_bytes",
+                                       "count", "store_hit"),
+                        graph_to_rss_ratio=(
+                            ratio if stage == "stream" else None
+                        ),
+                    ),
+                    "digest": case.get("digest"),
+                }
+            )
+    return rows
+
+
+def check(report: dict[str, Any], notes: list[str]) -> list[str]:
     """Gate a report; returns human-readable failures (empty = pass)."""
     failures: list[str] = []
-    ratio_target = float(report.get("ratio_target") or RATIO_TARGET)
-    rss_target = float(report.get("rss_ratio_target") or RSS_RATIO_TARGET)
     saw_ratio_case = False
-    for case in report.get("cases") or []:
-        name = case.get("name", "?")
+    for name, case in named_cases(report):
         if not case.get("count_match", False):
             failures.append(
                 f"{name}: out-of-core count diverged from in-memory "
@@ -433,51 +469,31 @@ def check_regressions(report: dict[str, Any]) -> list[str]:
             continue  # parity-only case
         saw_ratio_case = True
         gb, cb = case["graph_bytes"], case["chunk_bytes"]
-        if gb < ratio_target * cb:
+        if gb < RATIO_TARGET * cb:
             failures.append(
-                f"{name}: graph {gb} bytes < {ratio_target}x chunk budget "
+                f"{name}: graph {gb} bytes < {RATIO_TARGET}x chunk budget "
                 f"{cb} bytes — the case no longer demonstrates out-of-core"
             )
-        stream = case.get("stream") or {}
-        sdelta = int(stream.get("rss_delta_bytes", 0))
-        sceiling = int(
-            stream.get("ceiling_bytes")
-            or STREAM_FLOOR + PRE_CHUNK_MULT * cb
-        )
-        if sdelta > sceiling:
+        # Each child is held to the ceiling _ratio_case wrote beside its
+        # delta; a child with no ceiling on record fails its gate.
+        for stage, label in _STAGES.items():
+            child = case.get(stage) or {}
+            delta = int(child.get("rss_delta_bytes", 0))
+            ceiling = int(child.get("ceiling_bytes", -1))
+            if delta > ceiling:
+                failures.append(
+                    f"{name}: {label} RSS delta {delta} > ceiling "
+                    f"{ceiling} (chunk_bytes={cb})"
+                )
+        sdelta = int((case.get("stream") or {}).get("rss_delta_bytes", 0))
+        floored = max(RSS_DELTA_FLOOR, sdelta)
+        if gb < RSS_RATIO_TARGET * floored:
             failures.append(
-                f"{name}: streaming-stages RSS delta {sdelta} > ceiling "
-                f"{sceiling} (chunk_bytes={cb})"
-            )
-        if gb < rss_target * max(RSS_DELTA_FLOOR, sdelta):
-            failures.append(
-                f"{name}: graph/RSS ratio "
-                f"{gb / max(RSS_DELTA_FLOOR, sdelta):.2f}x < {rss_target}x "
-                f"(graph {gb} bytes, streaming delta {sdelta} bytes)"
-            )
-        pre = case.get("preprocess") or {}
-        delta = int(pre.get("rss_delta_bytes", 0))
-        ceiling = int(
-            pre.get("ceiling_bytes")
-            or PRE_FLOOR + PRE_CHUNK_MULT * cb
-            + RANK_MULT * 32 * int(case.get("m", 0)) / max(1, case.get("p", 1))
-        )
-        if delta > ceiling:
-            failures.append(
-                f"{name}: preprocess RSS delta {delta} > ceiling {ceiling} "
-                f"(chunk_bytes={cb})"
+                f"{name}: graph/RSS ratio {gb / floored:.2f}x < "
+                f"{RSS_RATIO_TARGET}x (graph {gb} bytes, streaming delta "
+                f"{sdelta} bytes)"
             )
         cnt = case.get("count") or {}
-        cdelta = int(cnt.get("rss_delta_bytes", 0))
-        cceiling = int(
-            cnt.get("ceiling_bytes")
-            or COUNT_FLOOR + PRE_CHUNK_MULT * cb
-            + COUNT_STORE_MULT * int(case.get("store_bytes", 0))
-        )
-        if cdelta > cceiling:
-            failures.append(
-                f"{name}: count RSS delta {cdelta} > ceiling {cceiling}"
-            )
         if cnt and not cnt.get("store_hit", False):
             failures.append(
                 f"{name}: counting child missed the store entry the "
@@ -488,75 +504,26 @@ def check_regressions(report: dict[str, Any]) -> list[str]:
     return failures
 
 
-def main(argv: list[str] | None = None) -> int:
-    ap = argparse.ArgumentParser(
-        prog="python -m repro.bench.oocbench",
-        description="out-of-core preprocessing benchmark (gated peak RSS)",
-    )
-    ap.add_argument(
-        "--smoke", action="store_true",
-        help="CI-sized graph instead of the full ratio case",
-    )
-    ap.add_argument(
-        "--chunk-bytes", type=int, default=None,
-        help="override the ratio case's chunk budget",
-    )
-    ap.add_argument(
-        "--workdir", default=None, metavar="DIR",
-        help="keep the generated graph/store here instead of a temp dir",
-    )
-    ap.add_argument(
-        "--out", default="BENCH_outofcore.json",
-        help="output JSON path ('-' for stdout only)",
-    )
-    ap.add_argument(
-        "--check", action="store_true",
-        help="exit 1 when any memory/parity gate fails",
-    )
-    ap.add_argument(
-        "--history", default=None, metavar="DB",
-        help="also append this run's rows to the given history JSONL",
-    )
-    # -- hidden child plumbing (one measurement per interpreter) --
-    ap.add_argument("--child", choices=("control", "stream", "preprocess",
-                                        "count", "inmem"),
-                    help=argparse.SUPPRESS)
-    ap.add_argument("--graph", help=argparse.SUPPRESS)
-    ap.add_argument("--store-dir", help=argparse.SUPPRESS)
-    ap.add_argument("--ranks", type=int, default=4, help=argparse.SUPPRESS)
-    args = ap.parse_args(argv)
-
-    if args.child:
-        return _child_main(args)
-
-    report = run_bench(
-        smoke=args.smoke, chunk_bytes=args.chunk_bytes, workdir=args.workdir
-    )
-    text = json.dumps(report, indent=2) + "\n"
-    if args.out == "-":
-        print(text, end="")
-    else:
-        Path(args.out).write_text(text)
-        print(f"wrote {args.out}", file=sys.stderr)
-
-    if args.history:
-        from repro.bench.history import RunHistory, rows_from_bench
-
-        n = RunHistory(args.history).append(rows_from_bench(report))
-        print(f"appended {n} rows to {args.history}", file=sys.stderr)
-
-    if args.check:
-        failures = check_regressions(report)
-        if failures:
-            for f in failures:
-                print(f"REGRESSION: {f}", file=sys.stderr)
-            return 1
-        print(
-            "check passed: out-of-core pipeline within memory gates",
-            file=sys.stderr,
-        )
-    return 0
+SUITE = Suite(
+    name="outofcore",
+    out="BENCH_outofcore.json",
+    flags={
+        "--chunk-bytes": dict(
+            type=int, help="override the ratio case's chunk budget"
+        ),
+        "--workdir": dict(
+            metavar="DIR",
+            help="keep the generated graph/store here instead of a temp dir",
+        ),
+    },
+    run=run_bench,
+    rows=history_rows,
+    check=check,
+)
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via CI
-    sys.exit(main())
+    # --child is _run_child's one-measurement-per-interpreter plumbing.
+    if "--child" in sys.argv:
+        sys.exit(_child_main(sys.argv[1:]))
+    sys.exit(bench_main(SUITE))

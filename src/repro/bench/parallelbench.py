@@ -39,31 +39,24 @@ the pool's dispatch wall: amortizing it is the whole point of resident
 blocks, so regressing it is a failure even when the count and speedup
 still pass.
 
-Run it as a module::
-
-    python -m repro.bench.parallelbench            # full sweep
-    python -m repro.bench.parallelbench --smoke    # CI-sized subset
-    python -m repro.bench.parallelbench --check    # exit 1 on regression
+Run it as ``python -m repro.bench.parallelbench``: the common front of
+:func:`repro.bench.core.bench_main` plus ``--reps`` / ``--workers`` /
+``--store``.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 import time
-from pathlib import Path
 from typing import Any
 
+from repro.bench.core import Suite, bench_main, envelope, named_cases, row
 from repro.core.config import TC2DConfig
 from repro.core.tc2d import count_triangles_2d
 from repro.graph import rmat_graph
-from repro.instrument.telemetry import (
-    _stats_delta,
-    host_metadata,
-    peak_rss_bytes,
-)
+from repro.instrument.telemetry import _stats_delta, peak_rss_bytes
 from repro.simmpi.parallel import SuperstepPool
 
 #: Artifact schema (shares the host-metadata convention of
@@ -71,8 +64,7 @@ from repro.simmpi.parallel import SuperstepPool
 #: ``peak_rss_bytes`` to every sequential/parallel entry; 3 added the
 #: report-level ``dispatch`` / ``core_limited`` / ``warnings`` fields
 #: and a per-parallel-entry ``pool`` stats delta; 4 drops ``dispatch``
-#: (there is one transport).  ``--check`` still reads schema-1/2/3
-#: artifacts (every added field is optional, ``dispatch`` is ignored).
+#: (there is one transport).
 SCHEMA = 4
 
 #: Worker counts swept by default.
@@ -189,29 +181,25 @@ def _run_case(
     return out
 
 
-def run_bench(
-    smoke: bool = False,
-    reps: int = 3,
-    workers: tuple[int, ...] = WORKERS,
-    store_dir: str | None = None,
-) -> dict[str, Any]:
+def run_bench(args: argparse.Namespace) -> dict[str, Any]:
     """Run the sweep and return the JSON-serializable report.
 
-    With ``store_dir`` every run shares one preprocessing cache
+    With ``--store`` every run shares one preprocessing cache
     (:mod:`repro.graph.store`): the first repetition warms it, every
     later one skips the ppt phase, so the measured wall times isolate the
     executor-under-test (tct) instead of re-paying identical setup.
     Counts and virtual clocks are unaffected — cached and fresh runs are
     bit-identical by construction.
     """
-    cases = SMOKE_CASES if smoke else CASES
     from repro.graph.store import store_from_env
 
+    cases = SMOKE_CASES if args.smoke else CASES
+    workers, reps = tuple(args.workers), args.reps
     # --store wins; $REPRO_STORE_DIR opts in when the flag is absent
     # (the same resolution rule as chaos, servebench and the serve layer).
-    store = store_from_env(store_dir)
-    host = host_metadata()
-    usable = int(host.get("usable_cpus") or 1)
+    store = store_from_env(args.store)
+    head = envelope(SUITE.name, args.smoke, schema=SCHEMA)
+    usable = int(head["host"].get("usable_cpus") or 1)
     warnings: list[str] = []
     if usable < max(workers):
         warnings.append(
@@ -230,156 +218,123 @@ def run_bench(
         for pool in pools.values():
             pool.shutdown()
     return {
-        "schema": SCHEMA,
-        "suite": "parallel-superstep",
-        "mode": "smoke" if smoke else "full",
+        **head,
         "reps": reps,
         "workers": list(workers),
-        "host": host,
         "core_limited": usable < max(workers),
         "warnings": warnings,
         "cases": results,
     }
 
 
-def check_regressions(
-    report: dict[str, Any], notes: list[str] | None = None
-) -> list[str]:
+def _overhead_frac(entry: dict[str, Any]) -> float | None:
+    """Share of a parallel entry's pool wall that is not kernel work
+    (serialize + dispatch); ``None`` when no pool wall was recorded."""
+    pool = entry.get("pool") or {}
+    wall = pool.get("wall_s") or 0.0
+    if wall <= 0.0:
+        return None
+    return (
+        (pool.get("serialize_s") or 0.0) + (pool.get("dispatch_s") or 0.0)
+    ) / wall
+
+
+def history_rows(report: dict[str, Any]) -> list[dict[str, Any]]:
+    """``<case>-seq`` plus one ``<case>-w<N>`` row per worker count, the
+    latter with the pool's non-execute share as ``pool_overhead_frac``."""
+    rows = []
+    for name, case in named_cases(report):
+        rows.append(
+            row(
+                SUITE.name, f"{name}-seq", case.get("sequential"),
+                count=case.get("triangles"),
+            )
+        )
+        for w, entry in sorted((case.get("parallel") or {}).items()):
+            rows.append(
+                row(
+                    SUITE.name, f"{name}-w{w}", entry,
+                    speedup=entry.get("speedup_vs_sequential"),
+                    pool_overhead_frac=_overhead_frac(entry),
+                )
+            )
+    return rows
+
+
+def check(report: dict[str, Any], notes: list[str]) -> list[str]:
     """Core-aware regression gate (see the module docstring).
 
-    Reads defensively so schema-1/2 artifacts (without ``wall_s``/
-    ``peak_rss_bytes``/``pool``) still check cleanly.  When ``notes`` is
-    given, every *skipped* speedup gate appends a human-readable line
-    explaining why — the gate never degrades silently.
+    Every *skipped* speedup gate appends a human-readable line to
+    ``notes`` explaining why — the gate never degrades silently.
     """
     failures: list[str] = []
     usable = int((report.get("host") or {}).get("usable_cpus", 1))
-    for case in report.get("cases") or []:
+    for name, case in named_cases(report):
         seq_s = (case.get("sequential") or {}).get("best_s", 0.0)
-        for w_str, row in (case.get("parallel") or {}).items():
+        for w_str, entry in (case.get("parallel") or {}).items():
             w = int(w_str)
-            tag = f"{case['name']} (workers={w})"
-            if not row["count_match"]:
+            tag = f"{name} (workers={w})"
+            if not entry["count_match"]:
                 failures.append(f"{tag}: parallel count diverged")
                 continue
             gated = w >= 4 and usable >= w and case["scale"] >= 13
             if gated:
-                if row["speedup_vs_sequential"] < TARGET_SPEEDUP:
+                if entry["speedup_vs_sequential"] < TARGET_SPEEDUP:
                     failures.append(
                         f"{tag}: speedup "
-                        f"{row['speedup_vs_sequential']:.2f}x < "
+                        f"{entry['speedup_vs_sequential']:.2f}x < "
                         f"{TARGET_SPEEDUP}x (host grants {usable} CPUs)"
                     )
             else:
-                if notes is not None:
-                    why = (
-                        f"host grants {usable} < {w} CPUs"
-                        if usable < w
-                        else f"case below gate size (workers={w}, "
-                        f"scale={case['scale']})"
-                    )
-                    notes.append(
-                        f"{tag}: speedup gate SKIPPED ({why}); "
-                        "overhead bound applied instead"
-                    )
-                if row["best_s"] > seq_s * OVERHEAD_TOLERANCE:
+                why = (
+                    f"host grants {usable} < {w} CPUs"
+                    if usable < w
+                    else f"case below gate size (workers={w}, "
+                    f"scale={case['scale']})"
+                )
+                notes.append(
+                    f"{tag}: speedup gate SKIPPED ({why}); "
+                    "overhead bound applied instead"
+                )
+                if entry["best_s"] > seq_s * OVERHEAD_TOLERANCE:
                     failures.append(
-                        f"{tag}: parallel {row['best_s']:.3f}s > "
+                        f"{tag}: parallel {entry['best_s']:.3f}s > "
                         f"sequential {seq_s:.3f}s * {OVERHEAD_TOLERANCE} "
                         f"(host grants {usable} CPUs)"
                     )
-            pool = row.get("pool") or {}
-            wall = float(pool.get("wall_s") or 0.0)
-            if gated and wall > 0.0:
-                nonexec = float(pool.get("serialize_s") or 0.0) + float(
-                    pool.get("dispatch_s") or 0.0
+            frac = _overhead_frac(entry)
+            if gated and frac is not None and frac > OVERHEAD_FRACTION:
+                failures.append(
+                    f"{tag}: non-execute overhead {frac:.0%} of the pool "
+                    f"wall > {OVERHEAD_FRACTION:.0%}"
                 )
-                if nonexec > OVERHEAD_FRACTION * wall:
-                    failures.append(
-                        f"{tag}: non-execute overhead "
-                        f"{nonexec:.3f}s > {OVERHEAD_FRACTION:.0%} of "
-                        f"pool wall {wall:.3f}s"
-                    )
     return failures
 
 
-def main(argv: list[str] | None = None) -> int:
-    ap = argparse.ArgumentParser(
-        prog="python -m repro.bench.parallelbench",
-        description="benchmark the parallel superstep executor",
-    )
-    ap.add_argument(
-        "--smoke",
-        action="store_true",
-        help="small CI-sized cases instead of the full sweep",
-    )
-    ap.add_argument(
-        "--reps", type=int, default=3, help="best-of repetitions per run"
-    )
-    ap.add_argument(
-        "--workers",
-        type=int,
-        nargs="+",
-        default=list(WORKERS),
-        help="worker counts to sweep (default: 1 2 4)",
-    )
-    ap.add_argument(
-        "--store",
-        default=None,
-        metavar="DIR",
-        help="share a preprocessing cache across runs/reps (first rep "
-        "warms it, later reps skip the ppt phase; counts unchanged)",
-    )
-    ap.add_argument(
-        "--out",
-        default="BENCH_parallel.json",
-        help="output JSON path ('-' for stdout only)",
-    )
-    ap.add_argument(
-        "--check",
-        action="store_true",
-        help="exit 1 on count divergence or core-aware speedup regression",
-    )
-    ap.add_argument(
-        "--history",
-        default=None,
-        metavar="DB",
-        help="also append this run's rows to the given history JSONL "
-        "(see `repro history`)",
-    )
-    args = ap.parse_args(argv)
-
-    report = run_bench(
-        smoke=args.smoke,
-        reps=args.reps,
-        workers=tuple(args.workers),
-        store_dir=args.store,
-    )
-    text = json.dumps(report, indent=2) + "\n"
-    if args.out == "-":
-        print(text, end="")
-    else:
-        Path(args.out).write_text(text)
-        print(f"wrote {args.out}", file=sys.stderr)
-
-    if args.history:
-        from repro.bench.history import RunHistory, rows_from_bench
-
-        n = RunHistory(args.history).append(rows_from_bench(report))
-        print(f"appended {n} rows to {args.history}", file=sys.stderr)
-
-    if args.check:
-        notes: list[str] = []
-        failures = check_regressions(report, notes=notes)
-        for n in notes:
-            print(f"NOTE: {n}", file=sys.stderr)
-        if failures:
-            for f in failures:
-                print(f"REGRESSION: {f}", file=sys.stderr)
-            return 1
-        print("check passed: parallel executor within gate", file=sys.stderr)
-    return 0
+SUITE = Suite(
+    name="parallel-superstep",
+    out="BENCH_parallel.json",
+    flags={
+        "--reps": dict(
+            type=int, default=3, help="best-of repetitions per run"
+        ),
+        "--workers": dict(
+            type=int,
+            nargs="+",
+            default=list(WORKERS),
+            help="worker counts to sweep (default: 1 2 4)",
+        ),
+        "--store": dict(
+            metavar="DIR",
+            help="share a preprocessing cache across runs/reps (first rep "
+            "warms it, later reps skip the ppt phase; counts unchanged)",
+        ),
+    },
+    run=run_bench,
+    rows=history_rows,
+    check=check,
+)
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via CI
-    sys.exit(main())
+    sys.exit(bench_main(SUITE))

@@ -17,28 +17,25 @@ threads and measures the serve-level contract:
 Writes ``BENCH_serve.json`` and with ``--check`` gates (exit 1 on
 violation):
 
-* warm p50 at least ``--warm-speedup-gate`` (default 10x) below cold p50;
+* warm p50 at least ``WARM_SPEEDUP_GATE`` (10x) below cold p50;
 * served counts bit-identical between the cold and warm paths;
 * every overload rejection typed, accepted <= capacity, queue depth
   bounded by ``max_queue``.
 
-Usage::
-
-    python -m repro.bench.servebench --mode smoke --check   # CI
-    python -m repro.bench.servebench --mode full            # BENCH_serve.json
+Run it as ``python -m repro.bench.servebench``: the common front of
+:func:`repro.bench.core.bench_main` plus the traffic-shape flags below.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import random
 import sys
 import threading
 import time
 from typing import Any
 
-from repro.instrument.telemetry import host_metadata
+from repro.bench.core import Suite, bench_main, envelope, named_cases, row
 from repro.serve import ServeClient, ServeConfig, ServeRejected
 from repro.serve.server import run_server
 
@@ -47,6 +44,10 @@ MODES = {
     "smoke": ("g500-s12", 16, 3, 40, 30, 4),
     "full": ("g500-s13", 16, 5, 200, 120, 8),
 }
+
+#: ``--check``: the warm path's p50 must beat the cold path's by this
+#: factor (also the ``min`` rule in ``BENCH_serve_baseline.json``).
+WARM_SPEEDUP_GATE = 10.0
 
 #: Burst multiple over the tiny service's capacity in the overload phase.
 OVERLOAD_FACTOR = 4
@@ -120,7 +121,8 @@ def _fanout(n: int, clients: int, fn: Any) -> list[Any]:
 
 def run_bench(args: argparse.Namespace) -> dict[str, Any]:
     """Execute every phase and assemble the report."""
-    dataset, ranks, cold_n, warm_n, mixed_n, clients = MODES[args.mode]
+    head = envelope(SUITE.name, args.smoke, kind="repro-serve-bench")
+    dataset, ranks, cold_n, warm_n, mixed_n, clients = MODES[head["mode"]]
     if args.dataset:
         dataset = args.dataset
     if args.ranks:
@@ -236,11 +238,8 @@ def run_bench(args: argparse.Namespace) -> dict[str, Any]:
 
     warm_p50, cold_p50 = _pctl(warm_lat, 0.5), _pctl(cold_lat, 0.5)
     name = f"{dataset}-p{ranks}"
-    return {
-        "kind": "repro-serve-bench",
-        "suite": "serve",
-        "mode": args.mode,
-        "host": host_metadata(),
+    report = {
+        **head,
         "config": {
             "clients": clients,
             "max_inflight": args.max_inflight,
@@ -300,15 +299,52 @@ def run_bench(args: argparse.Namespace) -> dict[str, Any]:
             "queue_depth_max": over_stats.get("queue_depth_max"),
         },
     }
+    case = report["cases"][0]
+    print(
+        f"servebench [{head['mode']}] {name}: "
+        f"cold p50 {cold_p50 * 1e3:.1f}ms, "
+        f"warm p50 {warm_p50 * 1e3:.2f}ms "
+        f"({case['warm_speedup_p50']:.0f}x), "
+        f"mixed {case['mixed']['throughput_rps']:.0f} req/s "
+        f"hit {case['mixed']['hit_ratio']:.0%}; "
+        f"overload {report['overload']['rejected_total']}/{burst} rejected",
+        file=sys.stderr,
+    )
+    return report
 
 
-def check_report(
-    report: dict[str, Any], warm_speedup_gate: float
+def history_rows(report: dict[str, Any]) -> list[dict[str, Any]]:
+    """``<case>-cold`` / ``-warm`` / ``-mixed`` per case plus one
+    ``overload`` row — what ``BENCH_serve_baseline.json`` gates."""
+    rows, lat = [], ("p50_s", "p99_s")
+    for name, case in named_cases(report):
+        rows += [
+            {
+                **row(SUITE.name, f"{name}-cold", case.get("cold"), lat,
+                      count=case.get("triangles")),
+                "digest": case.get("digest"),
+            },
+            row(SUITE.name, f"{name}-warm", case.get("warm"), lat,
+                warm_speedup_p50=case.get("warm_speedup_p50")),
+            row(SUITE.name, f"{name}-mixed", case.get("mixed"),
+                ("throughput_rps", "hit_ratio", "p99_s")),
+        ]
+    if report.get("overload"):
+        rows.append(
+            row(SUITE.name, "overload", report["overload"],
+                ("rejected_total", "accepted", "capacity", "queue_depth_max"))
+        )
+    return rows
+
+
+def check(
+    report: dict[str, Any],
+    notes: list[str],
+    warm_speedup_gate: float = WARM_SPEEDUP_GATE,
 ) -> list[str]:
     """Gate a servebench report; returns human-readable failures."""
     failures: list[str] = []
-    for case in report.get("cases") or []:
-        name = case.get("name")
+    for name, case in named_cases(report):
         speedup = case.get("warm_speedup_p50")
         if speedup is None or speedup < warm_speedup_gate:
             failures.append(
@@ -337,65 +373,36 @@ def check_report(
     return failures
 
 
-def main(argv: list[str] | None = None) -> int:
-    ap = argparse.ArgumentParser(
-        prog="servebench", description=__doc__.splitlines()[0]
-    )
-    ap.add_argument("--mode", choices=sorted(MODES), default="smoke")
-    ap.add_argument("--clients", type=int, default=0,
-                    help="override the mode's concurrent client count")
-    ap.add_argument("--dataset", default=None,
-                    help="override the mode's dataset (registry name or "
-                    "edge-list path)")
-    ap.add_argument("--ranks", type=int, default=0,
-                    help="override the mode's rank count")
-    ap.add_argument("--requests", type=int, default=0,
-                    help="override the warm/mixed request counts "
-                    "(cold gets 1/10th)")
-    ap.add_argument("--max-inflight", type=int, default=2,
-                    dest="max_inflight")
-    ap.add_argument("--executor", choices=["sequential", "parallel"],
-                    default="sequential")
-    ap.add_argument("--workers", type=int, default=0)
-    ap.add_argument("--hit-ratio", type=float, default=0.7, dest="hit_ratio",
-                    help="target fraction of warm requests in mixed traffic")
-    ap.add_argument("--tenants", type=int, default=4)
-    ap.add_argument("--skew", type=float, default=1.0,
-                    help="Zipf exponent of the tenant popularity skew")
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--out", default="BENCH_serve.json")
-    ap.add_argument("--check", action="store_true",
-                    help="exit 1 unless the serve gates hold")
-    ap.add_argument("--warm-speedup-gate", type=float, default=10.0,
-                    dest="warm_speedup_gate")
-    args = ap.parse_args(argv)
-
-    report = run_bench(args)
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    with open(args.out, "w") as fh:
-        fh.write(text)
-    case = report["cases"][0]
-    print(
-        f"servebench [{args.mode}] {case['name']}: "
-        f"cold p50 {case['cold']['p50_s'] * 1e3:.1f}ms, "
-        f"warm p50 {case['warm']['p50_s'] * 1e3:.2f}ms "
-        f"({case['warm_speedup_p50']:.0f}x), "
-        f"mixed {case['mixed']['throughput_rps']:.0f} req/s "
-        f"hit {case['mixed']['hit_ratio']:.0%}; "
-        f"overload {report['overload']['rejected_total']}/"
-        f"{report['overload']['burst']} rejected",
-        file=sys.stderr,
-    )
-    print(f"[report written to {args.out}]", file=sys.stderr)
-    if args.check:
-        failures = check_report(report, args.warm_speedup_gate)
-        if failures:
-            for f in failures:
-                print(f"CHECK FAILED: {f}", file=sys.stderr)
-            return 1
-        print("check passed: serve gates hold", file=sys.stderr)
-    return 0
+SUITE = Suite(
+    name="serve",
+    out="BENCH_serve.json",
+    flags={
+        "--clients": dict(type=int, default=0,
+                          help="override the mode's concurrent client count"),
+        "--dataset": dict(help="override the mode's dataset (registry name "
+                          "or edge-list path)"),
+        "--ranks": dict(type=int, default=0,
+                        help="override the mode's rank count"),
+        "--requests": dict(type=int, default=0,
+                           help="override the warm/mixed request counts "
+                           "(cold gets 1/10th)"),
+        "--max-inflight": dict(type=int, default=2),
+        "--executor": dict(choices=["sequential", "parallel"],
+                           default="sequential"),
+        "--workers": dict(type=int, default=0),
+        "--hit-ratio": dict(type=float, default=0.7,
+                            help="target fraction of warm requests in mixed "
+                            "traffic"),
+        "--tenants": dict(type=int, default=4),
+        "--skew": dict(type=float, default=1.0,
+                       help="Zipf exponent of the tenant popularity skew"),
+        "--seed": dict(type=int, default=0),
+    },
+    run=run_bench,
+    rows=history_rows,
+    check=check,
+)
 
 
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    sys.exit(bench_main(SUITE))

@@ -75,52 +75,6 @@ def test_row_from_telemetry():
     }
 
 
-def test_rows_from_parallelbench_report():
-    report = {
-        "suite": "parallel-superstep",
-        "cases": [
-            {
-                "name": "rmat9-p4",
-                "triangles": 7,
-                "sequential": {
-                    "best_s": 0.5, "wall_s": 1.6, "peak_rss_bytes": 10,
-                },
-                "parallel": {
-                    "2": {
-                        "best_s": 0.3, "wall_s": 1.0, "peak_rss_bytes": 12,
-                        "speedup_vs_sequential": 1.66,
-                    },
-                },
-            }
-        ],
-    }
-    rows = rows_from_bench(report)
-    assert [r["case"] for r in rows] == ["rmat9-p4-seq", "rmat9-p4-w2"]
-    assert rows[0]["metrics"]["count"] == 7
-    assert rows[1]["metrics"]["speedup"] == 1.66
-
-
-def test_rows_from_kernelbench_report():
-    report = {
-        "suite": "kernel-backends",
-        "cases": [
-            {
-                "name": "rmat9-q3",
-                "triangles": 5,
-                "peak_rss_bytes": 99,
-                "backends": {
-                    "row": {"best_ms": 1.0, "wall_s": 0.1},
-                    "batch": {"best_ms": 0.5, "wall_s": 0.05},
-                },
-            }
-        ],
-    }
-    rows = rows_from_bench(report)
-    assert {r["case"] for r in rows} == {"rmat9-q3-row", "rmat9-q3-batch"}
-    for r in rows:
-        assert r["metrics"]["peak_rss_bytes"] == 99
-
-
 def test_rows_from_oocbench_report_carry_what_the_gates_read():
     """Against the committed artifact: the ratio case becomes one row per
     measured child, each with its RSS delta next to its ceiling."""
@@ -200,6 +154,16 @@ def test_check_rejects_unknown_rule_and_bad_kind():
     )
     failures = check_history(_rows(x=1), base)
     assert any("unknown rule" in f for f in failures)
+    # A numeric rule against a non-numeric value (the autotune -auto
+    # row's ``chosen``) is a failure line, not a ValueError.
+    for rule in ({"rule": "max", "value": 1.0}, {"rule": "min", "value": 1.0},
+                 {"rule": "max_ratio", "ref": 1.0, "max_ratio": 2.0}):
+        base = _baseline(
+            [{"suite": "s", "case": "c", "metrics": {"chosen": rule}}]
+        )
+        (failure,) = check_history(_rows(chosen="tc2d-p9"), base)
+        assert "s/c" in failure and "chosen='tc2d-p9'" in failure
+        assert rule["rule"] in failure
 
 
 def test_load_baseline_roundtrip(tmp_path):

@@ -7,7 +7,8 @@ import json
 import pytest
 
 from repro.bench.history import rows_from_bench
-from repro.bench.servebench import check_report, main
+from repro.bench.core import bench_main
+from repro.bench.servebench import SUITE, check
 from repro.graph import erdos_renyi_gnm
 from repro.graph.io import write_edge_list
 
@@ -19,17 +20,19 @@ def report(tmp_path_factory):
     graph = root / "g.txt"
     write_edge_list(erdos_renyi_gnm(300, 2400, seed=7), graph)
     out = root / "BENCH_serve.json"
-    rc = main(
+    rc = bench_main(
+        SUITE,
         [
             "--dataset", str(graph), "--ranks", "4", "--requests", "12",
-            "--clients", "3", "--out", str(out), "--check",
-            # micro graphs have ~20ms cold runs; the 10x default gate is
-            # for the real smoke/full datasets
-            "--warm-speedup-gate", "2",
+            "--clients", "3", "--out", str(out),
         ]
     )
     assert rc == 0
-    return json.loads(out.read_text())
+    report = json.loads(out.read_text())
+    # micro graphs have ~20ms cold runs; the 10x WARM_SPEEDUP_GATE is for
+    # the real smoke/full datasets
+    assert check(report, [], warm_speedup_gate=2.0) == []
+    return report
 
 
 def test_report_schema_and_phases(report):
@@ -55,16 +58,16 @@ def test_overload_is_typed_and_bounded(report):
 
 
 def test_check_gates_fire(report):
-    assert check_report(report, warm_speedup_gate=1.0) == []
+    assert check(report, [], warm_speedup_gate=1.0) == []
     # An absurd gate must fail (proves the gate actually compares).
-    failures = check_report(report, warm_speedup_gate=1e9)
+    failures = check(report, [], warm_speedup_gate=1e9)
     assert failures and "speedup" in failures[0]
     broken = json.loads(json.dumps(report))
     broken["overload"]["rejected_total"] = 0
-    assert any("no typed rejections" in f for f in check_report(broken, 1.0))
+    assert any("no typed rejections" in f for f in check(broken, [], 1.0))
     broken = json.loads(json.dumps(report))
     broken["overload"]["accepted"] = broken["overload"]["capacity"] + 5
-    assert any("capacity" in f for f in check_report(broken, 1.0))
+    assert any("capacity" in f for f in check(broken, [], 1.0))
 
 
 def test_history_rows_for_serve_suite(report):

@@ -299,7 +299,7 @@ def test_iter_i8_blocks_covers_whole_file(tmp_path):
 
 def test_oocbench_report_gates():
     """The bench's gate logic trips on each kind of regression."""
-    from repro.bench.oocbench import check_regressions
+    from repro.bench.oocbench import check
 
     def report(**over):
         case = {
@@ -318,17 +318,17 @@ def test_oocbench_report_gates():
                       "ceiling_bytes": 170 << 20, "store_hit": True},
         }
         case.update(over)
-        return {"schema": 1, "suite": "outofcore", "cases": [case]}
+        return {"schema": 2, "suite": "outofcore", "cases": [case]}
 
-    assert check_regressions(report()) == []
-    assert check_regressions(report(count_match=False))
-    assert check_regressions(
+    assert check(report(), []) == []
+    assert check(report(count_match=False), [])
+    assert check(
         report(stream={"rss_delta_bytes": 60 << 20,
-                       "ceiling_bytes": 28 << 20})
+                       "ceiling_bytes": 28 << 20}), []
     )
-    assert check_regressions(report(graph_bytes=1 << 20))  # ratio collapses
-    assert check_regressions(
+    assert check(report(graph_bytes=1 << 20), [])  # ratio collapses
+    assert check(
         report(count={"rss_delta_bytes": 200 << 20,
-                      "ceiling_bytes": 170 << 20, "store_hit": True})
+                      "ceiling_bytes": 170 << 20, "store_hit": True}), []
     )
-    assert check_regressions({"schema": 1, "cases": []})  # no ratio case
+    assert check({"schema": 2, "cases": []}, [])  # no ratio case
