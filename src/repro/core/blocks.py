@@ -15,12 +15,21 @@ each block to a single contiguous blob before the shifts begin
 (Section 5.2); :meth:`Block.to_blob` / :meth:`Block.from_blob` implement
 that, and :func:`exchange_block` falls back to one-message-per-array when
 the optimization is disabled.
+
+The same blobs are what a rank's state looks like **on disk**: the
+preprocessing store and the checkpoints both persist "a rank's (U, L,
+task) triple" as one flat int64 file — :func:`write_rank_file` /
+:func:`read_rank_file`, the only writer and the only reader of that form.
 """
 
 from __future__ import annotations
 
+import mmap
+import os
 import zlib
 from dataclasses import dataclass, field
+from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -31,6 +40,12 @@ from repro.simmpi.errors import BlobChecksumError
 _KIND_CODES = {"U-row": 0, "L-col": 1, "task": 2}
 _KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
 _HEADER_LEN = 7
+
+
+def _blob_len(header: np.ndarray) -> int:
+    """Total int64 words of the blob whose header this is (the format is
+    self-delimiting: the header carries ``n_rows`` and ``nnz``)."""
+    return _HEADER_LEN + int(header[3]) + 1 + int(header[5])
 
 
 def blob_payload_crc32(indptr: np.ndarray, indices: np.ndarray) -> int:
@@ -73,6 +88,12 @@ class Block:
     #: locally).  :meth:`as_blob` returns it instead of re-packing, so a
     #: cache-served block can be republished without a concatenate pass.
     blob: np.ndarray | None = field(default=None, repr=False, compare=False)
+    #: Where ``blob`` lives on disk, for a block mapped out of a rank file
+    #: by :func:`read_rank_file`: ``(path, byte offset, dtype string,
+    #: element count)`` — the address a file-backed resident slot takes.
+    slot: tuple[str, int, str, int] | None = field(
+        default=None, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.kind not in _KIND_CODES:
@@ -171,9 +192,9 @@ class Block:
         header = np.frombuffer(
             buf, dtype=INDEX_DTYPE, count=_HEADER_LEN, offset=offset
         )
-        n_rows, nnz = int(header[3]), int(header[5])
-        total = _HEADER_LEN + n_rows + 1 + nnz
-        blob = np.frombuffer(buf, dtype=INDEX_DTYPE, count=total, offset=offset)
+        blob = np.frombuffer(
+            buf, dtype=INDEX_DTYPE, count=_blob_len(header), offset=offset
+        )
         return cls.from_blob(blob)
 
     def as_blob(self) -> np.ndarray:
@@ -249,3 +270,124 @@ def exchange_block(comm, block: Block, dest: int, src: int, blob: bool, tag: int
         inner_residue=inner,
         dcsr=DCSR(CSR(n_rows, indptr, indices, n_cols=n_cols)),
     )
+
+
+# ---------------------------------------------------------------------------
+# a rank's block triple on disk
+# ---------------------------------------------------------------------------
+#
+# A rank file is flat little-endian int64:
+#
+#     [magic, version, n_meta, n_extra, len_u, len_l, len_task]
+#     ++ meta ++ extra ++ u_blob ++ l_blob ++ task_blob
+#
+# ``meta[0]`` is the rank; the rest of ``meta`` and all of ``extra`` belong
+# to the caller (store: ``[rank, lo]`` + degree labels; checkpoint:
+# ``[rank, epoch, local_count]``).  Every blob starts on an 8-byte boundary,
+# so the file is memory-mapped and used in place — mappable because of what
+# it is, with no container to parse and no second way to read it.
+
+#: Blob order inside a rank file, and the names manifests key them by.
+RANK_FILE_BLOBS = ("u", "l", "task")
+
+_RANK_MAGIC = int.from_bytes(b"TC2DRANK", "little")
+_RANK_VERSION = 1
+_RANK_DTYPE = np.dtype("<i8")
+_RANK_HEADER_LEN = 7
+
+
+class RankFileError(ValueError):
+    """A rank file is not the file its reader was promised: truncated,
+    foreign (wrong magic or version), inconsistent, or another rank's.
+    The message names the file.  Like a payload that fails its crc
+    (:class:`~repro.simmpi.errors.BlobChecksumError`) this is never a
+    fallback case: no other way of reading the same bytes makes them right.
+    """
+
+
+@dataclass(frozen=True)
+class RankFile:
+    """A mapped rank file: ``meta`` and ``extra`` as written and the
+    crc-verified ``(u, l, task)`` blocks, each knowing its :attr:`Block.slot`.
+    All arrays are read-only views into one shared map, which lives as
+    long as any of them."""
+
+    meta: np.ndarray
+    extra: np.ndarray
+    blocks: tuple[Block, Block, Block]
+
+
+def write_rank_file(
+    path: "str | Path",
+    meta: Sequence[int],
+    blobs: Sequence[np.ndarray],
+    extra: "Sequence[int] | np.ndarray" = (),
+) -> None:
+    """Atomically write one rank's ``(u, l, task)`` blobs as a rank file.
+
+    The temp name carries the writer's pid so two unlocked writers (e.g.
+    a no-``fcntl`` platform) can never interleave bytes in one temp file;
+    the final ``os.replace`` makes the last complete writer win.
+    """
+    path = Path(path)
+    parts = [np.ascontiguousarray(a, dtype=_RANK_DTYPE) for a in (meta, extra, *blobs)]
+    header = np.array(
+        [_RANK_MAGIC, _RANK_VERSION, *(len(a) for a in parts)], dtype=_RANK_DTYPE
+    )
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    with open(tmp, "wb") as fh:
+        for part in (header, *parts):
+            fh.write(part.data)
+    os.replace(tmp, path)
+
+
+def read_rank_file(path: "str | Path", rank: int) -> RankFile:
+    """Map ``rank``'s rank file read-only and deserialize its blocks.
+
+    Nothing is copied: the header is checked against the file size, then
+    each blob goes to :meth:`Block.from_mmap`, whose crc pass is what
+    pages the payload in.  Raises :class:`RankFileError` or
+    :class:`~repro.simmpi.errors.BlobChecksumError`.
+    """
+    word, head = _RANK_DTYPE.itemsize, _RANK_HEADER_LEN * _RANK_DTYPE.itemsize
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size < head:
+            raise RankFileError(f"{path}: truncated, {size} bytes is no header")
+        # The map holds its own duplicate of the descriptor.
+        buf = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+    magic, version, n_meta, n_extra, *lens = np.frombuffer(
+        buf, _RANK_DTYPE, _RANK_HEADER_LEN
+    ).tolist()
+    if (magic, version) != (_RANK_MAGIC, _RANK_VERSION):
+        raise RankFileError(
+            f"{path}: not a version-{_RANK_VERSION} rank file "
+            f"(magic {magic:#x}, version {version})"
+        )
+    words = _RANK_HEADER_LEN + n_meta + n_extra + sum(lens)
+    if min(n_meta, n_extra, *lens) < 0 or words * word != size:
+        raise RankFileError(
+            f"{path}: truncated or padded, header describes {words * word} "
+            f"bytes, file has {size}"
+        )
+    meta = np.frombuffer(buf, _RANK_DTYPE, n_meta, head)
+    named = int(meta[0]) if n_meta else None
+    if named != rank:
+        raise RankFileError(f"{path}: claims rank {named}, expected rank {rank}")
+    extra = np.frombuffer(buf, _RANK_DTYPE, n_extra, head + n_meta * word)
+    offset = head + (n_meta + n_extra) * word
+    blocks = []
+    for length in lens:
+        # A blob's own header must span exactly what the file header gives
+        # it, or from_mmap would read into its neighbour (or past the end).
+        if length < _HEADER_LEN or length != _blob_len(
+            np.frombuffer(buf, INDEX_DTYPE, _HEADER_LEN, offset)
+        ):
+            raise RankFileError(
+                f"{path}: blob at byte {offset} does not span its {length} words"
+            )
+        blocks.append(Block.from_mmap(buf, offset))
+        blocks[-1].slot = (str(path), offset, str(_RANK_DTYPE), length)
+        offset += length * word
+    return RankFile(meta, extra, tuple(blocks))

@@ -68,15 +68,11 @@ class Operands:
     Exchanges replace ``u`` and ``l`` *in place*, so whoever holds the
     record holds only the current blocks — the outgoing block is released
     when its replacement arrives, in real memory as in the accounting.
-    ``slots`` (warm runs under a worker pool, see
-    :func:`load_warm_blocks`) are the file-backed resident addresses of
-    the (task, U, L) blobs as loaded.
     """
 
     u: Block
     l: Block
     task: Block
-    slots: tuple | None = None
 
     def blocks(self) -> tuple[Block, Block, Block]:
         """``(u, l, task)`` as currently held."""
@@ -178,10 +174,9 @@ def load_warm_blocks(ctx: RankContext, caches: Sequence[Any]) -> list[Operands]:
     reports stay well-defined and honest — the trace shows a cache span
     where preprocessing would have been.
 
-    Returns one :class:`Operands` per entry.  Under a worker pool, when
-    the driver's :meth:`~repro.graph.store.RunCache.premap` found every
-    rank file mappable, they carry ``slots``: workers then mmap the store
-    file instead of receiving arena copies.
+    Returns one :class:`Operands` per entry; their blocks know where in
+    the store files they were mapped from (:attr:`Block.slot`), which is
+    what lets :func:`cannon_pass` point a worker pool at the files.
     """
     rank = ctx.rank
     with ctx.phase("cache"):
@@ -195,14 +190,10 @@ def load_warm_blocks(ctx: RankContext, caches: Sequence[Any]) -> list[Operands]:
                 f"cache:load:{caches[0].digest[:12]}", nbytes=nbytes,
             )
         out = []
-        for cache, (u_block, l_block, task_block, _) in zip(caches, loaded):
+        for u_block, l_block, task_block, _ in loaded:
             ops = Operands(u_block, l_block, task_block)
             for blk in ops.blocks():
                 ctx.alloc_mem(blk.nbytes_estimate())
-            if ctx.engine.superstep is not None and cache.file_serving:
-                ops.slots = tuple(
-                    cache.blob_slot(rank, k) for k in ("task", "u", "l")
-                )
             out.append(ops)
         ctx.comm.barrier()
     with ctx.phase("ppt"):
@@ -236,9 +227,11 @@ def cannon_pass(
     snapshots the travelling blocks + partial count at every epoch
     boundary; ``snap`` is the snapshot to resume from — its blocks are
     already skewed and shifted, so the pass re-enters the loop at
-    ``snap.epoch`` with ``snap.local_count``.  ``ops.slots``, when set,
-    serve a warm store entry's blobs to the worker pool straight from the
-    store files.
+    ``snap.epoch`` with ``snap.local_count``.  Blocks that came out of a
+    warm store entry (they carry a :attr:`Block.slot`) are served to the
+    worker pool straight from the store files — by every rank or by none,
+    which the cross-rank resident keys below rely on and a rank file being
+    mappable by construction guarantees.
     """
     q = grid.q
     x, y = grid.coords(ctx.rank)
@@ -254,9 +247,10 @@ def cannon_pass(
     def key(*parts: Any) -> tuple:
         return (prefix, *parts) if prefix else parts
 
-    slots = ops.slots
-    if slots is not None:
-        task_slot, u_slot, l_slot = slots
+    # Read the file addresses now: the skew replaces ops.u and ops.l.
+    task_slot, u_slot, l_slot = ops.task.slot, ops.u.slot, ops.l.slot
+    file_backed = offloading and task_slot is not None
+    if file_backed:
         # The task block is only referenced by this very rank, so its
         # file slot is safe with or without U/L residency.
         ctx.put_resident_file(key("task", ctx.rank), task_slot)
@@ -285,10 +279,10 @@ def cannon_pass(
         # The task block never travels: publish its blob once as a
         # resident slot and reference it every epoch instead of
         # re-serializing and re-copying it per shift.
-        if slots is None:
+        if not file_backed:
             ctx.put_resident(key("task", ctx.rank), ops.task.as_blob())
         task_ref = Resident(key("task", ctx.rank))
-    if resident and slots is None:
+    if resident and not file_backed:
         # Schedule-ahead publication: Eq. 6 pins every later epoch's
         # operand *content* right now — blocks only rotate location.
         # Each rank publishing its current U/L blob keyed by (role,
@@ -473,7 +467,8 @@ def _open_caches(
 
 
 def _finish_caches(
-    caches: list, passes: Sequence[str], result: TriangleCountResult
+    caches: list, passes: Sequence[str], result: TriangleCountResult,
+    pooled: bool,
 ) -> None:
     """Finalize a cold cached run / replay a warm one.
 
@@ -484,7 +479,8 @@ def _finish_caches(
     measure) into the result so benchmark tables built off a warm store
     keep honest preprocessing columns.  Either way
     ``result.extras["cache"]`` records what happened; later passes'
-    digests appear as ``"<pass>_digest"``.
+    digests appear as ``"<pass>_digest"``, and ``file_serving`` is
+    ``pooled``: whether workers read the blobs from the store files.
     """
     if not caches:
         return
@@ -509,7 +505,7 @@ def _finish_caches(
             nbytes=sum(c.loaded_nbytes for c in caches),
             replayed_ppt=recorded is not None,
             mapped_ranks=sum(c.mapped_ranks for c in caches),
-            file_serving=all(c.file_serving for c in caches),
+            file_serving=pooled,
         )
     else:
         ppt_stats = {
@@ -606,15 +602,8 @@ class GridJob:
                 workers=cfg.workers, timeout=cfg.real_timeout
             )
             self._owns_pool = True
-        if self.pool is not None:
-            if warm:
-                # Decide file-backed resident serving once, driver-side, so
-                # every rank agrees (mixing protocols could leave residues
-                # unpublished — see RunCache.premap).
-                for cache in self.caches:
-                    cache.premap(p)
-            if self.telemetry is not None:
-                self.telemetry.attach_pool(self.pool)
+        if self.pool is not None and self.telemetry is not None:
+            self.telemetry.attach_pool(self.pool)
 
     def run(
         self, program: Callable[..., Any], *args: Any, label_suffix: str = ""
@@ -657,7 +646,9 @@ class GridJob:
             run, self.p, self.cfg, algorithm,
             dataset=self.dataset, keep_run=keep_run or self.trace,
         )
-        _finish_caches(self.caches, self.passes, result)
+        _finish_caches(
+            self.caches, self.passes, result, pooled=self.pool is not None
+        )
         if self.pool is not None:
             result.extras["executor"] = "parallel"
             result.extras["workers"] = self.pool.workers

@@ -88,8 +88,8 @@ class TC2DConfig:
         Superstep executor for the counting phase: ``"sequential"``
         (kernels run inline under the deterministic scheduler) or
         ``"parallel"`` (each Cannon epoch's per-rank kernels fan out to a
-        persistent shared-memory worker pool, which also runs the
-        preprocessing hot phases; see :mod:`repro.simmpi.parallel`).
+        persistent shared-memory worker pool; preprocessing stays on the
+        scheduler; see :mod:`repro.simmpi.parallel`).
         Results, virtual clocks, traces and profile reports are
         bit-identical either way — only wall time changes.
     workers:

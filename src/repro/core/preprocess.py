@@ -41,14 +41,6 @@ from repro.core.grid import ProcessorGrid
 from repro.graph.csr import CSR, INDEX_DTYPE, Graph
 from repro.simmpi import MAX, SUM
 from repro.simmpi.engine import RankContext
-from repro.simmpi.parallel import take_result_arrays
-
-#: Worker entry points for the offloaded hot phases (string literals, not
-#: imports from :mod:`repro.core.superstep` — that module imports the pure
-#: helpers below, so importing it here would be circular; the pool
-#: resolves entries by import at submit time, when both modules exist).
-_SORT_JOB_ENTRY = "repro.core.superstep:sort_job"
-_BUILD_JOB_ENTRY = "repro.core.superstep:build_blocks_job"
 
 
 @dataclass(frozen=True)
@@ -249,9 +241,7 @@ def counting_sort_placement(
     each owned vertex given its degree ``d[k]``, the global start offset
     of every degree bucket and the counts contributed by lower ranks.
 
-    Deterministic (stable argsort breaks ties by local position), which
-    is what lets it run either inline or on a pool worker
-    (:func:`repro.core.superstep.sort_job`) with bit-identical output.
+    Deterministic: the stable argsort breaks ties by local position.
     """
     n_local = len(d)
     order = np.argsort(d, kind="stable")
@@ -275,9 +265,7 @@ def degree_reorder(
     Returns the rows with relabeled row-ids *implicit* (the function
     returns ``(rows, new_row_labels)``; entries are already translated).
     Ties order by (owning rank, local stable position), which makes the
-    permutation deterministic.  With a worker pool attached, the local
-    placement runs on a worker (the collectives around it stay on the
-    scheduler).
+    permutation deterministic.
     """
     comm = ctx.comm
     d = rows.degrees.astype(INDEX_DTYPE)
@@ -301,19 +289,8 @@ def degree_reorder(
         prior = np.zeros(dmax + 1, dtype=INDEX_DTYPE)
     ctx.charge("sort", dmax + 1)
 
-    # Stable local placement within each degree bucket.  The charge is a
-    # pure function of n_local, so routing the computation through the
-    # pool leaves the virtual clock untouched.
-    if ctx.engine.superstep is not None:
-        out = ctx.offload(
-            _SORT_JOB_ENTRY,
-            (d, global_start, prior),
-            meta={"rank": comm.rank},
-            label="ppt:sort",
-        )
-        new_labels = take_result_arrays(out)[0]
-    else:
-        new_labels = counting_sort_placement(d, global_start, prior)
+    # Stable local placement within each degree bucket.
+    new_labels = counting_sort_placement(d, global_start, prior)
     ctx.charge("sort", n_local)
 
     # Translate adjacency entries through the distributed old->new table.
@@ -341,10 +318,10 @@ def assemble_blocks(
     """Pure tail of step 3: build ``(u_block, l_block, task_block)`` from
     the received U/L coordinate pairs.
 
-    All inputs are plain arrays and scalars, so the assembly (CSR builds
-    with deterministic stable sorts) can run inline or on a pool worker
-    (:func:`repro.core.superstep.build_blocks_job`) with bit-identical
-    blocks.
+    All inputs are plain arrays and scalars (CSR builds with
+    deterministic stable sorts), which is what lets the out-of-core
+    pipeline (:mod:`repro.graph.external`) call it per rank and land on
+    bit-identical blocks.
     """
     u_block = build_block(
         "U-row", x, y, n_rows_local, n_inner, u_recv[:, 0] // q, u_recv[:, 1] // q
@@ -425,36 +402,10 @@ def split_and_distribute(
     n_cols_local = grid.local_count(y, n)
     n_inner = (n + q - 1) // q  # bound on any residue class's local extent
 
-    if ctx.engine.superstep is not None:
-        # Ship the pair arrays to a worker, get back the three block
-        # blobs through shared memory (crc-verified on reconstruction).
-        # The csr_build charge below only needs sizes, and the blob
-        # round trip is exactly the checkpoint-restore representation,
-        # so the blocks are bit-identical to inline assembly.
-        out = ctx.offload(
-            _BUILD_JOB_ENTRY,
-            (u_recv.reshape(-1), l_recv.reshape(-1)),
-            meta={
-                "rank": comm.rank,
-                "x": x,
-                "y": y,
-                "q": q,
-                "n_rows_local": n_rows_local,
-                "n_cols_local": n_cols_local,
-                "n_inner": n_inner,
-                "enumeration": cfg.enumeration,
-            },
-            label="ppt:build",
-        )
-        u_blob, l_blob, task_blob = take_result_arrays(out)
-        u_block = Block.from_blob(u_blob)
-        l_block = Block.from_blob(l_blob)
-        task_block = Block.from_blob(task_blob)
-    else:
-        u_block, l_block, task_block = assemble_blocks(
-            u_recv, l_recv, x, y, q, n_rows_local, n_cols_local, n_inner,
-            cfg.enumeration,
-        )
+    u_block, l_block, task_block = assemble_blocks(
+        u_recv, l_recv, x, y, q, n_rows_local, n_cols_local, n_inner,
+        cfg.enumeration,
+    )
     ctx.charge(
         "csr_build", u_block.nnz + l_block.nnz + task_block.nnz + n_rows_local
     )

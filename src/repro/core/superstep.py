@@ -1,4 +1,4 @@
-"""Worker-side entry points for the parallel superstep executor.
+"""The worker-side entry point of the parallel superstep executor.
 
 :func:`kernel_job` is what a :class:`~repro.simmpi.parallel.SuperstepPool`
 worker runs for one rank of one Cannon epoch: it rebuilds the (task, U, L)
@@ -7,19 +7,15 @@ block triple **zero-copy** from the shared-memory arena via
 verified, so a corrupted segment fails loudly), runs the already-resolved
 concrete kernel backend, and ships the logical
 :class:`~repro.core.kernels.common.KernelStats` back as a plain dict —
-the only bytes that cross the pickle channel.
-
-:func:`sort_job` and :func:`build_blocks_job` offload the preprocessing
-hot phases the same way (whenever a pool is attached): the counting sort's
-local placement and the U/L/task block assembly + blob serialization.  Their
-outputs are arrays, which would be expensive to pickle, so they return
-through :func:`~repro.simmpi.parallel.pack_result_arrays` — a worker-
-created shared-memory segment the parent adopts and unlinks.
+the only bytes that cross the pickle channel.  It is the pool's one job:
+preprocessing stays on the scheduler, its local sort and block assembly
+being too short to repay a dispatch (``docs/parallel.md`` has the
+measurement).
 
 The rank program applies every returned result under the deterministic
 scheduler (charges, counters, tracer spans, count accumulation), so each
 worker computes a *pure function of the submitted bytes*: same inputs +
-same config → same outputs, bit-identical to running the phase inline.
+same config → same outputs, bit-identical to running the kernel inline.
 
 Backend resolution happens in the **parent** (``resolve_backend`` runs
 rank-side before submission) for two reasons: the ``"auto"`` choice is
@@ -38,17 +34,10 @@ import numpy as np
 
 from repro.core.blocks import Block
 from repro.core.kernels import get_backend
-from repro.core.preprocess import assemble_blocks, counting_sort_placement
-from repro.simmpi.parallel import pack_result_arrays
 
 #: Entry-point string rank programs pass to ``ctx.offload`` (resolved by
 #: import inside each spawn worker).
 KERNEL_JOB_ENTRY = "repro.core.superstep:kernel_job"
-
-#: Preprocessing offload entries (see :mod:`repro.core.preprocess`, which
-#: spells them as literals to avoid a circular import of this module).
-SORT_JOB_ENTRY = "repro.core.superstep:sort_job"
-BUILD_JOB_ENTRY = "repro.core.superstep:build_blocks_job"
 
 
 def kernel_job(arrays: Sequence[np.ndarray], meta: dict) -> dict[str, Any]:
@@ -77,45 +66,3 @@ def kernel_job(arrays: Sequence[np.ndarray], meta: dict) -> dict[str, Any]:
     kernel_fn = get_backend(meta["backend"])
     stats = kernel_fn(task_block, u_block, l_block, meta["cfg"])
     return dataclasses.asdict(stats)
-
-
-def sort_job(arrays: Sequence[np.ndarray], meta: dict) -> dict[str, Any]:
-    """Run the counting sort's pure local placement for one rank.
-
-    ``arrays`` is ``(d, global_start, prior)`` — the owned degrees and
-    the two exclusive-scan tables the collectives produced rank-side.
-    Returns the relabeling table through a shm-return segment (it is
-    ``n_local`` int64s — too big to pickle pointlessly).
-    """
-    d, global_start, prior = arrays
-    return pack_result_arrays([counting_sort_placement(d, global_start, prior)])
-
-
-def build_blocks_job(arrays: Sequence[np.ndarray], meta: dict) -> dict[str, Any]:
-    """Assemble one rank's (U, L, task) blocks and serialize the blobs.
-
-    ``arrays`` is the flattened received U/L coordinate pairs; ``meta``
-    carries the grid scalars (``x, y, q, n_rows_local, n_cols_local,
-    n_inner, enumeration``).  Returns the three ``Block.to_blob`` images
-    through a shm-return segment; the parent reconstructs with the
-    crc-verifying ``Block.from_blob`` — the same representation blocks
-    already use for shifting and checkpointing, so offloaded assembly is
-    bit-identical to inline assembly.
-    """
-    u_flat, l_flat = arrays
-    u_recv = u_flat.reshape(-1, 2)
-    l_recv = l_flat.reshape(-1, 2)
-    u_block, l_block, task_block = assemble_blocks(
-        u_recv,
-        l_recv,
-        meta["x"],
-        meta["y"],
-        meta["q"],
-        meta["n_rows_local"],
-        meta["n_cols_local"],
-        meta["n_inner"],
-        meta["enumeration"],
-    )
-    return pack_result_arrays(
-        [u_block.to_blob(), l_block.to_blob(), task_block.to_blob()]
-    )

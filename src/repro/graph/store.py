@@ -9,13 +9,15 @@ persists the pipeline's output once and replays it on demand:
 
 * artifacts are keyed by a **content digest** — sha256 over the canonical
   ``u < v`` edge-list bytes plus the grid shape, the preprocessing-relevant
-  config toggles and the blob/store format versions — so a changed graph,
-  grid or toggle can never alias a stale entry;
+  config toggles and the blob format version — so a changed graph, grid or
+  toggle can never alias a stale entry;
 * per-rank state is stored in the same crc32-checked single-buffer blob
   format blocks travel the simulated wire in
-  (:meth:`~repro.core.blocks.Block.to_blob`), so a corrupted file fails
-  loudly with :class:`~repro.simmpi.errors.BlobChecksumError` instead of
-  silently skewing counts;
+  (:meth:`~repro.core.blocks.Block.to_blob`), three blobs to a flat
+  rank file (:func:`~repro.core.blocks.write_rank_file`) that is
+  memory-mapped, never parsed, on the way back in — so a corrupted file
+  fails loudly with :class:`~repro.simmpi.errors.BlobChecksumError`
+  instead of silently skewing counts;
 * a JSON manifest records provenance (source dataset, graph stats, config)
   plus the deterministic ppt-phase statistics of the cold run, keyed by
   :meth:`~repro.simmpi.costmodel.MachineModel.fingerprint`, so a warm run
@@ -28,8 +30,8 @@ On-disk layout (all writes are atomic via temp-file + rename)::
 
     <root>/
       objects/<digest>/manifest.json     # schema, provenance, recorded ppt
-      objects/<digest>/rank000.npz       # u/l/task blobs + labels + meta
-      objects/<digest>/rank001.npz
+      objects/<digest>/rank000.blocks    # [rank, lo] + labels + u/l/task blobs
+      objects/<digest>/rank001.blocks
       ...
       graphs/<key>.npz                   # generated-dataset graph cache
 
@@ -42,15 +44,18 @@ from __future__ import annotations
 
 import hashlib
 import json
-import mmap
 import os
-import zipfile
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.core.blocks import Block
+from repro.core.blocks import (
+    RANK_FILE_BLOBS,
+    Block,
+    read_rank_file,
+    write_rank_file,
+)
 from repro.graph.csr import Graph
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
@@ -59,18 +64,25 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports
 
 #: Store layout schema.  Bump on any change to the manifest structure or
 #: the per-rank file layout; existing entries then fail with
-#: :class:`StoreVersionError` and are re-preprocessed.
-STORE_SCHEMA_VERSION = 1
+#: :class:`StoreVersionError` and are re-preprocessed.  (1 = three blobs
+#: wrapped in an npz; 2 = one flat rank file.)
+STORE_SCHEMA_VERSION = 2
 
 #: Version of the :meth:`Block.to_blob` wire format the store persists.
 #: Folded into the artifact digest so a blob layout change orphans (rather
 #: than misreads) old entries.
 BLOB_FORMAT_VERSION = 1
 
+#: Version of :func:`artifact_digest`'s own recipe (which fields it hashes,
+#: and how).  Deliberately not :data:`STORE_SCHEMA_VERSION`: how an entry
+#: is laid out on disk does not change what it holds, and an address that
+#: moved with the layout would strand every old entry under a digest
+#: nothing asks for again, instead of letting :meth:`GraphStore.open_run`
+#: find it, fail its manifest check and rewrite it in place.
+_DIGEST_RECIPE_VERSION = 1
+
 #: Environment variable naming the default store root.
 STORE_DIR_ENV = "REPRO_STORE_DIR"
-
-_RANK_ARRAY_KEYS = ("u", "l", "task")
 
 
 class StoreVersionError(RuntimeError):
@@ -199,9 +211,10 @@ def artifact_digest(
     Covers everything the preprocessing output depends on: the graph
     bytes (via ``graph_sha``), the rank count and grid shape, the
     preprocessing-relevant config toggles
-    (:meth:`~repro.core.config.TC2DConfig.store_key`), and the blob/store
-    format versions.  Anything else (kernel backend, executor, seeds used
-    only by faults/kernels) deliberately does **not** change the digest.
+    (:meth:`~repro.core.config.TC2DConfig.store_key`), and the blob
+    format version.  Anything else (kernel backend, executor, seeds used
+    only by faults/kernels, the store's file layout) deliberately does
+    **not** change the digest.
 
     ``key_extra`` lets a driver distinguish several artifacts produced
     under one config — the cover-edge pipeline stores its two passes
@@ -210,7 +223,7 @@ def artifact_digest(
     to the historical single-artifact layout.
     """
     payload = {
-        "store_schema": STORE_SCHEMA_VERSION,
+        "store_schema": _DIGEST_RECIPE_VERSION,  # key name predates the split
         "blob_format": BLOB_FORMAT_VERSION,
         "graph": graph_sha,
         "p": int(p),
@@ -221,147 +234,6 @@ def artifact_digest(
         payload["extra"] = dict(key_extra)
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
-
-
-def _atomic_write_bytes(path: Path, write_fn) -> None:
-    """Write a file atomically: ``write_fn(tmp_handle)`` then rename.
-
-    The temp name carries the writer's pid so two unlocked writers (e.g.
-    a no-``fcntl`` platform) can never interleave bytes in one temp file;
-    the final ``os.replace`` makes the last complete writer win.
-    """
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    with open(tmp, "wb") as fh:
-        write_fn(fh)
-    os.replace(tmp, path)
-
-
-class MappedRankFile:
-    """Read-only ``mmap`` view of one rank's npz file — zero copies.
-
-    ``np.savez`` (the non-compressed variant :meth:`RunCache.save_rank`
-    uses) writes a plain ZIP archive with **stored** (uncompressed)
-    members, so every contained ``.npy`` array lives at a fixed byte
-    offset in the file.  This class parses the zip directory and each
-    member's npy header once, then exposes the arrays as read-only
-    ``np.frombuffer`` views into a single shared ``mmap`` — the bytes
-    page in lazily on first touch (for a block blob, that first touch is
-    the crc32 verification pass in
-    :meth:`~repro.core.blocks.Block.from_mmap`).
-
-    A compressed or otherwise non-stored member raises ``ValueError``;
-    callers (``RunCache.load_rank``) fall back to the copying
-    ``np.load`` path in that case.  Keep the instance alive as long as
-    any view into it is in use — dropping it unmaps the pages.
-    """
-
-    def __init__(self, path: str | Path):
-        self.path = Path(path)
-        self._fh = open(self.path, "rb")
-        try:
-            self._mm = mmap.mmap(
-                self._fh.fileno(), 0, access=mmap.ACCESS_READ
-            )
-            #: name (without ``.npy``) -> (data offset, dtype, count, shape)
-            self._members: dict[str, tuple[int, np.dtype, int, tuple]] = {}
-            self._parse()
-        except Exception:
-            self.close()
-            raise
-        # The map holds its own duplicate of the descriptor; the handle was
-        # only needed to create it and to read the zip/npy headers.
-        self._fh.close()
-        self._fh = None
-
-    def _parse(self) -> None:
-        with zipfile.ZipFile(self._fh) as zf:
-            infos = zf.infolist()
-        for info in infos:
-            if info.compress_type != zipfile.ZIP_STORED:
-                raise ValueError(
-                    f"{self.path.name}: member {info.filename!r} is "
-                    "compressed; mmap serving needs stored members"
-                )
-            name = info.filename
-            if name.endswith(".npy"):
-                name = name[:-4]
-            # The central directory records where the member's *local*
-            # header starts; the data follows the 30-byte fixed header
-            # plus the (possibly zip64-extended) name and extra fields.
-            local = bytes(
-                self._mm[info.header_offset : info.header_offset + 30]
-            )
-            if local[:4] != b"PK\x03\x04":
-                raise ValueError(
-                    f"{self.path.name}: bad local header for {name!r}"
-                )
-            fnlen = int.from_bytes(local[26:28], "little")
-            extralen = int.from_bytes(local[28:30], "little")
-            npy_off = info.header_offset + 30 + fnlen + extralen
-            self._fh.seek(npy_off)
-            version = np.lib.format.read_magic(self._fh)
-            if version == (1, 0):
-                shape, fortran, dtype = np.lib.format.read_array_header_1_0(
-                    self._fh
-                )
-            elif version == (2, 0):
-                shape, fortran, dtype = np.lib.format.read_array_header_2_0(
-                    self._fh
-                )
-            else:
-                raise ValueError(
-                    f"{self.path.name}: unsupported npy version {version}"
-                )
-            if fortran:
-                raise ValueError(
-                    f"{self.path.name}: {name!r} is Fortran-ordered"
-                )
-            count = 1
-            for dim in shape:
-                count *= int(dim)
-            self._members[name] = (self._fh.tell(), dtype, count, shape)
-
-    @property
-    def buffer(self) -> mmap.mmap:
-        """The shared read-only map of the whole file."""
-        return self._mm
-
-    def keys(self) -> list[str]:
-        """Member array names (npz keys)."""
-        return sorted(self._members)
-
-    def slot(self, name: str) -> tuple[int, str, int]:
-        """``(byte offset, dtype string, element count)`` of one member's
-        data within the file — the address a file-backed resident slot
-        needs."""
-        off, dtype, count, _shape = self._members[name]
-        return off, str(dtype), count
-
-    def array(self, name: str) -> np.ndarray:
-        """Read-only zero-copy view of one member array."""
-        off, dtype, count, shape = self._members[name]
-        return np.frombuffer(
-            self._mm, dtype=dtype, count=count, offset=off
-        ).reshape(shape)
-
-    def block(self, name: str) -> Block:
-        """Deserialize (and crc-verify) one member as a mapped
-        :class:`~repro.core.blocks.Block`."""
-        off, _dtype, _count, _shape = self._members[name]
-        return Block.from_mmap(self._mm, off)
-
-    def close(self) -> None:
-        """Unmap the file (idempotent).  Outstanding views go invalid."""
-        mm = getattr(self, "_mm", None)
-        if mm is not None:
-            try:
-                mm.close()
-            except BufferError:  # pragma: no cover - live exported views
-                pass
-            self._mm = None
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
 
 
 class RunCache:
@@ -390,10 +262,7 @@ class RunCache:
         model_fp: str = "",
         writable: bool = True,
         lock: "DigestLock | None" = None,
-        serve_mode: str = "mmap",
     ):
-        if serve_mode not in ("mmap", "copy"):
-            raise ValueError(f"serve_mode must be 'mmap' or 'copy', got {serve_mode!r}")
         self.store = store
         self.digest = digest
         self.graph_sha = graph_sha
@@ -408,127 +277,41 @@ class RunCache:
         #: Writer lock held for the duration of a cold materialization
         #: (released by :meth:`finalize` / :meth:`close`).
         self._lock = lock
-        #: How warm hits serve blobs: ``"mmap"`` (zero-copy views into
-        #: the rank file, lazy page-in) or ``"copy"`` (full ``np.load``).
-        self.serve_mode = serve_mode
         #: (rank -> manifest entry) of files written during a cold run.
         self._saved: dict[int, dict] = {}
-        #: rank -> live :class:`MappedRankFile` keepalive (mmap serving).
-        self._mapped: dict[int, MappedRankFile] = {}
-        #: Bytes loaded per rank during a warm run (for reporting).
+        #: Blob bytes served during a warm run (for reporting).
         self.loaded_nbytes = 0
-        #: Ranks served via mmap (vs. copied) during this run.
+        #: Ranks served (memory-mapped) during this run.
         self.mapped_ranks = 0
-        #: Every rank file pre-validated as mappable (:meth:`premap`):
-        #: rank programs may then publish **file-backed** resident slots
-        #: instead of copying blobs into the pool arena.
-        self.file_serving = False
 
     @property
     def hit(self) -> bool:
         """Whether the store already holds this run's artifact."""
         return self.manifest is not None
 
-    def premap(self, p: int | None = None) -> bool:
-        """Validate up front that *every* rank file can be served via
-        mmap; records the verdict in :attr:`file_serving`.
-
-        All-or-nothing on purpose: ``cannon_pass``'s resident keys
-        form a cross-rank protocol (each rank publishes blocks the
-        *other* ranks of its grid row/column will reference), and the
-        pre-skew file-backed key set only covers every Cannon epoch when
-        every rank participates.  Mixing file-backed and arena
-        publication per rank could leave residues unpublished, so a
-        single unmappable file sends the whole run down the arena path.
-        """
-        self.file_serving = False
-        if self.serve_mode != "mmap" or not self.hit:
-            return False
-        try:
-            for rank in range(self.p if p is None else p):
-                mapped = self.mapped_file(rank)
-                for key in _RANK_ARRAY_KEYS:
-                    mapped.slot(key)
-        except (ValueError, OSError, KeyError):
-            return False
-        self.file_serving = True
-        return True
-
     # -- rank-side hooks ----------------------------------------------------
 
     def load_rank(self, rank: int) -> tuple[Block, Block, Block, int]:
-        """Load (and crc-verify) one rank's blocks from the store.
+        """Serve (and crc-verify) one rank's blocks from the store.
 
-        Under ``serve_mode="mmap"`` (the default) the blocks are
-        **served, not loaded**: their arrays are read-only views into a
-        shared map of the rank file, the crc verification pass is what
-        pages the bytes in, and the map is retained on this cache (see
-        :meth:`mapped_file`) so downstream resident publication can
-        reference the same pages.  Any structural mapping failure (a
-        compressed npz from an external writer, an exotic platform)
-        falls back to the copying ``np.load`` path — corruption does
-        not: a bad payload raises
-        :class:`~repro.simmpi.errors.BlobChecksumError` either way.
+        The blocks are **served, not loaded**: their arrays are read-only
+        views into a shared map of the rank file
+        (:func:`~repro.core.blocks.read_rank_file`), and the crc
+        verification pass is what pages the bytes in.  A file that is not
+        this rank's rank file raises
+        :class:`~repro.core.blocks.RankFileError`, a bad payload
+        :class:`~repro.simmpi.errors.BlobChecksumError`; neither has a
+        second way in.  Each block carries its :attr:`Block.slot` (the
+        store file is immutable once finalized, so the address stays valid
+        for the process lifetime).
 
         Returns ``(u_block, l_block, task_block, nbytes)``.
         """
-        from repro.simmpi.errors import BlobChecksumError
-
-        path = self.store.rank_path(self.digest, rank)
-        if self.serve_mode == "mmap":
-            mapped = None
-            try:
-                mapped = self.mapped_file(rank)
-                blocks = {k: mapped.block(k) for k in _RANK_ARRAY_KEYS}
-            except BlobChecksumError:
-                # Corruption is NOT a structural fallback case: retrying
-                # via np.load would just hand out the same bad bytes
-                # (BlobChecksumError subclasses ValueError, so it must be
-                # re-raised before the mappability net below).
-                raise
-            except (ValueError, OSError, KeyError):
-                # Unmappable file layout — serve by copy instead.
-                if mapped is not None:
-                    self._mapped.pop(rank, None)
-                    mapped.close()
-            else:
-                nbytes = int(sum(b.blob.nbytes for b in blocks.values()))
-                self.loaded_nbytes += nbytes
-                self.mapped_ranks += 1
-                return blocks["u"], blocks["l"], blocks["task"], nbytes
-        with np.load(path) as doc:
-            blobs = {k: doc[k].copy() for k in _RANK_ARRAY_KEYS}
-        nbytes = int(sum(b.nbytes for b in blobs.values()))
+        served = read_rank_file(self.store.rank_path(self.digest, rank), rank)
+        nbytes = int(sum(b.blob.nbytes for b in served.blocks))
         self.loaded_nbytes += nbytes
-        return (
-            Block.from_blob(blobs["u"]),
-            Block.from_blob(blobs["l"]),
-            Block.from_blob(blobs["task"]),
-            nbytes,
-        )
-
-    def mapped_file(self, rank: int) -> MappedRankFile:
-        """The (cached) read-only map of one rank's npz file.
-
-        Raises ``ValueError``/``OSError`` when the file cannot be mapped
-        as stored-member zip; see :class:`MappedRankFile`.
-        """
-        mapped = self._mapped.get(rank)
-        if mapped is None:
-            mapped = MappedRankFile(self.store.rank_path(self.digest, rank))
-            self._mapped[rank] = mapped
-        return mapped
-
-    def blob_slot(self, rank: int, key: str) -> tuple[str, int, str, int]:
-        """File-backed resident address of one served blob:
-        ``(path, byte offset, dtype string, element count)``.
-
-        Only meaningful after :meth:`load_rank` mapped the rank (the
-        store file is immutable once finalized, so the address stays
-        valid for the process lifetime).
-        """
-        offset, dtype, count = self.mapped_file(rank).slot(key)
-        return str(self.store.rank_path(self.digest, rank)), offset, dtype, count
+        self.mapped_ranks += 1
+        return (*served.blocks, nbytes)
 
     def save_rank(
         self,
@@ -546,26 +329,13 @@ class RunCache:
         """
         if self.hit or not self.writable:
             return
-        blobs = {
-            "u": u_block.to_blob(),
-            "l": l_block.to_blob(),
-            "task": task_block.to_blob(),
-        }
+        blobs = [b.to_blob() for b in (u_block, l_block, task_block)]
         path = self.store.rank_path(self.digest, rank)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        _atomic_write_bytes(
-            path,
-            lambda fh: np.savez(
-                fh,
-                labels=np.ascontiguousarray(labels, dtype=np.int64),
-                meta=np.array([rank, lo], dtype=np.int64),
-                **blobs,
-            ),
-        )
+        write_rank_file(path, [rank, lo], blobs, extra=labels)
         self._saved[rank] = {
             "file": path.name,
-            "nbytes": int(sum(b.nbytes for b in blobs.values())),
-            "crc32": {k: int(b[6]) for k, b in blobs.items()},
+            "nbytes": int(sum(b.nbytes for b in blobs)),
+            "crc32": {k: int(b[6]) for k, b in zip(RANK_FILE_BLOBS, blobs)},
         }
 
     # -- driver-side hooks --------------------------------------------------
@@ -657,8 +427,8 @@ class GraphStore:
         return self.entry_dir(digest) / "manifest.json"
 
     def rank_path(self, digest: str, rank: int) -> Path:
-        """Path of one artifact's per-rank npz file."""
-        return self.entry_dir(digest) / f"rank{rank:03d}.npz"
+        """Path of one artifact's per-rank block file."""
+        return self.entry_dir(digest) / f"rank{rank:03d}.blocks"
 
     # -- manifest / inventory -----------------------------------------------
 
@@ -748,10 +518,9 @@ class GraphStore:
 
     def verify(self, digest: str | None = None) -> list[str]:
         """Deep-check entries: manifest schema, file presence, and a full
-        crc-verified deserialization of every blob.  Returns a list of
-        problem strings (empty = healthy)."""
-        from repro.simmpi.errors import BlobChecksumError
-
+        crc-verified deserialization of every blob — through the reader
+        warm runs use — cross-checked against the crc32s the manifest
+        recorded.  Returns a list of problem strings (empty = healthy)."""
         problems = []
         targets = [digest] if digest is not None else self.digests()
         for d in targets:
@@ -763,22 +532,20 @@ class GraphStore:
             for rank_str, entry in doc.get("ranks", {}).items():
                 rank = int(rank_str)
                 try:
-                    with np.load(self.rank_path(d, rank)) as npz:
-                        blobs = {k: npz[k].copy() for k in _RANK_ARRAY_KEYS}
-                    for key, blob in blobs.items():
-                        Block.from_blob(blob)
-                        want = entry.get("crc32", {}).get(key)
-                        if want is not None and int(blob[6]) != int(want):
-                            problems.append(
-                                f"{d[:12]} rank {rank}: {key} crc32 differs "
-                                "from manifest"
-                            )
-                except BlobChecksumError as exc:
-                    problems.append(f"{d[:12]} rank {rank}: {exc}")
-                except Exception as exc:  # unreadable/truncated file
+                    served = read_rank_file(self.rank_path(d, rank), rank)
+                except (ValueError, OSError) as exc:
+                    # BlobChecksumError, RankFileError, unreadable file.
                     problems.append(
                         f"{d[:12]} rank {rank}: {type(exc).__name__}: {exc}"
                     )
+                    continue
+                for key, block in zip(RANK_FILE_BLOBS, served.blocks):
+                    want = entry.get("crc32", {}).get(key)
+                    if want is not None and int(block.blob[6]) != int(want):
+                        problems.append(
+                            f"{d[:12]} rank {rank}: {key} crc32 differs "
+                            "from manifest"
+                        )
         return problems
 
     def invalidate(self, digest: str) -> None:

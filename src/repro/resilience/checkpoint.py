@@ -5,7 +5,8 @@ is one resident task block, one travelling U block, one travelling L
 block, a partial count and the shift index.  Blocks are serialized with
 the same crc-protected single-buffer blob format they travel the wire in
 (:meth:`~repro.core.blocks.Block.to_blob`), so a snapshot is three int64
-arrays plus two integers.
+arrays plus two integers — on disk, the same flat rank file the
+preprocessing store keeps (:func:`~repro.core.blocks.write_rank_file`).
 
 Epoch semantics: *epoch e* is the state at the start of shift step ``e``
 (operand blocks in position for step ``e``, ``local_count`` covering steps
@@ -20,8 +21,8 @@ On-disk layout (all writes are atomic via temp-file + rename)::
 
     <root>/
       manifest.json              # schema, p, q, per-epoch file map + crc32s
-      ep0000/rank000.npz         # u, l, task blobs + epoch/local_count
-      ep0000/rank001.npz
+      ep0000/rank000.blocks      # [rank, epoch, local_count] + u/l/task blobs
+      ep0000/rank001.blocks
       ...
 
 ``manifest.json`` is regenerated by :meth:`CheckpointStore.write_manifest`
@@ -38,12 +39,16 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.blocks import Block
+from repro.core.blocks import (
+    RANK_FILE_BLOBS,
+    Block,
+    RankFileError,
+    read_rank_file,
+    write_rank_file,
+)
 
-#: Manifest schema version (bump on layout changes).
-SCHEMA_VERSION = 1
-
-_ARRAY_KEYS = ("u", "l", "task")
+#: Manifest schema version (bump on layout changes; 2 = flat rank files).
+SCHEMA_VERSION = 2
 
 
 @dataclass
@@ -93,11 +98,8 @@ class RankSnapshot:
 
     def crc32s(self) -> dict[str, int]:
         """Payload crc32 of each blob, read from the blob headers."""
-        return {
-            "u": int(self.u_blob[6]),
-            "l": int(self.l_blob[6]),
-            "task": int(self.task_blob[6]),
-        }
+        blobs = (self.u_blob, self.l_blob, self.task_blob)
+        return {k: int(b[6]) for k, b in zip(RANK_FILE_BLOBS, blobs)}
 
 
 class CheckpointStore:
@@ -116,7 +118,7 @@ class CheckpointStore:
         return self.root / f"ep{epoch:04d}"
 
     def rank_path(self, epoch: int, rank: int) -> Path:
-        return self.epoch_dir(epoch) / f"rank{rank:03d}.npz"
+        return self.epoch_dir(epoch) / f"rank{rank:03d}.blocks"
 
     @property
     def manifest_path(self) -> Path:
@@ -127,19 +129,11 @@ class CheckpointStore:
     def save(self, snap: RankSnapshot) -> int:
         """Persist one rank snapshot atomically; returns bytes written."""
         path = self.rank_path(snap.epoch, snap.rank)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(".tmp.npz")
-        with open(tmp, "wb") as fh:
-            np.savez(
-                fh,
-                u=snap.u_blob,
-                l=snap.l_blob,
-                task=snap.task_blob,
-                meta=np.array(
-                    [snap.rank, snap.epoch, snap.local_count], dtype=np.int64
-                ),
-            )
-        os.replace(tmp, path)
+        write_rank_file(
+            path,
+            [snap.rank, snap.epoch, snap.local_count],
+            [snap.u_blob, snap.l_blob, snap.task_blob],
+        )
         self._log[(snap.epoch, snap.rank)] = {
             "file": str(path.relative_to(self.root)),
             "nbytes": snap.nbytes,
@@ -149,24 +143,19 @@ class CheckpointStore:
         return snap.nbytes
 
     def load(self, epoch: int, rank: int) -> RankSnapshot:
-        """Load one snapshot; blob checksums are verified on first use of
-        :meth:`RankSnapshot.blocks`."""
-        with np.load(self.rank_path(epoch, rank)) as doc:
-            meta = doc["meta"]
-            snap = RankSnapshot(
-                rank=int(meta[0]),
-                epoch=int(meta[1]),
-                local_count=int(meta[2]),
-                u_blob=doc["u"].copy(),
-                l_blob=doc["l"].copy(),
-                task_blob=doc["task"].copy(),
+        """Map one snapshot back in.  The blobs are read-only views into
+        the file, crc-verified here; a file that is not this rank's
+        snapshot of this epoch raises
+        :class:`~repro.core.blocks.RankFileError`."""
+        path = self.rank_path(epoch, rank)
+        served = read_rank_file(path, rank)
+        if len(served.meta) != 3 or int(served.meta[1]) != epoch:
+            raise RankFileError(
+                f"{path}: claims meta {served.meta.tolist()}, expected epoch {epoch}"
             )
-        if snap.rank != rank or snap.epoch != epoch:
-            raise ValueError(
-                f"checkpoint {self.rank_path(epoch, rank)} claims "
-                f"rank={snap.rank} epoch={snap.epoch}"
-            )
-        return snap
+        return RankSnapshot(
+            rank, epoch, int(served.meta[2]), *(b.blob for b in served.blocks)
+        )
 
     # -- epoch bookkeeping --------------------------------------------------
 
@@ -182,7 +171,7 @@ class CheckpointStore:
         """Ranks with a (fully written) snapshot file for ``epoch``."""
         return sorted(
             int(f.name[4:7])
-            for f in self.epoch_dir(epoch).glob("rank[0-9][0-9][0-9].npz")
+            for f in self.epoch_dir(epoch).glob("rank[0-9][0-9][0-9].blocks")
         )
 
     def complete_epochs(self, p: int) -> list[int]:

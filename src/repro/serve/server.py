@@ -160,9 +160,9 @@ class ServeServer:
         try:
             doc = json.loads(body.decode() or "{}")
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            return 400, "application/json", _jbytes(
-                {"error": "bad_request", "detail": f"invalid JSON: {exc}"}
-            )
+            return _bad_request(f"invalid JSON: {exc}")
+        if not isinstance(doc, dict):
+            return _bad_request("request body must be a JSON object")
         tenant = str(
             doc.pop("tenant", None) or headers.get("x-tenant", "default")
         )
@@ -188,13 +188,14 @@ class ServeServer:
                 extra,
             )
         except ValueError as exc:
-            return 400, "application/json", _jbytes(
-                {"error": "bad_request", "detail": str(exc)}
-            )
+            return _bad_request(str(exc))
         if wait:
-            await asyncio.to_thread(
-                job.wait, self.service.config.real_timeout
-            )
+            # A warm hit comes back terminal and is answered on the loop: the
+            # hop to a waiter thread is two GIL hand-offs of unsteady length.
+            if job.state in ("queued", "running"):
+                await asyncio.to_thread(
+                    job.wait, self.service.config.real_timeout
+                )
             doc_out = job.to_dict(events_since=0 if progress else None)
             status = 200 if job.state == "done" else 500
             return status, "application/json", _jbytes(doc_out)
@@ -208,8 +209,11 @@ class ServeServer:
                 {"error": "not_found", "job": parts[3] if len(parts) > 3 else ""}
             )
         if len(parts) == 5 and parts[4] == "events":
-            since = int(query.get("since", ["0"])[0])
-            timeout = min(30.0, float(query.get("timeout", ["0"])[0]))
+            try:
+                since = int(query.get("since", ["0"])[0])
+                timeout = min(30.0, float(query.get("timeout", ["0"])[0]))
+            except ValueError as exc:
+                return _bad_request(f"bad events query: {exc}")
             events = await asyncio.to_thread(job.wait_events, since, timeout)
             return 200, "application/json", _jbytes(
                 {"id": job.id, "state": job.state, "since": since,
@@ -227,6 +231,12 @@ def _flag(query: dict, name: str) -> bool:
 
 def _jbytes(doc: Any) -> bytes:
     return json.dumps(doc, sort_keys=True).encode()
+
+
+def _bad_request(detail: str) -> tuple[int, str, bytes]:
+    return 400, "application/json", _jbytes(
+        {"error": "bad_request", "detail": detail}
+    )
 
 
 _STATUS_TEXT = {

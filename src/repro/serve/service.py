@@ -54,6 +54,12 @@ JOB_KINDS = ("count", "census", "ktruss")
 #: Serve-layer API schema (stamped into every job/result payload).
 SERVE_SCHEMA = 1
 
+#: Finished jobs the service keeps addressable by id.  Queued and running
+#: jobs are always kept; past this many terminal ones the oldest-finished
+#: is forgotten and ``/v1/jobs/<id>`` answers 404 for it, so a long-lived
+#: server's job table is bounded by its admission limits plus this.
+MAX_TERMINAL_JOBS = 1024
+
 
 class AdmissionError(RuntimeError):
     """A request was rejected by admission control (typed, counted).
@@ -434,7 +440,13 @@ def normalize_request(doc: dict[str, Any], default_ranks: int = 16) -> dict:
     dataset = doc.get("dataset")
     if not dataset or not isinstance(dataset, str):
         raise ValueError("request needs a dataset (registry name or path)")
-    ranks = int(doc.get("ranks", default_ranks))
+    try:
+        ranks, seed, k = (
+            int(doc.get(name, default))
+            for name, default in (("ranks", default_ranks), ("seed", 0), ("k", 3))
+        )
+    except (TypeError, ValueError):  # null, list, "abc"
+        raise ValueError("ranks, seed and k must be integers") from None
     enumeration = str(doc.get("enumeration", "jik"))
     if enumeration not in ("jik", "ijk"):
         raise ValueError("enumeration must be 'jik' or 'ijk'")
@@ -445,11 +457,10 @@ def normalize_request(doc: dict[str, Any], default_ranks: int = 16) -> dict:
         "kind": kind,
         "dataset": dataset,
         "ranks": ranks,
-        "seed": int(doc.get("seed", 0)),
+        "seed": seed,
         "enumeration": enumeration,
     }
     if kind == "ktruss":
-        k = int(doc.get("k", 3))
         if k < 2:
             raise ValueError("ktruss needs k >= 2")
         out["k"] = k
@@ -497,6 +508,8 @@ class TriangleService:
         self.metrics = ServeMetrics()
         self._lock = threading.Lock()
         self._jobs: dict[str, Job] = {}
+        #: Ids of terminal jobs still in ``_jobs``, oldest-finished first.
+        self._terminal: deque[str] = deque()
         self._queued = 0
         self._inflight = 0
         self._tenant_admitted: dict[str, int] = {}
@@ -559,6 +572,7 @@ class TriangleService:
                 result["served"] = "warm"
                 job.add_event("warm_hit", digest=result.get("digest"))
                 job._finish("done", result, None)
+                self._note_terminal_locked(job)
                 self.metrics.note_done("warm", job.latency_s or 0.0)
                 return job
             # Cold: admission control.  Total admitted work (running +
@@ -590,7 +604,8 @@ class TriangleService:
         return job
 
     def job(self, job_id: str) -> Job | None:
-        """Look up a submitted job by id."""
+        """Look up a submitted job by id (``None`` for an unknown id or a
+        finished job older than the last :data:`MAX_TERMINAL_JOBS`)."""
         with self._lock:
             return self._jobs.get(job_id)
 
@@ -668,6 +683,12 @@ class TriangleService:
         self._jobs[job.id] = job
         return job
 
+    def _note_terminal_locked(self, job: Job) -> None:
+        """``job`` is finishing: it may now be forgotten, oldest first."""
+        self._terminal.append(job.id)
+        while len(self._terminal) > MAX_TERMINAL_JOBS:
+            del self._jobs[self._terminal.popleft()]
+
     def _worker_loop(self) -> None:
         while True:
             job = self._queue.get()
@@ -698,6 +719,7 @@ class TriangleService:
             else:
                 self._tenant_admitted[job.tenant] = n
             self.metrics.note_queue(self._queued, self._inflight)
+            self._note_terminal_locked(job)
             if state == "done" and result is not None:
                 key = request_key(job.request)
                 self._results[key] = {

@@ -31,11 +31,8 @@ Input arrays travel through one ``multiprocessing.shared_memory`` arena
 segment that is reused (grow-only) across dispatches, so an epoch's
 operand blobs cost one ``memcpy`` into the arena and **no pickling of
 array payloads**.  Workers map the segment once and rebuild zero-copy
-views; only the small result dicts come back through the pickle channel.
-Large *results* can ride the same transport in reverse: a worker entry
-returns :func:`pack_result_arrays` (a fresh shm segment owned by the
-parent after :func:`take_result_arrays`), so preprocessing offloads do
-not pickle megabyte outputs either.
+views; only the small result dicts (a kernel's statistics) come back
+through the pickle channel.
 
 Batched dispatch
 ----------------
@@ -67,8 +64,8 @@ unlinked) and are dropped by :meth:`SuperstepPool.reset`, which bumps
 A resident may also be **file-backed**
 (:meth:`SuperstepPool.put_resident_file`): instead of copying bytes into
 the arena, the slot records ``(path, offset, dtype, count)`` into an
-immutable on-disk file — a store rank file served by
-:class:`~repro.graph.store.MappedRankFile` — and each worker ``mmap``\\ s
+immutable on-disk file — a store rank file
+(:func:`~repro.core.blocks.read_rank_file`) — and each worker ``mmap``\\ s
 the file once and rebuilds read-only views on demand.  Warm cache-hit
 runs publish their U/L/task blobs this way: the block bytes go straight
 from the page cache into the kernels without ever being copied through
@@ -443,72 +440,6 @@ def _run_job_batch(descs: Sequence[_JobDesc]) -> list[dict[str, Any]]:
                     "rank": desc.rank,
                 }
             )
-    return out
-
-
-#: Key under which :func:`pack_result_arrays` nests its descriptor in a
-#: job's result dict.
-RESULT_SHM_KEY = "__shm_arrays__"
-
-
-def pack_result_arrays(arrays: Sequence[np.ndarray]) -> dict[str, Any]:
-    """Worker-side: ship large result arrays through shared memory.
-
-    Writes ``arrays`` into a **fresh** shm segment (the job's input arena
-    belongs to the parent and is reused immediately) and returns a small
-    picklable descriptor for :func:`take_result_arrays`.  Ownership of
-    the segment transfers to the parent: this process unregisters it from
-    its own ``resource_tracker`` so the parent's unlink is the single
-    teardown and worker exit does not double-free the name.
-
-    Use this for entries whose outputs are megabytes (preprocessing's
-    relabeling tables and block blobs) — returning them through the
-    pickle channel would serialize the payload twice.
-    """
-    total = sum(_aligned(int(a.nbytes)) for a in arrays)
-    shm = shared_memory.SharedMemory(create=True, size=max(total, 1))
-    try:
-        from multiprocessing import resource_tracker
-
-        resource_tracker.unregister(shm._name, "shared_memory")
-    except Exception:  # pragma: no cover - tracker internals shifted
-        pass
-    buf = np.frombuffer(shm.buf, dtype=np.uint8)
-    slots: list[tuple[int, str, int, tuple[int, ...]]] = []
-    offset = 0
-    for a in arrays:
-        a = np.ascontiguousarray(a)
-        buf[offset : offset + a.nbytes] = a.reshape(-1).view(np.uint8)
-        slots.append((offset, str(a.dtype), a.size, tuple(a.shape)))
-        offset += _aligned(int(a.nbytes))
-    del buf  # release the exported view before close()
-    name = shm.name
-    shm.close()
-    return {RESULT_SHM_KEY: {"name": name, "slots": slots}}
-
-
-def take_result_arrays(result: dict[str, Any]) -> list[np.ndarray]:
-    """Parent-side: adopt a :func:`pack_result_arrays` payload.
-
-    Copies the arrays out of the worker's segment, then closes and
-    unlinks it — the descriptor is single-use.
-    """
-    desc = result[RESULT_SHM_KEY]
-    shm = shared_memory.SharedMemory(name=desc["name"])
-    try:
-        out = []
-        for off, dt, count, shape in desc["slots"]:
-            dtype = np.dtype(dt)
-            arr = np.frombuffer(
-                shm.buf, dtype=dtype, count=count, offset=off
-            ).copy()
-            out.append(arr.reshape(shape))
-    finally:
-        shm.close()
-        try:
-            shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - already gone
-            pass
     return out
 
 

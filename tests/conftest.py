@@ -44,6 +44,25 @@ def tiny_graph() -> Graph:
     return Graph.from_edges(6, edges)
 
 
+@pytest.fixture(scope="session")
+def preprocessed_blocks():
+    """``f(graph, p)`` -> per-rank ``(u, l, task)`` blocks, exactly as a
+    cold run's preprocessing hands them to the counting phase."""
+    from repro.core import TC2DConfig
+    from repro.core.grid import ProcessorGrid
+    from repro.core.preprocess import partition_1d, preprocess
+    from repro.simmpi import Engine
+
+    def program(ctx, chunks, cfg):
+        grid = ProcessorGrid.for_ranks(ctx.num_ranks)
+        return preprocess(ctx, chunks[ctx.rank], grid, cfg)
+
+    def run(graph: Graph, p: int) -> list:
+        return Engine(p).run(program, partition_1d(graph, p), TC2DConfig()).returns
+
+    return run
+
+
 @pytest.fixture()
 def fast_model() -> MachineModel:
     """Machine model without cache effects, for timing-algebra tests."""

@@ -1,12 +1,24 @@
-"""Block containers: blob round-trips and the shift exchange."""
+"""Block containers: blob round-trips, the shift exchange, and the rank
+file both the store and the checkpoints keep blocks in."""
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Callable
 
 import numpy as np
 import pytest
 
-from repro.core.blocks import Block, build_block, exchange_block
+from repro.core.blocks import (
+    Block,
+    RankFileError,
+    build_block,
+    exchange_block,
+    read_rank_file,
+)
 from repro.simmpi import Engine
+from repro.simmpi.errors import BlobChecksumError
 
 
 def make_block(kind="U-row") -> Block:
@@ -186,3 +198,114 @@ def test_corrupted_indptr_detected_too():
     blob[8] ^= 1  # perturb indptr without breaking monotonic slicing
     with pytest.raises(BlobChecksumError):
         Block.from_blob(blob)
+
+
+# -- the rank file: one contract, two users ------------------------------------
+
+_P = 4
+
+
+@dataclass
+class _RankFileUser:
+    """One user of the rank file: where rank ``r``'s file is, how the user
+    reads its ``(u, l, task)`` back, and — for the store — the directory
+    ``repro store verify`` checks."""
+
+    path: Callable[[int], Path]
+    load: Callable[[int], tuple]
+    verify_dir: Path | None = None
+
+
+@pytest.fixture(scope="module")
+def cold_blocks(er_graph, preprocessed_blocks):
+    """What a cold run's preprocessing hands each rank."""
+    return preprocessed_blocks(er_graph, _P)
+
+
+@pytest.fixture(params=["store", "checkpoint"])
+def user(request, er_graph, cold_blocks, tmp_path):
+    if request.param == "store":
+        from repro.core import TC2DConfig, count_triangles_2d
+        from repro.graph.store import GraphStore
+
+        store = GraphStore(tmp_path)
+        cold = count_triangles_2d(er_graph, _P, cache=store)
+        digest = cold.extras["cache"]["digest"]
+        return _RankFileUser(
+            path=lambda r: store.rank_path(digest, r),
+            load=lambda r: store.open_run(er_graph, _P, TC2DConfig()).load_rank(r)[:3],
+            verify_dir=tmp_path,
+        )
+    from repro.resilience import CheckpointStore, RankSnapshot
+
+    ckpt = CheckpointStore(tmp_path)
+    for r, blocks in enumerate(cold_blocks):
+        ckpt.save(RankSnapshot.capture(r, 1, 7 * r, *blocks))
+    return _RankFileUser(
+        path=lambda r: ckpt.rank_path(1, r), load=lambda r: ckpt.load(1, r).blocks()
+    )
+
+
+def test_rank_file_round_trip_is_the_cold_runs_blocks(user, cold_blocks):
+    for r, cold in enumerate(cold_blocks):
+        for got, want in zip(user.load(r), cold):
+            assert got.as_blob().tobytes() == want.to_blob().tobytes()
+            assert got.as_blob().flags.aligned  # 8-byte offsets by construction
+            assert not got.as_blob().flags.writeable  # mapped, never copied
+
+
+def test_rank_file_flipped_payload_byte_fails_the_crc(user, capsys):
+    path = user.path(2)
+    raw = bytearray(path.read_bytes())
+    raw[-1] ^= 0xFF  # last index word of the task blob
+    path.write_bytes(bytes(raw))
+    with pytest.raises(BlobChecksumError):
+        user.load(2)
+    if user.verify_dir is not None:
+        from repro.cli import main
+
+        assert main(["store", "verify", "--dir", str(user.verify_dir)]) == 1
+        out = capsys.readouterr().out
+        assert "PROBLEM" in out and "rank 2" in out and "BlobChecksumError" in out
+
+
+def _set_word(index: int, value: int) -> Callable[[bytearray], bytearray]:
+    def damage(raw: bytearray) -> bytearray:
+        raw[8 * index : 8 * index + 8] = int(value).to_bytes(8, "little", signed=True)
+        return raw
+
+    return damage
+
+
+@pytest.mark.parametrize(
+    "damage, says",
+    [
+        (lambda raw: raw[: len(raw) - 8], "truncated"),
+        (lambda raw: raw[:40], "truncated"),
+        (lambda raw: raw + bytes(8), "padded"),
+        (lambda raw: bytearray(b"PK\x03\x04") + raw[4:], "not a version-1 rank file"),
+        (_set_word(1, 9), "not a version-1 rank file"),
+        (_set_word(7, 3), "claims rank 3"),  # word 7 = meta[0], the rank
+        (_set_word(4, 11), "truncated or padded"),  # len_u no longer adds up
+    ],
+    ids=["short", "headerless", "padded", "magic", "version", "rank", "lengths"],
+)
+def test_rank_file_that_is_not_this_ranks_file_is_a_typed_error(user, damage, says):
+    path = user.path(1)
+    path.write_bytes(bytes(damage(bytearray(path.read_bytes()))))
+    with pytest.raises(RankFileError, match=says) as exc:
+        user.load(1)
+    assert str(path) in str(exc.value)
+    assert not isinstance(exc.value, BlobChecksumError)
+
+
+def test_rank_file_blob_that_disagrees_with_the_file_header(user):
+    """A blob whose own header no longer spans what the file header gives
+    it is caught before ``from_mmap`` could read past it."""
+    path = user.path(0)
+    _, offset, dtype, _ = read_rank_file(path, 0).blocks[0].slot
+    assert dtype == "int64"
+    raw = bytearray(path.read_bytes())
+    path.write_bytes(bytes(_set_word(offset // 8 + 5, 1 << 40)(raw)))  # nnz
+    with pytest.raises(RankFileError, match="does not span"):
+        user.load(0)

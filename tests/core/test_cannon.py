@@ -113,17 +113,12 @@ class _PoolLog:
     def note(self, kind, **detail):
         self.events.append((kind, detail))
 
-    def epoch_dispatches(self):
-        """The ``pool.dispatch`` records whose jobs were all kernels."""
-        out, labels = [], []
-        for kind, detail in self.events:
-            if kind == "pool.queue":
-                labels.append(detail["label"])
-            elif kind == "pool.dispatch":
-                if all(lb.startswith("kernel:") for lb in labels):
-                    out.append(detail)
-                labels = []
-        return out
+    def dispatches(self):
+        """The ``pool.dispatch`` records, after checking that every queued
+        job was a kernel — the pool's one job."""
+        labels = [d["label"] for kind, d in self.events if kind == "pool.queue"]
+        assert labels and all(lb.startswith("kernel:") for lb in labels)
+        return [d for kind, d in self.events if kind == "pool.dispatch"]
 
 
 def _grid_run(algorithm, graph, store, pool=None, injector=None):
@@ -169,6 +164,7 @@ def test_residency_follows_what_the_run_can_observe(
 
     log = _PoolLog()
     pool2.attach_telemetry(log)
+    dispatched = pool2.stats.dispatches
     try:
         par = _grid_run(
             algorithm, er_graph, store, pool=pool2,
@@ -187,8 +183,11 @@ def test_residency_follows_what_the_run_can_observe(
         seq.extras["run"]
     )
 
-    epochs = log.epoch_dispatches()
+    # Cold or warm, the pool sees exactly q dispatches per Cannon pass:
+    # preprocessing never leaves the scheduler.
+    epochs = log.dispatches()
     passes = 2 if algorithm == "coveredge" else 1
+    assert pool2.stats.dispatches - dispatched == passes * _Q
     assert len(epochs) == passes * _Q and all(e["jobs"] == _P for e in epochs)
     hits = sum(e["resident_hits"] for e in epochs)
     if injector:

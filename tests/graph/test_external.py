@@ -168,17 +168,18 @@ def test_mmap_served_blob_detects_corruption(graph, tmp_path):
     store, res = _inmem_entry(graph, 4, TC2DConfig(), tmp_path / "s")
     digest = res.extras["cache"]["digest"]
     path = store.rank_path(digest, 0)
-    # Locate the "u" blob's payload inside the npz, then flip one byte
-    # near its end — deep in the indices array, where only the blob crc
-    # (not the zip container) can notice.
+    # Locate the "u" blob inside the rank file, then flip one byte near
+    # its end — deep in the indices array, where only the blob crc can
+    # notice (the file's own header still adds up).
     probe = store.open_run(graph, 4, TC2DConfig())
-    _, offset, _dtype, count = probe.blob_slot(0, "u")
+    slot_path, offset, _dtype, count = probe.load_rank(0)[0].slot
     probe.close()
+    assert slot_path == str(path)
     raw = bytearray(path.read_bytes())
     raw[offset + count * 8 - 16] ^= 0xFF
     path.write_bytes(bytes(raw))
     cache = store.open_run(graph, 4, TC2DConfig())
-    assert cache.hit and cache.serve_mode == "mmap"
+    assert cache.hit
     # The crc verification pass is what pages a mapped blob in, so the
     # flipped byte surfaces at load time — never as silent bad data.
     with pytest.raises(BlobChecksumError):
@@ -186,21 +187,20 @@ def test_mmap_served_blob_detects_corruption(graph, tmp_path):
     cache.close()
 
 
-def test_block_from_mmap_round_trip(graph, tmp_path):
+def test_block_from_mmap_round_trip(graph, tmp_path, preprocessed_blocks):
+    """What the store serves is what the cold run's rank 1 held."""
+    cold = preprocessed_blocks(graph, 4)[1]
     store, _res = _inmem_entry(graph, 4, TC2DConfig(), tmp_path / "s")
     cache = store.open_run(graph, 4, TC2DConfig())
     mapped = cache.load_rank(1)
-    cache_copy = store.open_run(graph, 4, TC2DConfig())
-    cache_copy.serve_mode = "copy"
-    copied = cache_copy.load_rank(1)
-    for a, b in zip(mapped[:3], copied[:3]):
-        assert isinstance(a, Block) and isinstance(b, Block)
-        assert a.as_blob().tobytes() == b.as_blob().tobytes()
+    for a, b in zip(mapped[:3], cold):
+        assert isinstance(a, Block)
+        assert a.as_blob().tobytes() == b.to_blob().tobytes()
         assert not a.as_blob().flags.writeable  # mmap views are read-only
-    assert mapped[3] == copied[3]  # identical byte accounting
-    assert cache.mapped_ranks == 1 and cache_copy.mapped_ranks == 0
+    # Byte accounting is blob bytes only (not the file's header/labels).
+    assert mapped[3] == sum(b.to_blob().nbytes for b in cold)
+    assert cache.mapped_ranks == 1 and cache.loaded_nbytes == mapped[3]
     cache.close()
-    cache_copy.close()
 
 
 # -- file-backed resident publication (parallel executor) ---------------------
@@ -227,17 +227,6 @@ def test_file_backed_residents_keep_clocks_and_counts(graph, tmp_path):
     assert info["file_serving"] is True
     assert info["mapped_ranks"] == 4
     assert puts >= 12  # 3 blobs x 4 ranks published file-backed
-
-
-def test_premap_is_all_or_nothing(graph, tmp_path):
-    store, _res = _inmem_entry(graph, 4, TC2DConfig(), tmp_path / "s")
-    cache = store.open_run(graph, 4, TC2DConfig())
-    assert cache.premap(4) is True
-    assert cache.file_serving is True
-    cache.serve_mode = "copy"
-    assert cache.premap(4) is False
-    assert cache.file_serving is False
-    cache.close()
 
 
 # -- bounded-memory primitives -------------------------------------------------

@@ -15,6 +15,7 @@ import pytest
 
 from repro.bench.calibration import paper_model
 from repro.core import TC2DConfig, count_triangles_2d
+from repro.core.blocks import read_rank_file
 from repro.graph import rmat_graph
 from repro.graph.datasets import REGISTRY, DatasetRegistry
 from repro.graph.store import (
@@ -165,11 +166,11 @@ def test_corrupted_blob_fails_loudly(graph, store):
     cold = _run(graph, cache=store)
     digest = cold.extras["cache"]["digest"]
     path = store.rank_path(digest, 0)
-    with np.load(path) as doc:
-        arrays = {k: doc[k].copy() for k in doc.files}
-    arrays["u"][-1] ^= 0x5A  # flip payload bits; header crc now disagrees
-    with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
+    _, u_offset, _, u_words = read_rank_file(path, 0).blocks[0].slot
+    u_end = u_offset + 8 * u_words
+    raw = bytearray(path.read_bytes())
+    raw[u_end - 8] ^= 0x5A  # flip payload bits; header crc now disagrees
+    path.write_bytes(bytes(raw))
 
     problems = store.verify()
     assert any("rank 0" in p for p in problems)
@@ -183,20 +184,27 @@ def test_corrupted_blob_fails_loudly(graph, store):
 def test_schema_bump_raises_and_open_run_invalidates(graph, store):
     cold = _run(graph, cache=store)
     digest = cold.extras["cache"]["digest"]
-    doc = json.loads(store.manifest_path(digest).read_text())
-    doc["store_schema"] = STORE_SCHEMA_VERSION + 1
-    store.manifest_path(digest).write_text(json.dumps(doc))
+    # Schema 1 is what the npz-era store left behind: the same digest (the
+    # address does not move with the file layout) over ``rankNNN.npz`` files.
+    for schema in (1, STORE_SCHEMA_VERSION + 1):
+        doc = json.loads(store.manifest_path(digest).read_text())
+        doc["store_schema"] = schema
+        store.manifest_path(digest).write_text(json.dumps(doc))
+        stale = store.entry_dir(digest) / "rank000.npz"
+        np.savez(stale, u=np.arange(3))
 
-    with pytest.raises(StoreVersionError):
-        store.read_manifest(digest)
-    assert any("error" in e for e in store.entries())
+        with pytest.raises(StoreVersionError):
+            store.read_manifest(digest)
+        assert any("error" in e for e in store.entries())
 
-    # open_run auto-invalidates: the entry is gone, the run is a miss
-    # and rewrites it under the current schema.
-    res = _run(graph, cache=store)
-    assert res.extras["cache"]["hit"] is False
-    assert res.extras["cache"]["stored"] is True
-    assert store.read_manifest(digest)["store_schema"] == STORE_SCHEMA_VERSION
+        # open_run auto-invalidates: the entry is gone, the run is a miss
+        # and rewrites it under the current schema.
+        res = _run(graph, cache=store)
+        assert res.extras["cache"]["hit"] is False
+        assert res.extras["cache"]["stored"] is True
+        assert store.read_manifest(digest)["store_schema"] == STORE_SCHEMA_VERSION
+        assert not stale.exists()  # invalidation clears the whole entry
+        assert store.verify() == []
 
 
 def test_missing_rank_file_invalidates(graph, store):
@@ -324,19 +332,18 @@ def test_mapped_rank_file_closes_its_handle_after_parsing(graph, store):
     import gc
     import warnings
 
-    from repro.graph.store import MappedRankFile
-
     cold = _run(graph, cache=store)
     path = store.rank_path(cold.extras["cache"]["digest"], 0)
-    with np.load(path) as doc:
-        want = doc["u"].copy()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        mapped = MappedRankFile(path)
-        # The map owns a duplicate descriptor; the parse-time handle is gone.
-        assert mapped._fh is None
-        assert np.array_equal(mapped.array("u"), want)
-        assert mapped.block("task").nnz >= 0
-        del mapped
+        served = read_rank_file(path, 0)
+        # The map owns a duplicate descriptor; the header-time handle is
+        # gone, and the views alone keep the map alive.
+        assert served.meta[0] == 0 and len(served.extra) > 0
+        u_block = served.blocks[0]
+        del served
+        gc.collect()
+        assert u_block.nnz == int(u_block.dcsr.csr.indptr[-1])
+        del u_block
         gc.collect()
     assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []

@@ -127,7 +127,7 @@ def test_lock_loser_runs_cold_without_touching_store(graph, store):
         assert res.extras["cache"]["hit"] is False
         assert not res.extras["cache"].get("stored")
         assert not (entry / "manifest.json").exists()
-        rank_files = list(entry.glob("rank*.npz"))
+        rank_files = list(entry.glob("rank*.blocks"))
         assert rank_files, "loser deleted the in-progress writer's files"
     finally:
         held.release()
@@ -164,18 +164,25 @@ def test_finalize_rename_wins_keeps_first_manifest(graph, store):
     assert store.verify() == []
 
 
-def test_atomic_writes_use_pid_scoped_tmp_names(graph, store):
+def test_atomic_writes_use_pid_scoped_tmp_names(graph, store, monkeypatch):
     """Two processes writing the same entry must not share tmp paths."""
     import os
+    from pathlib import Path
 
+    renames, real_replace = [], os.replace
+
+    def recording_replace(src, dst):
+        renames.append((Path(src).name, Path(dst).name))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", recording_replace)
     _run(graph, store)
     digest = store.digests()[0]
     leftovers = list((store.objects_dir / digest).glob("*.tmp"))
     assert leftovers == []
-    # The tmp naming contract the no-collision argument rests on:
-    from repro.graph.store import _atomic_write_bytes
-
-    probe = store.objects_dir / digest / "probe.bin"
-    _atomic_write_bytes(probe, lambda fh: fh.write(b"x"))
-    assert probe.read_bytes() == b"x"
-    assert f".{os.getpid()}.tmp" not in {p.name for p in probe.parent.iterdir()}
+    # The tmp naming contract the no-collision argument rests on: every
+    # rank file and the manifest arrive by rename from a pid-tagged name.
+    assert sorted(dst for _, dst in renames) == sorted(
+        ["manifest.json"] + [f"rank{r:03d}.blocks" for r in range(9)]
+    )
+    assert all(src == f"{dst}.{os.getpid()}.tmp" for src, dst in renames)

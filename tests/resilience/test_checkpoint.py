@@ -7,30 +7,15 @@ import json
 import numpy as np
 import pytest
 
-from repro.core.config import TC2DConfig
-from repro.core.grid import ProcessorGrid
-from repro.core.preprocess import partition_1d, preprocess
 from repro.resilience import CheckpointStore, RankSnapshot
-from repro.simmpi import Engine
+from repro.resilience.checkpoint import SCHEMA_VERSION
 from repro.simmpi.errors import BlobChecksumError
 
 
-def _rank_blocks(graph, p):
-    """Run just the preprocessing pipeline to get real per-rank blocks."""
-
-    def program(ctx, chunks, cfg):
-        grid = ProcessorGrid.for_ranks(ctx.num_ranks)
-        u, l, t = preprocess(ctx, chunks[ctx.rank], grid, cfg)
-        return u, l, t
-
-    chunks = partition_1d(graph, p)
-    run = Engine(p).run(program, chunks, TC2DConfig())
-    return run.returns
-
-
 @pytest.fixture(scope="module")
-def blocks4(er_graph):
-    return _rank_blocks(er_graph, 4)
+def blocks4(er_graph, preprocessed_blocks):
+    """Real per-rank blocks, straight out of the preprocessing pipeline."""
+    return preprocessed_blocks(er_graph, 4)
 
 
 def test_snapshot_roundtrip(blocks4):
@@ -69,17 +54,28 @@ def test_load_rejects_mislabeled_file(tmp_path, blocks4):
     dst.write_bytes(src.read_bytes())
     with pytest.raises(ValueError, match="claims"):
         store.load(1, 1)
+    # ...and for the right rank at the wrong epoch.
+    other = store.rank_path(2, 0)
+    other.parent.mkdir()
+    other.write_bytes(src.read_bytes())
+    with pytest.raises(ValueError, match="claims"):
+        store.load(2, 0)
 
 
 def test_corrupted_checkpoint_detected(tmp_path, blocks4):
     store = CheckpointStore(tmp_path)
     u, l, t = blocks4[1]
-    store.save(RankSnapshot.capture(1, 0, 0, u, l, t))
-    snap = store.load(0, 1)
-    body = snap.u_blob
-    body[7 + (len(body) - 7) // 2] ^= 0xFF  # flip payload, keep header
+    snap = RankSnapshot.capture(1, 0, 0, u, l, t)
+    store.save(snap)
+    path = store.rank_path(0, 1)
+    raw = bytearray(path.read_bytes())
+    # The file ends with the task blob after the L blob after the U blob:
+    # flip a byte in the middle of U's payload, keep every header.
+    u_start = len(raw) - snap.nbytes
+    raw[u_start + 8 * (7 + (len(snap.u_blob) - 7) // 2)] ^= 0xFF
+    path.write_bytes(bytes(raw))
     with pytest.raises(BlobChecksumError):
-        snap.blocks()
+        store.load(0, 1)
 
 
 def test_epoch_bookkeeping(tmp_path, blocks4):
@@ -119,7 +115,7 @@ def test_manifest(tmp_path, blocks4):
     store.save(RankSnapshot.capture(0, 1, 40, u, l, t))
     path = store.write_manifest(p, 2, extra={"note": "test"})
     doc = json.loads(path.read_text())
-    assert doc["version"] == 1
+    assert doc["version"] == SCHEMA_VERSION == 2
     assert doc["p"] == p and doc["q"] == 2
     assert doc["note"] == "test"
     assert doc["epochs"]["0"]["complete"] is True
@@ -141,7 +137,7 @@ def test_manifest_lists_files_from_prior_process(tmp_path, blocks4):
     fresh = CheckpointStore(tmp_path)  # no in-memory log
     doc = json.loads(fresh.write_manifest(p, 2).read_text())
     assert doc["epochs"]["0"]["complete"] is True
-    assert doc["epochs"]["0"]["ranks"]["0"] == {"file": "ep0000/rank000.npz"}
+    assert doc["epochs"]["0"]["ranks"]["0"] == {"file": "ep0000/rank000.blocks"}
 
 
 def test_no_tmp_litter(tmp_path, blocks4):

@@ -89,7 +89,7 @@ def test_stats_document(endpoint, graph_file):
     assert stats["max_inflight"] == 1
 
 
-def test_bad_requests_are_400(endpoint):
+def test_bad_requests_are_400(endpoint, graph_file):
     with pytest.raises(ServeError) as exc:
         endpoint.submit({"kind": "bogus", "dataset": "g500-s12"})
     assert exc.value.status == 400
@@ -100,6 +100,19 @@ def test_bad_requests_are_400(endpoint):
         "POST", "/v1/jobs", body=None, headers={"Content-Type": "text/plain"}
     )
     assert status in (200, 400)  # empty body -> missing dataset -> 400
+    # Malformed JSON shapes and field types are the client's fault too.
+    for body in (
+        [1, 2],
+        "x",
+        {"dataset": "g500-s12", "ranks": None},
+        {"dataset": "g500-s12", "seed": [1]},
+        {"kind": "ktruss", "dataset": "g500-s12", "k": None},
+    ):
+        status, doc = endpoint.request("POST", "/v1/jobs", body=body)
+        assert (status, doc["error"]) == (400, "bad_request"), (body, doc)
+    job = endpoint.submit(_req(graph_file), wait=True)
+    status, doc = endpoint.request("GET", f"/v1/jobs/{job['id']}/events?since=abc")
+    assert (status, doc["error"]) == (400, "bad_request")
     status, doc = endpoint.request("GET", "/v1/jobs/job-999999")
     assert status == 404 and doc["error"] == "not_found"
     status, _ = endpoint.request("GET", "/nope")

@@ -126,6 +126,35 @@ class TestWarmCache:
         assert j2.wait(120) and j2.state == "done"
 
 
+    def test_job_table_is_bounded(self, service, graph_file, monkeypatch):
+        """Finished jobs are forgotten oldest-first past the retention
+        bound; queued and running ones never are."""
+        import repro.serve.service as service_mod
+
+        monkeypatch.setattr(service_mod, "MAX_TERMINAL_JOBS", 3)
+        first = service.submit(_req(graph_file))
+        assert first.wait(120) and first.state == "done", first.error
+        gate = threading.Event()
+        real = TriangleService._execute
+
+        def stalled(self, job):
+            gate.wait(30)
+            return real(self, job)
+
+        monkeypatch.setattr(TriangleService, "_execute", stalled)
+        running = service.submit(_req(graph_file, seed=1))  # cold: not terminal
+        warm = [service.submit(_req(graph_file)) for _ in range(6)]
+        assert all(j.warm for j in warm)
+        assert service.job(first.id) is None  # oldest-finished went first
+        assert [service.job(j.id) for j in warm] == [None] * 3 + warm[3:]
+        assert service.job(running.id) is running  # never while admitted
+        assert service.stats()["jobs"] == 4
+        gate.set()
+        assert running.wait(120) and running.state == "done", running.error
+        assert service.job(running.id) is running
+        assert service.job(warm[3].id) is None and service.stats()["jobs"] == 3
+
+
 class TestAdmission:
     def test_queue_full_typed(self, graph_file):
         svc = TriangleService(
