@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Visualize Cannon's shift pattern from an engine event trace.
+"""Visualize Cannon's shift pattern from an engine trace.
 
 Runs the 2D algorithm on a 3x3 grid with tracing enabled and renders an
 ASCII Gantt chart of each rank's counting phase: compute spans (#),
@@ -48,13 +48,9 @@ def main() -> None:
         lo, hi = col(starts[rank]), col(ends[rank])
         for c in range(lo, hi + 1):
             line[c] = "."
-        prev_t = None
-        for ev in run.tracer.for_rank(rank):
-            if ev.kind == "compute" and starts[rank] <= ev.t <= ends[rank]:
-                # The charge advanced the clock up to ev.t; backfill its span.
-                dt_cols = 1
-                c_end = col(ev.t)
-                for c in range(max(lo, c_end - dt_cols), c_end + 1):
+        for sp in run.tracer.spans_for_rank(rank):
+            if sp.cat == "compute" and starts[rank] <= sp.end <= ends[rank]:
+                for c in range(max(lo, col(sp.begin)), col(sp.end) + 1):
                     line[c] = "#"
         rows.append("".join(line))
 
@@ -63,11 +59,12 @@ def main() -> None:
     for rank, row in enumerate(rows):
         print(f"rank {rank} |{row}|")
 
-    sends = run.tracer.of_kind("send")
-    tct_sends = [s for s in sends if s.t >= t0]
+    sends = run.tracer.sends()
+    tct_sends = [s for s in sends if s.end >= t0]
+    total_bytes = sum(s.detail["nbytes"] for s in sends)
     print(
         f"\n{len(tct_sends)} messages in the counting phase "
-        f"({run.tracer.total_bytes():,} bytes total over the whole run)"
+        f"({total_bytes:,} bytes total over the whole run)"
     )
     print(
         "Each vertical band of '#' is one of the sqrt(p)=3 Cannon compute "

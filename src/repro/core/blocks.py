@@ -29,7 +29,7 @@ import os
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -317,29 +317,43 @@ class RankFile:
     blocks: tuple[Block, Block, Block]
 
 
+def atomic_write(path: "str | Path", chunks: Iterable[bytes | memoryview]) -> None:
+    """Write ``chunks`` to ``path`` through a temp file and ``os.replace``
+    (the parent directory is made if missing).
+
+    The temp name carries the writer's pid so two unlocked writers (e.g.
+    a no-``fcntl`` platform, or a restarted attempt racing the tail of a
+    dying one) can never interleave bytes in one temp file; the final
+    ``os.replace`` makes the last complete writer win.  A writer that
+    raises (a full disk, an interrupt) takes its temp with it and leaves
+    ``path`` as it was.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_rank_file(
     path: "str | Path",
     meta: Sequence[int],
     blobs: Sequence[np.ndarray],
     extra: "Sequence[int] | np.ndarray" = (),
 ) -> None:
-    """Atomically write one rank's ``(u, l, task)`` blobs as a rank file.
-
-    The temp name carries the writer's pid so two unlocked writers (e.g.
-    a no-``fcntl`` platform) can never interleave bytes in one temp file;
-    the final ``os.replace`` makes the last complete writer win.
-    """
-    path = Path(path)
+    """Atomically (:func:`atomic_write`) write one rank's ``(u, l, task)``
+    blobs as a rank file."""
     parts = [np.ascontiguousarray(a, dtype=_RANK_DTYPE) for a in (meta, extra, *blobs)]
     header = np.array(
         [_RANK_MAGIC, _RANK_VERSION, *(len(a) for a in parts)], dtype=_RANK_DTYPE
     )
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    with open(tmp, "wb") as fh:
-        for part in (header, *parts):
-            fh.write(part.data)
-    os.replace(tmp, path)
+    atomic_write(path, (part.data for part in (header, *parts)))
 
 
 def read_rank_file(path: "str | Path", rank: int) -> RankFile:

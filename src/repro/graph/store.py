@@ -53,6 +53,7 @@ import numpy as np
 from repro.core.blocks import (
     RANK_FILE_BLOBS,
     Block,
+    atomic_write,
     read_rank_file,
     write_rank_file,
 )
@@ -435,10 +436,8 @@ class GraphStore:
     def write_manifest(self, digest: str, doc: dict) -> Path:
         """Atomically write one entry's manifest; returns its path."""
         path = self.manifest_path(digest)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-        tmp.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-        os.replace(tmp, path)
+        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        atomic_write(path, [text.encode()])
         return path
 
     def writer_lock(self, digest: str) -> DigestLock:

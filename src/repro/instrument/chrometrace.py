@@ -6,14 +6,24 @@ Profiling Tool and consumed by https://ui.perfetto.dev): one process, one
 track (tid) per virtual rank, virtual seconds mapped to microseconds on
 the trace clock.
 
-* spans (phases, compute bursts, send overheads, receive waits) become
-  ``"X"`` complete events;
+Everything is derived from the tracer's one record list
+(:mod:`repro.simmpi.tracing`):
+
+* records (phases, compute bursts, send overheads, receive waits) become
+  ``"X"`` complete events — except a wait that did not wait (``waited``
+  0), which draws no box;
 * each delivered message becomes a flow arrow (``"s"``/``"f"`` flow
-  events bound to the send and matching receive), so Perfetto draws
-  Cannon's shift pattern as arrows between rank tracks;
-* collective summary events become ``"i"`` instant events;
-* injected-fault and checkpoint events (the resilience subsystem) become
-  labeled ``"i"`` instant events (``cat`` ``"fault"`` / ``"ckpt"``);
+  events from the end of its send record to the end of the wait record
+  with the same ``seq``), so Perfetto draws Cannon's shift pattern as
+  arrows between rank tracks;
+* a send record named after a collective also becomes an ``"i"`` instant
+  event under that name;
+* injected-fault and checkpoint records (the resilience subsystem) also
+  become labeled ``"i"`` instant events (``cat`` ``"fault"`` / ``"ckpt"``)
+  whose ``fault`` / ``epoch`` arg is read from the record name
+  (``fault:<kind>`` / ``checkpoint:<epoch>``);
+* the keys that only link records to each other (``seq``, ``tag``,
+  ``arrival``, ``waited``) are never shown as args;
 * optionally, the parallel executor's wall-clock
   :class:`~repro.simmpi.parallel.WorkerSpan` records become a second
   process (one track per worker pid) so pool occupancy is visible next
@@ -22,7 +32,7 @@ the trace clock.
   :func:`repro.instrument.telemetry.counter_samples`) become ``"C"``
   counter tracks on the wall-clock process.
 
-Export is fully deterministic *and executor-invariant*: spans and events
+Export is fully deterministic *and executor-invariant*: records
 are emitted rank-major (each rank's records in its own program order —
 which is identical under the sequential and parallel executors — ranks
 concatenated in id order) and serialized with sorted keys, so two runs
@@ -54,8 +64,32 @@ def _rank_major(records: Iterable[Any]) -> list[Any]:
     return sorted(records, key=lambda r: r.rank)
 
 
+#: Detail keys that link records to each other (a send to its wait, a wait
+#: to its stall); the analyses read them, the viewer does not show them.
+_LINK_KEYS = frozenset(("seq", "tag", "arrival", "waited"))
+
+
 def _span_args(detail: dict[str, Any]) -> dict[str, Any]:
-    return {k: v for k, v in detail.items() if k != "seq"}
+    return {k: v for k, v in detail.items() if k not in _LINK_KEYS}
+
+
+def _meta(pid: int, tid: int, name: str, /, **args: Any) -> dict[str, Any]:
+    """Metadata event naming or ordering one process or thread track."""
+    return {"ph": "M", "pid": pid, "tid": tid, "name": name, "args": args}
+
+
+def _marker(span: Any, cat: str, scope: str, **args: Any) -> dict[str, Any]:
+    """Instant event at the end of ``span``, on its rank's track."""
+    return {
+        "ph": "i",
+        "s": scope,
+        "pid": _PID,
+        "tid": span.rank,
+        "ts": span.end * _US,
+        "name": span.name,
+        "cat": cat,
+        "args": args,
+    }
 
 
 def chrome_trace(
@@ -78,45 +112,24 @@ def chrome_trace(
     would be nothing to export).
     """
     tracer = run.tracer
-    if not tracer.enabled and not tracer.spans and not tracer.events:
+    if not tracer.enabled and not tracer.spans:
         raise ValueError(
             "run has no trace; construct the engine with trace=True "
             "(or pass trace=True to the algorithm driver)"
         )
-    events: list[dict[str, Any]] = []
-
     # Track naming/ordering metadata first.
-    events.append(
-        {
-            "ph": "M",
-            "pid": _PID,
-            "tid": 0,
-            "name": "process_name",
-            "args": {"name": f"simmpi run ({run.num_ranks} ranks)"},
-        }
-    )
+    events: list[dict[str, Any]] = [
+        _meta(_PID, 0, "process_name", name=f"simmpi run ({run.num_ranks} ranks)")
+    ]
     for r in range(run.num_ranks):
-        events.append(
-            {
-                "ph": "M",
-                "pid": _PID,
-                "tid": r,
-                "name": "thread_name",
-                "args": {"name": f"rank {r}"},
-            }
-        )
-        events.append(
-            {
-                "ph": "M",
-                "pid": _PID,
-                "tid": r,
-                "name": "thread_sort_index",
-                "args": {"sort_index": r},
-            }
-        )
+        events.append(_meta(_PID, r, "thread_name", name=f"rank {r}"))
+        events.append(_meta(_PID, r, "thread_sort_index", sort_index=r))
 
-    # Spans -> complete events.
-    for span in _rank_major(tracer.spans):
+    # Records -> complete events.
+    records = _rank_major(tracer.spans)
+    for span in records:
+        if span.detail.get("waited") == 0:
+            continue  # the message was already there: nothing to draw
         events.append(
             {
                 "ph": "X",
@@ -130,91 +143,64 @@ def chrome_trace(
             }
         )
 
-    # Message flows: bind each send to its matching receive by seq.  The
+    # Message flows: bind each send to its matching wait by seq.  The
     # engine's seq numbers real execution interleaving (which a different
     # executor may legally change), so the exported flow ids are
     # renumbered in rank-major emission order to stay executor-invariant.
-    recv_by_seq: dict[int, Any] = {}
-    for e in tracer.events:
-        if e.kind == "recv" and "seq" in e.detail:
-            recv_by_seq[int(e.detail["seq"])] = e
+    wait_by_seq = {w.detail["seq"]: w for w in tracer.waits()}
     flow_id = 0
-    for e in _rank_major(tracer.events):
-        if e.kind == "send" and "seq" in e.detail:
-            seq = int(e.detail["seq"])
-            recv = recv_by_seq.get(seq)
-            if recv is None:
-                continue  # sent but never received (e.g. aborted run)
-            flow_id += 1
-            flow = {
-                "cat": "msg",
-                "name": f"{e.rank}->{recv.rank}",
-                "id": flow_id,
-                "pid": _PID,
-            }
-            events.append(
-                {**flow, "ph": "s", "tid": e.rank, "ts": e.t * _US}
-            )
-            events.append(
-                {
-                    **flow,
-                    "ph": "f",
-                    "bp": "e",
-                    "tid": recv.rank,
-                    "ts": recv.t * _US,
-                }
-            )
-        elif e.kind == "collective":
-            events.append(
-                {
-                    "ph": "i",
-                    "s": "t",
+    for span in records:
+        if span.cat == "comm" and span.name != "wait":
+            # No wait record: sent but never received (e.g. aborted run).
+            wait = wait_by_seq.get(span.detail["seq"])
+            if wait is not None:
+                flow_id += 1
+                flow = {
+                    "cat": "msg",
+                    "name": f"{span.rank}->{wait.rank}",
+                    "id": flow_id,
                     "pid": _PID,
-                    "tid": e.rank,
-                    "ts": e.t * _US,
-                    "name": str(e.detail.get("op", "collective")),
-                    "cat": "collective",
-                    "args": {"nbytes": e.detail.get("nbytes", 0)},
                 }
-            )
-        elif e.kind == "fault":
+                events.append(
+                    {**flow, "ph": "s", "tid": span.rank, "ts": span.end * _US}
+                )
+                events.append(
+                    {
+                        **flow,
+                        "ph": "f",
+                        "bp": "e",
+                        "tid": wait.rank,
+                        "ts": wait.end * _US,
+                    }
+                )
+            if span.name != "send":
+                events.append(
+                    _marker(span, "collective", "t", nbytes=span.detail["nbytes"])
+                )
+        elif span.cat == "fault":
+            # Global scope: a fault is a run-wide incident.
             events.append(
-                {
-                    "ph": "i",
-                    "s": "g",  # global scope: a fault is a run-wide incident
-                    "pid": _PID,
-                    "tid": e.rank,
-                    "ts": e.t * _US,
-                    "name": f"fault:{e.detail.get('fault', '?')}",
-                    "cat": "fault",
-                    "args": _span_args(e.detail),
-                }
+                _marker(
+                    span, "fault", "g", fault=span.name.partition(":")[2],
+                    **_span_args(span.detail),
+                )
             )
-        elif e.kind == "checkpoint":
+        elif span.cat == "ckpt":
             events.append(
-                {
-                    "ph": "i",
-                    "s": "t",
-                    "pid": _PID,
-                    "tid": e.rank,
-                    "ts": e.t * _US,
-                    "name": f"checkpoint:{e.detail.get('epoch', '?')}",
-                    "cat": "ckpt",
-                    "args": _span_args(e.detail),
-                }
+                _marker(
+                    span, "ckpt", "t", epoch=int(span.name.partition(":")[2]),
+                    **_span_args(span.detail),
+                )
             )
 
     # Optional wall-clock worker track: a second trace process with one
     # lane per worker pid.  Real time, hence nondeterministic; opt-in.
     if worker_spans or counters:
         events.append(
-            {
-                "ph": "M",
-                "pid": _WORKER_PID,
-                "tid": 0,
-                "name": "process_name",
-                "args": {"name": "superstep workers (wall clock)"},
-            }
+            _meta(
+                _WORKER_PID, 0, "process_name",
+                name="superstep workers (wall clock)",
+            )
         )
     if worker_spans:
         lanes = {
@@ -223,22 +209,10 @@ def chrome_trace(
         }
         for pid, lane in lanes.items():
             events.append(
-                {
-                    "ph": "M",
-                    "pid": _WORKER_PID,
-                    "tid": lane,
-                    "name": "thread_name",
-                    "args": {"name": f"worker pid {pid}"},
-                }
+                _meta(_WORKER_PID, lane, "thread_name", name=f"worker pid {pid}")
             )
             events.append(
-                {
-                    "ph": "M",
-                    "pid": _WORKER_PID,
-                    "tid": lane,
-                    "name": "thread_sort_index",
-                    "args": {"sort_index": lane},
-                }
+                _meta(_WORKER_PID, lane, "thread_sort_index", sort_index=lane)
             )
         for s in worker_spans:
             events.append(

@@ -1,7 +1,7 @@
-"""Rank-to-rank communication matrix built from a run's event trace.
+"""Rank-to-rank communication matrix built from a run's trace.
 
 Every wire message (point-to-point sends *and* the messages collectives
-are built from) appears as one ``"send"`` event in the tracer, so the
+are built from) appears as one send record in the tracer, so the
 matrix is exact: entry ``(i, j)`` holds how many messages and bytes rank
 ``i`` pushed toward rank ``j``.  Requires the run to have been executed
 with tracing enabled.
@@ -29,15 +29,13 @@ class CommMatrix:
 
     @classmethod
     def from_tracer(cls, tracer: "Tracer", num_ranks: int) -> "CommMatrix":
-        """Accumulate all ``"send"`` events of ``tracer``."""
+        """Accumulate all send records of ``tracer``."""
         msgs = [[0] * num_ranks for _ in range(num_ranks)]
         byts = [[0] * num_ranks for _ in range(num_ranks)]
-        for e in tracer.events:
-            if e.kind != "send":
-                continue
-            dst = int(e.detail["dst"])
-            msgs[e.rank][dst] += 1
-            byts[e.rank][dst] += int(e.detail.get("nbytes", 0))
+        for s in tracer.sends():
+            dst = s.detail["dst"]
+            msgs[s.rank][dst] += 1
+            byts[s.rank][dst] += s.detail["nbytes"]
         return cls(num_ranks=num_ranks, messages=msgs, nbytes=byts)
 
     @classmethod

@@ -50,8 +50,7 @@ def profile_report(
         f"Engine hand-offs: {run.yields:,} yields (a rank blocked and passed "
         f"the token on), {run.scheduler_wakeups:,} scheduler wake-ups"
     )
-    traced = bool(run.tracer.events or run.tracer.spans)
-    if traced:
+    if run.tracer.spans:
         cm = CommMatrix.from_run(run)
         parts.append(f"{handoffs}, for {cm.total_messages:,} messages")
         coll = run.tracer.collective_bytes()

@@ -175,6 +175,7 @@ class FlightRecorder:
             return list(self._events)
 
     def clear(self) -> None:
+        """Forget the buffered events and reset the drop/record counts."""
         with self._lock:
             self._events.clear()
             self.dropped = 0

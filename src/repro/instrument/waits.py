@@ -1,4 +1,4 @@
-"""Wait-for and critical-path analysis over an event trace.
+"""Wait-for and critical-path analysis over a run's trace.
 
 Whenever a rank's receive completes later than it was posted, the gap is
 stall time attributable to the *sender* of the matched message.  This
@@ -84,14 +84,12 @@ def wait_edges(run: "RunResult") -> list[WaitEdge]:
     edges, sorted by total stall time (largest first)."""
     phases = _phase_lookup(run)
     acc: dict[tuple[int, int, str], tuple[float, int]] = {}
-    for e in run.tracer.events:
-        if e.kind != "recv":
-            continue
-        waited = float(e.detail.get("waited", 0.0))
+    for w in run.tracer.waits():
+        waited = w.detail["waited"]
         if waited <= 0:
             continue
-        phase = _phase_at(phases[e.rank], e.t)
-        key = (e.rank, int(e.detail["src"]), phase)
+        phase = _phase_at(phases[w.rank], w.end)
+        key = (w.rank, w.detail["src"], phase)
         sec, cnt = acc.get(key, (0.0, 0))
         acc[key] = (sec + waited, cnt + 1)
     edges = [
@@ -128,35 +126,32 @@ def critical_path(run: "RunResult", max_hops: int = 64) -> list[CriticalHop]:
     Returns hops in chronological order (earliest first).
     """
     # send time by message seq, for jumping from a wait to its sender.
-    send_t: dict[int, float] = {}
-    for e in run.tracer.events:
-        if e.kind == "send" and "seq" in e.detail:
-            send_t[int(e.detail["seq"])] = e.t
-    # per-rank recv waits in time order.
+    send_t = {s.detail["seq"]: s.end for s in run.tracer.sends()}
+    # per-rank positive waits in time order.
     waits: dict[int, list] = {r: [] for r in range(run.num_ranks)}
-    for e in run.tracer.events:
-        if e.kind == "recv" and float(e.detail.get("waited", 0.0)) > 0:
-            waits[e.rank].append(e)
+    for w in run.tracer.waits():
+        if w.detail["waited"] > 0:
+            waits[w.rank].append(w)
     for lst in waits.values():
-        lst.sort(key=lambda e: e.t)
+        lst.sort(key=lambda w: w.end)
 
     rank = max(range(run.num_ranks), key=lambda r: run.clocks[r].now)
     t = run.clocks[rank].now
     hops: list[CriticalHop] = []
     for _ in range(max_hops):
         last = None
-        for e in waits[rank]:
-            if e.t <= t:
-                last = e
+        for w in waits[rank]:
+            if w.end <= t:
+                last = w
             else:
                 break
         if last is None:
             hops.append(CriticalHop(rank=rank, begin=0.0, end=t, waited_on=None))
             break
-        src = int(last.detail["src"])
-        hops.append(CriticalHop(rank=rank, begin=last.t, end=t, waited_on=src))
-        seq = last.detail.get("seq")
-        t = send_t.get(int(seq), last.t) if seq is not None else last.t
+        src = last.detail["src"]
+        hops.append(CriticalHop(rank=rank, begin=last.end, end=t, waited_on=src))
+        # The duplicate copy of a dup-faulted message has no send record.
+        t = send_t.get(last.detail["seq"], last.end)
         rank = src
     hops.reverse()
     return hops

@@ -33,7 +33,6 @@ writes never leaves the manifest pointing at half-written state.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -43,6 +42,7 @@ from repro.core.blocks import (
     RANK_FILE_BLOBS,
     Block,
     RankFileError,
+    atomic_write,
     read_rank_file,
     write_rank_file,
 )
@@ -217,9 +217,8 @@ class CheckpointStore:
         }
         if extra:
             doc.update(extra)
-        tmp = self.manifest_path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-        os.replace(tmp, self.manifest_path)
+        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        atomic_write(self.manifest_path, [text.encode()])
         return self.manifest_path
 
     def read_manifest(self) -> dict:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.core.blocks import Block
@@ -95,9 +95,7 @@ class AttemptTrace:
 
     @property
     def makespan(self) -> float:
-        ts = [e.t for e in self.tracer.events]
-        ts += [s.end for s in self.tracer.spans]
-        return max(ts) if ts else 0.0
+        return max((s.end for s in self.tracer.spans), default=0.0)
 
 
 class ResilienceContext:
@@ -151,10 +149,6 @@ class ResilienceContext:
         ctx.charge("checkpoint_io", nbytes)
         tr = ctx.tracer
         if tr.enabled:
-            tr.emit(
-                ctx.clock.now, ctx.rank, "checkpoint", epoch=epoch,
-                nbytes=nbytes,
-            )
             tr.span_point(
                 t0, ctx.clock.now, ctx.rank, "ckpt", f"checkpoint:{epoch}",
                 nbytes=nbytes,

@@ -211,10 +211,20 @@ class ServeServer:
         if len(parts) == 5 and parts[4] == "events":
             try:
                 since = int(query.get("since", ["0"])[0])
-                timeout = min(30.0, float(query.get("timeout", ["0"])[0]))
+                timeout = float(query.get("timeout", ["0"])[0])
             except ValueError as exc:
                 return _bad_request(f"bad events query: {exc}")
-            events = await asyncio.to_thread(job.wait_events, since, timeout)
+            if since < 0 or not 0 <= timeout < math.inf:
+                return _bad_request(
+                    "bad events query: since and timeout must be >= 0 and finite"
+                )
+            # What is there now is answered on the loop, as _submit does;
+            # only a poll with something to wait for hops to a thread.
+            events = job.wait_events(since)
+            if not events and timeout and job.state in ("queued", "running"):
+                events = await asyncio.to_thread(
+                    job.wait_events, since, min(30.0, timeout)
+                )
             return 200, "application/json", _jbytes(
                 {"id": job.id, "state": job.state, "since": since,
                  "events": events}

@@ -44,7 +44,7 @@ from repro.simmpi.errors import (
 )
 from repro.simmpi.parallel import Resident, SuperstepPool, WorkerSpan
 from repro.simmpi.reduceops import BAND, BOR, MAX, MIN, PROD, SUM, ReduceOp
-from repro.simmpi.tracing import Span, TraceEvent, Tracer
+from repro.simmpi.tracing import Span, Tracer
 
 __all__ = [
     "ANY_SOURCE",
@@ -74,7 +74,6 @@ __all__ = [
     "SUM",
     "Resident",
     "SuperstepPool",
-    "TraceEvent",
     "Tracer",
     "WorkerCrashError",
     "WorkerSpan",

@@ -2,9 +2,12 @@
 
 Mirrors the lowercase (generic Python object) mpi4py interface: ``send`` /
 ``recv`` / ``sendrecv`` plus the collectives the triangle-counting code
-needs (``barrier``, ``bcast``, ``reduce``, ``allreduce``, ``gather``,
-``allgather``, ``scatter``, ``alltoall``, ``exscan``, ``scan``) and
-``split`` for building row/column communicators on the processor grid.
+needs (``barrier``, ``bcast``, ``allreduce``, ``allgather``,
+``alltoall[v]``, ``exscan``, with ``reduce``, ``gather`` and ``scan`` as
+their building blocks) and ``split`` for building row/column communicators
+on the processor grid.  That is the whole surface — what the rank programs
+call, nothing kept in stock (``tests/test_public_api.py`` pins it): the
+next method arrives with its caller.
 
 Collectives are implemented *on top of* point-to-point messages (binomial
 trees, dissemination barrier, pairwise exchange), so their simulated cost
@@ -136,34 +139,16 @@ class Comm:
         self.send(sendobj, dest, tag=sendtag)
         return self.recv(source=source, tag=recvtag)
 
-    def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> bool:
-        """Non-blocking check for a matching queued message."""
-        world_src = self.members[source] if source != ANY_SOURCE else ANY_SOURCE
-        return self.engine.probe(self._world_rank, world_src, tag, self.comm_id)
-
-    def isend(self, obj: Any, dest: int, tag: int = 0):
-        """Non-blocking send; returns a completed-at-post Request."""
-        from repro.simmpi.requests import isend as _isend
-
-        return _isend(self, obj, dest, tag=tag)
-
-    def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
-        """Non-blocking receive; returns a Request to ``wait``/``test``."""
-        from repro.simmpi.requests import irecv as _irecv
-
-        return _irecv(self, source, tag)
-
     # ------------------------------------------------------------------
     # collective plumbing
     # ------------------------------------------------------------------
 
     def _coll_send(self, dest: int, seq: int, op: str, data: Any) -> None:
-        tracer = self.engine.tracer
         # Scans suffix the op with the round distance ("scan1", "scan2", ...)
         # for matching; strip digits so accounting groups by the user-facing
         # collective name.  Only the tracer reads that name.
-        base_op = op.rstrip("0123456789") if tracer.enabled else None
-        nbytes = self.engine.post_send(
+        base_op = op.rstrip("0123456789") if self.engine.tracer.enabled else None
+        self.engine.post_send(
             self._world_rank,
             self.members[dest],
             _COLL_TAG,
@@ -171,12 +156,6 @@ class Comm:
             (_ENVELOPE, seq, op, data),
             coll_op=base_op,
         )
-        if tracer.enabled:
-            ctx = self.engine.context(self._world_rank)
-            tracer.emit(
-                ctx.clock.now, self._world_rank, "collective",
-                op=base_op, peer=self.members[dest], nbytes=nbytes,
-            )
 
     def _coll_recv(self, source: int, seq: int, op: str) -> Any:
         payload, src_world, _tag = self.engine.wait_recv(
@@ -286,21 +265,6 @@ class Comm:
         gathered = self.gather(obj, root=0)
         return self.bcast(gathered, root=0)
 
-    def scatter(self, objs: Sequence[Any] | None, root: int = 0) -> Any:
-        """Scatter ``objs[i]`` (given at ``root``) to rank ``i``."""
-        self._check_rank("root", root)
-        seq = self._next_seq()
-        if self.rank == root:
-            if objs is None or len(objs) != self.size:
-                raise ValueError(
-                    f"scatter root needs a sequence of exactly {self.size} items"
-                )
-            for r in range(self.size):
-                if r != root:
-                    self._coll_send(r, seq, "scatter", objs[r])
-            return objs[root]
-        return self._coll_recv(root, seq, "scatter")
-
     def alltoall(self, objs: Sequence[Any]) -> list[Any]:
         """Personalized all-to-all: rank ``i`` sends ``objs[j]`` to rank
         ``j`` and receives a list indexed by source rank.
@@ -375,9 +339,3 @@ class Comm:
         members = [self.members[r] for (_k, r) in mine]
         child_id = ("split", self.comm_id, self._split_seq, color)
         return Comm(self.engine, self._world_rank, members, child_id)
-
-    def dup(self) -> "Comm":
-        """Duplicate the communicator with a fresh matching namespace."""
-        self._split_seq += 1
-        child_id = ("dup", self.comm_id, self._split_seq)
-        return Comm(self.engine, self._world_rank, list(self.members), child_id)

@@ -127,6 +127,7 @@ class RunResult:
 
     @property
     def num_ranks(self) -> int:
+        """Number of ranks the run executed (``p``)."""
         return len(self.returns)
 
     @property
@@ -207,10 +208,12 @@ class RankContext:
 
     @property
     def model(self) -> MachineModel:
+        """The engine's machine cost model."""
         return self.engine.model
 
     @property
     def tracer(self) -> Tracer:
+        """The engine's tracer (check ``enabled`` before building a record)."""
         return self.engine.tracer
 
     def charge(
@@ -231,7 +234,6 @@ class RankContext:
         self.counters[kind] = self.counters.get(kind, 0.0) + count
         tr = self.engine.tracer
         if tr.enabled:
-            tr.emit(self.clock.now, self.rank, "compute", op=kind, count=count)
             tr.span_point(
                 t0, self.clock.now, self.rank, "compute", kind, count=count
             )
@@ -258,19 +260,12 @@ class RankContext:
             t0 = self.clock.now
             self.clock.advance_compute(act.delay)
             if tr.enabled:
-                tr.emit(
-                    self.clock.now, self.rank, "fault", fault="stall",
-                    site=site, delay=act.delay,
-                )
                 tr.span_point(
                     t0, self.clock.now, self.rank, "fault", "fault:stall",
-                    site=site,
+                    site=site, delay=act.delay,
                 )
         elif act.kind == "crash":
             if tr.enabled:
-                tr.emit(
-                    self.clock.now, self.rank, "fault", fault="crash", site=site
-                )
                 tr.span_point(
                     self.clock.now, self.clock.now, self.rank, "fault",
                     "fault:crash", site=site,
@@ -356,7 +351,6 @@ class RankContext:
         ph = self.clock.phase_begin(name)
         span = None
         if tr.enabled:
-            tr.emit(self.clock.now, self.rank, "phase_begin", name=ph.name)
             span = tr.span_begin(self.clock.now, self.rank, "phase", ph.name)
         if tele is not None:
             self._tele_frames.append([ph.name, time.perf_counter(), 0.0])
@@ -366,7 +360,6 @@ class RankContext:
             self.clock.phase_end(ph)
             if tr.enabled:
                 tr.span_end(self.clock.now, span)
-                tr.emit(self.clock.now, self.rank, "phase_end", name=ph.name)
             if tele is not None and self._tele_frames:
                 fname, t_enter, parked = self._tele_frames.pop()
                 tele.phase_exit(
@@ -384,7 +377,7 @@ class Engine:
     model:
         Machine cost model; defaults to :class:`MachineModel()`.
     trace:
-        When true, record a full event trace (see :class:`Tracer`).  A
+        When true, record a full span trace (see :class:`Tracer`).  A
         :class:`Tracer` *instance* is adopted as-is — callers that want
         live span callbacks (e.g. the serve layer's progress streaming)
         pass a subclass overriding :meth:`Tracer.span_end`.
@@ -410,9 +403,9 @@ class Engine:
           rank's clock by ``action.delay``, ``"crash"`` raises
           :class:`RankCrashError`.
 
-        Every injected fault is emitted through the tracer as a ``"fault"``
-        event plus a ``cat="fault"`` span, so faults are visible in the
-        Perfetto export and attributable in the comm matrix.
+        Every injected fault is recorded by the tracer as one
+        ``cat="fault"`` span named ``fault:<kind>``, so faults are visible
+        in the Perfetto export next to the message they perturbed.
     telemetry:
         Optional :class:`~repro.instrument.telemetry.Telemetry` session.
         When attached, every :meth:`RankContext.phase` exit reports its
@@ -706,16 +699,16 @@ class Engine:
         comm_id: int,
         payload: Any,
         coll_op: str | None = None,
-    ) -> int:
+    ) -> None:
         """Eagerly deliver a message into ``dst``'s mailbox.
 
         LogGP-style accounting: the *sender* pays the injection overhead
         plus the byte serialization time (its NIC pushes the bytes out
         one message at a time, so back-to-back sends serialize), and the
-        message then arrives one wire latency (alpha) later.  Returns the
-        byte size used for accounting.  ``coll_op`` labels messages sent
-        from inside a collective so trace consumers can attribute wire
-        traffic to ``bcast``/``alltoall``/... instead of raw sends.
+        message then arrives one wire latency (alpha) later.  ``coll_op``
+        names the send record of a message sent from inside a collective,
+        so trace consumers can attribute wire traffic to
+        ``bcast``/``alltoall``/... instead of raw sends.
         """
         ctx = self._ctxs[src]
         nbytes = payload_nbytes(payload)
@@ -733,16 +726,12 @@ class Engine:
             # The sender already paid its full injection cost above: from
             # its point of view the send succeeded, the network misbehaves.
             if self.tracer.enabled:
-                self.tracer.emit(
-                    ctx.clock.now, src, "fault", fault=fault.kind, site="send",
-                    dst=dst, tag=tag, nbytes=nbytes, seq=seq,
-                )
                 self.tracer.span_point(
                     t0, ctx.clock.now, src, "fault", f"fault:{fault.kind}",
-                    dst=dst, nbytes=nbytes,
+                    site="send", dst=dst, nbytes=nbytes, tag=tag,
                 )
             if fault.kind == "drop":
-                return nbytes  # vanished on the wire; no delivery
+                return  # vanished on the wire; no delivery
             if fault.kind == "delay":
                 arrival += fault.delay
             elif fault.kind == "corrupt":
@@ -760,25 +749,14 @@ class Engine:
                 )
             )
         if self.tracer.enabled:
-            if coll_op is None:
-                self.tracer.emit(
-                    ctx.clock.now, src, "send", dst=dst, tag=tag, nbytes=nbytes,
-                    arrival=arrival, seq=seq,
-                )
-            else:
-                self.tracer.emit(
-                    ctx.clock.now, src, "send", dst=dst, tag=tag, nbytes=nbytes,
-                    arrival=arrival, seq=seq, coll=coll_op,
-                )
             self.tracer.span_point(
                 t0, ctx.clock.now, src, "comm",
                 coll_op if coll_op is not None else "send",
-                dst=dst, nbytes=nbytes, seq=seq,
+                dst=dst, nbytes=nbytes, tag=tag, arrival=arrival, seq=seq,
             )
         # A parked receiver might now have a match; let it re-check.
         if dst_state.state == _BLOCKED:
             dst_state.state = _READY
-        return nbytes
 
     def wait_recv(
         self, rank: int, source: int, tag: int, comm_id: int
@@ -798,16 +776,13 @@ class Engine:
                 msg = st.mailbox.pop(idx)
                 waited = ctx.clock.wait_until(msg.arrival)
                 if self.tracer.enabled:
-                    self.tracer.emit(
-                        ctx.clock.now, rank, "recv", src=msg.src, tag=msg.tag,
-                        nbytes=msg.nbytes, waited=waited, seq=msg.seq,
+                    # One wait record per completed receive; a message that
+                    # was already there is a zero-length wait.
+                    self.tracer.span_point(
+                        ctx.clock.now - waited, ctx.clock.now, rank,
+                        "comm", "wait", src=msg.src, nbytes=msg.nbytes,
+                        tag=msg.tag, waited=waited, seq=msg.seq,
                     )
-                    if waited > 0:
-                        self.tracer.span_point(
-                            ctx.clock.now - waited, ctx.clock.now, rank,
-                            "comm", "wait", src=msg.src, nbytes=msg.nbytes,
-                            seq=msg.seq,
-                        )
                 return msg.payload, msg.src, msg.tag
             self._block(
                 rank,
@@ -856,11 +831,3 @@ class Engine:
         while not pool.has_result(rank):
             self._block(rank, f"superstep({label or entry})")
         return pool.take_result(rank)
-
-    def probe(self, rank: int, source: int, tag: int, comm_id: int) -> bool:
-        """Non-blocking check whether a matching message is queued."""
-        return self._match(self._states[rank].mailbox, source, tag, comm_id) is not None
-
-    def context(self, rank: int) -> RankContext:
-        """The :class:`RankContext` of ``rank`` (used by :class:`Comm`)."""
-        return self._ctxs[rank]

@@ -17,7 +17,7 @@ exactly that structure:
   pool and the results are collected **in rank order**;
 * the submitting ranks resume one at a time under the normal
   deterministic schedule and apply their results (charges, tracer
-  events, count deltas) exactly as the sequential executor would.
+  records, count deltas) exactly as the sequential executor would.
 
 Because the pool only ever computes *pure functions of the submitted
 bytes* and every state mutation happens rank-side under the sequential
@@ -155,6 +155,7 @@ class WorkerSpan:
 
     @property
     def duration(self) -> float:
+        """Wall seconds the job occupied its worker."""
         return self.end - self.begin
 
 
@@ -537,9 +538,11 @@ class SuperstepPool:
         return bool(self._pending)
 
     def has_result(self, rank: int) -> bool:
+        """Whether a dispatch has produced ``rank``'s result yet."""
         return rank in self._results
 
     def take_result(self, rank: int) -> Any:
+        """Hand ``rank`` its result (once; the pool forgets it)."""
         return self._results.pop(rank)
 
     def drain_spans(self) -> list[WorkerSpan]:

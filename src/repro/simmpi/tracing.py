@@ -1,50 +1,33 @@
-"""Event and span tracing for simulated-MPI runs.
+"""Span tracing for simulated-MPI runs.
 
-A :class:`Tracer` records two complementary views of a run:
+A :class:`Tracer` keeps **one list** of :class:`Span` records, one record
+per traced occurrence, appended in engine-deterministic order.  The
+category says what happened, ``detail`` carries what an observer needs:
 
-* **flat events** (:class:`TraceEvent`) — instantaneous, timestamped
-  records (sends, receives, compute charges, phase boundaries,
-  collective summaries) appended in engine-deterministic order;
-* **spans** (:class:`Span`) — intervals with a begin and end virtual
-  time, nested per rank (phases contain compute bursts, send overheads
-  and receive waits), which are what the Perfetto/Chrome exporter and
-  the wait-for analysis consume.
+* ``"phase"`` — a :meth:`RankContext.phase` scope (nested per rank);
+* ``"compute"`` — one :meth:`RankContext.charge` (``count``) or one
+  kernel call (``shift``, ``tasks``);
+* ``"comm"`` — the two records of a message envelope.  The *send* record
+  (named ``"send"``, or after the collective the envelope belongs to)
+  covers the sender's injection overhead and carries ``dst``, ``nbytes``,
+  ``tag``, ``arrival`` and ``seq``; the *wait* record (named ``"wait"``)
+  ends when the receive completes and carries ``src``, ``nbytes``,
+  ``tag``, ``waited`` and the same ``seq`` — a receive that found its
+  message already there is a zero-length wait, not a missing record;
+* ``"fault"`` — an injected fault, named ``fault:<kind>`` (``site``, plus
+  ``delay`` for a stall or ``dst``/``nbytes``/``tag`` for a message fault);
+* ``"ckpt"`` / ``"cache"`` — a checkpoint write (``checkpoint:<epoch>``)
+  or a warm-store load.
 
-Tracing is off by default.  When disabled, :meth:`Tracer.emit` and
-:meth:`Tracer.span_begin` return immediately without allocating anything,
-so instrumented hot paths cost one attribute check per call site (call
-sites additionally guard on :attr:`Tracer.enabled` to skip building the
-detail dict).
+Tracing is off by default.  When disabled every recording method returns
+immediately without allocating anything; call sites additionally guard on
+:attr:`Tracer.enabled` to skip building the detail dict.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable
-
-
-@dataclass(frozen=True)
-class TraceEvent:
-    """One traced runtime event.
-
-    Attributes
-    ----------
-    t:
-        Virtual time at which the event completed on ``rank``.
-    rank:
-        Rank the event is charged to.
-    kind:
-        Event type: ``"send"``, ``"recv"``, ``"compute"``, ``"phase_begin"``,
-        ``"phase_end"``, ``"collective"``, ``"fault"`` (injected fault;
-        ``detail["fault"]`` names the fault kind).
-    detail:
-        Free-form payload (peer rank, tag, byte count, op counts, ...).
-    """
-
-    t: float
-    rank: int
-    kind: str
-    detail: dict[str, Any] = field(default_factory=dict)
+from typing import Any
 
 
 @dataclass
@@ -56,9 +39,10 @@ class Span:
     rank:
         Rank whose timeline the span belongs to.
     cat:
-        Span category: ``"phase"``, ``"compute"`` or ``"comm"``.
+        Record category (see the module docstring).
     name:
-        Display label (phase name, op kind, ``"send"``/``"wait"``).
+        Display label (phase name, op kind, ``"send"``/``"wait"``, the
+        collective's name, ``fault:<kind>``, ...).
     begin, end:
         Virtual-time extent.  ``end`` is filled by :meth:`Tracer.span_end`
         (it equals ``begin`` while the span is still open).
@@ -83,38 +67,23 @@ class Span:
 
 
 class Tracer:
-    """Accumulates :class:`TraceEvent` and :class:`Span` records for a run."""
+    """Accumulates the :class:`Span` records of a run."""
 
     def __init__(self, enabled: bool = True):
         self.enabled = enabled
-        self.events: list[TraceEvent] = []
-        #: Closed spans in close order (deterministic given the engine's
+        #: Every record, in close order (deterministic given the engine's
         #: deterministic scheduling).
         self.spans: list[Span] = []
         self._stacks: dict[int, list[Span]] = {}
 
-    # -- flat events --------------------------------------------------------
+    @property
+    def events(self) -> list[Span]:
+        """Read-only alias of :attr:`spans`, kept because the fixed
+        benchmark gauge (``benchmarks/e2e/layers.py``) counts a run's
+        records as ``len(run.tracer.events)``."""
+        return self.spans
 
-    def emit(self, t: float, rank: int, kind: str, **detail: Any) -> None:
-        """Record one event (no-op when disabled)."""
-        if self.enabled:
-            self.events.append(TraceEvent(t=t, rank=rank, kind=kind, detail=detail))
-
-    def of_kind(self, *kinds: str) -> list[TraceEvent]:
-        """Return all events whose kind is one of ``kinds``, in time order."""
-        sel = [e for e in self.events if e.kind in kinds]
-        sel.sort(key=lambda e: (e.t, e.rank))
-        return sel
-
-    def for_rank(self, rank: int) -> list[TraceEvent]:
-        """Return all events charged to ``rank`` in recording order."""
-        return [e for e in self.events if e.rank == rank]
-
-    def faults(self) -> list[TraceEvent]:
-        """All injected-fault events in time order (empty for clean runs)."""
-        return self.of_kind("fault")
-
-    # -- spans --------------------------------------------------------------
+    # -- recording ----------------------------------------------------------
 
     def span_begin(
         self, t: float, rank: int, cat: str, name: str, **detail: Any
@@ -165,6 +134,13 @@ class Tracer:
                      depth=depth, detail=detail)
             )
 
+    def clear(self) -> None:
+        """Drop all recorded spans."""
+        self.spans.clear()
+        self._stacks.clear()
+
+    # -- views of the one list ----------------------------------------------
+
     def spans_for_rank(self, rank: int) -> list[Span]:
         """All closed spans of ``rank`` in close order."""
         return [s for s in self.spans if s.rank == rank]
@@ -173,32 +149,23 @@ class Tracer:
         """Spans begun but not yet ended (should be empty after a run)."""
         return [s for stack in self._stacks.values() for s in stack]
 
-    # -- maintenance / aggregation ------------------------------------------
+    def sends(self) -> list[Span]:
+        """The send record of every wire message (point-to-point sends
+        *and* the messages collectives are built from), in record order."""
+        return [s for s in self.spans if s.cat == "comm" and s.name != "wait"]
 
-    def clear(self) -> None:
-        """Drop all recorded events and spans."""
-        self.events.clear()
-        self.spans.clear()
-        self._stacks.clear()
+    def waits(self) -> list[Span]:
+        """The wait record of every completed receive, in record order."""
+        return [s for s in self.spans if s.cat == "comm" and s.name == "wait"]
 
-    def total_bytes(self, kinds: Iterable[str] = ("send",)) -> int:
-        """Sum the ``nbytes`` detail over events of the given kinds.
-
-        ``"send"`` covers every wire message, including the point-to-point
-        messages collectives are built from; ``"collective"`` sums the
-        per-collective summaries (bytes a rank pushed into ``bcast``,
-        ``alltoall``, ...) without double-counting their underlying sends.
-        """
-        ks = set(kinds)
-        return sum(
-            int(e.detail.get("nbytes", 0)) for e in self.events if e.kind in ks
-        )
+    def faults(self) -> list[Span]:
+        """All injected-fault records (empty for clean runs)."""
+        return [s for s in self.spans if s.cat == "fault"]
 
     def collective_bytes(self) -> dict[str, int]:
         """Bytes sent inside each collective op, keyed by op name."""
         out: dict[str, int] = {}
-        for e in self.events:
-            if e.kind == "collective":
-                op = str(e.detail.get("op", "?"))
-                out[op] = out.get(op, 0) + int(e.detail.get("nbytes", 0))
+        for s in self.sends():
+            if s.name != "send":
+                out[s.name] = out.get(s.name, 0) + s.detail["nbytes"]
         return out

@@ -2,7 +2,7 @@
 
 The rejected collect-first formulation must be observable with exactly
 the same machinery as the Cannon driver: same phase spans, same
-send-event byte accounting (tracer totals == comm-matrix totals), same
+send-record byte accounting (tracer totals == comm-matrix totals), same
 result record shape.  This pins the tracing contract for both variants.
 """
 
@@ -15,6 +15,10 @@ from repro.core.allgather_variant import count_triangles_2d_allgather
 from repro.instrument import CommMatrix
 
 P = 9
+
+
+def _nbytes(records) -> int:
+    return sum(r.detail["nbytes"] for r in records)
 
 
 @pytest.fixture(scope="module")
@@ -51,17 +55,17 @@ def test_tracer_bytes_match_comm_matrix(traced_pair):
     for res in traced_pair:
         tracer = res.extras["run"].tracer
         m = CommMatrix.from_tracer(tracer, P)
-        assert m.total_bytes == tracer.total_bytes(("send",))
-        assert m.total_messages == len(tracer.of_kind("send"))
+        assert m.total_bytes == _nbytes(tracer.sends())
+        assert m.total_messages == len(tracer.sends())
 
 
 def test_send_events_have_symmetric_recv_accounting(traced_pair):
     for res in traced_pair:
         tracer = res.extras["run"].tracer
-        sends = tracer.of_kind("send")
-        recvs = tracer.of_kind("recv")
-        assert len(sends) == len(recvs)
-        assert tracer.total_bytes(("send",)) == tracer.total_bytes(("recv",))
+        sends, waits = tracer.sends(), tracer.waits()
+        assert len(sends) == len(waits)
+        assert _nbytes(sends) == _nbytes(waits)
+        assert {s.detail["seq"] for s in sends} == {w.detail["seq"] for w in waits}
 
 
 def test_ppt_accounting_identical_across_variants(traced_pair):
@@ -78,7 +82,7 @@ def test_variants_differ_only_in_counting_phase_comm(traced_pair):
 
     def tct_send_bytes(res):
         tracer = res.extras["run"].tracer
-        run = res.extras["run"]
+        sends = tracer.sends()
         total = 0
         for rank in range(P):
             phases = [
@@ -86,10 +90,9 @@ def test_variants_differ_only_in_counting_phase_comm(traced_pair):
                 if s.cat == "phase" and s.name == "tct"
             ]
             (ph,) = phases
-            total += sum(
-                int(e.detail.get("nbytes", 0))
-                for e in tracer.for_rank(rank)
-                if e.kind == "send" and ph.begin <= e.t <= ph.end
+            total += _nbytes(
+                s for s in sends
+                if s.rank == rank and ph.begin <= s.end <= ph.end
             )
         return total
 

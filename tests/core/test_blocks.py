@@ -159,10 +159,10 @@ def test_exchange_block_nonblob_uses_more_messages():
 
     blob_run = Engine(2, trace=True)
     blob_run.run(program, True)
-    blob_sends = len(blob_run.tracer.of_kind("send"))
+    blob_sends = len(blob_run.tracer.sends())
     raw_run = Engine(2, trace=True)
     raw_run.run(program, False)
-    raw_sends = len(raw_run.tracer.of_kind("send"))
+    raw_sends = len(raw_run.tracer.sends())
     assert raw_sends == 3 * blob_sends
 
 
@@ -309,3 +309,88 @@ def test_rank_file_blob_that_disagrees_with_the_file_header(user):
     path.write_bytes(bytes(_set_word(offset // 8 + 5, 1 << 40)(raw)))  # nnz
     with pytest.raises(RankFileError, match="does not span"):
         user.load(0)
+
+
+# -- the atomic writer: one protocol, three users -----------------------------
+
+
+def _write_rank_file(root: Path) -> Path:
+    from repro.core.blocks import write_rank_file
+
+    b = make_block()
+    write_rank_file(root / "entry" / "rank000.blocks", [0, 0], [b.to_blob()] * 3)
+    return root / "entry" / "rank000.blocks"
+
+
+def _write_store_manifest(root: Path) -> Path:
+    from repro.graph.store import GraphStore
+
+    return GraphStore(root).write_manifest("ab" * 32, {"digest": "ab" * 32})
+
+
+def _write_checkpoint_manifest(root: Path) -> Path:
+    from repro.resilience import CheckpointStore
+
+    return CheckpointStore(root / "ckpt").write_manifest(4, 2)
+
+
+class _DiesMidWrite:
+    """A file whose first ``write`` gets half the bytes out, then SIGINT."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(bytes(data)[: len(data) // 2])
+        raise KeyboardInterrupt
+
+
+@pytest.mark.parametrize(
+    "write",
+    [_write_rank_file, _write_store_manifest, _write_checkpoint_manifest],
+    ids=["rank_file", "store_manifest", "checkpoint_manifest"],
+)
+def test_atomic_writers_share_no_temp_and_leave_none_behind(
+    write, tmp_path, monkeypatch
+):
+    import os
+
+    from repro.core import blocks
+
+    def files() -> list[Path]:
+        return [p for p in tmp_path.rglob("*") if p.is_file()]
+
+    # Two writers (two pids) of one target never share a temp name.
+    temps: list[str] = []
+    real_replace = os.replace
+
+    def recording_replace(src, dst):
+        temps.append(str(src))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", recording_replace)
+    for pid in (111, 222):
+        monkeypatch.setattr(os, "getpid", lambda pid=pid: pid)
+        target = write(tmp_path)
+    assert len(set(temps)) == 2 and all(Path(t).parent == target.parent for t in temps)
+    assert files() == [target]
+    good = target.read_bytes()
+
+    # A writer that dies mid-write leaves no temp and the target as it was...
+    monkeypatch.setattr(
+        blocks, "open", lambda *a: _DiesMidWrite(open(*a)), raising=False
+    )
+    with pytest.raises(KeyboardInterrupt):
+        write(tmp_path)
+    assert files() == [target] and target.read_bytes() == good
+    # ...and with no earlier version there is no target at all.
+    target.unlink()
+    with pytest.raises(KeyboardInterrupt):
+        write(tmp_path)
+    assert files() == []

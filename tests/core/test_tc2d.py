@@ -146,8 +146,8 @@ def test_blob_serialization_fewer_messages(er_graph):
         er_graph, 9, cfg=TC2DConfig(blob_serialization=False), trace=True
     )
     assert blob.count == raw.count
-    blob_sends = len(blob.extras["run"].tracer.of_kind("send"))
-    raw_sends = len(raw.extras["run"].tracer.of_kind("send"))
+    blob_sends = len(blob.extras["run"].tracer.sends())
+    raw_sends = len(raw.extras["run"].tracer.sends())
     assert raw_sends > blob_sends
     assert blob.tct_time <= raw.tct_time
 

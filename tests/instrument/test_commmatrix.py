@@ -45,7 +45,9 @@ def test_sent_received_totals_agree():
     cm = CommMatrix.from_run(run)
     assert sum(cm.sent_by(r)[0] for r in range(4)) == cm.total_messages
     assert sum(cm.received_by(r)[1] for r in range(4)) == cm.total_bytes
-    assert cm.total_bytes == run.tracer.total_bytes(("send",))
+    sends = run.tracer.sends()
+    assert cm.total_messages == len(sends)
+    assert cm.total_bytes == sum(s.detail["nbytes"] for s in sends)
 
 
 def test_collective_traffic_lands_in_matrix():

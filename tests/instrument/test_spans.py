@@ -55,7 +55,7 @@ def test_disabled_tracer_spans_are_free():
     assert s is None
     t.span_end(1.0, s)  # accepts None without branching at the call site
     t.span_point(0.0, 1.0, 0, "compute", "op")
-    assert t.spans == [] and t.events == [] and t.open_spans() == []
+    assert t.spans == [] and t.open_spans() == []
 
 
 def test_engine_run_produces_nested_spans():
@@ -110,4 +110,4 @@ def test_untraced_engine_run_records_nothing():
             ctx.comm.recv(source=0)
 
     res = Engine(2, trace=False).run(program)
-    assert res.tracer.events == [] and res.tracer.spans == []
+    assert res.tracer.spans == [] and res.tracer.open_spans() == []

@@ -60,6 +60,13 @@ def test_submit_wait_cold_then_warm(endpoint, graph_file):
 def test_async_submit_poll_events(endpoint, graph_file):
     ack = endpoint.submit(_req(graph_file, seed=3), wait=False)
     assert ack["state"] in ("queued", "running")
+    # Long-poll while the job moves: what is there comes back at once, the
+    # next poll waits (in a server thread) for the event after it.
+    first = endpoint.events(ack["id"], since=0, timeout=30)["events"]
+    assert first and first[0]["kind"] == "queued"
+    if first[-1]["kind"] != "finished":
+        nxt = endpoint.events(ack["id"], since=len(first), timeout=60)["events"]
+        assert nxt and nxt[0]["seq"] == len(first)
     deadline = time.time() + 120
     doc = endpoint.job(ack["id"])
     while doc["state"] in ("queued", "running") and time.time() < deadline:
@@ -72,6 +79,11 @@ def test_async_submit_poll_events(endpoint, graph_file):
     # since= pagination returns only the tail
     tail = endpoint.events(ack["id"], since=len(kinds) - 1)
     assert [e["kind"] for e in tail["events"]] == kinds[-1:]
+    # "seq >= since" holds past the end too, and a terminal job is answered
+    # at once (on the event loop) however long the poll asks to wait.
+    t0 = time.perf_counter()
+    assert endpoint.events(ack["id"], since=len(kinds), timeout=20)["events"] == []
+    assert time.perf_counter() - t0 < 5
 
 
 def test_metrics_scrape(endpoint, graph_file):
@@ -111,8 +123,13 @@ def test_bad_requests_are_400(endpoint, graph_file):
         status, doc = endpoint.request("POST", "/v1/jobs", body=body)
         assert (status, doc["error"]) == (400, "bad_request"), (body, doc)
     job = endpoint.submit(_req(graph_file), wait=True)
-    status, doc = endpoint.request("GET", f"/v1/jobs/{job['id']}/events?since=abc")
-    assert (status, doc["error"]) == (400, "bad_request")
+    # since=-3 used to answer with the *last three* events.
+    for query in ("since=abc", "since=-3", "timeout=-1", "timeout=nan",
+                  "timeout=inf", "since=0&timeout=x"):
+        status, doc = endpoint.request(
+            "GET", f"/v1/jobs/{job['id']}/events?{query}"
+        )
+        assert (status, doc["error"]) == (400, "bad_request"), (query, doc)
     status, doc = endpoint.request("GET", "/v1/jobs/job-999999")
     assert status == 404 and doc["error"] == "not_found"
     status, _ = endpoint.request("GET", "/nope")

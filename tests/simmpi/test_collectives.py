@@ -112,25 +112,6 @@ def test_allgather(p):
 
 
 @pytest.mark.parametrize("p", SIZES)
-def test_scatter(p):
-    def program(ctx):
-        objs = [i * 10 for i in range(ctx.comm.size)] if ctx.rank == 0 else None
-        return ctx.comm.scatter(objs, root=0)
-
-    res = Engine(p).run(program)
-    assert res.returns == [r * 10 for r in range(p)]
-
-
-def test_scatter_wrong_length_raises():
-    def program(ctx):
-        objs = [1] if ctx.rank == 0 else None
-        ctx.comm.scatter(objs, root=0)
-
-    with pytest.raises(RankFailedError):
-        Engine(3).run(program)
-
-
-@pytest.mark.parametrize("p", SIZES)
 def test_alltoall_permutation(p):
     def program(ctx):
         objs = [(ctx.rank, d) for d in range(ctx.comm.size)]
@@ -201,17 +182,6 @@ def test_nested_split_grid_rows_cols():
         row_sum = sum(x * 3 + c for c in range(3))
         col_sum = sum(rr * 3 + y for rr in range(3))
         assert res.returns[r] == (row_sum, col_sum)
-
-
-def test_dup_isolates_collectives():
-    def program(ctx):
-        d = ctx.comm.dup()
-        a = d.allreduce(1, SUM)
-        b = ctx.comm.allreduce(2, SUM)
-        return (a, b)
-
-    res = Engine(4).run(program)
-    assert res.returns == [(4, 8)] * 4
 
 
 def test_mismatched_collectives_raise():

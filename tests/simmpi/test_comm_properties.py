@@ -65,10 +65,7 @@ def test_random_point_to_point_permutation(p, seed):
 
     def program(ctx):
         ctx.comm.send(("from", ctx.rank), dests[ctx.rank], tag=1)
-        ctx.comm.barrier()  # all sends are in flight (eager) after this
-        got = []
-        while ctx.comm.probe(tag=1):
-            got.append(ctx.comm.recv(tag=1))
+        got = [ctx.comm.recv(tag=1) for _ in range(expected_counts[ctx.rank])]
         return sorted(s for (_f, s) in got)
 
     res = Engine(p).run(program)

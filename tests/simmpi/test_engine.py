@@ -188,20 +188,6 @@ def test_phase_time_requires_recorded_phase():
         res.phase_time("nope")
 
 
-def test_probe_nonblocking():
-    def program(ctx):
-        if ctx.rank == 0:
-            assert not ctx.comm.probe(source=1, tag=5)
-            ctx.comm.send("go", dest=1, tag=3)
-            return ctx.comm.recv(source=1, tag=5)
-        ctx.comm.recv(source=0, tag=3)
-        ctx.comm.send("back", dest=0, tag=5)
-        return None
-
-    res = Engine(2).run(program)
-    assert res.returns[0] == "back"
-
-
 def test_many_ranks_complete_quickly():
     res = Engine(169).run(lambda ctx: ctx.comm.allreduce(1, SUM))
     assert res.returns == [169] * 169
@@ -216,10 +202,15 @@ def test_trace_records_events():
         ctx.charge("op", 5)
 
     res = Engine(2, trace=True).run(program)
-    kinds = {e.kind for e in res.tracer.events}
-    assert {"send", "recv", "compute"} <= kinds
-    sends = res.tracer.of_kind("send")
-    assert sends and sends[0].detail["dst"] == 1
+    tr = res.tracer
+    assert {(s.cat, s.name) for s in tr.spans} == {
+        ("comm", "send"), ("comm", "wait"), ("compute", "op"),
+    }
+    (send,), (wait,) = tr.sends(), tr.waits()
+    assert (send.rank, send.detail["dst"], send.detail["tag"]) == (0, 1, 2)
+    assert (wait.rank, wait.detail["src"], wait.detail["tag"]) == (1, 0, 2)
+    assert send.detail["seq"] == wait.detail["seq"]
+    assert wait.end == max(wait.begin, send.detail["arrival"])
 
 
 def test_run_result_counts_yields_and_scheduler_wakeups():

@@ -124,15 +124,17 @@ def test_dup_leaves_stale_copy_for_next_recv():
 
 def test_dropped_send_still_emits_traced_fault():
     """The drop happens after the sender is charged: the traced fault
-    event sits at the sender's post-charge clock, on the sender's track."""
+    record ends at the sender's post-charge clock, on the sender's track,
+    and is the only record of the message (it never reached the wire)."""
     eng = Engine(2, fault_injector=_OneShotSendFault(0, _Verdict("drop")),
                  trace=True)
     with pytest.raises(DeadlockError):
         eng.run(_pingpong)
     (ev,) = eng.tracer.faults()
-    assert ev.detail["fault"] == "drop"
+    assert ev.name == "fault:drop" and ev.detail["site"] == "send"
     assert ev.rank == 0
-    assert ev.t > 0  # charged before the verdict was applied
+    assert ev.end > ev.begin  # charged before the verdict was applied
+    assert eng.tracer.sends() == []
 
 
 def test_stall_advances_clock_at_site():
@@ -185,6 +187,11 @@ def test_traced_faults_carry_spans_and_events():
     eng = Engine(2, fault_injector=inj, trace=True)
     eng.run(_pingpong)
     (ev,) = eng.tracer.faults()
-    assert ev.detail["fault"] == "delay"
-    fault_spans = [s for s in eng.tracer.spans if s.cat == "fault"]
-    assert fault_spans and fault_spans[0].name == "fault:delay"
+    assert (ev.cat, ev.name) == ("fault", "fault:delay")
+    # The fault record sits next to the send record of the delayed message:
+    # same sender, same extent, same destination.
+    (send,) = eng.tracer.sends()
+    assert (send.rank, send.end, send.detail["dst"]) == (
+        ev.rank, ev.end, ev.detail["dst"],
+    )
+    assert send.detail["arrival"] >= send.end + 0.1

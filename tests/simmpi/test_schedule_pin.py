@@ -87,9 +87,8 @@ def _observe_mixed(pool) -> dict:
     finally:
         Engine._block = orig_block
     sends = [
-        [e.detail["seq"], e.rank, e.detail["dst"], e.detail["tag"]]
-        for e in run.tracer.events
-        if e.kind == "send"
+        [s.detail["seq"], s.rank, s.detail["dst"], s.detail["tag"]]
+        for s in run.tracer.sends()
     ]
     return {
         "started": started,

@@ -37,6 +37,21 @@ def test_public_callables_documented(modname):
             assert getattr(obj, "__doc__", None), f"{modname}.{name} undocumented"
 
 
+def test_comm_surface_is_what_rank_programs_call():
+    """The rank-program contract: ten methods rank programs call, their
+    three building blocks and the ``alltoall`` spelling.  A new method
+    arrives with a caller — and with an edit here."""
+    from repro.simmpi import Comm, Engine
+
+    public = {n for n, v in vars(Comm).items() if callable(v) and n[0] != "_"}
+    assert public == set(
+        "send recv sendrecv barrier bcast reduce allreduce gather allgather "
+        "alltoall alltoallv scan exscan split".split()
+    )
+    assert Comm.alltoallv is Comm.alltoall
+    assert not hasattr(Engine, "probe") and not hasattr(Engine, "context")
+
+
 def test_version_string():
     import repro
 

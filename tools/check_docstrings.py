@@ -12,7 +12,8 @@ Run directly or via ``make lint`` (CI runs both)::
     python tools/check_docstrings.py [root ...]
 
 Defaults to the packages the repository promises coverage for:
-``src/repro/graph`` and ``src/repro/core``.
+``src/repro/graph``, ``src/repro/core``, ``src/repro/simmpi`` and
+``src/repro/instrument``.
 """
 
 from __future__ import annotations
@@ -22,7 +23,12 @@ import sys
 from pathlib import Path
 
 #: Packages whose public API must be fully docstringed.
-DEFAULT_ROOTS = ("src/repro/graph", "src/repro/core")
+DEFAULT_ROOTS = (
+    "src/repro/graph",
+    "src/repro/core",
+    "src/repro/simmpi",
+    "src/repro/instrument",
+)
 
 _DEF_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
 
