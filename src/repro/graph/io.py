@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -92,11 +93,10 @@ def read_matrix_market(path: str | Path) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-def save_npz(g: Graph, path: str | Path) -> None:
-    """Save in the compact binary format (CSR arrays in an ``.npz``)."""
-    np.savez_compressed(
-        Path(path), n=g.n, indptr=g.adj.indptr, indices=g.adj.indices
-    )
+def save_npz(g: Graph, file: str | Path | BinaryIO) -> None:
+    """Save in the compact binary format (CSR arrays in an ``.npz``) to a
+    path or an open binary file."""
+    np.savez_compressed(file, n=g.n, indptr=g.adj.indptr, indices=g.adj.indices)
 
 
 def load_npz(path: str | Path) -> Graph:

@@ -43,6 +43,7 @@ See ``docs/datasets.md`` for the full digest/invalidation rules and the
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 from pathlib import Path
@@ -680,11 +681,9 @@ class GraphStore:
         """Persist a generated graph under ``key`` (atomic)."""
         from repro.graph.io import save_npz
 
-        self.graphs_dir.mkdir(parents=True, exist_ok=True)
-        path = self.graph_path(key)
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp.npz")
-        save_npz(graph, tmp)
-        os.replace(tmp, path)
+        buf = io.BytesIO()
+        save_npz(graph, buf)
+        atomic_write(self.graph_path(key), [buf.getbuffer()])
 
 
 def resolve_store(cache: Any) -> "GraphStore | None":

@@ -54,8 +54,9 @@ class RankClock:
     """Virtual clock for one rank.
 
     The clock only moves forward.  All mutation goes through the three
-    ``advance_*``/``wait_until`` methods so that phase accounting can never
-    drift from the clock itself.
+    ``advance_*``/``wait_until`` methods — or :meth:`settle`, which adopts
+    the outcome of a whole sequence of them — so that phase accounting can
+    never drift from the clock itself.
     """
 
     def __init__(self, rank: int):
@@ -100,6 +101,21 @@ class RankClock:
         for ph in self._phase_stack:
             ph.comm += dt
         return dt
+
+    def open_comm(self) -> list[float]:
+        """``comm`` of every open phase, outermost first."""
+        return [ph.comm for ph in self._phase_stack]
+
+    def settle(self, now: float, comm: list[float]) -> None:
+        """Adopt the outcome of a sequence of ``advance_comm``/``wait_until``
+        calls that was evaluated elsewhere (the engine's all-to-all
+        rendezvous): the clock reads ``now`` and the open phases' ``comm``
+        totals are ``comm``, in :meth:`open_comm` order."""
+        if now < self._now:
+            raise ValueError(f"clock cannot move back from {self._now} to {now}")
+        self._now = now
+        for ph, total in zip(self._phase_stack, comm):
+            ph.comm = total
 
     # -- phases -----------------------------------------------------------
 

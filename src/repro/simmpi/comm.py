@@ -37,6 +37,7 @@ ANY_TAG = -1
 #: Tag reserved for collective-internal messages (user tags must be >= 0).
 _COLL_TAG = -2
 _ENVELOPE = "__simmpi_coll__"
+_MISMATCH_HINT = "(did every member call the same collective in the same order?)"
 
 
 @dataclass(frozen=True)
@@ -175,8 +176,7 @@ class Comm:
             raise CollectiveMismatchError(
                 f"collective mismatch on rank {self.rank}: expected "
                 f"{op!r}#{seq}, got {got_op!r}#{got_seq} from rank "
-                f"{self.members.index(src_world)} (did every member call the "
-                "same collective in the same order?)"
+                f"{self.members.index(src_world)} {_MISMATCH_HINT}"
             )
         return data
 
@@ -269,13 +269,18 @@ class Comm:
         """Personalized all-to-all: rank ``i`` sends ``objs[j]`` to rank
         ``j`` and receives a list indexed by source rank.
 
-        Implemented as ``size - 1`` pairwise exchange steps, matching the
+        Defined as ``size - 1`` pairwise exchange steps, matching the
         paper's description of the preprocessing all-to-all as point-to-point
         send/receive pairs (its ``p + m/p`` term in the cost analysis).
+        The loop below runs whenever something observes the individual
+        envelopes; otherwise the engine evaluates the same exchange in one
+        rendezvous (:meth:`Engine.alltoall`), to the same virtual outcome.
         """
         if len(objs) != self.size:
             raise ValueError(f"alltoall needs exactly {self.size} send items")
         seq = self._next_seq()
+        if not self.engine.observes_envelopes:
+            return self.engine.alltoall(self, seq, objs)
         out: list[Any] = [None] * self.size
         out[self.rank] = objs[self.rank]
         for k in range(1, self.size):

@@ -171,6 +171,10 @@ class MachineModel:
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
+#: What a tuple or list costs before its items.
+_SEQUENCE_HEADER = 56
+
+
 def payload_nbytes(obj: Any) -> int:
     """Estimate the serialized size of a message payload in bytes.
 
@@ -180,30 +184,42 @@ def payload_nbytes(obj: Any) -> int:
     cost model; it never affects correctness.
 
     The engine calls this once per message, nearly always on a collective's
-    ``(envelope, seq, op, data)`` tuple, so flat tuples and lists of exact
-    builtin types and plain arrays are sized in one loop; anything else
-    (subclasses, numpy scalars, nested containers) takes the generic rules
-    of :func:`_generic_nbytes`, which define the numbers.
+    ``(envelope, seq, op, data)`` tuple, so flat tuples and lists are their
+    header plus :func:`item_sizes`; anything else (subclasses, numpy
+    scalars, other containers) takes the generic rules of
+    :func:`_generic_nbytes`, which define the numbers.
     """
     t = type(obj)
     if t is np.ndarray:
         return obj.nbytes + 96
     if t is not tuple and t is not list:
         return _generic_nbytes(obj)
-    total = 56
-    for x in obj:
+    return _SEQUENCE_HEADER + sum(item_sizes(obj))
+
+
+def item_sizes(objs: Any) -> list[int]:
+    """:func:`payload_nbytes` of every item of ``objs``, in one loop.
+
+    Exact builtin types and plain arrays — what nearly every message is
+    made of — are sized inline.  A sequence's size is its header plus
+    these, so a collective that ships one ``(envelope, seq, op, item)``
+    tuple per item can size the three-item prefix once and add each
+    entry of this list (the engine's all-to-all rendezvous does).
+    """
+    sizes = []
+    for x in objs:
         t = type(x)
         if t is np.ndarray:
-            total += x.nbytes + 96
+            sizes.append(x.nbytes + 96)
         elif t is int or t is float or t is bool:
-            total += 32
+            sizes.append(32)
         elif t is str and x.isascii():
-            total += len(x) + 49
+            sizes.append(len(x) + 49)
         elif x is None:
-            total += 8
+            sizes.append(8)
         else:
-            total += payload_nbytes(x)
-    return total
+            sizes.append(payload_nbytes(x))
+    return sizes
 
 
 def _generic_nbytes(obj: Any) -> int:
@@ -220,7 +236,7 @@ def _generic_nbytes(obj: Any) -> int:
     if isinstance(obj, str):
         return len(obj.encode("utf-8", errors="replace")) + 49
     if isinstance(obj, (list, tuple, set, frozenset)):
-        return 56 + sum(payload_nbytes(x) for x in obj)
+        return _SEQUENCE_HEADER + sum(payload_nbytes(x) for x in obj)
     if isinstance(obj, dict):
         return 64 + sum(
             payload_nbytes(k) + payload_nbytes(v) for k, v in obj.items()

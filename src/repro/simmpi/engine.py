@@ -37,12 +37,22 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterator, Sequence
+
+import numpy as np
 
 from repro.simmpi.clock import PhaseStats, RankClock
-from repro.simmpi.comm import ANY_SOURCE, ANY_TAG, Comm
-from repro.simmpi.costmodel import MachineModel, payload_nbytes
+from repro.simmpi.comm import (
+    _COLL_TAG,
+    _ENVELOPE,
+    _MISMATCH_HINT,
+    ANY_SOURCE,
+    ANY_TAG,
+    Comm,
+)
+from repro.simmpi.costmodel import MachineModel, item_sizes, payload_nbytes
 from repro.simmpi.errors import (
+    CollectiveMismatchError,
     DeadlockError,
     RankCrashError,
     RankFailedError,
@@ -73,6 +83,25 @@ class _Message:
     payload: Any
     nbytes: int
     arrival: float
+
+
+class _Rendezvous:
+    """One open all-to-all: the send lists deposited so far and, once the
+    last member has arrived, what every member receives."""
+
+    __slots__ = ("seq", "comm_id", "members", "sends", "recvs")
+
+    def __init__(self, seq: int, comm_id: Any, members: list[int]):
+        self.seq = seq
+        self.comm_id = comm_id
+        self.members = members
+        #: Communicator rank -> its send list, in arrival order.
+        self.sends: dict[int, Sequence[Any]] = {}
+        #: Communicator rank -> its receive list; ``None`` while open.
+        self.recvs: list[list[Any]] | None = None
+
+    def __str__(self) -> str:
+        return f"alltoall#{self.seq}(comm={self.comm_id})"
 
 
 class _RankState:
@@ -450,6 +479,9 @@ class Engine:
         self._states: list[_RankState] = []
         self._ctxs: list[RankContext] = []
         self._seq = itertools.count()
+        #: Open all-to-all rendezvous by communicator id (a communicator
+        #: has at most one).  Owned by whoever holds the execution token.
+        self._rendezvous: dict[Any, _Rendezvous] = {}
         #: Where the scheduler thread parks (same protocol as a rank's
         #: ``park`` lock); replaced at the start of every run.
         self._sched_lock = _thread.allocate_lock()
@@ -480,6 +512,8 @@ class Engine:
         self._failed = False
         self._cursor = 0
         self._handoffs = self._yields = self._sched_wakeups = 0
+        # Deposits of a run aborted mid-collective must not leak into this one.
+        self._rendezvous = {}
         # An aborted earlier run may have left the old lock in either state.
         self._sched_lock = _thread.allocate_lock()
         self._sched_lock.acquire()
@@ -547,6 +581,11 @@ class Engine:
                 }
                 if not unfinished:
                     return  # all done
+                for rv in self._rendezvous.values():
+                    for r in rv.sends:
+                        unfinished[rv.members[r]] += (
+                            f" {len(rv.sends)} of {len(rv.members)} arrived"
+                        )
                 self._abort_parked_ranks()
                 raise DeadlockError(unfinished)
             self._resume(nxt)
@@ -806,6 +845,111 @@ class Engine:
             if best is None or m.seq < best_seq:
                 best, best_seq = i, m.seq
         return best
+
+    # ------------------------------------------------------------------
+    # all-to-all as one rendezvous (called from rank threads via Comm)
+    # ------------------------------------------------------------------
+
+    @property
+    def observes_envelopes(self) -> bool:
+        """Whether something attached to this engine sees individual
+        messages — a fault injector (``on_send``) or an enabled tracer
+        (one send and one wait record per message, numbered by a global
+        ``seq`` in scheduling order).  Collectives must then run as the
+        point-to-point messages that define them."""
+        return self.faults is not None or self.tracer.enabled
+
+    def alltoall(self, comm: Comm, seq: int, objs: Sequence[Any]) -> list[Any]:
+        """Execute ``comm``'s all-to-all number ``seq`` as one rendezvous.
+
+        The caller deposits its send list and parks; the last member to
+        arrive evaluates the whole pairwise exchange
+        (:meth:`_complete_alltoall`) and wakes the others, so a collective
+        costs ``size - 1`` hand-offs instead of one per blocked receive.
+        Virtual time, phase accounting and the returned objects are those
+        of :meth:`Comm.alltoall`'s envelope loop, bit for bit; only valid
+        while nothing :attr:`observes_envelopes`.
+        """
+        rank = comm.members[comm.rank]
+        rv = self._rendezvous.get(comm.comm_id)
+        if rv is None:
+            rv = _Rendezvous(seq, comm.comm_id, comm.members)
+            self._rendezvous[comm.comm_id] = rv
+        elif rv.seq != seq:
+            raise CollectiveMismatchError(
+                f"collective mismatch on rank {rank}: entered alltoall#{seq} "
+                f"while rank {rv.members[next(iter(rv.sends))]} waits in {rv} "
+                f"{_MISMATCH_HINT}"
+            )
+        rv.sends[comm.rank] = objs
+        if len(rv.sends) == comm.size:
+            del self._rendezvous[comm.comm_id]
+            self._complete_alltoall(rv)
+        mailbox = self._states[rank].mailbox
+        while rv.recvs is None:
+            # An eager send may wake this rank early.  Nothing of this
+            # communicator's collectives can legitimately be in flight to a
+            # member that is inside one, so such an envelope means the
+            # sender is in a different collective.
+            for m in mailbox:
+                if m.tag == _COLL_TAG and m.comm_id == comm.comm_id:
+                    raise CollectiveMismatchError(
+                        f"collective mismatch on rank {rank}: waiting in {rv}, "
+                        f"got {m.payload[2]!r}#{m.payload[1]} from rank {m.src} "
+                        f"{_MISMATCH_HINT}"
+                    )
+            self._block(rank, str(rv))
+        return rv.recvs[comm.rank]
+
+    def _complete_alltoall(self, rv: _Rendezvous) -> None:
+        """Evaluate a full rendezvous: the last arrival runs this.
+
+        The envelope loop's virtual outcome is a recurrence over the entry
+        clocks and the size matrix.  In step ``k`` every rank ``r`` sends
+        to ``r + k`` (``now[r] += send_overhead + beta * nbytes[r, r+k]``,
+        the message arriving ``alpha`` later) and then receives from
+        ``r - k`` (``now[r] = max(now[r], arrival[r-k])``, the gap being
+        waiting time).  Each step is evaluated for all ranks at once, with
+        the same floating-point operations in the same order as
+        :meth:`post_send` and :meth:`RankClock.wait_until` apply them, and
+        every open phase of a rank takes that rank's increments in order.
+        """
+        p = len(rv.members)
+        model = self.model
+        clocks = [self._ctxs[w].clock for w in rv.members]
+        sends = [rv.sends[r] for r in range(p)]
+        # Each message is the tuple (_ENVELOPE, seq, op, item): its first
+        # three items and header are the same for the whole collective.
+        head = payload_nbytes((_ENVELOPE, rv.seq, "alltoall"))
+        nbytes = head + np.array([item_sizes(objs) for objs in sends], dtype=np.int64)
+        cost = model.send_overhead + model.beta * nbytes
+        ranks = np.arange(p)
+        # by_step[k, r]: what rank r's send of step k costs it.
+        by_step = cost[ranks, (ranks + ranks[:, None]) % p]
+        now = np.array([clock.now for clock in clocks])
+        open_comm = [clock.open_comm() for clock in clocks]
+        # comm[d, r]: rank r's open phase at depth d (ranks nest to
+        # different depths; the padding is computed and dropped).
+        comm = np.zeros((max(map(len, open_comm)), p))
+        for r, totals in enumerate(open_comm):
+            comm[: len(totals), r] = totals
+        for k in range(1, p):
+            now += by_step[k]
+            comm += by_step[k]
+            arrival = np.roll(now + model.alpha, k)  # from rank r - k
+            comm += np.maximum(arrival - now, 0.0)
+            np.maximum(now, arrival, out=now)
+        for clock, t, totals, was in zip(clocks, now.tolist(), comm.T.tolist(), open_comm):
+            clock.settle(t, totals[: len(was)])
+        rv.recvs = [list(col) for col in zip(*sends)]
+        for w in rv.members:
+            st = self._states[w]
+            if st.state == _BLOCKED:
+                st.state = _READY
+
+    # ------------------------------------------------------------------
+    # superstep offload
+    # ------------------------------------------------------------------
 
     def offload_rank(
         self,

@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.graph import Graph, erdos_renyi_gnm, rmat_graph
 from repro.graph.generators import barabasi_albert, powerlaw_cluster_fast
 from repro.simmpi import CacheModel, MachineModel
+
+# CI's long property runs: `pytest --hypothesis-profile=long --hypothesis-seed=0`.
+settings.register_profile("long", max_examples=2000, deadline=None)
 
 
 @pytest.fixture(scope="session")

@@ -311,7 +311,7 @@ def test_rank_file_blob_that_disagrees_with_the_file_header(user):
         user.load(0)
 
 
-# -- the atomic writer: one protocol, three users -----------------------------
+# -- the atomic writer: one protocol, four users ------------------------------
 
 
 def _write_rank_file(root: Path) -> Path:
@@ -334,6 +334,15 @@ def _write_checkpoint_manifest(root: Path) -> Path:
     return CheckpointStore(root / "ckpt").write_manifest(4, 2)
 
 
+def _write_store_graph(root: Path) -> Path:
+    from repro.graph import Graph
+    from repro.graph.store import GraphStore
+
+    store = GraphStore(root)
+    store.save_graph("g", Graph.from_edges(3, np.array([[0, 1], [1, 2]])))
+    return store.graph_path("g")
+
+
 class _DiesMidWrite:
     """A file whose first ``write`` gets half the bytes out, then SIGINT."""
 
@@ -353,8 +362,13 @@ class _DiesMidWrite:
 
 @pytest.mark.parametrize(
     "write",
-    [_write_rank_file, _write_store_manifest, _write_checkpoint_manifest],
-    ids=["rank_file", "store_manifest", "checkpoint_manifest"],
+    [
+        _write_rank_file,
+        _write_store_manifest,
+        _write_checkpoint_manifest,
+        _write_store_graph,
+    ],
+    ids=["rank_file", "store_manifest", "checkpoint_manifest", "store_graph"],
 )
 def test_atomic_writers_share_no_temp_and_leave_none_behind(
     write, tmp_path, monkeypatch

@@ -211,6 +211,39 @@ def test_collective_sequence_mismatch_raises():
         Engine(2).run(program)
 
 
+def test_alltoall_entered_at_a_different_sequence_number_raises():
+    def program(ctx):
+        if ctx.rank == 2:
+            ctx.comm.gather("extra", root=0)  # one collective ahead of its peers
+        ctx.comm.alltoall([ctx.rank] * 3)
+
+    # Untraced, so the all-to-all is the engine's rendezvous: rank 2 deposits
+    # for alltoall#2 while ranks 0 and 1 wait in alltoall#1.
+    with pytest.raises(RankFailedError) as ei:
+        Engine(3).run(program)
+    assert ei.value.rank == 2
+    assert isinstance(ei.value.original, CollectiveMismatchError)
+    msg = str(ei.value.original)
+    assert "rank 2" in msg and "alltoall#2" in msg
+    assert "rank 0" in msg and "alltoall#1" in msg
+
+
+def test_peer_in_another_collective_fails_a_parked_alltoall_member():
+    def program(ctx):
+        if ctx.rank == 0:
+            ctx.comm.alltoall([0, 0])
+        else:
+            ctx.comm.barrier()  # its envelope lands on the parked rank 0
+
+    with pytest.raises(RankFailedError) as ei:
+        Engine(2).run(program)
+    assert ei.value.rank == 0
+    assert isinstance(ei.value.original, CollectiveMismatchError)
+    msg = str(ei.value.original)
+    assert "rank 0" in msg and "alltoall#1" in msg
+    assert "rank 1" in msg and "'barrier'#1" in msg
+
+
 def test_invalid_root_raises():
     def program(ctx):
         ctx.comm.bcast("x", root=5)

@@ -98,6 +98,56 @@ def test_partial_deadlock_detected():
     assert set(ei.value.blocked) == {1, 2}
 
 
+def test_alltoall_that_cannot_fill_is_reported_with_its_arrival_count():
+    def program(ctx):
+        if ctx.rank != 2:
+            ctx.comm.alltoall([None] * 3)
+
+    with pytest.raises(DeadlockError) as ei:
+        Engine(3).run(program)
+    assert ei.value.blocked == {
+        0: "alltoall#1(comm=0) 2 of 3 arrived",
+        1: "alltoall#1(comm=0) 2 of 3 arrived",
+    }
+
+
+def test_run_aborted_inside_an_alltoall_leaks_no_deposit_into_the_next():
+    eng = Engine(3)
+
+    def bad(ctx):
+        if ctx.rank == 2:
+            raise ValueError("nope")
+        ctx.comm.alltoall(["stale"] * 3)
+
+    with pytest.raises(RankFailedError):
+        eng.run(bad)
+    # Same communicator, same sequence number as the two stranded deposits.
+    res = eng.run(lambda ctx: ctx.comm.alltoall([ctx.rank] * 3))
+    assert res.returns == [[0, 1, 2]] * 3
+    assert res.yields == 2
+
+
+def test_parked_alltoall_member_woken_by_an_unrelated_send_parks_again():
+    def program(ctx):
+        if ctx.rank == 2:
+            ctx.comm.send("early", dest=0, tag=5)  # rank 0 is parked by now
+            ctx.comm.recv(source=3, tag=6)  # blocks: rank 0 gets the token
+        if ctx.rank == 3:
+            ctx.comm.send("go", dest=2, tag=6)
+        got = ctx.comm.alltoall([(ctx.rank, dst) for dst in range(4)])
+        if ctx.rank == 0:
+            return got, ctx.comm.recv(source=2, tag=5)
+        return got, None
+
+    res = Engine(4).run(program)
+    for r, (got, note) in enumerate(res.returns):
+        assert got == [(src, r) for src in range(4)]
+        assert note == ("early" if r == 0 else None)
+    # Three members park, rank 2 blocks once in its receive, and rank 0 —
+    # woken before the rendezvous is full — parks a second time.
+    assert res.yields == 5
+
+
 def test_rank_exception_propagates_with_rank_id():
     def program(ctx):
         if ctx.rank == 3:
@@ -226,9 +276,20 @@ def test_run_result_counts_yields_and_scheduler_wakeups():
     # once, by the last rank to finish.
     assert res.scheduler_wakeups == 1
 
+    # An all-to-all is one rendezvous: every member but the last parks once.
     wide = Engine(16).run(lambda ctx: ctx.comm.alltoall(list(range(16))))
-    assert wide.yields > 16
+    assert wide.yields == 15
     assert wide.scheduler_wakeups == 1
+
+    # A tracer observes each envelope, so a traced run executes the
+    # all-to-all as its 16 x 15 messages and blocks on their receives.
+    traced = Engine(16, trace=True).run(
+        lambda ctx: ctx.comm.alltoall(list(range(16)))
+    )
+    assert traced.returns == wide.returns
+    assert len(traced.tracer.sends()) == 16 * 15
+    assert traced.yields == 120
+    assert traced.scheduler_wakeups == 1
 
 
 def test_rank_that_never_yields_is_reported_as_wedged():
