@@ -14,6 +14,7 @@ import pytest
 from repro.core.blocks import Block, build_block
 from repro.core.config import TC2DConfig
 from repro.core.intersect import count_block_pair
+from repro.core.kernels import compiled
 from repro.graph import rmat_graph
 from repro.hashing import BlockHashMap
 
@@ -95,10 +96,12 @@ def test_bench_intersection_kernel(benchmark, block_triple):
     assert st.tasks > 0
 
 
-@pytest.mark.parametrize("backend", ["row", "batch"])
+@pytest.mark.parametrize("backend", ["row", "batch", "c"])
 def test_bench_intersection_kernel_backend(benchmark, block_triple, backend):
-    """Per-backend timing of the same block triple (the regression pair
+    """Per-backend timing of the same block triple (the regression chain
     that ``repro.bench.kernelbench`` gates on in CI)."""
+    if backend == "c" and not compiled.available():
+        pytest.skip(f"compiled backend: {compiled.unavailable_reason()}")
     t_blk, u_blk, l_blk = block_triple
     cfg = TC2DConfig(kernel_backend=backend)
     st = benchmark(count_block_pair, t_blk, u_blk, l_blk, cfg)
@@ -107,15 +110,18 @@ def test_bench_intersection_kernel_backend(benchmark, block_triple, backend):
 
 
 def test_backend_parity_on_bench_input(block_triple):
-    """Before trusting any timing: row and batch must agree bit-for-bit
-    on the benchmark input (counts AND logical counters)."""
+    """Before trusting any timing: the backends must agree bit-for-bit on
+    the benchmark input (counts AND logical counters)."""
     from dataclasses import asdict
+
+    from repro.bench.kernelbench import backends
 
     t_blk, u_blk, l_blk = block_triple
     cfg = TC2DConfig()
     st_row = count_block_pair(t_blk, u_blk, l_blk, cfg, backend="row")
-    st_batch = count_block_pair(t_blk, u_blk, l_blk, cfg, backend="batch")
-    assert asdict(st_row) == asdict(st_batch)
+    for other in backends()[1:]:
+        st = count_block_pair(t_blk, u_blk, l_blk, cfg, backend=other)
+        assert asdict(st_row) == asdict(st), other
 
 
 def test_kernelbench_smoke(tmp_path):
@@ -124,7 +130,7 @@ def test_kernelbench_smoke(tmp_path):
     import json
 
     from repro.bench.core import bench_main
-    from repro.bench.kernelbench import SCHEMA, SUITE, check
+    from repro.bench.kernelbench import SCHEMA, SUITE, backends, check
 
     out = tmp_path / "BENCH_kernels.json"
     rc = bench_main(SUITE, ["--smoke", "--reps", "3", "--out", str(out)])
@@ -133,8 +139,9 @@ def test_kernelbench_smoke(tmp_path):
     assert report["schema"] == SCHEMA
     assert report["mode"] == "smoke"
     assert all(
-        {"row", "batch"} <= set(c["backends"]) for c in report["cases"]
+        set(backends()) == set(c["backends"]) for c in report["cases"]
     )
+    assert report["compiled"] == (compiled.unavailable_reason() or True)
     assert isinstance(check(report, []), list)
 
 

@@ -27,7 +27,7 @@ from typing import Any
 from repro.bench.core import Suite, bench_main, envelope, named_cases, row
 from repro.core.blocks import Block, build_block
 from repro.core.config import TC2DConfig
-from repro.core.kernels import available_backends, get_backend
+from repro.core.kernels import available_backends, compiled, get_backend
 from repro.graph import rmat_graph
 from repro.instrument.telemetry import peak_rss_bytes
 
@@ -37,17 +37,26 @@ from repro.instrument.telemetry import peak_rss_bytes
 #: 3 adds per-backend total ``wall_s`` and per-case ``peak_rss_bytes``
 #: (process high-water mark after the case ran).  4 adds per-case
 #: ``task_rows`` / ``hash_builds`` / ``hash_fast_builds``, so an artifact
-#: shows which cases put every build on the probed path.
-SCHEMA = 4
+#: shows which cases put every build on the probed path.  5 adds the
+#: compiled backend's column (``backends.c``) and ``speedup_c_vs_batch``
+#: where the host could build it, and ``compiled`` (true, or the reason
+#: the column is missing).
+SCHEMA = 5
 
-#: Backends timed by default ("auto" adds only dispatch overhead on top
-#: of whichever concrete backend it picks, so it is not timed separately).
+#: Backends timed on every host ("auto" adds only dispatch overhead on
+#: top of whichever concrete backend it picks, so it is not timed
+#: separately); :func:`backends` adds ``"c"`` where it loaded.
 BACKENDS = ("row", "batch")
 
 #: The regression gate: ``--check`` fails when batch is slower than
-#: ``row * CHECK_TOLERANCE`` on any case (tolerance absorbs timer noise
-#: on tiny smoke cases).
+#: ``row * CHECK_TOLERANCE`` or c slower than ``batch * CHECK_TOLERANCE``
+#: on any case (tolerance absorbs timer noise on tiny smoke cases).
 CHECK_TOLERANCE = 1.10
+
+
+def backends() -> tuple[str, ...]:
+    """The backends this host can time."""
+    return BACKENDS + (("c",) if compiled.available() else ())
 
 
 def _bench_graph(scale: int, seed: int):
@@ -191,25 +200,33 @@ def _time_case(
     }
     if "row" in best and "batch" in best and best["batch"] > 0:
         out["speedup_batch_vs_row"] = best["row"] / best["batch"]
+    if "batch" in best and best.get("c", 0) > 0:
+        out["speedup_c_vs_batch"] = best["batch"] / best["c"]
     return out
 
 
 def run_bench(args: argparse.Namespace) -> dict[str, Any]:
     """Run the sweep and return the JSON-serializable report."""
     results = []
+    timed = backends()
     for case in SMOKE_CASES if args.smoke else CASES:
-        res = _time_case(case, BACKENDS, args.reps)
+        res = _time_case(case, timed, args.reps)
         results.append(res)
-        spd = res.get("speedup_batch_vs_row")
-        spd_txt = f"  batch speedup {spd:.2f}x" if spd else ""
+        spd_txt = "".join(
+            f"  {label} {res[key]:.2f}x"
+            for key, label in (("speedup_batch_vs_row", "batch/row"),
+                               ("speedup_c_vs_batch", "c/batch"))
+            if key in res
+        )
         timing_txt = "  ".join(
-            f"{b}={res['backends'][b]['best_ms']:.3f}ms" for b in BACKENDS
+            f"{b}={res['backends'][b]['best_ms']:.3f}ms" for b in timed
         )
         print(f"{case.name:<24} {timing_txt}{spd_txt}", file=sys.stderr)
     return {
         **envelope(SUITE.name, args.smoke, schema=SCHEMA),
         "reps": args.reps,
         "registered_backends": list(available_backends()),
+        "compiled": compiled.unavailable_reason() or True,
         "cases": results,
     }
 
@@ -228,18 +245,22 @@ def history_rows(report: dict[str, Any]) -> list[dict[str, Any]]:
 
 
 def check(report: dict[str, Any], notes: list[str]) -> list[str]:
-    """Regression gate: batch must not be slower than row on any case."""
+    """Regression gate: on every case batch must not be slower than row,
+    and c — where the report has the column — not slower than batch."""
     failures = []
     for name, case in named_cases(report):
         t = case.get("backends") or {}
-        if "row" not in t or "batch" not in t:
-            continue
-        row_ms, batch_ms = t["row"]["best_ms"], t["batch"]["best_ms"]
-        if batch_ms > row_ms * CHECK_TOLERANCE:
-            failures.append(
-                f"{name}: batch {batch_ms:.3f}ms > "
-                f"row {row_ms:.3f}ms * {CHECK_TOLERANCE}"
-            )
+        for fast, slow in (("batch", "row"), ("c", "batch")):
+            if fast not in t or slow not in t:
+                continue
+            fast_ms, slow_ms = t[fast]["best_ms"], t[slow]["best_ms"]
+            if fast_ms > slow_ms * CHECK_TOLERANCE:
+                failures.append(
+                    f"{name}: {fast} {fast_ms:.3f}ms > "
+                    f"{slow} {slow_ms:.3f}ms * {CHECK_TOLERANCE}"
+                )
+    if report.get("compiled") not in (True, None):
+        notes.append(f"c column SKIPPED: {report['compiled']}")
     return failures
 
 

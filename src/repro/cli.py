@@ -864,6 +864,14 @@ def _add_executor_flags(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.core.config import KERNEL_BACKENDS
+
+    kernel_flag = dict(
+        choices=KERNEL_BACKENDS,
+        help="intersection-kernel backend (default: auto; identical "
+        "results, wall time only; c = the compiled loop, an error on a "
+        "host that cannot build it)",
+    )
     parser = argparse.ArgumentParser(
         prog="repro",
         description="2D parallel triangle counting (Tom & Karypis, ICPP 2019) "
@@ -904,12 +912,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="largest rank count --auto may plan (default: 64)",
     )
     c.add_argument("--enumeration", choices=["jik", "ijk"], default="jik")
-    c.add_argument(
-        "--kernel",
-        choices=["auto", "row", "batch"],
-        help="intersection-kernel backend (default: auto; identical "
-        "results, wall time only)",
-    )
+    c.add_argument("--kernel", **kernel_flag)
     c.add_argument("--no-doubly-sparse", action="store_true")
     c.add_argument("--no-modified-hashing", action="store_true")
     c.add_argument("--no-early-stop", action="store_true")
@@ -949,12 +952,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--algorithm", "-a", choices=["tc2d", "coveredge", "summa"],
         help="counting algorithm (default: tc2d)",
     )
-    pr.add_argument(
-        "--kernel",
-        choices=["auto", "row", "batch"],
-        help="intersection-kernel backend (default: auto; identical "
-        "results, wall time only)",
-    )
+    pr.add_argument("--kernel", **kernel_flag)
     pr.add_argument("--seed", type=int, default=0)
     pr.add_argument(
         "--trace",
@@ -1204,8 +1202,14 @@ def main(argv: list[str] | None = None) -> int:
         if rest and rest[0] == "--":
             rest = rest[1:]
         return chaos_main(rest)
+    from repro.core.kernels import KernelUnavailableError
+
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except KernelUnavailableError as exc:  # --kernel c without a compiler
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

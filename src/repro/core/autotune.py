@@ -7,10 +7,11 @@ worker count.  :func:`plan_run` collapses that into one call: it
 collects **cheap graph signals** (degree shape, wedge count, cover-edge
 statistics — everything strictly cheaper than counting triangles),
 combines them with the :class:`~repro.simmpi.costmodel.MachineModel`'s
-rates into a predicted virtual makespan per (algorithm, p) candidate,
-and derives the wall-clock-only knobs (kernel backend, executor,
-workers) from separate heuristics — those knobs never change the
-virtual clock, so they must not participate in the virtual-time argmin.
+rates into a predicted virtual makespan per (algorithm, p) candidate.
+The wall-clock-only knobs (kernel backend, executor, workers) never
+change the virtual clock, so they cannot participate in the virtual-time
+argmin; they take the values the committed wall-clock artifacts show
+winning — ``auto`` and ``sequential`` — unless pinned.
 
 Three properties the tests pin down:
 
@@ -343,19 +344,12 @@ def plan_run(
     best_alg, best_p = best_key.rsplit("-p", 1)
     best_p = int(best_p)
 
-    # Wall-clock-only knobs: these never move the virtual clock, so they
-    # are chosen by heuristics, not by the virtual-time argmin.
-    if "kernel_backend" in pinned:
-        kernel = pinned["kernel_backend"]
-    elif signals.m < 2000:
-        kernel = "row"  # vectorization setup dominates tiny fragments
-    else:
-        kernel = "auto"  # adaptive per block pair; the safe default
-    kernel_ops = signals.wedges / 2 + signals.m * math.isqrt(best_p)
-    if "executor" in pinned:
-        executor = pinned["executor"]
-    else:
-        executor = "parallel" if cores >= 2 and kernel_ops >= 2e6 else "sequential"
+    # Wall-clock-only knobs never move the virtual clock, so the argmin
+    # above cannot choose them, and no committed wall-clock artifact shows
+    # a graph size or core count where forcing a backend or starting a
+    # pool beats these two (docs/autotune.md has the tables).
+    kernel = pinned.get("kernel_backend", "auto")
+    executor = pinned.get("executor", "sequential")
     if "workers" in pinned:
         workers = int(pinned["workers"])
     elif executor == "parallel":

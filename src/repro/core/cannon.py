@@ -37,7 +37,7 @@ from repro.core.blocks import Block, exchange_block
 from repro.core.config import TC2DConfig
 from repro.core.counts import ShiftRecord, TriangleCountResult
 from repro.core.grid import ProcessorGrid
-from repro.core.kernels import KernelStats, resolve_backend
+from repro.core.kernels import KernelStats, prepare_backend, resolve_backend
 from repro.core.preprocess import partition_1d
 from repro.core.superstep import KERNEL_JOB_ENTRY
 from repro.graph.csr import Graph
@@ -586,6 +586,10 @@ class GridJob:
 
     def _open(self) -> None:
         cfg, p = self.cfg, self.p
+        # Before a pool exists or a rank runs: the compiled kernel is
+        # built here or not at all, and an explicit "c" that cannot be
+        # had fails typed on the driver, not inside a rank.
+        prepare_backend(cfg.kernel_backend)
         self.caches = _open_caches(
             self._cache_arg, self.graph, p, cfg, self.model, self.dataset,
             self.passes,

@@ -25,8 +25,10 @@ ALGORITHMS = ("tc2d", "coveredge")
 
 #: Valid intersection-kernel backends (see :mod:`repro.core.kernels`):
 #: "row" is the reference per-row loop, "batch" the fully vectorized
-#: implementation, "auto" picks per block pair from cheap shape stats.
-KERNEL_BACKENDS = ("auto", "row", "batch")
+#: implementation, "c" the same loop compiled with ``cc`` on first use
+#: (an error where that cannot be done), "auto" takes "c" where it loaded
+#: and otherwise picks per block pair from cheap shape stats.
+KERNEL_BACKENDS = ("auto", "row", "batch", "c")
 
 #: Valid superstep executors (see :mod:`repro.simmpi.parallel`):
 #: "sequential" runs kernels inline on the deterministic scheduler;
@@ -81,9 +83,11 @@ class TC2DConfig:
         sizes the map).
     kernel_backend:
         Intersection-kernel implementation: ``"row"`` (reference per-row
-        loop), ``"batch"`` (vectorized), or ``"auto"`` (per-block-pair
-        choice from shape statistics).  All backends produce identical
-        counts, counters and virtual time — only wall time differs.
+        loop), ``"batch"`` (vectorized), ``"c"`` (the compiled loop) or
+        ``"auto"`` (``"c"`` where the host could build it, else a
+        per-block-pair choice from shape statistics).  All backends
+        produce identical counts, counters and virtual time — only wall
+        time differs.
     executor:
         Superstep executor for the counting phase: ``"sequential"``
         (kernels run inline under the deterministic scheduler) or

@@ -10,7 +10,10 @@ by one of the interchangeable backends in :mod:`repro.core.kernels`:
 * ``"batch"`` — fully vectorized bulk gathers + one ``searchsorted``
   membership pass, with only collision-afflicted rows replayed through
   the hash map;
-* ``"auto"`` — per-block-pair choice from cheap shape statistics.
+* ``"c"`` — the reference loop as one C file, compiled with ``cc`` on
+  first use (unavailable — a typed error — on a host that cannot);
+* ``"auto"`` — ``"c"`` where it loaded, else a per-block-pair choice from
+  cheap shape statistics.
 
 :func:`count_block_pair` resolves ``cfg.kernel_backend`` and delegates.
 Operation counts are *logical* (what a scalar C implementation would
@@ -44,8 +47,8 @@ def count_block_pair(
     block's CSR order), per-task triangle counts are accumulated into it —
     the hook the k-truss/support extension uses.
 
-    ``backend`` overrides ``cfg.kernel_backend`` (``"row"``, ``"batch"``
-    or ``"auto"``) for this call.
+    ``backend`` overrides ``cfg.kernel_backend`` (``"row"``, ``"batch"``,
+    ``"c"`` or ``"auto"``) for this call.
 
     Returns a :class:`KernelStats`; the triangle count is
     ``stats.triangles``.

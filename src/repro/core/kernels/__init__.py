@@ -9,8 +9,13 @@ this package makes its implementation pluggable:
 * ``"batch"`` (:mod:`~repro.core.kernels.batched`) — fully vectorized:
   bulk gathers, one duplicate-slot scan, one ``searchsorted`` membership
   pass, with only collision-afflicted rows replayed through the hash map;
-* ``"auto"`` (:mod:`~repro.core.kernels.dispatch`) — per-block-pair
-  choice from cheap shape statistics.
+* ``"c"`` (:mod:`~repro.core.kernels.compiled`) — the row-wise loop as
+  one C file, built with ``cc`` on first use and loaded through
+  ``ctypes``; registered always, runnable where
+  :func:`~repro.core.kernels.compiled.available` says so;
+* ``"auto"`` (:mod:`~repro.core.kernels.dispatch`) — ``"c"`` where it
+  loaded, else a per-block-pair choice between ``"row"`` and ``"batch"``
+  from cheap shape statistics.
 
 All backends obey one contract: identical triangle counts, identical
 ``support_out`` accumulation, and bit-identical logical
@@ -40,8 +45,10 @@ import numpy as np
 
 from repro.core.blocks import Block
 from repro.core.config import KERNEL_BACKENDS, TC2DConfig
+from repro.core.kernels import compiled
 from repro.core.kernels.batched import count_block_pair_batch, enumerate_hits_batch
 from repro.core.kernels.common import KernelStats, kernel_capacity, require_aligned
+from repro.core.kernels.compiled import KernelUnavailableError, count_block_pair_c
 from repro.core.kernels.dispatch import block_shape_stats, choose_backend
 from repro.core.kernels.rowwise import count_block_pair_row, enumerate_hits_row
 
@@ -86,7 +93,14 @@ def available_backends() -> tuple[str, ...]:
 
 
 def get_backend(name: str) -> KernelFn:
-    """Look up a concrete (non-auto) backend by name."""
+    """Look up a concrete (non-auto) backend by name.
+
+    Asking for ``"c"`` is what builds and loads the compiled library
+    (once per process); on a host that cannot provide it this raises
+    :class:`KernelUnavailableError` with the reason.
+    """
+    if name == "c":
+        compiled.load()
     try:
         return _REGISTRY[name]
     except KeyError:
@@ -113,6 +127,20 @@ def resolve_backend(
     return name, get_backend(name)
 
 
+def prepare_backend(name: str) -> None:
+    """Driver-side: settle, before any rank runs, what ``name`` needs.
+
+    The compiled library is built and loaded here — once, in the calling
+    process — so no rank thread, pool worker or served request ever waits
+    for a compiler.  ``"auto"`` falls back silently when it cannot be
+    had; an explicit ``"c"`` raises :class:`KernelUnavailableError`.
+    """
+    if name == "auto":
+        compiled.available()
+    else:
+        get_backend(name)
+
+
 def get_enumerator(name: str) -> Callable:
     """Enumeration twin of a concrete backend (listing/census pipeline).
 
@@ -126,21 +154,25 @@ def get_enumerator(name: str) -> Callable:
 
 register_backend("row", count_block_pair_row, enumerate_hits_row)
 register_backend("batch", count_block_pair_batch, enumerate_hits_batch)
+register_backend("c", count_block_pair_c, enumerate_hits_batch)
 
 __all__ = [
     "KERNEL_BACKENDS",
     "KernelFn",
     "KernelStats",
+    "KernelUnavailableError",
     "available_backends",
     "block_shape_stats",
     "choose_backend",
     "count_block_pair_batch",
+    "count_block_pair_c",
     "count_block_pair_row",
     "enumerate_hits_batch",
     "enumerate_hits_row",
     "get_backend",
     "get_enumerator",
     "kernel_capacity",
+    "prepare_backend",
     "register_backend",
     "require_aligned",
     "resolve_backend",

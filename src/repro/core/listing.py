@@ -29,7 +29,7 @@ import numpy as np
 from repro.core.cannon import TAGS_TC2D, Operands, exchange_operands
 from repro.core.config import TC2DConfig
 from repro.core.grid import ProcessorGrid
-from repro.core.kernels import get_enumerator, resolve_backend
+from repro.core.kernels import get_enumerator, prepare_backend, resolve_backend
 from repro.core.preprocess import (
     InputChunk,
     chunk_bounds,
@@ -163,6 +163,7 @@ def triangle_census_2d(
     cfg = cfg if cfg is not None else TC2DConfig()
     if cfg.enumeration != "jik":
         raise ValueError("triangle enumeration implements the jik task layout only")
+    prepare_backend(cfg.kernel_backend)
     grid = ProcessorGrid.for_ranks(p)
     chunks = partition_1d(graph, p)
     engine = Engine(p, model=model)

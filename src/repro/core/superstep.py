@@ -18,11 +18,14 @@ worker computes a *pure function of the submitted bytes*: same inputs +
 same config → same outputs, bit-identical to running the kernel inline.
 
 Backend resolution happens in the **parent** (``resolve_backend`` runs
-rank-side before submission) for two reasons: the ``"auto"`` choice is
-part of the observable result (span labels, ``backend_uses``), and
-custom backends registered only in the parent process do not exist in
-spawn workers unless a ``worker_init`` hook re-registers them — see
-:func:`repro.simmpi.parallel._worker_initializer`.
+rank-side before submission) for three reasons: the ``"auto"`` choice is
+part of the observable result (span labels, ``backend_uses``); custom
+backends registered only in the parent process do not exist in spawn
+workers unless a ``worker_init`` hook re-registers them — see
+:func:`repro.simmpi.parallel._worker_initializer`; and the compiled
+``"c"`` backend is built (once, by the driver's ``prepare_backend``)
+before the first job names it, so a worker's ``get_backend("c")`` only
+ever loads the cached library — no worker runs a compiler.
 """
 
 from __future__ import annotations

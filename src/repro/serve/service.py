@@ -525,6 +525,11 @@ class TriangleService:
         from repro.graph.store import store_from_env
 
         self._store = store_from_env(self.config.store)
+        # Build/load the compiled kernel before any job is taken, so no
+        # request's latency contains a compiler run.
+        from repro.core.kernels import prepare_backend
+
+        prepare_backend("auto")
         self._pool = None
         self._pool_lock = threading.Lock()
         if self.config.executor == "parallel":

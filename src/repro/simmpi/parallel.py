@@ -76,7 +76,9 @@ Worker lifecycle (spawn, not fork)
 Workers are started with the explicit ``spawn`` context: each worker is
 a fresh interpreter that re-imports the job's entry module, so
 module-level registries (e.g. the kernel-backend registry, which
-registers ``"row"``/``"batch"`` at import time) are rebuilt from scratch
+registers ``"row"``/``"batch"``/``"c"`` at import time — the compiled
+library behind ``"c"`` is a file the parent built before the first job,
+which a worker only loads) are rebuilt from scratch
 instead of inheriting an arbitrary fork-time snapshot of the parent —
 the parent's tracer, engine state and any half-initialized globals never
 leak into workers.  Code that mutates module state beyond import-time

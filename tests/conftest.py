@@ -68,6 +68,17 @@ def preprocessed_blocks():
 
 
 @pytest.fixture()
+def compiler_less(monkeypatch):
+    """The state of a host that cannot build the compiled kernel backend:
+    ``auto`` dispatches between ``row`` and ``batch`` as it did before
+    ``"c"`` existed, an explicit ``"c"`` raises.  (Pool workers take the
+    backend the parent resolved, so this covers pooled runs too.)"""
+    from repro.core.kernels import compiled
+
+    monkeypatch.setattr(compiled, "_loaded", "no C compiler (compiler_less fixture)")
+
+
+@pytest.fixture()
 def fast_model() -> MachineModel:
     """Machine model without cache effects, for timing-algebra tests."""
     return MachineModel(cache=None)

@@ -149,6 +149,25 @@ def test_sequential_executor_on_tiny_inputs(signals):
     assert plan.workers == 0
 
 
+def test_wall_clock_knobs_follow_the_artifacts(signals):
+    """No size or core count makes the tuner force ``row`` or start a
+    pool any more (BENCH_kernels.json / BENCH_parallel*.json: neither
+    wins anywhere); a pinned executor still gets its workers sized."""
+    import dataclasses
+
+    heavy = dataclasses.replace(signals, m=10**7, wedges=10**10)
+    tiny = dataclasses.replace(signals, m=500, wedges=2000)
+    for sig in (tiny, signals, heavy):
+        plan = plan_run(signals=sig, cores=64, max_p=16)
+        assert (plan.kernel_backend, plan.executor, plan.workers) == (
+            "auto", "sequential", 0,
+        )
+    pooled = plan_run(
+        signals=heavy, pinned={"executor": "parallel", "p": 16}, cores=4
+    )
+    assert pooled.workers == 4
+
+
 def test_history_overrides_model(er_graph, tmp_path):
     """A recorded measurement that contradicts the model must win: give
     coveredge-p4 an implausibly small measured makespan and the planner

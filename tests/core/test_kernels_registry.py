@@ -6,15 +6,18 @@ import numpy as np
 import pytest
 
 from repro.core import kernels
+from repro.core.kernels import compiled
 from repro.core.config import TC2DConfig
 from repro.core.intersect import count_block_pair
 from repro.core.kernels import (
     KernelStats,
+    KernelUnavailableError,
     available_backends,
     choose_backend,
     get_backend,
     get_enumerator,
     kernel_capacity,
+    prepare_backend,
     register_backend,
     resolve_backend,
 )
@@ -26,6 +29,8 @@ from tests.core.test_intersect import random_case, to_blocks
 def test_builtin_backends_registered():
     names = available_backends()
     assert "row" in names and "batch" in names and "auto" in names
+    assert "c" in names  # registered always; runnable where it loads
+    assert set(names) == set(kernels.KERNEL_BACKENDS)
 
 
 def test_unknown_backend_rejected():
@@ -75,12 +80,22 @@ def test_config_rejects_unknown_backend():
         TC2DConfig(kernel_backend="simd")
 
 
-def test_auto_dispatch_wide_block_batches():
+@pytest.fixture()
+def compiled_loaded():
+    if not compiled.available():
+        pytest.skip(f"compiled backend unavailable: {compiled.unavailable_reason()}")
+
+
+def _wide_block():
     rng = np.random.default_rng(0)
     tasks = [(j, j) for j in range(AUTO_MIN_ROWS + 2)]
     urows = {j: [int(rng.integers(0, 15))] for j, _ in tasks}
     lcols = {j: [0, 1] for j, _ in tasks}
-    tb, ub, lb = to_blocks(tasks, urows, lcols, n_outer=AUTO_MIN_ROWS + 2)
+    return to_blocks(tasks, urows, lcols, n_outer=AUTO_MIN_ROWS + 2)
+
+
+def test_auto_dispatch_wide_block_batches(compiler_less):
+    tb, ub, lb = _wide_block()
     cfg = TC2DConfig()
     assert choose_backend(tb, ub, lb, cfg) == "batch"
     name, fn = resolve_backend("auto", tb, ub, lb, cfg)
@@ -88,7 +103,16 @@ def test_auto_dispatch_wide_block_batches():
     assert fn is get_backend("batch")
 
 
-def test_auto_dispatch_degenerate_blocks_stay_row():
+def test_auto_dispatch_wide_block_compiled(compiled_loaded):
+    tb, ub, lb = _wide_block()
+    cfg = TC2DConfig()
+    assert choose_backend(tb, ub, lb, cfg) == "c"
+    name, fn = resolve_backend("auto", tb, ub, lb, cfg)
+    assert name == "c"
+    assert fn is get_backend("c")
+
+
+def test_auto_dispatch_degenerate_blocks_stay_row(compiler_less):
     cfg = TC2DConfig()
     tb, ub, lb = to_blocks([], {}, {})
     assert choose_backend(tb, ub, lb, cfg) == "row"
@@ -96,19 +120,54 @@ def test_auto_dispatch_degenerate_blocks_stay_row():
     assert choose_backend(tb, ub, lb, cfg) == "row"
 
 
-def test_auto_dispatch_probed_mode_batches():
-    """Without modified hashing every build is probed, and the batch
-    backend lays all of them out in one bulk call — the shape rule
-    decides, the toggle does not."""
+def test_auto_dispatch_degenerate_blocks_compiled(compiled_loaded):
+    """Nothing to count stays ``row`` (no call at all is cheaper than a
+    foreign call); a single task already goes to ``"c"``."""
+    cfg = TC2DConfig()
+    tb, ub, lb = to_blocks([], {}, {})
+    assert choose_backend(tb, ub, lb, cfg) == "row"
+    tb, ub, lb = to_blocks([(0, 0)], {0: [1]}, {0: [1]})
+    assert choose_backend(tb, ub, lb, cfg) == "c"
+
+
+def _probed_block():
     tasks = [(j, j) for j in range(AUTO_MIN_ROWS + 2)]
-    tb, ub, lb = to_blocks(
+    return to_blocks(
         tasks,
         {j: [1, 2] for j, _ in tasks},
         {j: [1, 2] for j, _ in tasks},
         n_outer=AUTO_MIN_ROWS + 2,
     )
+
+
+def test_auto_dispatch_probed_mode_batches(compiler_less):
+    """Without modified hashing every build is probed, and the batch
+    backend lays all of them out in one bulk call — the shape rule
+    decides, the toggle does not."""
+    tb, ub, lb = _probed_block()
     cfg = TC2DConfig(modified_hashing=False)
     assert choose_backend(tb, ub, lb, cfg) == "batch"
+
+
+def test_auto_dispatch_probed_mode_compiled(compiled_loaded):
+    tb, ub, lb = _probed_block()
+    cfg = TC2DConfig(modified_hashing=False)
+    assert choose_backend(tb, ub, lb, cfg) == "c"
+
+
+def test_explicit_c_on_a_compiler_less_host_is_a_typed_error(compiler_less):
+    tb, ub, lb = to_blocks([(0, 0)], {0: [1]}, {0: [1]})
+    for ask in (
+        lambda: get_backend("c"),
+        lambda: prepare_backend("c"),
+        lambda: resolve_backend("c", tb, ub, lb, TC2DConfig()),
+        lambda: count_block_pair(tb, ub, lb, TC2DConfig(), backend="c"),
+    ):
+        with pytest.raises(KernelUnavailableError, match="no C compiler") as info:
+            ask()
+        assert "no C compiler" in info.value.reason
+    prepare_backend("auto")  # silent
+    assert get_enumerator("c") is kernels.enumerate_hits_batch
 
 
 def test_auto_matches_concrete_backends():
@@ -121,8 +180,9 @@ def test_auto_matches_concrete_backends():
         d = {
             b: dataclasses.asdict(count_block_pair(tb, ub, lb, cfg, backend=b))
             for b in ("auto", "row", "batch")
+            + (("c",) if compiled.available() else ())
         }
-        assert d["auto"] == d["row"] == d["batch"]
+        assert all(v == d["row"] for v in d.values())
 
 
 def test_kernel_capacity_rounds_fractional_slack():

@@ -14,12 +14,20 @@ logical counters, virtual clocks, memory peak, shift records, trace bytes,
 cache spans, the recovery attempt log — recorded before the drivers were
 folded onto one Cannon rotation and one run driver (``core/cannon.py``).
 A refactor of that plumbing must leave it untouched too.
+
+Kernel spans are labelled ``kernel:<backend>``, and which backend ``auto``
+picks depends on whether the host could build the compiled one.  The pin
+must not: every pinned observer runs under ``compiler_less`` (the state of
+a host without ``cc``), and :func:`test_compiled_backend_moves_only_the_label`
+holds the same observers under ``"c"`` to the same numbers.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +41,7 @@ from repro.core import (
     count_triangles_summa,
     triangle_census_2d,
 )
+from repro.core.kernels import compiled
 from repro.graph import Graph
 from repro.graph.store import GraphStore
 from repro.instrument import dumps_chrome_trace
@@ -231,20 +240,72 @@ def test_mixed_program_schedule_is_pinned(expected):
     assert got["resumes"] == want["resumes"]
 
 
-def test_tc2d_p16_trace_bytes_are_pinned(expected):
+def test_tc2d_p16_trace_bytes_are_pinned(expected, compiler_less):
     assert _observe_tc2d() == expected["tc2d_p16"]
 
 
 @pytest.mark.parametrize("name", sorted(DRIVER_OBSERVERS))
-def test_driver_reports_are_pinned(expected, name, tmp_path):
+def test_driver_reports_are_pinned(expected, name, tmp_path, compiler_less):
     # Through JSON and back so tuples/ints compare the way they were stored
     # (floats round-trip exactly via repr).
     got = json.loads(json.dumps(DRIVER_OBSERVERS[name](tmp_path)))
     assert got == expected["drivers"][name]
 
 
+_TRACE_FIELDS = {"trace_sha256", "trace_bytes"}
+_KERNEL_LABEL = re.compile(r"kernel:\w+")
+
+
+@pytest.mark.parametrize("name", ["tc2d_p16", *sorted(DRIVER_OBSERVERS)])
+def test_compiled_backend_moves_only_the_label(
+    expected, name, tmp_path, monkeypatch
+):
+    """The same observers with ``auto`` resolving to ``"c"``: every pinned
+    field but the trace digest/size is the pinned value, and the trace is
+    the compiler-less one once each ``kernel:c`` label is mapped back to
+    the label that run gave the same span."""
+    if not compiled.available():
+        pytest.skip(f"compiled backend unavailable: {compiled.unavailable_reason()}")
+    if name == "tc2d_p16":
+        observe, want = _observe_tc2d, expected["tc2d_p16"]
+    else:
+        observe = lambda: DRIVER_OBSERVERS[name](tmp_path / "c")  # noqa: E731
+        want = expected["drivers"][name]
+    traces: list[str] = []
+    real_dumps = dumps_chrome_trace
+
+    def recording_dumps(run):
+        traces.append(real_dumps(run))
+        return traces[-1]
+
+    monkeypatch.setattr(sys.modules[__name__], "dumps_chrome_trace", recording_dumps)
+    got = json.loads(json.dumps(observe()))
+    assert got.keys() == want.keys()
+    assert {k: got[k] for k in got.keys() - _TRACE_FIELDS} == {
+        k: want[k] for k in want.keys() - _TRACE_FIELDS
+    }
+    if not traces:
+        return  # an observer that pins no trace
+    (with_c,) = traces
+    # (allgather and SUMMA traces carry no kernel spans at all)
+    assert set(_KERNEL_LABEL.findall(with_c)) <= {"kernel:c", "kernel:row"}
+    with monkeypatch.context() as patch:
+        patch.setattr(compiled, "_loaded", "no C compiler (pin twin)")
+        if name != "tc2d_p16":
+            observe = lambda: DRIVER_OBSERVERS[name](tmp_path / "less")  # noqa: E731
+        observe()
+    without = traces[1]
+    assert hashlib.sha256(without.encode()).hexdigest() == want["trace_sha256"]
+    labels = iter(_KERNEL_LABEL.findall(without))
+    assert _KERNEL_LABEL.sub(lambda _: next(labels), with_c) == without
+
+
 if __name__ == "__main__":
     import tempfile
+
+    # What the tests' ``compiler_less`` fixture does: the file must come
+    # out the same bytes wherever it is regenerated.
+    compiled._loaded = "no C compiler (pin regeneration)"
 
     with SuperstepPool(workers=2) as _pool:
         _doc = {"mixed_p9": _observe_mixed(_pool), "tc2d_p16": _observe_tc2d()}
