@@ -50,6 +50,20 @@ def sorted_unique(values: np.ndarray) -> np.ndarray:
     return s[keep]
 
 
+def dense_unique(values: np.ndarray, n: int) -> np.ndarray:
+    """Sorted distinct values of an array of ids in ``[0, n)``, read off a
+    length-``n`` bitmap: O(n + len(values)) instead of a sort.  Equals
+    ``sorted_unique(values)`` (as int64); the bitmap lives only for the
+    call.
+    """
+    values = np.asarray(values)
+    if len(values) and (values.min() < 0 or values.max() >= n):
+        raise ValueError(f"ids must lie in [0, {n})")
+    seen = np.zeros(n, dtype=bool)
+    seen[values] = True
+    return np.flatnonzero(seen).astype(INDEX_DTYPE, copy=False)
+
+
 def segment_lengths_to_offsets(lengths: np.ndarray) -> np.ndarray:
     """Exclusive prefix-sum offsets (CSR indptr) for segment lengths."""
     lengths = np.asarray(lengths, dtype=INDEX_DTYPE)
@@ -76,24 +90,41 @@ def segment_sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return csum[offsets[1:]] - csum[offsets[:-1]]
 
 
+def owner_order(
+    owners: np.ndarray, num_owners: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(order, offsets)`` grouping positions by owner id, stably.
+
+    ``order`` is ``np.argsort(owners, kind="stable")`` and owner ``r``'s
+    positions are ``order[offsets[r]:offsets[r + 1]]``.  The ids are cast
+    to the smallest unsigned dtype holding ``num_owners - 1``, which numpy
+    sorts with a stable radix sort up to 16 bits: linear time, same
+    permutation.  Raises ``ValueError`` on an id outside
+    ``[0, num_owners)``.
+    """
+    owners = np.asarray(owners)
+    if len(owners) and (owners.min() < 0 or owners.max() >= num_owners):
+        raise ValueError(f"owner ids must lie in [0, {num_owners})")
+    keys = owners.astype(np.min_scalar_type(max(num_owners - 1, 0)), copy=False)
+    order = np.argsort(keys, kind="stable")
+    counts = np.bincount(keys, minlength=num_owners)
+    return order, segment_lengths_to_offsets(counts)
+
+
 def split_by_owner(
     owners: np.ndarray, payload: np.ndarray, num_owners: int
 ) -> list[np.ndarray]:
     """Partition ``payload`` rows by their ``owners`` id.
 
     Returns a list of ``num_owners`` arrays; the concatenation of the
-    pieces is a permutation of ``payload``.  This is the local side of
-    every all-to-all redistribution in the preprocessing pipeline.
+    pieces is a permutation of ``payload`` (rows of one owner keep their
+    order).  This is the local side of every all-to-all redistribution in
+    the preprocessing pipeline.
     """
-    owners = np.asarray(owners, dtype=INDEX_DTYPE)
     payload = np.asarray(payload)
     if len(owners) != len(payload):
         raise ValueError("owners and payload must align")
-    order = np.argsort(owners, kind="stable")
-    sorted_owners = owners[order]
-    sorted_payload = payload[order]
-    counts = np.bincount(sorted_owners, minlength=num_owners)
-    offsets = segment_lengths_to_offsets(counts)
-    return [
-        sorted_payload[offsets[r] : offsets[r + 1]] for r in range(num_owners)
-    ]
+    order, offsets = owner_order(owners, num_owners)
+    grouped = np.take(payload, order, axis=0)
+    bounds = offsets.tolist()
+    return [grouped[bounds[r] : bounds[r + 1]] for r in range(num_owners)]

@@ -69,6 +69,7 @@ from repro.core.preprocess import (
     chunk_bounds,
     cyclic_bounds,
     degree_reorder,
+    exchange_pairs,
     initial_redistribution,
     split_and_distribute,
     translate_labels,
@@ -159,16 +160,8 @@ def _ship_pairs(ctx: RankContext, pairs: np.ndarray, q: int) -> np.ndarray:
     """All-to-all each ``(row, col)`` pair to the grid rank owning its
     matrix cell ``(row % q, col % q)`` — the same routing
     :func:`~repro.core.preprocess.split_and_distribute` uses."""
-    comm = ctx.comm
     dest = (pairs[:, 0] % q) * q + pairs[:, 1] % q
-    parts = split_by_owner(dest, pairs, comm.size)
-    got = comm.alltoallv(parts)
-    chunks = [g for g in got if len(g)]
-    return (
-        np.concatenate(chunks, axis=0)
-        if chunks
-        else np.empty((0, 2), dtype=INDEX_DTYPE)
-    )
+    return exchange_pairs(ctx.comm, split_by_owner(dest, pairs, ctx.comm.size))
 
 
 def coveredge_preprocess(

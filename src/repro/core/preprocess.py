@@ -30,9 +30,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.arrayutil import (
+    dense_unique,
     multirange,
+    owner_order,
     segment_lengths_to_offsets,
-    sorted_unique,
     split_by_owner,
 )
 from repro.core.blocks import Block, build_block
@@ -128,6 +129,21 @@ def _cyclic_relabel(v: np.ndarray, n: int, p: int, offsets: np.ndarray) -> np.nd
     return offsets[v % p] + v // p
 
 
+def _label_order(labels: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """The positions that put ``labels`` in ascending order, which must be
+    exactly ``lo .. hi - 1`` once each (else ``AssertionError``): one range
+    check plus an inverse-permutation scatter, where every slot left
+    unfilled is a lost row and implies a duplicated one."""
+    k = hi - lo
+    if len(labels) != k or (k and (labels.min() < lo or labels.max() >= hi)):
+        raise AssertionError("cyclic redistribution lost or duplicated rows")
+    order = np.full(k, -1, dtype=INDEX_DTYPE)
+    order[labels - lo] = np.arange(k, dtype=INDEX_DTYPE)
+    if k and order.min() < 0:
+        raise AssertionError("cyclic redistribution lost or duplicated rows")
+    return order
+
+
 def initial_redistribution(
     ctx: RankContext, chunk: InputChunk, cfg: TC2DConfig
 ) -> LocalRows:
@@ -153,23 +169,21 @@ def initial_redistribution(
     ctx.charge("relabel", chunk.csr.nnz + chunk.csr.n_rows)
 
     # Reorder rows by destination, then slice per destination.
-    order = np.argsort(owners, kind="stable")
-    counts = np.bincount(owners, minlength=p)
-    row_off = segment_lengths_to_offsets(counts)
-    labels_sorted = new_row_labels[order]
-    lens_sorted = lens[order]
-    gather = multirange(chunk.csr.indptr[order], lens_sorted)
-    entries_sorted = new_entries[gather] if len(gather) else new_entries[:0]
-    ent_off = segment_lengths_to_offsets(lens_sorted)
+    order, row_off = owner_order(owners, p)
+    labels_sorted = np.take(new_row_labels, order)
+    lens_sorted = np.take(lens, order)
+    gather = multirange(np.take(chunk.csr.indptr, order), lens_sorted)
+    entries_sorted = np.take(new_entries, gather)
+    ent_off = segment_lengths_to_offsets(lens_sorted).tolist()
 
     packages = []
-    for r in range(p):
-        rl, rh = int(row_off[r]), int(row_off[r + 1])
+    bounds = row_off.tolist()
+    for rl, rh in zip(bounds, bounds[1:]):
         packages.append(
             (
                 labels_sorted[rl:rh],
                 lens_sorted[rl:rh],
-                entries_sorted[int(ent_off[rl]) : int(ent_off[rh])],
+                entries_sorted[ent_off[rl] : ent_off[rh]],
             )
         )
     received = comm.alltoallv(packages)
@@ -179,15 +193,11 @@ def initial_redistribution(
     ents = np.concatenate([x[2] for x in received])
     lo, hi = int(offsets[comm.rank]), int(offsets[comm.rank + 1])
     # Assemble rows ordered by new label; entries stay per-row contiguous.
-    order = np.argsort(labels, kind="stable")
-    if len(labels) != hi - lo or (
-        len(labels) and not np.array_equal(np.sort(labels), np.arange(lo, hi))
-    ):
-        raise AssertionError("cyclic redistribution lost or duplicated rows")
-    lens_o = rlens[order]
+    order = _label_order(labels, lo, hi)
+    lens_o = np.take(rlens, order)
     src_off = segment_lengths_to_offsets(rlens)
-    gather = multirange(src_off[:-1][order], lens_o)
-    ents_o = ents[gather] if len(gather) else ents[:0]
+    gather = multirange(np.take(src_off, order), lens_o)
+    ents_o = np.take(ents, gather)
     indptr = segment_lengths_to_offsets(lens_o)
     ctx.charge("csr_build", len(ents_o) + (hi - lo))
     return LocalRows(lo=lo, hi=hi, csr=CSR(hi - lo, indptr, ents_o, n_cols=n))
@@ -196,11 +206,6 @@ def initial_redistribution(
 # ---------------------------------------------------------------------------
 # step 2: degree reordering via distributed counting sort
 # ---------------------------------------------------------------------------
-
-
-def _owner_of(labels: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Owning rank of each label under a contiguous layout with offsets."""
-    return np.searchsorted(offsets, labels, side="right").astype(INDEX_DTYPE) - 1
 
 
 def translate_labels(
@@ -213,25 +218,32 @@ def translate_labels(
 
     ``my_values[k]`` is the mapped value of label ``offsets[rank] + k``;
     every rank calls this collectively.  One request all-to-all (unique
-    labels only) plus one reply all-to-all.
+    labels only) plus one reply all-to-all.  The local work is linear:
+    the unique labels come off a bitmap and the replies are answered
+    through a dense label-indexed table, both built and dropped between
+    collectives.
     """
     comm = ctx.comm
-    p = comm.size
-    uniq = sorted_unique(np.asarray(entries, dtype=INDEX_DTYPE))
-    owners = _owner_of(uniq, offsets)
-    requests = split_by_owner(owners, uniq, p)
+    n = int(offsets[-1])
+    uniq = dense_unique(entries, n)
+    # Ownership is by contiguous label ranges, so the sorted unique labels
+    # split into per-owner requests at the range bounds.
+    cuts = np.searchsorted(uniq, offsets).tolist()
+    requests = [uniq[a:b] for a, b in zip(cuts[:-1], cuts[1:])]
     got_requests = comm.alltoallv(requests)
     my_lo = int(offsets[comm.rank])
     replies = [my_values[np.asarray(q, dtype=INDEX_DTYPE) - my_lo] for q in got_requests]
     ctx.charge("scan", sum(len(q) for q in got_requests))
     got_replies = comm.alltoallv(replies)
-    # Ownership is by contiguous ranges, so concatenating per-rank replies
-    # in rank order re-aligns them with the sorted unique labels.
+    # Concatenating per-rank replies in rank order re-aligns them with the
+    # sorted unique labels.
     values = (
         np.concatenate(got_replies) if uniq.size else np.empty(0, INDEX_DTYPE)
     )
     ctx.charge("relabel", len(entries) + len(uniq))
-    return values[np.searchsorted(uniq, entries)]
+    table = np.empty(n, dtype=values.dtype)
+    table[uniq] = values
+    return np.take(table, entries)
 
 
 def counting_sort_placement(
@@ -346,6 +358,32 @@ def assemble_blocks(
     return u_block, l_block, task_block
 
 
+def exchange_pairs(comm, parts: list[np.ndarray]) -> np.ndarray:
+    """All-to-all ``parts[r]`` — ``(k, 2)`` coordinate pairs — to rank
+    ``r`` and stack what arrives in source-rank order."""
+    got = comm.alltoallv(parts)
+    chunks = [g for g in got if len(g)]
+    if not chunks:
+        return np.empty((0, 2), dtype=INDEX_DTYPE)
+    return np.concatenate(chunks, axis=0)
+
+
+def ul_parts(
+    row_rep: np.ndarray, cols: np.ndarray, upper: np.ndarray, q: int, p: int
+) -> list[np.ndarray]:
+    """Local side of step 3's two exchanges: ``2 * p`` arrays of ``(row,
+    col)`` pairs, the U parts for ranks ``0 .. p-1`` then the L parts.
+
+    One owner sort serves both halves: a U entry's owner id is the grid
+    rank of its cell ``(i % q, j % q)``, an L entry's that rank plus ``p``;
+    each part keeps edge order, so it equals what a split of the U (or L)
+    entries alone would give.
+    """
+    dest = (row_rep % q) * q + cols % q
+    dest += p * ~upper
+    return split_by_owner(dest, np.stack([row_rep, cols], axis=1), 2 * p)
+
+
 def split_and_distribute(
     ctx: RankContext,
     rows: LocalRows,
@@ -365,6 +403,7 @@ def split_and_distribute(
     all-to-all) exactly as the paper describes.
     """
     comm = ctx.comm
+    p = comm.size
     q = grid.q
     lens = rows.csr.row_lengths()
     row_rep = np.repeat(row_labels, lens)
@@ -380,22 +419,9 @@ def split_and_distribute(
         )
         upper = (deg_cols > deg_rep) | ((deg_cols == deg_rep) & (cols > row_rep))
 
-    u_pairs = np.stack([row_rep[upper], cols[upper]], axis=1)
-    l_pairs = np.stack([row_rep[~upper], cols[~upper]], axis=1)
-
-    def ship(pairs: np.ndarray) -> np.ndarray:
-        dest = (pairs[:, 0] % q) * q + pairs[:, 1] % q
-        parts = split_by_owner(dest, pairs, comm.size)
-        got = comm.alltoallv(parts)
-        chunks = [g for g in got if len(g)]
-        return (
-            np.concatenate(chunks, axis=0)
-            if chunks
-            else np.empty((0, 2), dtype=INDEX_DTYPE)
-        )
-
-    u_recv = ship(u_pairs)
-    l_recv = ship(l_pairs)
+    parts = ul_parts(row_rep, cols, upper, q, p)
+    u_recv = exchange_pairs(comm, parts[:p])
+    l_recv = exchange_pairs(comm, parts[p:])
     x, y = grid.coords(comm.rank)
 
     n_rows_local = grid.local_count(x, n)

@@ -30,6 +30,7 @@ from repro.core.preprocess import (
     chunk_bounds,
     cyclic_bounds,
     degree_reorder,
+    exchange_pairs,
     initial_redistribution,
 )
 from repro.graph.csr import INDEX_DTYPE, Graph
@@ -87,14 +88,8 @@ def summa_rank_program(
         dest_t = (lk % pr) * pc + lj % pc
 
         def ship(dest, a, b):
-            parts = split_by_owner(dest, np.stack([a, b], axis=1), comm.size)
-            got = comm.alltoallv(parts)
-            keep = [g for g in got if len(g)]
-            return (
-                np.concatenate(keep, axis=0)
-                if keep
-                else np.empty((0, 2), dtype=INDEX_DTYPE)
-            )
+            pairs = np.stack([a, b], axis=1)
+            return exchange_pairs(comm, split_by_owner(dest, pairs, comm.size))
 
         u_recv = ship(dest_u, ui, uk)
         l_recv = ship(dest_l, lk, lj)

@@ -531,29 +531,18 @@ class _RankPairFiles:
             256, _budget_rows(chunk_bytes, 2) // max(1, 2 * p)
         )
 
-    def append(self, rank_ids: np.ndarray, upper: np.ndarray, pairs: np.ndarray) -> None:
-        """Route one classified chunk: ``pairs[k]`` goes to rank
-        ``rank_ids[k]``'s U file when ``upper[k]`` else its L file."""
-        for kind, mask in (("u", upper), ("l", ~upper)):
-            if not mask.any():
+    def append(self, parts: list[np.ndarray]) -> None:
+        """Route one classified chunk, laid out by
+        :func:`~repro.core.preprocess.ul_parts`: part ``r`` goes to rank
+        ``r``'s U file, part ``p + r`` to its L file."""
+        for i, part in enumerate(parts):
+            if not len(part):
                 continue
-            dests = rank_ids[mask]
-            sel = pairs[mask]
-            order = np.argsort(dests, kind="stable")
-            dests_sorted = dests[order]
-            sel = sel[order]
-            bounds = np.searchsorted(
-                dests_sorted, np.arange(self.p + 1, dtype=INDEX_DTYPE)
-            )
-            for r in range(self.p):
-                lo, hi = int(bounds[r]), int(bounds[r + 1])
-                if lo == hi:
-                    continue
-                key = (r, kind)
-                self._bufs[key].append(sel[lo:hi])
-                self._buf_rows[key] += hi - lo
-                if self._buf_rows[key] >= self._flush_rows:
-                    self._flush(key)
+            key = (i % self.p, "ul"[i // self.p])
+            self._bufs[key].append(part)
+            self._buf_rows[key] += len(part)
+            if self._buf_rows[key] >= self._flush_rows:
+                self._flush(key)
 
     def _flush(self, key: tuple[int, str]) -> None:
         if self._buf_rows[key]:
@@ -775,6 +764,8 @@ def _materialize_entry(
     stop_after: str | None = None,
 ) -> None:
     """Stages 3-6: degrees, reorder, translate+route, assemble."""
+    from repro.core.preprocess import ul_parts
+
     key_rows = _budget_rows(chunk_bytes, 2)
     if cfg.initial_cyclic:
         offsets = cyclic_bounds(n, p)
@@ -865,9 +856,7 @@ def _materialize_entry(
             b = keys // n
             fa = keys % n
             fb = join.lookup(b)
-            upper = fb > fa
-            pairs = np.stack([fa, fb], axis=1)
-            pair_files.append((fa % q) * q + fb % q, upper, pairs)
+            pair_files.append(ul_parts(fa, fb, fb > fa, q, p))
         join.close()
     else:
         # Labels stay lambda1; classification compares (degree, label).
@@ -889,8 +878,7 @@ def _materialize_entry(
             b, a, da = rows[:, 0], rows[:, 1], rows[:, 2]
             db = join.lookup(b)
             upper = (db > da) | ((db == da) & (b > a))
-            pairs = np.stack([a, b], axis=1)
-            pair_files.append((a % q) * q + b % q, upper, pairs)
+            pair_files.append(ul_parts(a, b, upper, q, p))
         join.close()
     pair_files.finish()
     clock.done("translate", spilled=spilled)

@@ -9,6 +9,8 @@ import pytest
 from repro.core.config import TC2DConfig
 from repro.core.grid import ProcessorGrid
 from repro.core.preprocess import (
+    InputChunk,
+    _label_order,
     chunk_bounds,
     cyclic_bounds,
     degree_reorder,
@@ -19,6 +21,7 @@ from repro.core.preprocess import (
 )
 from repro.graph import Graph
 from repro.simmpi import Engine
+from repro.simmpi.engine import RankFailedError
 
 
 def test_chunk_bounds_balanced():
@@ -78,6 +81,40 @@ def test_initial_cyclic_preserves_graph(er_graph, p):
     for r, c in zip(rows.tolist(), cols.tolist()):
         want_edges.add((int(lam[r]), int(lam[c])))
     assert got_edges == want_edges
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [
+        [10, 11, 13],  # row 12 dropped
+        [10, 11, 11, 13],  # row 12 lost, row 11 duplicated
+        [10, 11, 12, 14],  # 14 is outside [10, 14)
+        [9, 10, 11, 12],  # 9 is outside [10, 14)
+    ],
+    ids=["dropped", "duplicated", "past-the-end", "below-lo"],
+)
+def test_redistribution_check_rejects_bad_rows(labels):
+    with pytest.raises(AssertionError, match="lost or duplicated rows"):
+        _label_order(np.array(labels, dtype=np.int64), 10, 14)
+
+
+def test_redistribution_check_accepts_a_permutation():
+    order = _label_order(np.array([12, 10, 13, 11], dtype=np.int64), 10, 14)
+    assert order.tolist() == [1, 3, 0, 2]
+
+
+def test_overlapping_input_chunks_fail_the_redistribution(er_graph):
+    """Two ranks both shipping vertex 0's row is caught on arrival."""
+    chunks = partition_1d(er_graph, 2)
+    dup = InputChunk(start=0, n=er_graph.n, csr=chunks[0].csr)
+    cfg = TC2DConfig()
+
+    def program(ctx):
+        return initial_redistribution(ctx, [chunks[0], dup][ctx.rank], cfg)
+
+    with pytest.raises(RankFailedError) as err:
+        Engine(2).run(program)
+    assert "lost or duplicated rows" in str(err.value.__cause__)
 
 
 def test_initial_noncyclic_is_identity(er_graph):
