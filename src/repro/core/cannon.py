@@ -184,6 +184,7 @@ def load_warm_blocks(ctx: RankContext, caches: Sequence[Any]) -> list[Operands]:
         loaded = [cache.load_rank(rank) for cache in caches]
         nbytes = sum(entry[3] for entry in loaded)
         ctx.charge("cache_io", nbytes)
+        ctx.tracer.cache_loaded(rank, nbytes)
         if ctx.tracer.enabled:
             ctx.tracer.span_point(
                 t0, ctx.clock.now, rank, "cache",
@@ -648,7 +649,8 @@ class GridJob:
         executor extras and the telemetry summary."""
         result = assemble_result(
             run, self.p, self.cfg, algorithm,
-            dataset=self.dataset, keep_run=keep_run or self.trace,
+            dataset=self.dataset,
+            keep_run=keep_run or self.engine.tracer.enabled,
         )
         _finish_caches(
             self.caches, self.passes, result, pooled=self.pool is not None

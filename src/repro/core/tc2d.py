@@ -38,7 +38,7 @@ from repro.core.counts import TriangleCountResult
 from repro.core.grid import ProcessorGrid
 from repro.core.preprocess import InputChunk, preprocess, preprocess_with_labels
 from repro.graph.csr import Graph
-from repro.simmpi import SUM, MachineModel, RunResult, SuperstepPool
+from repro.simmpi import SUM, MachineModel, RunResult, SuperstepPool, Tracer
 from repro.simmpi.engine import RankContext
 
 
@@ -116,7 +116,7 @@ def count_triangles_2d(
     p: int,
     cfg: TC2DConfig | None = None,
     model: MachineModel | None = None,
-    trace: bool = False,
+    trace: bool | Tracer = False,
     dataset: str = "",
     keep_run: bool = False,
     superstep: SuperstepPool | None = None,
@@ -140,7 +140,8 @@ def count_triangles_2d(
     trace:
         Record a full engine event trace in ``result.extras["run"]``.
         A :class:`~repro.simmpi.tracing.Tracer` instance is adopted
-        as-is (live span callbacks; see the serve layer).
+        as-is: it records (and the run is kept) only if enabled, and its
+        progress hooks see every top-level phase exit either way.
     dataset:
         Label copied into the result for reporting.
     keep_run:

@@ -24,10 +24,11 @@ Design points (see ``docs/serve.md`` for the full story):
   :class:`~repro.simmpi.parallel.SuperstepPool` is shared by every cold
   run (worker spawn cost amortizes across requests); the engine resets
   it per run and the resident-arena generation bump isolates tenants.
-* **Progress.**  Cold runs execute under a live
-  :class:`~repro.simmpi.tracing.Tracer` subclass that forwards
-  phase-span closures into the job's event log while the run is still
-  executing, so clients can stream progress.
+* **Progress.**  Cold runs execute under a disabled
+  :class:`~repro.simmpi.tracing.Tracer` subclass whose progress hooks
+  forward top-level phase closures and store loads into the job's event
+  log while the run is still executing, so clients can stream progress
+  without the run being traced.
 * **Honest results.**  Every result carries provenance: the artifact
   digest, the machine-model fingerprint, cold/warm, measured wall time
   and the simulated virtual times — and a served count is bit-identical
@@ -46,7 +47,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from repro.simmpi.tracing import Span, Tracer
+from repro.simmpi.tracing import Tracer
 
 #: Request kinds the service accepts.
 JOB_KINDS = ("count", "census", "ktruss")
@@ -235,37 +236,26 @@ class Job:
 
 
 class _JobTracer(Tracer):
-    """Span tracer that streams phase closures into a job's event log.
+    """A disabled tracer that streams a cold run's progress into a job's
+    event log: every top-level phase closure and every warm-store load.
 
-    The engine serializes rank execution, so :meth:`span_end` runs on
-    one rank thread at a time; the job's condition lock makes the append
-    safe regardless.  Only top-level ``phase`` spans and ``cache`` load
-    points become events — kernel/comm microspans stay in the trace.
+    It records nothing, so the run executes exactly as an untraced one
+    (all-to-alls included).  The engine serializes rank execution, so the
+    hooks run on one rank thread at a time; the job's condition lock makes
+    the append safe regardless.
     """
 
     def __init__(self, job: Job):
-        super().__init__(enabled=True)
+        super().__init__(enabled=False)
         self._job = job
 
-    def span_end(self, t: float, span: Span | None) -> None:
-        super().span_end(t, span)
-        if span is not None and span.cat == "phase" and span.depth == 0:
-            self._job.add_event(
-                "phase",
-                rank=span.rank,
-                name=span.name,
-                virtual_s=round(span.duration, 9),
-            )
+    def phase_closed(self, rank: int, name: str, virtual_s: float) -> None:
+        self._job.add_event(
+            "phase", rank=rank, name=name, virtual_s=round(virtual_s, 9)
+        )
 
-    def span_point(
-        self, begin: float, end: float, rank: int, cat: str, name: str,
-        **detail: Any,
-    ) -> None:
-        super().span_point(begin, end, rank, cat, name, **detail)
-        if cat == "cache":
-            self._job.add_event(
-                "cache_load", rank=rank, nbytes=int(detail.get("nbytes", 0))
-            )
+    def cache_loaded(self, rank: int, nbytes: int) -> None:
+        self._job.add_event("cache_load", rank=rank, nbytes=int(nbytes))
 
 
 class ServeMetrics:
@@ -830,6 +820,7 @@ class TriangleService:
                 model=self._model,
                 trace=tracer,
                 dataset=spec["dataset"],
+                keep_run=True,  # for note_run's imbalance gauges
                 cache=self._store,
                 **kwargs,
             )

@@ -389,6 +389,9 @@ class RankContext:
             self.clock.phase_end(ph)
             if tr.enabled:
                 tr.span_end(self.clock.now, span)
+            # Top level: a nested phase's name carries its parent's path.
+            if ph.name == name:
+                tr.phase_closed(self.rank, name, ph.elapsed)
             if tele is not None and self._tele_frames:
                 fname, t_enter, parked = self._tele_frames.pop()
                 tele.phase_exit(
@@ -407,9 +410,9 @@ class Engine:
         Machine cost model; defaults to :class:`MachineModel()`.
     trace:
         When true, record a full span trace (see :class:`Tracer`).  A
-        :class:`Tracer` *instance* is adopted as-is — callers that want
-        live span callbacks (e.g. the serve layer's progress streaming)
-        pass a subclass overriding :meth:`Tracer.span_end`.
+        :class:`Tracer` *instance* is adopted as-is; its progress hooks
+        (:meth:`Tracer.phase_closed`, :meth:`Tracer.cache_loaded`) are
+        called whether or not it records.
     real_timeout:
         Real (wall-clock) seconds without a single hand-off between ranks
         after which the scheduler thread declares the run wedged: it
@@ -458,7 +461,7 @@ class Engine:
         self,
         num_ranks: int,
         model: MachineModel | None = None,
-        trace: bool = False,
+        trace: bool | Tracer = False,
         real_timeout: float = 600.0,
         fault_injector: Any = None,
         superstep: Any = None,

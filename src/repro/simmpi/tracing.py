@@ -22,6 +22,12 @@ category says what happened, ``detail`` carries what an observer needs:
 Tracing is off by default.  When disabled every recording method returns
 immediately without allocating anything; call sites additionally guard on
 :attr:`Tracer.enabled` to skip building the detail dict.
+
+Two hooks are called whether or not recording is enabled:
+:meth:`Tracer.phase_closed` at every top-level phase exit and
+:meth:`Tracer.cache_loaded` at every warm-store load.  Both are no-ops
+here; a subclass overrides them to follow a run's progress without
+recording it (the serve layer streams them into a job's event log).
 """
 
 from __future__ import annotations
@@ -133,6 +139,16 @@ class Tracer:
                 Span(rank=rank, cat=cat, name=name, begin=begin, end=end,
                      depth=depth, detail=detail)
             )
+
+    # -- progress hooks (called even when disabled) --------------------------
+
+    def phase_closed(self, rank: int, name: str, virtual_s: float) -> None:
+        """A top-level phase of ``rank`` closed after ``virtual_s`` virtual
+        seconds.  No-op."""
+
+    def cache_loaded(self, rank: int, nbytes: int) -> None:
+        """``rank`` loaded ``nbytes`` of blocks from a warm store entry.
+        No-op."""
 
     def clear(self) -> None:
         """Drop all recorded spans."""

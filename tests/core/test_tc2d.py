@@ -7,7 +7,7 @@ import pytest
 
 from repro.core import TC2DConfig, count_triangles_2d
 from repro.graph import Graph, triangle_count_linalg
-from repro.simmpi import MachineModel
+from repro.simmpi import MachineModel, Tracer
 
 GRIDS = [1, 4, 9, 16, 25]
 
@@ -85,6 +85,15 @@ def test_determinism(er_graph):
     assert r1.ppt_time == r2.ppt_time
     assert r1.tct_time == r2.tct_time
     assert r1.counters_tct == r2.counters_tct
+
+
+def test_run_is_kept_only_when_the_tracer_records(er_graph):
+    """A Tracer instance keeps the RunResult only if it is enabled."""
+    quiet = count_triangles_2d(er_graph, 4, trace=Tracer(enabled=False))
+    assert "run" not in quiet.extras
+    traced = count_triangles_2d(er_graph, 4, trace=Tracer())
+    assert traced.extras["run"].tracer.spans
+    assert (quiet.count, quiet.tct_time) == (traced.count, traced.tct_time)
 
 
 def test_phase_times_positive(er_graph):

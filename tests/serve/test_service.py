@@ -107,6 +107,74 @@ class TestWarmCache:
         seqs = [e["seq"] for e in job.events]
         assert seqs == list(range(len(seqs)))
 
+    def test_events_are_a_traced_runs_phase_closures(
+        self, graph_file, tmp_path, monkeypatch
+    ):
+        """A served cold job runs untraced — its all-to-alls take the
+        rendezvous — yet its per-rank ``phase`` and ``cache_load`` events
+        are the top-level phase spans and cache records of a traced run
+        of the same request: store-cold, then store-warm."""
+        from repro.bench.calibration import paper_model
+        from repro.core import TC2DConfig, count_triangles_2d
+        from repro.graph.io import read_edge_list
+        from repro.simmpi import Engine
+
+        alltoalls = []
+        rendezvous = Engine.alltoall
+
+        def counting(self, *args):
+            alltoalls.append(args[1])
+            return rendezvous(self, *args)
+
+        monkeypatch.setattr(Engine, "alltoall", counting)
+
+        def served(store):
+            svc = TriangleService(ServeConfig(max_inflight=1, store=store))
+            try:
+                job = svc.submit(_req(graph_file))
+                assert job.wait(120) and job.state == "done", job.error
+            finally:
+                svc.close()
+            phases, loads = {}, {}
+            for e in job.events:
+                if e["kind"] == "phase":
+                    phases.setdefault(e["rank"], []).append(
+                        (e["name"], e["virtual_s"])
+                    )
+                elif e["kind"] == "cache_load":
+                    loads.setdefault(e["rank"], []).append(e["nbytes"])
+            return job.result, phases, loads
+
+        def traced(store):
+            res = count_triangles_2d(
+                read_edge_list(graph_file), 4,
+                TC2DConfig(enumeration="jik", seed=0, real_timeout=600.0),
+                model=paper_model(), trace=True, cache=store,
+            )
+            phases, loads = {}, {}
+            for s in res.extras["run"].tracer.spans:
+                if s.cat == "phase" and s.depth == 0:
+                    phases.setdefault(s.rank, []).append(
+                        (s.name, round(s.duration, 9))
+                    )
+                elif s.cat == "cache":
+                    loads.setdefault(s.rank, []).append(s.detail["nbytes"])
+            return res, phases, loads
+
+        cold, cold_phases, cold_loads = served(tmp_path / "served")
+        assert alltoalls, "a served cold job must take the rendezvous"
+        warm, warm_phases, warm_loads = served(tmp_path / "served")
+        assert not cold["store"]["hit"] and warm["store"]["hit"]
+
+        ref_cold, *want_cold = traced(tmp_path / "traced")
+        ref_warm, *want_warm = traced(tmp_path / "traced")
+        assert ref_warm.extras["cache"]["hit"]
+        assert [cold_phases, cold_loads] == want_cold
+        assert [warm_phases, warm_loads] == want_warm
+        assert {name for name, _ in cold_phases[0]} == {"ppt", "tct"}
+        assert len(warm_loads) == 4
+        assert cold["count"] == warm["count"] == ref_cold.count
+
     def test_failed_job_not_cached(self, service, graph_file, monkeypatch):
         calls = {"n": 0}
         real = TriangleService._execute

@@ -15,6 +15,7 @@ from repro.simmpi import (
     RankFailedError,
     SimMPIError,
     SUM,
+    Tracer,
 )
 
 
@@ -280,6 +281,11 @@ def test_run_result_counts_yields_and_scheduler_wakeups():
     wide = Engine(16).run(lambda ctx: ctx.comm.alltoall(list(range(16))))
     assert wide.yields == 15
     assert wide.scheduler_wakeups == 1
+    # A Tracer instance that does not record is no observer either.
+    quiet = Engine(16, trace=Tracer(enabled=False)).run(
+        lambda ctx: ctx.comm.alltoall(list(range(16)))
+    )
+    assert quiet.yields == 15 and not quiet.tracer.spans
 
     # A tracer observes each envelope, so a traced run executes the
     # all-to-all as its 16 x 15 messages and blocks on their receives.

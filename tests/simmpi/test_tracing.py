@@ -77,6 +77,30 @@ def test_engine_trace_has_phase_markers():
     assert all(s.begin < s.end for s in phases)
 
 
+def test_phase_hook_sees_top_level_exits_of_an_untraced_run():
+    class Closures(Tracer):
+        def phase_closed(self, rank, name, virtual_s):
+            self.closed.append((rank, name, virtual_s))
+
+    def program(ctx):
+        with ctx.phase("outer"):
+            ctx.charge("op", 10 * (ctx.rank + 1))
+            with ctx.phase("inner"):
+                ctx.charge("op", 1)
+        with ctx.phase("after"):
+            pass
+
+    tr = Closures(enabled=False)
+    tr.closed = []
+    res = Engine(2, trace=tr).run(program)
+    assert not tr.spans
+    assert tr.closed == [
+        (r, name, res.clocks[r].phases[name].elapsed)
+        for r in range(2)
+        for name in ("outer", "after")
+    ]
+
+
 # -- one record per occurrence ------------------------------------------------
 
 
