@@ -14,8 +14,8 @@ Everything is derived from the tracer's one record list
   0), which draws no box;
 * each delivered message becomes a flow arrow (``"s"``/``"f"`` flow
   events from the end of its send record to the end of the wait record
-  with the same ``seq``), so Perfetto draws Cannon's shift pattern as
-  arrows between rank tracks;
+  with the same ``seq``, the flow id being that ``seq``), so Perfetto
+  draws Cannon's shift pattern as arrows between rank tracks;
 * a send record named after a collective also becomes an ``"i"`` instant
   event under that name;
 * injected-fault and checkpoint records (the resilience subsystem) also
@@ -32,11 +32,13 @@ Everything is derived from the tracer's one record list
   :func:`repro.instrument.telemetry.counter_samples`) become ``"C"``
   counter tracks on the wall-clock process.
 
-Export is fully deterministic *and executor-invariant*: records
+Export is fully deterministic *and schedule-invariant*: records
 are emitted rank-major (each rank's records in its own program order —
-which is identical under the sequential and parallel executors — ranks
-concatenated in id order) and serialized with sorted keys, so two runs
-that differ only in executor or in wall-clock interleaving produce
+which is identical under the sequential and parallel executors and on
+either all-to-all path — ranks concatenated in id order), a ``seq`` is
+numbered by its sender alone (``Engine._trace_seq``), and events are
+serialized with sorted keys, so two runs
+that differ only in executor or in rank interleaving produce
 byte-identical files.  The opt-in worker and counter tracks are the one
 exception: they record real time and are therefore nondeterministic by
 nature.
@@ -143,22 +145,18 @@ def chrome_trace(
             }
         )
 
-    # Message flows: bind each send to its matching wait by seq.  The
-    # engine's seq numbers real execution interleaving (which a different
-    # executor may legally change), so the exported flow ids are
-    # renumbered in rank-major emission order to stay executor-invariant.
+    # Message flows: bind each send to its matching wait by seq, which is
+    # unique, schedule-invariant and therefore the flow id as well.
     wait_by_seq = {w.detail["seq"]: w for w in tracer.waits()}
-    flow_id = 0
     for span in records:
         if span.cat == "comm" and span.name != "wait":
             # No wait record: sent but never received (e.g. aborted run).
             wait = wait_by_seq.get(span.detail["seq"])
             if wait is not None:
-                flow_id += 1
                 flow = {
                     "cat": "msg",
                     "name": f"{span.rank}->{wait.rank}",
-                    "id": flow_id,
+                    "id": span.detail["seq"],
                     "pid": _PID,
                 }
                 events.append(

@@ -73,9 +73,15 @@ class _Abort(BaseException):
 
 @dataclass(slots=True)
 class _Message:
-    """An in-flight (delivered-but-unreceived) message."""
+    """An in-flight (delivered-but-unreceived) message.
+
+    ``seq`` numbers messages in global send order (what matching orders
+    by); ``trace_seq`` is the canonical number the trace records carry
+    (:meth:`Engine._trace_seq`).
+    """
 
     seq: int
+    trace_seq: int
     src: int
     dst: int
     tag: int
@@ -482,6 +488,8 @@ class Engine:
         self._states: list[_RankState] = []
         self._ctxs: list[RankContext] = []
         self._seq = itertools.count()
+        #: Wire messages each world rank has sent this run (see _trace_seq).
+        self._sent: list[int] = []
         #: Open all-to-all rendezvous by communicator id (a communicator
         #: has at most one).  Owned by whoever holds the execution token.
         self._rendezvous: dict[Any, _Rendezvous] = {}
@@ -515,6 +523,7 @@ class Engine:
         self._failed = False
         self._cursor = 0
         self._handoffs = self._yields = self._sched_wakeups = 0
+        self._sent = [0] * self.num_ranks
         # Deposits of a run aborted mid-collective must not leak into this one.
         self._rendezvous = {}
         # An aborted earlier run may have left the old lock in either state.
@@ -758,6 +767,7 @@ class Engine:
         ctx.clock.advance_comm(self.model.send_overhead + self.model.beta * nbytes)
         arrival = ctx.clock.now + self.model.alpha
         seq = next(self._seq)
+        trace_seq = self._trace_seq(src)
         copies = 1
         fault = (
             self.faults.on_send(src, dst, tag, comm_id, nbytes, payload)
@@ -783,10 +793,13 @@ class Engine:
             else:
                 raise SimMPIError(f"unknown message-fault kind {fault.kind!r}")
         dst_state = self._states[dst]
-        for i in range(copies):
+        dst_state.mailbox.append(
+            _Message(seq, trace_seq, src, dst, tag, comm_id, payload, nbytes, arrival)
+        )
+        if copies == 2:
             dst_state.mailbox.append(
                 _Message(
-                    seq if i == 0 else next(self._seq),
+                    next(self._seq), self._trace_seq(src),
                     src, dst, tag, comm_id, payload, nbytes, arrival,
                 )
             )
@@ -794,7 +807,7 @@ class Engine:
             self.tracer.span_point(
                 t0, ctx.clock.now, src, "comm",
                 coll_op if coll_op is not None else "send",
-                dst=dst, nbytes=nbytes, tag=tag, arrival=arrival, seq=seq,
+                dst=dst, nbytes=nbytes, tag=tag, arrival=arrival, seq=trace_seq,
             )
         # A parked receiver might now have a match; let it re-check.
         if dst_state.state == _BLOCKED:
@@ -823,7 +836,7 @@ class Engine:
                     self.tracer.span_point(
                         ctx.clock.now - waited, ctx.clock.now, rank,
                         "comm", "wait", src=msg.src, nbytes=msg.nbytes,
-                        tag=msg.tag, waited=waited, seq=msg.seq,
+                        tag=msg.tag, waited=waited, seq=msg.trace_seq,
                     )
                 return msg.payload, msg.src, msg.tag
             self._block(
@@ -831,6 +844,18 @@ class Engine:
                 f"recv(source={'ANY' if source == ANY_SOURCE else source}, "
                 f"tag={'ANY' if tag == ANY_TAG else tag}, comm={comm_id})",
             )
+
+    def _trace_seq(self, src: int) -> int:
+        """Number ``src``'s next wire message for the trace.
+
+        The number is ``n * num_ranks + src`` for the sender's ``n``-th
+        message of the run: unique, and a function of the sender's own
+        program order alone, so it does not depend on how the scheduler
+        interleaved the ranks (nor on which all-to-all path ran).
+        """
+        n = self._sent[src]
+        self._sent[src] = n + 1
+        return n * self.num_ranks + src
 
     @staticmethod
     def _match(

@@ -10,7 +10,9 @@ category says what happened, ``detail`` carries what an observer needs:
 * ``"comm"`` — the two records of a message envelope.  The *send* record
   (named ``"send"``, or after the collective the envelope belongs to)
   covers the sender's injection overhead and carries ``dst``, ``nbytes``,
-  ``tag``, ``arrival`` and ``seq``; the *wait* record (named ``"wait"``)
+  ``tag``, ``arrival`` and ``seq`` (unique; ``n * p + src`` for the
+  sender's ``n``-th message, so independent of the schedule); the *wait*
+  record (named ``"wait"``)
   ends when the receive completes and carries ``src``, ``nbytes``,
   ``tag``, ``waited`` and the same ``seq`` — a receive that found its
   message already there is a zero-length wait, not a missing record;

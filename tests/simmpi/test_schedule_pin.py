@@ -1,4 +1,4 @@
-"""Pin the engine's schedule: who runs when, and which message gets which seq.
+"""Pin the engine's schedule: who runs when, and in which order messages go.
 
 Everything downstream — clocks, counters, traces, the recorded ppt costs in
 the graph store — is deterministic only because the engine resumes ranks in
@@ -7,7 +7,10 @@ message, against ``data/schedule_pin.json``, recorded from the scheduler
 as it stood before the hand-off moved off the scheduler thread.  A change to
 the hand-off mechanism must leave the file untouched; a deliberate change of
 scheduling *policy* regenerates it with
-``PYTHONPATH=src python -m tests.simmpi.test_schedule_pin``.
+``PYTHONPATH=src python -m tests.simmpi.test_schedule_pin``.  (Its trace
+digests and the ``seq`` column of ``mixed_p9`` were re-recorded once, when a
+message's trace ``seq`` became a number its sender alone assigns and the
+Perfetto flow ids became that ``seq``; the send order itself did not move.)
 
 The ``drivers`` section pins what every grid driver reports — count,
 logical counters, virtual clocks, memory peak, shift records, trace bytes,
