@@ -272,9 +272,10 @@ class Comm:
         Defined as ``size - 1`` pairwise exchange steps, matching the
         paper's description of the preprocessing all-to-all as point-to-point
         send/receive pairs (its ``p + m/p`` term in the cost analysis).
-        The loop below runs whenever something observes the individual
-        envelopes; otherwise the engine evaluates the same exchange in one
-        rendezvous (:meth:`Engine.alltoall`), to the same virtual outcome.
+        The loop below runs only when a fault injector acts on the
+        individual envelopes; otherwise the engine evaluates the same
+        exchange in one rendezvous (:meth:`Engine.alltoall`), to the same
+        virtual outcome and, when traced, the same trace records.
         """
         if len(objs) != self.size:
             raise ValueError(f"alltoall needs exactly {self.size} send items")

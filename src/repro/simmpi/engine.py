@@ -880,12 +880,12 @@ class Engine:
 
     @property
     def observes_envelopes(self) -> bool:
-        """Whether something attached to this engine sees individual
-        messages — a fault injector (``on_send``) or an enabled tracer
-        (one send and one wait record per message, numbered by a global
-        ``seq`` in scheduling order).  Collectives must then run as the
-        point-to-point messages that define them."""
-        return self.faults is not None or self.tracer.enabled
+        """Whether something attached to this engine acts on individual
+        messages: a fault injector (``on_send`` may drop, delay, duplicate
+        or corrupt each one).  Collectives must then run as the
+        point-to-point messages that define them.  A tracer does not count:
+        the rendezvous records what the messages would have."""
+        return self.faults is not None
 
     def alltoall(self, comm: Comm, seq: int, objs: Sequence[Any]) -> list[Any]:
         """Execute ``comm``'s all-to-all number ``seq`` as one rendezvous.
@@ -894,9 +894,9 @@ class Engine:
         arrive evaluates the whole pairwise exchange
         (:meth:`_complete_alltoall`) and wakes the others, so a collective
         costs ``size - 1`` hand-offs instead of one per blocked receive.
-        Virtual time, phase accounting and the returned objects are those
-        of :meth:`Comm.alltoall`'s envelope loop, bit for bit; only valid
-        while nothing :attr:`observes_envelopes`.
+        Virtual time, phase accounting, the returned objects and the trace
+        records are those of :meth:`Comm.alltoall`'s envelope loop, bit for
+        bit; only valid while nothing :attr:`observes_envelopes`.
         """
         rank = comm.members[comm.rank]
         rv = self._rendezvous.get(comm.comm_id)
@@ -941,6 +941,7 @@ class Engine:
         the same floating-point operations in the same order as
         :meth:`post_send` and :meth:`RankClock.wait_until` apply them, and
         every open phase of a rank takes that rank's increments in order.
+        A traced run then gets the loop's records (:meth:`_trace_alltoall`).
         """
         p = len(rv.members)
         model = self.model
@@ -954,7 +955,10 @@ class Engine:
         ranks = np.arange(p)
         # by_step[k, r]: what rank r's send of step k costs it.
         by_step = cost[ranks, (ranks + ranks[:, None]) % p]
-        now = np.array([clock.now for clock in clocks])
+        # at[0]: every rank's clock on entry; at[2k - 1]: after its send of
+        # step k; at[2k]: after its receive of step k.
+        at = np.empty((2 * p - 1, p))
+        at[0] = [clock.now for clock in clocks]
         open_comm = [clock.open_comm() for clock in clocks]
         # comm[d, r]: rank r's open phase at depth d (ranks nest to
         # different depths; the padding is computed and dropped).
@@ -962,18 +966,58 @@ class Engine:
         for r, totals in enumerate(open_comm):
             comm[: len(totals), r] = totals
         for k in range(1, p):
-            now += by_step[k]
+            sent = np.add(at[2 * k - 2], by_step[k], out=at[2 * k - 1])
             comm += by_step[k]
-            arrival = np.roll(now + model.alpha, k)  # from rank r - k
-            comm += np.maximum(arrival - now, 0.0)
-            np.maximum(now, arrival, out=now)
-        for clock, t, totals, was in zip(clocks, now.tolist(), comm.T.tolist(), open_comm):
+            arrival = np.roll(sent + model.alpha, k)  # from rank r - k
+            comm += np.maximum(arrival - sent, 0.0)
+            np.maximum(sent, arrival, out=at[2 * k])
+        for clock, t, totals, was in zip(clocks, at[-1].tolist(), comm.T.tolist(), open_comm):
             clock.settle(t, totals[: len(was)])
+        if self.tracer.enabled:
+            self._trace_alltoall(rv.members, at, nbytes)
+        for w in rv.members:
+            self._sent[w] += p - 1
         rv.recvs = [list(col) for col in zip(*sends)]
         for w in rv.members:
             st = self._states[w]
             if st.state == _BLOCKED:
                 st.state = _READY
+
+    def _trace_alltoall(
+        self, members: list[int], at: np.ndarray, nbytes: np.ndarray
+    ) -> None:
+        """Record a completed rendezvous as the envelope loop records it.
+
+        Per member ``i``, in the loop's order: for ``k = 1 .. p-1`` the
+        send record of its message to member ``i + k``, then the wait
+        record of its receive from member ``i - k``.  Every field comes
+        from the recurrence: ``at`` holds the members' clocks (see
+        :meth:`_complete_alltoall`), ``nbytes[i, j]`` the size of member
+        ``i``'s message to member ``j``, and the ``seq`` numbers continue
+        each sender's count (:meth:`_trace_seq`).  The floating-point
+        operations are :meth:`post_send`'s and :meth:`wait_recv`'s, so the
+        records equal the loop's bit for bit.
+        """
+        p, n = len(members), self.num_ranks
+        tr, alpha = self.tracer, self.model.alpha
+        sizes = nbytes.tolist()
+        # The seq of each member's first message of this collective; its
+        # k-th is (k - 1) * n later.
+        first = [self._sent[w] * n + w for w in members]
+        for i, (w, c) in enumerate(zip(members, at.T.tolist())):
+            for k in range(1, p):
+                dst, src = (i + k) % p, (i - k) % p
+                tr.span_point(
+                    c[2 * k - 2], c[2 * k - 1], w, "comm", "alltoall",
+                    dst=members[dst], nbytes=sizes[i][dst], tag=_COLL_TAG,
+                    arrival=c[2 * k - 1] + alpha, seq=first[i] + (k - 1) * n,
+                )
+                waited = c[2 * k] - c[2 * k - 1]  # 0.0 when already there
+                tr.span_point(
+                    c[2 * k] - waited, c[2 * k], w, "comm", "wait",
+                    src=members[src], nbytes=sizes[src][i], tag=_COLL_TAG,
+                    waited=waited, seq=first[src] + (k - 1) * n,
+                )
 
     # ------------------------------------------------------------------
     # superstep offload

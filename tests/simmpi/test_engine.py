@@ -287,14 +287,14 @@ def test_run_result_counts_yields_and_scheduler_wakeups():
     )
     assert quiet.yields == 15 and not quiet.tracer.spans
 
-    # A tracer observes each envelope, so a traced run executes the
-    # all-to-all as its 16 x 15 messages and blocks on their receives.
+    # A traced run takes the same rendezvous and records the 16 x 15
+    # messages the envelope loop would have sent.
     traced = Engine(16, trace=True).run(
         lambda ctx: ctx.comm.alltoall(list(range(16)))
     )
     assert traced.returns == wide.returns
     assert len(traced.tracer.sends()) == 16 * 15
-    assert traced.yields == 120
+    assert traced.yields == 15
     assert traced.scheduler_wakeups == 1
 
 

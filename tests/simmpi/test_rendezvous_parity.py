@@ -1,10 +1,12 @@
 """The all-to-all rendezvous against the envelope loop that defines it.
 
-An untraced engine executes ``Comm.alltoall`` as one rendezvous
-(``Engine.alltoall``); a traced one runs the pairwise exchange message by
-message, and tracing never alters virtual state.  So the same program run
-both ways must agree on every virtual number to the last bit, and hand
-every rank the very objects its peers sent.
+An engine executes ``Comm.alltoall`` as one rendezvous
+(``Engine.alltoall``) unless a fault injector is attached; then it runs the
+pairwise exchange message by message, and an injector with an empty plan
+perturbs nothing.  So the same program run both ways must agree on every
+virtual number to the last bit and hand every rank the very objects its
+peers sent — and, traced, record the same trace: each rank's records in
+the same order with the same fields, hence the same export and analyses.
 """
 
 from __future__ import annotations
@@ -17,7 +19,16 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.instrument import (
+    CommMatrix,
+    critical_path,
+    dumps_chrome_trace,
+    profile_report,
+    wait_edges,
+)
 from repro.instrument.telemetry import Telemetry
+from repro.resilience import FaultPlan
+from repro.resilience.faults import FaultInjector
 from repro.simmpi import Engine
 
 _leaf = st.one_of(
@@ -131,6 +142,39 @@ def _virtual_state(run) -> list:
     return out
 
 
+def _records(run) -> list:
+    """Each rank's trace records in its own order, floats as hex and
+    types spelled out (the interleaving across ranks is the schedule's)."""
+
+    def exact(v):
+        return (type(v).__name__, v.hex() if isinstance(v, float) else v)
+
+    out: list[list] = [[] for _ in range(run.num_ranks)]
+    for s in run.tracer.spans:
+        detail = {k: exact(v) for k, v in s.detail.items()}
+        out[s.rank].append(
+            (s.cat, s.name, s.begin.hex(), s.end.hex(), s.depth, detail)
+        )
+    return out
+
+
+def _analyses(run) -> dict:
+    """Everything derived from a trace.  The profile's hand-off line is
+    left out: yields count real thread hand-offs, the one figure the two
+    paths differ in by design."""
+    return {
+        "export": dumps_chrome_trace(run),
+        "matrix": CommMatrix.from_run(run),
+        "wait_edges": wait_edges(run),
+        "critical_path": critical_path(run),
+        "profile": [
+            line for line in profile_report(run).splitlines()
+            if not line.startswith("Engine hand-offs:")
+        ],
+        "collective_bytes": run.tracer.collective_bytes(),
+    }
+
+
 @settings(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
@@ -142,16 +186,23 @@ def _virtual_state(run) -> list:
 def test_rendezvous_agrees_with_the_envelope_loop_to_the_last_bit(case):
     tele = Telemetry(sample_interval=0.0) if case.telemetry else None
     fast = Engine(case.p, telemetry=tele).run(_program, case)
-    slow = Engine(case.p, trace=True, telemetry=tele).run(_program, case)
+    traced = Engine(case.p, trace=True, telemetry=tele).run(_program, case)
+    loop = Engine(
+        case.p, trace=True, telemetry=tele,
+        fault_injector=FaultInjector(FaultPlan([])),
+    ).run(_program, case)
 
-    assert slow.tracer.sends() and not fast.tracer.spans
-    assert _virtual_state(fast) == _virtual_state(slow)
+    assert loop.tracer.sends() and not fast.tracer.spans
+    assert _virtual_state(fast) == _virtual_state(traced) == _virtual_state(loop)
+    assert _records(traced) == _records(loop)
+    assert _analyses(traced) == _analyses(loop)
 
-    for me, ((world, got), (world_slow, got_slow)) in enumerate(
-        zip(fast.returns, slow.returns)
+    for me, ((world, got), *others) in enumerate(
+        zip(fast.returns, traced.returns, loop.returns)
     ):
-        assert world == world_slow
-        for rnd, (row, row_slow) in enumerate(zip(got, got_slow)):
-            assert len(row) == len(row_slow) == len(world)
-            for src, a, b in zip(world, row, row_slow):
-                assert a is b is case.item(rnd, src, me)
+        for world_other, got_other in others:
+            assert world == world_other
+            for rnd, (row, row_other) in enumerate(zip(got, got_other)):
+                assert len(row) == len(row_other) == len(world)
+                for src, a, b in zip(world, row, row_other):
+                    assert a is b is case.item(rnd, src, me)

@@ -49,6 +49,7 @@ from repro.graph import Graph
 from repro.graph.store import GraphStore
 from repro.instrument import dumps_chrome_trace
 from repro.resilience import FaultPlan, FaultSpec, count_triangles_2d_resilient
+from repro.resilience.faults import FaultInjector
 from repro.simmpi import ANY_SOURCE, SUM, Engine
 from repro.simmpi.parallel import SuperstepPool
 
@@ -94,8 +95,13 @@ def _observe_mixed(pool) -> dict:
         resumes.append(rank)  # only reached when the rank was rescheduled
 
     Engine._block = recording_block
+    # The schedule pinned here is the envelope loop's, the all-to-all path a
+    # fault injector selects; an empty plan perturbs nothing.
+    loop = FaultInjector(FaultPlan([]))
     try:
-        run = Engine(P, trace=True, superstep=pool).run(_mixed_program, started)
+        run = Engine(P, trace=True, superstep=pool, fault_injector=loop).run(
+            _mixed_program, started
+        )
     finally:
         Engine._block = orig_block
     sends = [
