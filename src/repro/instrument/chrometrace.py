@@ -37,11 +37,10 @@ are emitted rank-major (each rank's records in its own program order —
 which is identical under the sequential and parallel executors and on
 either all-to-all path — ranks concatenated in id order), a ``seq`` is
 numbered by its sender alone (``Engine._trace_seq``), and events are
-serialized with sorted keys, so two runs
-that differ only in executor or in rank interleaving produce
-byte-identical files.  The opt-in worker and counter tracks are the one
-exception: they record real time and are therefore nondeterministic by
-nature.
+serialized with sorted keys, so two runs that differ only in executor or
+in rank interleaving produce byte-identical files.  The opt-in worker and
+counter tracks are the one exception: they record real time and are
+therefore nondeterministic by nature.
 """
 
 from __future__ import annotations

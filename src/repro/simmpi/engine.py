@@ -793,13 +793,11 @@ class Engine:
             else:
                 raise SimMPIError(f"unknown message-fault kind {fault.kind!r}")
         dst_state = self._states[dst]
-        dst_state.mailbox.append(
-            _Message(seq, trace_seq, src, dst, tag, comm_id, payload, nbytes, arrival)
-        )
-        if copies == 2:
+        for i in range(copies):
             dst_state.mailbox.append(
                 _Message(
-                    next(self._seq), self._trace_seq(src),
+                    seq if i == 0 else next(self._seq),
+                    trace_seq if i == 0 else self._trace_seq(src),
                     src, dst, tag, comm_id, payload, nbytes, arrival,
                 )
             )

@@ -12,10 +12,10 @@ category says what happened, ``detail`` carries what an observer needs:
   covers the sender's injection overhead and carries ``dst``, ``nbytes``,
   ``tag``, ``arrival`` and ``seq`` (unique; ``n * p + src`` for the
   sender's ``n``-th message, so independent of the schedule); the *wait*
-  record (named ``"wait"``)
-  ends when the receive completes and carries ``src``, ``nbytes``,
-  ``tag``, ``waited`` and the same ``seq`` — a receive that found its
-  message already there is a zero-length wait, not a missing record;
+  record (named ``"wait"``) ends when the receive completes and carries
+  ``src``, ``nbytes``, ``tag``, ``waited`` and the same ``seq`` — a
+  receive that found its message already there is a zero-length wait,
+  not a missing record;
 * ``"fault"`` — an injected fault, named ``fault:<kind>`` (``site``, plus
   ``delay`` for a stall or ``dst``/``nbytes``/``tag`` for a message fault);
 * ``"ckpt"`` / ``"cache"`` — a checkpoint write (``checkpoint:<epoch>``)
