@@ -7,8 +7,8 @@ Tables 3-4 without re-running) is :mod:`repro.bench.runner`, and the
 machine-model calibration used by all experiments is
 :mod:`repro.bench.calibration`.
 
-The five wall-clock layer suites (``python -m repro.bench.<suite>``:
-kernelbench, parallelbench, servebench, oocbench, autotunebench) share
+The four wall-clock layer suites (``python -m repro.bench.<suite>``:
+kernelbench, servebench, oocbench, autotunebench) share
 one command line, report header and history-row shape, all in
 :mod:`repro.bench.core`; their rows land in :mod:`repro.bench.history`.
 """

@@ -74,8 +74,8 @@ def bench_dataset(
     g = load_dataset(dataset, seed=seed)
     signals = collect_signals(g, seed=seed)
     plan = plan_run(
-        signals=signals, model=model, dataset=dataset, cores=1,
-        max_p=max_p, seed=seed,
+        signals=signals, model=model, dataset=dataset, max_p=max_p,
+        seed=seed,
     )
     candidates: dict[str, dict[str, Any]] = {}
     counts = set()

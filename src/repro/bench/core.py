@@ -1,9 +1,9 @@
 """The one front, report header and row shape of the ``repro.bench`` suites.
 
-A suite module (kernelbench, parallelbench, servebench, oocbench,
-autotunebench) builds a :class:`Suite` record — its own flags plus plain
+A suite module (kernelbench, servebench, oocbench, autotunebench)
+builds a :class:`Suite` record — its own flags plus plain
 ``run`` / ``rows`` / ``check`` callables and a default artifact path —
-and hands it to :func:`bench_main`.  What the five share lives here and
+and hands it to :func:`bench_main`.  What the four share lives here and
 nowhere else: ``--smoke`` / ``--out`` / ``--check`` / ``--history``, how
 a report is written and a gate result becomes an exit code, the header
 of every report (:func:`envelope`) and the history-row shape (:func:`row`).
@@ -11,7 +11,7 @@ of every report (:func:`envelope`) and the history-row shape (:func:`row`).
 :data:`SUITES` maps a report's ``suite`` string to the module that owns
 that report's shape, so a report read back from disk (``repro history
 append --bench``) finds its row emitter and gate without importing the
-other four suites.  Registering a suite is one entry in that table.
+other three suites.  Registering a suite is one entry in that table.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from repro.instrument.telemetry import host_metadata
 #: report ``suite`` string -> module holding that suite's ``SUITE`` record.
 SUITES = {
     "kernel-backends": "repro.bench.kernelbench",
-    "parallel-superstep": "repro.bench.parallelbench",
     "serve": "repro.bench.servebench",
     "outofcore": "repro.bench.oocbench",
     "autotune": "repro.bench.autotunebench",

@@ -141,8 +141,6 @@ def run_bench(args: argparse.Namespace) -> dict[str, Any]:
             max_inflight=args.max_inflight,
             max_queue=max(64, mixed_n),
             tenant_quota=max(32, mixed_n),
-            executor=args.executor,
-            workers=args.workers,
         )
     )
     try:
@@ -243,7 +241,6 @@ def run_bench(args: argparse.Namespace) -> dict[str, Any]:
         "config": {
             "clients": clients,
             "max_inflight": args.max_inflight,
-            "executor": args.executor,
             "hit_ratio_target": args.hit_ratio,
             "tenants": args.tenants,
             "skew": args.skew,
@@ -387,9 +384,6 @@ SUITE = Suite(
                            help="override the warm/mixed request counts "
                            "(cold gets 1/10th)"),
         "--max-inflight": dict(type=int, default=2),
-        "--executor": dict(choices=["sequential", "parallel"],
-                           default="sequential"),
-        "--workers": dict(type=int, default=0),
         "--hit-ratio": dict(type=float, default=0.7,
                             help="target fraction of warm requests in mixed "
                             "traffic"),

@@ -25,7 +25,7 @@ Commands
     (``list`` / ``verify`` / ``prune`` / ``warm``; see docs/datasets.md).
 ``diff``
     Compare two telemetry records produced by ``count --telemetry``
-    (per-phase wall/virtual deltas, pool buckets, memory).
+    (per-phase wall/virtual deltas, memory).
 ``history``
     Append-only benchmark run database: ``append`` telemetry records or
     bench reports, ``list`` rows, ``check`` the newest rows against a
@@ -44,7 +44,7 @@ the kernels (via ``TC2DConfig.seed``) and the chaos fault plans.
 ``count`` and ``profile`` also accept ``--trace FILE`` to export a
 Perfetto-loadable Chrome trace-event JSON of the run, and
 ``--telemetry FILE`` to record a structured telemetry record
-(phases, memory, GC, pool buckets; see docs/observability.md).
+(phases, memory, GC; see docs/observability.md).
 """
 
 from __future__ import annotations
@@ -210,8 +210,6 @@ _PLAN_FLAGS = {
     "ranks": ("p", 16),
     "algorithm": ("algorithm", "tc2d"),
     "kernel": ("kernel_backend", "auto"),
-    "executor": ("executor", "sequential"),
-    "workers": ("workers", 0),
 }
 
 
@@ -232,8 +230,6 @@ def _apply_auto_plan(args: argparse.Namespace, g: Graph, spec: str, pinned: dict
     """``count --auto``: plan the run around the ``pinned`` fields and
     fold the plan back into ``args`` (the normal dispatch below then just
     runs it)."""
-    import os
-
     from repro.bench.calibration import paper_model
     from repro.core.autotune import plan_run
 
@@ -247,17 +243,14 @@ def _apply_auto_plan(args: argparse.Namespace, g: Graph, spec: str, pinned: dict
         model=paper_model(),
         pinned=pinned,
         dataset=spec,
-        cores=os.cpu_count() or 1,
         max_p=args.auto_max_p,
         seed=args.seed,
     )
     args.ranks, args.algorithm = plan.p, plan.algorithm
-    args.kernel, args.executor = plan.kernel_backend, plan.executor
-    args.workers = plan.workers
+    args.kernel = plan.kernel_backend
     extra = f"; pinned: {', '.join(plan.pinned)}" if plan.pinned else ""
     print(
-        f"auto: -a {plan.algorithm} -p {plan.p} "
-        f"--kernel {plan.kernel_backend} --executor {plan.executor} "
+        f"auto: -a {plan.algorithm} -p {plan.p} --kernel {plan.kernel_backend} "
         f"(predicted {plan.predicted_s:.6f}s "
         f"over {len(plan.predicted)} candidates{extra})"
     )
@@ -266,8 +259,6 @@ def _apply_auto_plan(args: argparse.Namespace, g: Graph, spec: str, pinned: dict
 
 def _cmd_autotune(args: argparse.Namespace) -> int:
     """Print the auto-tuner's candidate table (optionally measured)."""
-    import os
-
     from repro.bench.calibration import paper_model
     from repro.core import GRID_DRIVERS, TC2DConfig
     from repro.core.autotune import format_plan_table, plan_run
@@ -281,7 +272,6 @@ def _cmd_autotune(args: argparse.Namespace) -> int:
         model=model,
         dataset=args.dataset,
         history=args.history,
-        cores=args.cores or (os.cpu_count() or 1),
         max_p=args.max_p,
         seed=args.seed,
     )
@@ -342,8 +332,6 @@ def _cmd_count(args: argparse.Namespace) -> int:
         early_stop=not args.no_early_stop,
         blob_serialization=not args.no_blob,
         kernel_backend=args.kernel,
-        executor=args.executor,
-        workers=args.workers,
         real_timeout=args.real_timeout,
         seed=args.seed,
     )
@@ -354,11 +342,6 @@ def _cmd_count(args: argparse.Namespace) -> int:
     if args.command == "count":
         print(f"{spec}: {degree_summary(g)}")
     model = paper_model()
-    if args.executor == "parallel" and args.algorithm not in GRID_DRIVERS:
-        raise SystemExit(
-            "--executor parallel is implemented for -a tc2d and "
-            "-a coveredge only"
-        )
     cache = _cache_arg(args)
     if cache is not None and args.algorithm not in GRID_DRIVERS:
         raise SystemExit(
@@ -427,14 +410,6 @@ def _emit_observability(args: argparse.Namespace, res) -> None:
     if run is None:
         return
     if getattr(args, "trace", None):
-        worker_spans = None
-        if getattr(args, "trace_workers", False):
-            worker_spans = res.extras.get("worker_spans")
-            if not worker_spans:
-                print(
-                    "note: --trace-workers given but the run recorded no "
-                    "worker spans (sequential executor?)"
-                )
         counters = None
         tele = getattr(args, "_telemetry_obj", None)
         if tele is not None:
@@ -442,9 +417,7 @@ def _emit_observability(args: argparse.Namespace, res) -> None:
 
             counters = counter_samples(tele.recorder.events()) or None
         try:
-            write_chrome_trace(
-                args.trace, run, worker_spans=worker_spans, counters=counters
-            )
+            write_chrome_trace(args.trace, run, counters=counters)
         except OSError as exc:
             raise SystemExit(f"cannot write trace to {args.trace}: {exc}")
         print(
@@ -712,15 +685,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_queue=args.max_queue,
         tenant_quota=args.tenant_quota,
         store=args.store,
-        executor=args.executor,
-        workers=args.workers,
         real_timeout=args.real_timeout,
     )
 
     def announce(server) -> None:
         print(f"repro serve listening on http://{server.host}:{server.port}")
         print(
-            f"  executor={config.executor} max_inflight={config.max_inflight} "
+            f"  max_inflight={config.max_inflight} "
             f"max_queue={config.max_queue} tenant_quota={config.tenant_quota}"
         )
         sys.stdout.flush()
@@ -823,43 +794,24 @@ def _add_ooc_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_executor_flags(p: argparse.ArgumentParser) -> None:
-    """Superstep-executor knobs shared by ``count`` and ``profile``."""
-    p.add_argument(
-        "--executor",
-        choices=["sequential", "parallel"],
-        help="superstep executor: run each Cannon epoch's kernels inline "
-        "(sequential, default) or on a shared-memory worker pool "
-        "(parallel); identical results, clocks and traces either way",
-    )
-    p.add_argument(
-        "--workers",
-        type=int,
-        help="worker processes for --executor parallel (default 0 = cpu "
-        "count)",
-    )
+def _add_runtime_flags(p: argparse.ArgumentParser) -> None:
+    """Wall-clock safety and telemetry knobs shared by ``count`` and
+    ``profile``."""
     p.add_argument(
         "--real-timeout",
         type=float,
         default=600.0,
         dest="real_timeout",
-        help="wall-clock seconds before a wedged rank/worker fails the "
-        "run (default 600)",
-    )
-    p.add_argument(
-        "--trace-workers",
-        action="store_true",
-        dest="trace_workers",
-        help="with --trace: merge the pool's wall-clock worker spans into "
-        "the export as an extra process track",
+        help="wall-clock seconds before a wedged rank fails the run "
+        "(default 600)",
     )
     p.add_argument(
         "--telemetry",
         metavar="FILE",
         default=None,
-        help="record a structured telemetry JSON (phases, memory, GC, "
-        "pool buckets) to FILE and print its report; with --trace, "
-        "counter tracks (RSS, queue depth) are merged into the export",
+        help="record a structured telemetry JSON (phases, memory, GC) to "
+        "FILE and print its report; with --trace, an RSS counter track "
+        "is merged into the export",
     )
 
 
@@ -903,7 +855,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument(
         "--auto",
         action="store_true",
-        help="pick algorithm/grid/kernel/executor with the cost-model "
+        help="pick algorithm/grid/kernel with the cost-model "
         "auto-tuner (explicitly spelled flags stay pinned; see "
         "docs/autotune.md)",
     )
@@ -932,7 +884,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the per-phase/imbalance/comm observability report",
     )
     _add_cache_flags(c)
-    _add_executor_flags(c)
+    _add_runtime_flags(c)
     _add_ooc_flags(c)
     c.set_defaults(fn=_cmd_count)
 
@@ -969,7 +921,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="include the dense rank-to-rank message matrix",
     )
     _add_cache_flags(pr)
-    _add_executor_flags(pr)
+    _add_runtime_flags(pr)
     _add_ooc_flags(pr)
     # The same body as ``count`` with the report forced on; the flags only
     # ``count`` spells take their defaults.
@@ -1042,7 +994,7 @@ def build_parser() -> argparse.ArgumentParser:
         "diff",
         help="compare two telemetry records",
         description="Diff two records written by `count --telemetry` "
-        "(per-phase wall/virtual deltas, pool buckets, memory); warns "
+        "(per-phase wall/virtual deltas, memory); warns "
         "when the runs are keyed by different store digests or "
         "machine-model fingerprints.",
     )
@@ -1071,8 +1023,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     h.add_argument(
         "--bench", action="append", default=[], metavar="FILE",
-        help="repro.bench report to append — kernelbench, parallelbench, "
-        "servebench, oocbench or autotunebench (repeatable)",
+        help="repro.bench report to append — kernelbench, servebench, "
+        "oocbench or autotunebench (repeatable)",
     )
     h.add_argument(
         "--baseline", default=None, metavar="FILE",
@@ -1083,10 +1035,10 @@ def build_parser() -> argparse.ArgumentParser:
     sv = sub.add_parser(
         "serve",
         help="run the async triangle-counting service",
-        description="HTTP front end over a shared superstep pool: "
-        "canonicalized requests, warm result cache keyed by the store "
-        "digest, bounded admission-controlled cold queue, progress "
-        "streaming and a /metrics scrape endpoint (see docs/serve.md).",
+        description="HTTP front end: canonicalized requests, warm result "
+        "cache keyed by the store digest, bounded admission-controlled "
+        "cold queue, progress streaming and a /metrics scrape endpoint "
+        "(see docs/serve.md).",
     )
     sv.add_argument("--host", default="127.0.0.1")
     sv.add_argument(
@@ -1111,13 +1063,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="preprocessing store root (default: $REPRO_STORE_DIR, else "
         "no on-disk cache; the warm result cache works regardless)",
     )
-    sv.add_argument(
-        "--executor", choices=["sequential", "parallel"],
-        default="sequential",
-        help="cold-run superstep executor; parallel shares one "
-        "long-lived worker pool across every request",
-    )
-    sv.add_argument("--workers", type=int, default=0)
     sv.add_argument(
         "--real-timeout", type=float, default=600.0, dest="real_timeout"
     )
@@ -1177,11 +1122,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run every candidate and print measured virtual makespans",
     )
     at.add_argument("--seed", type=int, default=0)
-    at.add_argument(
-        "--cores", type=int, default=0,
-        help="physical cores assumed for the executor choice "
-        "(0 = this machine)",
-    )
     at.add_argument(
         "--history", default=None, metavar="FILE",
         help="run-history JSONL (repro history) whose measured makespans "

@@ -15,8 +15,8 @@ Public entry points:
   cover-edge algorithm (Bader et al.) on the same substrate, emitting
   the same result/span/counter contracts as tc2d.
 * :func:`~repro.core.autotune.plan_run` — the cost-model auto-tuner
-  behind ``repro count --auto``: pick algorithm × grid × kernel ×
-  executor from cheap graph signals and the machine model.
+  behind ``repro count --auto``: pick algorithm × grid from cheap graph
+  signals and the machine model.
 * :data:`GRID_DRIVERS` — ``TC2DConfig.algorithm`` name -> driver, for
   callers that dispatch on the planned algorithm.
 

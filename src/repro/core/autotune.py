@@ -1,23 +1,21 @@
-"""Cost-model auto-tuner: pick algorithm × grid × kernel × executor.
+"""Cost-model auto-tuner: pick algorithm × grid × kernel.
 
-The decision space of this repository has grown to the point where a
-user faces five independent knobs before the first run: algorithm
-(``tc2d`` vs ``coveredge``), rank count, kernel backend, executor and
-worker count.  :func:`plan_run` collapses that into one call: it
-collects **cheap graph signals** (degree shape, wedge count, cover-edge
-statistics — everything strictly cheaper than counting triangles),
-combines them with the :class:`~repro.simmpi.costmodel.MachineModel`'s
-rates into a predicted virtual makespan per (algorithm, p) candidate.
-The wall-clock-only knobs (kernel backend, executor, workers) never
-change the virtual clock, so they cannot participate in the virtual-time
-argmin; they take the values the committed wall-clock artifacts show
-winning — ``auto`` and ``sequential`` — unless pinned.
+A user faces three knobs before the first run: algorithm (``tc2d`` vs
+``coveredge``), rank count and kernel backend.  :func:`plan_run`
+collapses that into one call: it collects **cheap graph signals**
+(degree shape, wedge count, cover-edge statistics — everything strictly
+cheaper than counting triangles), combines them with the
+:class:`~repro.simmpi.costmodel.MachineModel`'s rates into a predicted
+virtual makespan per (algorithm, p) candidate.  The kernel backend never
+changes the virtual clock, so it cannot participate in the virtual-time
+argmin; it takes the value the committed wall-clock artifact shows
+winning — ``auto`` — unless pinned.
 
 Three properties the tests pin down:
 
 * **deterministic** — same signals fingerprint + same model fingerprint
-  (+ same ``cores``/``max_p`` inputs) produce the identical
-  :class:`Plan`, bit for bit; ties break lexicographically.
+  (+ same ``max_p`` input) produce the identical :class:`Plan`, bit for
+  bit; ties break lexicographically.
 * **pinned flags win** — any field the user set explicitly is adopted
   verbatim and removed from the search space; the plan records which
   fields were pinned.
@@ -51,7 +49,7 @@ from repro.simmpi.costmodel import MachineModel
 CANDIDATE_RANKS = (1, 4, 9, 16, 25, 36, 49, 64, 100, 121, 144, 169)
 
 #: Fields of a :class:`Plan` a user may pin via explicit CLI flags.
-PLANNABLE_FIELDS = ("algorithm", "p", "kernel_backend", "executor", "workers")
+PLANNABLE_FIELDS = ("algorithm", "p", "kernel_backend")
 
 
 @dataclass(frozen=True)
@@ -129,15 +127,12 @@ class Plan:
     algorithm: str
     p: int
     kernel_backend: str
-    executor: str
-    workers: int
     predicted_s: float
     predicted: dict[str, float] = field(default_factory=dict)
     signals_fingerprint: str = ""
     model_fingerprint: str = ""
     pinned: tuple[str, ...] = ()
     source: str = "model"
-    cores: int = 1
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-serializable provenance record (lands in
@@ -152,10 +147,7 @@ class Plan:
         :class:`TC2DConfig` (``base`` supplies everything else)."""
         base = base if base is not None else TC2DConfig()
         return base.replace(
-            algorithm=self.algorithm,
-            kernel_backend=self.kernel_backend,
-            executor=self.executor,
-            workers=self.workers,
+            algorithm=self.algorithm, kernel_backend=self.kernel_backend
         )
 
 
@@ -274,11 +266,10 @@ def plan_run(
     pinned: dict[str, Any] | None = None,
     history: Any = None,
     dataset: str = "",
-    cores: int = 1,
     max_p: int = 64,
     seed: int = 0,
 ) -> Plan:
-    """Choose algorithm × p × kernel backend × executor for one run.
+    """Choose algorithm × p × kernel backend for one run.
 
     Parameters
     ----------
@@ -297,10 +288,6 @@ def plan_run(
         Optional :class:`~repro.bench.history.RunHistory` (or its path):
         measured makespans under ``{dataset}-{alg}-p{p}`` cases override
         the model's predictions for those candidates.
-    cores:
-        Physical cores available for the parallel executor.  Passed
-        explicitly (rather than sampled from the machine) so plans are
-        reproducible; the CLI passes ``os.cpu_count()``.
     max_p:
         Largest rank count to consider.
 
@@ -344,32 +331,20 @@ def plan_run(
     best_alg, best_p = best_key.rsplit("-p", 1)
     best_p = int(best_p)
 
-    # Wall-clock-only knobs never move the virtual clock, so the argmin
-    # above cannot choose them, and no committed wall-clock artifact shows
-    # a graph size or core count where forcing a backend or starting a
-    # pool beats these two (docs/autotune.md has the tables).
-    kernel = pinned.get("kernel_backend", "auto")
-    executor = pinned.get("executor", "sequential")
-    if "workers" in pinned:
-        workers = int(pinned["workers"])
-    elif executor == "parallel":
-        workers = max(1, min(cores, best_p))
-    else:
-        workers = 0
-
+    # The kernel backend never moves the virtual clock, so the argmin
+    # above cannot choose it, and no committed wall-clock artifact shows
+    # a graph size where forcing a backend beats "auto"
+    # (docs/autotune.md has the table).
     return Plan(
         algorithm=best_alg,
         p=best_p,
-        kernel_backend=kernel,
-        executor=executor,
-        workers=workers,
+        kernel_backend=pinned.get("kernel_backend", "auto"),
         predicted_s=predicted[best_key],
         predicted=predicted,
         signals_fingerprint=signals.fingerprint(),
         model_fingerprint=model.fingerprint(),
         pinned=tuple(sorted(pinned)),
         source=sources[best_key],
-        cores=cores,
     )
 
 
@@ -387,8 +362,6 @@ def format_plan_table(plan: Plan, measured: dict[str, float] | None = None) -> s
         )
     lines.append(
         f"plan: -a {plan.algorithm} -p {plan.p} --kernel {plan.kernel_backend}"
-        f" --executor {plan.executor}"
-        + (f" --workers {plan.workers}" if plan.executor == "parallel" else "")
         + (f"  [pinned: {', '.join(plan.pinned)}]" if plan.pinned else "")
     )
     return "\n".join(lines)

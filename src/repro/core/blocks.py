@@ -86,14 +86,9 @@ class Block:
     #: The source blob this block was deserialized from (set by
     #: :meth:`from_blob` / :meth:`from_mmap`, ``None`` for blocks built
     #: locally).  :meth:`as_blob` returns it instead of re-packing, so a
-    #: cache-served block can be republished without a concatenate pass.
+    #: received or cache-served block ships again without a concatenate
+    #: pass.
     blob: np.ndarray | None = field(default=None, repr=False, compare=False)
-    #: Where ``blob`` lives on disk, for a block mapped out of a rank file
-    #: by :func:`read_rank_file`: ``(path, byte offset, dtype string,
-    #: element count)`` — the address a file-backed resident slot takes.
-    slot: tuple[str, int, str, int] | None = field(
-        default=None, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         if self.kind not in _KIND_CODES:
@@ -308,9 +303,8 @@ class RankFileError(ValueError):
 @dataclass(frozen=True)
 class RankFile:
     """A mapped rank file: ``meta`` and ``extra`` as written and the
-    crc-verified ``(u, l, task)`` blocks, each knowing its :attr:`Block.slot`.
-    All arrays are read-only views into one shared map, which lives as
-    long as any of them."""
+    crc-verified ``(u, l, task)`` blocks.  All arrays are read-only views
+    into one shared map, which lives as long as any of them."""
 
     meta: np.ndarray
     extra: np.ndarray
@@ -402,6 +396,5 @@ def read_rank_file(path: "str | Path", rank: int) -> RankFile:
                 f"{path}: blob at byte {offset} does not span its {length} words"
             )
         blocks.append(Block.from_mmap(buf, offset))
-        blocks[-1].slot = (str(path), offset, str(_RANK_DTYPE), length)
         offset += length * word
     return RankFile(meta, extra, tuple(blocks))

@@ -41,7 +41,7 @@ from repro.core.kernels import KernelStats, prepare_backend, resolve_backend
 from repro.core.preprocess import partition_1d
 from repro.core.superstep import KERNEL_JOB_ENTRY
 from repro.graph.csr import Graph
-from repro.simmpi import Engine, MachineModel, Resident, RunResult, SuperstepPool
+from repro.simmpi import Engine, MachineModel, RunResult
 from repro.simmpi.engine import RankContext
 
 #: ``(skew U, skew L, shift U, shift L)`` message tags of the tc2d rotation
@@ -87,16 +87,14 @@ def count_blocks(
     l_block: Block,
     tally: KernelTally,
     operands: tuple | None = None,
-    shift: int = 0,
 ) -> tuple[str, KernelStats]:
     """Run the intersection kernel on one block triple and charge it.
 
-    Inline by default; with ``operands`` (block blobs or
-    :class:`~repro.simmpi.Resident` references) the kernel runs on the
-    engine's worker pool instead.  Either way the logical
-    :class:`~repro.core.kernels.KernelStats` are charged to this rank's
-    clock here, so clocks, counters and traces do not depend on where the
-    kernel ran.  Returns ``(backend name, stats)``.
+    Inline by default; with ``operands`` (the ``(task, u, l)`` block
+    blobs) the kernel runs on the engine's worker pool instead.  Either
+    way the logical :class:`~repro.core.kernels.KernelStats` are charged
+    to this rank's clock here, so clocks, counters and traces do not
+    depend on where the kernel ran.  Returns ``(backend name, stats)``.
     """
     working_set = (
         u_block.nbytes_estimate()
@@ -116,7 +114,7 @@ def count_blocks(
         payload = ctx.offload(
             KERNEL_JOB_ENTRY,
             operands,
-            meta={"backend": bname, "cfg": cfg, "rank": ctx.rank, "shift": shift},
+            meta={"backend": bname, "cfg": cfg},
             label=f"kernel:{bname}",
         )
         st = KernelStats(**payload)
@@ -174,9 +172,7 @@ def load_warm_blocks(ctx: RankContext, caches: Sequence[Any]) -> list[Operands]:
     reports stay well-defined and honest — the trace shows a cache span
     where preprocessing would have been.
 
-    Returns one :class:`Operands` per entry; their blocks know where in
-    the store files they were mapped from (:attr:`Block.slot`), which is
-    what lets :func:`cannon_pass` point a worker pool at the files.
+    Returns one :class:`Operands` per entry.
     """
     rank = ctx.rank
     with ctx.phase("cache"):
@@ -220,53 +216,23 @@ def cannon_pass(
 
     ``tags`` are the pass's message tags (see :data:`TAGS_TC2D`);
     ``prefix`` scopes its fault-point names (``"shift:z"`` vs
-    ``"cover:shift:z"``) and resident keys; ``shift_base`` offsets the
-    recorded shift ids so several passes stay distinguishable in one
-    record stream.  Kernel statistics accumulate into ``tally``.
+    ``"cover:shift:z"``); ``shift_base`` offsets the recorded shift ids
+    so several passes stay distinguishable in one record stream.  Kernel
+    statistics accumulate into ``tally``.  With a worker pool attached
+    to the engine every epoch's kernel runs there, on the blobs of the
+    blocks the rank holds at that epoch.
 
     ``resilience`` (a :class:`~repro.resilience.recovery.ResilienceContext`)
     snapshots the travelling blocks + partial count at every epoch
     boundary; ``snap`` is the snapshot to resume from — its blocks are
     already skewed and shifted, so the pass re-enters the loop at
-    ``snap.epoch`` with ``snap.local_count``.  Blocks that came out of a
-    warm store entry (they carry a :attr:`Block.slot`) are served to the
-    worker pool straight from the store files — by every rank or by none,
-    which the cross-rank resident keys below rely on and a rank file being
-    mappable by construction guarantees.
+    ``snap.epoch`` with ``snap.local_count``.
     """
     q = grid.q
     x, y = grid.coords(ctx.rank)
     offloading = ctx.engine.superstep is not None
-    # Residency assumes block *content* is exchange-invariant (only
-    # location rotates under Cannon's schedule).  A fault injector can
-    # break that — corrupt faults rewrite payloads in flight — so
-    # fault-injected runs ship per-epoch transient blobs instead.
-    resident = offloading and ctx.engine.faults is None
     site = f"{prefix}:shift" if prefix else "shift"
     who = f"rank {ctx.rank} {prefix}".rstrip()
-
-    def key(*parts: Any) -> tuple:
-        return (prefix, *parts) if prefix else parts
-
-    # Read the file addresses now: the skew replaces ops.u and ops.l.
-    task_slot, u_slot, l_slot = ops.task.slot, ops.u.slot, ops.l.slot
-    file_backed = offloading and task_slot is not None
-    if file_backed:
-        # The task block is only referenced by this very rank, so its
-        # file slot is safe with or without U/L residency.
-        ctx.put_resident_file(key("task", ctx.rank), task_slot)
-        if resident:
-            # Pre-skew schedule-ahead publication.  The stored U/L blobs
-            # carry this rank's *pre-skew* inner residues; over a grid row
-            # (column) those residues are a bijection onto 0..q-1 exactly
-            # like the post-skew ones, so the key union covers every
-            # epoch's operand and the bytes are the very pages the skewed
-            # copies travelled as.  Every rank publishes before its first
-            # blocking call of the pass and drains only fire once no rank
-            # is runnable, so all slots are live before any kernel
-            # references a grid peer's key.
-            ctx.put_resident_file(key("U", x, ops.u.inner_residue), u_slot)
-            ctx.put_resident_file(key("L", y, ops.l.inner_residue), l_slot)
 
     local_sum, start_z = (0, 0) if snap is None else (snap.local_count, snap.epoch)
     if snap is None:
@@ -275,31 +241,10 @@ def cannon_pass(
         if resilience is not None:
             resilience.save(ctx, 0, local_sum, *ops.blocks())
 
-    task_ref: Any = None
-    if offloading:
-        # The task block never travels: publish its blob once as a
-        # resident slot and reference it every epoch instead of
-        # re-serializing and re-copying it per shift.
-        if not file_backed:
-            ctx.put_resident(key("task", ctx.rank), ops.task.as_blob())
-        task_ref = Resident(key("task", ctx.rank))
-    if resident and not file_backed:
-        # Schedule-ahead publication: Eq. 6 pins every later epoch's
-        # operand *content* right now — blocks only rotate location.
-        # Each rank publishing its current U/L blob keyed by (role,
-        # fixed residue, inner residue) covers the rank's whole Cannon
-        # schedule: at epoch z this rank reads ("U", x, (x+y+z) % q),
-        # which a grid peer published under this very protocol.  All
-        # publications precede the first dispatch because drains only
-        # fire once every rank has parked on its epoch job.
-        ctx.put_resident(key("U", x, ops.u.inner_residue), ops.u.as_blob())
-        ctx.put_resident(key("L", y, ops.l.inner_residue), ops.l.as_blob())
-
     for z in range(start_z, q):
         ctx.fault_point(f"{site}:{z}")
-        # Eq. 6 — also what the resident keys below are derived
-        # from, so prove the travelling blocks actually carry the residue
-        # before substituting resident bytes for them.
+        # Eq. 6: the travelling blocks must carry the residue this epoch
+        # contracts over.
         expected = grid.operand_residue(x, y, z)
         if ops.u.inner_residue != expected or ops.l.inner_residue != expected:
             raise AssertionError(
@@ -308,20 +253,12 @@ def cannon_pass(
                 f"expected {expected}"
             )
         operands = None
-        if resident:
-            operands = (
-                task_ref,
-                Resident(key("U", x, expected)),
-                Resident(key("L", y, expected)),
-            )
-        elif offloading:
-            # as_blob: exchanged blocks retain their wire buffer, so the
-            # transient path re-ships but never re-packs.
-            operands = (task_ref, ops.u.as_blob(), ops.l.as_blob())
+        if offloading:
+            # as_blob: exchanged blocks retain their wire buffer, so an
+            # epoch re-ships its operands but never re-packs them.
+            operands = (ops.task.as_blob(), ops.u.as_blob(), ops.l.as_blob())
         t0 = ctx.clock.now
-        bname, st = count_blocks(
-            ctx, cfg, ops.task, ops.u, ops.l, tally, operands, shift_base + z
-        )
+        bname, st = count_blocks(ctx, cfg, ops.task, ops.u, ops.l, tally, operands)
         local_sum += st.triangles
         if ctx.tracer.enabled:
             ctx.tracer.span_point(
@@ -468,8 +405,7 @@ def _open_caches(
 
 
 def _finish_caches(
-    caches: list, passes: Sequence[str], result: TriangleCountResult,
-    pooled: bool,
+    caches: list, passes: Sequence[str], result: TriangleCountResult
 ) -> None:
     """Finalize a cold cached run / replay a warm one.
 
@@ -480,8 +416,7 @@ def _finish_caches(
     measure) into the result so benchmark tables built off a warm store
     keep honest preprocessing columns.  Either way
     ``result.extras["cache"]`` records what happened; later passes'
-    digests appear as ``"<pass>_digest"``, and ``file_serving`` is
-    ``pooled``: whether workers read the blobs from the store files.
+    digests appear as ``"<pass>_digest"``.
     """
     if not caches:
         return
@@ -506,7 +441,6 @@ def _finish_caches(
             nbytes=sum(c.loaded_nbytes for c in caches),
             replayed_ppt=recorded is not None,
             mapped_ranks=sum(c.mapped_ranks for c in caches),
-            file_serving=pooled,
         )
     else:
         ppt_stats = {
@@ -553,7 +487,7 @@ class GridJob:
         model: MachineModel | None = None,
         trace: Any = False,
         dataset: str = "",
-        superstep: SuperstepPool | None = None,
+        superstep: Any = None,
         cache: Any = None,
         telemetry: Any = None,
         passes: Sequence[str] = (),
@@ -603,12 +537,12 @@ class GridJob:
         warm = bool(self.caches) and all(c.hit for c in self.caches)
         self.chunks = [None] * p if warm else partition_1d(self.graph, p)
         if self.pool is None and cfg.executor == "parallel":
+            from repro.simmpi.parallel import SuperstepPool
+
             self.pool = SuperstepPool(
                 workers=cfg.workers, timeout=cfg.real_timeout
             )
             self._owns_pool = True
-        if self.pool is not None and self.telemetry is not None:
-            self.telemetry.attach_pool(self.pool)
 
     def run(
         self, program: Callable[..., Any], *args: Any, label_suffix: str = ""
@@ -652,13 +586,10 @@ class GridJob:
             dataset=self.dataset,
             keep_run=keep_run or self.engine.tracer.enabled,
         )
-        _finish_caches(
-            self.caches, self.passes, result, pooled=self.pool is not None
-        )
+        _finish_caches(self.caches, self.passes, result)
         if self.pool is not None:
             result.extras["executor"] = "parallel"
             result.extras["workers"] = self.pool.workers
-            result.extras["worker_spans"] = self.pool.drain_spans()
         if self.telemetry is not None:
             result.extras["telemetry"] = self.telemetry.summarize(
                 result=result, run=run, model=self.engine.model, cfg=self.cfg

@@ -97,8 +97,9 @@ class TC2DConfig:
         Results, virtual clocks, traces and profile reports are
         bit-identical either way — only wall time changes.
     workers:
-        Worker-process count for the parallel executor; ``0`` means
-        ``os.cpu_count()``.  Ignored under ``executor="sequential"``.
+        Worker-process count for the parallel executor; ``0`` means the
+        CPUs this process may run on.  Ignored under
+        ``executor="sequential"``.
     real_timeout:
         Real (wall-clock) seconds the engine waits for a rank thread or
         a pool worker before declaring the run wedged.  A safety net for
@@ -149,7 +150,7 @@ class TC2DConfig:
                 f"executor must be one of {EXECUTORS}, got {self.executor!r}"
             )
         if self.workers < 0:
-            raise ValueError("workers must be >= 0 (0 = cpu count)")
+            raise ValueError("workers must be >= 0 (0 = usable CPUs)")
         if self.real_timeout <= 0:
             raise ValueError("real_timeout must be > 0 seconds")
 

@@ -33,10 +33,9 @@ where ``T_H`` is the triangle count of the horizontal subgraph ``H``
 Everything else is shared with tc2d: the preprocessing relabeling steps
 (:func:`~repro.core.preprocess.initial_redistribution`,
 :func:`~repro.core.preprocess.degree_reorder`), the kernel backends,
-executors and dispatch modes, the ``ppt``/``tct``/``cache`` phase
-contract, span labels, counters, telemetry, and the content-addressed
-store (two entries per run, keyed by a ``{"pass": ...}`` digest
-component).  Chaos-style checkpoint/restart is the one tc2d extra this
+the executors, the ``ppt``/``tct``/``cache`` phase contract, span
+labels, counters, telemetry, and the content-addressed store (two
+entries per run, keyed by a ``{"pass": ...}`` digest component).  Chaos-style checkpoint/restart is the one tc2d extra this
 driver does not implement.
 """
 
@@ -75,7 +74,7 @@ from repro.core.preprocess import (
     translate_labels,
 )
 from repro.graph.csr import CSR, INDEX_DTYPE, Graph
-from repro.simmpi import SUM, MachineModel, SuperstepPool
+from repro.simmpi import SUM, MachineModel
 from repro.simmpi.engine import RankContext
 
 #: Message tags per pass, disjoint from tc2d's (100..130) so a bug can
@@ -327,7 +326,6 @@ def count_triangles_coveredge(
     trace: bool = False,
     dataset: str = "",
     keep_run: bool = False,
-    superstep: SuperstepPool | None = None,
     cache: Any = None,
     telemetry: Any = None,
 ) -> TriangleCountResult:
@@ -335,9 +333,9 @@ def count_triangles_coveredge(
     ``p`` simulated ranks (perfect square).
 
     The parameters match :func:`~repro.core.tc2d.count_triangles_2d`
-    exactly — same config object, executors, tracing, caching and
-    telemetry plumbing — and the returned count is bit-identical to
-    tc2d's (both are exact).  Result ``extras`` additionally carry a
+    but for ``superstep`` — same config object, executors, tracing,
+    caching and telemetry plumbing — and the returned count is
+    bit-identical to tc2d's (both are exact).  Result ``extras`` additionally carry a
     ``"coveredge"`` record: the cover-set size, the two partial sums of
     the closed formula and the BFS propagation round count.
 
@@ -349,8 +347,7 @@ def count_triangles_coveredge(
     ProcessorGrid.for_ranks(p)  # validates perfect square early
     with GridJob(
         graph, p, cfg, "coveredge", model=model, trace=trace, dataset=dataset,
-        superstep=superstep, cache=cache, telemetry=telemetry,
-        passes=("cover", "horiz"),
+        cache=cache, telemetry=telemetry, passes=("cover", "horiz"),
     ) as job:
         run = job.run(coveredge_rank_program, job.cfg, tuple(job.caches) or None)
         result = job.finish(run, "coveredge", keep_run)

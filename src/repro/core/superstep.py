@@ -9,8 +9,7 @@ concrete kernel backend, and ships the logical
 :class:`~repro.core.kernels.common.KernelStats` back as a plain dict —
 the only bytes that cross the pickle channel.  It is the pool's one job:
 preprocessing stays on the scheduler, its local sort and block assembly
-being too short to repay a dispatch (``docs/parallel.md`` has the
-measurement).
+being too short to repay a dispatch.
 
 The rank program applies every returned result under the deterministic
 scheduler (charges, counters, tracer spans, count accumulation), so each
@@ -18,14 +17,13 @@ worker computes a *pure function of the submitted bytes*: same inputs +
 same config → same outputs, bit-identical to running the kernel inline.
 
 Backend resolution happens in the **parent** (``resolve_backend`` runs
-rank-side before submission) for three reasons: the ``"auto"`` choice is
-part of the observable result (span labels, ``backend_uses``); custom
-backends registered only in the parent process do not exist in spawn
-workers unless a ``worker_init`` hook re-registers them — see
-:func:`repro.simmpi.parallel._worker_initializer`; and the compiled
-``"c"`` backend is built (once, by the driver's ``prepare_backend``)
-before the first job names it, so a worker's ``get_backend("c")`` only
-ever loads the cached library — no worker runs a compiler.
+rank-side before submission) for two reasons: the ``"auto"`` choice is
+part of the observable result (span labels, ``backend_uses``); and the
+compiled ``"c"`` backend is built (once, by the driver's
+``prepare_backend``) before the first job names it, so a worker's
+``get_backend("c")`` only ever loads the cached library — no worker runs
+a compiler.  Spawn workers see only the backends registered at import
+time.
 """
 
 from __future__ import annotations
@@ -53,8 +51,7 @@ def kernel_job(arrays: Sequence[np.ndarray], meta: dict) -> dict[str, Any]:
         by :meth:`Block.to_blob`, viewed zero-copy out of the shm arena.
     meta:
         ``backend`` (concrete, non-auto backend name) and ``cfg`` (the
-        run's :class:`~repro.core.config.TC2DConfig`); ``rank`` and
-        ``shift`` ride along for error messages and worker-span tooling.
+        run's :class:`~repro.core.config.TC2DConfig`).
 
     Returns
     -------

@@ -21,7 +21,7 @@ Equation 6 of the paper.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.core.cannon import (
     TAGS_TC2D,
@@ -38,8 +38,11 @@ from repro.core.counts import TriangleCountResult
 from repro.core.grid import ProcessorGrid
 from repro.core.preprocess import InputChunk, preprocess, preprocess_with_labels
 from repro.graph.csr import Graph
-from repro.simmpi import SUM, MachineModel, RunResult, SuperstepPool, Tracer
+from repro.simmpi import SUM, MachineModel, RunResult, Tracer
 from repro.simmpi.engine import RankContext
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.simmpi.parallel import SuperstepPool
 
 
 def tc2d_rank_program(
@@ -162,10 +165,9 @@ def count_triangles_2d(
     telemetry:
         Optional :class:`~repro.instrument.telemetry.Telemetry` session
         (started by the caller).  The run records per-phase executing
-        wall time, pool dispatch buckets and memory/GC samples; the
-        summary record lands in ``result.extras["telemetry"]`` and the
-        flight recorder is dumped (``crash_dir`` permitting) when the
-        run raises — including :class:`~repro.simmpi.errors.
+        wall time and memory/GC samples; the summary record lands in
+        ``result.extras["telemetry"]`` and the flight recorder is dumped
+        (``crash_dir`` permitting) when the run raises — including :class:`~repro.simmpi.errors.
         WorkerCrashError` from the parallel executor.  Counts, clocks,
         counters and traces are bit-identical with or without it.
 
@@ -174,8 +176,7 @@ def count_triangles_2d(
     TriangleCountResult
         Exact count plus simulated phase times, counters, per-shift
         records and hash statistics.  Under the parallel executor,
-        ``extras`` additionally carries ``executor``, ``workers`` and
-        the run's wall-clock ``worker_spans``.
+        ``extras`` additionally carries ``executor`` and ``workers``.
     """
     ProcessorGrid.for_ranks(p)  # validates perfect square early
     with GridJob(

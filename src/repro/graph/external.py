@@ -923,7 +923,6 @@ def count_triangles_oocore(
     trace: bool = False,
     dataset: str = "",
     keep_run: bool = False,
-    superstep: Any = None,
     telemetry: Any = None,
     workdir: str | Path | None = None,
 ) -> Any:
@@ -986,7 +985,6 @@ def count_triangles_oocore(
             trace=trace,
             dataset=dataset or Path(path).name,
             keep_run=keep_run,
-            superstep=superstep,
             cache=run_cache,
             telemetry=telemetry,
         )

@@ -107,8 +107,8 @@ def resolve_store_dir(explicit: "str | Path | None" = None) -> Path | None:
     """The one rule for opt-in store resolution: an explicit ``--store``
     value wins, else ``$REPRO_STORE_DIR``, else ``None`` (no store).
 
-    Every harness that takes a ``--store DIR`` flag (parallelbench,
-    chaos, servebench, the serve layer) resolves it through here, so the
+    Every harness that takes a ``--store DIR`` flag (chaos, servebench,
+    the serve layer) resolves it through here, so the
     environment variable means the same thing everywhere.  Callers that
     must never touch the user's home directory without opt-in (benchmark
     runners, test fixtures) use this instead of
@@ -303,9 +303,7 @@ class RunCache:
         this rank's rank file raises
         :class:`~repro.core.blocks.RankFileError`, a bad payload
         :class:`~repro.simmpi.errors.BlobChecksumError`; neither has a
-        second way in.  Each block carries its :attr:`Block.slot` (the
-        store file is immutable once finalized, so the address stays valid
-        for the process lifetime).
+        second way in.
 
         Returns ``(u_block, l_block, task_block, nbytes)``.
         """

@@ -24,13 +24,9 @@ Everything is derived from the tracer's one record list
   (``fault:<kind>`` / ``checkpoint:<epoch>``);
 * the keys that only link records to each other (``seq``, ``tag``,
   ``arrival``, ``waited``) are never shown as args;
-* optionally, the parallel executor's wall-clock
-  :class:`~repro.simmpi.parallel.WorkerSpan` records become a second
-  process (one track per worker pid) so pool occupancy is visible next
-  to the virtual rank timelines;
-* optionally, telemetry counter samples (RSS, pool queue depth — see
+* optionally, telemetry counter samples (RSS — see
   :func:`repro.instrument.telemetry.counter_samples`) become ``"C"``
-  counter tracks on the wall-clock process.
+  counter tracks on a second, wall-clock process.
 
 Export is fully deterministic *and schedule-invariant*: records
 are emitted rank-major (each rank's records in its own program order —
@@ -38,9 +34,9 @@ which is identical under the sequential and parallel executors and on
 either all-to-all path — ranks concatenated in id order), a ``seq`` is
 numbered by its sender alone (``Engine._trace_seq``), and events are
 serialized with sorted keys, so two runs that differ only in executor or
-in rank interleaving produce byte-identical files.  The opt-in worker and
-counter tracks are the one exception: they record real time and are
-therefore nondeterministic by nature.
+in rank interleaving produce byte-identical files.  The opt-in counter
+tracks are the one exception: they record real time and are therefore
+nondeterministic by nature.
 """
 
 from __future__ import annotations
@@ -50,13 +46,12 @@ from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simmpi.engine import RunResult
-    from repro.simmpi.parallel import WorkerSpan
 
 #: Trace clock: virtual seconds -> microseconds.
 _US = 1e6
 _PID = 0
-#: Second trace process holding the pool workers' wall-clock lanes.
-_WORKER_PID = 1
+#: Second trace process holding the wall-clock counter tracks.
+_WALL_PID = 1
 
 
 def _rank_major(records: Iterable[Any]) -> list[Any]:
@@ -95,18 +90,14 @@ def _marker(span: Any, cat: str, scope: str, **args: Any) -> dict[str, Any]:
 
 def chrome_trace(
     run: "RunResult",
-    worker_spans: Sequence["WorkerSpan"] | None = None,
     counters: Sequence[dict[str, Any]] | None = None,
 ) -> dict[str, Any]:
     """Build the trace-event dictionary for a traced ``run``.
 
-    ``worker_spans`` (optional) merges the parallel executor's wall-clock
-    worker occupancy as a second trace process — one lane per worker
-    process, one ``"X"`` event per offloaded job, timestamps in real
-    seconds since pool creation.  ``counters`` (optional) adds ``"C"``
-    counter tracks to the same wall-clock process — each sample a dict
-    with ``t`` (seconds), ``name`` and ``value``, as produced by
-    :func:`repro.instrument.telemetry.counter_samples`.  Leave both
+    ``counters`` (optional) adds ``"C"`` counter tracks on a second,
+    wall-clock trace process — each sample a dict with ``t`` (seconds),
+    ``name`` and ``value``, as produced by
+    :func:`repro.instrument.telemetry.counter_samples`.  Leave it
     ``None`` (the default) for a fully deterministic export.
 
     Raises ``ValueError`` if the run was executed without tracing (there
@@ -190,54 +181,18 @@ def chrome_trace(
                 )
             )
 
-    # Optional wall-clock worker track: a second trace process with one
-    # lane per worker pid.  Real time, hence nondeterministic; opt-in.
-    if worker_spans or counters:
-        events.append(
-            _meta(
-                _WORKER_PID, 0, "process_name",
-                name="superstep workers (wall clock)",
-            )
-        )
-    if worker_spans:
-        lanes = {
-            pid: lane
-            for lane, pid in enumerate(sorted({s.worker for s in worker_spans}))
-        }
-        for pid, lane in lanes.items():
-            events.append(
-                _meta(_WORKER_PID, lane, "thread_name", name=f"worker pid {pid}")
-            )
-            events.append(
-                _meta(_WORKER_PID, lane, "thread_sort_index", sort_index=lane)
-            )
-        for s in worker_spans:
-            events.append(
-                {
-                    "ph": "X",
-                    "pid": _WORKER_PID,
-                    "tid": lanes[s.worker],
-                    "ts": s.begin * _US,
-                    "dur": s.duration * _US,
-                    "name": s.label or "job",
-                    "cat": "worker",
-                    "args": {
-                        "rank": s.rank,
-                        "dispatch": s.dispatch,
-                        "pid": s.worker,
-                    },
-                }
-            )
-
-    # Optional telemetry counter tracks (RSS, queue depth) on the same
-    # wall-clock process.  Counter events carry no flow ids, so adding
-    # them never renumbers the message arrows above.
+    # Optional telemetry counter tracks (RSS) on a second, wall-clock
+    # process.  Counter events carry no flow ids, so adding them never
+    # renumbers the message arrows above.
     if counters:
+        events.append(
+            _meta(_WALL_PID, 0, "process_name", name="telemetry (wall clock)")
+        )
         for c in counters:
             events.append(
                 {
                     "ph": "C",
-                    "pid": _WORKER_PID,
+                    "pid": _WALL_PID,
                     "tid": 0,
                     "ts": float(c["t"]) * _US,
                     "name": str(c["name"]),
@@ -259,14 +214,13 @@ def chrome_trace(
 
 def dumps_chrome_trace(
     run: "RunResult",
-    worker_spans: Sequence["WorkerSpan"] | None = None,
     counters: Sequence[dict[str, Any]] | None = None,
 ) -> str:
     """Serialize :func:`chrome_trace` deterministically (sorted keys,
     fixed separators, trailing newline)."""
     return (
         json.dumps(
-            chrome_trace(run, worker_spans=worker_spans, counters=counters),
+            chrome_trace(run, counters=counters),
             sort_keys=True,
             separators=(",", ":"),
         )
@@ -277,7 +231,6 @@ def dumps_chrome_trace(
 def write_chrome_trace(
     path,
     run: "RunResult",
-    worker_spans: Sequence["WorkerSpan"] | None = None,
     counters: Sequence[dict[str, Any]] | None = None,
 ) -> None:
     """Write the Perfetto-loadable trace of ``run`` to ``path``.
@@ -287,5 +240,5 @@ def write_chrome_trace(
     from pathlib import Path
 
     Path(path).write_text(
-        dumps_chrome_trace(run, worker_spans=worker_spans, counters=counters)
+        dumps_chrome_trace(run, counters=counters)
     )

@@ -1,10 +1,10 @@
 """Compare two recorded telemetry runs (``repro diff``).
 
 A telemetry record (see :mod:`repro.instrument.telemetry`) captures one
-run's wall/virtual phase breakdown, memory, GC and pool-bucket stats,
-keyed by the preprocessing-store digest and the machine-model
-fingerprint.  :func:`diff_records` lines two records up phase by phase
-and reports the deltas; :func:`render_diff` is the text view.
+run's wall/virtual phase breakdown, memory and GC stats, keyed by the
+preprocessing-store digest and the machine-model fingerprint.
+:func:`diff_records` lines two records up phase by phase and reports the
+deltas; :func:`render_diff` is the text view.
 
 Comparability is checked, not enforced: runs with different store
 digests (different graph/config), model fingerprints or hosts still
@@ -52,8 +52,8 @@ def diff_records(a: dict[str, Any], b: dict[str, Any]) -> dict[str, Any]:
     """Structured diff of two telemetry records (A = reference, B = new).
 
     Returns a JSON-serializable document with ``warnings`` (key
-    mismatches), ``totals`` (wall/makespan/memory deltas), per-phase
-    rows, and ``pool`` bucket deltas when both runs used the pool.
+    mismatches), ``totals`` (wall/makespan/memory deltas) and per-phase
+    rows.
     """
     warnings: list[str] = []
     for key, label in (
@@ -110,37 +110,6 @@ def diff_records(a: dict[str, Any], b: dict[str, Any]) -> dict[str, Any]:
         ),
     }
 
-    pool = None
-    qa, qb = a.get("pool"), b.get("pool")
-    if qa and qb:
-        pool = {
-            k: {
-                "a": qa.get(k),
-                "b": qb.get(k),
-                "delta": _delta(qa.get(k), qb.get(k)),
-            }
-            for k in (
-                "dispatches",
-                "batches",
-                "jobs",
-                "wall_s",
-                "serialize_s",
-                "dispatch_s",
-                "execute_s",
-                "collect_s",
-                "payload_bytes",
-                "resident_puts",
-                "resident_hits",
-                "resident_bytes",
-                "queue_peak",
-            )
-        }
-    elif qa or qb:
-        warnings.append(
-            "pool stats present in only one run "
-            f"({'A' if qa else 'B'}; executor mismatch?)"
-        )
-
     return {
         "kind": "repro-telemetry-diff",
         "a": {"label": a.get("label"), "executor": a.get("executor")},
@@ -148,7 +117,6 @@ def diff_records(a: dict[str, Any], b: dict[str, Any]) -> dict[str, Any]:
         "warnings": warnings,
         "totals": totals,
         "phases": phases,
-        "pool": pool,
     }
 
 
@@ -203,20 +171,5 @@ def render_diff(diff: dict[str, Any]) -> str:
                     if row.get("only_in")
                     else ""
                 )
-            )
-    pool = diff.get("pool")
-    if pool:
-        lines.append("  pool bucket    A          B          delta")
-        for k in (
-            "wall_s",
-            "serialize_s",
-            "dispatch_s",
-            "execute_s",
-            "collect_s",
-        ):
-            row = pool.get(k) or {}
-            lines.append(
-                f"  {k:<12}{_fmt_s(row.get('a'))} {_fmt_s(row.get('b'))} "
-                f"{_fmt_s(row.get('delta'))}"
             )
     return "\n".join(lines)

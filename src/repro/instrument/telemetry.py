@@ -1,10 +1,9 @@
 """Runtime telemetry: wall-clock event bus, samplers, flight recorder.
 
-The PR 1 observability layer sees *virtual* time — phases, messages,
-counters on the simulated clock — but none of the real costs that decide
-whether the parallel executor actually helps: dispatch latency, IPC
-serialization, queue depth, memory pressure, GC pauses.  This module is
-the wall-clock counterpart:
+The span tracer sees *virtual* time — phases, messages, counters on the
+simulated clock — but none of the real costs of a run: executing wall
+time per phase, memory pressure, GC pauses.  This module is the
+wall-clock counterpart:
 
 * :class:`FlightRecorder` — a bounded, thread-safe ring buffer of
   timestamped :class:`TelemetryEvent` records.  Old events are evicted
@@ -14,22 +13,19 @@ the wall-clock counterpart:
 * :class:`Telemetry` — a recording session.  While started it watches GC
   pauses (via ``gc.callbacks``), samples RSS on a background thread, and
   accepts structured events from the engine (per-phase executing
-  wall-clock, see ``RankContext.phase``) and the superstep pool
-  (dispatch/serialize/execute/collect buckets, queue depth, arena
-  occupancy — see :class:`~repro.simmpi.parallel.PoolStats`).
+  wall-clock, see ``RankContext.phase``).
   :meth:`Telemetry.summarize` folds a finished run into a
   JSON-serializable **telemetry record** (schema
   :data:`TELEMETRY_RECORD_SCHEMA`) keyed by the preprocessing-store
   digest and :meth:`MachineModel.fingerprint`, which is what
   ``repro diff`` and ``repro history`` consume.
 * :func:`telemetry_report` — text rendering of a record (what ``repro
-  count --telemetry`` prints), including the pool-bucket split that
-  attributes parallel-executor wall time.
+  count --telemetry`` prints).
 * :func:`counter_samples` — converts recorded events into the counter
   samples the Perfetto exporter renders as ``"C"`` counter tracks.
 
 Telemetry is strictly opt-in and additive: with no session attached the
-engine and pool pay one ``is None`` check per instrumented site, and
+engine pays one ``is None`` check per instrumented site, and
 counts, virtual clocks, counters and traces are bit-identical with or
 without a session (telemetry only ever *observes* wall time).
 """
@@ -60,20 +56,25 @@ TELEMETRY_RECORD_SCHEMA = 1
 # ---------------------------------------------------------------------------
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: the scheduling-affinity count when
+    the OS exposes one (containers and ``taskset`` often pin fewer cores
+    than ``os.cpu_count()`` reports), else ``os.cpu_count()``."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - non-Linux
+        return os.cpu_count() or 1
+
+
 def host_metadata() -> dict[str, Any]:
     """Where wall-clock numbers came from: CPU budget, interpreter, platform.
 
-    ``usable_cpus`` is the scheduling-affinity count when the OS exposes
-    one (containers often pin fewer cores than ``os.cpu_count()``
-    reports) — it is the honest parallelism budget for this process.
+    ``usable_cpus`` (:func:`usable_cpus`) is the honest parallelism
+    budget for this process.
     """
-    try:
-        usable = len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        usable = os.cpu_count() or 1
     return {
         "cpu_count": os.cpu_count(),
-        "usable_cpus": usable,
+        "usable_cpus": usable_cpus(),
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
         "machine": platform.machine(),
@@ -123,9 +124,8 @@ class TelemetryEvent:
     t:
         ``time.perf_counter`` seconds since the recorder was created.
     kind:
-        Dotted event type, e.g. ``"phase"``, ``"pool.dispatch"``,
-        ``"pool.queue"``, ``"sample.rss"``, ``"gc"``, ``"run.begin"``,
-        ``"crash"``.
+        Dotted event type, e.g. ``"phase"``, ``"sample.rss"``, ``"gc"``,
+        ``"run.begin"``, ``"crash"``.
     detail:
         JSON-serializable payload.
     """
@@ -272,7 +272,7 @@ class _GCWatch:
 
 
 class _Sampler(threading.Thread):
-    """Daemon thread sampling RSS (and pool queue depth) periodically."""
+    """Daemon thread sampling RSS periodically."""
 
     def __init__(self, telemetry: "Telemetry", interval: float):
         super().__init__(name="repro-telemetry-sampler", daemon=True)
@@ -305,7 +305,7 @@ class Telemetry:
         Flight-recorder ring size (events).
     sample_interval:
         Seconds between background RSS samples; ``0`` disables the
-        sampler thread (phase/pool events still record).
+        sampler thread (phase events still record).
     crash_dir:
         Directory for :meth:`crash_dump` artifacts; ``None`` disables
         automatic dumps (callers can still use ``recorder.dump``).
@@ -333,7 +333,6 @@ class Telemetry:
         self._sampler: _Sampler | None = None
         self._depth = 0
         self._dumps = 0
-        self._pool: Any = None
         self._lock = threading.Lock()
         # per-run accumulators (reset by begin_run)
         self._run_label = ""
@@ -343,7 +342,6 @@ class Telemetry:
         self._phase_rss: dict[str, int] = {}
         self._rss_begin = 0
         self._rss_sample_peak = 0
-        self._pool_before: dict[str, Any] | None = None
         self._gc_before = self._gc.stats()
         self._tm_before: tuple[int, int] | None = None
 
@@ -392,12 +390,6 @@ class Telemetry:
 
     # -- wiring -------------------------------------------------------------
 
-    def attach_pool(self, pool: Any) -> None:
-        """Attach a :class:`~repro.simmpi.parallel.SuperstepPool` so its
-        dispatch buckets, queue depth and arena occupancy record here."""
-        self._pool = pool
-        pool.attach_telemetry(self)
-
     def note(self, kind: str, **detail: Any) -> None:
         """Record one free-form event into the flight recorder."""
         self.recorder.record(kind, **detail)
@@ -424,14 +416,7 @@ class Telemetry:
         rss = rss_bytes()
         if rss > self._rss_sample_peak:
             self._rss_sample_peak = rss
-        detail: dict[str, Any] = {"rss_bytes": rss}
-        pool = self._pool
-        if pool is not None:
-            try:
-                detail["queue_depth"] = len(pool._pending)
-            except Exception:
-                pass
-        self.recorder.record("sample.rss", **detail)
+        self.recorder.record("sample.rss", rss_bytes=rss)
 
     # -- per-run record -----------------------------------------------------
 
@@ -447,9 +432,6 @@ class Telemetry:
         self._rss_begin = rss_bytes()
         self._rss_sample_peak = self._rss_begin
         self._gc_before = self._gc.stats()
-        self._pool_before = (
-            self._pool.stats_snapshot() if self._pool is not None else None
-        )
         if self.tracemalloc:
             import tracemalloc as tm
 
@@ -521,12 +503,6 @@ class Telemetry:
                     "peak_bytes": peak,
                 }
 
-        pool_stats = None
-        if self._pool is not None:
-            pool_stats = self._pool.stats_snapshot()
-            if self._pool_before is not None:
-                pool_stats = _stats_delta(pool_stats, self._pool_before)
-
         cache = (result.extras.get("cache") if result is not None else None) or {}
         record = {
             "schema": TELEMETRY_RECORD_SCHEMA,
@@ -551,7 +527,6 @@ class Telemetry:
             "phases": phases,
             "memory": memory,
             "gc": gc_delta,
-            "pool": pool_stats,
             "flight_recorder": self.recorder.stats(),
         }
         self.recorder.record("run.end", label=self._run_label, wall_s=wall_s)
@@ -577,25 +552,6 @@ class Telemetry:
         return self.recorder.dump(path, reason=reason)
 
 
-def _stats_delta(
-    now: dict[str, Any], before: dict[str, Any]
-) -> dict[str, Any]:
-    """Per-run pool-stat delta (cumulative counters minus the run-begin
-    snapshot; non-numeric / high-water fields pass through)."""
-    out: dict[str, Any] = {}
-    for k, v in now.items():
-        if isinstance(v, dict):
-            prev = before.get(k, {})
-            out[k] = {
-                wk: wv - prev.get(wk, 0.0) for wk, wv in v.items()
-            }
-        elif isinstance(v, (int, float)) and not k.endswith("_peak"):
-            out[k] = v - before.get(k, 0)
-        else:
-            out[k] = v
-    return out
-
-
 # ---------------------------------------------------------------------------
 # renderers
 # ---------------------------------------------------------------------------
@@ -614,7 +570,7 @@ def _fmt_bytes(n: Any) -> str:
 
 def telemetry_report(record: dict[str, Any]) -> str:
     """Render a telemetry record as the text report ``repro count
-    --telemetry`` prints (phases, memory, GC, pool buckets)."""
+    --telemetry`` prints (phases, memory, GC)."""
     lines: list[str] = []
     head = (
         f"telemetry: {record.get('dataset') or record.get('label') or 'run'} "
@@ -661,34 +617,6 @@ def telemetry_report(record: dict[str, Any]) -> str:
         f"{1e3 * gc_d.get('total_pause_s', 0.0):.1f} ms total, "
         f"{1e3 * gc_d.get('max_pause_s', 0.0):.1f} ms max pause"
     )
-    pool = record.get("pool")
-    if pool and pool.get("dispatches"):
-        lines.append(
-            f"  pool: {pool['dispatches']} dispatches, "
-            f"{pool.get('batches', 0)} batches, {pool.get('jobs', 0)} "
-            f"jobs, wall {pool.get('wall_s', 0.0):.3f}s  "
-            f"(serialize {pool.get('serialize_s', 0.0):.3f}s + dispatch "
-            f"{pool.get('dispatch_s', 0.0):.3f}s + execute "
-            f"{pool.get('execute_s', 0.0):.3f}s + collect "
-            f"{pool.get('collect_s', 0.0):.3f}s)"
-        )
-        lines.append(
-            f"  pool: payload {_fmt_bytes(pool.get('payload_bytes'))}, "
-            f"arena {_fmt_bytes(pool.get('arena_capacity_bytes'))} "
-            f"capacity, queue peak {pool.get('queue_peak', 0)}"
-        )
-        if pool.get("resident_puts") or pool.get("resident_hits"):
-            lines.append(
-                f"  pool residents: {pool.get('resident_puts', 0)} puts "
-                f"({_fmt_bytes(pool.get('resident_bytes'))}), "
-                f"{pool.get('resident_hits', 0)} zero-copy hits"
-            )
-        busy = pool.get("worker_busy_s") or {}
-        if busy:
-            per = ", ".join(
-                f"pid {pid}: {s:.3f}s" for pid, s in sorted(busy.items())
-            )
-            lines.append(f"  pool workers: {per}")
     fr = record.get("flight_recorder") or {}
     lines.append(
         f"  flight recorder: {fr.get('recorded', 0)} events "
@@ -703,8 +631,7 @@ def counter_samples(
     """Convert recorded events into Perfetto counter samples.
 
     Returns ``{"t", "name", "value"}`` dicts (seconds, counter name,
-    numeric value) for the RSS and pool-queue-depth timelines, time
-    ordered — feed them to
+    numeric value) for the RSS timeline, time ordered — feed them to
     :func:`~repro.instrument.chrometrace.chrome_trace` via ``counters=``.
     """
     samples: list[dict[str, Any]] = []
@@ -713,21 +640,5 @@ def counter_samples(
             rss = e.detail.get("rss_bytes")
             if rss:
                 samples.append({"t": e.t, "name": "rss_bytes", "value": rss})
-        if e.kind == "pool.queue":
-            samples.append(
-                {
-                    "t": e.t,
-                    "name": "pool_queue_depth",
-                    "value": e.detail.get("depth", 0),
-                }
-            )
-        if e.kind == "sample.rss" and "queue_depth" in e.detail:
-            samples.append(
-                {
-                    "t": e.t,
-                    "name": "pool_queue_depth",
-                    "value": e.detail["queue_depth"],
-                }
-            )
     samples.sort(key=lambda s: (s["t"], s["name"]))
     return samples

@@ -130,8 +130,8 @@ def run_case(
 ) -> CaseResult:
     """Execute one chaos case; never raises (failures land in the row).
 
-    ``base_cfg`` carries run-wide toggles (executor, workers,
-    real_timeout, ...); the case's fault-plan seed is layered on top.
+    ``base_cfg`` carries run-wide toggles (``real_timeout``, ...); the
+    case's fault-plan seed is layered on top.
     ``store`` (an optional :class:`~repro.graph.store.GraphStore`) lets
     the fault-free baseline warm the preprocessing cache and every
     recovery attempt start counting off it — the store layer itself is
@@ -159,7 +159,7 @@ def run_case(
 
         ckpt_dir = out_dir / "checkpoints" / _case_slug(case)
         # Sampler off: chaos cases are milliseconds each; the recorder
-        # still captures phase, pool, fault-attempt and crash events.
+        # still captures phase, fault-attempt and crash events.
         tele = Telemetry(sample_interval=0.0)
         tele.start()
     try:
@@ -383,17 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="small fixed matrix for CI (overrides --graphs/--ranks/--schedules)",
     )
     parser.add_argument(
-        "--executor", choices=["sequential", "parallel"], default="sequential",
-        help="superstep executor for every run in the sweep (baselines and "
-        "recovery attempts); identical counts either way",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=0,
-        help="worker processes for --executor parallel (0 = cpu count)",
-    )
-    parser.add_argument(
         "--real-timeout", type=float, default=600.0, dest="real_timeout",
-        help="wall-clock seconds before a wedged rank/worker fails the run "
+        help="wall-clock seconds before a wedged rank fails the run "
         "(default 600; CI tightens it)",
     )
     parser.add_argument(
@@ -423,15 +414,11 @@ def main(argv: list[str] | None = None) -> int:
 
     policy = RecoveryPolicy(max_restarts=args.max_restarts)
     out_dir = Path(args.out) if args.out else None
-    base_cfg = TC2DConfig(
-        executor=args.executor,
-        workers=args.workers,
-        real_timeout=args.real_timeout,
-    )
+    base_cfg = TC2DConfig(real_timeout=args.real_timeout)
     from repro.graph.store import store_from_env
 
     # --store wins; $REPRO_STORE_DIR opts in when the flag is absent
-    # (the same resolution rule as parallelbench and the serve layer).
+    # (the same resolution rule as servebench and the serve layer).
     store = store_from_env(args.store)
     results = sweep(
         graphs,

@@ -166,7 +166,6 @@ def count_triangles_2d_resilient(
     checkpoint_interval: int = 1,
     trace: bool = False,
     dataset: str = "",
-    superstep: Any = None,
     cache: Any = None,
     telemetry: Any = None,
 ) -> TriangleCountResult:
@@ -175,7 +174,11 @@ def count_triangles_2d_resilient(
     Parameters
     ----------
     graph, p, cfg, model, dataset:
-        As for :func:`~repro.core.tc2d.count_triangles_2d`.
+        As for :func:`~repro.core.tc2d.count_triangles_2d`.  Under
+        ``cfg.executor == "parallel"`` one worker pool serves the whole
+        restart loop (an aborted attempt only drops its pending jobs);
+        checkpoints capture rank-side state only, so recovery does not
+        depend on the executor.
     fault_plan:
         Seeded :class:`FaultPlan` to inject (``None`` = clean run; the
         checkpointing machinery still exercises, and any failure is then
@@ -191,14 +194,6 @@ def count_triangles_2d_resilient(
         Trace every attempt; failed attempts' traces (where the faults
         fired) land in ``extras["attempt_traces"]``, the successful run in
         ``extras["run"]``.
-    superstep:
-        Existing :class:`~repro.simmpi.parallel.SuperstepPool` to reuse
-        across attempts.  When omitted and ``cfg.executor ==
-        "parallel"``, one pool is created for the whole restart loop
-        (workers persist across attempts — an aborted attempt only drops
-        its pending jobs) and shut down on return.  Recovery semantics
-        are executor-independent: checkpoints capture rank-side state
-        only, and a restored attempt re-offloads from its resume epoch.
     cache:
         Preprocessing cache, as for
         :func:`~repro.core.tc2d.count_triangles_2d` (``True``, a path, a
@@ -245,8 +240,7 @@ def count_triangles_2d_resilient(
     try:
         with GridJob(
             graph, p, cfg, "tc2d", model=model, trace=trace, dataset=dataset,
-            superstep=superstep, cache=cache, telemetry=telemetry,
-            fault_injector=injector,
+            cache=cache, telemetry=telemetry, fault_injector=injector,
         ) as job:
             run_cache = job.caches[0] if job.caches else None
             for attempt in range(policy.max_restarts + 1):

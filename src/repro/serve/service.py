@@ -20,10 +20,6 @@ Design points (see ``docs/serve.md`` for the full story):
   without touching the engine, the queue or the quotas — the only cost
   is a dict lookup, which is what makes warm p50 latency orders of
   magnitude below cold p50.
-* **Shared pool.**  With ``executor="parallel"`` one long-lived
-  :class:`~repro.simmpi.parallel.SuperstepPool` is shared by every cold
-  run (worker spawn cost amortizes across requests); the engine resets
-  it per run and the resident-arena generation bump isolates tenants.
 * **Progress.**  Cold runs execute under a disabled
   :class:`~repro.simmpi.tracing.Tracer` subclass whose progress hooks
   forward top-level phase closures and store loads into the job's event
@@ -103,10 +99,6 @@ class ServeConfig:
     store:
         Preprocessing-store root (``None`` disables the on-disk cache;
         warm *result* caching works regardless).
-    executor / workers:
-        Superstep-executor knobs for cold runs; ``"parallel"`` creates
-        one shared :class:`~repro.simmpi.parallel.SuperstepPool` for the
-        service's lifetime.
     result_cache_size:
         LRU capacity of the in-memory digest-keyed result cache.
     default_ranks:
@@ -117,8 +109,6 @@ class ServeConfig:
     max_queue: int = 8
     tenant_quota: int = 4
     store: str | Path | None = None
-    executor: str = "sequential"
-    workers: int = 0
     result_cache_size: int = 256
     default_ranks: int = 16
     real_timeout: float = 600.0
@@ -130,8 +120,6 @@ class ServeConfig:
             raise ValueError("max_queue must be >= 0")
         if self.tenant_quota < 1:
             raise ValueError("tenant_quota must be >= 1")
-        if self.executor not in ("sequential", "parallel"):
-            raise ValueError(f"unknown executor {self.executor!r}")
 
 
 class Job:
@@ -490,7 +478,7 @@ class TriangleService:
     >>> job.wait(); job.result["count"]          # doctest: +SKIP
 
     Call :meth:`close` (or use as a context manager) to drain in-flight
-    jobs and release the worker pool.
+    jobs and stop the dispatcher threads.
     """
 
     def __init__(self, config: ServeConfig | None = None):
@@ -520,14 +508,6 @@ class TriangleService:
         from repro.core.kernels import prepare_backend
 
         prepare_backend("auto")
-        self._pool = None
-        self._pool_lock = threading.Lock()
-        if self.config.executor == "parallel":
-            from repro.simmpi.parallel import SuperstepPool
-
-            self._pool = SuperstepPool(
-                workers=self.config.workers, timeout=self.config.real_timeout
-            )
         self._workers = [
             threading.Thread(
                 target=self._worker_loop, name=f"serve-worker-{i}", daemon=True
@@ -605,7 +585,7 @@ class TriangleService:
             return self._jobs.get(job_id)
 
     def stats(self) -> dict[str, Any]:
-        """Service status snapshot (config, metrics, store, pool)."""
+        """Service status snapshot (config, metrics, store)."""
         snap = self.metrics.snapshot()
         snap.update(
             schema=SERVE_SCHEMA,
@@ -615,12 +595,9 @@ class TriangleService:
             max_inflight=self.config.max_inflight,
             max_queue=self.config.max_queue,
             tenant_quota=self.config.tenant_quota,
-            executor=self.config.executor,
             store=str(self._store.root) if self._store is not None else None,
             machine_fingerprint=self._model_fp,
         )
-        if self._pool is not None:
-            snap["pool"] = self._pool.stats_snapshot()
         return snap
 
     def close(self, drain: bool = True, timeout: float | None = None) -> None:
@@ -646,8 +623,6 @@ class TriangleService:
             self._queue.put(None)  # one sentinel per worker
         for t in self._workers:
             t.join(timeout=timeout)
-        if self._pool is not None:
-            self._pool.shutdown()
 
     def __enter__(self) -> "TriangleService":
         return self
@@ -761,14 +736,11 @@ class TriangleService:
     def _cfg_for(self, spec: dict[str, Any]) -> Any:
         from repro.core.config import TC2DConfig
 
-        kwargs: dict[str, Any] = {
-            "enumeration": spec["enumeration"],
-            "seed": spec["seed"],
-            "real_timeout": self.config.real_timeout,
-        }
-        if self._pool is not None:
-            kwargs.update(executor="parallel", workers=self._pool.workers)
-        return TC2DConfig(**kwargs)
+        return TC2DConfig(
+            enumeration=spec["enumeration"],
+            seed=spec["seed"],
+            real_timeout=self.config.real_timeout,
+        )
 
     def _execute(self, job: Job) -> dict[str, Any]:
         """Run one cold job end to end and build its result payload."""
@@ -805,25 +777,16 @@ class TriangleService:
     ) -> dict[str, Any]:
         from repro.core.tc2d import count_triangles_2d
 
-        tracer = _JobTracer(job)
-        kwargs: dict[str, Any] = {}
-        if self._pool is not None:
-            kwargs["superstep"] = self._pool
-        # The shared pool serves one engine run at a time (the engine
-        # resets it per run); sequential cold runs may overlap freely.
-        lock = self._pool_lock if self._pool is not None else _NULL_LOCK
-        with lock:
-            res = count_triangles_2d(
-                graph,
-                p,
-                cfg=cfg,
-                model=self._model,
-                trace=tracer,
-                dataset=spec["dataset"],
-                keep_run=True,  # for note_run's imbalance gauges
-                cache=self._store,
-                **kwargs,
-            )
+        res = count_triangles_2d(
+            graph,
+            p,
+            cfg=cfg,
+            model=self._model,
+            trace=_JobTracer(job),
+            dataset=spec["dataset"],
+            keep_run=True,  # for note_run's imbalance gauges
+            cache=self._store,
+        )
         self.metrics.note_run(res)
         out = {
             "count": int(res.count),
@@ -872,13 +835,3 @@ class TriangleService:
             "truss_edges": int(truss.num_edges),
         }
 
-
-class _NullLock:
-    def __enter__(self) -> "_NullLock":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        return None
-
-
-_NULL_LOCK = _NullLock()

@@ -42,7 +42,6 @@ from repro.simmpi.errors import (
     SimMPIError,
     WorkerCrashError,
 )
-from repro.simmpi.parallel import Resident, SuperstepPool, WorkerSpan
 from repro.simmpi.reduceops import BAND, BOR, MAX, MIN, PROD, SUM, ReduceOp
 from repro.simmpi.tracing import Span, Tracer
 
@@ -72,9 +71,18 @@ __all__ = [
     "SimMPIError",
     "Span",
     "SUM",
-    "Resident",
     "SuperstepPool",
     "Tracer",
     "WorkerCrashError",
-    "WorkerSpan",
 ]
+
+
+def __getattr__(name: str):
+    # ``SuperstepPool`` loads on first use (PEP 562): the pool module
+    # pulls in multiprocessing and concurrent.futures, which a run that
+    # never starts a pool should not pay for at import.
+    if name == "SuperstepPool":
+        from repro.simmpi.parallel import SuperstepPool
+
+        return SuperstepPool
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -333,50 +333,6 @@ class RankContext:
         """
         return self.engine.offload_rank(self.rank, entry, arrays, meta, label)
 
-    def put_resident(self, key: Any, array: Any) -> None:
-        """Publish ``array`` into the superstep pool's resident arena
-        region under ``key`` (see
-        :meth:`repro.simmpi.parallel.SuperstepPool.put_resident`).
-
-        Later :meth:`offload` calls reference the slot with
-        ``Resident(key)`` instead of re-shipping the bytes — the move
-        for inputs whose content is invariant across epochs.  Publishing
-        is a real-time-only side effect: the virtual clock, counters and
-        traces never see it.  Requires a pool attached at engine
-        construction.
-        """
-        pool = self.engine.superstep
-        if pool is None:
-            raise SimMPIError(
-                "no superstep pool attached to this engine; construct it "
-                "with Engine(..., superstep=SuperstepPool(...)) or use the "
-                "sequential executor"
-            )
-        pool.put_resident(key, array)
-
-    def put_resident_file(self, key: Any, slot: Any) -> None:
-        """Publish a **file-backed** resident slot under ``key`` (see
-        :meth:`repro.simmpi.parallel.SuperstepPool.put_resident_file`).
-
-        ``slot`` is ``(path, byte offset, dtype string, element count)``
-        into an immutable file; workers mmap it instead of receiving a
-        copy through the arena — how warm cache-hit runs serve their
-        store-resident block blobs with zero parent-side copies.
-        """
-        pool = self.engine.superstep
-        if pool is None:
-            raise SimMPIError(
-                "no superstep pool attached to this engine; construct it "
-                "with Engine(..., superstep=SuperstepPool(...)) or use the "
-                "sequential executor"
-            )
-        pool.put_resident_file(key, slot)
-
-    def has_resident(self, key: Any) -> bool:
-        """Whether ``key`` is published on the pool (False without one)."""
-        pool = self.engine.superstep
-        return pool is not None and pool.has_resident(key)
-
     @contextmanager
     def phase(self, name: str) -> Iterator[PhaseStats]:
         """Scope a named timing phase (nestable)."""
@@ -1038,7 +994,7 @@ class Engine:
                 "with Engine(..., superstep=SuperstepPool(...)) or use the "
                 "sequential executor"
             )
-        pool.submit(rank, entry, arrays, meta, label=label)
+        pool.submit(rank, entry, arrays, meta)
         # An eager message delivery can wake this rank before its result
         # exists (post_send marks any blocked destination runnable), so
         # re-park until the dispatch that serves this rank has happened.

@@ -25,8 +25,8 @@ scheduler, counts, virtual clocks, counters, traces and profile reports
 are bit-identical to a sequential run — the pool can only change wall
 time.
 
-Zero-copy transport
--------------------
+Transport
+---------
 Input arrays travel through one ``multiprocessing.shared_memory`` arena
 segment that is reused (grow-only) across dispatches, so an epoch's
 operand blobs cost one ``memcpy`` into the arena and **no pickling of
@@ -34,57 +34,23 @@ array payloads**.  Workers map the segment once and rebuild zero-copy
 views; only the small result dicts (a kernel's statistics) come back
 through the pickle channel.
 
-Batched dispatch
-----------------
-Submitting one executor future per rank costs one pickle round-trip per
-job — measurably dominant when kernels are small (the fine-grained
-communication failure mode; cf. communication agglomeration in
-Sanders & Uhl).  A drain therefore coalesces the pending jobs into at
-most ``workers`` round-robin batches and submits **one future per
-batch**; a worker runs its batch back to back and returns the whole
-result list in one pickle reply.  Per-job failure attribution survives
-batching: an entry that raises is caught in the worker and reported per
-job, so :class:`WorkerCrashError` still names the exact rank (a dead
-worker process or a timeout is attributed to every rank of the batch it
-was running).
+A drain coalesces the pending jobs into at most ``workers`` round-robin
+batches and submits **one future per batch**; a worker runs its batch
+back to back and returns the whole result list in one pickle reply.
+Per-job failure attribution survives batching: an entry that raises is
+caught in the worker and reported per job, so :class:`WorkerCrashError`
+still names the exact rank (a dead worker process or a timeout is
+attributed to every rank of the batch it was running).
 
-Resident blocks
----------------
-Arrays that are reused across many dispatches (the shift-invariant task
-block and — unless a fault injector may rewrite them in flight — the
-travelling U/L blobs, whose *content* is pinned by the Eq. 6 residue
-invariant even as their location rotates) can be published once with
-:meth:`SuperstepPool.put_resident` and referenced in later submissions
-by a :class:`Resident` key instead of re-copying the bytes every epoch.
-Residents live at the front of the arena segment (they survive arena
-growth — the region is copied to the new segment before the old one is
-unlinked) and are dropped by :meth:`SuperstepPool.reset`, which bumps
-``resident_generation`` so stale keys cannot alias across engine runs.
-
-A resident may also be **file-backed**
-(:meth:`SuperstepPool.put_resident_file`): instead of copying bytes into
-the arena, the slot records ``(path, offset, dtype, count)`` into an
-immutable on-disk file — a store rank file
-(:func:`~repro.core.blocks.read_rank_file`) — and each worker ``mmap``\\ s
-the file once and rebuilds read-only views on demand.  Warm cache-hit
-runs publish their U/L/task blobs this way: the block bytes go straight
-from the page cache into the kernels without ever being copied through
-the parent process or the arena.
-
-Worker lifecycle (spawn, not fork)
-----------------------------------
 Workers are started with the explicit ``spawn`` context: each worker is
 a fresh interpreter that re-imports the job's entry module, so
 module-level registries (e.g. the kernel-backend registry, which
 registers ``"row"``/``"batch"``/``"c"`` at import time — the compiled
 library behind ``"c"`` is a file the parent built before the first job,
-which a worker only loads) are rebuilt from scratch
-instead of inheriting an arbitrary fork-time snapshot of the parent —
-the parent's tracer, engine state and any half-initialized globals never
-leak into workers.  Code that mutates module state beyond import-time
-registration (e.g. ``register_backend`` of a custom backend) must pass a
-``worker_init`` entry point so every worker replays that registration;
-see :func:`SuperstepPool.__init__`.
+which a worker only loads) are rebuilt from scratch instead of
+inheriting an arbitrary fork-time snapshot of the parent — the parent's
+tracer, engine state and any half-initialized globals never leak into
+workers.
 
 A worker that dies (or an entry that raises) surfaces as the typed
 :class:`~repro.simmpi.errors.WorkerCrashError` on the driver, never as a
@@ -94,13 +60,11 @@ hang or a silent partial result.
 from __future__ import annotations
 
 import importlib
-import mmap
 import os
-import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing import get_context, shared_memory
 from typing import Any, Callable, Sequence
 
@@ -134,113 +98,12 @@ def _resolve_entry(entry: str) -> Callable:
 
 
 @dataclass(frozen=True)
-class WorkerSpan:
-    """Real wall-time extent of one job on one pool worker.
-
-    Unlike the engine's virtual-time spans these are *wall-clock* and
-    therefore nondeterministic; they live outside the
-    :class:`~repro.simmpi.tracing.Tracer` so default trace exports stay
-    bit-identical across executors, and are merged into the Perfetto
-    export only on request (``--trace-workers``).
-
-    Times are ``time.perf_counter`` seconds relative to the pool's
-    creation; on Linux ``perf_counter`` is ``CLOCK_MONOTONIC``, which is
-    comparable across the parent and its workers.
-    """
-
-    worker: int  # worker process pid
-    rank: int  # virtual rank the job was submitted for
-    label: str  # display label, e.g. "kernel:batch"
-    begin: float
-    end: float
-    dispatch: int  # which drain of the pool this job rode in
-
-    @property
-    def duration(self) -> float:
-        """Wall seconds the job occupied its worker."""
-        return self.end - self.begin
-
-
-@dataclass
-class PoolStats:
-    """Cumulative wall-clock accounting of a pool's dispatches.
-
-    The four bucket timers **partition** each :meth:`SuperstepPool.
-    dispatch` call's wall time — ``serialize_s`` (arena packing, incl.
-    job-list prep), ``dispatch_s`` (future submission), ``execute_s``
-    (blocked in ``Future.result``) and ``collect_s`` (result/span
-    bookkeeping) sum to ``wall_s`` up to float rounding — so a telemetry
-    report can attribute *all* of the pool's real cost, not sample it.
-
-    Counters are cumulative over the pool's lifetime (pools are reused
-    across engine runs); per-run views subtract a
-    :meth:`SuperstepPool.stats_snapshot` taken at run begin.  ``*_peak``
-    fields are high-water marks and pass through deltas unchanged.
-    """
-
-    dispatches: int = 0
-    jobs: int = 0
-    batches: int = 0  # futures submitted (<= workers per dispatch)
-    wall_s: float = 0.0
-    serialize_s: float = 0.0
-    dispatch_s: float = 0.0
-    execute_s: float = 0.0
-    collect_s: float = 0.0
-    payload_bytes: int = 0  # transient bytes memcpy'd into the arena
-    payload_peak: int = 0  # largest single-dispatch transient payload
-    queue_peak: int = 0  # most jobs pending at any dispatch
-    resident_puts: int = 0  # put_resident calls (writes into the arena)
-    resident_hits: int = 0  # job inputs served from a resident slot
-    resident_bytes: int = 0  # bytes written by put_resident
-    #: Per-worker busy seconds (pid -> sum of job durations).
-    worker_busy_s: dict[int, float] = field(default_factory=dict)
-
-    def as_dict(self, arena_capacity: int = 0) -> dict[str, Any]:
-        """JSON-serializable snapshot (telemetry-record ``pool`` field)."""
-        return {
-            "dispatches": self.dispatches,
-            "jobs": self.jobs,
-            "batches": self.batches,
-            "wall_s": self.wall_s,
-            "serialize_s": self.serialize_s,
-            "dispatch_s": self.dispatch_s,
-            "execute_s": self.execute_s,
-            "collect_s": self.collect_s,
-            "payload_bytes": self.payload_bytes,
-            "payload_peak": self.payload_peak,
-            "queue_peak": self.queue_peak,
-            "resident_puts": self.resident_puts,
-            "resident_hits": self.resident_hits,
-            "resident_bytes": self.resident_bytes,
-            "arena_capacity_bytes": arena_capacity,
-            "worker_busy_s": {str(k): v for k, v in self.worker_busy_s.items()},
-        }
-
-
-@dataclass(frozen=True)
-class Resident:
-    """Marker usable in a :meth:`SuperstepPool.submit` ``arrays`` sequence:
-    "this input is the resident slot published under ``key``" — the bytes
-    were written into the arena by an earlier
-    :meth:`~SuperstepPool.put_resident` and are *not* re-copied.
-
-    Keys are arbitrary hashables; rank programs use structured tuples
-    such as ``("task", rank)`` or ``("U", x, inner_residue)``.
-    """
-
-    key: Any
-
-
-@dataclass(frozen=True)
 class _JobDesc:
     """Worker-side description of one job (small and picklable)."""
 
     shm_name: str
-    #: Per-array slot: a 3-tuple ``(byte offset, dtype string, element
-    #: count)`` into the arena, or a 4-tuple ``(path, byte offset, dtype
-    #: string, element count)`` into an immutable on-disk file that the
-    #: worker memory-maps (file-backed residents).
-    slots: tuple[tuple, ...]
+    #: Per-array ``(byte offset, dtype string, element count)`` in the arena.
+    slots: tuple[tuple[int, str, int], ...]
     entry: str
     meta: dict
     #: Virtual rank the job belongs to (per-job failure attribution when
@@ -250,18 +113,13 @@ class _JobDesc:
 
 @dataclass
 class _PendingJob:
-    """Parent-side record of one submitted-but-undispatched job.
-
-    ``arrays`` elements are either contiguous ndarrays (copied into the
-    arena's transient region at dispatch) or :class:`Resident` markers
-    (resolved to already-written slots, zero copies).
-    """
+    """Parent-side record of one submitted-but-undispatched job; its
+    ``arrays`` are copied into the arena at dispatch."""
 
     rank: int
     entry: str
-    arrays: tuple[Any, ...]
+    arrays: tuple[np.ndarray, ...]
     meta: dict
-    label: str
 
 
 def _aligned(nbytes: int) -> int:
@@ -275,43 +133,26 @@ class _ShmArena:
     and unlinks the old one; workers notice the new name on their next
     job and drop their stale mapping.  ``allocations`` counts segment
     (re)creations so tests can assert steady-state reuse.
-
-    The first ``resident_used`` bytes are the **resident region**: slots
-    written once via :meth:`SuperstepPool.put_resident` and referenced
-    across many dispatches.  Growth preserves it — the bytes are copied
-    into the new segment at the same offsets, so resident slot records
-    stay valid across reallocations.  Transient per-dispatch payloads
-    pack after it.
     """
 
     def __init__(self) -> None:
         self.shm: shared_memory.SharedMemory | None = None
         self.capacity = 0
         self.allocations = 0
-        self.resident_used = 0
 
     def ensure(self, nbytes: int) -> shared_memory.SharedMemory:
         if self.shm is None or nbytes > self.capacity:
             cap = max(_MIN_ARENA_BYTES, self.capacity)
             while cap < nbytes:
                 cap *= 2
-            old = self.shm
-            self.shm = None
-            new = shared_memory.SharedMemory(create=True, size=cap)
-            if old is not None and self.resident_used:
-                # Keep published resident slots valid: same offsets, new
-                # segment.  Only the resident prefix carries state across
-                # dispatches; transient bytes are dead after each drain.
-                new.buf[: self.resident_used] = old.buf[: self.resident_used]
-            self._release(old)
-            self.shm = new
+            self.close()
+            self.shm = shared_memory.SharedMemory(create=True, size=cap)
             self.capacity = cap
             self.allocations += 1
-        assert self.shm is not None
         return self.shm
 
-    @staticmethod
-    def _release(shm: shared_memory.SharedMemory | None) -> None:
+    def close(self) -> None:
+        shm, self.shm, self.capacity = self.shm, None, 0
         if shm is None:
             return
         try:
@@ -322,13 +163,6 @@ class _ShmArena:
             shm.unlink()
         except FileNotFoundError:  # pragma: no cover - already gone
             pass
-
-    def close(self) -> None:
-        if self.shm is not None:
-            self._release(self.shm)
-            self.shm = None
-            self.capacity = 0
-            self.resident_used = 0
 
 
 # ---------------------------------------------------------------------------
@@ -341,20 +175,6 @@ class _ShmArena:
 _WORKER_SHM: dict[str, shared_memory.SharedMemory] = {}
 
 
-def _worker_initializer(worker_init: str | None) -> None:
-    """Per-worker startup hook (runs once in each spawned interpreter).
-
-    ``worker_init`` is an optional ``"module:function"`` entry called with
-    no arguments.  This is the documented place to replay module-state
-    mutations that ``spawn`` does not inherit — most importantly
-    registering custom kernel backends
-    (:func:`repro.core.kernels.register_backend`), which only exist in
-    the parent unless every worker re-registers them.
-    """
-    if worker_init:
-        _resolve_entry(worker_init)()
-
-
 def _attach_arena(name: str) -> shared_memory.SharedMemory:
     shm = _WORKER_SHM.get(name)
     if shm is None:
@@ -365,60 +185,23 @@ def _attach_arena(name: str) -> shared_memory.SharedMemory:
     return shm
 
 
-#: Read-only mmaps of file-backed resident files held by this worker,
-#: keyed by path.  Store rank files are immutable (written once, then
-#: only renamed), so a mapping never goes stale; at most a handful of
-#: files are live per run, so no eviction is needed.
-_WORKER_MMAPS: dict[str, mmap.mmap] = {}
-
-
-def _attach_file(path: str) -> mmap.mmap:
-    mm = _WORKER_MMAPS.get(path)
-    if mm is None:
-        with open(path, "rb") as fh:
-            mm = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-        _WORKER_MMAPS[path] = mm
-    return mm
-
-
-def _run_job(desc: _JobDesc) -> dict[str, Any]:
+def _run_job(desc: _JobDesc) -> Any:
     """Execute one job in a worker: map the arena, rebuild zero-copy
-    array views, run the entry, return its (picklable) result plus the
-    job's wall-time extent.
+    array views, run the entry and return its (picklable) result.
 
     The entry receives ``(arrays, meta)`` where ``arrays`` are read-only
     views into the shared segment; it must treat them as immutable inputs
     and must not keep references past its return (the parent reuses the
     arena for the next dispatch).
     """
-    t0 = time.perf_counter()
     shm = _attach_arena(desc.shm_name)
-    arrays = []
-    for slot in desc.slots:
-        if len(slot) == 4:  # file-backed resident: map, don't copy
-            path, off, dt, count = slot
-            arrays.append(
-                np.frombuffer(
-                    _attach_file(path), dtype=np.dtype(dt), count=count,
-                    offset=off,
-                )
-            )
-        else:
-            off, dt, count = slot
-            arrays.append(
-                np.frombuffer(
-                    shm.buf, dtype=np.dtype(dt), count=count, offset=off
-                )
-            )
-    fn = _resolve_entry(desc.entry)
-    result = fn(arrays, desc.meta)
+    arrays = [
+        np.frombuffer(shm.buf, dtype=np.dtype(dt), count=count, offset=off)
+        for off, dt, count in desc.slots
+    ]
+    result = _resolve_entry(desc.entry)(arrays, desc.meta)
     del arrays  # release the exported buffer before the next arena swap
-    return {
-        "result": result,
-        "t0": t0,
-        "t1": time.perf_counter(),
-        "worker": os.getpid(),
-    }
+    return result
 
 
 def _run_job_batch(descs: Sequence[_JobDesc]) -> list[dict[str, Any]]:
@@ -435,7 +218,7 @@ def _run_job_batch(descs: Sequence[_JobDesc]) -> list[dict[str, Any]]:
     out: list[dict[str, Any]] = []
     for desc in descs:
         try:
-            out.append(_run_job(desc))
+            out.append({"result": _run_job(desc)})
         except BaseException as exc:
             out.append(
                 {
@@ -462,78 +245,42 @@ class SuperstepPool:
     Parameters
     ----------
     workers:
-        Worker process count; ``0`` means ``os.cpu_count()``.
+        Worker process count; ``0`` means the CPUs this process may run
+        on (its scheduling affinity, which a container or ``taskset``
+        may set below ``os.cpu_count()``).
     timeout:
         Real seconds to wait for any single job result before declaring
         the pool wedged (:class:`WorkerCrashError`); engines override it
         per dispatch with their own ``real_timeout``.
-    worker_init:
-        Optional ``"module:function"`` entry replayed once in every
-        spawned worker (see :func:`_worker_initializer`); required when
-        jobs depend on parent-side module-state mutations such as custom
-        kernel-backend registrations.
 
-    The pool outlives individual engine runs: the resilient restart
-    driver and benchmark harnesses attach one pool to many engines, so
-    worker spawn cost and arena allocations amortize across runs.  Use
-    it as a context manager (or call :meth:`shutdown`) to release the
-    workers and unlink the arena.
+    The pool outlives individual engine runs: a caller may attach one
+    pool to many engines, so worker spawn cost and arena allocations
+    amortize across runs.  Use it as a context manager (or call
+    :meth:`shutdown`) to release the workers and unlink the arena.
     """
 
-    def __init__(
-        self,
-        workers: int = 0,
-        *,
-        timeout: float = 600.0,
-        worker_init: str | None = None,
-    ):
+    def __init__(self, workers: int = 0, *, timeout: float = 600.0):
         if workers < 0:
-            raise ValueError("workers must be >= 0 (0 = cpu count)")
-        self.workers = workers or (os.cpu_count() or 1)
+            raise ValueError("workers must be >= 0 (0 = usable CPUs)")
+        if not workers:
+            from repro.instrument.telemetry import usable_cpus
+
+            workers = usable_cpus()
+        self.workers = workers
         self.timeout = timeout
-        self.worker_init = worker_init
         # Explicit spawn context: see the module docstring for why fork
         # is never safe here (inherited registries, tracer state, locks).
         self._executor: ProcessPoolExecutor | None = ProcessPoolExecutor(
-            max_workers=self.workers,
-            mp_context=get_context("spawn"),
-            initializer=_worker_initializer,
-            initargs=(worker_init,),
+            max_workers=self.workers, mp_context=get_context("spawn")
         )
         self._arena = _ShmArena()
         self._pending: dict[int, _PendingJob] = {}
         self._results: dict[int, Any] = {}
-        self._spans: list[WorkerSpan] = []
-        #: Resident slots: key -> (offset, dtype str, element count) for
-        #: arena slots, or (path, offset, dtype str, element count) for
-        #: file-backed slots (see :meth:`put_resident_file`).
-        self._resident: dict[Any, tuple] = {}
-        self.resident_generation = 0
-        self._t0 = time.perf_counter()
-        self.dispatches = 0
-        self.jobs_run = 0
-        self.stats = PoolStats()
-        self._telemetry: Any = None
-
-    # -- bookkeeping --------------------------------------------------------
 
     @property
     def arena_allocations(self) -> int:
         """Shared-memory segment (re)creations so far (reuse metric)."""
         return self._arena.allocations
-
-    def attach_telemetry(self, telemetry: Any) -> None:
-        """Attach a :class:`~repro.instrument.telemetry.Telemetry` session
-        (duck-typed: anything with ``note(kind, **detail)``) so queue
-        depth, arena occupancy, per-job latency and crashes record into
-        its flight recorder.  :attr:`stats` accumulates either way —
-        telemetry only adds the event stream."""
-        self._telemetry = telemetry
-
-    def stats_snapshot(self) -> dict[str, Any]:
-        """JSON-serializable copy of :attr:`stats` (plus current arena
-        capacity).  Take one at run begin to compute per-run deltas."""
-        return self.stats.as_dict(arena_capacity=self._arena.capacity)
 
     def pending(self) -> bool:
         """Whether any submitted job is waiting for a dispatch."""
@@ -547,125 +294,26 @@ class SuperstepPool:
         """Hand ``rank`` its result (once; the pool forgets it)."""
         return self._results.pop(rank)
 
-    def drain_spans(self) -> list[WorkerSpan]:
-        """Worker spans recorded since the last drain (and forget them)."""
-        spans, self._spans = self._spans, []
-        return spans
-
     def reset(self) -> None:
-        """Drop pending jobs, unclaimed results and resident slots (start
-        of an engine run, or teardown of an aborted one).  Workers and the
-        arena segment persist; residents must be republished because a new
-        run's blocks share nothing with the last run's."""
+        """Drop pending jobs and unclaimed results (start of an engine
+        run, or teardown of an aborted one).  Workers and the arena
+        segment persist."""
         self._pending.clear()
         self._results.clear()
-        self.invalidate_residents()
-
-    # -- resident slots -----------------------------------------------------
-
-    def put_resident(self, key: Any, array: np.ndarray) -> None:
-        """Write ``array`` into the arena's resident region under ``key``.
-
-        The bytes are copied **once, now**; later :meth:`submit` calls
-        reference them with ``Resident(key)`` at zero copy cost.
-        Re-publishing an existing key with the same byte size overwrites
-        the slot in place; a different size allocates a fresh slot (the
-        old bytes are dead until :meth:`invalidate_residents`).  Slots do
-        not survive :meth:`reset` — the generation counter bumps so
-        cross-run aliasing is structurally impossible.
-        """
-        if self._executor is None:
-            raise SimMPIError("superstep pool is shut down")
-        arr = np.ascontiguousarray(array)
-        slot = self._resident.get(key)
-        if slot is not None and slot[1:] == (str(arr.dtype), arr.size):
-            offset = slot[0]
-            shm = self._arena.ensure(self._arena.resident_used)
-        else:
-            offset = _aligned(self._arena.resident_used)
-            shm = self._arena.ensure(offset + max(int(arr.nbytes), 1))
-            self._arena.resident_used = offset + int(arr.nbytes)
-            self._resident[key] = (offset, str(arr.dtype), arr.size)
-        buf = np.frombuffer(shm.buf, dtype=np.uint8)
-        buf[offset : offset + arr.nbytes] = arr.reshape(-1).view(np.uint8)
-        del buf
-        self.stats.resident_puts += 1
-        self.stats.resident_bytes += int(arr.nbytes)
-        if self._telemetry is not None:
-            self._telemetry.note(
-                "pool.resident",
-                key=repr(key),
-                nbytes=int(arr.nbytes),
-                used_bytes=self._arena.resident_used,
-                generation=self.resident_generation,
-            )
-
-    def put_resident_file(
-        self, key: Any, slot: tuple[str, int, str, int]
-    ) -> None:
-        """Publish a **file-backed** resident slot under ``key``.
-
-        ``slot`` is ``(path, byte offset, dtype string, element count)``
-        into a file that must stay byte-immutable while published (store
-        rank files qualify: they are written once via atomic rename and
-        never modified).  Nothing is copied anywhere — each worker
-        ``mmap``\\ s the file on first use and rebuilds read-only views,
-        so the bytes travel page cache → kernel with zero parent-side
-        copies.  Shares the key namespace, generation semantics and
-        :meth:`reset` lifecycle with :meth:`put_resident`.
-        """
-        if self._executor is None:
-            raise SimMPIError("superstep pool is shut down")
-        path, offset, dtype_str, count = slot
-        nbytes = int(count) * np.dtype(dtype_str).itemsize
-        self._resident[key] = (str(path), int(offset), str(dtype_str), int(count))
-        self.stats.resident_puts += 1
-        self.stats.resident_bytes += nbytes
-        if self._telemetry is not None:
-            self._telemetry.note(
-                "pool.resident",
-                key=repr(key),
-                nbytes=nbytes,
-                storage="file",
-                generation=self.resident_generation,
-            )
-
-    def has_resident(self, key: Any) -> bool:
-        """Whether ``key`` is currently published in the resident region."""
-        return key in self._resident
-
-    def invalidate_residents(self) -> None:
-        """Drop every resident slot and bump :attr:`resident_generation`.
-
-        The arena segment itself persists (capacity is reused); only the
-        slot directory empties, so a ``Resident`` reference to a dropped
-        key fails loudly at the next submit instead of silently reading
-        stale bytes.
-        """
-        self._resident.clear()
-        self._arena.resident_used = 0
-        self.resident_generation += 1
-
-    # -- the superstep ------------------------------------------------------
 
     def submit(
         self,
         rank: int,
         entry: str,
-        arrays: Sequence[Any],
+        arrays: Sequence[np.ndarray],
         meta: dict | None = None,
-        label: str = "",
     ) -> None:
         """Queue one job for ``rank``; it runs at the next :meth:`dispatch`.
 
         ``entry`` is a ``"module:function"`` string resolved *in the
         worker*; it is called as ``entry(arrays, meta)`` and must return
         a picklable value containing no views into the input arrays.
-
-        ``arrays`` elements may be ndarrays (copied into the arena at
-        dispatch) or :class:`Resident` markers referencing slots already
-        published with :meth:`put_resident` — an unpublished key is
-        rejected here, before the rank parks on the result.
+        The arrays are copied into the arena at dispatch.
         """
         if self._executor is None:
             raise SimMPIError("superstep pool is shut down")
@@ -674,43 +322,21 @@ class SuperstepPool:
                 f"rank {rank} already has a superstep job in flight"
             )
         _resolve_entry(entry)  # fail fast in the parent on a bad entry
-        packed: list[Any] = []
-        for a in arrays:
-            if isinstance(a, Resident):
-                if a.key not in self._resident:
-                    raise SimMPIError(
-                        f"rank {rank} references unpublished resident "
-                        f"block {a.key!r} (generation "
-                        f"{self.resident_generation})"
-                    )
-                packed.append(a)
-            else:
-                packed.append(np.ascontiguousarray(a))
         self._pending[rank] = _PendingJob(
             rank=rank,
             entry=entry,
-            arrays=tuple(packed),
+            arrays=tuple(np.ascontiguousarray(a) for a in arrays),
             meta=dict(meta or {}),
-            label=label or entry,
         )
-        depth = len(self._pending)
-        if depth > self.stats.queue_peak:
-            self.stats.queue_peak = depth
-        if self._telemetry is not None:
-            self._telemetry.note(
-                "pool.queue", depth=depth, rank=rank, label=label or entry
-            )
 
     def dispatch(self, timeout: float | None = None) -> list[int]:
         """Run every pending job concurrently; return the served ranks.
 
-        Transient arrays are packed into the arena after the resident
-        region, :class:`Resident` references resolve to their published
-        slots (zero copies), and the jobs are grouped round-robin into
-        at most ``workers`` batch futures, one pickle round-trip each.
-        Results are recorded **in rank order** so the caller's
-        wake-up sequence is deterministic regardless of batching.  Any
-        worker death, in-job exception or timeout raises
+        The arrays are packed into the arena and the jobs are grouped
+        round-robin into at most ``workers`` batch futures, one pickle
+        round-trip each.  Results are recorded **in rank order** so the
+        caller's wake-up sequence is deterministic regardless of
+        batching.  Any worker death, in-job exception or timeout raises
         :class:`WorkerCrashError` naming the failing rank (a dead worker
         or timeout names the whole batch; pending state is cleared so
         the owning engine can abort cleanly).
@@ -719,42 +345,18 @@ class SuperstepPool:
             raise SimMPIError("superstep pool is shut down")
         if not self._pending:
             return []
-        # Bucket accounting (see PoolStats): t_start..t_packed is
-        # serialize, ..t_submitted is dispatch, the Future.result waits
-        # sum to execute, and the remaining collection-loop time is
-        # collect — a partition of this call's wall time.
-        t_start = time.perf_counter()
         jobs = [self._pending[r] for r in sorted(self._pending)]
         limit = self.timeout if timeout is None else timeout
 
-        base = _aligned(self._arena.resident_used)
-        total = sum(
-            _aligned(int(a.nbytes))
-            for job in jobs
-            for a in job.arrays
-            if not isinstance(a, Resident)
-        )
-        shm = self._arena.ensure(max(base + total, 1))
+        total = sum(_aligned(int(a.nbytes)) for job in jobs for a in job.arrays)
+        shm = self._arena.ensure(max(total, 1))
         buf = np.frombuffer(shm.buf, dtype=np.uint8)
-        offset = base
-        resident_hits = 0
+        offset = 0
         descs: list[_JobDesc] = []
         for job in jobs:
-            slots: list[tuple] = []
+            slots = []
             for a in job.arrays:
-                if isinstance(a, Resident):
-                    slot = self._resident.get(a.key)
-                    if slot is None:
-                        del buf
-                        raise SimMPIError(
-                            f"rank {job.rank} references unpublished "
-                            f"resident block {a.key!r}"
-                        )
-                    slots.append(slot)
-                    resident_hits += 1
-                    continue
-                flat = a.reshape(-1).view(np.uint8)
-                buf[offset : offset + a.nbytes] = flat
+                buf[offset : offset + a.nbytes] = a.reshape(-1).view(np.uint8)
                 slots.append((offset, str(a.dtype), a.size))
                 offset += _aligned(int(a.nbytes))
             descs.append(
@@ -771,16 +373,6 @@ class SuperstepPool:
         # numpy view into the segment would make shm.close() fail with
         # BufferError at shutdown.
         del buf
-        t_packed = time.perf_counter()
-        if self._telemetry is not None:
-            self._telemetry.note(
-                "pool.arena",
-                used_bytes=base + total,
-                resident_bytes=self._arena.resident_used,
-                capacity_bytes=self._arena.capacity,
-                allocations=self._arena.allocations,
-                jobs=len(jobs),
-            )
 
         # Round-robin grouping keeps batch sizes within one of each other.
         nbatches = min(self.workers, len(jobs))
@@ -791,118 +383,43 @@ class SuperstepPool:
             (idxs, self._executor.submit(_run_job_batch, [descs[i] for i in idxs]))
             for idxs in groups
         ]
-        t_submitted = time.perf_counter()
         outs: dict[int, dict[str, Any]] = {}
-        execute_s = 0.0
-        served: list[int] = []
         try:
             for idxs, fut in futures:
                 batch_ranks = [jobs[i].rank for i in idxs]
-                t_wait = time.perf_counter()
                 try:
                     batch_out = fut.result(timeout=limit)
                 except BrokenProcessPool as exc:
-                    reason = (
-                        "worker process died mid-job "
-                        f"(batch ranks {batch_ranks})"
-                    )
-                    self._note_crash(batch_ranks[0], reason)
-                    raise WorkerCrashError(batch_ranks[0], reason) from exc
+                    raise WorkerCrashError(
+                        batch_ranks[0],
+                        f"worker process died mid-job (batch ranks {batch_ranks})",
+                    ) from exc
                 except FutureTimeoutError as exc:
-                    reason = (
+                    raise WorkerCrashError(
+                        batch_ranks[0],
                         f"no result within {limit}s of real time "
-                        f"(worker wedged? batch ranks {batch_ranks})"
-                    )
-                    self._note_crash(batch_ranks[0], reason)
-                    raise WorkerCrashError(batch_ranks[0], reason) from exc
+                        f"(worker wedged? batch ranks {batch_ranks})",
+                    ) from exc
                 except Exception as exc:
-                    reason = f"job raised {type(exc).__name__}: {exc}"
-                    self._note_crash(batch_ranks[0], reason)
-                    raise WorkerCrashError(batch_ranks[0], reason) from exc
-                execute_s += time.perf_counter() - t_wait
+                    raise WorkerCrashError(
+                        batch_ranks[0], f"job raised {type(exc).__name__}: {exc}"
+                    ) from exc
                 for i, out in zip(idxs, batch_out):
                     if "error" in out:
                         # The entry raised inside the worker; the batch
                         # survived, so attribution is exact.
-                        reason = f"job raised {out['error']}"
-                        self._note_crash(out.get("rank", jobs[i].rank), reason)
                         raise WorkerCrashError(
-                            out.get("rank", jobs[i].rank), reason
+                            out.get("rank", jobs[i].rank),
+                            f"job raised {out['error']}",
                         )
                     outs[i] = out
-            # All futures resolved; record results/spans in rank order so
+            # All futures resolved; record results in rank order so
             # downstream bookkeeping is batching-invariant.
             for i, job in enumerate(jobs):
-                out = outs[i]
-                self._results[job.rank] = out["result"]
-                self._spans.append(
-                    WorkerSpan(
-                        worker=out["worker"],
-                        rank=job.rank,
-                        label=job.label,
-                        begin=out["t0"] - self._t0,
-                        end=out["t1"] - self._t0,
-                        dispatch=self.dispatches,
-                    )
-                )
-                served.append(job.rank)
-                self.jobs_run += 1
-                busy = out["t1"] - out["t0"]
-                self.stats.worker_busy_s[out["worker"]] = (
-                    self.stats.worker_busy_s.get(out["worker"], 0.0) + busy
-                )
-                if self._telemetry is not None:
-                    # Dispatch latency: submission to worker start (IPC +
-                    # queueing in the executor), comparable because
-                    # perf_counter is CLOCK_MONOTONIC across processes.
-                    self._telemetry.note(
-                        "pool.job",
-                        rank=job.rank,
-                        label=job.label,
-                        worker=out["worker"],
-                        dispatch=self.dispatches,
-                        latency_s=out["t0"] - t_submitted,
-                        exec_s=busy,
-                    )
+                self._results[job.rank] = outs[i]["result"]
         finally:
             self._pending.clear()
-        t_end = time.perf_counter()
-        st = self.stats
-        st.dispatches += 1
-        st.jobs += len(served)
-        st.batches += len(futures)
-        st.wall_s += t_end - t_start
-        st.serialize_s += t_packed - t_start
-        st.dispatch_s += t_submitted - t_packed
-        st.execute_s += execute_s
-        st.collect_s += (t_end - t_submitted) - execute_s
-        st.payload_bytes += total
-        st.resident_hits += resident_hits
-        if total > st.payload_peak:
-            st.payload_peak = total
-        if self._telemetry is not None:
-            self._telemetry.note(
-                "pool.dispatch",
-                dispatch=self.dispatches,
-                jobs=len(served),
-                batches=len(futures),
-                wall_s=t_end - t_start,
-                serialize_s=t_packed - t_start,
-                dispatch_s=t_submitted - t_packed,
-                execute_s=execute_s,
-                collect_s=(t_end - t_submitted) - execute_s,
-                payload_bytes=total,
-                resident_hits=resident_hits,
-            )
-        self.dispatches += 1
-        return served
-
-    def _note_crash(self, rank: int, reason: str) -> None:
-        """Record a worker crash into the attached telemetry (if any)
-        before the typed error propagates — the driver's crash dump then
-        carries the failing dispatch's event trail."""
-        if self._telemetry is not None:
-            self._telemetry.note("pool.crash", rank=rank, reason=reason)
+        return [job.rank for job in jobs]
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -914,7 +431,6 @@ class SuperstepPool:
         self._arena.close()
         self._pending.clear()
         self._results.clear()
-        self._resident.clear()
 
     def __enter__(self) -> "SuperstepPool":
         return self

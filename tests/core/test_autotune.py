@@ -48,11 +48,11 @@ def test_signals_deterministic(er_graph):
 
 
 def test_plan_deterministic(er_graph):
-    p1 = plan_run(er_graph, cores=4, max_p=16)
-    p2 = plan_run(er_graph, cores=4, max_p=16)
+    p1 = plan_run(er_graph, max_p=16)
+    p2 = plan_run(er_graph, max_p=16)
     assert p1 == p2
     # graph= and precomputed signals= are the same entry point
-    p3 = plan_run(signals=collect_signals(er_graph), cores=4, max_p=16)
+    p3 = plan_run(signals=collect_signals(er_graph), max_p=16)
     assert p1 == p3
 
 
@@ -79,14 +79,13 @@ def test_winner_is_argmin(signals):
 def test_pinned_fields_win(signals):
     plan = plan_run(
         signals=signals,
-        pinned={"algorithm": "coveredge", "p": 4, "workers": 3},
-        cores=8,
+        pinned={"algorithm": "coveredge", "p": 4, "kernel_backend": "row"},
         max_p=64,
     )
     assert plan.algorithm == "coveredge"
     assert plan.p == 4
-    assert plan.workers == 3
-    assert plan.pinned == ("algorithm", "p", "workers")
+    assert plan.kernel_backend == "row"
+    assert plan.pinned == ("algorithm", "kernel_backend", "p")
     # the search space collapsed to the pinned candidate
     assert set(plan.predicted) == {"coveredge-p4"}
 
@@ -101,8 +100,6 @@ def test_every_plannable_field_is_pinnable(signals):
         "algorithm": "tc2d",
         "p": 9,
         "kernel_backend": "batch",
-        "executor": "sequential",
-        "workers": 0,
     }
     assert set(pins) == set(PLANNABLE_FIELDS)
     plan = plan_run(signals=signals, pinned=pins)
@@ -113,14 +110,14 @@ def test_every_plannable_field_is_pinnable(signals):
 
 def test_provenance_record(er_graph):
     model = MachineModel()
-    plan = plan_run(er_graph, model=model, cores=2, max_p=16)
+    plan = plan_run(er_graph, model=model, max_p=16)
     d = plan.to_dict()
     json.dumps(d)  # must be serializable as-is
     assert d["signals_fingerprint"] and d["model_fingerprint"]
     assert d["model_fingerprint"] == model.fingerprint()
     assert f"{d['algorithm']}-p{d['p']}" in d["predicted"]
     assert d["source"] in ("model", "history")
-    assert d["cores"] == 2
+    assert not {"executor", "workers", "cores"} & set(d)
 
 
 def test_plan_lands_in_result_extras(er_graph):
@@ -137,35 +134,23 @@ def test_to_config_round_trip(signals):
     cfg = plan.to_config(base)
     assert cfg.algorithm == plan.algorithm
     assert cfg.kernel_backend == plan.kernel_backend
-    assert cfg.executor == plan.executor
-    assert cfg.workers == plan.workers
     # non-plannable fields pass through from base untouched
     assert cfg.hashmap_slack == 2.5
 
 
 def test_sequential_executor_on_tiny_inputs(signals):
-    plan = plan_run(signals=signals, cores=1, max_p=9)
-    assert plan.executor == "sequential"
-    assert plan.workers == 0
+    assert plan_run(signals=signals, max_p=9).to_config().executor == "sequential"
 
 
 def test_wall_clock_knobs_follow_the_artifacts(signals):
-    """No size or core count makes the tuner force ``row`` or start a
-    pool any more (BENCH_kernels.json / BENCH_parallel*.json: neither
-    wins anywhere); a pinned executor still gets its workers sized."""
+    """No graph size makes the tuner force ``row`` (BENCH_kernels.json:
+    it wins nowhere)."""
     import dataclasses
 
     heavy = dataclasses.replace(signals, m=10**7, wedges=10**10)
     tiny = dataclasses.replace(signals, m=500, wedges=2000)
     for sig in (tiny, signals, heavy):
-        plan = plan_run(signals=sig, cores=64, max_p=16)
-        assert (plan.kernel_backend, plan.executor, plan.workers) == (
-            "auto", "sequential", 0,
-        )
-    pooled = plan_run(
-        signals=heavy, pinned={"executor": "parallel", "p": 16}, cores=4
-    )
-    assert pooled.workers == 4
+        assert plan_run(signals=sig, max_p=16).kernel_backend == "auto"
 
 
 def test_history_overrides_model(er_graph, tmp_path):

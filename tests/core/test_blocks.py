@@ -15,7 +15,6 @@ from repro.core.blocks import (
     RankFileError,
     build_block,
     exchange_block,
-    read_rank_file,
 )
 from repro.simmpi import Engine
 from repro.simmpi.errors import BlobChecksumError
@@ -269,6 +268,15 @@ def test_rank_file_flipped_payload_byte_fails_the_crc(user, capsys):
         assert "PROBLEM" in out and "rank 2" in out and "BlobChecksumError" in out
 
 
+def blob_extent(path: Path, index: int) -> tuple[int, int]:
+    """Byte offset and int64 word count of blob ``index`` (0 = u, 1 = l,
+    2 = task) in a rank file, read from the file's own header."""
+    _magic, _version, n_meta, n_extra, *lens = np.frombuffer(
+        Path(path).read_bytes()[:56], "<i8"
+    ).tolist()
+    return 8 * (7 + n_meta + n_extra + sum(lens[:index])), lens[index]
+
+
 def _set_word(index: int, value: int) -> Callable[[bytearray], bytearray]:
     def damage(raw: bytearray) -> bytearray:
         raw[8 * index : 8 * index + 8] = int(value).to_bytes(8, "little", signed=True)
@@ -303,8 +311,7 @@ def test_rank_file_blob_that_disagrees_with_the_file_header(user):
     """A blob whose own header no longer spans what the file header gives
     it is caught before ``from_mmap`` could read past it."""
     path = user.path(0)
-    _, offset, dtype, _ = read_rank_file(path, 0).blocks[0].slot
-    assert dtype == "int64"
+    offset, _ = blob_extent(path, 0)
     raw = bytearray(path.read_bytes())
     path.write_bytes(bytes(_set_word(offset // 8 + 5, 1 << 40)(raw)))  # nnz
     with pytest.raises(RankFileError, match="does not span"):

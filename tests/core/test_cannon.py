@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import importlib
 
+import numpy as np
 import pytest
 
 from repro.core import (
@@ -16,6 +17,7 @@ from repro.core import (
     count_triangles_summa,
 )
 from repro.core.cannon import GridJob
+from repro.core.superstep import KERNEL_JOB_ENTRY
 from repro.core.coveredge import coveredge_rank_program
 from repro.core.tc2d import tc2d_rank_program
 from repro.graph.store import GraphStore
@@ -93,32 +95,15 @@ def test_parallel_extras_are_the_same_for_plain_and_resilient_runs(er_graph):
     cfg = TC2DConfig(executor="parallel", workers=2)
     with SuperstepPool(workers=2) as pool:
         plain = count_triangles_2d(er_graph, 4, cfg, superstep=pool)
-        resilient = count_triangles_2d_resilient(er_graph, 4, cfg, superstep=pool)
+    resilient = count_triangles_2d_resilient(er_graph, 4, cfg)
     assert set(plain.extras) - set(resilient.extras) == set()
     assert resilient.extras["workers"] == plain.extras["workers"] == 2
     assert resilient.count == plain.count
 
 
-# -- the one transport: residency chosen from what the run can observe -------
+# -- the pool changes wall time only ------------------------------------------
 
 _P, _Q = 9, 3
-
-
-class _PoolLog:
-    """Duck-typed telemetry sink: keeps the pool's ``note`` stream."""
-
-    def __init__(self):
-        self.events = []
-
-    def note(self, kind, **detail):
-        self.events.append((kind, detail))
-
-    def dispatches(self):
-        """The ``pool.dispatch`` records, after checking that every queued
-        job was a kernel — the pool's one job."""
-        labels = [d["label"] for kind, d in self.events if kind == "pool.queue"]
-        assert labels and all(lb.startswith("kernel:") for lb in labels)
-        return [d for kind, d in self.events if kind == "pool.dispatch"]
 
 
 def _grid_run(algorithm, graph, store, pool=None, injector=None):
@@ -150,28 +135,36 @@ def pool2():
 @pytest.mark.parametrize("store_state", ["cold", "warm"])
 @pytest.mark.parametrize("injector", [False, True], ids=["clean", "injector"])
 def test_residency_follows_what_the_run_can_observe(
-    er_graph, tmp_path, pool2, injector, store_state, algorithm
+    er_graph, tmp_path, pool2, monkeypatch, injector, store_state, algorithm
 ):
-    """A pool with no fault injector publishes every operand once and
-    ships slot references; an attached injector (even one with nothing
-    planned) may rewrite blocks in flight, so U/L travel as per-epoch
-    transient blobs and only the task block stays resident.  Either way
-    the run equals the sequential one bit for bit."""
+    """Whatever the run can observe — a cold or a warm store, a fault
+    injector (even one with nothing planned) or none — no operand stays
+    resident in the pool: every epoch ships the rank's current
+    ``(task, u, l)`` blobs, and the run equals the sequential one bit for
+    bit."""
     store = GraphStore(tmp_path / "store")
     if store_state == "warm":
         _grid_run(algorithm, er_graph, store)
     seq = _grid_run(algorithm, er_graph, store if store_state == "warm" else None)
 
-    log = _PoolLog()
-    pool2.attach_telemetry(log)
-    dispatched = pool2.stats.dispatches
-    try:
-        par = _grid_run(
-            algorithm, er_graph, store, pool=pool2,
-            injector=FaultInjector(FaultPlan()) if injector else None,
-        )
-    finally:
-        pool2.attach_telemetry(None)
+    jobs, dispatched = [], []
+    submit, dispatch = pool2.submit, pool2.dispatch
+
+    def logging_submit(rank, entry, arrays, meta=None):
+        jobs.append((entry, [a.dtype for a in arrays]))
+        submit(rank, entry, arrays, meta)
+
+    def logging_dispatch(timeout=None):
+        served = dispatch(timeout)
+        dispatched.append(served)
+        return served
+
+    monkeypatch.setattr(pool2, "submit", logging_submit)
+    monkeypatch.setattr(pool2, "dispatch", logging_dispatch)
+    par = _grid_run(
+        algorithm, er_graph, store, pool=pool2,
+        injector=FaultInjector(FaultPlan()) if injector else None,
+    )
 
     assert par.extras["cache"]["hit"] is (store_state == "warm")
     assert par.count == seq.count
@@ -183,19 +176,13 @@ def test_residency_follows_what_the_run_can_observe(
         seq.extras["run"]
     )
 
-    # Cold or warm, the pool sees exactly q dispatches per Cannon pass:
-    # preprocessing never leaves the scheduler.
-    epochs = log.dispatches()
+    # Cold or warm, the pool sees exactly q dispatches per Cannon pass,
+    # each serving every rank: preprocessing never leaves the scheduler.
     passes = 2 if algorithm == "coveredge" else 1
-    assert pool2.stats.dispatches - dispatched == passes * _Q
-    assert len(epochs) == passes * _Q and all(e["jobs"] == _P for e in epochs)
-    hits = sum(e["resident_hits"] for e in epochs)
-    if injector:
-        assert hits == passes * _P * _Q  # the task block only
-        assert all(e["payload_bytes"] > 0 for e in epochs)
-    else:
-        assert hits == 3 * passes * _P * _Q
-        assert all(e["payload_bytes"] == 0 for e in epochs)
+    assert dispatched == [list(range(_P))] * (passes * _Q)
+    assert jobs == [(KERNEL_JOB_ENTRY, [np.dtype(np.int64)] * 3)] * (
+        passes * _P * _Q
+    )
 
 
 def test_each_driver_keys_the_store_on_its_own_algorithm(er_graph, tmp_path):
@@ -219,23 +206,3 @@ def test_grid_drivers_mapping_covers_the_planned_algorithms():
     assert set(GRID_DRIVERS) == set(ALGORITHMS)
     assert GRID_DRIVERS["tc2d"] is count_triangles_2d
     assert GRID_DRIVERS["coveredge"] is count_triangles_coveredge
-
-
-def test_warm_parallel_coveredge_serves_blocks_from_the_store_files(
-    er_graph, tmp_path
-):
-    store = GraphStore(tmp_path / "store")
-    count_triangles_coveredge(er_graph, 4, cache=store)
-    warm_seq = count_triangles_coveredge(er_graph, 4, cache=store)
-    cfg = TC2DConfig(executor="parallel", workers=2)
-    with SuperstepPool(workers=2) as pool:
-        warm_par = count_triangles_coveredge(
-            er_graph, 4, cfg, cache=store, superstep=pool
-        )
-        puts = pool.stats_snapshot()["resident_puts"]
-    assert warm_par.count == warm_seq.count
-    assert warm_par.tct_time == warm_seq.tct_time
-    assert warm_par.counters_tct == warm_seq.counters_tct
-    assert warm_par.extras["cache"]["file_serving"] is True
-    assert warm_seq.extras["cache"]["file_serving"] is False
-    assert puts >= 24  # 3 blobs x 2 passes x 4 ranks, all file-backed

@@ -31,6 +31,7 @@ from repro.graph.external import (
 from repro.graph.io import write_edge_list
 from repro.graph.store import GraphStore, graph_digest
 from repro.simmpi.errors import BlobChecksumError
+from tests.core.test_blocks import blob_extent
 
 CHUNK = 1 << 16  # deliberately tiny so every stage actually spills
 
@@ -171,10 +172,7 @@ def test_mmap_served_blob_detects_corruption(graph, tmp_path):
     # Locate the "u" blob inside the rank file, then flip one byte near
     # its end — deep in the indices array, where only the blob crc can
     # notice (the file's own header still adds up).
-    probe = store.open_run(graph, 4, TC2DConfig())
-    slot_path, offset, _dtype, count = probe.load_rank(0)[0].slot
-    probe.close()
-    assert slot_path == str(path)
+    offset, count = blob_extent(path, 0)
     raw = bytearray(path.read_bytes())
     raw[offset + count * 8 - 16] ^= 0xFF
     path.write_bytes(bytes(raw))
@@ -201,32 +199,6 @@ def test_block_from_mmap_round_trip(graph, tmp_path, preprocessed_blocks):
     assert mapped[3] == sum(b.to_blob().nbytes for b in cold)
     assert cache.mapped_ranks == 1 and cache.loaded_nbytes == mapped[3]
     cache.close()
-
-
-# -- file-backed resident publication (parallel executor) ---------------------
-
-
-@pytest.mark.slow
-def test_file_backed_residents_keep_clocks_and_counts(graph, tmp_path):
-    from repro.simmpi.parallel import SuperstepPool
-
-    store, seq_res = _inmem_entry(graph, 4, TC2DConfig(), tmp_path / "s")
-    warm_seq = count_triangles_2d(graph, 4, TC2DConfig(), cache=store)
-    pool = SuperstepPool(workers=2)
-    try:
-        cfg = TC2DConfig(executor="parallel", workers=2)
-        warm_par = count_triangles_2d(
-            graph, 4, cfg, cache=store, superstep=pool
-        )
-        puts = pool.stats_snapshot()["resident_puts"]
-    finally:
-        pool.shutdown()
-    assert warm_par.count == warm_seq.count == seq_res.count
-    assert warm_par.tct_time == warm_seq.tct_time  # virtual clock parity
-    info = warm_par.extras["cache"]
-    assert info["file_serving"] is True
-    assert info["mapped_ranks"] == 4
-    assert puts >= 12  # 3 blobs x 4 ranks published file-backed
 
 
 # -- bounded-memory primitives -------------------------------------------------

@@ -28,6 +28,7 @@ from repro.graph.store import (
     resolve_store,
 )
 from repro.simmpi.errors import BlobChecksumError
+from tests.core.test_blocks import blob_extent
 
 
 @pytest.fixture()
@@ -166,7 +167,7 @@ def test_corrupted_blob_fails_loudly(graph, store):
     cold = _run(graph, cache=store)
     digest = cold.extras["cache"]["digest"]
     path = store.rank_path(digest, 0)
-    _, u_offset, _, u_words = read_rank_file(path, 0).blocks[0].slot
+    u_offset, u_words = blob_extent(path, 0)
     u_end = u_offset + 8 * u_words
     raw = bytearray(path.read_bytes())
     raw[u_end - 8] ^= 0x5A  # flip payload bits; header crc now disagrees

@@ -87,7 +87,7 @@ def test_untraced_run_refuses_export():
 def _counters():
     return [
         {"t": 0.0, "name": "rss_bytes", "value": 1000},
-        {"t": 0.5, "name": "pool_queue_depth", "value": 3},
+        {"t": 0.5, "name": "rss_bytes", "value": 1500},
         {"t": 1.0, "name": "rss_bytes", "value": 2000},
     ]
 
@@ -100,7 +100,7 @@ def test_counter_samples_become_counter_events():
         assert e["pid"] == 1 and e["tid"] == 0
         assert e["cat"] == "telemetry"
         assert "value" in e["args"]
-    # The wall-clock process gets its name even without worker spans.
+    # The wall-clock process is named.
     assert any(
         e.get("name") == "process_name" and e["pid"] == 1
         for e in doc["traceEvents"]

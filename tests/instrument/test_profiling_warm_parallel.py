@@ -65,14 +65,3 @@ def test_profile_report_shows_cache_phase_and_empty_ppt(warm_runs):
     assert run.phase_time("ppt") == pytest.approx(0.0, abs=1e-5)
     total = run.phase_time("cache") + run.phase_time("tct")
     assert total == pytest.approx(run.makespan, rel=0.05)
-
-
-def test_parallel_warm_run_records_worker_spans(warm_runs):
-    _, _, par = warm_runs
-    spans = par.extras["worker_spans"]
-    assert spans, "parallel executor recorded no worker spans"
-    assert {s.rank for s in spans} == {0, 1, 2, 3}
-    # The warm-run worker export composes with the cache phase.
-    text = dumps_chrome_trace(par.extras["run"], worker_spans=spans)
-    assert "cache:load:" in text
-    assert "superstep workers" in text

@@ -3,9 +3,8 @@
 The load-bearing guarantees under test:
 
 * the flight-recorder ring is bounded and counts what it evicts;
-* a recorded run yields a schema-1 record with exec-wall phase rows,
-  memory/GC stats and (under the pool) dispatch-latency buckets that
-  partition the pool wall exactly;
+* a recorded run yields a schema-1 record with exec-wall phase rows and
+  memory/GC stats;
 * attaching telemetry never changes counts, counters or trace exports
   (executor-invariance extends to observability);
 * a cold->warm store pair diffs to a ~zero ppt wall.
@@ -18,12 +17,11 @@ import json
 import pytest
 
 from repro.bench.calibration import paper_model
-from repro.core import TC2DConfig, count_triangles_2d
+from repro.core import count_triangles_2d
 from repro.graph import rmat_graph
 from repro.instrument import (
     FlightRecorder,
     Telemetry,
-    counter_samples,
     diff_records,
     dumps_chrome_trace,
     host_metadata,
@@ -32,19 +30,11 @@ from repro.instrument import (
     rss_bytes,
     telemetry_report,
 )
-from repro.simmpi.parallel import SuperstepPool
 
 
 @pytest.fixture(scope="module")
 def graph():
     return rmat_graph(9, edge_factor=8, seed=3)
-
-
-@pytest.fixture(scope="module")
-def pool():
-    p = SuperstepPool(workers=2)
-    yield p
-    p.shutdown()
 
 
 def _recorded_run(graph, **kw):
@@ -102,7 +92,7 @@ def test_sequential_run_record(graph):
     assert rec["p"] == 9
     assert rec["dataset"] == "rmat9"
     assert rec["executor"] == "sequential"
-    assert rec["pool"] is None
+    assert "pool" not in rec
     assert set(rec["phases"]) == {"ppt", "tct"}
     for ph in rec["phases"].values():
         assert ph["wall_s"] >= 0.0
@@ -220,53 +210,6 @@ def test_engine_failure_triggers_crash_dump(tmp_path, graph, monkeypatch):
     doc = json.loads(dumps[0].read_text())
     assert doc["kind"] == "repro-flight-recorder"
     assert doc["reason"]
-
-
-# -- pool instrumentation -----------------------------------------------------
-
-
-def test_pool_buckets_partition_wall(graph, pool):
-    cfg = TC2DConfig(executor="parallel", workers=2)
-    tele = Telemetry(sample_interval=0.0)
-    with tele:
-        res = count_triangles_2d(
-            graph, 9, cfg=cfg, model=paper_model(), superstep=pool,
-            telemetry=tele, dataset="rmat9",
-        )
-    rec = res.extras["telemetry"]
-    st = rec["pool"]
-    assert st["jobs"] > 0 and st["dispatches"] > 0
-    buckets = (
-        st["serialize_s"] + st["dispatch_s"] + st["execute_s"]
-        + st["collect_s"]
-    )
-    # The buckets are defined as a partition of each dispatch()'s wall,
-    # so the acceptance bound (5%) holds with float-rounding slack only.
-    assert buckets == pytest.approx(st["wall_s"], rel=0.05, abs=1e-6)
-    # Kernels are the pool's only job and a clean run publishes their
-    # operands once as residents: no transient byte is ever shipped.
-    assert st["payload_bytes"] == 0 and st["resident_bytes"] > 0
-    assert st["queue_peak"] >= 1
-    assert sum(st["worker_busy_s"].values()) >= 0.0
-
-    kinds = {e.kind for e in tele.recorder.events()}
-    assert {"pool.job", "pool.dispatch", "pool.queue"} <= kinds
-    report = telemetry_report(rec)
-    assert "serialize" in report and "execute" in report
-
-    samples = counter_samples(tele.recorder.events())
-    assert any(s["name"] == "pool_queue_depth" for s in samples)
-    assert any(s["name"] == "rss_bytes" for s in samples)
-
-
-def test_pool_stats_delta_is_per_run(graph, pool):
-    cfg = TC2DConfig(executor="parallel", workers=2)
-    _, _, rec1 = _recorded_run(graph, cfg=cfg, superstep=pool)
-    _, _, rec2 = _recorded_run(graph, cfg=cfg, superstep=pool)
-    # The pool is reused, but each record's view is the delta since its
-    # begin_run — identical runs therefore report ~identical job counts.
-    assert rec1["pool"]["jobs"] == rec2["pool"]["jobs"]
-    assert rec1["pool"]["dispatches"] == rec2["pool"]["dispatches"]
 
 
 # -- cold/warm diff -----------------------------------------------------------

@@ -315,7 +315,7 @@ class TestMetrics:
         stats = service.stats()
         assert stats["machine_fingerprint"]
         assert stats["max_inflight"] == 1
-        assert stats["executor"] == "sequential"
+        assert "executor" not in stats and "pool" not in stats
 
 
 class TestKinds:

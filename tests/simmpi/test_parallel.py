@@ -1,9 +1,9 @@
 """Unit tests for the shared-memory superstep pool (engine-free).
 
 These drive :class:`~repro.simmpi.parallel.SuperstepPool` directly —
-submit/dispatch round trips, arena reuse, span bookkeeping, the typed
-crash paths, ``/dev/shm`` hygiene — without an engine attached (but for
-the aborted-run leak case).  Engine integration (parity with the
+submit/dispatch round trips, arena reuse, batching, the typed crash
+paths, ``/dev/shm`` hygiene — without an engine attached (but for the
+aborted-run leak case).  Engine integration (parity with the
 sequential executor) lives in ``tests/test_integration_matrix``.
 
 Worker entries used here live at module level so spawned interpreters
@@ -13,36 +13,23 @@ can re-import them by their ``"tests.simmpi.test_parallel:..."`` names.
 from __future__ import annotations
 
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from repro.simmpi import Engine
 from repro.simmpi.errors import RankFailedError, SimMPIError, WorkerCrashError
-from repro.simmpi.parallel import (
-    Resident,
-    SuperstepPool,
-    WorkerSpan,
-    _resolve_entry,
-)
-
-#: Set by :func:`set_init_flag` — observable proof the worker_init hook
-#: ran in a spawned worker (the parent's copy stays False).
-_INIT_FLAG = False
-
-
-def set_init_flag() -> None:
-    global _INIT_FLAG
-    _INIT_FLAG = True
+from repro.simmpi.parallel import SuperstepPool, _resolve_entry
 
 
 def probe(arrays, meta):
-    """Echo entry: array sums/dtypes, the meta dict, and the init flag."""
+    """Echo entry: array sums/dtypes and the meta dict."""
     return {
         "sums": [float(a.sum()) for a in arrays],
         "dtypes": [str(a.dtype) for a in arrays],
         "meta": meta,
-        "init_flag": _INIT_FLAG,
     }
 
 
@@ -116,20 +103,6 @@ def test_arena_grows_on_demand(pool):
     assert pool.arena_allocations == before + 1
 
 
-def test_worker_spans_recorded_and_drained(pool):
-    pool.drain_spans()
-    pool.submit(2, PROBE, (np.arange(4),), label="probe:x")
-    pool.dispatch()
-    pool.take_result(2)
-    spans = pool.drain_spans()
-    assert len(spans) == 1
-    s = spans[0]
-    assert isinstance(s, WorkerSpan)
-    assert (s.rank, s.label) == (2, "probe:x")
-    assert s.end >= s.begin >= 0.0 and s.duration >= 0.0
-    assert pool.drain_spans() == []  # drained means gone
-
-
 def test_double_submit_rejected(pool):
     pool.submit(5, PROBE, (np.arange(3),))
     with pytest.raises(SimMPIError, match="already has a superstep job"):
@@ -160,20 +133,11 @@ def test_job_exception_is_typed(pool):
     assert not pool.pending()  # cleared so an engine can abort cleanly
 
 
-def test_worker_init_hook_runs_in_workers():
-    init = "tests.simmpi.test_parallel:set_init_flag"
-    with SuperstepPool(workers=1, worker_init=init) as p:
-        p.submit(0, PROBE, (np.arange(2),))
-        p.dispatch()
-        assert p.take_result(0)["init_flag"] is True
-    assert _INIT_FLAG is False  # the hook ran in the worker, not here
-
-
 def test_worker_crash_is_typed():
     with SuperstepPool(workers=1) as p:
         p.submit(0, PROBE, (np.arange(2),))
         p.dispatch()
-        assert p.take_result(0)["init_flag"] is False  # no hook by default
+        assert p.take_result(0)["meta"] == {}
         p.submit(1, "repro.simmpi.parallel:_crash_for_tests", (np.arange(2),))
         with pytest.raises(WorkerCrashError, match="rank 1"):
             p.dispatch()
@@ -206,21 +170,42 @@ def test_workers_validation():
         SuperstepPool(workers=-1)
 
 
-# ---------------------------------------------------------------------------
-# batched dispatch + resident arena (the amortized transport layer)
-# ---------------------------------------------------------------------------
+def test_zero_workers_means_the_cpus_this_process_may_use():
+    """``workers=0`` sizes the pool by scheduling affinity, not by
+    ``os.cpu_count()``: a process pinned to one CPU gets one worker."""
+    if not hasattr(os, "sched_setaffinity"):
+        pytest.skip("no scheduling affinity on this platform")
+    code = (
+        "import os\n"
+        "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+        "from repro.simmpi.parallel import SuperstepPool\n"
+        "with SuperstepPool(0) as pool:\n"
+        "    print(pool.workers)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        check=True, timeout=60,
+    )
+    assert out.stdout.split() == ["1"]
 
 
-def test_batched_dispatch_caps_futures(pool):
+def test_batched_dispatch_caps_futures(pool, monkeypatch):
     """Five jobs on two workers coalesce into at most two batches."""
-    before = pool.stats.batches
+    submitted = []
+    submit = pool._executor.submit
+
+    def counting(fn, *args):
+        submitted.append(fn)
+        return submit(fn, *args)
+
+    monkeypatch.setattr(pool._executor, "submit", counting)
     for r in range(5):
         pool.submit(r, PROBE, (np.arange(4, dtype=np.int64),))
     served = pool.dispatch()
     assert served == list(range(5))
     for r in range(5):
         pool.take_result(r)
-    assert pool.stats.batches - before <= 2
+    assert 1 <= len(submitted) <= 2
 
 
 def test_batched_crash_attributes_exact_rank():
@@ -234,59 +219,6 @@ def test_batched_crash_attributes_exact_rank():
             p.dispatch()
 
 
-def test_resident_blocks_ship_zero_transient_bytes(pool):
-    arr = np.arange(128, dtype=np.int64)
-    pool.put_resident(("blk", 0), arr)
-    assert pool.has_resident(("blk", 0))
-    payload_before = pool.stats.payload_bytes
-    hits_before = pool.stats.resident_hits
-    pool.submit(0, PROBE, (Resident(("blk", 0)),))
-    pool.dispatch()
-    assert pool.take_result(0)["sums"] == [float(arr.sum())]
-    assert pool.stats.payload_bytes == payload_before  # slot ref only
-    assert pool.stats.resident_hits == hits_before + 1
-    pool.invalidate_residents()
-
-
-def test_resident_overwrite_same_key(pool):
-    key = ("blk", "rw")
-    pool.put_resident(key, np.full(32, 1, dtype=np.int64))
-    pool.put_resident(key, np.full(32, 7, dtype=np.int64))
-    pool.submit(0, PROBE, (Resident(key),))
-    pool.dispatch()
-    assert pool.take_result(0)["sums"] == [7.0 * 32]
-    pool.invalidate_residents()
-
-
-def test_resident_survives_arena_growth(pool):
-    key = ("blk", "grow")
-    small = np.arange(16, dtype=np.int64)
-    pool.put_resident(key, small)
-    big = np.ones(1 << 18, dtype=np.int64)  # forces a segment regrow
-    pool.submit(0, PROBE, (Resident(key), big))
-    pool.dispatch()
-    out = pool.take_result(0)
-    assert out["sums"] == [float(small.sum()), float(big.size)]
-    pool.invalidate_residents()
-
-
-def test_unpublished_resident_rejected_and_generation_bumps(pool):
-    pool.put_resident(("blk", "gen"), np.arange(8, dtype=np.int64))
-    gen = pool.resident_generation
-    pool.invalidate_residents()
-    assert pool.resident_generation == gen + 1
-    assert not pool.has_resident(("blk", "gen"))
-    with pytest.raises(SimMPIError, match="unpublished resident"):
-        pool.submit(0, PROBE, (Resident(("blk", "gen")),))
-    assert not pool.pending()
-
-
-def test_reset_invalidates_residents(pool):
-    pool.put_resident(("blk", "reset"), np.arange(8, dtype=np.int64))
-    pool.reset()
-    assert not pool.has_resident(("blk", "reset"))
-
-
 def _shm_entries() -> set[str]:
     """Names under ``/dev/shm`` (the listing diff ``benchmarks/e2e`` fails a
     run on; copied, not imported — the gauge is not a library)."""
@@ -296,21 +228,20 @@ def _shm_entries() -> set[str]:
         return set()
 
 
-def _publish_then_fail(ctx):
-    """Rank program that aborts the engine mid-superstep: every rank has
-    published a resident and all but one are parked on a job."""
-    ctx.put_resident(("blk", ctx.rank), np.arange(1 << 12, dtype=np.int64))
+def _offload_then_fail(ctx):
+    """Rank program that aborts the engine mid-superstep: all ranks but
+    one are parked on a job when that one raises."""
     if ctx.rank == 1:
         raise RuntimeError("rank program blew up on purpose")
-    ctx.offload(PROBE, [Resident(("blk", ctx.rank))])
+    ctx.offload(PROBE, [np.arange(1 << 12, dtype=np.int64)])
 
 
 @pytest.mark.parametrize("ending", ["shutdown", "crashed_worker", "aborted_run"])
 def test_pool_leaves_nothing_in_dev_shm(ending):
     before = _shm_entries()
     with SuperstepPool(workers=2) as p:
-        p.put_resident("r", np.arange(1 << 14, dtype=np.int64))  # grows the arena
-        p.submit(0, PROBE, (Resident("r"), np.arange(1 << 14, dtype=np.int64)))
+        big = np.arange(1 << 14, dtype=np.int64)  # grows the arena
+        p.submit(0, PROBE, (big, big))
         if ending == "crashed_worker":
             p.submit(1, "repro.simmpi.parallel:_crash_for_tests", (np.arange(2),))
             with pytest.raises(WorkerCrashError):
@@ -319,7 +250,7 @@ def test_pool_leaves_nothing_in_dev_shm(ending):
             p.dispatch()
         if ending == "aborted_run":
             with pytest.raises(RankFailedError):
-                Engine(4, superstep=p).run(_publish_then_fail)
+                Engine(4, superstep=p).run(_offload_then_fail)
         if os.path.isdir("/dev/shm"):
             assert _shm_entries() - before, "the live arena should be listed"
     assert _shm_entries() - before == set()

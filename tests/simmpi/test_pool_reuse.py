@@ -1,92 +1,78 @@
-"""One SuperstepPool, many sequential independent runs (the serve case).
+"""One SuperstepPool, many sequential independent runs.
 
-The serve layer keeps a single long-lived pool for every cold job, so
-cross-run hygiene is load-bearing: each engine run must reset pending
-state, republish its own residents under a bumped generation, and leave
-counts bit-identical to a fresh-pool run.
+A caller may attach one long-lived pool to many engine runs (the e2e
+gauge's ``simmpi.parallel`` probe does exactly that), so cross-run
+hygiene is load-bearing: each engine run must reset pending state and
+leave counts and clocks bit-identical to a sequential run.
 """
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
+import multiprocessing
+import os
 
 from repro.core import TC2DConfig, count_triangles_2d
 from repro.graph import rmat_graph
-from repro.simmpi.errors import SimMPIError
-from repro.simmpi.parallel import Resident, SuperstepPool
+from repro.simmpi import SuperstepPool
 
 CFG = TC2DConfig(executor="parallel", workers=2)
 
 
-@pytest.fixture(scope="module")
-def pool():
-    with SuperstepPool(workers=2) as p:
-        yield p
-
-
-def test_sequential_runs_share_pool_bit_identically(pool, fast_model):
+def test_sequential_runs_share_pool_bit_identically(fast_model):
     """Two different graphs through one pool == two fresh-pool runs."""
     g1, g2 = rmat_graph(8, seed=1), rmat_graph(8, seed=2)
-    shared_1 = count_triangles_2d(
-        g1, 4, CFG, model=fast_model, superstep=pool
-    )
-    shared_2 = count_triangles_2d(
-        g2, 4, CFG, model=fast_model, superstep=pool
-    )
+    with SuperstepPool(workers=2) as pool:
+        shared_1 = count_triangles_2d(
+            g1, 4, CFG, model=fast_model, superstep=pool
+        )
+        shared_2 = count_triangles_2d(
+            g2, 4, CFG, model=fast_model, superstep=pool
+        )
+        # Same graph again: still identical (no state bleed from run 2).
+        again = count_triangles_2d(g1, 4, CFG, model=fast_model, superstep=pool)
     fresh_1 = count_triangles_2d(g1, 4, CFG, model=fast_model)
     fresh_2 = count_triangles_2d(g2, 4, CFG, model=fast_model)
     assert shared_1.count == fresh_1.count
     assert shared_2.count == fresh_2.count
     assert shared_1.tct_time == fresh_1.tct_time
     assert shared_2.counters_tct == fresh_2.counters_tct
-    # Same graph again: still identical (no state bleed from run 2).
-    again = count_triangles_2d(g1, 4, CFG, model=fast_model, superstep=pool)
     assert again.count == fresh_1.count
     assert again.ppt_time == fresh_1.ppt_time
 
 
-def test_stats_deltas_accumulate_per_run(pool, fast_model):
-    """stats_snapshot() deltas isolate one run's dispatch accounting."""
-    g = rmat_graph(8, seed=3)
-    before = pool.stats_snapshot()
-    count_triangles_2d(g, 4, CFG, model=fast_model, superstep=pool)
-    mid = pool.stats_snapshot()
-    count_triangles_2d(g, 4, CFG, model=fast_model, superstep=pool)
-    after = pool.stats_snapshot()
-    d1 = mid["jobs"] - before["jobs"]
-    d2 = after["jobs"] - mid["jobs"]
-    assert d1 > 0
-    # Identical runs dispatch identical job counts through a reused pool.
-    assert d1 == d2
-    assert after["dispatches"] > mid["dispatches"] > before["dispatches"]
-    assert after["wall_s"] >= mid["wall_s"]
+def _clocks(res) -> list[str]:
+    """Every simulated time a result reports, as exact ``float.hex``."""
+    times = [res.ppt_time, res.tct_time, res.comm_fraction_ppt,
+             res.comm_fraction_tct, res.extras["makespan"]]
+    times += [s.compute_seconds for s in res.shift_records]
+    return [float(t).hex() for t in times]
 
 
-def test_resident_generation_isolates_tenants(pool, fast_model):
-    """Engine runs bump the resident generation, so one tenant's
-    published blocks can never be read by the next tenant's run."""
-    pool.reset()
-    gen0 = pool.resident_generation
-    pool.put_resident(("tenant-a", 0), np.arange(16, dtype=np.int64))
-    assert pool.has_resident(("tenant-a", 0))
-
-    count_triangles_2d(
-        rmat_graph(8, seed=4), 4, CFG, model=fast_model, superstep=pool
-    )
-    # The run's own reset dropped tenant-a's slot and bumped generation.
-    assert pool.resident_generation > gen0
-    assert not pool.has_resident(("tenant-a", 0))
+def _shm_names() -> set[str]:
+    try:
+        return set(os.listdir("/dev/shm"))
+    except OSError:
+        return set()
 
 
-def test_stale_resident_reference_fails_closed(pool):
-    """A Resident reference from a previous generation must error, not
-    silently read another run's bytes."""
-    pool.reset()
-    pool.put_resident("key", np.ones(8, dtype=np.int64))
-    stale = Resident("key")
-    pool.invalidate_residents()
-    pool.put_resident("other", np.zeros(8, dtype=np.int64))
-    with pytest.raises(SimMPIError, match="unpublished resident"):
-        pool.submit(0, "tests.simmpi.test_parallel:probe", [stale], {})
-    pool.reset()
+def test_the_e2e_gauges_call_pattern():
+    """What ``benchmarks/e2e/layers.py::probe_parallel`` runs: one
+    2-worker pool serving three p = 16 counts, then ``shutdown()``.
+    Every count and clock equals a sequential run to the last bit, and
+    the pool leaves no shared-memory name and no live child behind."""
+    g = rmat_graph(10, seed=1)
+    seq = count_triangles_2d(g, 16)
+    shm_before = _shm_names()
+    children_before = set(multiprocessing.active_children())
+    pool = SuperstepPool(workers=2)
+    try:
+        runs = [count_triangles_2d(g, 16, cfg=CFG, superstep=pool)
+                for _ in range(3)]
+    finally:
+        pool.shutdown()
+    for res in runs:
+        assert res.count == seq.count
+        assert res.counters_tct == seq.counters_tct
+        assert _clocks(res) == _clocks(seq)
+    assert _shm_names() - shm_before == set()
+    assert set(multiprocessing.active_children()) - children_before == set()

@@ -16,7 +16,10 @@ The ``drivers`` section pins what every grid driver reports — count,
 logical counters, virtual clocks, memory peak, shift records, trace bytes,
 cache spans, the recovery attempt log — recorded before the drivers were
 folded onto one Cannon rotation and one run driver (``core/cannon.py``).
-A refactor of that plumbing must leave it untouched too.
+A refactor of that plumbing must leave it untouched too.  (Re-recorded
+once since, when the warm runs' ``cache`` record lost its
+``file_serving`` key together with file-backed worker-pool serving;
+nothing else moved.)
 
 Kernel spans are labelled ``kernel:<backend>``, and which backend ``auto``
 picks depends on whether the host could build the compiled one.  The pin

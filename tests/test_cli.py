@@ -307,7 +307,7 @@ def test_history_append_requires_input(tmp_path):
         (["-p9"], "p"),
         (["--ranks=9"], "p"),
         (["-p", "9"], "p"),
-        (["--work", "2"], "workers"),  # unambiguous prefix
+        (["--kern", "row"], "kernel_backend"),  # unambiguous prefix
         (["-a", "coveredge", "--kernel", "row"], "algorithm, kernel_backend"),
     ],
 )
@@ -333,6 +333,27 @@ def test_plannable_flag_defaults_still_apply_and_show_in_help(capsys, small_data
     with pytest.raises(SystemExit):
         main(["count", "--help"])
     text = capsys.readouterr().out
-    for default in ("default: 16", "default: tc2d", "default: auto", "default 0"):
+    for default in ("default: 16", "default: tc2d", "default: auto"):
         assert default in text
     assert "--dispatch" not in text and "--no-offload-ppt" not in text
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [cmd, "g500-s12", flag, *value]
+        for cmd in ("count", "profile")
+        for flag, *value in (
+            ("--executor", "parallel"), ("--workers", "2"), ("--trace-workers",)
+        )
+    ]
+    + [["serve", "--executor", "parallel"], ["serve", "--workers", "2"]]
+    + [["chaos", "--executor", "parallel"], ["chaos", "--workers", "2"]]
+    + [["autotune", "g500-s12", "--cores", "4"]],
+    ids=lambda argv: " ".join(argv),
+)
+def test_removed_executor_flags_are_argparse_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

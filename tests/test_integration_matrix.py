@@ -8,6 +8,8 @@ miscounts, it fails here with a precise parameter id.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -131,20 +133,29 @@ def _sequential_reference(toggle: str, p: int):
 @pytest.mark.parametrize("workers", PARITY_WORKERS)
 @pytest.mark.parametrize("p", PARITY_GRIDS)
 @pytest.mark.parametrize("toggle", list(PARITY_TOGGLES))
-def test_parallel_executor_parity(toggle, p, workers, pools):
+def test_parallel_executor_parity(toggle, p, workers, pools, monkeypatch):
     from repro.instrument import dumps_chrome_trace
 
     g, truth = _graph_and_truth("rmat")
     seq = _sequential_reference(toggle, p)
     cfg = PARITY_TOGGLES[toggle].replace(executor="parallel", workers=workers)
-    par = count_triangles_2d(
-        g, p, cfg, trace=True, keep_run=True, superstep=pools[workers]
-    )
+    pool = pools[workers]
+    served = []
+    dispatch = pool.dispatch
+
+    def counting_dispatch(timeout=None):
+        ranks = dispatch(timeout)
+        served.extend(ranks)
+        return ranks
+
+    monkeypatch.setattr(pool, "dispatch", counting_dispatch)
+    par = count_triangles_2d(g, p, cfg, trace=True, keep_run=True, superstep=pool)
 
     assert par.count == truth == seq.count
     assert par.extras["executor"] == "parallel"
     assert par.extras["workers"] == workers
-    assert par.extras["worker_spans"]  # the pool really ran the kernels
+    # The pool really ran every rank's kernel of every Cannon epoch.
+    assert sorted(served) == sorted(list(range(p)) * math.isqrt(p))
 
     # Simulated time, counters and per-rank per-shift kernel stats are
     # bit-identical, not merely close.
