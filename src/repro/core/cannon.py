@@ -230,7 +230,8 @@ def cannon_pass(
     """
     q = grid.q
     x, y = grid.coords(ctx.rank)
-    offloading = ctx.engine.superstep is not None
+    # The task block never travels: with a pool attached, pack it once.
+    task_blob = ops.task.as_blob() if ctx.engine.superstep is not None else None
     site = f"{prefix}:shift" if prefix else "shift"
     who = f"rank {ctx.rank} {prefix}".rstrip()
 
@@ -253,10 +254,10 @@ def cannon_pass(
                 f"expected {expected}"
             )
         operands = None
-        if offloading:
+        if task_blob is not None:
             # as_blob: exchanged blocks retain their wire buffer, so an
             # epoch re-ships its operands but never re-packs them.
-            operands = (ops.task.as_blob(), ops.u.as_blob(), ops.l.as_blob())
+            operands = (task_blob, ops.u.as_blob(), ops.l.as_blob())
         t0 = ctx.clock.now
         bname, st = count_blocks(ctx, cfg, ops.task, ops.u, ops.l, tally, operands)
         local_sum += st.triangles

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import main
@@ -357,3 +360,12 @@ def test_removed_executor_flags_are_argparse_errors(capsys, argv):
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_importing_the_cli_does_not_load_the_pool_module():
+    code = "import sys, repro.cli; print('repro.simmpi.parallel' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        check=True, timeout=60,
+    )
+    assert out.stdout.split() == ["False"]
