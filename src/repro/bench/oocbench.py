@@ -134,7 +134,7 @@ def write_skewed_graph(
     """
     import numpy as np
 
-    from repro.graph.external import BinaryEdgeWriter
+    from repro.graph.io import BinaryEdgeWriter
 
     rng = np.random.default_rng(seed)
     with BinaryEdgeWriter(path, n) as writer:
@@ -152,7 +152,7 @@ def _load_redge(path: Path):
     import numpy as np
 
     from repro.graph import Graph
-    from repro.graph.external import read_binary_header
+    from repro.graph.io import read_binary_header
 
     header = read_binary_header(path)
     if header is None:

@@ -153,55 +153,6 @@ def _finish_telemetry(args: argparse.Namespace, tele, res) -> None:
     print(telemetry_report(record))
 
 
-def _count_out_of_core(args: argparse.Namespace, spec: str, cfg, trace_on: bool) -> int:
-    """``count``/``profile`` body for ``--out-of-core``: the graph is
-    never materialized in this process, so the usual load-then-count
-    flow (and anything needing the whole graph, like ``--verify``)
-    does not apply."""
-    from repro.bench.calibration import paper_model
-    from repro.graph.datasets import REGISTRY
-    from repro.graph.external import DEFAULT_CHUNK_BYTES, count_triangles_oocore
-
-    if args.algorithm != "tc2d":
-        raise SystemExit("--out-of-core is implemented for -a tc2d only")
-    if getattr(args, "verify", False):
-        raise SystemExit(
-            "--verify materializes the whole graph in memory; "
-            "it cannot be combined with --out-of-core"
-        )
-    path = Path(spec)
-    if spec in REGISTRY or not path.exists():
-        raise SystemExit(
-            "--out-of-core needs an edge-list file path "
-            "(registry datasets are generated in memory anyway)"
-        )
-    tele = _start_telemetry(args)
-    res = count_triangles_oocore(
-        path,
-        args.ranks,
-        cfg,
-        store=_cache_arg(args),
-        chunk_bytes=args.chunk_bytes or DEFAULT_CHUNK_BYTES,
-        model=paper_model(),
-        trace=trace_on,
-        dataset=spec,
-        telemetry=tele,
-    )
-    info = res.extras["out_of_core"]
-    state = "reused store entry" if info["reused"] else "external preprocessing"
-    print(
-        f"out-of-core: {state} {info['digest'][:12]} "
-        f"n={info['n']:,} m={info['m']:,} "
-        f"chunk={info['chunk_bytes']:,}B spilled={info['spilled_bytes']:,}B"
-    )
-    _print_cache_status(res)
-    print(res.summary())
-    if tele is not None:
-        _finish_telemetry(args, tele, res)
-    _emit_observability(args, res)
-    return 0
-
-
 #: ``count``/``profile`` flags the auto-tuner can plan: argparse dest ->
 #: (plan field, default).  Their parser default is ``None`` so the parsed
 #: namespace itself says which ones the user spelled (``--auto`` never
@@ -296,15 +247,9 @@ def _cmd_autotune(args: argparse.Namespace) -> int:
 def _cmd_count(args: argparse.Namespace) -> int:
     """``count`` — and ``profile``, which is ``count`` with tracing and
     ``--profile`` forced on (its parser presets the count-only flags)."""
-    from repro.baselines import (
-        count_triangles_aop,
-        count_triangles_havoq,
-        count_triangles_psp,
-        count_triangles_surrogate,
-    )
     from repro.bench.calibration import paper_model
-    from repro.core import GRID_DRIVERS, TC2DConfig, count_triangles_summa
-    from repro.graph.stats import degree_summary, triangle_count_linalg
+    from repro.core import GRID_DRIVERS, TC2DConfig
+    from repro.graph.stats import degree_summary
 
     spec = _dataset_spec(args)
     pinned = _resolve_plan_flags(args)
@@ -336,10 +281,25 @@ def _cmd_count(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     if args.out_of_core:
-        return _count_out_of_core(args, spec, cfg, trace_on)
-    if g is None:
+        # The graph is never materialized in this process, so nothing
+        # that needs the whole graph applies.
+        from repro.graph.datasets import REGISTRY
+
+        if args.algorithm != "tc2d":
+            raise SystemExit("--out-of-core is implemented for -a tc2d only")
+        if args.verify:
+            raise SystemExit(
+                "--verify materializes the whole graph in memory; "
+                "it cannot be combined with --out-of-core"
+            )
+        if spec in REGISTRY or not Path(spec).exists():
+            raise SystemExit(
+                "--out-of-core needs an edge-list file path "
+                "(registry datasets are generated in memory anyway)"
+            )
+    elif g is None:
         g = _load_graph(spec, args.seed)
-    if args.command == "count":
+    if args.command == "count" and g is not None:
         print(f"{spec}: {degree_summary(g)}")
     model = paper_model()
     cache = _cache_arg(args)
@@ -349,13 +309,31 @@ def _cmd_count(args: argparse.Namespace) -> int:
             "-a coveredge only"
         )
     tele = _start_telemetry(args)
-    if args.algorithm in GRID_DRIVERS:
+    if args.out_of_core:
+        from repro.graph.external import DEFAULT_CHUNK_BYTES, count_triangles_oocore
+
+        res = count_triangles_oocore(
+            spec, args.ranks, cfg, store=cache,
+            chunk_bytes=args.chunk_bytes or DEFAULT_CHUNK_BYTES, model=model,
+            trace=trace_on, dataset=spec, telemetry=tele,
+        )
+        info = res.extras["out_of_core"]
+        state = "reused store entry" if info["reused"] else "external preprocessing"
+        print(
+            f"out-of-core: {state} {info['digest'][:12]} "
+            f"n={info['n']:,} m={info['m']:,} "
+            f"chunk={info['chunk_bytes']:,}B spilled={info['spilled_bytes']:,}B"
+        )
+        _print_cache_status(res)
+    elif args.algorithm in GRID_DRIVERS:
         res = GRID_DRIVERS[args.algorithm](
             g, args.ranks, cfg=cfg, model=model, trace=trace_on, dataset=spec,
             cache=cache, telemetry=tele,
         )
         _print_cache_status(res)
     elif args.algorithm == "summa":
+        from repro.core.summa import count_triangles_summa
+
         pr = max(1, int(args.ranks**0.5))
         while args.ranks % pr:
             pr -= 1
@@ -363,16 +341,12 @@ def _cmd_count(args: argparse.Namespace) -> int:
             g, pr, args.ranks // pr, cfg=cfg, model=model, trace=trace_on,
             dataset=spec,
         )
-    elif args.algorithm == "aop":
-        res = count_triangles_aop(g, args.ranks, model=model)
-    elif args.algorithm == "surrogate":
-        res = count_triangles_surrogate(g, args.ranks, model=model)
-    elif args.algorithm == "psp":
-        res = count_triangles_psp(g, args.ranks, model=model)
-    elif args.algorithm == "havoq":
-        res = count_triangles_havoq(g, args.ranks, model=model)
-    else:  # pragma: no cover - argparse restricts choices
-        raise SystemExit(f"unknown algorithm {args.algorithm}")
+    else:
+        from repro import baselines
+
+        res = getattr(baselines, f"count_triangles_{args.algorithm}")(
+            g, args.ranks, model=model
+        )
 
     if auto_plan is not None:
         res.extras["autotune"] = auto_plan.to_dict()
@@ -381,6 +355,8 @@ def _cmd_count(args: argparse.Namespace) -> int:
         _finish_telemetry(args, tele, res)
     _emit_observability(args, res)
     if args.verify:
+        from repro.graph.stats import triangle_count_linalg
+
         want = triangle_count_linalg(g)
         status = "OK" if want == res.count else f"MISMATCH (oracle: {want:,})"
         print(f"verification vs linear-algebra oracle: {status}")
@@ -1143,11 +1119,13 @@ def main(argv: list[str] | None = None) -> int:
             rest = rest[1:]
         return chaos_main(rest)
     from repro.core.kernels import KernelUnavailableError
+    from repro.graph.io import EdgeListError
 
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except KernelUnavailableError as exc:  # --kernel c without a compiler
+    # --kernel c without a compiler; a malformed edge-list file.
+    except (KernelUnavailableError, EdgeListError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

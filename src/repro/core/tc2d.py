@@ -28,7 +28,6 @@ from repro.core.cannon import (
     GridJob,
     KernelTally,
     Operands,
-    assemble_result,
     cannon_pass,
     load_warm_blocks,
     rank_record,
@@ -38,7 +37,7 @@ from repro.core.counts import TriangleCountResult
 from repro.core.grid import ProcessorGrid
 from repro.core.preprocess import InputChunk, preprocess, preprocess_with_labels
 from repro.graph.csr import Graph
-from repro.simmpi import SUM, MachineModel, RunResult, Tracer
+from repro.simmpi import SUM, MachineModel, Tracer
 from repro.simmpi.engine import RankContext
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -191,16 +190,3 @@ def count_triangles_2d(
 
 def _label(cfg: TC2DConfig) -> str:
     return "tc2d" if cfg.enumeration == "jik" else "tc2d-ijk"
-
-
-def assemble_tc2d_result(
-    run: RunResult,
-    p: int,
-    cfg: TC2DConfig,
-    dataset: str = "",
-    keep_run: bool = False,
-) -> TriangleCountResult:
-    """Build the :class:`TriangleCountResult` record from a finished
-    :func:`tc2d_rank_program` run (see
-    :func:`~repro.core.cannon.assemble_result`)."""
-    return assemble_result(run, p, cfg, _label(cfg), dataset, keep_run)

@@ -7,9 +7,11 @@ preprocessing pipeline as a sequence of **streaming external-memory
 passes** whose peak memory is bounded by a ``chunk_bytes`` budget, never
 by the graph size:
 
-1. **ingest** — the raw edge list is read in fixed-size chunks,
-   canonicalized (self loops dropped, endpoints ordered ``u < v``),
-   encoded as single int64 keys ``u * n + v`` and spilled to disk as
+1. **ingest** — the raw edge list is read in fixed-size chunks by the
+   one edge-list reader :func:`repro.graph.io.read_edge_list` also
+   uses (same ``n`` rule, same row rule, same
+   :class:`~repro.graph.io.EdgeListError`), canonicalized (self loops
+   dropped, endpoints ordered ``u < v``), encoded as single int64 keys ``u * n + v`` and spilled to disk as
    sorted runs (:class:`SpillSorter`);
 2. **merge** — the runs are pairwise stream-merged (with dedup) into one
    sorted key file: the canonical ``u < v`` edge array, byte-for-byte
@@ -32,10 +34,11 @@ by the graph size:
 6. **assemble** — each rank's pairs are read back and fed through the
    same pure :func:`~repro.core.preprocess.assemble_blocks` the engine
    uses (its CSR builds fully sort their input, so arrival order is
-   irrelevant), then persisted via the ordinary
-   :class:`~repro.graph.store.RunCache` writer — the resulting store
-   entry is **bit-identical** to one written by an in-memory cold run
-   and serves warm (mmap-backed) counting runs interchangeably.
+   irrelevant), then persisted through the store's one way into an
+   entry (the one :meth:`~repro.graph.store.GraphStore.open_run` takes)
+   — the resulting store entry is **bit-identical** to one written by
+   an in-memory cold run and serves warm (mmap-backed) counting runs
+   interchangeably.
 
 Honest memory bound: ``O(chunk_bytes + largest per-rank block +
 dmax)`` — the per-rank term is the paper's ``O(m/p)`` working set (the
@@ -61,6 +64,7 @@ from typing import Any, Iterator
 import numpy as np
 
 from repro.graph.csr import INDEX_DTYPE
+from repro.graph.io import _iter_edges, input_vertex_count
 
 #: Default spill-chunk budget (bytes) when the caller sets none.
 DEFAULT_CHUNK_BYTES = 64 * 1024 * 1024
@@ -68,11 +72,6 @@ DEFAULT_CHUNK_BYTES = 64 * 1024 * 1024
 #: Floor for the budget: below this the chunking overhead dominates and
 #: block sizes degenerate to a handful of rows.
 MIN_CHUNK_BYTES = 1 << 16
-
-#: Magic prefix of the binary edge-list format (fixed 8 bytes), followed
-#: by two int64 fields ``n`` and ``m`` and then ``m`` int64 pairs.
-BINARY_EDGE_MAGIC = b"REDGE01\n"
-_BINARY_HEADER_BYTES = len(BINARY_EDGE_MAGIC) + 16
 
 #: Largest vertex count for which the ``u * n + v`` key encoding fits
 #: int64 (``n**2 < 2**63``).
@@ -85,140 +84,6 @@ def _budget_rows(chunk_bytes: int, width: int) -> int:
     blocks, the concatenation, the sorted copy — about eight block
     volumes across two streams) stay within ``chunk_bytes``."""
     return max(1024, int(chunk_bytes) // (64 * width))
-
-
-# ---------------------------------------------------------------------------
-# binary edge-list format (chunk-writable, used by oocbench and tests)
-# ---------------------------------------------------------------------------
-
-
-class BinaryEdgeWriter:
-    """Stream edges into the binary format without holding them all.
-
-    Writes the header with a placeholder edge count, appends int64 pair
-    chunks, and patches the count on :meth:`close` — so a benchmark can
-    generate a graph far larger than RAM in bounded memory.
-    """
-
-    def __init__(self, path: str | Path, n: int):
-        self.path = Path(path)
-        self.n = int(n)
-        self.m = 0
-        self._fh = open(self.path, "wb")
-        self._fh.write(BINARY_EDGE_MAGIC)
-        np.array([self.n, 0], dtype=np.int64).tofile(self._fh)
-
-    def write(self, edges: np.ndarray) -> None:
-        """Append one ``(k, 2)`` int64 chunk of edges."""
-        arr = np.ascontiguousarray(edges, dtype=np.int64)
-        if arr.ndim != 2 or arr.shape[1] != 2:
-            raise ValueError("edges must be a (k, 2) array")
-        arr.tofile(self._fh)
-        self.m += len(arr)
-
-    def close(self) -> None:
-        """Patch the edge count into the header and close the file."""
-        if self._fh is None:
-            return
-        self._fh.seek(len(BINARY_EDGE_MAGIC) + 8)
-        np.array([self.m], dtype=np.int64).tofile(self._fh)
-        self._fh.close()
-        self._fh = None
-
-    def __enter__(self) -> "BinaryEdgeWriter":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.close()
-
-
-def write_binary_edges(path: str | Path, n: int, edges: np.ndarray) -> None:
-    """Write a complete edge array in the binary format (small inputs)."""
-    with BinaryEdgeWriter(path, n) as w:
-        w.write(np.asarray(edges, dtype=np.int64).reshape(-1, 2))
-
-
-def read_binary_header(path: str | Path) -> tuple[int, int] | None:
-    """``(n, m)`` if ``path`` is a binary edge file, else ``None``."""
-    with open(path, "rb") as fh:
-        if fh.read(len(BINARY_EDGE_MAGIC)) != BINARY_EDGE_MAGIC:
-            return None
-        header = np.fromfile(fh, dtype=np.int64, count=2)
-    if len(header) != 2:
-        raise ValueError(f"{path}: truncated binary edge header")
-    return int(header[0]), int(header[1])
-
-
-def _iter_binary_pairs(
-    path: Path, chunk_rows: int
-) -> Iterator[np.ndarray]:
-    with open(path, "rb") as fh:
-        fh.seek(_BINARY_HEADER_BYTES)
-        while True:
-            arr = np.fromfile(fh, dtype=np.int64, count=chunk_rows * 2)
-            if arr.size == 0:
-                return
-            if arr.size % 2:
-                raise ValueError(f"{path}: truncated edge pair")
-            yield arr.reshape(-1, 2)
-
-
-def _sniff_text_header_n(path: Path) -> int | None:
-    """The ``n=`` value of a leading ``# repro edge list`` comment."""
-    with open(path) as fh:
-        for line in fh:
-            s = line.strip()
-            if not s:
-                continue
-            if not s.startswith(("#", "%")):
-                return None
-            if "n=" in s:
-                try:
-                    return int(s.split("n=")[1].split()[0])
-                except (ValueError, IndexError):
-                    continue
-    return None
-
-
-def _iter_text_pairs(path: Path, chunk_rows: int) -> Iterator[np.ndarray]:
-    rows: list[tuple[int, int]] = []
-    with open(path) as fh:
-        for line in fh:
-            s = line.strip()
-            if not s or s[0] in "#%":
-                continue
-            parts = s.split()
-            rows.append((int(parts[0]), int(parts[1])))
-            if len(rows) >= chunk_rows:
-                yield np.array(rows, dtype=INDEX_DTYPE)
-                rows = []
-    if rows:
-        yield np.array(rows, dtype=INDEX_DTYPE)
-
-
-def _iter_input_pairs(path: Path, chunk_rows: int) -> Iterator[np.ndarray]:
-    """Chunked reader over either input flavor (binary or text)."""
-    if read_binary_header(path) is not None:
-        yield from _iter_binary_pairs(path, chunk_rows)
-    else:
-        yield from _iter_text_pairs(path, chunk_rows)
-
-
-def input_vertex_count(path: str | Path, chunk_bytes: int) -> int:
-    """``n`` for an edge-list file: the binary/text header when present,
-    else ``max id + 1`` from one extra streaming pass."""
-    path = Path(path)
-    header = read_binary_header(path)
-    if header is not None:
-        return header[0]
-    n = _sniff_text_header_n(path)
-    if n is not None:
-        return n
-    top = -1
-    for pairs in _iter_input_pairs(path, _budget_rows(chunk_bytes, 2)):
-        if pairs.size:
-            top = max(top, int(pairs.max()))
-    return top + 1
 
 
 # ---------------------------------------------------------------------------
@@ -620,12 +485,7 @@ def external_preprocess(
         counting_sort_placement,
         cyclic_bounds,
     )
-    from repro.graph.store import (
-        RunCache,
-        StoreVersionError,
-        artifact_digest,
-        resolve_store,
-    )
+    from repro.graph.store import resolve_store
 
     path = Path(path)
     cfg = cfg if cfg is not None else TC2DConfig()
@@ -640,7 +500,8 @@ def external_preprocess(
     q = grid.q
     clock = _StageClock()
 
-    n = input_vertex_count(path, chunk_bytes)
+    read_bytes = 16 * _budget_rows(chunk_bytes, 2)
+    n = input_vertex_count(path, read_bytes)
     if n > MAX_ENCODABLE_N:
         raise ValueError(
             f"{n} vertices exceeds the int64 pair-key encoding limit "
@@ -651,7 +512,7 @@ def external_preprocess(
     try:
         # -- 1+2: ingest + merge -> canonical sorted unique u < v keys --
         sorter = SpillSorter(tmp_root, chunk_bytes, width=1, dedup=True, tag="e")
-        for pairs in _iter_input_pairs(path, _budget_rows(chunk_bytes, 2)):
+        for pairs in _iter_edges(path, n, read_bytes):
             lo = pairs.min(axis=1)
             hi = pairs.max(axis=1)
             keep = lo != hi  # drop self loops
@@ -670,77 +531,45 @@ def external_preprocess(
                 np.stack([keys // n, keys % n], axis=1).tobytes()
             )
         graph_sha = h.hexdigest()
-        digest = artifact_digest(graph_sha, p, q, cfg)
         clock.done("digest")
 
+        # No in-memory fallback here: wait out a concurrent writer.
+        cache = store._open_entry(
+            (graph_sha, n, m), p, cfg, source=source or str(path), wait=True
+        )
         info: dict[str, Any] = {
-            "digest": digest,
+            "digest": cache.digest,
             "graph_sha": graph_sha,
             "n": n,
             "m": m,
             "p": p,
             "q": q,
             "chunk_bytes": chunk_bytes,
+            "reused": cache.hit,
         }
-
-        def _finish(reused: bool) -> dict[str, Any]:
-            info["reused"] = reused
-            info["spilled_bytes"] = spilled
-            info["stages"] = clock.stages
-            return info
-
-        try:
-            store.read_manifest(digest)
-            return _finish(True)
-        except (FileNotFoundError, StoreVersionError):
-            pass
-        lock = store.writer_lock(digest)
-        lock.acquire(blocking=True)
-        try:
+        if not cache.hit:  # a miss holds the writer lock until close()
             try:
-                store.read_manifest(digest)
-                lock.release()
-                return _finish(True)
-            except FileNotFoundError:
-                if store.entry_dir(digest).is_dir():
-                    store.invalidate(digest)  # died before finalize
-            except StoreVersionError:
-                store.invalidate(digest)
-        except BaseException:
-            lock.release()
-            raise
-        cache = RunCache(
-            store=store,
-            digest=digest,
-            graph_sha=graph_sha,
-            graph_stats=(n, m),
-            p=p,
-            q=q,
-            cfg=cfg,
-            manifest=None,
-            source=source or str(path),
-            writable=True,
-            lock=lock,
-        )
-        try:
-            _materialize_entry(
-                cache, edges_path, n, m, p, q, cfg, chunk_bytes, tmp_root,
-                clock, grid, chunk_bounds, cyclic_bounds,
-                counting_sort_placement, assemble_blocks,
-                stop_after=stop_after,
-            )
-            spilled += int(clock.stages.get("translate", {}).get("spilled", 0))
-            if stop_after is not None:
-                # Probe mode: leave no partial entry behind.
-                store.invalidate(digest)
-                info["partial"] = stop_after
-            elif not cache.finalize(None):
-                raise RuntimeError(
-                    f"external preprocessing failed to finalize {digest[:12]}"
+                _materialize_entry(
+                    cache, edges_path, n, m, p, q, cfg, chunk_bytes, tmp_root,
+                    clock, grid, chunk_bounds, cyclic_bounds,
+                    counting_sort_placement, assemble_blocks,
+                    stop_after=stop_after,
                 )
-        finally:
-            cache.close()
-        return _finish(False)
+                spilled += int(clock.stages["translate"]["spilled"])
+                if stop_after is not None:
+                    # Probe mode: leave no partial entry behind.
+                    store.invalidate(cache.digest)
+                    info["partial"] = stop_after
+                elif not cache.finalize(None):
+                    raise RuntimeError(
+                        "external preprocessing failed to finalize "
+                        f"{cache.digest[:12]}"
+                    )
+            finally:
+                cache.close()
+        info["spilled_bytes"] = spilled
+        info["stages"] = clock.stages
+        return info
     finally:
         shutil.rmtree(tmp_root, ignore_errors=True)
 
@@ -941,8 +770,7 @@ def count_triangles_oocore(
     """
     from repro.core.config import TC2DConfig
     from repro.core.tc2d import count_triangles_2d
-    from repro.graph.store import RunCache, resolve_store
-    from repro.simmpi.costmodel import MachineModel
+    from repro.graph.store import resolve_store
 
     cfg = cfg if cfg is not None else TC2DConfig()
     tmp_store_dir: str | None = None
@@ -962,21 +790,14 @@ def count_triangles_oocore(
             source=dataset or str(path),
             workdir=workdir,
         )
-        manifest = resolved.read_manifest(info["digest"])
-        model_fp = (model if model is not None else MachineModel()).fingerprint()
-        run_cache = RunCache(
-            store=resolved,
-            digest=info["digest"],
-            graph_sha=info["graph_sha"],
-            graph_stats=(info["n"], info["m"]),
-            p=p,
-            q=info["q"],
-            cfg=cfg,
-            manifest=manifest,
-            source=dataset or str(path),
-            model_fp=model_fp,
-            writable=False,
+        run_cache = resolved._open_entry(
+            (info["graph_sha"], info["n"], info["m"]), p, cfg, model=model,
+            source=dataset or str(path), writable=False,
         )
+        if not run_cache.hit:
+            raise RuntimeError(
+                f"store entry {info['digest'][:12]} vanished before counting"
+            )
         result = count_triangles_2d(
             None,
             p,

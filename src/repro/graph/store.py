@@ -601,11 +601,35 @@ class GraphStore:
         files.  The manifest is re-read after acquiring the lock, so a
         run that raced a just-finished writer turns into a warm hit.
         """
+        return self._open_entry(
+            (graph_digest(graph), int(graph.n), int(graph.num_edges)),
+            p, cfg, model=model, source=source, writable=writable,
+            key_extra=key_extra,
+        )
+
+    def _open_entry(
+        self,
+        identity: tuple[str, int, int],
+        p: int,
+        cfg: "TC2DConfig",
+        model: "MachineModel | None" = None,
+        source: str = "",
+        writable: bool = True,
+        key_extra: dict | None = None,
+        wait: bool = False,
+    ) -> RunCache:
+        """:meth:`open_run` for a graph known only by its identity
+        ``(graph_digest, n, m)`` — the one way into an entry, shared with
+        the out-of-core pipeline (:mod:`repro.graph.external`), which has
+        no graph in memory.  ``wait=True`` blocks on another writer's
+        lock instead of degrading to a non-persisting run: a caller with
+        no in-memory fallback must materialize the entry itself.
+        """
         from repro.core.grid import ProcessorGrid
         from repro.simmpi.costmodel import MachineModel
 
+        graph_sha, n, m = identity
         q = ProcessorGrid.for_ranks(p).q
-        graph_sha = graph_digest(graph)
         digest = artifact_digest(graph_sha, p, q, cfg, key_extra=key_extra)
         model_fp = (model if model is not None else MachineModel()).fingerprint()
         manifest: dict | None = None
@@ -613,7 +637,7 @@ class GraphStore:
         try:
             manifest = self.read_manifest(digest)
         except (FileNotFoundError, StoreVersionError):
-            if writable and (lock := self.writer_lock(digest)).acquire():
+            if writable and (lock := self.writer_lock(digest)).acquire(wait):
                 # We own the materialization.  Re-check under the lock: a
                 # concurrent writer may have completed between the read
                 # and the acquire (then this run is warm after all).
@@ -639,7 +663,7 @@ class GraphStore:
             store=self,
             digest=digest,
             graph_sha=graph_sha,
-            graph_stats=(int(graph.n), int(graph.num_edges)),
+            graph_stats=(n, m),
             p=p,
             q=q,
             cfg=cfg,

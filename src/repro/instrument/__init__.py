@@ -10,7 +10,7 @@ The subsystem has four pieces, all driven by the records a
 * :mod:`repro.instrument.chrometrace` — Perfetto/Chrome trace-event JSON
   export of the span trace;
 * :mod:`repro.instrument.telemetry` — wall-clock runtime telemetry: the
-  structured event bus, flight-recorder ring buffer, RSS/GC/tracemalloc
+  structured event bus, flight-recorder ring buffer, RSS/GC
   samplers and the per-run record ``repro diff`` compares;
 * :mod:`repro.instrument.diffing` — compare two recorded telemetry runs.
 

@@ -309,10 +309,6 @@ class Telemetry:
     crash_dir:
         Directory for :meth:`crash_dump` artifacts; ``None`` disables
         automatic dumps (callers can still use ``recorder.dump``).
-    tracemalloc:
-        Opt-in Python-allocation tracking (meaningful overhead; off by
-        default).  When on, the telemetry record carries the per-run
-        traced-memory delta and peak.
 
     Use as a context manager, or call :meth:`start` / :meth:`stop`
     (re-entrant: nested starts are depth-counted).
@@ -323,12 +319,10 @@ class Telemetry:
         recorder_capacity: int = 4096,
         sample_interval: float = 0.05,
         crash_dir: Any = None,
-        tracemalloc: bool = False,
     ):
         self.recorder = FlightRecorder(recorder_capacity)
         self.sample_interval = sample_interval
         self.crash_dir = Path(crash_dir) if crash_dir is not None else None
-        self.tracemalloc = tracemalloc
         self._gc = _GCWatch(self.recorder)
         self._sampler: _Sampler | None = None
         self._depth = 0
@@ -343,21 +337,15 @@ class Telemetry:
         self._rss_begin = 0
         self._rss_sample_peak = 0
         self._gc_before = self._gc.stats()
-        self._tm_before: tuple[int, int] | None = None
 
     # -- lifecycle ----------------------------------------------------------
 
     def start(self) -> "Telemetry":
-        """Begin recording (GC watch, sampler thread, tracemalloc)."""
+        """Begin recording (GC watch, sampler thread)."""
         self._depth += 1
         if self._depth > 1:
             return self
         self._gc.start()
-        if self.tracemalloc:
-            import tracemalloc as tm
-
-            if not tm.is_tracing():
-                tm.start()
         if self.sample_interval > 0:
             self._sampler = _Sampler(self, self.sample_interval)
             self._sampler.start()
@@ -375,11 +363,6 @@ class Telemetry:
             self._sampler.stop()
             self._sampler = None
         self._gc.stop()
-        if self.tracemalloc:
-            import tracemalloc as tm
-
-            if tm.is_tracing():
-                tm.stop()
         self.recorder.record("telemetry.stop")
 
     def __enter__(self) -> "Telemetry":
@@ -432,11 +415,6 @@ class Telemetry:
         self._rss_begin = rss_bytes()
         self._rss_sample_peak = self._rss_begin
         self._gc_before = self._gc.stats()
-        if self.tracemalloc:
-            import tracemalloc as tm
-
-            if tm.is_tracing():
-                self._tm_before = tm.get_traced_memory()
         self.recorder.record("run.begin", label=label)
 
     def summarize(
@@ -491,17 +469,7 @@ class Telemetry:
             "rss_end_bytes": rss_end,
             "rss_sampled_peak_bytes": max(self._rss_sample_peak, rss_end),
             "peak_rss_bytes": peak_rss_bytes(),
-            "tracemalloc": None,
         }
-        if self.tracemalloc and self._tm_before is not None:
-            import tracemalloc as tm
-
-            if tm.is_tracing():
-                cur, peak = tm.get_traced_memory()
-                memory["tracemalloc"] = {
-                    "delta_bytes": cur - self._tm_before[0],
-                    "peak_bytes": peak,
-                }
 
         cache = (result.extras.get("cache") if result is not None else None) or {}
         record = {
@@ -605,12 +573,6 @@ def telemetry_report(record: dict[str, Any]) -> str:
         f"{_fmt_bytes(mem.get('rss_end_bytes'))}, "
         f"process peak {_fmt_bytes(mem.get('peak_rss_bytes'))}"
     )
-    tm = mem.get("tracemalloc")
-    if tm:
-        lines.append(
-            f"  tracemalloc: delta {_fmt_bytes(tm.get('delta_bytes'))}, "
-            f"peak {_fmt_bytes(tm.get('peak_bytes'))}"
-        )
     gc_d = record.get("gc") or {}
     lines.append(
         f"  gc: {gc_d.get('collections', 0)} collections, "

@@ -18,17 +18,19 @@ from repro.core import TC2DConfig, count_triangles_2d
 from repro.core.blocks import Block
 from repro.graph import rmat_graph
 from repro.graph.external import (
-    BinaryEdgeWriter,
     SpillSorter,
     _DenseCountWriter,
     _iter_i8_blocks,
     count_triangles_oocore,
     external_preprocess,
+)
+from repro.graph.io import (
+    BinaryEdgeWriter,
     input_vertex_count,
     read_binary_header,
     write_binary_edges,
+    write_edge_list,
 )
-from repro.graph.io import write_edge_list
 from repro.graph.store import GraphStore, graph_digest
 from repro.simmpi.errors import BlobChecksumError
 from tests.core.test_blocks import blob_extent

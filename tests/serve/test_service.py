@@ -340,3 +340,18 @@ class TestKinds:
         )
         assert not cold.warm
         assert cold.wait(120) and cold.state == "done", cold.error
+
+
+def test_malformed_file_fails_the_job_not_the_service(service, graph_file, tmp_path):
+    from repro.core import count_triangles_2d
+    from repro.graph.io import read_edge_list
+
+    bad = tmp_path / "phantom.txt"
+    bad.write_text("# n=5\n0 1\n0 2\n0 7\n")
+    j1 = service.submit(_req(bad))
+    assert j1.wait(120) and j1.state == "failed"
+    assert j1.error.startswith("EdgeListError: ") and str(bad) in j1.error
+    j2 = service.submit(_req(graph_file))
+    assert j2.wait(120) and j2.state == "done", j2.error
+    want = count_triangles_2d(read_edge_list(graph_file), 4).count
+    assert j2.result["count"] == want

@@ -369,3 +369,30 @@ def test_importing_the_cli_does_not_load_the_pool_module():
         check=True, timeout=60,
     )
     assert out.stdout.split() == ["False"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "{f}"],
+        ["count", "{f}", "--out-of-core", "--store", "{d}"],
+        ["profile", "{f}", "-p", "4"],
+        ["census", "{f}"],
+        ["autotune", "{f}"],
+        ["store", "ingest", "--input", "{f}", "--dir", "{d}"],
+    ],
+    ids=lambda argv: " ".join(a for a in argv if "{" not in a),
+)
+def test_malformed_edge_list_is_a_clean_error(tmp_path, capsys, argv):
+    """Header n=5 with an id 7: every surface that reads the file exits 2
+    naming it, and nothing reaches the store."""
+    from repro.graph.store import GraphStore
+
+    path = tmp_path / "phantom.txt"
+    path.write_text("# n=5\n0 1\n0 2\n0 7\n")
+    store = tmp_path / "store"
+    argv = [a.format(f=path, d=store) for a in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
+    assert GraphStore(store).digests() == []
