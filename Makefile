@@ -16,6 +16,7 @@ lint:           ## ruff (if installed) + docstring-coverage + doc-link + import 
 	$(PYTHON) tools/check_docstrings.py
 	$(PYTHON) tools/check_doclinks.py
 	PYTHONPATH=src $(PYTHON) -W error -c "import repro, repro.cli, repro.core, repro.resilience, repro.serve.service, repro.bench.autotunebench"
+	PYTHONPATH=src $(PYTHON) -m pytest -q -p no:cacheprovider tests/test_import_budget.py
 
 test:
 	$(PYTHON) -m pytest tests/

@@ -14,18 +14,24 @@
 
 All distributed baselines run on the same simulated-MPI substrate and
 machine model as the 2D algorithm, so their modeled times are directly
-comparable.
+comparable.  Each counter loads its module on first access
+(:mod:`repro._lazy`).
 """
 
-from repro.baselines.serial import (
-    count_triangles_list_based,
-    count_triangles_map_based,
-    count_triangles_node_iterator,
-)
-from repro.baselines.havoq import count_triangles_havoq
-from repro.baselines.aop import count_triangles_aop
-from repro.baselines.surrogate import count_triangles_surrogate
-from repro.baselines.psp import count_triangles_psp
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.baselines.serial import (
+        count_triangles_list_based,
+        count_triangles_map_based,
+        count_triangles_node_iterator,
+    )
+    from repro.baselines.havoq import count_triangles_havoq
+    from repro.baselines.aop import count_triangles_aop
+    from repro.baselines.surrogate import count_triangles_surrogate
+    from repro.baselines.psp import count_triangles_psp
 
 __all__ = [
     "count_triangles_aop",
@@ -36,3 +42,14 @@ __all__ = [
     "count_triangles_psp",
     "count_triangles_surrogate",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.baselines.aop": "count_triangles_aop",
+    "repro.baselines.havoq": "count_triangles_havoq",
+    "repro.baselines.psp": "count_triangles_psp",
+    "repro.baselines.serial": (
+        "count_triangles_list_based count_triangles_map_based "
+        "count_triangles_node_iterator"
+    ),
+    "repro.baselines.surrogate": "count_triangles_surrogate",
+})

@@ -11,10 +11,17 @@ The four wall-clock layer suites (``python -m repro.bench.<suite>``:
 kernelbench, servebench, oocbench, autotunebench) share
 one command line, report header and history-row shape, all in
 :mod:`repro.bench.core`; their rows land in :mod:`repro.bench.history`.
+The names below load their module on first access (:mod:`repro._lazy`),
+so reading the machine model does not import the sweep runner.
 """
 
-from repro.bench.calibration import paper_model, PAPER_RANKS, bench_ranks
-from repro.bench.runner import sweep, run_point, clear_sweep_cache
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.bench.calibration import PAPER_RANKS, bench_ranks, paper_model
+    from repro.bench.runner import clear_sweep_cache, run_point, sweep
 
 __all__ = [
     "PAPER_RANKS",
@@ -24,3 +31,8 @@ __all__ = [
     "run_point",
     "sweep",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.bench.calibration": "PAPER_RANKS bench_ranks paper_model",
+    "repro.bench.runner": "clear_sweep_cache run_point sweep",
+})

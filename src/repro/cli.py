@@ -57,12 +57,21 @@ from repro.graph.csr import Graph
 
 
 def _load_graph(spec: str, seed: int) -> Graph:
-    from repro.graph.datasets import REGISTRY, load_dataset
+    """A registry dataset by name, else the edge-list file ``spec``.
+
+    Registry names are bare words (no ``.``, no path separator), so a
+    spec with a suffix or a directory part is read as a file without
+    loading the registry; any other spec is looked up there first.
+    """
     from repro.graph.io import read_edge_list
+
+    path = Path(spec)
+    if (path.suffix or len(path.parts) > 1) and path.exists():
+        return read_edge_list(path)
+    from repro.graph.datasets import REGISTRY, load_dataset
 
     if spec in REGISTRY:
         return load_dataset(spec, seed=seed)
-    path = Path(spec)
     if path.exists():
         return read_edge_list(path)
     raise SystemExit(
@@ -249,7 +258,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
     ``--profile`` forced on (its parser presets the count-only flags)."""
     from repro.bench.calibration import paper_model
     from repro.core import GRID_DRIVERS, TC2DConfig
-    from repro.graph.stats import degree_summary
+    from repro.graph.csr import degree_summary
 
     spec = _dataset_spec(args)
     pinned = _resolve_plan_flags(args)
@@ -380,12 +389,12 @@ def _backend_label(res) -> str | None:
 
 def _emit_observability(args: argparse.Namespace, res) -> None:
     """Write the Perfetto trace and/or print the profile report."""
-    from repro.instrument import profile_report, write_chrome_trace
-
     run = res.extras.get("run")
     if run is None:
         return
     if getattr(args, "trace", None):
+        from repro.instrument import write_chrome_trace
+
         counters = None
         tele = getattr(args, "_telemetry_obj", None)
         if tele is not None:
@@ -401,6 +410,8 @@ def _emit_observability(args: argparse.Namespace, res) -> None:
             "(open at https://ui.perfetto.dev)"
         )
     if getattr(args, "profile", False):
+        from repro.instrument import profile_report
+
         print()
         print(
             profile_report(

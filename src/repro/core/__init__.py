@@ -21,28 +21,35 @@ Public entry points:
   callers that dispatch on the planned algorithm.
 
 All drivers share one Cannon rotation, run driver and result assembler
-(:mod:`repro.core.cannon`).
+(:mod:`repro.core.cannon`).  Every name here loads its module on first
+access (:mod:`repro._lazy`).
 """
 
-from repro.core.autotune import GraphSignals, Plan, collect_signals, plan_run
-from repro.core.coveredge import count_triangles_coveredge
+from typing import TYPE_CHECKING
 
-from repro.core.allgather_variant import count_triangles_2d_allgather
-from repro.core.approximate import ApproxResult, approx_count_triangles_2d
-from repro.core.balance import compare_distributions, task_distribution_stats
-from repro.core.config import TC2DConfig
-from repro.core.counts import ShiftRecord, TriangleCountResult
-from repro.core.grid import ProcessorGrid
-from repro.core.listing import TriangleCensus, triangle_census_2d
-from repro.core.tc2d import count_triangles_2d
-from repro.core.summa import count_triangles_summa
+from repro._lazy import LazyRegistry, lazy_exports
+
+if TYPE_CHECKING:
+    from repro.core.allgather_variant import count_triangles_2d_allgather
+    from repro.core.approximate import ApproxResult, approx_count_triangles_2d
+    from repro.core.autotune import GraphSignals, Plan, collect_signals, plan_run
+    from repro.core.balance import compare_distributions, task_distribution_stats
+    from repro.core.config import TC2DConfig
+    from repro.core.counts import ShiftRecord, TriangleCountResult
+    from repro.core.coveredge import count_triangles_coveredge
+    from repro.core.grid import ProcessorGrid
+    from repro.core.listing import TriangleCensus, triangle_census_2d
+    from repro.core.summa import count_triangles_summa
+    from repro.core.tc2d import count_triangles_2d
 
 #: The square-grid drivers the auto-tuner plans over, by
-#: ``TC2DConfig.algorithm`` name; both take the same arguments.
-GRID_DRIVERS = {
-    "tc2d": count_triangles_2d,
-    "coveredge": count_triangles_coveredge,
-}
+#: ``TC2DConfig.algorithm`` name; both take the same arguments.  A driver's
+#: module loads when it is looked up, so ``GRID_DRIVERS["tc2d"]`` does not
+#: import the cover-edge counter.
+GRID_DRIVERS = LazyRegistry({
+    "tc2d": "repro.core.tc2d:count_triangles_2d",
+    "coveredge": "repro.core.coveredge:count_triangles_coveredge",
+})
 
 __all__ = [
     "ApproxResult",
@@ -65,3 +72,17 @@ __all__ = [
     "task_distribution_stats",
     "triangle_census_2d",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core.allgather_variant": "count_triangles_2d_allgather",
+    "repro.core.approximate": "ApproxResult approx_count_triangles_2d",
+    "repro.core.autotune": "GraphSignals Plan collect_signals plan_run",
+    "repro.core.balance": "compare_distributions task_distribution_stats",
+    "repro.core.config": "TC2DConfig",
+    "repro.core.counts": "ShiftRecord TriangleCountResult",
+    "repro.core.coveredge": "count_triangles_coveredge",
+    "repro.core.grid": "ProcessorGrid",
+    "repro.core.listing": "TriangleCensus triangle_census_2d",
+    "repro.core.summa": "count_triangles_summa",
+    "repro.core.tc2d": "count_triangles_2d",
+})

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.baselines.serial import degree_order_upper
 from repro.core.grid import ProcessorGrid
 from repro.graph.csr import INDEX_DTYPE, Graph
 
@@ -74,6 +73,9 @@ def task_distribution_stats(
     tasks are the non-zeros of L, i.e. each edge (i, j) with j the later
     endpoint produces the task at matrix cell (j, i).
     """
+    # Imported here: importing this module must not load the baselines.
+    from repro.baselines.serial import degree_order_upper
+
     if scheme not in SCHEMES:
         raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
     grid = ProcessorGrid.for_ranks(p)

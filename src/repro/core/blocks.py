@@ -13,8 +13,10 @@ The travelling blocks move with Cannon's pattern each step.  To avoid one
 message per constituent array (and per-array pickling), the paper converts
 each block to a single contiguous blob before the shifts begin
 (Section 5.2); :meth:`Block.to_blob` / :meth:`Block.from_blob` implement
-that, and :func:`exchange_block` falls back to one-message-per-array when
-the optimization is disabled.
+that.  A block is packed once — a locally built one at the skew — and
+every later hop forwards the buffer it arrived in (:meth:`Block.as_blob`),
+while every arrival still checks the crc.  :func:`exchange_block` falls
+back to one-message-per-array when the optimization is disabled.
 
 The same blobs are what a rank's state looks like **on disk**: the
 preprocessing store and the checkpoints both persist "a rank's (U, L,
@@ -135,10 +137,11 @@ class Block:
         """Inverse of :meth:`to_blob` — **zero-copy**.
 
         The reconstructed block's ``indptr``/``indices`` are views into
-        ``blob``, not copies: :meth:`to_blob` always packs into a fresh
-        buffer that the sender drops after the exchange, so the arriving
-        block is the buffer's sole owner and a deserialization copy would
-        only burn memory bandwidth on the hot shift path.  Callers that
+        ``blob``, not copies, and the block keeps ``blob`` to forward it
+        unchanged on its next hop (:meth:`as_blob`).  Nothing writes to a
+        block or its buffer after this point, so every rank the buffer
+        passes through may share it; a deserialization copy would only
+        burn memory bandwidth on the hot shift path.  Callers that
         deserialize a buffer they intend to keep mutating must pass
         ``blob.copy()`` themselves.
 
@@ -237,9 +240,16 @@ def exchange_block(comm, block: Block, dest: int, src: int, blob: bool, tag: int
     metadata, indptr and indices arrays travel as three separate messages,
     each paying its own latency and envelope — the cost the Section 5.2
     blob optimization removes.
+
+    Pack once, check on every arrival: a locally built block is packed
+    here (at the skew); a received one forwards the buffer it arrived in,
+    whose header still carries its residues, so the message is the same
+    bytes without a second pack or crc pass.  The receiver's
+    :meth:`Block.from_blob` verifies the crc on every hop, and a
+    corrupted copy is a new array, so the next receiver checks that one.
     """
     if blob:
-        out = block.to_blob()
+        out = block.as_blob()
         incoming = comm.sendrecv(out, dest=dest, source=src, sendtag=tag, recvtag=tag)
         return Block.from_blob(incoming)
     csr = block.dcsr.csr

@@ -39,18 +39,21 @@ resolves ``cfg.kernel_backend`` via :func:`resolve_backend`.
 
 from __future__ import annotations
 
-from typing import Callable, Protocol
+from typing import TYPE_CHECKING, Callable, Protocol
 
 import numpy as np
 
+from repro._lazy import lazy_exports, resolve
 from repro.core.blocks import Block
 from repro.core.config import KERNEL_BACKENDS, TC2DConfig
 from repro.core.kernels import compiled
-from repro.core.kernels.batched import count_block_pair_batch, enumerate_hits_batch
 from repro.core.kernels.common import KernelStats, kernel_capacity, require_aligned
 from repro.core.kernels.compiled import KernelUnavailableError, count_block_pair_c
 from repro.core.kernels.dispatch import block_shape_stats, choose_backend
-from repro.core.kernels.rowwise import count_block_pair_row, enumerate_hits_row
+
+if TYPE_CHECKING:
+    from repro.core.kernels.batched import count_block_pair_batch, enumerate_hits_batch
+    from repro.core.kernels.rowwise import count_block_pair_row, enumerate_hits_row
 
 
 class KernelFn(Protocol):
@@ -66,8 +69,30 @@ class KernelFn(Protocol):
     ) -> KernelStats: ...
 
 
-_REGISTRY: dict[str, KernelFn] = {}
-_ENUM_REGISTRY: dict[str, Callable] = {}
+_ROW = "repro.core.kernels.rowwise:"
+_BATCH = "repro.core.kernels.batched:"
+_ENUM_FALLBACK = _ROW + "enumerate_hits_row"
+
+# A registry value is the function, or for a built-in not yet used its
+# ``"module:name"`` target: the pure-Python kernels load on first use, so
+# a run on the compiled backend never imports them.
+_REGISTRY: dict[str, KernelFn | str] = {
+    "row": _ROW + "count_block_pair_row",
+    "batch": _BATCH + "count_block_pair_batch",
+    "c": count_block_pair_c,
+}
+_ENUM_REGISTRY: dict[str, Callable | str] = {
+    "row": _ENUM_FALLBACK,
+    "batch": _BATCH + "enumerate_hits_batch",
+    "c": _BATCH + "enumerate_hits_batch",
+}
+
+
+def _loaded(registry: dict, name: str) -> Callable:
+    fn = registry[name]
+    if isinstance(fn, str):
+        fn = registry[name] = resolve(fn)
+    return fn
 
 
 def register_backend(name: str, fn: KernelFn, enumerate_fn: Callable | None = None,
@@ -102,7 +127,7 @@ def get_backend(name: str) -> KernelFn:
     if name == "c":
         compiled.load()
     try:
-        return _REGISTRY[name]
+        return _loaded(_REGISTRY, name)
     except KeyError:
         raise ValueError(
             f"unknown kernel backend {name!r}; available: "
@@ -149,12 +174,10 @@ def get_enumerator(name: str) -> Callable:
     """
     if name not in _REGISTRY:
         get_backend(name)  # uniform error message
-    return _ENUM_REGISTRY.get(name, enumerate_hits_row)
+    if name not in _ENUM_REGISTRY:
+        return resolve(_ENUM_FALLBACK)
+    return _loaded(_ENUM_REGISTRY, name)
 
-
-register_backend("row", count_block_pair_row, enumerate_hits_row)
-register_backend("batch", count_block_pair_batch, enumerate_hits_batch)
-register_backend("c", count_block_pair_c, enumerate_hits_batch)
 
 __all__ = [
     "KERNEL_BACKENDS",
@@ -177,3 +200,8 @@ __all__ = [
     "require_aligned",
     "resolve_backend",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core.kernels.batched": "count_block_pair_batch enumerate_hits_batch",
+    "repro.core.kernels.rowwise": "count_block_pair_row enumerate_hits_row",
+})

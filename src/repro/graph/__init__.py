@@ -4,30 +4,36 @@ Everything the triangle-counting algorithms consume is built here from
 scratch: a compressed-sparse-row adjacency structure (:class:`CSR`), an
 undirected simple-graph wrapper (:class:`Graph`), RMAT/Kronecker and
 social-network-like generators, edge-list/MatrixMarket IO, and the named
-scaled-down dataset registry that mirrors the paper's Table 1.
+scaled-down dataset registry that mirrors the paper's Table 1.  The
+names below load their module on first access (:mod:`repro._lazy`).
 """
 
-from repro.graph.csr import CSR, Graph
-from repro.graph.dcsr import DCSR
-from repro.graph.generators import (
-    barabasi_albert,
-    complete_graph,
-    configuration_model,
-    erdos_renyi_gnm,
-    grid_2d,
-    powerlaw_cluster,
-    rmat_edges,
-    rmat_graph,
-    watts_strogatz,
-)
-from repro.graph.datasets import DatasetSpec, dataset_names, load_dataset
-from repro.graph.stats import (
-    clustering_coefficients,
-    degree_summary,
-    global_clustering,
-    triangle_count_linalg,
-    wedge_count,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.graph.csr import CSR, Graph
+    from repro.graph.datasets import DatasetSpec, dataset_names, load_dataset
+    from repro.graph.dcsr import DCSR
+    from repro.graph.generators import (
+        barabasi_albert,
+        complete_graph,
+        configuration_model,
+        erdos_renyi_gnm,
+        grid_2d,
+        powerlaw_cluster,
+        rmat_edges,
+        rmat_graph,
+        watts_strogatz,
+    )
+    from repro.graph.stats import (
+        clustering_coefficients,
+        degree_summary,
+        global_clustering,
+        triangle_count_linalg,
+        wedge_count,
+    )
 
 __all__ = [
     "CSR",
@@ -51,3 +57,17 @@ __all__ = [
     "watts_strogatz",
     "wedge_count",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.graph.csr": "CSR Graph",
+    "repro.graph.datasets": "DatasetSpec dataset_names load_dataset",
+    "repro.graph.dcsr": "DCSR",
+    "repro.graph.generators": (
+        "barabasi_albert complete_graph configuration_model erdos_renyi_gnm "
+        "grid_2d powerlaw_cluster rmat_edges rmat_graph watts_strogatz"
+    ),
+    "repro.graph.stats": (
+        "clustering_coefficients degree_summary global_clustering "
+        "triangle_count_linalg wedge_count"
+    ),
+})

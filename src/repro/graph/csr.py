@@ -9,7 +9,7 @@ thousand edges takes milliseconds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -270,3 +270,34 @@ class Graph:
     def nbytes_estimate(self) -> int:
         """Approximate resident bytes of the adjacency structure."""
         return self.adj.nbytes_estimate()
+
+
+class DegreeSummary(NamedTuple):
+    """Degree distribution summary for dataset tables (the line ``repro
+    count`` prints first)."""
+
+    n: int
+    m: int
+    d_avg: float
+    d_max: int
+    d_min: int
+
+    def __str__(self) -> str:
+        return (
+            f"n={self.n:,} m={self.m:,} d_avg={self.d_avg:.2f} "
+            f"d_max={self.d_max} d_min={self.d_min}"
+        )
+
+
+def degree_summary(g: Graph) -> DegreeSummary:
+    """Summarize the degree distribution of ``g``."""
+    d = g.degrees
+    if g.n == 0:
+        return DegreeSummary(0, 0, 0.0, 0, 0)
+    return DegreeSummary(
+        n=g.n,
+        m=g.num_edges,
+        d_avg=float(d.mean()),
+        d_max=int(d.max()),
+        d_min=int(d.min()),
+    )

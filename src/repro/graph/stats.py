@@ -9,11 +9,11 @@ distributed algorithm in this repository is validated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from repro.graph.csr import Graph
+# DegreeSummary/degree_summary live with Graph, so a count prints its
+# summary line without loading this module; re-exported for callers here.
+from repro.graph.csr import DegreeSummary, Graph, degree_summary  # noqa: F401
 
 
 def triangle_count_linalg(g: Graph) -> int:
@@ -66,37 +66,6 @@ def global_clustering(g: Graph) -> float:
     if w == 0:
         return 0.0
     return 3.0 * triangle_count_linalg(g) / w
-
-
-@dataclass(frozen=True)
-class DegreeSummary:
-    """Degree distribution summary for dataset tables."""
-
-    n: int
-    m: int
-    d_avg: float
-    d_max: int
-    d_min: int
-
-    def __str__(self) -> str:
-        return (
-            f"n={self.n:,} m={self.m:,} d_avg={self.d_avg:.2f} "
-            f"d_max={self.d_max} d_min={self.d_min}"
-        )
-
-
-def degree_summary(g: Graph) -> DegreeSummary:
-    """Summarize the degree distribution of ``g``."""
-    d = g.degrees
-    if g.n == 0:
-        return DegreeSummary(0, 0, 0.0, 0, 0)
-    return DegreeSummary(
-        n=g.n,
-        m=g.num_edges,
-        d_avg=float(d.mean()),
-        d_max=int(d.max()),
-        d_min=int(d.min()),
-    )
 
 
 def bfs_levels(g: Graph) -> np.ndarray:

@@ -4,7 +4,8 @@ The Cannon pipeline makes snapshots cheap: a rank's entire counting state
 is one resident task block, one travelling U block, one travelling L
 block, a partial count and the shift index.  Blocks are serialized with
 the same crc-protected single-buffer blob format they travel the wire in
-(:meth:`~repro.core.blocks.Block.to_blob`), so a snapshot is three int64
+(:meth:`~repro.core.blocks.Block.as_blob`: a received block's wire buffer
+is saved as is, not packed again), so a snapshot is three int64
 arrays plus two integers — on disk, the same flat rank file the
 preprocessing store keeps (:func:`~repro.core.blocks.write_rank_file`).
 
@@ -33,7 +34,7 @@ writes never leaves the manifest pointing at half-written state.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -57,7 +58,9 @@ class RankSnapshot:
 
     ``u_blob``/``l_blob``/``task_blob`` are the crc-protected blob forms
     of the three blocks; :meth:`blocks` deserializes (and thereby
-    checksum-verifies) them.
+    checksum-verifies) them.  A snapshot read back by
+    :meth:`CheckpointStore.load` carries the blocks its reader already
+    verified in ``verified``, so a restore checks each crc once.
     """
 
     rank: int
@@ -66,6 +69,9 @@ class RankSnapshot:
     u_blob: np.ndarray
     l_blob: np.ndarray
     task_blob: np.ndarray
+    verified: tuple[Block, Block, Block] | None = field(
+        default=None, repr=False, compare=False
+    )
 
     @classmethod
     def capture(
@@ -76,13 +82,16 @@ class RankSnapshot:
             rank=rank,
             epoch=epoch,
             local_count=int(local_count),
-            u_blob=u_block.to_blob(),
-            l_blob=l_block.to_blob(),
-            task_blob=task_block.to_blob(),
+            u_blob=u_block.as_blob(),
+            l_blob=l_block.as_blob(),
+            task_blob=task_block.as_blob(),
         )
 
     def blocks(self) -> tuple[Block, Block, Block]:
-        """Deserialize (and crc-verify) the three blocks."""
+        """The three blocks: deserialized (and crc-verified) here, unless
+        the snapshot was loaded with blocks already verified."""
+        if self.verified is not None:
+            return self.verified
         return (
             Block.from_blob(self.u_blob),
             Block.from_blob(self.l_blob),
@@ -144,9 +153,9 @@ class CheckpointStore:
 
     def load(self, epoch: int, rank: int) -> RankSnapshot:
         """Map one snapshot back in.  The blobs are read-only views into
-        the file, crc-verified here; a file that is not this rank's
-        snapshot of this epoch raises
-        :class:`~repro.core.blocks.RankFileError`."""
+        the file, crc-verified here once (the snapshot keeps the verified
+        blocks); a file that is not this rank's snapshot of this epoch
+        raises :class:`~repro.core.blocks.RankFileError`."""
         path = self.rank_path(epoch, rank)
         served = read_rank_file(path, rank)
         if len(served.meta) != 3 or int(served.meta[1]) != epoch:
@@ -154,7 +163,8 @@ class CheckpointStore:
                 f"{path}: claims meta {served.meta.tolist()}, expected epoch {epoch}"
             )
         return RankSnapshot(
-            rank, epoch, int(served.meta[2]), *(b.blob for b in served.blocks)
+            rank, epoch, int(served.meta[2]), *(b.blob for b in served.blocks),
+            verified=served.blocks,
         )
 
     # -- epoch bookkeeping --------------------------------------------------

@@ -28,6 +28,9 @@ a time, scheduled in a fixed order), so given seeded inputs two runs produce
 bit-identical results, counters and clocks.
 """
 
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
 from repro.simmpi.costmodel import CacheModel, MachineModel
 from repro.simmpi.clock import PhaseStats, RankClock
 from repro.simmpi.comm import ANY_SOURCE, ANY_TAG, Comm
@@ -44,6 +47,9 @@ from repro.simmpi.errors import (
 )
 from repro.simmpi.reduceops import BAND, BOR, MAX, MIN, PROD, SUM, ReduceOp
 from repro.simmpi.tracing import Span, Tracer
+
+if TYPE_CHECKING:
+    from repro.simmpi.parallel import SuperstepPool
 
 __all__ = [
     "ANY_SOURCE",
@@ -77,12 +83,9 @@ __all__ = [
 ]
 
 
-def __getattr__(name: str):
-    # ``SuperstepPool`` loads on first use (PEP 562): the pool module
-    # pulls in multiprocessing and concurrent.futures, which a run that
-    # never starts a pool should not pay for at import.
-    if name == "SuperstepPool":
-        from repro.simmpi.parallel import SuperstepPool
-
-        return SuperstepPool
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+# ``SuperstepPool`` loads on first use: the pool module pulls in
+# multiprocessing and concurrent.futures, which a run that never starts a
+# pool should not pay for at import.
+__getattr__, __dir__ = lazy_exports(
+    __name__, {"repro.simmpi.parallel": "SuperstepPool"}
+)

@@ -415,3 +415,77 @@ def test_atomic_writers_share_no_temp_and_leave_none_behind(
     with pytest.raises(KeyboardInterrupt):
         write(tmp_path)
     assert files() == []
+
+
+# -- pack once, check on every arrival ------------------------------------------
+
+
+def _count_calls(monkeypatch, owner, name: str) -> list[int]:
+    """Count calls to ``owner.name`` (from every rank thread)."""
+    calls = [0]
+    real = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def test_a_cold_run_packs_each_travelling_block_once(er_graph, monkeypatch, tmp_path):
+    """Only the skew packs (one U and one L block per rank); every shift
+    forwards the buffer the block arrived in, and a warm run — whose
+    blocks all arrive as mapped blobs — packs nothing."""
+    from repro.core import count_triangles_2d
+    from repro.graph.store import GraphStore
+
+    p = 16
+    want = count_triangles_2d(er_graph, p)
+    packs = _count_calls(monkeypatch, Block, "to_blob")
+    cold = count_triangles_2d(er_graph, p)
+    assert packs[0] == 2 * p
+    assert (cold.count, cold.tct_time, cold.counters_tct) == (
+        want.count, want.tct_time, want.counters_tct
+    )
+
+    store = GraphStore(tmp_path)
+    count_triangles_2d(er_graph, p, cache=store)
+    packs[0] = 0
+    warm = count_triangles_2d(er_graph, p, cache=store)
+    assert warm.extras["cache"]["hit"]
+    assert packs[0] == 0
+    assert warm.count == want.count
+
+
+def test_a_corrupted_forwarded_buffer_fails_its_crc(er_graph):
+    """A ``corrupt`` fault on a shift send past the first one hits a
+    forwarded buffer: the receiver still checks its crc, and the
+    resilient driver restarts to the exact count."""
+    from repro.core import count_triangles_2d
+    from repro.core.cannon import GridJob
+    from repro.core.tc2d import tc2d_rank_program
+    from repro.resilience import (
+        FaultInjector,
+        FaultPlan,
+        FaultSpec,
+        count_triangles_2d_resilient,
+    )
+    from repro.simmpi.errors import RankFailedError
+
+    p = 16
+    spec = FaultSpec(kind="corrupt", rank=5, tag=120, nth=1)  # shift U, z=1
+    injector = FaultInjector(FaultPlan([spec]))
+    with GridJob(er_graph, p, None, "tc2d", fault_injector=injector) as job:
+        with pytest.raises(RankFailedError) as info:
+            job.run(tc2d_rank_program, job.cfg)
+    assert isinstance(info.value.original, BlobChecksumError)
+    assert [f.spec for f in injector.fired] == [spec]
+
+    res = count_triangles_2d_resilient(er_graph, p, fault_plan=FaultPlan([spec]))
+    assert res.count == count_triangles_2d(er_graph, p).count
+    assert res.extras["restarts"] == 1
+    # Shifted left along the grid row, rank 5's U block lands on rank 4.
+    assert res.extras["attempts"][0].error.startswith(
+        "rank 4 raised BlobChecksumError"
+    )

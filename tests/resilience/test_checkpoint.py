@@ -146,3 +146,30 @@ def test_no_tmp_litter(tmp_path, blocks4):
     store.save(RankSnapshot.capture(0, 0, 0, u, l, t))
     store.write_manifest(4, 2)
     assert not list(tmp_path.rglob("*.tmp*"))
+
+
+def test_restore_checks_each_crc_once(tmp_path, blocks4, monkeypatch):
+    """Loading a snapshot verifies each blob as it maps the file; the
+    restored blocks are those, not a second deserialization."""
+    from repro.core import blocks
+
+    store = CheckpointStore(tmp_path)
+    u, l, t = blocks4[3]
+    store.save(RankSnapshot.capture(3, 1, 5, u, l, t))
+    calls = []
+    real = blocks.blob_payload_crc32
+    monkeypatch.setattr(
+        blocks, "blob_payload_crc32", lambda *a: calls.append(1) or real(*a)
+    )
+    back = store.load(1, 3)
+    restored = back.blocks()
+    assert len(calls) == 3  # one pass per blob: u, l, task
+    for got, want in zip(restored, (u, l, t)):
+        assert got.as_blob().tobytes() == want.to_blob().tobytes()
+
+    path = store.rank_path(1, 3)
+    raw = bytearray(path.read_bytes())
+    raw[-1] ^= 0xFF  # last index word of the task blob
+    path.write_bytes(bytes(raw))
+    with pytest.raises(BlobChecksumError):
+        store.load(1, 3)
