@@ -66,6 +66,3 @@ class LazyRegistry(Mapping):
 
     def __len__(self) -> int:
         return len(self._targets)
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({self._targets!r})"

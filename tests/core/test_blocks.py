@@ -420,19 +420,6 @@ def test_atomic_writers_share_no_temp_and_leave_none_behind(
 # -- pack once, check on every arrival ------------------------------------------
 
 
-def _count_calls(monkeypatch, owner, name: str) -> list[int]:
-    """Count calls to ``owner.name`` (from every rank thread)."""
-    calls = [0]
-    real = getattr(owner, name)
-
-    def counting(*args, **kwargs):
-        calls[0] += 1
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(owner, name, counting)
-    return calls
-
-
 def test_a_cold_run_packs_each_travelling_block_once(er_graph, monkeypatch, tmp_path):
     """Only the skew packs (one U and one L block per rank); every shift
     forwards the buffer the block arrived in, and a warm run — whose
@@ -442,19 +429,21 @@ def test_a_cold_run_packs_each_travelling_block_once(er_graph, monkeypatch, tmp_
 
     p = 16
     want = count_triangles_2d(er_graph, p)
-    packs = _count_calls(monkeypatch, Block, "to_blob")
+    packs = []
+    real = Block.to_blob
+    monkeypatch.setattr(Block, "to_blob", lambda b: packs.append(1) or real(b))
     cold = count_triangles_2d(er_graph, p)
-    assert packs[0] == 2 * p
+    assert len(packs) == 2 * p
     assert (cold.count, cold.tct_time, cold.counters_tct) == (
         want.count, want.tct_time, want.counters_tct
     )
 
     store = GraphStore(tmp_path)
     count_triangles_2d(er_graph, p, cache=store)
-    packs[0] = 0
+    packs.clear()
     warm = count_triangles_2d(er_graph, p, cache=store)
     assert warm.extras["cache"]["hit"]
-    assert packs[0] == 0
+    assert packs == []
     assert warm.count == want.count
 
 
