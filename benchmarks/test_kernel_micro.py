@@ -13,8 +13,7 @@ import pytest
 
 from repro.core.blocks import Block, build_block
 from repro.core.config import TC2DConfig
-from repro.core.intersect import count_block_pair
-from repro.core.kernels import compiled
+from repro.core.kernels import compiled, get_backend, resolve_backend
 from repro.graph import rmat_graph
 from repro.hashing import BlockHashMap
 
@@ -91,7 +90,8 @@ def test_bench_hashmap_probed_mode(benchmark):
 def test_bench_intersection_kernel(benchmark, block_triple):
     t_blk, u_blk, l_blk = block_triple
     cfg = TC2DConfig()
-    st = benchmark(count_block_pair, t_blk, u_blk, l_blk, cfg)
+    _, kernel = resolve_backend(cfg.kernel_backend, t_blk, u_blk, l_blk, cfg)
+    st = benchmark(kernel, t_blk, u_blk, l_blk, cfg)
     assert st.triangles >= 0
     assert st.tasks > 0
 
@@ -104,7 +104,7 @@ def test_bench_intersection_kernel_backend(benchmark, block_triple, backend):
         pytest.skip(f"compiled backend: {compiled.unavailable_reason()}")
     t_blk, u_blk, l_blk = block_triple
     cfg = TC2DConfig(kernel_backend=backend)
-    st = benchmark(count_block_pair, t_blk, u_blk, l_blk, cfg)
+    st = benchmark(get_backend(backend), t_blk, u_blk, l_blk, cfg)
     assert st.triangles >= 0
     assert st.tasks > 0
 
@@ -118,9 +118,9 @@ def test_backend_parity_on_bench_input(block_triple):
 
     t_blk, u_blk, l_blk = block_triple
     cfg = TC2DConfig()
-    st_row = count_block_pair(t_blk, u_blk, l_blk, cfg, backend="row")
+    st_row = get_backend("row")(t_blk, u_blk, l_blk, cfg)
     for other in backends()[1:]:
-        st = count_block_pair(t_blk, u_blk, l_blk, cfg, backend=other)
+        st = get_backend(other)(t_blk, u_blk, l_blk, cfg)
         assert asdict(st_row) == asdict(st), other
 
 
@@ -148,7 +148,8 @@ def test_kernelbench_smoke(tmp_path):
 def test_bench_intersection_kernel_no_optimizations(benchmark, block_triple):
     t_blk, u_blk, l_blk = block_triple
     cfg = TC2DConfig(doubly_sparse=False, modified_hashing=False, early_stop=False)
-    st = benchmark(count_block_pair, t_blk, u_blk, l_blk, cfg)
+    _, kernel = resolve_backend(cfg.kernel_backend, t_blk, u_blk, l_blk, cfg)
+    st = benchmark(kernel, t_blk, u_blk, l_blk, cfg)
     assert st.triangles >= 0
 
 

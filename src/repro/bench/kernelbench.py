@@ -1,6 +1,6 @@
 """Wall-clock microbenchmark harness for the intersection-kernel backends.
 
-Times ``count_block_pair`` on realistic (task, U, L) block triples cut
+Times every kernel backend on realistic (task, U, L) block triples cut
 from RMAT graphs — the same construction the pytest-benchmark suite in
 ``benchmarks/test_kernel_micro.py`` uses — and writes a machine-readable
 regression artifact (``BENCH_kernels.json`` by default).

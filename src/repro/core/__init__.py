@@ -31,7 +31,6 @@ from repro._lazy import LazyRegistry, lazy_exports
 
 if TYPE_CHECKING:
     from repro.core.allgather_variant import count_triangles_2d_allgather
-    from repro.core.approximate import ApproxResult, approx_count_triangles_2d
     from repro.core.autotune import GraphSignals, Plan, collect_signals, plan_run
     from repro.core.balance import compare_distributions, task_distribution_stats
     from repro.core.config import TC2DConfig
@@ -52,7 +51,6 @@ GRID_DRIVERS = LazyRegistry({
 })
 
 __all__ = [
-    "ApproxResult",
     "GRID_DRIVERS",
     "GraphSignals",
     "Plan",
@@ -61,7 +59,6 @@ __all__ = [
     "TC2DConfig",
     "TriangleCensus",
     "TriangleCountResult",
-    "approx_count_triangles_2d",
     "collect_signals",
     "compare_distributions",
     "count_triangles_2d",
@@ -75,7 +72,6 @@ __all__ = [
 
 __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.core.allgather_variant": "count_triangles_2d_allgather",
-    "repro.core.approximate": "ApproxResult approx_count_triangles_2d",
     "repro.core.autotune": "GraphSignals Plan collect_signals plan_run",
     "repro.core.balance": "compare_distributions task_distribution_stats",
     "repro.core.config": "TC2DConfig",

@@ -10,8 +10,8 @@ lives here once:
 * :func:`cannon_pass` — the rotation over one (U, L, task) block triple.
   :mod:`~repro.core.tc2d` runs it once per rank, the cover-edge counter
   (:mod:`~repro.core.coveredge`) twice under pass-scoped tags and keys,
-  and the census (:mod:`~repro.core.listing`) reuses its exchange step
-  (:func:`exchange_operands`) around an enumerating kernel.
+  and the census (:mod:`~repro.core.listing`) once with ``hits``, which
+  also lists every triangle it counts.
 * :func:`count_blocks` — one intersection-kernel call charged to the
   rank's clock; also what the SUMMA and allgather variants call per step.
 * :class:`GridJob` — the run driver: store entries, input partition,
@@ -32,6 +32,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
+
+import numpy as np
 
 from repro.core.blocks import Block, exchange_block
 from repro.core.config import TC2DConfig
@@ -87,6 +89,7 @@ def count_blocks(
     l_block: Block,
     tally: KernelTally,
     operands: tuple | None = None,
+    hits: list | None = None,
 ) -> tuple[str, KernelStats]:
     """Run the intersection kernel on one block triple and charge it.
 
@@ -94,7 +97,11 @@ def count_blocks(
     blobs) the kernel runs on the engine's worker pool instead.  Either
     way the logical :class:`~repro.core.kernels.KernelStats` are charged
     to this rank's clock here, so clocks, counters and traces do not
-    depend on where the kernel ran.  Returns ``(backend name, stats)``.
+    depend on where the kernel ran.  With ``hits`` (a list; inline only)
+    the kernel also lists what it counts: one ``(t, 3)`` array of global
+    label2 triples ``(i, j, k)`` — task edge ``(j, i)``, closing vertex
+    ``k``, ``i < j < k`` in degree order — is appended per call that
+    finds any.  Returns ``(backend name, stats)``.
     """
     working_set = (
         u_block.nbytes_estimate()
@@ -104,9 +111,23 @@ def count_blocks(
     # Resolve per block pair so "auto" can pick differently shift by shift
     # (block shapes change as operands travel the grid).
     bname, kernel_fn = resolve_backend(
-        cfg.kernel_backend, task_block, u_block, l_block, cfg
+        cfg.kernel_backend, task_block, u_block, l_block, cfg,
+        listing=hits is not None,
     )
-    if operands is not None:
+    if hits is not None:
+        local: list[np.ndarray] = []
+        st = kernel_fn(task_block, u_block, l_block, cfg, local)
+        if local:
+            # Local ids -> global label2 ids: a block holds every q-th
+            # vertex of its residue class.
+            q = ProcessorGrid.for_ranks(ctx.comm.size).q
+            j, i, k = np.concatenate(local).T
+            hits.append(np.stack([
+                i * q + task_block.inner_residue,
+                j * q + task_block.fixed_residue,
+                k * q + u_block.inner_residue,
+            ], axis=1))
+    elif operands is not None:
         # Parallel superstep: ship the operands to the worker pool and
         # park; every rank's epoch-z kernel lands in the same dispatch
         # batch (the blocks are data-independent — Eq. 6 pins all
@@ -210,6 +231,7 @@ def cannon_pass(
     shift_base: int,
     resilience: Any = None,
     snap: Any = None,
+    hits: list | None = None,
 ) -> int:
     """One full Cannon rotation (skew + ``q`` count/shift epochs) over one
     operand set; returns this rank's partial count.
@@ -226,7 +248,8 @@ def cannon_pass(
     snapshots the travelling blocks + partial count at every epoch
     boundary; ``snap`` is the snapshot to resume from — its blocks are
     already skewed and shifted, so the pass re-enters the loop at
-    ``snap.epoch`` with ``snap.local_count``.
+    ``snap.epoch`` with ``snap.local_count``.  ``hits`` (a list) collects
+    the triangles the pass counts, as :func:`count_blocks` lists them.
     """
     q = grid.q
     x, y = grid.coords(ctx.rank)
@@ -259,7 +282,9 @@ def cannon_pass(
             # epoch re-ships its operands but never re-packs them.
             operands = (task_blob, ops.u.as_blob(), ops.l.as_blob())
         t0 = ctx.clock.now
-        bname, st = count_blocks(ctx, cfg, ops.task, ops.u, ops.l, tally, operands)
+        bname, st = count_blocks(
+            ctx, cfg, ops.task, ops.u, ops.l, tally, operands, hits
+        )
         local_sum += st.triangles
         if ctx.tracer.enabled:
             ctx.tracer.span_point(

@@ -17,31 +17,31 @@ this package makes its implementation pluggable:
   loaded, else a per-block-pair choice between ``"row"`` and ``"batch"``
   from cheap shape statistics.
 
-All backends obey one contract: identical triangle counts, identical
-``support_out`` accumulation, and bit-identical logical
-:class:`~repro.core.kernels.common.KernelStats` — the counters feed the
-simulated machine model, so virtual time must not depend on which Python
-implementation ran.  Only wall time may differ.
+All backends obey one contract: identical triangle counts, the same
+local ``(j, i, k)`` triples appended to ``hits_out`` when it is a list,
+and bit-identical logical :class:`~repro.core.kernels.common.KernelStats`
+— the counters feed the simulated machine model, so virtual time must not
+depend on which implementation ran.  Only wall time may differ.  The one
+exception is listing on ``"c"``: the compiled loop only counts, so
+:func:`resolve_backend` hands a listing call to ``"batch"``.
 
 Registering a backend::
 
     from repro.core import kernels
 
-    def my_kernel(task_block, u_block, l_block, cfg, support_out=None):
+    def my_kernel(task_block, u_block, l_block, cfg, hits_out=None):
         ...
         return KernelStats(...)
 
     kernels.register_backend("mine", my_kernel)
 
-Callers go through :func:`repro.core.intersect.count_block_pair`, which
-resolves ``cfg.kernel_backend`` via :func:`resolve_backend`.
+Callers resolve ``cfg.kernel_backend`` with :func:`resolve_backend` and
+call the function it returns.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Protocol
-
-import numpy as np
+from typing import TYPE_CHECKING, Protocol
 
 from repro._lazy import lazy_exports, resolve
 from repro.core.blocks import Block
@@ -52,8 +52,8 @@ from repro.core.kernels.compiled import KernelUnavailableError, count_block_pair
 from repro.core.kernels.dispatch import block_shape_stats, choose_backend
 
 if TYPE_CHECKING:
-    from repro.core.kernels.batched import count_block_pair_batch, enumerate_hits_batch
-    from repro.core.kernels.rowwise import count_block_pair_row, enumerate_hits_row
+    from repro.core.kernels.batched import count_block_pair_batch
+    from repro.core.kernels.rowwise import count_block_pair_row
 
 
 class KernelFn(Protocol):
@@ -65,39 +65,23 @@ class KernelFn(Protocol):
         u_block: Block,
         l_block: Block,
         cfg: TC2DConfig,
-        support_out: np.ndarray | None = None,
+        hits_out: list | None = None,
     ) -> KernelStats: ...
 
-
-_ROW = "repro.core.kernels.rowwise:"
-_BATCH = "repro.core.kernels.batched:"
-_ENUM_FALLBACK = _ROW + "enumerate_hits_row"
 
 # A registry value is the function, or for a built-in not yet used its
 # ``"module:name"`` target: the pure-Python kernels load on first use, so
 # a run on the compiled backend never imports them.
 _REGISTRY: dict[str, KernelFn | str] = {
-    "row": _ROW + "count_block_pair_row",
-    "batch": _BATCH + "count_block_pair_batch",
+    "row": "repro.core.kernels.rowwise:count_block_pair_row",
+    "batch": "repro.core.kernels.batched:count_block_pair_batch",
     "c": count_block_pair_c,
 }
-_ENUM_REGISTRY: dict[str, Callable | str] = {
-    "row": _ENUM_FALLBACK,
-    "batch": _BATCH + "enumerate_hits_batch",
-    "c": _BATCH + "enumerate_hits_batch",
-}
 
 
-def _loaded(registry: dict, name: str) -> Callable:
-    fn = registry[name]
-    if isinstance(fn, str):
-        fn = registry[name] = resolve(fn)
-    return fn
-
-
-def register_backend(name: str, fn: KernelFn, enumerate_fn: Callable | None = None,
-                     replace: bool = False) -> None:
-    """Register a counting backend (and optionally its enumeration twin).
+def register_backend(name: str, fn: KernelFn, replace: bool = False) -> None:
+    """Register a kernel backend; it must honour ``hits_out`` like the
+    built-ins.
 
     ``name`` must not be ``"auto"`` (that name is the dispatcher's).
     """
@@ -106,10 +90,6 @@ def register_backend(name: str, fn: KernelFn, enumerate_fn: Callable | None = No
     if name in _REGISTRY and not replace:
         raise ValueError(f"kernel backend {name!r} is already registered")
     _REGISTRY[name] = fn
-    if enumerate_fn is not None:
-        _ENUM_REGISTRY[name] = enumerate_fn
-    elif replace:
-        _ENUM_REGISTRY.pop(name, None)
 
 
 def available_backends() -> tuple[str, ...]:
@@ -127,12 +107,15 @@ def get_backend(name: str) -> KernelFn:
     if name == "c":
         compiled.load()
     try:
-        return _loaded(_REGISTRY, name)
+        fn = _REGISTRY[name]
     except KeyError:
         raise ValueError(
             f"unknown kernel backend {name!r}; available: "
             f"{', '.join(available_backends())}"
         ) from None
+    if isinstance(fn, str):
+        fn = _REGISTRY[name] = resolve(fn)
+    return fn
 
 
 def resolve_backend(
@@ -141,14 +124,19 @@ def resolve_backend(
     u_block: Block,
     l_block: Block,
     cfg: TC2DConfig,
+    listing: bool = False,
 ) -> tuple[str, KernelFn]:
     """Resolve ``name`` (possibly ``"auto"``) for one block pair.
 
-    Returns ``(concrete_name, fn)`` so callers can label spans and usage
-    counts with the backend that actually ran.
+    ``listing`` says the call will pass ``hits_out``; the compiled loop
+    only counts, so ``"c"`` then resolves to ``"batch"``.  Returns
+    ``(concrete_name, fn)`` so callers can label spans and usage counts
+    with the backend that actually ran.
     """
     if name == "auto":
         name = choose_backend(task_block, u_block, l_block, cfg)
+    if listing and name == "c":
+        name = "batch"
     return name, get_backend(name)
 
 
@@ -166,19 +154,6 @@ def prepare_backend(name: str) -> None:
         get_backend(name)
 
 
-def get_enumerator(name: str) -> Callable:
-    """Enumeration twin of a concrete backend (listing/census pipeline).
-
-    Backends registered without one fall back to the row-wise enumerator,
-    which is always correct.
-    """
-    if name not in _REGISTRY:
-        get_backend(name)  # uniform error message
-    if name not in _ENUM_REGISTRY:
-        return resolve(_ENUM_FALLBACK)
-    return _loaded(_ENUM_REGISTRY, name)
-
-
 __all__ = [
     "KERNEL_BACKENDS",
     "KernelFn",
@@ -190,10 +165,7 @@ __all__ = [
     "count_block_pair_batch",
     "count_block_pair_c",
     "count_block_pair_row",
-    "enumerate_hits_batch",
-    "enumerate_hits_row",
     "get_backend",
-    "get_enumerator",
     "kernel_capacity",
     "prepare_backend",
     "register_backend",
@@ -202,6 +174,6 @@ __all__ = [
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__, {
-    "repro.core.kernels.batched": "count_block_pair_batch enumerate_hits_batch",
-    "repro.core.kernels.rowwise": "count_block_pair_row enumerate_hits_row",
+    "repro.core.kernels.batched": "count_block_pair_batch",
+    "repro.core.kernels.rowwise": "count_block_pair_row",
 })

@@ -35,9 +35,8 @@ int64_t tck_count(
     const int64_t *u_ptr, const int64_t *u_idx, int64_t u_nnz,
     const int64_t *l_ptr, const int64_t *l_idx, int64_t l_rows, int64_t l_nnz,
     int64_t cap, int64_t modified_hashing, int64_t early_stop,
-    int64_t *table,   /* 2 * cap words, zeroed: stamps, then keys */
-    int64_t *support, /* t_nnz words to accumulate into, or NULL */
-    int64_t *out)     /* N_OUT counters, zeroed */
+    int64_t *table, /* 2 * cap words, zeroed: stamps, then keys */
+    int64_t *out)   /* N_OUT counters, zeroed */
 {
     int64_t *stamp = table, *keys = table + cap;
     const uint64_t mask = (uint64_t)cap - 1;
@@ -115,7 +114,6 @@ int64_t tck_count(
                 }
             }
             out[TRIANGLES] += hits;
-            if (support) support[t] += hits;
         }
     }
     return 0;

@@ -64,7 +64,6 @@ class _BatchPlan:
     rows: np.ndarray  # live local row ids, ascending
     t_lens: np.ndarray  # tasks per live row
     u_lens: np.ndarray  # U fragment length per live row
-    task_slots: np.ndarray  # global CSR slot of every task (row-major)
     tcols: np.ndarray  # task column id per task
     llens: np.ndarray  # L column length per task (before the cut)
     w_lens: np.ndarray  # surviving window length per task
@@ -101,8 +100,7 @@ def _build_plan(task_block: Block, u_block: Block, l_block: Block,
         rows, t_lens, u_lens = rows[sel], t_lens[sel], u_lens[sel]
 
     # All tasks of the candidate rows, row-major.
-    task_slots = multirange(t_indptr[rows], t_lens)
-    tcols = t_indices[task_slots]
+    tcols = t_indices[multirange(t_indptr[rows], t_lens)]
     llens = l_indptr[tcols + 1] - l_indptr[tcols]
 
     # Rows where every task has an empty L column never reach the hash
@@ -117,9 +115,7 @@ def _build_plan(task_block: Block, u_block: Block, l_block: Block,
         rows, t_lens, u_lens = (
             rows[has_probes], t_lens[has_probes], u_lens[has_probes],
         )
-        task_slots, tcols, llens = (
-            task_slots[keep_task], tcols[keep_task], llens[keep_task],
-        )
+        tcols, llens = tcols[keep_task], llens[keep_task]
     task_row = np.repeat(np.arange(len(rows), dtype=INDEX_DTYPE), t_lens)
 
     if cfg.early_stop:
@@ -161,8 +157,8 @@ def _build_plan(task_block: Block, u_block: Block, l_block: Block,
         fast = np.zeros(len(rows), dtype=bool)
 
     return _BatchPlan(
-        rows=rows, t_lens=t_lens, u_lens=u_lens, task_slots=task_slots,
-        tcols=tcols, llens=llens, w_lens=w_lens,
+        rows=rows, t_lens=t_lens, u_lens=u_lens, tcols=tcols, llens=llens,
+        w_lens=w_lens,
         probes_skipped=probes_skipped, window_vals=window_vals,
         window_row=window_row, ukeys=ukeys, fast=fast, capacity=capacity,
     )
@@ -278,10 +274,14 @@ def count_block_pair_batch(
     u_block: Block,
     l_block: Block,
     cfg: TC2DConfig,
-    support_out: np.ndarray | None = None,
+    hits_out: list | None = None,
 ) -> KernelStats:
     """Count the triangles closed by one (task, U, L) block triple with
-    bulk array operations instead of a per-row loop."""
+    bulk array operations instead of a per-row loop.
+
+    With ``hits_out`` (a list) the hits are also appended as one ``(t, 3)``
+    array of local ``(j, i, k)`` triples, in the row-major task order of
+    the row-wise reference."""
     require_aligned(u_block, l_block)
     stats = KernelStats()
     stats.row_visits = task_block.dcsr.row_visit_cost(cfg.doubly_sparse)
@@ -297,40 +297,14 @@ def count_block_pair_batch(
     stats.insert_steps_fast = int(plan.u_lens[plan.fast].sum())
 
     hit = _hit_mask(plan, u_block, l_block, stats)
-    stats.triangles = int(np.count_nonzero(hit))
-
-    if support_out is not None:
-        # Cut probes can never hit (they are below min(U_r)), so per-task
-        # support is just the hit count inside each surviving window.
-        per_task = segment_sums(
-            hit.astype(np.int64), segment_lengths_to_offsets(plan.w_lens)
-        )
-        support_out[plan.task_slots] += per_task
-    return stats
-
-
-def enumerate_hits_batch(
-    task_block: Block,
-    u_block: Block,
-    l_block: Block,
-    cfg: TC2DConfig,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Batched enumeration: the hits of every task as local-id triples.
-
-    Returns ``(j_local, i_local, k_local)`` arrays in the same row-major
-    task order as the row-wise reference, so the listing pipeline emits
-    identical triple streams regardless of backend.
-    """
-    require_aligned(u_block, l_block)
-    plan = _build_plan(task_block, u_block, l_block, cfg)
-    if plan is None:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty, empty
-    hit = _hit_mask(plan, u_block, l_block, KernelStats())
     sel = np.nonzero(hit)[0]
-    window_tcol = np.repeat(plan.tcols, plan.w_lens)
-    return (
-        plan.rows[plan.window_row[sel]],
-        window_tcol[sel],
-        plan.window_vals[sel],
-    )
+    stats.triangles = len(sel)
+
+    if hits_out is not None and len(sel):
+        window_tcol = np.repeat(plan.tcols, plan.w_lens)
+        hits_out.append(np.stack(
+            [plan.rows[plan.window_row[sel]], window_tcol[sel],
+             plan.window_vals[sel]],
+            axis=1,
+        ))
+    return stats

@@ -141,7 +141,7 @@ def _open(path: Path) -> Callable[..., int]:
         _PTR, _PTR, _I64,  # U indptr, indices, nnz
         _PTR, _PTR, _I64, _I64,  # L indptr, indices, n_rows, nnz
         _I64, _I64, _I64,  # capacity, modified_hashing, early_stop
-        _PTR, _PTR, _PTR,  # table scratch, support (or NULL), counters out
+        _PTR, _PTR,  # table scratch, counters out
     ]
     _self_test(fn)
     return fn
@@ -253,7 +253,6 @@ def _call(
     l: tuple[np.ndarray, np.ndarray],
     capacity: int,
     cfg: TC2DConfig,
-    support_out: np.ndarray | None,
 ) -> list[int]:
     """One call into the library; every argument already validated.  The
     locals keep each buffer alive while C reads it."""
@@ -266,9 +265,7 @@ def _call(
         u[0].ctypes.data, u[1].ctypes.data, len(u[1]),
         l[0].ctypes.data, l[1].ctypes.data, len(l[0]) - 1, len(l[1]),
         capacity, cfg.modified_hashing, cfg.early_stop,
-        table.ctypes.data,
-        None if support_out is None else support_out.ctypes.data,
-        out.ctypes.data,
+        table.ctypes.data, out.ctypes.data,
     )
     if status == -2:
         raise IndexError("task column out of range for the L block")
@@ -284,16 +281,21 @@ def count_block_pair_c(
     u_block: Block,
     l_block: Block,
     cfg: TC2DConfig,
-    support_out: np.ndarray | None = None,
+    hits_out: list | None = None,
 ) -> KernelStats:
     """Count the triangles closed by one (task, U, L) block triple in the
     compiled loop.
 
-    Shapes, dtypes and array ends are checked here, before any pointer is
-    passed; row ranges and task columns are checked by the loop itself
-    right before each use.  Read-only (mmap'd) blocks are fine: the loop
-    writes only to its own scratch, ``support_out`` and the counters.
+    The loop counts and does not list: ``resolve_backend`` sends a
+    listing call (``hits_out``) to ``"batch"``, and one that reaches this
+    function anyway is refused.  Shapes, dtypes
+    and array ends are checked here, before any pointer is passed; row
+    ranges and task columns are checked by the loop itself right before
+    each use.  Read-only (mmap'd) blocks are fine: the loop writes only
+    to its own scratch and the counters.
     """
+    if hits_out is not None:
+        raise ValueError('kernel backend "c" counts only; list through "batch"')
     fn = load()
     require_aligned(u_block, l_block)
     tasks, U, L = task_block.dcsr, u_block.dcsr, l_block.dcsr
@@ -307,15 +309,8 @@ def count_block_pair_c(
     live = None
     if cfg.doubly_sparse:
         live = _int64_array("task nonempty_rows", tasks.nonempty_rows)
-    if support_out is not None:
-        _int64_array("support_out", support_out)
-        if len(support_out) != len(t[1]) or not support_out.flags.writeable:
-            raise ValueError(
-                f"support_out must be writable with one entry per task "
-                f"({len(t[1])}), got {len(support_out)}"
-            )
     capacity = table_capacity(kernel_capacity(cfg, U))
-    out = _call(fn, t, live, u, l, capacity, cfg, support_out)
+    out = _call(fn, t, live, u, l, capacity, cfg)
     return KernelStats(tasks.row_visit_cost(cfg.doubly_sparse), *out)
 
 
@@ -345,7 +340,7 @@ def _self_test(fn: Callable[..., int]) -> None:
         ),
     )
     for t, live, u, l, cfg, want in cases:
-        got = _call(fn, t, live, u, l, 4, cfg, None)
+        got = _call(fn, t, live, u, l, 4, cfg)
         if got != want:
             raise KernelUnavailableError(
                 f"self-test mismatch: counters {got}, expected {want}"

@@ -1,7 +1,7 @@
 """Auto-dispatch heuristic for the intersection-kernel backends.
 
-The ``"auto"`` backend picks ``"c"`` for every non-empty block pair when
-the compiled library loaded on this host (it is 5-19x faster than
+The ``"auto"`` backend picks ``"c"`` for every block pair when the
+compiled library loaded on this host (it is 5-19x faster than
 ``"batch"`` on every ``kernelbench`` case, so no shape rule is needed),
 and otherwise ``"row"`` or ``"batch"`` per block pair from cheap shape
 statistics — numbers already sitting in the DCSR headers, so the decision
@@ -39,11 +39,11 @@ def choose_backend(
     task_block: Block, u_block: Block, l_block: Block, cfg: TC2DConfig
 ) -> str:
     """Pick ``"c"``, ``"row"`` or ``"batch"`` for one block pair."""
-    nnz, nrows, mean_len = block_shape_stats(task_block)
-    if nnz == 0 or nrows == 0:
-        return "row"  # nothing to do; skip the call / the batch plan setup
     if compiled.available():
         return "c"
+    nnz, nrows, mean_len = block_shape_stats(task_block)
+    if nnz == 0 or nrows == 0:
+        return "row"  # nothing to do; skip the batch plan setup
     if nrows >= AUTO_MIN_ROWS:
         return "batch"
     if nnz >= AUTO_MIN_NNZ and mean_len >= AUTO_MIN_MEAN_ROW_LEN:

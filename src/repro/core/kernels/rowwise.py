@@ -23,10 +23,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.arrayutil import multirange, segment_lengths_to_offsets, segment_sums
+from repro.core.arrayutil import multirange
 from repro.core.blocks import Block
 from repro.core.config import TC2DConfig
 from repro.core.kernels.common import KernelStats, kernel_capacity, require_aligned
+from repro.graph.csr import INDEX_DTYPE
 from repro.hashing import BlockHashMap
 
 
@@ -35,10 +36,14 @@ def count_block_pair_row(
     u_block: Block,
     l_block: Block,
     cfg: TC2DConfig,
-    support_out: np.ndarray | None = None,
+    hits_out: list | None = None,
 ) -> KernelStats:
     """Count the triangles closed by one (task, U, L) block triple,
-    visiting the task rows one at a time."""
+    visiting the task rows one at a time.
+
+    With ``hits_out`` (a list) every hit is also appended as a local
+    ``(j, i, k)`` triple — task edge ``(j, i)``, closing vertex ``k`` —
+    one ``(t, 3)`` array per row, in row-major task order."""
     tasks = task_block.dcsr
     U = u_block.dcsr
     L = l_block.dcsr
@@ -55,11 +60,6 @@ def count_block_pair_row(
     hm = BlockHashMap(kernel_capacity(cfg, U))
 
     total = 0
-    want_support = support_out is not None
-    # Scratch for the per-probe hit scatter in the support path, grown
-    # geometrically and reused across rows instead of reallocated per row.
-    scratch = np.empty(0, dtype=np.int64)
-
     row_iter = tasks.nonempty_rows if cfg.doubly_sparse else range(tasks.n_rows)
     for j in row_iter:
         j = int(j)
@@ -101,23 +101,20 @@ def count_block_pair_row(
 
         if len(window) == 0:
             continue
-        if want_support:
+        if hits_out is not None:
             lk0 = hm.stats.lookup_steps
             mask = hm.hit_mask(window)
             hits = int(np.count_nonzero(mask))
             steps = hm.stats.lookup_steps - lk0
-            # Scatter hits back to per-task counts.
-            if len(vals) > len(scratch):
-                scratch = np.empty(max(16, 2 * len(vals)), dtype=np.int64)
-            per_probe = scratch[: len(vals)]
-            per_probe[:] = 0
-            if keep is None:
-                per_probe[:] = mask
-            else:
-                per_probe[keep] = mask
-            offs = segment_lengths_to_offsets(lens)
-            per_task = segment_sums(per_probe, offs)
-            support_out[t_lo:t_hi] += per_task
+            if hits:
+                probe_task = np.repeat(tcols, lens)
+                if keep is not None:
+                    probe_task = probe_task[keep]
+                hits_out.append(np.stack(
+                    [np.full(hits, j, dtype=INDEX_DTYPE), probe_task[mask],
+                     window[mask]],
+                    axis=1,
+                ))
         else:
             hits, steps = hm.lookup_many(window)
         if fast:
@@ -128,69 +125,3 @@ def count_block_pair_row(
 
     stats.triangles = total
     return stats
-
-
-def enumerate_hits_row(
-    task_block: Block,
-    u_block: Block,
-    l_block: Block,
-    cfg: TC2DConfig,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row-wise enumeration: the hits of every task as local-id triples.
-
-    Returns ``(j_local, i_local, k_local)`` arrays, one entry per
-    triangle, in row-major task order — the order the listing pipeline
-    relies on.  ``(j, i)`` is the task edge, ``k`` the closing vertex.
-    """
-    tasks = task_block.dcsr
-    U = u_block.dcsr
-    L = l_block.dcsr
-    require_aligned(u_block, l_block)
-
-    hm = BlockHashMap(kernel_capacity(cfg, U))
-    out_j: list[np.ndarray] = []
-    out_i: list[np.ndarray] = []
-    out_k: list[np.ndarray] = []
-
-    l_indptr, l_indices = L.indptr, L.indices
-    t_indptr, t_indices = tasks.indptr, tasks.indices
-    row_iter = tasks.nonempty_rows if cfg.doubly_sparse else range(tasks.n_rows)
-    for j_local in row_iter:
-        j_local = int(j_local)
-        t_lo, t_hi = int(t_indptr[j_local]), int(t_indptr[j_local + 1])
-        if t_lo == t_hi:
-            continue
-        urow = U.row(j_local)
-        if len(urow) == 0:
-            continue
-        tcols = t_indices[t_lo:t_hi]
-        starts = l_indptr[tcols]
-        lens = l_indptr[tcols + 1] - starts
-        if int(lens.sum()) == 0:
-            continue
-        gather = multirange(starts, lens)
-        vals = l_indices[gather]
-        probe_task = np.repeat(tcols, lens)
-        if cfg.early_stop:
-            keep = vals >= urow[0]
-            vals = vals[keep]
-            probe_task = probe_task[keep]
-        if len(vals) == 0:
-            continue
-        hm.build(urow, allow_fast=cfg.modified_hashing)
-        mask = hm.hit_mask(vals)
-        if not mask.any():
-            continue
-        k_loc = vals[mask]
-        out_j.append(np.full(len(k_loc), j_local, dtype=np.int64))
-        out_i.append(probe_task[mask])
-        out_k.append(k_loc)
-
-    if not out_j:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty, empty
-    return (
-        np.concatenate(out_j),
-        np.concatenate(out_i),
-        np.concatenate(out_k),
-    )

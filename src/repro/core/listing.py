@@ -4,12 +4,13 @@ The paper motivates triangle counting as the kernel inside k-truss
 decomposition, clustering coefficients and transitivity (Section 1).
 Those applications need more than the global count: k-truss needs the
 *support* of every edge (how many triangles contain it) and clustering
-coefficients need per-vertex triangle counts.  This module extends the 2D
-Cannon pipeline to produce them:
+coefficients need per-vertex triangle counts.  The census runs the
+counting pipeline itself — the same preprocessing, the same
+:func:`~repro.core.cannon.cannon_pass`, the same kernels and charges —
+and has the kernels list what they count:
 
-* the intersection kernel additionally *enumerates* each closing vertex,
-  yielding every triangle exactly once as an ordered triple
-  ``i < j < k`` (in degree-order labels);
+* every hit of every epoch comes back as an ordered triple ``i < j < k``
+  (in degree-order labels), each triangle exactly once;
 * triples are translated back to the caller's original vertex ids via the
   gathered preprocessing permutation;
 * :func:`triangle_census_2d` aggregates them into per-edge supports and
@@ -22,23 +23,25 @@ path in :mod:`repro.core.tc2d` has no such limit).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
-from repro.core.cannon import TAGS_TC2D, Operands, exchange_operands
-from repro.core.config import TC2DConfig
-from repro.core.grid import ProcessorGrid
-from repro.core.kernels import get_enumerator, prepare_backend, resolve_backend
-from repro.core.preprocess import (
-    InputChunk,
-    chunk_bounds,
-    cyclic_bounds,
-    partition_1d,
-    preprocess_with_labels,
+from repro.core.cannon import (
+    TAGS_TC2D,
+    GridJob,
+    KernelTally,
+    Operands,
+    cannon_pass,
+    rank_record,
 )
+from repro.core.config import TC2DConfig
+from repro.core.counts import TriangleCountResult
+from repro.core.grid import ProcessorGrid
+from repro.core.preprocess import InputChunk, cyclic_bounds, preprocess_with_labels
 from repro.graph.csr import INDEX_DTYPE, Graph
-from repro.simmpi import SUM, Engine, MachineModel
+from repro.simmpi import SUM, MachineModel
 from repro.simmpi.engine import RankContext
 
 
@@ -60,6 +63,10 @@ class TriangleCensus:
         ``(m, 2)`` canonical edge list (original ids, u < v).
     vertex_triangles:
         ``(n,)`` number of triangles incident on each vertex.
+    result:
+        The run's count record — virtual times, logical counters, shift
+        records — as :func:`~repro.core.tc2d.count_triangles_2d` reports
+        it for the same graph and configuration.
     """
 
     count: int
@@ -67,83 +74,41 @@ class TriangleCensus:
     edge_support: np.ndarray
     edges: np.ndarray
     vertex_triangles: np.ndarray
+    result: TriangleCountResult
 
 
-def _enumerate_block_pair(task_block, u_block, l_block, cfg, q: int):
-    """Like the counting kernel, but emits the closing triples.
-
-    Delegates the hit enumeration to the backend registry (the same
-    ``cfg.kernel_backend`` resolution as the counting path), then lifts
-    the local triples into global label2 space.  Returns
-    ``(n_triangles, triples)`` with triples as a ``(t, 3)`` array of
-    *global label2* ids ``(i, j, k)`` where (j, i) is the task edge and
-    k the closing vertex (i < j < k in degree order).
-    """
-    if u_block.inner_residue != l_block.inner_residue:
-        raise ValueError("operand blocks misaligned in enumeration kernel")
-    x = task_block.fixed_residue
-    y = task_block.inner_residue
-    zp = u_block.inner_residue
-
-    bname, _ = resolve_backend(
-        cfg.kernel_backend, task_block, u_block, l_block, cfg
-    )
-    j_loc, i_loc, k_loc = get_enumerator(bname)(
-        task_block, u_block, l_block, cfg
-    )
-    if len(j_loc) == 0:
-        return 0, np.empty((0, 3), dtype=INDEX_DTYPE)
-    triples = np.stack(
-        [
-            (i_loc * q + y).astype(INDEX_DTYPE),
-            (j_loc * q + x).astype(INDEX_DTYPE),
-            (k_loc * q + zp).astype(INDEX_DTYPE),
-        ],
-        axis=1,
-    )
-    return len(triples), triples
-
-
-def _census_rank_program(
+def census_rank_program(
     ctx: RankContext, chunks: list[InputChunk], cfg: TC2DConfig
-):
-    comm = ctx.comm
-    grid = ProcessorGrid.for_ranks(comm.size)
-    q = grid.q
-    chunk = chunks[ctx.rank]
-
+) -> dict[str, Any]:
+    """SPMD program of the census (public for tests that run it on an
+    engine of their own): tc2d's cold rank program with the kernels
+    listing their hits.  The record adds ``triples`` (this rank's
+    global label2 triples) and ``labels`` (its ``(lo, labels)`` slice of
+    the degree-order permutation)."""
+    grid = ProcessorGrid.for_ranks(ctx.comm.size)
     with ctx.phase("ppt"):
-        blocks, label_info = preprocess_with_labels(ctx, chunk, grid, cfg)
+        blocks, labels = preprocess_with_labels(ctx, chunks[ctx.rank], grid, cfg)
         ops = Operands(*blocks)
         del blocks  # ops alone must hold the travelling blocks
         for blk in ops.blocks():
             ctx.alloc_mem(blk.nbytes_estimate())
-        comm.barrier()
+        ctx.comm.barrier()
+    counters_ppt = dict(ctx.counters)
 
-    triples_parts: list[np.ndarray] = []
+    tally = KernelTally()
+    hits: list[np.ndarray] = []
     with ctx.phase("tct"):
-        if q > 1:
-            exchange_operands(ctx, grid, cfg, ops, TAGS_TC2D, skew=True)
-        for z in range(q):
-            n_tri, triples = _enumerate_block_pair(ops.task, ops.u, ops.l, cfg, q)
-            if n_tri:
-                triples_parts.append(triples)
-            ctx.charge("task", ops.task.nnz)
-            ctx.charge("hash_probe", n_tri)
-            if z < q - 1:
-                exchange_operands(ctx, grid, cfg, ops, TAGS_TC2D)
-        local = (
-            np.concatenate(triples_parts, axis=0)
-            if triples_parts
-            else np.empty((0, 3), dtype=INDEX_DTYPE)
+        local = cannon_pass(
+            ctx, grid, cfg, ops, tally, tags=TAGS_TC2D, prefix="", shift_base=0,
+            hits=hits,
         )
-        total = comm.allreduce(len(local), SUM)
-
-    return {
-        "total": int(total),
-        "triples": local,
-        "labels": label_info,  # (lo, new_labels) in lambda1 space
-    }
+        total = ctx.comm.allreduce(local, SUM)
+    triples = (
+        np.concatenate(hits) if hits else np.empty((0, 3), dtype=INDEX_DTYPE)
+    )
+    return rank_record(
+        ctx, counters_ppt, total, local, tally, triples=triples, labels=labels
+    )
 
 
 def triangle_census_2d(
@@ -155,19 +120,21 @@ def triangle_census_2d(
     """Enumerate every triangle of ``graph`` on ``p`` simulated ranks and
     aggregate per-edge supports and per-vertex counts.
 
-    The enumeration runs the identical Cannon pipeline as
-    :func:`~repro.core.tc2d.count_triangles_2d` (same blocks, same
-    shifts); each hit additionally records its closing vertex.  Triples
-    are mapped back to the input's original vertex labels.
+    The enumeration is the run :func:`~repro.core.tc2d.count_triangles_2d`
+    makes (same blocks, same shifts, same charges); each hit additionally
+    records its closing vertex.  Triples are mapped back to the input's
+    original vertex labels.  The kernels run inline: the census pins
+    ``executor="sequential"``.
     """
     cfg = cfg if cfg is not None else TC2DConfig()
     if cfg.enumeration != "jik":
         raise ValueError("triangle enumeration implements the jik task layout only")
-    prepare_backend(cfg.kernel_backend)
-    grid = ProcessorGrid.for_ranks(p)
-    chunks = partition_1d(graph, p)
-    engine = Engine(p, model=model)
-    run = engine.run(_census_rank_program, chunks, cfg)
+    ProcessorGrid.for_ranks(p)  # validates perfect square early
+    with GridJob(
+        graph, p, cfg.replace(executor="sequential"), "tc2d", model=model
+    ) as job:
+        run = job.run(census_rank_program, job.cfg)
+        result = job.finish(run, "census")
 
     # Reassemble the preprocessing permutation: original id v
     #   --lambda1--> cyclic relabel (closed form)
@@ -188,13 +155,8 @@ def triangle_census_2d(
     inv = np.empty(n, dtype=INDEX_DTYPE)
     inv[perm] = np.arange(n, dtype=INDEX_DTYPE)
 
-    parts = [r["triples"] for r in run.returns if len(r["triples"])]
-    triples_l2 = (
-        np.concatenate(parts, axis=0)
-        if parts
-        else np.empty((0, 3), dtype=INDEX_DTYPE)
-    )
-    count = run.returns[0]["total"]
+    triples_l2 = np.concatenate([r["triples"] for r in run.returns])
+    count = result.count
     if len(triples_l2) != count:
         raise AssertionError("enumerated triples do not match the reduced count")
     triangles = inv[triples_l2] if count else triples_l2
@@ -226,4 +188,5 @@ def triangle_census_2d(
         edge_support=edge_support,
         edges=edges,
         vertex_triangles=vertex_triangles,
+        result=result,
     )

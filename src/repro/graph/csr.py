@@ -34,7 +34,7 @@ class CSR:
     indices:
         Column ids, concatenated row by row.  Rows are kept sorted
         ascending (the backward early-break optimization in
-        :mod:`repro.core.intersect` relies on this, as the paper notes the
+        :mod:`repro.core.kernels` relies on this, as the paper notes the
         initial sort is amortized over the intersections).
     n_cols:
         Number of columns; defaults to ``n_rows``.

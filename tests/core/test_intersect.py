@@ -7,7 +7,15 @@ import pytest
 
 from repro.core.blocks import build_block
 from repro.core.config import TC2DConfig
-from repro.core.intersect import KernelStats, count_block_pair
+from repro.core.kernels import KernelStats, resolve_backend
+
+
+def count_pair(tb, ub, lb, cfg, hits_out=None):
+    """The kernel ``cfg.kernel_backend`` resolves to for this block pair."""
+    _, fn = resolve_backend(
+        cfg.kernel_backend, tb, ub, lb, cfg, listing=hits_out is not None
+    )
+    return fn(tb, ub, lb, cfg, hits_out)
 
 
 def brute_force(tasks, urows, lcols):
@@ -71,7 +79,7 @@ def test_kernel_matches_brute_force_random(cfg):
     for _ in range(60):
         tasks, urows, lcols = random_case(rng)
         tb, ub, lb = to_blocks(tasks, urows, lcols)
-        st = count_block_pair(tb, ub, lb, cfg)
+        st = count_pair(tb, ub, lb, cfg)
         assert st.triangles == brute_force(tasks, urows, lcols)
 
 
@@ -79,12 +87,12 @@ def test_residue_mismatch_rejected():
     tb, ub, lb = to_blocks([(0, 0)], {0: [1]}, {0: [1]})
     ub.inner_residue = 3
     with pytest.raises(ValueError):
-        count_block_pair(tb, ub, lb, TC2DConfig())
+        count_pair(tb, ub, lb, TC2DConfig())
 
 
 def test_empty_blocks():
     tb, ub, lb = to_blocks([], {}, {})
-    st = count_block_pair(tb, ub, lb, TC2DConfig())
+    st = count_pair(tb, ub, lb, TC2DConfig())
     assert st.triangles == 0
     assert st.tasks == 0
 
@@ -94,8 +102,8 @@ def test_row_visit_counts_respect_doubly_sparse():
     urows = {2: [0, 1], 7: [5]}
     lcols = {3: [1], 1: [5]}
     tb, ub, lb = to_blocks(tasks, urows, lcols)
-    on = count_block_pair(tb, ub, lb, TC2DConfig(doubly_sparse=True))
-    off = count_block_pair(tb, ub, lb, TC2DConfig(doubly_sparse=False))
+    on = count_pair(tb, ub, lb, TC2DConfig(doubly_sparse=True))
+    off = count_pair(tb, ub, lb, TC2DConfig(doubly_sparse=False))
     assert on.triangles == off.triangles == 2
     assert on.row_visits == 2  # only non-empty task rows
     assert off.row_visits == 12  # every local row
@@ -107,8 +115,8 @@ def test_early_stop_skips_low_candidates():
     urows = {0: [10, 12]}
     lcols = {0: [1, 2, 3, 10, 12]}
     tb, ub, lb = to_blocks(tasks, urows, lcols)
-    with_stop = count_block_pair(tb, ub, lb, TC2DConfig(early_stop=True))
-    without = count_block_pair(tb, ub, lb, TC2DConfig(early_stop=False))
+    with_stop = count_pair(tb, ub, lb, TC2DConfig(early_stop=True))
+    without = count_pair(tb, ub, lb, TC2DConfig(early_stop=False))
     assert with_stop.triangles == without.triangles == 2
     assert with_stop.probes_skipped == 3
     assert without.probes_skipped == 0
@@ -122,7 +130,7 @@ def test_tasks_counter_excludes_empty_partners():
     urows = {0: [5]}
     lcols = {0: [5], 1: [5]}
     tb, ub, lb = to_blocks(tasks, urows, lcols)
-    st = count_block_pair(tb, ub, lb, TC2DConfig())
+    st = count_pair(tb, ub, lb, TC2DConfig())
     assert st.tasks == 1
     assert st.triangles == 1
 
@@ -132,33 +140,37 @@ def test_modified_hashing_counts_fast_builds():
     urows = {0: [3, 4], 1: [7]}
     lcols = {0: [3], 1: [7]}
     tb, ub, lb = to_blocks(tasks, urows, lcols)
-    on = count_block_pair(tb, ub, lb, TC2DConfig(modified_hashing=True))
-    off = count_block_pair(tb, ub, lb, TC2DConfig(modified_hashing=False))
+    on = count_pair(tb, ub, lb, TC2DConfig(modified_hashing=True))
+    off = count_pair(tb, ub, lb, TC2DConfig(modified_hashing=False))
     assert on.triangles == off.triangles == 2
     assert on.hash_fast_builds > 0
     assert off.hash_fast_builds == 0
 
 
-def test_support_accumulation_per_task():
+def test_hits_list_every_triangle_per_task():
     tasks = [(0, 0), (0, 1), (2, 2)]
     urows = {0: [1, 2, 3], 2: [4]}
     lcols = {0: [1, 3], 1: [2], 2: [5]}
     tb, ub, lb = to_blocks(tasks, urows, lcols)
-    support = np.zeros(tb.nnz, dtype=np.int64)
-    st = count_block_pair(tb, ub, lb, TC2DConfig(), support_out=support)
+    hits = []
+    st = count_pair(tb, ub, lb, TC2DConfig(), hits)
     assert st.triangles == 3
-    # Task CSR order: row 0 cols [0, 1], row 2 col [2].
-    assert support.tolist() == [2, 1, 0]
+    # (j, i, k) in task order: row 0 cols [0, 1]; row 2 closes nothing.
+    assert np.concatenate(hits).tolist() == [[0, 0, 1], [0, 0, 3], [0, 1, 2]]
 
 
-def test_support_matches_plain_count_random():
+def test_hits_match_plain_count_random():
     rng = np.random.default_rng(7)
     for _ in range(30):
         tasks, urows, lcols = random_case(rng)
         tb, ub, lb = to_blocks(tasks, urows, lcols)
-        support = np.zeros(tb.nnz, dtype=np.int64)
-        st = count_block_pair(tb, ub, lb, TC2DConfig(), support_out=support)
-        assert int(support.sum()) == st.triangles
+        hits = []
+        st = count_pair(tb, ub, lb, TC2DConfig(), hits)
+        assert st == count_pair(tb, ub, lb, TC2DConfig())
+        listed = np.concatenate(hits) if hits else np.empty((0, 3), int)
+        assert len(listed) == st.triangles
+        for j, i, k in listed.tolist():
+            assert (j, i) in tasks and k in urows[j] and k in lcols[i]
 
 
 def test_kernel_stats_merge():

@@ -22,8 +22,7 @@ import pytest
 
 from repro.baselines.serial import count_triangles_map_based
 from repro.core import TC2DConfig, count_triangles_2d
-from repro.core.intersect import count_block_pair
-from repro.core.kernels import KernelUnavailableError, compiled
+from repro.core.kernels import KernelUnavailableError, compiled, get_backend
 from tests.core.test_intersect import to_blocks
 
 needs_cc = pytest.mark.skipif(
@@ -51,7 +50,7 @@ def assert_falls_back(er_graph, cause: str) -> None:
     assert cause in info.value.reason
     tb, ub, lb = to_blocks([(0, 0)], {0: [1]}, {0: [1]})
     with pytest.raises(KernelUnavailableError, match=cause):
-        count_block_pair(tb, ub, lb, TC2DConfig(), backend="c")
+        compiled.count_block_pair_c(tb, ub, lb, TC2DConfig())
 
 
 def fake_cc(tmp_path: Path, monkeypatch, body: str) -> None:
@@ -254,15 +253,19 @@ def triple():
     )
 
 
-def _run(tb, ub, lb, support=None):
-    return count_block_pair(tb, ub, lb, TC2DConfig(), support, backend="c")
+def _run(tb, ub, lb):
+    return get_backend("c")(tb, ub, lb, TC2DConfig())
 
 
 def test_wrapper_baseline(triple):
-    tb, ub, lb = triple
-    sup = np.zeros(tb.nnz, dtype=np.int64)
-    assert _run(tb, ub, lb, sup).triangles == 4
-    assert sup.tolist() == [2, 1, 1]
+    assert _run(*triple).triangles == 4
+
+
+def test_wrapper_refuses_to_list(triple):
+    """The loop only counts; a listing call is routed to ``"batch"`` by
+    ``resolve_backend`` and refused here."""
+    with pytest.raises(ValueError, match="counts only"):
+        get_backend("c")(*triple, TC2DConfig(), [])
 
 
 @pytest.mark.parametrize("which", ["task", "u", "l"])
@@ -320,27 +323,6 @@ def test_wrapper_rejects_live_row_outside_block(triple):
     tb.dcsr.nonempty_rows = np.array([0, 9], dtype=np.int64)
     with pytest.raises(ValueError, match="malformed block"):
         _run(tb, ub, lb)
-
-
-@pytest.mark.parametrize(
-    "support",
-    [
-        np.zeros(2, dtype=np.int64),
-        np.zeros(3, dtype=np.int32),
-        np.zeros(6, dtype=np.int64)[::2],
-    ],
-    ids=["short", "int32", "strided"],
-)
-def test_wrapper_rejects_bad_support_out(triple, support):
-    with pytest.raises(ValueError):
-        _run(*triple, support)
-
-
-def test_wrapper_rejects_read_only_support_out(triple):
-    support = np.zeros(3, dtype=np.int64)
-    support.flags.writeable = False
-    with pytest.raises(ValueError, match="writable"):
-        _run(*triple, support)
 
 
 def test_wrapper_rejects_row_longer_than_table(triple, monkeypatch):

@@ -1,12 +1,13 @@
 """Row vs batch vs compiled backend parity — the kernel-contract tests.
 
 The batch and compiled backends are only allowed to change wall time:
-triangle counts, ``support_out`` accumulation and every logical
-:class:`KernelStats` counter must be bit-identical to the row-wise
-reference under every toggle combination, because the counters drive the
-simulated machine model's virtual clock.  On a host that cannot build the
-compiled backend the comparisons run two ways instead of three and
-:func:`test_parity_covers_the_compiled_backend` is skipped with the
+triangle counts, the ``(j, i, k)`` triples a listing call appends to
+``hits_out`` and every logical :class:`KernelStats` counter must be
+bit-identical to the row-wise reference under every toggle combination,
+because the counters drive the simulated machine model's virtual clock.
+A listing call on ``"c"`` resolves to ``"batch"``.  On a host that cannot
+build the compiled backend the comparisons run two ways instead of three
+and :func:`test_parity_covers_the_compiled_backend` is skipped with the
 reason.
 """
 
@@ -23,14 +24,7 @@ from hypothesis import strategies as st
 from repro.core import GRID_DRIVERS, count_triangles_summa
 from repro.core.blocks import Block
 from repro.core.config import TC2DConfig
-from repro.core.intersect import count_block_pair
-from repro.core.kernels import (
-    batched,
-    compiled,
-    enumerate_hits_batch,
-    enumerate_hits_row,
-    resolve_backend,
-)
+from repro.core.kernels import batched, compiled, resolve_backend
 from tests.core.test_intersect import random_case, to_blocks
 
 #: All 2^3 combinations of the kernel-relevant Section 5.2 toggles.
@@ -52,27 +46,28 @@ def backends() -> tuple[str, ...]:
     return ("row", "batch", "c") if compiled.available() else ("row", "batch")
 
 
-def _asdicts(tb, ub, lb, cfg, start=None):
-    """``backend -> (KernelStats as dict, support_out)`` for every backend,
-    each accumulating onto its own copy of ``start`` (zeros by default)."""
-    out = {}
+def run_kernel(backend, tb, ub, lb, cfg, listing=False):
+    """``(KernelStats as dict, listed triples or None)`` of one call on
+    the kernel ``backend`` resolves to."""
+    hits = [] if listing else None
+    _, fn = resolve_backend(backend, tb, ub, lb, cfg, listing=listing)
+    st = dataclasses.asdict(fn(tb, ub, lb, cfg, hits))
+    if not listing:
+        return st, None
+    return st, np.concatenate(hits) if hits else np.empty((0, 3), np.int64)
+
+
+def assert_parity(tb, ub, lb, cfg) -> dict:
+    """Every backend, counting and listing, reports the reference's
+    counters, and every listing call the reference's triples in the same
+    order; returns the reference's counters."""
+    d_row, hits_row = run_kernel("row", tb, ub, lb, cfg, listing=True)
+    assert len(hits_row) == d_row["triangles"]
     for backend in backends():
-        sup = (
-            np.zeros(tb.nnz, dtype=np.int64) if start is None else start.copy()
-        )
-        st = count_block_pair(tb, ub, lb, cfg, sup, backend=backend)
-        out[backend] = (dataclasses.asdict(st), sup)
-    return out
-
-
-def assert_parity(tb, ub, lb, cfg, start=None) -> dict:
-    """Every backend reports the reference's counters and support;
-    returns the reference's counters."""
-    got = _asdicts(tb, ub, lb, cfg, start)
-    d_row, sup_row = got["row"]
-    for backend, (d, sup) in got.items():
+        assert run_kernel(backend, tb, ub, lb, cfg)[0] == d_row, backend
+        d, hits = run_kernel(backend, tb, ub, lb, cfg, listing=True)
         assert d == d_row, backend
-        assert np.array_equal(sup, sup_row), backend
+        assert np.array_equal(hits, hits_row), backend
     return d_row
 
 
@@ -89,7 +84,7 @@ def test_parity_covers_the_compiled_backend():
     )
 )
 def test_parity_random_blocks(cfg):
-    """Seeded sweep: identical KernelStats and support on random triples."""
+    """Seeded sweep: identical KernelStats and triples on random blocks."""
     rng = np.random.default_rng(7)
     for _ in range(25):
         tb, ub, lb = to_blocks(*random_case(rng))
@@ -135,13 +130,13 @@ def _probed_mode_under_auto(picked: str) -> None:
     for _ in range(25):
         tb, ub, lb = _collision_heavy_case(rng)
         assert resolve_backend("auto", tb, ub, lb, cfg)[0] == picked
-        sup_row = np.zeros(tb.nnz, dtype=np.int64)
-        sup_auto = np.zeros(tb.nnz, dtype=np.int64)
-        st_row = count_block_pair(tb, ub, lb, cfg, sup_row, backend="row")
-        st_auto = count_block_pair(tb, ub, lb, cfg, sup_auto)
-        assert st_auto.hash_fast_builds == 0 < st_auto.insert_steps_slow
-        assert dataclasses.asdict(st_row) == dataclasses.asdict(st_auto)
-        assert np.array_equal(sup_row, sup_auto)
+        st_auto, _ = run_kernel("auto", tb, ub, lb, cfg)
+        assert st_auto["hash_fast_builds"] == 0 < st_auto["insert_steps_slow"]
+        assert st_auto == run_kernel("row", tb, ub, lb, cfg)[0]
+        listed = [run_kernel(b, tb, ub, lb, cfg, listing=True)
+                  for b in ("row", "auto")]
+        assert listed[0][0] == listed[1][0]
+        assert np.array_equal(listed[0][1], listed[1][1])
 
 
 def test_parity_probed_mode_under_auto(compiler_less):
@@ -169,9 +164,6 @@ def test_parity_without_dense_slot_scratch(monkeypatch):
         for _ in range(15):
             tb, ub, lb = _collision_heavy_case(rng)
             assert assert_parity(tb, ub, lb, cfg)["probe_steps_slow"] > 0
-            for a, b in zip(enumerate_hits_row(tb, ub, lb, cfg),
-                            enumerate_hits_batch(tb, ub, lb, cfg)):
-                assert np.array_equal(a, b)
 
 
 def test_parity_full_table():
@@ -186,21 +178,32 @@ def test_parity_full_table():
 
 
 def test_enumeration_parity():
-    """Both enumerators emit the same (j, i, k) triples in the same
-    order (the listing pipeline relies on row-major task order)."""
+    """Row and batch list the same (j, i, k) triples in the same order —
+    row-major task order, which the census relies on — and ``c`` lists
+    through ``batch``."""
     rng = np.random.default_rng(3)
     for cfg in (TC2DConfig(), TC2DConfig(early_stop=False),
                 TC2DConfig(modified_hashing=False)):
         for _ in range(25):
             tb, ub, lb = to_blocks(*random_case(rng))
-            row = enumerate_hits_row(tb, ub, lb, cfg)
-            batch = enumerate_hits_batch(tb, ub, lb, cfg)
-            for a, b in zip(row, batch):
-                assert np.array_equal(a, b)
+            assert resolve_backend("c", tb, ub, lb, cfg, listing=True)[0] == "batch"
+            row = run_kernel("row", tb, ub, lb, cfg, listing=True)[1]
+            batch = run_kernel("batch", tb, ub, lb, cfg, listing=True)[1]
+            assert np.array_equal(row, batch)
+            order = np.lexsort(row.T[::-1])
+            assert np.array_equal(order, np.arange(len(row)))
 
 
-@settings(max_examples=40, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
+@settings(
+    # Tier-1 draws 40 cases; a loaded profile brings its own budget (CI:
+    # `--hypothesis-profile=long --hypothesis-seed=0`, 2000 cases).
+    max_examples=(
+        40 if settings.default is settings.get_profile("default")
+        else settings.default.max_examples
+    ),
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
 @given(
     data=st.data(),
     ds=st.booleans(),
@@ -235,7 +238,7 @@ def test_parity_property(data, ds, mh, es):
     assert_parity(tb, ub, lb, cfg)
 
 
-# -- blocks as they arrive, support as it accumulates, degenerate shapes ----
+# -- blocks as they arrive, triples as they append, degenerate shapes ------
 
 
 def _via_blob(block: Block) -> Block:
@@ -270,18 +273,21 @@ def test_parity_on_deserialized_blocks(arrival, tmp_path):
             assert assert_parity(*arrived, cfg) == assert_parity(*built, cfg)
 
 
-def test_parity_support_accumulates_onto_contents():
-    """``support_out`` is added to, never overwritten."""
+def test_parity_hits_append_to_the_list():
+    """``hits_out`` is appended to, never cleared or rewritten."""
     rng = np.random.default_rng(23)
+    cfg = TC2DConfig()
     for _ in range(20):
         tb, ub, lb = _collision_heavy_case(rng)
-        start = rng.integers(1, 1000, size=tb.nnz).astype(np.int64)
-        assert_parity(tb, ub, lb, TC2DConfig(), start)
-        (_, fresh), (_, onto) = (
-            _asdicts(tb, ub, lb, TC2DConfig(), st)["row"]
-            for st in (None, start)
-        )
-        assert np.array_equal(onto, fresh + start)
+        fresh = run_kernel("row", tb, ub, lb, cfg, listing=True)[1]
+        for backend in ("row", "batch"):
+            sentinel = np.full((2, 3), -1, dtype=np.int64)
+            hits = [sentinel]
+            resolve_backend(backend, tb, ub, lb, cfg, listing=True)[1](
+                tb, ub, lb, cfg, hits
+            )
+            assert hits[0] is sentinel and (sentinel == -1).all()
+            assert np.array_equal(np.concatenate(hits[1:] or [fresh]), fresh)
 
 
 @pytest.mark.parametrize(

@@ -8,14 +8,12 @@ import pytest
 from repro.core import kernels
 from repro.core.kernels import compiled
 from repro.core.config import TC2DConfig
-from repro.core.intersect import count_block_pair
 from repro.core.kernels import (
     KernelStats,
     KernelUnavailableError,
     available_backends,
     choose_backend,
     get_backend,
-    get_enumerator,
     kernel_capacity,
     prepare_backend,
     register_backend,
@@ -36,11 +34,9 @@ def test_builtin_backends_registered():
 def test_unknown_backend_rejected():
     with pytest.raises(ValueError, match="unknown kernel backend"):
         get_backend("simd")
-    with pytest.raises(ValueError, match="unknown kernel backend"):
-        get_enumerator("simd")
     tb, ub, lb = to_blocks([(0, 0)], {0: [1]}, {0: [1]})
     with pytest.raises(ValueError, match="unknown kernel backend"):
-        count_block_pair(tb, ub, lb, TC2DConfig(), backend="simd")
+        resolve_backend("simd", tb, ub, lb, TC2DConfig(), listing=True)
 
 
 def test_auto_name_reserved():
@@ -52,25 +48,30 @@ def test_double_registration_rejected_unless_replace():
     fn = get_backend("row")
     with pytest.raises(ValueError, match="already registered"):
         register_backend("row", fn)
-    register_backend("row", fn, kernels.enumerate_hits_row, replace=True)
+    register_backend("row", fn, replace=True)
     assert get_backend("row") is fn
 
 
 def test_custom_backend_roundtrip():
     calls = []
 
-    def probe_backend(tb, ub, lb, cfg, support_out=None):
+    def probe_backend(tb, ub, lb, cfg, hits_out=None):
         calls.append(tb.nnz)
-        return kernels.count_block_pair_row(tb, ub, lb, cfg, support_out)
+        return kernels.count_block_pair_row(tb, ub, lb, cfg, hits_out)
 
     register_backend("probe-test", probe_backend)
     try:
         tb, ub, lb = to_blocks([(0, 0)], {0: [1]}, {0: [1]})
-        st = count_block_pair(tb, ub, lb, TC2DConfig(), backend="probe-test")
+        st = get_backend("probe-test")(tb, ub, lb, TC2DConfig())
         assert st.triangles == 1
         assert calls == [1]
-        # No enumeration twin registered: falls back to the row enumerator.
-        assert get_enumerator("probe-test") is kernels.enumerate_hits_row
+        # One entry counts and lists: no enumeration twin to register.
+        name, fn = resolve_backend(
+            "probe-test", tb, ub, lb, TC2DConfig(), listing=True
+        )
+        hits = []
+        assert (name, fn(tb, ub, lb, TC2DConfig(), hits)) == ("probe-test", st)
+        assert np.concatenate(hits).tolist() == [[0, 0, 1]]
     finally:
         kernels._REGISTRY.pop("probe-test", None)
 
@@ -121,13 +122,13 @@ def test_auto_dispatch_degenerate_blocks_stay_row(compiler_less):
 
 
 def test_auto_dispatch_degenerate_blocks_compiled(compiled_loaded):
-    """Nothing to count stays ``row`` (no call at all is cheaper than a
-    foreign call); a single task already goes to ``"c"``."""
+    """Where the library loaded every block pair goes to ``"c"``, an empty
+    one too (a run on ``"c"`` never loads the Python kernels), and a
+    listing call on it to ``"batch"``."""
     cfg = TC2DConfig()
-    tb, ub, lb = to_blocks([], {}, {})
-    assert choose_backend(tb, ub, lb, cfg) == "row"
-    tb, ub, lb = to_blocks([(0, 0)], {0: [1]}, {0: [1]})
-    assert choose_backend(tb, ub, lb, cfg) == "c"
+    for blocks in (to_blocks([], {}, {}), to_blocks([(0, 0)], {0: [1]}, {0: [1]})):
+        assert choose_backend(*blocks, cfg) == "c"
+        assert resolve_backend("auto", *blocks, cfg, listing=True)[0] == "batch"
 
 
 def _probed_block():
@@ -161,13 +162,12 @@ def test_explicit_c_on_a_compiler_less_host_is_a_typed_error(compiler_less):
         lambda: get_backend("c"),
         lambda: prepare_backend("c"),
         lambda: resolve_backend("c", tb, ub, lb, TC2DConfig()),
-        lambda: count_block_pair(tb, ub, lb, TC2DConfig(), backend="c"),
+        lambda: compiled.count_block_pair_c(tb, ub, lb, TC2DConfig()),
     ):
         with pytest.raises(KernelUnavailableError, match="no C compiler") as info:
             ask()
         assert "no C compiler" in info.value.reason
     prepare_backend("auto")  # silent
-    assert get_enumerator("c") is kernels.enumerate_hits_batch
 
 
 def test_auto_matches_concrete_backends():
@@ -178,7 +178,9 @@ def test_auto_matches_concrete_backends():
         tb, ub, lb = to_blocks(*random_case(rng))
         cfg = TC2DConfig()
         d = {
-            b: dataclasses.asdict(count_block_pair(tb, ub, lb, cfg, backend=b))
+            b: dataclasses.asdict(
+                resolve_backend(b, tb, ub, lb, cfg)[1](tb, ub, lb, cfg)
+            )
             for b in ("auto", "row", "batch")
             + (("c",) if compiled.available() else ())
         }

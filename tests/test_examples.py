@@ -69,14 +69,6 @@ def test_clustering(capsys):
     assert "transitivity" in out
 
 
-@pytest.mark.slow
-def test_approximate_counting(capsys):
-    run_example("approximate_counting.py")
-    out = capsys.readouterr().out
-    assert "exact count" in out
-    assert "keep prob" in out
-
-
 # -- documentation snippets ---------------------------------------------------
 #
 # The fenced code blocks in the user-facing docs are executable claims;

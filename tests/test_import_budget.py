@@ -38,7 +38,6 @@ LAZY_PACKAGES = [
 FORBIDDEN = [
     "repro.baselines",
     "repro.bench.runner",
-    "repro.core.approximate",
     "repro.core.autotune",
     "repro.core.balance",
     "repro.core.coveredge",
