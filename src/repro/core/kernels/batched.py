@@ -297,10 +297,10 @@ def count_block_pair_batch(
     stats.insert_steps_fast = int(plan.u_lens[plan.fast].sum())
 
     hit = _hit_mask(plan, u_block, l_block, stats)
-    sel = np.nonzero(hit)[0]
-    stats.triangles = len(sel)
+    stats.triangles = int(np.count_nonzero(hit))
 
-    if hits_out is not None and len(sel):
+    if hits_out is not None and stats.triangles:
+        sel = np.nonzero(hit)[0]
         window_tcol = np.repeat(plan.tcols, plan.w_lens)
         hits_out.append(np.stack(
             [plan.rows[plan.window_row[sel]], window_tcol[sel],
