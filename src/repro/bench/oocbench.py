@@ -258,8 +258,7 @@ def _run_child(mode: str, **kw: Any) -> dict[str, Any]:
 
 
 def _parity_cases(smoke: bool) -> list[dict[str, Any]]:
-    """In-process OOC vs in-memory parity across grids x reorder."""
-    from repro.core.config import TC2DConfig
+    """In-process OOC vs in-memory parity across grids."""
     from repro.core.tc2d import count_triangles_2d
     from repro.graph import rmat_graph
     from repro.graph.external import count_triangles_oocore
@@ -272,31 +271,27 @@ def _parity_cases(smoke: bool) -> list[dict[str, Any]]:
         path = Path(td) / "parity.txt"
         write_edge_list(graph, path)
         for p in (4, 9):
-            for reorder in (True, False):
-                cfg = TC2DConfig(degree_reorder=reorder)
-                ref = count_triangles_2d(graph, p, cfg)
-                res = count_triangles_oocore(
-                    path, p, cfg=cfg, workdir=td,
-                    chunk_bytes=1 << 16, store=Path(td) / "store",
-                )
-                info = res.extras["out_of_core"]
-                rows.append(
-                    {
-                        "name": f"parity-rmat{scale}-p{p}-"
-                        f"{'reorder' if reorder else 'noreorder'}",
-                        "p": p,
-                        "degree_reorder": reorder,
-                        "triangles": int(ref.count),
-                        "ooc_triangles": int(res.count),
-                        "digest": info["digest"],
-                        "count_match": int(ref.count) == int(res.count),
-                    }
-                )
-                print(
-                    f"{rows[-1]['name']:<34} inmem={ref.count} "
-                    f"ooc={res.count} match={rows[-1]['count_match']}",
-                    file=sys.stderr,
-                )
+            ref = count_triangles_2d(graph, p)
+            res = count_triangles_oocore(
+                path, p, workdir=td,
+                chunk_bytes=1 << 16, store=Path(td) / "store",
+            )
+            info = res.extras["out_of_core"]
+            rows.append(
+                {
+                    "name": f"parity-rmat{scale}-p{p}-reorder",
+                    "p": p,
+                    "triangles": int(ref.count),
+                    "ooc_triangles": int(res.count),
+                    "digest": info["digest"],
+                    "count_match": int(ref.count) == int(res.count),
+                }
+            )
+            print(
+                f"{rows[-1]['name']:<34} inmem={ref.count} "
+                f"ooc={res.count} match={rows[-1]['count_match']}",
+                file=sys.stderr,
+            )
     return rows
 
 

@@ -39,9 +39,6 @@ def _cfg_key(cfg: TC2DConfig) -> tuple:
         cfg.modified_hashing,
         cfg.early_stop,
         cfg.blob_serialization,
-        cfg.initial_cyclic,
-        cfg.degree_reorder,
-        cfg.hashmap_slack,
     )
 
 

@@ -1,8 +1,9 @@
 """Configuration of the 2D triangle-counting pipeline.
 
-Every Section 5.2/5.3 design choice is a toggle here so the Section 7.3
-ablation benchmarks can switch individual optimizations off and measure the
-modeled-runtime delta.
+Every Section 5.2 optimization and the jik/ijk enumeration choice is a
+toggle here so the Section 7.3 ablation benchmarks can switch one off and
+measure the modeled-runtime delta.  The Section 5.3 preprocessing (cyclic
+redistribution, then degree reordering) is one fixed sequence, not a toggle.
 """
 
 from __future__ import annotations
@@ -69,18 +70,6 @@ class TC2DConfig:
         Pack each block into one contiguous byte buffer before shifting so
         a shift is one message instead of one per array (Section 5.2
         "reducing overheads associated with communication").
-    initial_cyclic:
-        Perform the initial 1D cyclic redistribution + relabeling
-        (Section 5.3) to break up localized dense vertex clusters.
-    degree_reorder:
-        Reorder vertices by non-decreasing degree with the distributed
-        counting sort (Section 5.3).  Off is only useful for studying how
-        much the ordering matters; the U/L split then uses (degree, id)
-        comparisons directly.
-    hashmap_slack:
-        Hash-map capacity as a multiple of the longest local fragment;
-        may be fractional (the product is rounded to an integer before it
-        sizes the map).
     kernel_backend:
         Intersection-kernel implementation: ``"row"`` (reference per-row
         loop), ``"batch"`` (vectorized), ``"c"`` (the compiled loop) or
@@ -118,9 +107,6 @@ class TC2DConfig:
     modified_hashing: bool = True
     early_stop: bool = True
     blob_serialization: bool = True
-    initial_cyclic: bool = True
-    degree_reorder: bool = True
-    hashmap_slack: float = 1
     kernel_backend: str = "auto"
     executor: str = "sequential"
     workers: int = 0
@@ -138,8 +124,6 @@ class TC2DConfig:
                 f"enumeration must be one of {ENUMERATIONS}, "
                 f"got {self.enumeration!r}"
             )
-        if self.hashmap_slack < 1:
-            raise ValueError("hashmap_slack must be >= 1")
         if self.kernel_backend not in KERNEL_BACKENDS:
             raise ValueError(
                 f"kernel_backend must be one of {KERNEL_BACKENDS}, "
@@ -165,17 +149,17 @@ class TC2DConfig:
         ``algorithm`` selects which preprocessing pipeline ran (tc2d's
         U/L split vs. cover-edge's BFS-level construction — entirely
         different block contents); ``enumeration`` (which side becomes
-        the task block), ``initial_cyclic`` and ``degree_reorder`` (the
-        Section 5.3 relabeling steps) alter the blocks that pipeline
-        emits.  Kernel, executor and serialization toggles only change
-        how the same blocks are consumed, so they deliberately share one
-        cached artifact.
+        the task block) alters the blocks that pipeline emits.  Kernel,
+        executor and serialization toggles only change how the same
+        blocks are consumed, so they deliberately share one cached
+        artifact.
         """
         return {
             "algorithm": self.algorithm,
             "enumeration": self.enumeration,
-            "initial_cyclic": self.initial_cyclic,
-            "degree_reorder": self.degree_reorder,
+            # Always on; kept so existing store entries keep their digests.
+            "initial_cyclic": True,
+            "degree_reorder": True,
         }
 
     #: Configurations used by the Section 7.3 ablation bench.

@@ -65,7 +65,6 @@ from repro.core.grid import ProcessorGrid
 from repro.core.preprocess import (
     InputChunk,
     LocalRows,
-    chunk_bounds,
     cyclic_bounds,
     degree_reorder,
     exchange_pairs,
@@ -178,8 +177,7 @@ def coveredge_preprocess(
       column-major ("L" role) plus the cover-edge task block;
     * ``blocks_h`` — a standard tc2d U/L/task triple of the horizontal
       subgraph, built by :func:`split_and_distribute` on the filtered
-      rows (so it inherits the offload path and the no-reorder degree
-      comparison unchanged).
+      rows.
 
     Returns ``(blocks_a, blocks_h, (lo, labels), info)`` where ``info``
     carries the BFS round count and the local horizontal statistics.
@@ -189,18 +187,15 @@ def coveredge_preprocess(
     p = comm.size
     q = grid.q
 
-    rows = initial_redistribution(ctx, chunk, cfg)
-    offsets = cyclic_bounds(n, p) if cfg.initial_cyclic else chunk_bounds(n, p)
+    rows = initial_redistribution(ctx, chunk)
+    offsets = cyclic_bounds(n, p)
 
     level, nbr_level, rounds = bfs_levels_distributed(ctx, rows, offsets, n)
     lens = rows.csr.row_lengths()
     horiz = nbr_level == np.repeat(level, lens)
     ctx.charge("scan", rows.csr.nnz)
 
-    if cfg.degree_reorder:
-        rows, row_labels = degree_reorder(ctx, rows, offsets, n)
-    else:
-        row_labels = rows.labels
+    rows, row_labels = degree_reorder(ctx, rows, offsets, n)
     # The reorder translates entries in place (positions preserved), so
     # the per-occurrence horizontal mask stays aligned.
     lens = rows.csr.row_lengths()
@@ -242,9 +237,7 @@ def coveredge_preprocess(
         n_cols=n,
     )
     rows_h = LocalRows(lo=rows.lo, hi=rows.hi, csr=h_csr)
-    blocks_h = split_and_distribute(
-        ctx, rows_h, row_labels, grid, n, cfg, offsets
-    )
+    blocks_h = split_and_distribute(ctx, rows_h, row_labels, grid, n, cfg)
 
     info = {"bfs_rounds": rounds, "cover_local": int(np.count_nonzero(cover_mask))}
     return (u_a, l_a, task_a), blocks_h, (rows.lo, row_labels), info

@@ -147,7 +147,7 @@ def _build_plan(task_block: Block, u_block: Block, l_block: Block,
     # Concatenated U fragments of the live rows and the fast/slow split.
     u_gather = multirange(u_indptr[rows], u_lens)
     ukeys = u_indices[u_gather]
-    capacity = table_capacity(kernel_capacity(cfg, U))
+    capacity = table_capacity(kernel_capacity(U))
     if cfg.modified_hashing:
         # A row builds fast iff its keys' table slots are pairwise
         # distinct — the same test BlockHashMap.build applies.

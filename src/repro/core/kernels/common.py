@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.blocks import Block
-from repro.core.config import TC2DConfig
 from repro.graph.dcsr import DCSR
 
 
@@ -58,17 +57,15 @@ class KernelStats:
         self.triangles += other.triangles
 
 
-def kernel_capacity(cfg: TC2DConfig, u_dcsr: DCSR) -> int:
-    """Hash-map capacity for one block sweep (always an ``int``).
+def kernel_capacity(u_dcsr: DCSR) -> int:
+    """Hash-map capacity for one block sweep: the longest local fragment,
+    at least 4.
 
-    ``hashmap_slack`` may be fractional (e.g. 1.5), so the product is
-    rounded before it reaches :class:`~repro.hashing.hashmap.BlockHashMap`
-    — the map's power-of-two rounding expects an integer.  Every backend
-    must size its map with this exact rule: the capacity fixes the slot
-    mask, and the slot mask decides which rows take the collision-free
-    fast path, which is observable in the logical counters.
+    Every backend must size its map with this exact rule: the capacity
+    fixes the slot mask, and the slot mask decides which rows take the
+    collision-free fast path, which is observable in the logical counters.
     """
-    return max(4, int(round(cfg.hashmap_slack * max(1, u_dcsr.max_row_length()))))
+    return max(4, u_dcsr.max_row_length())
 
 
 def require_aligned(u_block: Block, l_block: Block) -> None:

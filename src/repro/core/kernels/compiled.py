@@ -309,7 +309,7 @@ def count_block_pair_c(
     live = None
     if cfg.doubly_sparse:
         live = _int64_array("task nonempty_rows", tasks.nonempty_rows)
-    capacity = table_capacity(kernel_capacity(cfg, U))
+    capacity = table_capacity(kernel_capacity(U))
     out = _call(fn, t, live, u, l, capacity, cfg)
     return KernelStats(tasks.row_visit_cost(cfg.doubly_sparse), *out)
 

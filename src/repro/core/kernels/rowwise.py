@@ -57,7 +57,7 @@ def count_block_pair_row(
     t_indptr = tasks.indptr
     t_indices = tasks.indices
 
-    hm = BlockHashMap(kernel_capacity(cfg, U))
+    hm = BlockHashMap(kernel_capacity(U))
 
     total = 0
     row_iter = tasks.nonempty_rows if cfg.doubly_sparse else range(tasks.n_rows)

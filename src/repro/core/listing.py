@@ -140,17 +140,12 @@ def triangle_census_2d(
     #   --lambda1--> cyclic relabel (closed form)
     #   --lambda2--> degree-sorted label (rank-local tables, gathered here).
     n = graph.n
-    lam1 = np.arange(n, dtype=INDEX_DTYPE)
-    if cfg.initial_cyclic:
-        offsets = cyclic_bounds(n, p)
-        v = np.arange(n, dtype=INDEX_DTYPE)
-        lam1 = offsets[v % p] + v // p
-    lam2 = np.arange(n, dtype=INDEX_DTYPE)
-    if cfg.degree_reorder:
-        lam2 = np.empty(n, dtype=INDEX_DTYPE)
-        for ret in run.returns:
-            lo, labels = ret["labels"]
-            lam2[lo : lo + len(labels)] = labels
+    v = np.arange(n, dtype=INDEX_DTYPE)
+    lam1 = cyclic_bounds(n, p)[v % p] + v // p
+    lam2 = np.empty(n, dtype=INDEX_DTYPE)
+    for ret in run.returns:
+        lo, labels = ret["labels"]
+        lam2[lo : lo + len(labels)] = labels
     perm = lam2[lam1]  # original -> final label
     inv = np.empty(n, dtype=INDEX_DTYPE)
     inv[perm] = np.arange(n, dtype=INDEX_DTYPE)

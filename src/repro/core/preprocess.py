@@ -144,22 +144,11 @@ def _label_order(labels: np.ndarray, lo: int, hi: int) -> np.ndarray:
     return order
 
 
-def initial_redistribution(
-    ctx: RankContext, chunk: InputChunk, cfg: TC2DConfig
-) -> LocalRows:
-    """Step 1: move every vertex to rank ``v % p`` with relabeled ids.
-
-    With ``cfg.initial_cyclic`` off this is a no-op repackaging of the
-    input chunk (labels unchanged, bounds = the driver's block bounds).
-    """
+def initial_redistribution(ctx: RankContext, chunk: InputChunk) -> LocalRows:
+    """Step 1: move every vertex to rank ``v % p`` with relabeled ids."""
     comm = ctx.comm
     p = comm.size
     n = chunk.n
-    if not cfg.initial_cyclic:
-        bounds = chunk_bounds(n, p)
-        lo, hi = int(bounds[comm.rank]), int(bounds[comm.rank + 1])
-        return LocalRows(lo=lo, hi=hi, csr=chunk.csr)
-
     offsets = cyclic_bounds(n, p)
     old_labels = chunk.start + np.arange(chunk.csr.n_rows, dtype=INDEX_DTYPE)
     owners = old_labels % p
@@ -391,35 +380,22 @@ def split_and_distribute(
     grid: ProcessorGrid,
     n: int,
     cfg: TC2DConfig,
-    offsets: np.ndarray,
 ) -> tuple[Block, Block, Block]:
     """Step 3: classify each edge occurrence as U or L and ship it to the
     grid rank owning its matrix cell; build the three local blocks.
 
-    ``row_labels[k]`` is the (possibly reordered) label of local row ``k``;
-    entries of ``rows.csr`` are already in the same label space.  When the
-    degree reorder is disabled, positions are compared by ``(degree,
-    label)`` instead, which requires fetching neighbor degrees (one more
-    all-to-all) exactly as the paper describes.
+    ``row_labels[k]`` is the degree-ordered label of local row ``k``;
+    entries of ``rows.csr`` are already in the same label space, so an
+    entry is upper-triangular exactly when its label exceeds its row's.
     """
     comm = ctx.comm
     p = comm.size
     q = grid.q
-    lens = rows.csr.row_lengths()
-    row_rep = np.repeat(row_labels, lens)
+    row_rep = np.repeat(row_labels, rows.csr.row_lengths())
     cols = rows.csr.indices
     ctx.charge("scan", rows.csr.nnz)
 
-    if cfg.degree_reorder:
-        upper = cols > row_rep
-    else:
-        deg_rep = np.repeat(rows.degrees.astype(INDEX_DTYPE), lens)
-        deg_cols = translate_labels(
-            ctx, cols, offsets, rows.degrees.astype(INDEX_DTYPE)
-        )
-        upper = (deg_cols > deg_rep) | ((deg_cols == deg_rep) & (cols > row_rep))
-
-    parts = ul_parts(row_rep, cols, upper, q, p)
+    parts = ul_parts(row_rep, cols, cols > row_rep, q, p)
     u_recv = exchange_pairs(comm, parts[:p])
     l_recv = exchange_pairs(comm, parts[p:])
     x, y = grid.coords(comm.rank)
@@ -464,11 +440,7 @@ def preprocess_with_labels(
     comm = ctx.comm
     n = chunk.n
     p = comm.size
-    rows = initial_redistribution(ctx, chunk, cfg)
-    offsets = cyclic_bounds(n, p) if cfg.initial_cyclic else chunk_bounds(n, p)
-    if cfg.degree_reorder:
-        rows, row_labels = degree_reorder(ctx, rows, offsets, n)
-    else:
-        row_labels = rows.labels
-    blocks = split_and_distribute(ctx, rows, row_labels, grid, n, cfg, offsets)
+    rows = initial_redistribution(ctx, chunk)
+    rows, row_labels = degree_reorder(ctx, rows, cyclic_bounds(n, p), n)
+    blocks = split_and_distribute(ctx, rows, row_labels, grid, n, cfg)
     return blocks, (rows.lo, row_labels)

@@ -27,7 +27,6 @@ from repro.core.config import TC2DConfig
 from repro.core.counts import TriangleCountResult
 from repro.core.preprocess import (
     InputChunk,
-    chunk_bounds,
     cyclic_bounds,
     degree_reorder,
     exchange_pairs,
@@ -60,16 +59,10 @@ def summa_rank_program(
     T, w = _panels(n, pr, pc)
 
     with ctx.phase("ppt"):
-        rows = initial_redistribution(ctx, chunk, cfg)
-        offsets = (
-            cyclic_bounds(n, comm.size)
-            if cfg.initial_cyclic
-            else chunk_bounds(n, comm.size)
+        rows = initial_redistribution(ctx, chunk)
+        rows, row_labels = degree_reorder(
+            ctx, rows, cyclic_bounds(n, comm.size), n
         )
-        if cfg.degree_reorder:
-            rows, row_labels = degree_reorder(ctx, rows, offsets, n)
-        else:
-            row_labels = rows.labels
 
         lens = rows.csr.row_lengths()
         row_rep = np.repeat(row_labels, lens)

@@ -91,37 +91,25 @@ def _budget_rows(chunk_bytes: int, width: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _iter_i8_blocks(
-    path: Path, chunk_rows: int, width: int = 1
-) -> Iterator[np.ndarray]:
-    """Sequential blocks of a flat int64 file, shaped ``(k,)`` or
-    ``(k, width)``."""
+def _iter_i8_blocks(path: Path, chunk_rows: int) -> Iterator[np.ndarray]:
+    """Sequential ``(k,)`` blocks of a flat int64 file."""
     with open(path, "rb") as fh:
         while True:
-            arr = np.fromfile(fh, dtype=INDEX_DTYPE, count=chunk_rows * width)
+            arr = np.fromfile(fh, dtype=INDEX_DTYPE, count=chunk_rows)
             if arr.size == 0:
                 return
-            yield arr if width == 1 else arr.reshape(-1, width)
+            yield arr
 
 
 class _BlockReader:
     """Pull-based block iterator with a ``next()`` returning ``None`` at
     end of stream (what the merge loop wants)."""
 
-    def __init__(self, path: Path, chunk_rows: int, width: int):
-        self._it = _iter_i8_blocks(path, chunk_rows, width)
+    def __init__(self, path: Path, chunk_rows: int):
+        self._it = _iter_i8_blocks(path, chunk_rows)
 
     def next(self) -> np.ndarray | None:
         return next(self._it, None)
-
-
-def _sort_rows(arr: np.ndarray) -> np.ndarray:
-    """Sort rows by their first column (stable), or a flat key array."""
-    if arr.ndim == 1:
-        out = arr.copy()
-        out.sort()
-        return out
-    return arr[np.argsort(arr[:, 0], kind="stable")]
 
 
 def _dedup_sorted(arr: np.ndarray, last: int | None) -> tuple[np.ndarray, int | None]:
@@ -140,7 +128,6 @@ def _merge_pair(
     b_path: Path,
     out_path: Path,
     chunk_rows: int,
-    width: int,
     dedup: bool,
 ) -> None:
     """Stream-merge two sorted run files into one (bounded memory).
@@ -149,8 +136,8 @@ def _merge_pair(
     blocks' last keys — that block is fully consumed, so the loop makes
     progress and emitted output never interleaves with later input.
     """
-    ra = _BlockReader(a_path, chunk_rows, width)
-    rb = _BlockReader(b_path, chunk_rows, width)
+    ra = _BlockReader(a_path, chunk_rows)
+    rb = _BlockReader(b_path, chunk_rows)
     a, b = ra.next(), rb.next()
     last: int | None = None
     with open(out_path, "wb") as fh:
@@ -162,12 +149,10 @@ def _merge_pair(
             block.tofile(fh)
 
         while a is not None and b is not None:
-            ka = a if width == 1 else a[:, 0]
-            kb = b if width == 1 else b[:, 0]
-            bound = min(int(ka[-1]), int(kb[-1]))
-            ca = int(np.searchsorted(ka, bound, side="right"))
-            cb = int(np.searchsorted(kb, bound, side="right"))
-            emit(_sort_rows(np.concatenate([a[:ca], b[:cb]])))
+            bound = min(int(a[-1]), int(b[-1]))
+            ca = int(np.searchsorted(a, bound, side="right"))
+            cb = int(np.searchsorted(b, bound, side="right"))
+            emit(np.sort(np.concatenate([a[:ca], b[:cb]])))
             a = a[ca:] if ca < len(a) else ra.next()
             b = b[cb:] if cb < len(b) else rb.next()
         for rest, reader in ((a, ra), (b, rb)):
@@ -177,35 +162,31 @@ def _merge_pair(
 
 
 class SpillSorter:
-    """External sort of int64 rows: buffer, spill sorted runs, merge.
+    """External sort of int64 keys: buffer, spill sorted runs, merge.
 
-    ``width == 1`` sorts flat keys (optionally deduplicating, applied
-    per run and again at every merge so duplicates never survive a
-    round); ``width >= 2`` sorts rows by their first column with a
-    stable tie order.  Peak memory is a few buffered blocks — see
-    :func:`_budget_rows`.
+    Optional deduplication is applied per run and again at every merge,
+    so duplicates never survive a round.  Peak memory is a few buffered
+    blocks — see :func:`_budget_rows`.
     """
 
     def __init__(
         self,
         tmpdir: str | Path,
         chunk_bytes: int,
-        width: int = 1,
         dedup: bool = False,
         tag: str = "run",
     ):
         self.tmpdir = Path(tmpdir)
-        self.width = width
         self.dedup = dedup
         self.tag = tag
-        self.chunk_rows = _budget_rows(chunk_bytes, width)
+        self.chunk_rows = _budget_rows(chunk_bytes, 1)
         self.spilled_bytes = 0
         self._runs: list[Path] = []
         self._buf: list[np.ndarray] = []
         self._buf_rows = 0
 
     def add(self, rows: np.ndarray) -> None:
-        """Append rows (``(k,)`` keys or ``(k, width)`` arrays)."""
+        """Append a ``(k,)`` block of keys."""
         if rows.size == 0:
             return
         self._buf.append(rows)
@@ -221,8 +202,8 @@ class SpillSorter:
         take, rest = arr[: self.chunk_rows], arr[self.chunk_rows :]
         if rest.size:
             self._buf, self._buf_rows = [rest], len(rest)
-        take = _sort_rows(take)
-        if self.dedup and self.width == 1:
+        take = np.sort(take)
+        if self.dedup:
             take, _ = _dedup_sorted(take, None)
         path = self.tmpdir / f"{self.tag}{len(self._runs):05d}.i8"
         take.tofile(path)
@@ -230,7 +211,7 @@ class SpillSorter:
         self._runs.append(path)
 
     def finish(self, out_path: str | Path) -> int:
-        """Merge all runs into ``out_path``; returns the row count."""
+        """Merge all runs into ``out_path``; returns the key count."""
         while self._buf_rows:
             self._spill()
         out_path = Path(out_path)
@@ -245,8 +226,7 @@ class SpillSorter:
             for i in range(0, len(runs) - 1, 2):
                 dst = self.tmpdir / f"{self.tag}m{gen:03d}_{i // 2:05d}.i8"
                 _merge_pair(
-                    runs[i], runs[i + 1], dst, self.chunk_rows, self.width,
-                    self.dedup,
+                    runs[i], runs[i + 1], dst, self.chunk_rows, self.dedup
                 )
                 self.spilled_bytes += dst.stat().st_size
                 runs[i].unlink()
@@ -257,7 +237,7 @@ class SpillSorter:
             runs = merged
             gen += 1
         os.replace(runs[0], out_path)
-        return out_path.stat().st_size // (8 * self.width)
+        return out_path.stat().st_size // 8
 
 
 class _TableJoin:
@@ -481,7 +461,6 @@ def external_preprocess(
     from repro.core.grid import ProcessorGrid
     from repro.core.preprocess import (
         assemble_blocks,
-        chunk_bounds,
         counting_sort_placement,
         cyclic_bounds,
     )
@@ -511,7 +490,7 @@ def external_preprocess(
     spilled = 0
     try:
         # -- 1+2: ingest + merge -> canonical sorted unique u < v keys --
-        sorter = SpillSorter(tmp_root, chunk_bytes, width=1, dedup=True, tag="e")
+        sorter = SpillSorter(tmp_root, chunk_bytes, dedup=True, tag="e")
         for pairs in _iter_edges(path, n, read_bytes):
             lo = pairs.min(axis=1)
             hi = pairs.max(axis=1)
@@ -551,8 +530,8 @@ def external_preprocess(
             try:
                 _materialize_entry(
                     cache, edges_path, n, m, p, q, cfg, chunk_bytes, tmp_root,
-                    clock, grid, chunk_bounds, cyclic_bounds,
-                    counting_sort_placement, assemble_blocks,
+                    clock, grid, cyclic_bounds, counting_sort_placement,
+                    assemble_blocks,
                     stop_after=stop_after,
                 )
                 spilled += int(clock.stages["translate"]["spilled"])
@@ -586,7 +565,6 @@ def _materialize_entry(
     tmp_root: Path,
     clock: _StageClock,
     grid: Any,
-    chunk_bounds: Any,
     cyclic_bounds: Any,
     counting_sort_placement: Any,
     assemble_blocks: Any,
@@ -596,21 +574,14 @@ def _materialize_entry(
     from repro.core.preprocess import ul_parts
 
     key_rows = _budget_rows(chunk_bytes, 2)
-    if cfg.initial_cyclic:
-        offsets = cyclic_bounds(n, p)
-        offs_by_res = offsets[:-1]  # lambda1(v) = offs[v % p] + v // p
+    offsets = cyclic_bounds(n, p)
+    offs_by_res = offsets[:-1]  # lambda1(v) = offs[v % p] + v // p
 
-        def lam(v: np.ndarray) -> np.ndarray:
-            return offs_by_res[v % p] + v // p
-
-    else:
-        offsets = chunk_bounds(n, p)
-
-        def lam(v: np.ndarray) -> np.ndarray:
-            return v
+    def lam(v: np.ndarray) -> np.ndarray:
+        return offs_by_res[v % p] + v // p
 
     # -- 3a: directed occurrences in lambda1 space, sorted by source ----
-    sorter = SpillSorter(tmp_root, chunk_bytes, width=1, dedup=False, tag="d")
+    sorter = SpillSorter(tmp_root, chunk_bytes, tag="d")
     for keys in _iter_i8_blocks(edges_path, key_rows):
         a = lam(keys // n)
         b = lam(keys % n)
@@ -644,71 +615,42 @@ def _materialize_entry(
 
     # -- 4: final labels via the streamed counting sort ------------------
     final_path = tmp_root / "final.i8"
-    if cfg.degree_reorder:
-        global_start = np.zeros(dmax + 1, dtype=INDEX_DTYPE)
-        np.cumsum(hist[:-1], out=global_start[1:])
-        seen = np.zeros(dmax + 1, dtype=INDEX_DTYPE)
-        with open(final_path, "wb") as fh:
-            for degs in _iter_i8_blocks(deg_path, key_rows):
-                # Identical math to the in-memory distributed counting
-                # sort: ties order by ascending lambda1 label, and
-                # ``seen`` plays the role of the exscan'd lower-rank
-                # counts for every chunk processed so far.
-                counting_sort_placement(degs, global_start, seen).tofile(fh)
-                seen += np.bincount(degs, minlength=dmax + 1).astype(
-                    INDEX_DTYPE
-                )
-        clock.done("reorder")
+    global_start = np.zeros(dmax + 1, dtype=INDEX_DTYPE)
+    np.cumsum(hist[:-1], out=global_start[1:])
+    seen = np.zeros(dmax + 1, dtype=INDEX_DTYPE)
+    with open(final_path, "wb") as fh:
+        for degs in _iter_i8_blocks(deg_path, key_rows):
+            # Identical math to the in-memory distributed counting sort:
+            # ties order by ascending lambda1 label, and ``seen`` plays
+            # the role of the exscan'd lower-rank counts for every chunk
+            # processed so far.
+            counting_sort_placement(degs, global_start, seen).tofile(fh)
+            seen += np.bincount(degs, minlength=dmax + 1).astype(INDEX_DTYPE)
+    clock.done("reorder")
 
     # -- 5: translate endpoints + classify + route to rank files --------
     pair_files = _RankPairFiles(tmp_root, p, chunk_bytes)
-    spilled = 0
-    if cfg.degree_reorder:
-        # Pass A: attach the source's final label, re-key by target.
-        join = _TableJoin(final_path, chunk_bytes)
-        sorter = SpillSorter(
-            tmp_root, chunk_bytes, width=1, dedup=False, tag="t"
-        )
-        for keys in _iter_i8_blocks(directed_path, key_rows):
-            a = keys // n
-            b = keys % n
-            fa = join.lookup(a)
-            sorter.add(b * n + fa)
-        join.close()
-        bykey2 = tmp_root / "directed2.i8"
-        sorter.finish(bykey2)
-        spilled += sorter.spilled_bytes
-        # Pass B: attach the target's final label; the occurrence
-        # (row=a, col=b) becomes the translated pair (fa, fb).
-        join = _TableJoin(final_path, chunk_bytes)
-        for keys in _iter_i8_blocks(bykey2, key_rows):
-            b = keys // n
-            fa = keys % n
-            fb = join.lookup(b)
-            pair_files.append(ul_parts(fa, fb, fb > fa, q, p))
-        join.close()
-    else:
-        # Labels stay lambda1; classification compares (degree, label).
-        join = _TableJoin(deg_path, chunk_bytes)
-        sorter = SpillSorter(
-            tmp_root, chunk_bytes, width=3, dedup=False, tag="t"
-        )
-        for keys in _iter_i8_blocks(directed_path, key_rows):
-            a = keys // n
-            b = keys % n
-            da = join.lookup(a)
-            sorter.add(np.stack([b, a, da], axis=1))
-        join.close()
-        byb = tmp_root / "directed2.i8"
-        sorter.finish(byb)
-        spilled += sorter.spilled_bytes
-        join = _TableJoin(deg_path, chunk_bytes)
-        for rows in _iter_i8_blocks(byb, _budget_rows(chunk_bytes, 3), width=3):
-            b, a, da = rows[:, 0], rows[:, 1], rows[:, 2]
-            db = join.lookup(b)
-            upper = (db > da) | ((db == da) & (b > a))
-            pair_files.append(ul_parts(a, b, upper, q, p))
-        join.close()
+    # Pass A: attach the source's final label, re-key by target.
+    join = _TableJoin(final_path, chunk_bytes)
+    sorter = SpillSorter(tmp_root, chunk_bytes, tag="t")
+    for keys in _iter_i8_blocks(directed_path, key_rows):
+        a = keys // n
+        b = keys % n
+        fa = join.lookup(a)
+        sorter.add(b * n + fa)
+    join.close()
+    bykey2 = tmp_root / "directed2.i8"
+    sorter.finish(bykey2)
+    spilled = sorter.spilled_bytes
+    # Pass B: attach the target's final label; the occurrence
+    # (row=a, col=b) becomes the translated pair (fa, fb).
+    join = _TableJoin(final_path, chunk_bytes)
+    for keys in _iter_i8_blocks(bykey2, key_rows):
+        b = keys // n
+        fa = keys % n
+        fb = join.lookup(b)
+        pair_files.append(ul_parts(fa, fb, fb > fa, q, p))
+    join.close()
     pair_files.finish()
     clock.done("translate", spilled=spilled)
     if stop_after == "translate":
@@ -732,12 +674,9 @@ def _materialize_entry(
             cfg.enumeration,
         )
         lo, hi = int(offsets[rank]), int(offsets[rank + 1])
-        if cfg.degree_reorder:
-            with open(final_path, "rb") as fh:
-                fh.seek(8 * lo)
-                labels = np.fromfile(fh, dtype=INDEX_DTYPE, count=hi - lo)
-        else:
-            labels = np.arange(lo, hi, dtype=INDEX_DTYPE)
+        with open(final_path, "rb") as fh:
+            fh.seek(8 * lo)
+            labels = np.fromfile(fh, dtype=INDEX_DTYPE, count=hi - lo)
         cache.save_rank(rank, u_block, l_block, task_block, lo, labels)
     clock.done("assemble")
 

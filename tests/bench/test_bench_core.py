@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 from repro.bench.core import SUITES, Suite, bench_main, gate, suite_of
-from repro.bench.history import check_history, load_baseline, rows_from_bench
+from repro.bench.history import rows_from_bench
+from repro.cli import main as cli_main
 
 REPO = Path(__file__).resolve().parents[2]
 PIN = json.loads((Path(__file__).parent / "data" / "bench_pin.json").read_text())
@@ -116,8 +117,11 @@ def test_unregistered_suite_gets_the_generic_row():
 
 
 @pytest.mark.parametrize("artifact", ARTIFACTS)
-def test_committed_artifact_is_current(artifact):
-    """What CI's serve/autotune history-gate steps assert, for all five."""
+def test_committed_artifact_is_current(artifact, tmp_path):
+    """Every committed artifact reads and passes its suite's gate under
+    the current code; one with a committed baseline also passes
+    ``repro history append --bench`` + ``repro history check`` on a fresh
+    history db."""
     report = json.loads((REPO / artifact).read_text())
     suite = suite_of(report)
     assert suite is not None, report.get("suite")
@@ -133,6 +137,10 @@ def test_committed_artifact_is_current(artifact):
     assert rows
     baseline = REPO / artifact.replace(".json", "_baseline.json")
     if baseline.exists():
-        latest = {(r["suite"], r["case"]): r for r in rows}
-        assert check_history(latest, load_baseline(baseline)) == []
+        db = str(tmp_path / "history.jsonl")
+        bench = str(REPO / artifact)
+        assert cli_main(["history", "append", "--db", db, "--bench", bench]) == 0
+        assert cli_main(
+            ["history", "check", "--db", db, "--baseline", str(baseline)]
+        ) == 0
 

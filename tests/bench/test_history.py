@@ -84,7 +84,7 @@ def test_rows_from_oocbench_report_carry_what_the_gates_read():
     assert {c for c in rows if c.startswith(ratio)} == {
         f"{ratio}-stream", f"{ratio}-preprocess", f"{ratio}-count"
     }
-    assert sum(c.startswith("parity-") for c in rows) == 4
+    assert sum(c.startswith("parity-") for c in rows) == 2  # p = 4 and 9
     for stage in ("stream", "preprocess", "count"):
         m = rows[f"{ratio}-{stage}"]["metrics"]
         child = report["cases"][-1][stage]

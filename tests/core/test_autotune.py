@@ -129,13 +129,13 @@ def test_plan_lands_in_result_extras(er_graph):
 
 
 def test_to_config_round_trip(signals):
-    base = TC2DConfig(hashmap_slack=2.5)
+    base = TC2DConfig(early_stop=False)
     plan = plan_run(signals=signals, max_p=9)
     cfg = plan.to_config(base)
     assert cfg.algorithm == plan.algorithm
     assert cfg.kernel_backend == plan.kernel_backend
     # non-plannable fields pass through from base untouched
-    assert cfg.hashmap_slack == 2.5
+    assert cfg.early_stop is False
 
 
 def test_sequential_executor_on_tiny_inputs(signals):

@@ -14,18 +14,19 @@ def test_defaults_are_paper_configuration():
     assert cfg.modified_hashing
     assert cfg.early_stop
     assert cfg.blob_serialization
-    assert cfg.initial_cyclic
-    assert cfg.degree_reorder
+    # The Section 5.3 steps always run; the store key keeps naming them
+    # so existing store entries keep their digests.
+    assert cfg.store_key() == {
+        "algorithm": "tc2d",
+        "enumeration": "jik",
+        "initial_cyclic": True,
+        "degree_reorder": True,
+    }
 
 
 def test_invalid_enumeration_rejected():
     with pytest.raises(ValueError):
         TC2DConfig(enumeration="kij")
-
-
-def test_invalid_slack_rejected():
-    with pytest.raises(ValueError):
-        TC2DConfig(hashmap_slack=0)
 
 
 def test_replace_copies():

@@ -150,18 +150,6 @@ def test_phase_times_positive(er_graph):
     assert res.overall_time == pytest.approx(res.ppt_time + res.tct_time)
 
 
-def test_without_degree_reorder(er_graph):
-    cfg = TC2DConfig(degree_reorder=False)
-    res = count_triangles_coveredge(er_graph, 9, cfg=cfg)
-    assert res.count == triangle_count_linalg(er_graph)
-
-
-def test_without_initial_cyclic(er_graph):
-    cfg = TC2DConfig(initial_cyclic=False)
-    res = count_triangles_coveredge(er_graph, 9, cfg=cfg)
-    assert res.count == triangle_count_linalg(er_graph)
-
-
 # -- registry sweep ----------------------------------------------------------
 
 

@@ -326,9 +326,9 @@ def test_wrapper_rejects_live_row_outside_block(triple):
 
 
 def test_wrapper_rejects_row_longer_than_table(triple, monkeypatch):
-    """Unreachable through ``kernel_capacity`` (slack >= 1); the loop
-    still refuses rather than probe a full table forever."""
-    monkeypatch.setattr(compiled, "kernel_capacity", lambda cfg, u: 1)
+    """Unreachable through ``kernel_capacity`` (never below the longest
+    row); the loop still refuses rather than probe a full table forever."""
+    monkeypatch.setattr(compiled, "kernel_capacity", lambda u: 1)
     monkeypatch.setattr(compiled, "table_capacity", lambda cap: 2)
     with pytest.raises(ValueError, match="exceeds capacity 2"):
         _run(*triple)

@@ -29,15 +29,8 @@ from tests.core.test_intersect import random_case, to_blocks
 
 #: All 2^3 combinations of the kernel-relevant Section 5.2 toggles.
 TOGGLE_GRID = [
-    TC2DConfig(
-        doubly_sparse=ds,
-        modified_hashing=mh,
-        early_stop=es,
-        hashmap_slack=slack,
-    )
-    for (ds, mh, es), slack in product(
-        product([True, False], repeat=3), [1, 1.5, 2]
-    )
+    TC2DConfig(doubly_sparse=ds, modified_hashing=mh, early_stop=es)
+    for ds, mh, es in product([True, False], repeat=3)
 ]
 
 
@@ -80,7 +73,7 @@ def test_parity_covers_the_compiled_backend():
 @pytest.mark.parametrize(
     "cfg", TOGGLE_GRID, ids=lambda c: (
         f"ds{int(c.doubly_sparse)}-mh{int(c.modified_hashing)}"
-        f"-es{int(c.early_stop)}-slack{c.hashmap_slack}"
+        f"-es{int(c.early_stop)}"
     )
 )
 def test_parity_random_blocks(cfg):
@@ -160,17 +153,17 @@ def test_parity_without_dense_slot_scratch(monkeypatch):
     monkeypatch.setattr(batched, "_DENSE_SLOT_LIMIT", 0)
     rng = np.random.default_rng(17)
     for cfg in (TC2DConfig(), TC2DConfig(modified_hashing=False),
-                TC2DConfig(early_stop=False, hashmap_slack=2)):
+                TC2DConfig(early_stop=False)):
         for _ in range(15):
             tb, ub, lb = _collision_heavy_case(rng)
             assert assert_parity(tb, ub, lb, cfg)["probe_steps_slow"] > 0
 
 
 def test_parity_full_table():
-    """hashmap_slack=1 with a power-of-two row length fills the table
-    completely — misses then walk capacity+1 steps, the worst case of the
-    closed-form probe accounting."""
-    cfg = TC2DConfig(modified_hashing=False, hashmap_slack=1)
+    """A power-of-two row length fills the table completely — misses then
+    walk capacity+1 steps, the worst case of the closed-form probe
+    accounting."""
+    cfg = TC2DConfig(modified_hashing=False)
     urows = {0: [1, 5, 9, 13]}  # 4 keys, capacity 4: full table
     lcols = {0: [0, 1, 2, 3, 4, 5, 6, 7]}
     tb, ub, lb = to_blocks([(0, 0)], urows, lcols, n_outer=2, n_inner=16)

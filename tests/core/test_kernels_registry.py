@@ -20,7 +20,6 @@ from repro.core.kernels import (
     resolve_backend,
 )
 from repro.core.kernels.dispatch import AUTO_MIN_ROWS
-from repro.hashing import BlockHashMap
 from tests.core.test_intersect import random_case, to_blocks
 
 
@@ -187,20 +186,6 @@ def test_auto_matches_concrete_backends():
         assert all(v == d["row"] for v in d.values())
 
 
-def test_kernel_capacity_rounds_fractional_slack():
-    """Pin the sizing rule: slack 1.5 on a longest row of 5 rounds the
-    product 7.5 to 8 (not truncated to 7) before the power-of-two
-    rounding, so the map capacity is 8."""
-    tb, ub, lb = to_blocks(
-        [(0, 0)], {0: [1, 2, 3, 4, 5]}, {0: [1]}, n_inner=16
-    )
-    cfg = TC2DConfig(hashmap_slack=1.5)
-    assert ub.dcsr.max_row_length() == 5
-    cap = kernel_capacity(cfg, ub.dcsr)
-    assert cap == 8
-    assert BlockHashMap(cap).capacity == 8
-
-
 def test_kernel_capacity_floor():
     tb, ub, lb = to_blocks([], {}, {})
-    assert kernel_capacity(TC2DConfig(), ub.dcsr) == 4
+    assert kernel_capacity(ub.dcsr) == 4

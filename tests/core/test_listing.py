@@ -71,8 +71,6 @@ def test_census_empty_graph():
         TC2DConfig(doubly_sparse=False),
         TC2DConfig(modified_hashing=False),
         TC2DConfig(early_stop=False),
-        TC2DConfig(initial_cyclic=False),
-        TC2DConfig(degree_reorder=False),
     ],
 )
 def test_census_config_invariance(tiny_graph, cfg):
@@ -102,8 +100,6 @@ CONFIG_TOGGLES = [
     {"doubly_sparse": False},
     {"modified_hashing": False},
     {"early_stop": False},
-    {"initial_cyclic": False},
-    {"degree_reorder": False},
 ]
 
 

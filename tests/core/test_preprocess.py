@@ -47,12 +47,11 @@ def test_partition_1d_covers_graph(er_graph):
             assert np.array_equal(c.csr.row(i), er_graph.neighbors(c.start + i))
 
 
-def _run_initial(graph: Graph, p: int, cyclic: bool):
+def _run_initial(graph: Graph, p: int):
     chunks = partition_1d(graph, p)
-    cfg = TC2DConfig(initial_cyclic=cyclic)
 
     def program(ctx):
-        rows = initial_redistribution(ctx, chunks[ctx.rank], cfg)
+        rows = initial_redistribution(ctx, chunks[ctx.rank])
         return (rows.lo, rows.hi, rows.csr.indptr.copy(), rows.csr.indices.copy())
 
     return Engine(p).run(program).returns
@@ -62,7 +61,7 @@ def _run_initial(graph: Graph, p: int, cyclic: bool):
 def test_initial_cyclic_preserves_graph(er_graph, p):
     """The cyclic relabeling is a permutation: the redistributed graph is
     isomorphic to the original under lambda1."""
-    rets = _run_initial(er_graph, p, cyclic=True)
+    rets = _run_initial(er_graph, p)
     n = er_graph.n
     offsets = cyclic_bounds(n, p)
     lam = np.empty(n, dtype=np.int64)
@@ -107,34 +106,21 @@ def test_overlapping_input_chunks_fail_the_redistribution(er_graph):
     """Two ranks both shipping vertex 0's row is caught on arrival."""
     chunks = partition_1d(er_graph, 2)
     dup = InputChunk(start=0, n=er_graph.n, csr=chunks[0].csr)
-    cfg = TC2DConfig()
 
     def program(ctx):
-        return initial_redistribution(ctx, [chunks[0], dup][ctx.rank], cfg)
+        return initial_redistribution(ctx, [chunks[0], dup][ctx.rank])
 
     with pytest.raises(RankFailedError) as err:
         Engine(2).run(program)
     assert "lost or duplicated rows" in str(err.value.__cause__)
 
 
-def test_initial_noncyclic_is_identity(er_graph):
-    rets = _run_initial(er_graph, 3, cyclic=False)
-    bounds = chunk_bounds(er_graph.n, 3)
-    for r, (lo, hi, indptr, indices) in enumerate(rets):
-        assert (lo, hi) == (int(bounds[r]), int(bounds[r + 1]))
-        for i in range(0, hi - lo, 29):
-            assert np.array_equal(
-                indices[indptr[i] : indptr[i + 1]], er_graph.neighbors(lo + i)
-            )
-
-
 @pytest.mark.parametrize("p", [1, 3, 4])
 def test_degree_reorder_sorts_by_degree(er_graph, p):
     chunks = partition_1d(er_graph, p)
-    cfg = TC2DConfig()
 
     def program(ctx):
-        rows = initial_redistribution(ctx, chunks[ctx.rank], cfg)
+        rows = initial_redistribution(ctx, chunks[ctx.rank])
         offsets = cyclic_bounds(er_graph.n, ctx.comm.size)
         rows2, labels = degree_reorder(ctx, rows, offsets, er_graph.n)
         return (labels.copy(), rows.degrees.copy())
@@ -156,10 +142,9 @@ def test_degree_reorder_entries_translated(tiny_graph):
     preserved under the relabeling."""
     p = 2
     chunks = partition_1d(tiny_graph, p)
-    cfg = TC2DConfig()
 
     def program(ctx):
-        rows = initial_redistribution(ctx, chunks[ctx.rank], cfg)
+        rows = initial_redistribution(ctx, chunks[ctx.rank])
         offsets = cyclic_bounds(tiny_graph.n, p)
         rows2, labels = degree_reorder(ctx, rows, offsets, tiny_graph.n)
         out = []
@@ -213,17 +198,3 @@ def test_preprocess_block_coverage(er_graph, p, enumeration):
         x, y = grid.coords(rank)
         assert ufix == x
         assert lfix == y
-
-
-def test_preprocess_no_reorder_still_covers(er_graph):
-    chunks = partition_1d(er_graph, 4)
-    cfg = TC2DConfig(degree_reorder=False)
-    grid = ProcessorGrid.for_ranks(4)
-
-    def program(ctx):
-        u, l, t = preprocess(ctx, chunks[ctx.rank], grid, cfg)
-        return (u.nnz, l.nnz)
-
-    rets = Engine(4).run(program).returns
-    assert sum(r[0] for r in rets) == er_graph.num_edges
-    assert sum(r[1] for r in rets) == er_graph.num_edges

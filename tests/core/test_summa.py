@@ -51,7 +51,5 @@ def test_optimization_toggles(er_graph):
         TC2DConfig(doubly_sparse=False),
         TC2DConfig(modified_hashing=False),
         TC2DConfig(early_stop=False),
-        TC2DConfig(degree_reorder=False),
-        TC2DConfig(initial_cyclic=False),
     ):
         assert count_triangles_summa(er_graph, 2, 3, cfg=cfg).count == want

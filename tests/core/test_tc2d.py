@@ -185,20 +185,6 @@ def test_result_summary_and_rates(er_graph):
         assert ratio >= 1.0
 
 
-def test_without_initial_cyclic(er_graph):
-    cfg = TC2DConfig(initial_cyclic=False)
-    assert count_triangles_2d(er_graph, 9, cfg=cfg).count == triangle_count_linalg(
-        er_graph
-    )
-
-
-def test_without_degree_reorder(er_graph):
-    cfg = TC2DConfig(degree_reorder=False)
-    assert count_triangles_2d(er_graph, 9, cfg=cfg).count == triangle_count_linalg(
-        er_graph
-    )
-
-
 def test_p_larger_than_interesting_rows():
     # More ranks than vertices in some residue classes.
     g = Graph.from_edges(

@@ -62,9 +62,8 @@ def _inmem_entry(graph, p, cfg, root):
 
 
 @pytest.mark.parametrize("p", [4, 9])
-@pytest.mark.parametrize("reorder", [True, False])
-def test_bit_identical_store_entries(graph, edge_file, tmp_path, p, reorder):
-    cfg = TC2DConfig(degree_reorder=reorder)
+def test_bit_identical_store_entries(graph, edge_file, tmp_path, p):
+    cfg = TC2DConfig()
     mem_store, mem_res = _inmem_entry(graph, p, cfg, tmp_path / "mem")
     ext_store = GraphStore(tmp_path / "ext")
     info = external_preprocess(
@@ -85,15 +84,6 @@ def test_bit_identical_store_entries(graph, edge_file, tmp_path, p, reorder):
     assert res.count == mem_res.count
     assert res.extras["cache"]["hit"]
     assert res.extras["out_of_core"]["reused"]
-
-
-def test_counts_match_without_initial_cyclic(graph, edge_file, tmp_path):
-    cfg = TC2DConfig(initial_cyclic=False)
-    ref = count_triangles_2d(graph, 4, cfg)
-    res = count_triangles_oocore(
-        edge_file, 4, cfg=cfg, chunk_bytes=CHUNK, workdir=tmp_path
-    )
-    assert res.count == ref.count
 
 
 def test_binary_and_text_inputs_share_digests(graph, edge_file, tmp_path):
@@ -209,7 +199,7 @@ def test_block_from_mmap_round_trip(graph, tmp_path, preprocessed_blocks):
 def test_spill_sorter_sorts_and_dedups_across_runs(tmp_path):
     rng = np.random.default_rng(0)
     vals = rng.integers(0, 500, size=5000)
-    sorter = SpillSorter(tmp_path, 1 << 16, width=1, dedup=True, tag="t")
+    sorter = SpillSorter(tmp_path, 1 << 16, dedup=True, tag="t")
     for chunk in np.array_split(vals, 13):
         sorter.add(chunk)
     out = tmp_path / "sorted.i8"
@@ -219,16 +209,6 @@ def test_spill_sorter_sorts_and_dedups_across_runs(tmp_path):
     assert count == len(want)
     assert np.array_equal(got, want)
     assert sorter.spilled_bytes > 0  # the tiny budget really spilled
-
-
-def test_spill_sorter_width2_stable_rows(tmp_path):
-    rows = np.array([[3, 0], [1, 5], [3, 1], [0, 9], [1, 2]])
-    sorter = SpillSorter(tmp_path, 1 << 16, width=2, dedup=False, tag="r")
-    sorter.add(rows)
-    out = tmp_path / "rows.i8"
-    n = sorter.finish(out)
-    got = np.fromfile(out, dtype=np.int64).reshape(n, 2)
-    assert np.array_equal(got[:, 0], np.sort(rows[:, 0]))
 
 
 def test_dense_count_writer_zero_fills(tmp_path):
@@ -253,11 +233,11 @@ def test_binary_writer_streams_and_patches_count(tmp_path):
 
 def test_iter_i8_blocks_covers_whole_file(tmp_path):
     path = tmp_path / "flat.i8"
-    rows = np.arange(10, dtype=np.int64).reshape(5, 2)
-    rows.tofile(path)
-    chunks = list(_iter_i8_blocks(path, chunk_rows=2, width=2))
+    keys = np.arange(5, dtype=np.int64)
+    keys.tofile(path)
+    chunks = list(_iter_i8_blocks(path, chunk_rows=2))
     assert [len(c) for c in chunks] == [2, 2, 1]  # short tail block kept
-    assert np.array_equal(np.concatenate(chunks), rows)
+    assert np.array_equal(np.concatenate(chunks), keys)
 
 
 def test_oocbench_report_gates():
