@@ -1,17 +1,17 @@
 """The one front, report header and row shape of the ``repro.bench`` suites.
 
-A suite module (kernelbench, servebench, oocbench, autotunebench)
-builds a :class:`Suite` record — its own flags plus plain
-``run`` / ``rows`` / ``check`` callables and a default artifact path —
-and hands it to :func:`bench_main`.  What the four share lives here and
-nowhere else: ``--smoke`` / ``--out`` / ``--check`` / ``--history``, how
-a report is written and a gate result becomes an exit code, the header
-of every report (:func:`envelope`) and the history-row shape (:func:`row`).
+A suite module (servebench, oocbench, autotunebench) builds a
+:class:`Suite` record — its own flags plus plain ``run`` / ``rows`` /
+``check`` callables and a default artifact path — and hands it to
+:func:`bench_main`.  What the three share lives here and nowhere else:
+``--smoke`` / ``--out`` / ``--check`` / ``--history``, how a report is
+written and a gate result becomes an exit code, the header of every
+report (:func:`envelope`) and the history-row shape (:func:`row`).
 
 :data:`SUITES` maps a report's ``suite`` string to the module that owns
 that report's shape, so a report read back from disk (``repro history
 append --bench``) finds its row emitter and gate without importing the
-other three suites.  Registering a suite is one entry in that table.
+other two suites.  Registering a suite is one entry in that table.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from repro.instrument.telemetry import host_metadata
 
 #: report ``suite`` string -> module holding that suite's ``SUITE`` record.
 SUITES = {
-    "kernel-backends": "repro.bench.kernelbench",
     "serve": "repro.bench.servebench",
     "outofcore": "repro.bench.oocbench",
     "autotune": "repro.bench.autotunebench",

@@ -1010,8 +1010,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     h.add_argument(
         "--bench", action="append", default=[], metavar="FILE",
-        help="repro.bench report to append — kernelbench, servebench, "
-        "oocbench or autotunebench (repeatable)",
+        help="repro.bench report to append — servebench, oocbench or "
+        "autotunebench (repeatable)",
     )
     h.add_argument(
         "--baseline", default=None, metavar="FILE",

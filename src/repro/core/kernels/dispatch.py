@@ -1,15 +1,19 @@
 """Auto-dispatch heuristic for the intersection-kernel backends.
 
 The ``"auto"`` backend picks ``"c"`` for every block pair when the
-compiled library loaded on this host (it is 5-19x faster than
-``"batch"`` on every ``kernelbench`` case, so no shape rule is needed),
-and otherwise ``"row"`` or ``"batch"`` per block pair from cheap shape
-statistics — numbers already sitting in the DCSR headers, so the decision
-costs a few scalar reads per Cannon shift.  All backends return identical
-results and identical logical counters, so the choice only ever affects
-wall time; a bad guess is a performance bug, never a correctness bug.  No :class:`TC2DConfig` toggle enters the decision:
-with modified hashing off every build is probed, and the batch backend
-lays all probed rows out in one bulk call, so it wins there as well.
+compiled library loaded on this host (it was 5-20x faster than
+``"batch"`` on every measured block pair, the smallest included, and
+the tier-1 speed-order gate
+``tests/core/test_kernels_registry.py::test_backends_keep_their_speed_order``
+keeps it no slower, so no shape rule is needed), and otherwise ``"row"``
+or ``"batch"`` per block pair from cheap shape statistics — numbers
+already sitting in the DCSR headers, so the decision costs a few scalar
+reads per Cannon shift.  All backends return identical results and
+identical logical counters, so the choice only ever affects wall time; a
+bad guess is a performance bug, never a correctness bug.  No
+:class:`TC2DConfig` toggle enters the decision: with modified hashing
+off every build is probed, and the batch backend lays all probed rows
+out in one bulk call, so it wins there as well.
 """
 
 from __future__ import annotations

@@ -143,8 +143,8 @@ def test_sequential_executor_on_tiny_inputs(signals):
 
 
 def test_wall_clock_knobs_follow_the_artifacts(signals):
-    """No graph size makes the tuner force ``row`` (BENCH_kernels.json:
-    it wins nowhere)."""
+    """No graph size makes the tuner force ``row``: it wins nowhere
+    (``test_kernels_registry.py::test_backends_keep_their_speed_order``)."""
     import dataclasses
 
     heavy = dataclasses.replace(signals, m=10**7, wedges=10**10)

@@ -1,11 +1,16 @@
-"""The kernel backend registry, auto-dispatch and capacity sizing."""
+"""The kernel backend registry, auto-dispatch, the backends' speed order
+and capacity sizing."""
 
 from __future__ import annotations
+
+import functools
+import time
 
 import numpy as np
 import pytest
 
 from repro.core import kernels
+from repro.core.blocks import build_block
 from repro.core.kernels import compiled
 from repro.core.config import TC2DConfig
 from repro.core.kernels import (
@@ -20,6 +25,7 @@ from repro.core.kernels import (
     resolve_backend,
 )
 from repro.core.kernels.dispatch import AUTO_MIN_ROWS
+from repro.graph import rmat_graph
 from tests.core.test_intersect import random_case, to_blocks
 
 
@@ -184,6 +190,65 @@ def test_auto_matches_concrete_backends():
             + (("c",) if compiled.available() else ())
         }
         assert all(v == d["row"] for v in d.values())
+
+
+# -- the speed order that makes ``auto`` pick c, then batch ------------------
+
+#: A backend ``auto`` prefers may be at most this much slower than the one
+#: it replaces (the slack absorbs timer noise on the small cases).
+SPEED_TOLERANCE = 1.10
+
+#: case -> (RMAT scale, grid side q, config).  The probed case is the
+#: collision-heavy one: 1396 task rows, every hash build probed.
+SPEED_CASES = {
+    "rmat9-q3": (9, 3, TC2DConfig()),
+    "rmat10-q3": (10, 3, TC2DConfig()),
+    "rmat13-q3-probed": (13, 3, TC2DConfig(modified_hashing=False)),
+}
+
+#: pair -> (the backend ``auto`` prefers, the one it replaces).
+SPEED_PAIRS = {"batch-vs-row": ("batch", "row"), "c-vs-batch": ("c", "batch")}
+
+
+@functools.cache
+def _rmat_block_triple(scale, q):
+    """(task, U, L) block (0, 0) of the 2D cyclic split of an RMAT graph's
+    upper triangle over a ``q x q`` grid."""
+    g = rmat_graph(scale, seed=2)
+    rows, cols = g.upper_csr().to_coo()
+    sel = (rows % q == 0) & (cols % q == 0)
+    r, c = rows[sel] // q, cols[sel] // q
+    nb = (g.n + q - 1) // q
+    return (
+        build_block("task", 0, 0, nb, nb, c, r),
+        build_block("U-row", 0, 0, nb, nb, r, c),
+        build_block("L-col", 0, 0, nb, nb, r, c),
+    )
+
+
+@pytest.mark.parametrize("pair", SPEED_PAIRS)
+@pytest.mark.parametrize("case", SPEED_CASES)
+def test_backends_keep_their_speed_order(case, pair):
+    """The preferred backend is not slower than the one it replaces, best
+    of 5 interleaved round-robin, once both agree on every counter."""
+    fast, slow = SPEED_PAIRS[pair]
+    if fast == "c" and not compiled.available():
+        pytest.skip(f"compiled backend: {compiled.unavailable_reason()}")
+    scale, q, cfg = SPEED_CASES[case]
+    blocks = _rmat_block_triple(scale, q)
+    fns = {b: get_backend(b) for b in (fast, slow)}
+    assert fns[fast](*blocks, cfg) == fns[slow](*blocks, cfg)
+
+    best = dict.fromkeys(fns, float("inf"))
+    for _rep in range(5):
+        for b, fn in fns.items():  # interleaved so noise hits both alike
+            t0 = time.perf_counter()
+            fn(*blocks, cfg)
+            best[b] = min(best[b], time.perf_counter() - t0)
+    assert best[fast] <= best[slow] * SPEED_TOLERANCE, (
+        f"{case}: {fast} {best[fast] * 1e3:.3f} ms > "
+        f"{slow} {best[slow] * 1e3:.3f} ms x {SPEED_TOLERANCE}"
+    )
 
 
 def test_kernel_capacity_floor():
