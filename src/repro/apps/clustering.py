@@ -28,6 +28,8 @@ class ClusteringProfile:
     ----------
     triangles:
         Global triangle count.
+    vertex_triangles:
+        Per-vertex triangle participation from the census.
     local:
         Per-vertex local clustering coefficient (0 where degree < 2).
     average:
@@ -37,6 +39,7 @@ class ClusteringProfile:
     """
 
     triangles: int
+    vertex_triangles: np.ndarray
     local: np.ndarray
     average: float
     transitivity: float
@@ -64,6 +67,7 @@ def clustering_profile(
     average = float(local.mean()) if graph.n else 0.0
     return ClusteringProfile(
         triangles=census.count,
+        vertex_triangles=census.vertex_triangles,
         local=local,
         average=average,
         transitivity=transitivity,

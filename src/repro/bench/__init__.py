@@ -7,8 +7,8 @@ Tables 3-4 without re-running) is :mod:`repro.bench.runner`, and the
 machine-model calibration used by all experiments is
 :mod:`repro.bench.calibration`.
 
-The three wall-clock layer suites (``python -m repro.bench.<suite>``:
-servebench, oocbench, autotunebench) share one command line, report
+The two wall-clock layer suites (``python -m repro.bench.<suite>``:
+oocbench, autotunebench) share one command line, report
 header and history-row shape, all in :mod:`repro.bench.core`; their
 rows land in :mod:`repro.bench.history`.  The names below load their
 module on first access (:mod:`repro._lazy`), so reading the machine

@@ -1,9 +1,9 @@
 """The one front, report header and row shape of the ``repro.bench`` suites.
 
-A suite module (servebench, oocbench, autotunebench) builds a
+A suite module (oocbench, autotunebench) builds a
 :class:`Suite` record — its own flags plus plain ``run`` / ``rows`` /
 ``check`` callables and a default artifact path — and hands it to
-:func:`bench_main`.  What the three share lives here and nowhere else:
+:func:`bench_main`.  What the two share lives here and nowhere else:
 ``--smoke`` / ``--out`` / ``--check`` / ``--history``, how a report is
 written and a gate result becomes an exit code, the header of every
 report (:func:`envelope`) and the history-row shape (:func:`row`).
@@ -11,7 +11,7 @@ report (:func:`envelope`) and the history-row shape (:func:`row`).
 :data:`SUITES` maps a report's ``suite`` string to the module that owns
 that report's shape, so a report read back from disk (``repro history
 append --bench``) finds its row emitter and gate without importing the
-other two suites.  Registering a suite is one entry in that table.
+other suite.  Registering a suite is one entry in that table.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from repro.instrument.telemetry import host_metadata
 
 #: report ``suite`` string -> module holding that suite's ``SUITE`` record.
 SUITES = {
-    "serve": "repro.bench.servebench",
     "outofcore": "repro.bench.oocbench",
     "autotune": "repro.bench.autotunebench",
 }

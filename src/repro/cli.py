@@ -428,19 +428,17 @@ def _cmd_census(args: argparse.Namespace) -> int:
 
     from repro.apps import clustering_profile
     from repro.bench.calibration import paper_model
-    from repro.core.listing import triangle_census_2d
 
     g = _load_graph(args.dataset, args.seed)
-    census = triangle_census_2d(g, args.ranks, model=paper_model())
     prof = clustering_profile(g, p=args.ranks, model=paper_model())
-    print(f"triangles      : {census.count:,}")
+    print(f"triangles      : {prof.triangles:,}")
     print(f"transitivity   : {prof.transitivity:.6f}")
     print(f"avg clustering : {prof.average:.6f}")
-    top = np.argsort(census.vertex_triangles)[-args.top :][::-1]
+    top = np.argsort(prof.vertex_triangles)[-args.top :][::-1]
     print(f"top {args.top} vertices by triangle participation:")
     for v in top:
         print(
-            f"  vertex {int(v):>8}  triangles={int(census.vertex_triangles[v]):>8}"
+            f"  vertex {int(v):>8}  triangles={int(prof.vertex_triangles[v]):>8}"
             f"  degree={int(g.degrees[v])}"
         )
     return 0
@@ -1010,8 +1008,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     h.add_argument(
         "--bench", action="append", default=[], metavar="FILE",
-        help="repro.bench report to append — servebench, oocbench or "
-        "autotunebench (repeatable)",
+        help="repro.bench report to append — oocbench or autotunebench "
+        "(repeatable)",
     )
     h.add_argument(
         "--baseline", default=None, metavar="FILE",

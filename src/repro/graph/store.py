@@ -107,12 +107,11 @@ def resolve_store_dir(explicit: "str | Path | None" = None) -> Path | None:
     """The one rule for opt-in store resolution: an explicit ``--store``
     value wins, else ``$REPRO_STORE_DIR``, else ``None`` (no store).
 
-    Every harness that takes a ``--store DIR`` flag (chaos, servebench,
-    the serve layer) resolves it through here, so the
-    environment variable means the same thing everywhere.  Callers that
-    must never touch the user's home directory without opt-in (benchmark
-    runners, test fixtures) use this instead of
-    :func:`default_store_root`.
+    Every harness that takes a ``--store DIR`` flag (chaos, the serve
+    layer) resolves it through here, so the environment variable means
+    the same thing everywhere.  Callers that must never touch the user's
+    home directory without opt-in (benchmark runners, test fixtures) use
+    this instead of :func:`default_store_root`.
     """
     if explicit:
         return Path(explicit)

@@ -418,7 +418,7 @@ def main(argv: list[str] | None = None) -> int:
     from repro.graph.store import store_from_env
 
     # --store wins; $REPRO_STORE_DIR opts in when the flag is absent
-    # (the same resolution rule as servebench and the serve layer).
+    # (the same resolution rule as the serve layer).
     store = store_from_env(args.store)
     results = sweep(
         graphs,

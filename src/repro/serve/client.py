@@ -1,10 +1,10 @@
 """Thin stdlib HTTP client for the serve API.
 
-Used by ``repro submit``, the servebench load generator and the
-integration tests.  Pure ``http.client`` — one connection per call,
-no retries by default (admission control *wants* the caller to see
-rejections).  :meth:`ServeClient.submit` can opt into bounded backoff
-that honors the server's ``Retry-After`` hint.
+Used by ``repro submit``, the fixed e2e gauge's ``serve_mixed``
+workload and the integration tests.  Pure ``http.client`` — one
+connection per call, no retries by default (admission control *wants*
+the caller to see rejections).  :meth:`ServeClient.submit` can opt into
+bounded backoff that honors the server's ``Retry-After`` hint.
 """
 
 from __future__ import annotations

@@ -36,8 +36,9 @@ def key_paths(obj, prefix=""):
 
 @pytest.mark.parametrize("artifact", sorted(PIN["rows"]))
 def test_rows_reproduce_the_pin(artifact):
-    """The parent's five artifacts, fed to the per-suite row emitters,
-    give exactly the rows the parent's ``rows_from_bench`` if-chain gave."""
+    """Each artifact pinned on the parent of the port, fed to its suite's
+    row emitter, gives exactly the rows the parent's ``rows_from_bench``
+    if-chain gave."""
     pinned = PIN["rows"][artifact]
     assert rows_from_bench(pinned["report"]) == pinned["rows"]
 

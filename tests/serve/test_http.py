@@ -1,15 +1,23 @@
-"""HTTP front end: routing, status codes, long-poll, drain shutdown."""
+"""HTTP front end: routing, status codes, long-poll, drain shutdown, and
+two gates of the serve contract: the warm path's speedup over a cold run
+and bounded admission under a burst."""
 
 from __future__ import annotations
 
+import statistics
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.serve import ServeClient, ServeConfig, ServeRejected
+from repro.serve import ServeClient, ServeConfig, ServeRejected, TriangleService
 from repro.serve.client import ServeError
 from repro.serve.server import run_server
+
+#: A warm (result-cache) answer's p50 must beat a cold run's p50 by this
+#: factor over real HTTP on g500-s12 at p = 16 with no store.
+WARM_SPEEDUP_GATE = 10.0
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +50,15 @@ def _req(graph_file, **over):
     return doc
 
 
+def _timed_submit(client, request, served):
+    """Seconds one blocking submit takes; it must be served ``served``."""
+    t0 = time.perf_counter()
+    doc = client.submit(request, wait=True)
+    elapsed = time.perf_counter() - t0
+    assert doc["result"]["served"] == served
+    return elapsed
+
+
 def test_healthz(endpoint):
     assert endpoint.health()
 
@@ -55,6 +72,21 @@ def test_submit_wait_cold_then_warm(endpoint, graph_file):
     assert warm["warm"] and warm["result"]["served"] == "warm"
     assert warm["result"]["count"] == cold["result"]["count"]
     assert warm["result"]["digest"] == cold["result"]["digest"]
+
+    # Warm speedup: cold p50 over 3 distinct seeds against warm p50 over
+    # 20 repeats of the last of them.
+    assert endpoint.stats()["store"] is None
+    g500 = {"kind": "count", "dataset": "g500-s12", "ranks": 16}
+    cold_s = [
+        _timed_submit(endpoint, {**g500, "seed": seed}, "cold")
+        for seed in (1000, 1001, 1002)
+    ]
+    warm_s = [
+        _timed_submit(endpoint, {**g500, "seed": 1002}, "warm")
+        for _ in range(20)
+    ]
+    cold_p50, warm_p50 = statistics.median(cold_s), statistics.median(warm_s)
+    assert cold_p50 >= WARM_SPEEDUP_GATE * warm_p50, (cold_p50, warm_p50)
 
 
 def test_async_submit_poll_events(endpoint, graph_file):
@@ -136,7 +168,21 @@ def test_bad_requests_are_400(endpoint, graph_file):
     assert status == 404
 
 
-def test_rejection_is_429(graph_file):
+def test_rejection_is_429(graph_file, monkeypatch):
+    """Bounded admission: a burst of 4 x capacity against a stalled
+    dispatcher admits exactly capacity jobs, answers every other submit
+    with a typed 429 and never queues more than ``max_queue``."""
+    config = ServeConfig(max_inflight=1, max_queue=2, tenant_quota=64)
+    capacity = config.max_inflight + config.max_queue
+    entered, release = threading.Event(), threading.Event()
+    orig = TriangleService._execute
+
+    def stalled(self, job):
+        entered.set()
+        release.wait(30)
+        return orig(self, job)
+
+    monkeypatch.setattr(TriangleService, "_execute", stalled)
     captured: dict = {}
     ready = threading.Event()
 
@@ -146,26 +192,37 @@ def test_rejection_is_429(graph_file):
 
     thread = threading.Thread(
         target=run_server,
-        args=(ServeConfig(max_inflight=1, max_queue=0, tenant_quota=8),),
+        args=(config,),
         kwargs={"port": 0, "announce": announce},
         daemon=True,
     )
     thread.start()
     assert ready.wait(30)
     client = ServeClient("127.0.0.1", captured["port"], timeout=120)
+
+    def submit(seed):
+        try:
+            return client.submit(
+                _req(graph_file, seed=seed), tenant=f"flood-{seed % 4}",
+                wait=False,
+            )
+        except ServeRejected as exc:
+            return exc
+
     try:
-        acks, rejects = [], []
-        for seed in range(40, 46):
-            try:
-                acks.append(
-                    client.submit(_req(graph_file, seed=seed), wait=False)
-                )
-            except ServeRejected as exc:
-                rejects.append(exc)
-        assert rejects, "burst never hit admission control"
+        # The burst's first job holds the one dispatcher before the rest
+        # arrive, so the queue depth does not race the dispatcher's pickup.
+        outcomes = [submit(40)]
+        assert entered.wait(30)
+        with ThreadPoolExecutor(4 * capacity - 1) as pool:
+            outcomes += pool.map(submit, range(41, 40 + 4 * capacity))
+        rejects = [o for o in outcomes if isinstance(o, ServeRejected)]
+        assert len(outcomes) - len(rejects) == capacity
         assert all(r.status == 429 for r in rejects)
-        assert all(r.reason == "queue_full" for r in rejects)
+        assert {r.reason for r in rejects} == {"queue_full"}
+        assert client.stats()["queue_depth_max"] <= config.max_queue
     finally:
+        release.set()
         client.shutdown()
         thread.join(timeout=60)
 

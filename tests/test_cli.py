@@ -58,10 +58,32 @@ def test_count_unknown_dataset_exits():
         main(["count", "no-such-thing"])
 
 
-def test_census(capsys):
+def test_census(capsys, monkeypatch):
+    """``census`` runs the distributed census once and prints the pinned
+    lines."""
+    import repro.apps.clustering
+    import repro.core.listing
+
+    calls = []
+    census = repro.core.listing.triangle_census_2d
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return census(*args, **kwargs)
+
+    monkeypatch.setattr(repro.core.listing, "triangle_census_2d", counted)
+    monkeypatch.setattr(repro.apps.clustering, "triangle_census_2d", counted)
+    monkeypatch.delenv("REPRO_DATASET_SCALE", raising=False)
     assert main(["census", "g500-s12", "-p", "4", "--top", "2"]) == 0
-    out = capsys.readouterr().out
-    assert "triangles" in out and "transitivity" in out
+    assert len(calls) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "triangles      : 483,440",
+        "transitivity   : 0.155870",
+        "avg clustering : 0.271515",
+        "top 2 vertices by triangle participation:",
+        "  vertex      187  triangles=   33940  degree=1336",
+        "  vertex     1898  triangles=   21645  degree=726",
+    ]
 
 
 def test_datasets_listing(capsys):
