@@ -13,10 +13,15 @@ The travelling blocks move with Cannon's pattern each step.  To avoid one
 message per constituent array (and per-array pickling), the paper converts
 each block to a single contiguous blob before the shifts begin
 (Section 5.2); :meth:`Block.to_blob` / :meth:`Block.from_blob` implement
-that.  A block is packed once — a locally built one at the skew — and
-every later hop forwards the buffer it arrived in (:meth:`Block.as_blob`),
-while every arrival still checks the crc.  :func:`exchange_block` falls
-back to one-message-per-array when the optimization is disabled.
+that.  A block is packed once, when :func:`build_block` builds it, into a
+read-only blob that every later user reads in place — each hop forwards
+it (:meth:`Block.as_blob`), the store and the checkpoints write it, and
+the compiled kernel counts from it.  The block's :class:`DCSR` is views
+into that blob, built on first access (only the ``row``/``batch``
+kernels and the listing path make them).  Every arrival reads the header
+once and checks the crc with one pass over the payload.
+:func:`exchange_block` falls back to one-message-per-array when the
+optimization is disabled.
 
 The same blobs are what a rank's state looks like **on disk**: the
 preprocessing store and the checkpoints both persist "a rank's (U, L,
@@ -29,7 +34,7 @@ from __future__ import annotations
 import mmap
 import os
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -61,7 +66,6 @@ def blob_payload_crc32(indptr: np.ndarray, indices: np.ndarray) -> int:
     return zlib.crc32(np.ascontiguousarray(indices, dtype=INDEX_DTYPE).data, crc)
 
 
-@dataclass
 class Block:
     """One 2D block with enough metadata to keep shifting honest.
 
@@ -78,100 +82,138 @@ class Block:
         as the block travels through the grid.
     dcsr:
         The actual entries; outer dimension = rows for ``U-row``/``task``,
-        columns for ``L-col``.
+        columns for ``L-col``.  For a block that has a blob these are
+        views into it, built on first access.
     """
 
-    kind: str
-    fixed_residue: int
-    inner_residue: int
-    dcsr: DCSR
-    #: The source blob this block was deserialized from (set by
-    #: :meth:`from_blob` / :meth:`from_mmap`, ``None`` for blocks built
-    #: locally).  :meth:`as_blob` returns it instead of re-packing, so a
-    #: received or cache-served block ships again without a concatenate
-    #: pass.
-    blob: np.ndarray | None = field(default=None, repr=False, compare=False)
+    __slots__ = (
+        "kind", "fixed_residue", "inner_residue", "_shape", "_blob", "_dcsr",
+        "_nbytes",
+    )
 
-    def __post_init__(self) -> None:
-        if self.kind not in _KIND_CODES:
-            raise ValueError(f"unknown block kind {self.kind!r}")
+    def __init__(
+        self, kind: str, fixed_residue: int, inner_residue: int, dcsr: DCSR
+    ):
+        if kind not in _KIND_CODES:
+            raise ValueError(f"unknown block kind {kind!r}")
+        self.kind = kind
+        self.fixed_residue = fixed_residue
+        self.inner_residue = inner_residue
+        csr = dcsr.csr
+        #: ``(n_rows, n_cols, nnz)``, as the blob header carries them.
+        self._shape = (csr.n_rows, csr.n_cols, csr.nnz)
+        #: The wire-format buffer: set by :func:`build_block`,
+        #: :meth:`from_blob` and the first :meth:`as_blob`, then never
+        #: replaced and never written.
+        self._blob: np.ndarray | None = None
+        self._dcsr: DCSR | None = dcsr
+        self._nbytes: int | None = None
 
     @property
     def nnz(self) -> int:
         """Number of stored entries in the block."""
-        return self.dcsr.nnz
+        return self._shape[2]
+
+    @property
+    def dcsr(self) -> DCSR:
+        """The entries as a :class:`DCSR` (views into the blob, built on
+        first access: only the ``row``/``batch`` kernels and the listing
+        path read them)."""
+        if self._dcsr is None:
+            n_rows, n_cols, _ = self._shape
+            split = _HEADER_LEN + n_rows + 1
+            self._dcsr = DCSR(
+                CSR(
+                    n_rows, self._blob[_HEADER_LEN:split], self._blob[split:],
+                    n_cols=n_cols,
+                )
+            )
+        return self._dcsr
 
     def nbytes_estimate(self) -> int:
-        """Approximate resident bytes (payload plus header)."""
-        return self.dcsr.nbytes_estimate() + 64
+        """Approximate resident bytes: the :meth:`DCSR.nbytes_estimate` of
+        the entries plus a 64-byte header.  Computed once, from the header
+        and one count of the nonempty rows, so no view is built for it."""
+        if self._nbytes is None:
+            n_rows, _, nnz = self._shape
+            if self._dcsr is not None:
+                indptr = self._dcsr.indptr
+            else:
+                indptr = self._blob[_HEADER_LEN : _HEADER_LEN + n_rows + 1]
+            live = int(np.count_nonzero(indptr[1:] != indptr[:-1]))
+            self._nbytes = DCSR.estimate(n_rows, nnz, live) + 64
+        return self._nbytes
 
     # -- blob wire format -----------------------------------------------------
 
     def to_blob(self) -> np.ndarray:
-        """Pack the block into one contiguous int64 buffer.
+        """Pack the block into a fresh contiguous int64 buffer.
 
         Layout: [kind, fixed_residue, inner_residue, n_rows, n_cols, nnz,
         crc32] ++ indptr ++ indices.  The crc32 covers the payload arrays,
         so a blob corrupted on the (simulated) wire or on disk fails loudly
         in :meth:`from_blob` instead of silently skewing counts.  The
-        non-empty-row list is recomputed on arrival (cheaper than shipping
-        it).
+        non-empty rows are not shipped: whoever needs them counts them.
         """
         csr = self.dcsr.csr
-        header = np.array(
-            [
-                _KIND_CODES[self.kind],
-                self.fixed_residue,
-                self.inner_residue,
-                csr.n_rows,
-                csr.n_cols,
-                csr.nnz,
-                blob_payload_crc32(csr.indptr, csr.indices),
-            ],
-            dtype=INDEX_DTYPE,
+        split = _HEADER_LEN + csr.n_rows + 1
+        blob = np.empty(split + csr.nnz, dtype=INDEX_DTYPE)
+        blob[_HEADER_LEN:split] = csr.indptr
+        blob[split:] = csr.indices
+        blob[:_HEADER_LEN] = (
+            _KIND_CODES[self.kind],
+            self.fixed_residue,
+            self.inner_residue,
+            csr.n_rows,
+            csr.n_cols,
+            csr.nnz,
+            zlib.crc32(blob[_HEADER_LEN:]),
         )
-        return np.concatenate([header, csr.indptr, csr.indices])
+        return blob
 
     @classmethod
     def from_blob(cls, blob: np.ndarray) -> "Block":
         """Inverse of :meth:`to_blob` — **zero-copy**.
 
-        The reconstructed block's ``indptr``/``indices`` are views into
-        ``blob``, not copies, and the block keeps ``blob`` to forward it
-        unchanged on its next hop (:meth:`as_blob`).  Nothing writes to a
-        block or its buffer after this point, so every rank the buffer
-        passes through may share it; a deserialization copy would only
-        burn memory bandwidth on the hot shift path.  Callers that
-        deserialize a buffer they intend to keep mutating must pass
-        ``blob.copy()`` themselves.
-
-        The header crc32 is verified against the payload (one C-speed pass,
-        no copy); a mismatch raises
-        :class:`~repro.simmpi.errors.BlobChecksumError`.
+        Reads the header and checks the crc32 over the payload (one
+        C-speed pass, no copy; a mismatch raises
+        :class:`~repro.simmpi.errors.BlobChecksumError`), and nothing
+        else: the block's ``indptr``/``indices`` become views into
+        ``blob`` on first access (:attr:`dcsr`), and the block keeps
+        ``blob`` to forward it unchanged on its next hop (:meth:`as_blob`).
+        Nothing writes to a block or its buffer after this point, so every
+        rank the buffer passes through may share it; a deserialization
+        copy would only burn memory bandwidth on the hot shift path.
+        Callers that deserialize a buffer they intend to keep mutating
+        must pass ``blob.copy()`` themselves.
         """
-        blob = np.asarray(blob, dtype=INDEX_DTYPE)
-        if len(blob) < _HEADER_LEN:
+        blob = np.ascontiguousarray(blob, dtype=INDEX_DTYPE)
+        if blob.ndim != 1 or len(blob) < _HEADER_LEN:
             raise ValueError("blob too short for a block header")
-        kind_code, fixed, inner, n_rows, n_cols, nnz, crc = (
-            int(x) for x in blob[:_HEADER_LEN]
-        )
+        kind_code, fixed, inner, n_rows, n_cols, nnz, crc = blob[
+            :_HEADER_LEN
+        ].tolist()
         if kind_code not in _KIND_NAMES:
             raise ValueError(f"bad block kind code {kind_code}")
-        indptr_end = _HEADER_LEN + n_rows + 1
-        indptr = blob[_HEADER_LEN:indptr_end]
-        indices = blob[indptr_end : indptr_end + nnz]
-        if len(indices) != nnz:
-            raise ValueError("blob truncated: indices shorter than header claims")
-        actual = blob_payload_crc32(indptr, indices)
+        if min(n_rows, n_cols, nnz) < 0 or len(blob) != (
+            _HEADER_LEN + n_rows + 1 + nnz
+        ):
+            raise ValueError(
+                f"blob of {len(blob)} words disagrees with its header "
+                f"({n_rows} rows, {nnz} entries)"
+            )
+        actual = zlib.crc32(blob[_HEADER_LEN:])
         if actual != crc:
             raise BlobChecksumError(expected=crc, actual=actual)
-        return cls(
-            kind=_KIND_NAMES[kind_code],
-            fixed_residue=fixed,
-            inner_residue=inner,
-            dcsr=DCSR(CSR(n_rows, indptr, indices, n_cols=n_cols)),
-            blob=blob,
-        )
+        block = cls.__new__(cls)
+        block.kind = _KIND_NAMES[kind_code]
+        block.fixed_residue = fixed
+        block.inner_residue = inner
+        block._shape = (n_rows, n_cols, nnz)
+        block._blob = blob
+        block._dcsr = None
+        block._nbytes = None
+        return block
 
     @classmethod
     def from_mmap(cls, buf, offset: int = 0) -> "Block":
@@ -196,16 +238,19 @@ class Block:
         return cls.from_blob(blob)
 
     def as_blob(self) -> np.ndarray:
-        """The block's wire-format buffer, reusing the source blob.
+        """The block's wire-format buffer: packed once, then returned as is.
 
-        Blocks that came out of :meth:`from_blob` / :meth:`from_mmap`
-        return the retained source buffer (zero copies — for an mmap'd
-        block this is still the page-cache-backed view); locally built
-        blocks fall back to :meth:`to_blob`.
+        A block from :func:`build_block`, :meth:`from_blob` or
+        :meth:`from_mmap` already has its blob (for an mmap'd block, the
+        page-cache-backed view); one that arrived as three arrays (the
+        ``blob_serialization=False`` ablation) is packed by
+        :meth:`to_blob` on the first call and keeps that buffer, read-only.
         """
-        if self.blob is not None:
-            return self.blob
-        return self.to_blob()
+        if self._blob is None:
+            blob = self.to_blob()
+            blob.flags.writeable = False
+            self._blob = blob
+        return self._blob
 
 
 def build_block(
@@ -217,19 +262,27 @@ def build_block(
     outer_local: np.ndarray,
     inner_local: np.ndarray,
 ) -> Block:
-    """Assemble a block from local-index coordinate pairs.
+    """Assemble a block from local-index coordinate pairs and pack it.
 
     ``outer_local`` indexes the dimension this structure is compressed on
     (rows for U/task, columns for L); entries end up sorted within each
     outer index, which the early-stop optimization requires.  ``n_inner``
     bounds the entry ids (the inner dimension's local extent).
+
+    The block is packed here, once: its blob is what every later user
+    reads — the shifts, the store, the checkpoints and the compiled
+    kernel — and its :attr:`~Block.dcsr` becomes views into that blob,
+    so no second copy of the arrays stays alive.
     """
-    return Block(
-        kind=kind,
-        fixed_residue=fixed_residue,
-        inner_residue=inner_residue,
-        dcsr=DCSR.from_coo(n_outer, outer_local, inner_local, n_cols=n_inner),
+    block = Block(
+        kind,
+        fixed_residue,
+        inner_residue,
+        DCSR.from_coo(n_outer, outer_local, inner_local, n_cols=n_inner),
     )
+    block.as_blob()
+    block._dcsr = None
+    return block
 
 
 def exchange_block(comm, block: Block, dest: int, src: int, blob: bool, tag: int):
@@ -241,10 +294,10 @@ def exchange_block(comm, block: Block, dest: int, src: int, blob: bool, tag: int
     each paying its own latency and envelope — the cost the Section 5.2
     blob optimization removes.
 
-    Pack once, check on every arrival: a locally built block is packed
-    here (at the skew); a received one forwards the buffer it arrived in,
-    whose header still carries its residues, so the message is the same
-    bytes without a second pack or crc pass.  The receiver's
+    Pack once, check on every arrival: the message is the buffer the
+    block was built or arrived in (:meth:`Block.as_blob`), whose header
+    still carries its residues, so no hop packs or computes a crc on the
+    sending side.  The receiver's
     :meth:`Block.from_blob` verifies the crc on every hop, and a
     corrupted copy is a new array, so the next receiver checks that one.
     """

@@ -253,8 +253,6 @@ def cannon_pass(
     """
     q = grid.q
     x, y = grid.coords(ctx.rank)
-    # The task block never travels: with a pool attached, pack it once.
-    task_blob = ops.task.as_blob() if ctx.engine.superstep is not None else None
     site = f"{prefix}:shift" if prefix else "shift"
     who = f"rank {ctx.rank} {prefix}".rstrip()
 
@@ -277,10 +275,10 @@ def cannon_pass(
                 f"expected {expected}"
             )
         operands = None
-        if task_blob is not None:
-            # as_blob: exchanged blocks retain their wire buffer, so an
-            # epoch re-ships its operands but never re-packs them.
-            operands = (task_blob, ops.u.as_blob(), ops.l.as_blob())
+        if ctx.engine.superstep is not None:
+            # as_blob: every block keeps the buffer it was built or arrived
+            # in, so an epoch re-ships its operands but never packs them.
+            operands = tuple(blk.as_blob() for blk in (ops.task, ops.u, ops.l))
         t0 = ctx.clock.now
         bname, st = count_blocks(
             ctx, cfg, ops.task, ops.u, ops.l, tally, operands, hits

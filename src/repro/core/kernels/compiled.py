@@ -27,15 +27,13 @@ import hashlib
 import os
 import threading
 from pathlib import Path
-from typing import Any, Callable
+from typing import Callable
 
 import numpy as np
 
 from repro.core.blocks import Block
 from repro.core.config import TC2DConfig
-from repro.core.kernels.common import KernelStats, kernel_capacity, require_aligned
-from repro.graph.csr import INDEX_DTYPE
-from repro.hashing.hashmap import table_capacity
+from repro.core.kernels.common import KernelStats, require_aligned
 
 #: The one C file and the flags it is built with; both name the library.
 SOURCE = Path(__file__).with_name("_tck.c")
@@ -136,12 +134,9 @@ def _open(path: Path) -> Callable[..., int]:
         raise _BadLibrary(f"{path.name}: no symbol tck_count")
     fn.restype = _I64
     fn.argtypes = [
-        _PTR, _PTR, _I64, _I64,  # task indptr, indices, n_rows, nnz
-        _PTR, _I64,  # live rows (or NULL), their count
-        _PTR, _PTR, _I64,  # U indptr, indices, nnz
-        _PTR, _PTR, _I64, _I64,  # L indptr, indices, n_rows, nnz
-        _I64, _I64, _I64,  # capacity, modified_hashing, early_stop
-        _PTR, _PTR,  # table scratch, counters out
+        _PTR, _I64, _PTR, _I64, _PTR, _I64,  # task, U, L blobs and lengths
+        _I64, _I64, _I64,  # modified_hashing, early_stop, doubly_sparse
+        _PTR,  # counters out
     ]
     _self_test(fn)
     return fn
@@ -228,52 +223,33 @@ def unavailable_reason() -> str | None:
     return None if available() else _loaded
 
 
-def _int64_array(name: str, a: Any) -> np.ndarray:
-    if not (
-        isinstance(a, np.ndarray) and a.dtype == INDEX_DTYPE
-        and a.ndim == 1 and a.flags.c_contiguous
-    ):
-        raise ValueError(f"{name} must be a C-contiguous 1-D int64 array")
-    return a
-
-
-def _csr_arrays(name: str, dcsr: Any) -> tuple[np.ndarray, np.ndarray]:
-    indptr = _int64_array(f"{name} indptr", dcsr.indptr)
-    indices = _int64_array(f"{name} indices", dcsr.indices)
-    if len(indptr) < 1 or indptr[-1] != len(indices):
-        raise ValueError(f"{name} indptr must end at len(indices)")
-    return indptr, indices
-
-
 def _call(
     fn: Callable[..., int],
-    t: tuple[np.ndarray, np.ndarray],
-    live: np.ndarray | None,
-    u: tuple[np.ndarray, np.ndarray],
-    l: tuple[np.ndarray, np.ndarray],
-    capacity: int,
+    t: np.ndarray,
+    u: np.ndarray,
+    l: np.ndarray,
     cfg: TC2DConfig,
 ) -> list[int]:
-    """One call into the library; every argument already validated.  The
-    locals keep each buffer alive while C reads it."""
-    table = np.zeros(2 * capacity, dtype=np.int64)
-    out = np.zeros(9, dtype=np.int64)
+    """One call into the library on three block blobs (C-contiguous int64,
+    as :meth:`Block.as_blob` returns them); returns the ten counters in
+    :class:`KernelStats` order.  The loop checks every header and indptr
+    before it reads through them."""
+    out = (ctypes.c_int64 * 10)()
     status = fn(
-        t[0].ctypes.data, t[1].ctypes.data, len(t[0]) - 1, len(t[1]),
-        None if live is None else live.ctypes.data,
-        0 if live is None else len(live),
-        u[0].ctypes.data, u[1].ctypes.data, len(u[1]),
-        l[0].ctypes.data, l[1].ctypes.data, len(l[0]) - 1, len(l[1]),
-        capacity, cfg.modified_hashing, cfg.early_stop,
-        table.ctypes.data, out.ctypes.data,
+        t.ctypes.data, len(t), u.ctypes.data, len(u), l.ctypes.data, len(l),
+        cfg.modified_hashing, cfg.early_stop, cfg.doubly_sparse, out,
     )
     if status == -2:
         raise IndexError("task column out of range for the L block")
     if status == -3:
-        raise ValueError(f"cannot build: a U row exceeds capacity {capacity}")
+        raise MemoryError("cannot allocate the kernel's hash table")
     if status != 0:
-        raise ValueError("malformed block: indptr is not a monotone offset array")
-    return out.tolist()
+        raise ValueError(
+            "malformed block: a blob header disagrees with its length, an "
+            "indptr is not a monotone offset array, or the task and U row "
+            "counts differ"
+        )
+    return out[:]
 
 
 def count_block_pair_c(
@@ -284,63 +260,65 @@ def count_block_pair_c(
     hits_out: list | None = None,
 ) -> KernelStats:
     """Count the triangles closed by one (task, U, L) block triple in the
-    compiled loop.
+    compiled loop, which reads the three blocks' wire blobs in place.
 
     The loop counts and does not list: ``resolve_backend`` sends a
     listing call (``hits_out``) to ``"batch"``, and one that reaches this
-    function anyway is refused.  Shapes, dtypes
-    and array ends are checked here, before any pointer is passed; row
-    ranges and task columns are checked by the loop itself right before
-    each use.  Read-only (mmap'd) blocks are fine: the loop writes only
-    to its own scratch and the counters.
+    function anyway is refused.  Headers, indptr ranges, the row-count
+    match and task columns are checked by the loop itself before use, and
+    it sizes its own table by the ``kernel_capacity`` rule.
+    Read-only (mmap'd) blobs are fine: the loop writes only to its own
+    table and the counters.
     """
     if hits_out is not None:
         raise ValueError('kernel backend "c" counts only; list through "batch"')
     fn = load()
     require_aligned(u_block, l_block)
-    tasks, U, L = task_block.dcsr, u_block.dcsr, l_block.dcsr
-    t = _csr_arrays("task", tasks)
-    u = _csr_arrays("U", U)
-    l = _csr_arrays("L", L)
-    if len(u[0]) != len(t[0]):
-        raise ValueError(
-            f"U block has {len(u[0]) - 1} rows, task block {len(t[0]) - 1}"
-        )
-    live = None
-    if cfg.doubly_sparse:
-        live = _int64_array("task nonempty_rows", tasks.nonempty_rows)
-    capacity = table_capacity(kernel_capacity(U))
-    out = _call(fn, t, live, u, l, capacity, cfg)
-    return KernelStats(tasks.row_visit_cost(cfg.doubly_sparse), *out)
+    return KernelStats(
+        *_call(fn, task_block.as_blob(), u_block.as_blob(), l_block.as_blob(), cfg)
+    )
+
+
+def _blob(indptr: tuple[int, ...], indices: tuple[int, ...]) -> np.ndarray:
+    """A block blob for the self-test (kind, residues, n_cols and crc are
+    not the loop's business and stay 0)."""
+    header = (0, 0, 0, len(indptr) - 1, 0, len(indices), 0)
+    return np.array(header + indptr + indices, dtype=np.int64)
+
+
+#: ``(task, U, L, cfg, counters)`` hand-sized triples whose ten counters
+#: are constants recorded from the ``row`` backend.  The first takes the
+#: direct-mask build, one collision fallback and the early break; the
+#: second a probed build that fills the table, so its misses walk
+#: capacity + 1 rounds; the third has a longest U row of 5, so capacity
+#: 8, whose mask clashes ids 1 and 9 (a 16-slot table would not).
+SELF_TEST_CASES = (
+    (
+        _blob((0, 2, 2, 3), (0, 2, 1)),
+        _blob((0, 3, 3, 5), (2, 5, 7, 1, 5)),
+        _blob((0, 4, 6, 9), (0, 2, 5, 9, 1, 6, 3, 5, 7)),
+        TC2DConfig(), [2, 3, 2, 1, 3, 2, 6, 3, 1, 5],
+    ),
+    (
+        _blob((0, 1, 2), (0, 0)),
+        _blob((0, 4, 6), (1, 5, 9, 13, 2, 6)),
+        _blob((0, 8), (0, 1, 2, 3, 4, 5, 6, 7)),
+        TC2DConfig(modified_hashing=False, early_stop=False),
+        [2, 2, 2, 0, 0, 8, 0, 43, 0, 4],
+    ),
+    (
+        _blob((0, 2, 3), (0, 1, 1)),
+        _blob((0, 5, 5), (1, 4, 9, 10, 14)),
+        _blob((0, 4, 7), (1, 3, 9, 14, 0, 10, 12)),
+        TC2DConfig(), [2, 2, 1, 0, 0, 7, 0, 13, 1, 4],
+    ),
+)
 
 
 def _self_test(fn: Callable[..., int]) -> None:
-    """Two hand-sized block triples whose nine counters are constants
-    (recorded from the ``row`` backend).  The first takes the direct-mask
-    build, one collision fallback and the early break; the second a
-    probed build that fills the table, so its misses walk capacity + 1
-    rounds.  A library that disagrees is refused."""
-
-    def a(*xs: int) -> np.ndarray:
-        return np.array(xs, dtype=np.int64)
-
-    cases = (
-        (
-            (a(0, 2, 2, 3), a(0, 2, 1)), a(0, 2),
-            (a(0, 3, 3, 5), a(2, 5, 7, 1, 5)),
-            (a(0, 4, 6, 9), a(0, 2, 5, 9, 1, 6, 3, 5, 7)),
-            TC2DConfig(), [3, 2, 1, 3, 2, 6, 3, 1, 5],
-        ),
-        (
-            (a(0, 1, 2), a(0, 0)), None,
-            (a(0, 4, 6), a(1, 5, 9, 13, 2, 6)),
-            (a(0, 8), a(0, 1, 2, 3, 4, 5, 6, 7)),
-            TC2DConfig(modified_hashing=False, early_stop=False),
-            [2, 2, 0, 0, 8, 0, 43, 0, 4],
-        ),
-    )
-    for t, live, u, l, cfg, want in cases:
-        got = _call(fn, t, live, u, l, 4, cfg)
+    """Run :data:`SELF_TEST_CASES`; a library that disagrees is refused."""
+    for t, u, l, cfg, want in SELF_TEST_CASES:
+        got = _call(fn, t, u, l, cfg)
         if got != want:
             raise KernelUnavailableError(
                 f"self-test mismatch: counters {got}, expected {want}"

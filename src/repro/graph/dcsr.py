@@ -6,7 +6,8 @@ empty.  The paper keeps the plain CSR indexing scheme (local row id =
 ``vertex // sqrt(p)``, so random access stays O(1)) and *adds* a list of
 rows with non-empty adjacency lists; iteration walks that list and never
 touches empty rows.  :class:`DCSR` packages exactly that: a CSR plus its
-non-empty-row index.
+non-empty-row index.  The index is built on first use: a block that only
+travels, or is only counted by the compiled kernel, never needs it.
 """
 
 from __future__ import annotations
@@ -25,11 +26,18 @@ class DCSR:
     or the full row range when it is off (the Section 7.3 ablation).
     """
 
-    __slots__ = ("csr", "nonempty_rows")
+    __slots__ = ("csr", "_nonempty_rows")
 
     def __init__(self, csr: CSR):
         self.csr = csr
-        self.nonempty_rows = csr.nonempty_rows()
+        self._nonempty_rows: np.ndarray | None = None
+
+    @property
+    def nonempty_rows(self) -> np.ndarray:
+        """Ids of the rows with at least one entry (computed once)."""
+        if self._nonempty_rows is None:
+            self._nonempty_rows = self.csr.nonempty_rows()
+        return self._nonempty_rows
 
     @classmethod
     def from_coo(
@@ -89,9 +97,15 @@ class DCSR:
 
     def nbytes_estimate(self) -> int:
         """Approximate memory/message footprint in bytes."""
-        return int(
-            self.csr.nbytes_estimate() + self.nonempty_rows.nbytes + 16
-        )
+        return self.estimate(self.csr.n_rows, self.csr.nnz, len(self.nonempty_rows))
+
+    @staticmethod
+    def estimate(n_rows: int, nnz: int, n_nonempty: int) -> int:
+        """:meth:`nbytes_estimate` of a DCSR of this shape, from three
+        counts: int64 indptr, indices and non-empty-row list, plus the
+        CSR's 64 and the DCSR's 16 bytes of overhead."""
+        word = np.dtype(INDEX_DTYPE).itemsize
+        return word * (n_rows + 1 + nnz + n_nonempty) + 64 + 16
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

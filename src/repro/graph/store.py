@@ -12,8 +12,9 @@ persists the pipeline's output once and replays it on demand:
   config toggles and the blob format version — so a changed graph, grid or
   toggle can never alias a stale entry;
 * per-rank state is stored in the same crc32-checked single-buffer blob
-  format blocks travel the simulated wire in
-  (:meth:`~repro.core.blocks.Block.to_blob`), three blobs to a flat
+  format blocks travel the simulated wire in — the very buffers
+  :func:`~repro.core.blocks.build_block` packed, written as they are
+  (:meth:`~repro.core.blocks.Block.as_blob`) — three blobs to a flat
   rank file (:func:`~repro.core.blocks.write_rank_file`) that is
   memory-mapped, never parsed, on the way back in — so a corrupted file
   fails loudly with :class:`~repro.simmpi.errors.BlobChecksumError`
@@ -307,7 +308,7 @@ class RunCache:
         Returns ``(u_block, l_block, task_block, nbytes)``.
         """
         served = read_rank_file(self.store.rank_path(self.digest, rank), rank)
-        nbytes = int(sum(b.blob.nbytes for b in served.blocks))
+        nbytes = int(sum(b.as_blob().nbytes for b in served.blocks))
         self.loaded_nbytes += nbytes
         self.mapped_ranks += 1
         return (*served.blocks, nbytes)
@@ -328,7 +329,7 @@ class RunCache:
         """
         if self.hit or not self.writable:
             return
-        blobs = [b.to_blob() for b in (u_block, l_block, task_block)]
+        blobs = [b.as_blob() for b in (u_block, l_block, task_block)]
         path = self.store.rank_path(self.digest, rank)
         write_rank_file(path, [rank, lo], blobs, extra=labels)
         self._saved[rank] = {
@@ -538,7 +539,7 @@ class GraphStore:
                     continue
                 for key, block in zip(RANK_FILE_BLOBS, served.blocks):
                     want = entry.get("crc32", {}).get(key)
-                    if want is not None and int(block.blob[6]) != int(want):
+                    if want is not None and int(block.as_blob()[6]) != int(want):
                         problems.append(
                             f"{d[:12]} rank {rank}: {key} crc32 differs "
                             "from manifest"

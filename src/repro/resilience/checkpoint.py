@@ -4,8 +4,8 @@ The Cannon pipeline makes snapshots cheap: a rank's entire counting state
 is one resident task block, one travelling U block, one travelling L
 block, a partial count and the shift index.  Blocks are serialized with
 the same crc-protected single-buffer blob format they travel the wire in
-(:meth:`~repro.core.blocks.Block.as_blob`: a received block's wire buffer
-is saved as is, not packed again), so a snapshot is three int64
+(:meth:`~repro.core.blocks.Block.as_blob`: the buffer a block was built
+or arrived in is saved as is, not packed again), so a snapshot is three int64
 arrays plus two integers — on disk, the same flat rank file the
 preprocessing store keeps (:func:`~repro.core.blocks.write_rank_file`).
 
@@ -163,7 +163,7 @@ class CheckpointStore:
                 f"{path}: claims meta {served.meta.tolist()}, expected epoch {epoch}"
             )
         return RankSnapshot(
-            rank, epoch, int(served.meta[2]), *(b.blob for b in served.blocks),
+            rank, epoch, int(served.meta[2]), *(b.as_blob() for b in served.blocks),
             verified=served.blocks,
         )
 

@@ -7,15 +7,24 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
+import zlib
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.blocks import (
     Block,
     RankFileError,
+    blob_payload_crc32,
     build_block,
     exchange_block,
+    read_rank_file,
+    write_rank_file,
 )
+from repro.graph.csr import CSR
+from repro.graph.dcsr import DCSR
 from repro.simmpi import Engine
 from repro.simmpi.errors import BlobChecksumError
 
@@ -95,10 +104,10 @@ def test_from_blob_is_zero_copy():
     assert not np.shares_memory(blob, b.dcsr.csr.indices)
 
 
-def test_exchange_block_sender_mutation_safe():
-    """Zero-copy deserialization must not let a sender's later writes
-    reach the receiver: to_blob packs into a fresh buffer, so mutating
-    the original block after the exchange leaves the received one alone."""
+def test_exchange_block_sender_cannot_write_a_sent_block():
+    """A block is packed once, at build, and its views and every copy it
+    forwards share that one read-only buffer: a sender's later write
+    raises instead of reaching the receiver."""
 
     def program(ctx):
         comm = ctx.comm
@@ -114,7 +123,8 @@ def test_exchange_block_sender_mutation_safe():
         dest = src = (ctx.rank + 1) % 2
         got = exchange_block(comm, b, dest, src, blob=True, tag=7)
         before = got.dcsr.csr.indices.copy()
-        b.dcsr.csr.indices[:] = -99  # sender clobbers its own block
+        with pytest.raises(ValueError, match="read-only"):
+            b.dcsr.csr.indices[:] = -99  # sender tries to clobber its block
         comm.barrier()
         return np.array_equal(got.dcsr.csr.indices, before)
 
@@ -166,8 +176,6 @@ def test_exchange_block_nonblob_uses_more_messages():
 
 
 def test_blob_header_carries_payload_crc32():
-    from repro.core.blocks import blob_payload_crc32
-
     b = make_block()
     blob = b.to_blob()
     csr = b.dcsr.csr
@@ -421,9 +429,10 @@ def test_atomic_writers_share_no_temp_and_leave_none_behind(
 
 
 def test_a_cold_run_packs_each_travelling_block_once(er_graph, monkeypatch, tmp_path):
-    """Only the skew packs (one U and one L block per rank); every shift
-    forwards the buffer the block arrived in, and a warm run — whose
-    blocks all arrive as mapped blobs — packs nothing."""
+    """Only ``build_block`` packs (one U, one L and one task block per
+    rank); the skew and every shift forward the buffer the block was
+    built or arrived in, and a warm run — whose blocks all arrive as
+    mapped blobs — packs nothing."""
     from repro.core import count_triangles_2d
     from repro.graph.store import GraphStore
 
@@ -433,13 +442,15 @@ def test_a_cold_run_packs_each_travelling_block_once(er_graph, monkeypatch, tmp_
     real = Block.to_blob
     monkeypatch.setattr(Block, "to_blob", lambda b: packs.append(1) or real(b))
     cold = count_triangles_2d(er_graph, p)
-    assert len(packs) == 2 * p
+    assert len(packs) == 3 * p
     assert (cold.count, cold.tct_time, cold.counters_tct) == (
         want.count, want.tct_time, want.counters_tct
     )
 
     store = GraphStore(tmp_path)
+    packs.clear()
     count_triangles_2d(er_graph, p, cache=store)
+    assert len(packs) == 3 * p  # the store writes the blobs built once
     packs.clear()
     warm = count_triangles_2d(er_graph, p, cache=store)
     assert warm.extras["cache"]["hit"]
@@ -478,3 +489,103 @@ def test_a_corrupted_forwarded_buffer_fails_its_crc(er_graph):
     assert res.extras["attempts"][0].error.startswith(
         "rank 4 raised BlobChecksumError"
     )
+
+
+# -- the wire format, property form ------------------------------------------
+
+#: Tier-1 draws 60 cases; a loaded profile brings its own budget (CI:
+#: `--hypothesis-profile=long --hypothesis-seed=0`, 2000 cases).
+_BUDGET = settings(
+    max_examples=(
+        60 if settings.default is settings.get_profile("default")
+        else settings.default.max_examples
+    ),
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+@st.composite
+def random_blocks(draw) -> Block:
+    """A built block of any kind and shape, empty rows and empty blocks
+    included."""
+    n_outer = draw(st.integers(0, 9), label="n_outer")
+    n_inner = draw(st.integers(1, 40), label="n_inner")
+    pairs = draw(st.lists(
+        st.tuples(st.integers(0, max(n_outer - 1, 0)), st.integers(0, n_inner - 1)),
+        max_size=0 if n_outer == 0 else 30, unique=True,
+    ), label="entries")
+    outer = np.array([a for a, _ in pairs], dtype=np.int64)
+    inner = np.array([b for _, b in pairs], dtype=np.int64)
+    kind = draw(st.sampled_from(["U-row", "L-col", "task"]), label="kind")
+    fixed, z = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    return build_block(kind, fixed, z, n_outer, n_inner, outer, inner)
+
+
+def _parent_to_blob(block: Block) -> np.ndarray:
+    """The pack of the previous release: a header whose crc is the two
+    chained per-array crcs, concatenated with fresh copies of the arrays."""
+    csr = block.dcsr.csr
+    header = np.array(
+        [
+            {"U-row": 0, "L-col": 1, "task": 2}[block.kind],
+            block.fixed_residue, block.inner_residue,
+            csr.n_rows, csr.n_cols, csr.nnz,
+            blob_payload_crc32(csr.indptr, csr.indices),
+        ],
+        dtype=np.int64,
+    )
+    return np.concatenate([header, csr.indptr.copy(), csr.indices.copy()])
+
+
+@_BUDGET
+@given(block=random_blocks())
+def test_one_crc_over_the_payload_is_the_chained_crc(block):
+    """The arrival check's one ``zlib.crc32`` over ``blob[7:]`` is the
+    value the two chained per-array crcs give, so stored and checkpointed
+    blobs keep their crcs."""
+    blob = block.as_blob()
+    csr = block.dcsr.csr
+    assert zlib.crc32(blob[7:]) == blob_payload_crc32(csr.indptr, csr.indices)
+    assert int(blob[6]) == zlib.crc32(blob[7:])
+    assert blob.tobytes() == _parent_to_blob(block).tobytes()
+
+
+@_BUDGET
+@given(block=random_blocks())
+def test_nbytes_estimate_is_the_eager_dcsrs(block):
+    """Memory and working-set charges come from the header and one
+    nonempty-row count; they equal what an eagerly built DCSR says,
+    before and after the lazy views exist."""
+    blob = block.as_blob()
+    n_rows, n_cols, nnz = (int(x) for x in blob[3:6])
+    eager = DCSR(CSR(n_rows, blob[7 : 8 + n_rows].copy(), blob[8 + n_rows :].copy(),
+                     n_cols=n_cols))
+    want = eager.nbytes_estimate() + 64
+    assert eager.nonempty_rows is not None and nnz == eager.nnz
+
+    assert block.nbytes_estimate() == want  # built: no views yet
+    arrived = Block.from_blob(blob)
+    assert arrived.nbytes_estimate() == want  # arrived: no views yet
+    assert arrived._dcsr is None
+    viewed = Block.from_blob(blob)
+    assert len(viewed.dcsr.nonempty_rows) == len(eager.nonempty_rows)
+    assert viewed.nbytes_estimate() == want  # views built first
+    assert viewed.dcsr.nbytes_estimate() + 64 == want
+
+
+@_BUDGET
+@given(blocks=st.lists(random_blocks(), min_size=3, max_size=3))
+def test_a_rank_file_written_by_the_parent_loads_unchanged(blocks, tmp_path_factory):
+    """A rank file whose blobs the previous release packed maps back to
+    the same blocks, byte for byte, with every crc verified."""
+    path = tmp_path_factory.mktemp("rank") / "rank000.blocks"
+    write_rank_file(path, [0, 3], [_parent_to_blob(b) for b in blocks], extra=[7, 8])
+    served = read_rank_file(path, 0)
+    assert served.meta.tolist() == [0, 3] and served.extra.tolist() == [7, 8]
+    for got, want in zip(served.blocks, blocks):
+        assert got.as_blob().tobytes() == want.as_blob().tobytes()
+        assert (got.kind, got.fixed_residue, got.inner_residue, got.nnz) == (
+            want.kind, want.fixed_residue, want.inner_residue, want.nnz
+        )
+        assert got.dcsr.csr == want.dcsr.csr

@@ -15,6 +15,8 @@ import os
 import shutil
 import subprocess
 import sys
+import zlib
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +24,7 @@ import pytest
 
 from repro.baselines.serial import count_triangles_map_based
 from repro.core import TC2DConfig, count_triangles_2d
+from repro.core.blocks import _KIND_CODES, Block, build_block
 from repro.core.kernels import KernelUnavailableError, compiled, get_backend
 from tests.core.test_intersect import to_blocks
 
@@ -180,7 +183,7 @@ def test_self_test_mismatch_is_refused(fresh, tmp_path, monkeypatch, er_graph):
     """Same signature, no counting: it builds and loads, fails the
     self-test, and is never used."""
     real = compiled.SOURCE.read_text()
-    head = real[real.index("int64_t tck_count(") : real.index("{\n    int64_t *stamp")]
+    head = real[real.index("int64_t tck_count(") : real.index("{\n    csr_t T, U, L;")]
     impostor = tmp_path / "_tck.c"
     impostor.write_text(f"#include <stdint.h>\n{head}{{ return 0; }}\n")
     monkeypatch.setattr(compiled, "SOURCE", impostor)
@@ -238,7 +241,7 @@ def test_parallel_run_counts_in_c_from_one_library(er_graph):
     assert len(built) == 1 and built[0].endswith(".so")
 
 
-# -- what the wrapper refuses -----------------------------------------------
+# -- what the wrapper and the loop refuse -----------------------------------
 
 
 @pytest.fixture()
@@ -253,8 +256,26 @@ def triple():
     )
 
 
-def _run(tb, ub, lb):
-    return get_backend("c")(tb, ub, lb, TC2DConfig())
+def _run(tb, ub, lb, cfg=TC2DConfig()):
+    return get_backend("c")(tb, ub, lb, cfg)
+
+
+def _resealed(block: Block, edit) -> Block:
+    """``block`` with its blob edited by ``edit(blob)`` and the crc
+    recomputed, so the arrival check passes and only the loop's own
+    checks stand between the edit and a read out of bounds."""
+    blob = block.as_blob().copy()
+    edit(blob)
+    blob[6] = zlib.crc32(blob[7:])
+    return Block.from_blob(blob)
+
+
+def _indptr(blob: np.ndarray) -> np.ndarray:
+    return blob[7 : 8 + blob[3]]
+
+
+def _indices(blob: np.ndarray) -> np.ndarray:
+    return blob[8 + blob[3] :]
 
 
 def test_wrapper_baseline(triple):
@@ -268,67 +289,158 @@ def test_wrapper_refuses_to_list(triple):
         get_backend("c")(*triple, TC2DConfig(), [])
 
 
-@pytest.mark.parametrize("which", ["task", "u", "l"])
-@pytest.mark.parametrize("field", ["indptr", "indices"])
-def test_wrapper_rejects_wrong_dtype_and_strides(triple, which, field):
-    blocks = dict(zip(("task", "u", "l"), triple))
-    csr = blocks[which].dcsr.csr
-    good = getattr(csr, field)
-    for bad in (good.astype(np.int32), np.repeat(good, 2)[::2]):
-        setattr(csr, field, bad)
-        with pytest.raises(ValueError, match="C-contiguous 1-D int64"):
-            _run(*triple)
-    setattr(csr, field, good)
-    assert _run(*triple).triangles == 4
+def _short(t, u, l):
+    return t[:5], u, l
+
+
+def _set(which: int, word, value):
+    """Set header/payload word ``word`` (an int, or a function of the
+    blob) of blob ``which`` (0 task, 1 U, 2 L)."""
+
+    def damage(*blobs):
+        blobs = list(blobs)
+        b = blobs[which]
+        b[word(b) if callable(word) else word] = value(b) if callable(value) else value
+        return blobs
+
+    return damage
+
+
+def _longer(t, u, l):
+    return t, u, np.append(l, 0)
+
+
+def _three_row_u_block() -> Block:
+    return build_block("U-row", 0, 0, 3, 8, np.array([0, 0, 0]), np.array([1, 4, 7]))
+
+
+def _three_row_u(t, u, l):
+    return t, _three_row_u_block().as_blob(), l
+
+
+MALFORMED = {
+    "shorter-than-header": (_short, ValueError),
+    "negative-n_rows": (_set(0, 3, -1), ValueError),
+    "negative-n_cols": (_set(2, 4, -1), ValueError),
+    "negative-nnz": (_set(1, 5, -1), ValueError),
+    "huge-n_rows": (_set(0, 3, 1 << 62), ValueError),
+    "header-claims-more-entries": (_set(2, 5, lambda b: b[5] + 1), ValueError),
+    "blob-longer-than-header": (_longer, ValueError),
+    "indptr-not-from-0": (_set(1, 7, 1), ValueError),
+    "indptr-not-monotone": (_set(2, 8, lambda b: b[5] + 3), ValueError),
+    "indptr-not-ending-at-nnz": (
+        _set(0, lambda b: 7 + b[3], lambda b: b[5] - 1), ValueError,
+    ),
+    "task-and-u-row-counts-differ": (_three_row_u, ValueError),
+    "task-column-past-l": (_set(0, -1, lambda b: 4), IndexError),
+    "task-column-negative": (_set(0, -1, -1), IndexError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_c_entry_rejects_a_malformed_blob(triple, case):
+    """The entry itself, handed raw blobs no arrival check has seen: every
+    malformed shape ends in the error ``row`` raises for it, never in a
+    crash or a read past a blob."""
+    damage, error = MALFORMED[case]
+    blobs = damage(*(b.as_blob().copy() for b in triple))
+    with pytest.raises(error, match="malformed block|task column out of range"):
+        compiled._call(compiled.load(), *blobs, TC2DConfig())
+    # The untouched triple still counts.
+    assert compiled._call(compiled.load(), *(b.as_blob() for b in triple),
+                          TC2DConfig())[-1] == 4
 
 
 def test_wrapper_rejects_row_count_mismatch(triple):
-    tb, ub, lb = triple
-    ub.dcsr.csr.indptr = ub.dcsr.csr.indptr[:-1].copy()
-    ub.dcsr.csr.indices = ub.dcsr.csr.indices[:3].copy()
-    with pytest.raises(ValueError, match="U block has 3 rows, task block 4"):
-        _run(tb, ub, lb)
+    tb, _, lb = triple
+    with pytest.raises(ValueError, match="malformed block"):
+        _run(tb, _three_row_u_block(), lb)
 
 
 @pytest.mark.parametrize("which", [0, 1, 2])
 def test_wrapper_rejects_indptr_not_ending_at_nnz(triple, which):
-    csr = triple[which].dcsr.csr
-    csr.indices = csr.indices[:-1].copy()
-    with pytest.raises(ValueError, match="must end at len"):
-        _run(*triple)
+    """The header and the length agree; the last indptr word does not."""
+    blocks = list(triple)
+    blocks[which] = _resealed(
+        blocks[which], lambda b: _indptr(b).__setitem__(-1, b[5] - 1)
+    )
+    with pytest.raises(ValueError, match="malformed block"):
+        _run(*blocks)
 
 
 @pytest.mark.parametrize("which", [0, 1, 2])
 def test_wrapper_rejects_non_monotone_indptr(triple, which):
     """Ends are right, the middle points past the array: only the loop's
     own range check can see it."""
-    csr = triple[which].dcsr.csr
-    indptr = csr.indptr.copy()
-    indptr[1] = indptr[-1] + 3
-    csr.indptr = indptr
+    blocks = list(triple)
+    blocks[which] = _resealed(
+        blocks[which], lambda b: _indptr(b).__setitem__(1, b[5] + 3)
+    )
     with pytest.raises(ValueError, match="malformed block"):
-        _run(*triple)
+        _run(*blocks)
 
 
 @pytest.mark.parametrize("col", [4, 1 << 40, -1])
 def test_wrapper_rejects_task_column_outside_l(triple, col):
     tb, ub, lb = triple
-    tb.dcsr.csr.indices = np.array([0, col, 1], dtype=np.int64)
+    tb = _resealed(tb, lambda b: _indices(b).__setitem__(1, col))
     with pytest.raises(IndexError, match="task column out of range"):
         _run(tb, ub, lb)
 
 
-def test_wrapper_rejects_live_row_outside_block(triple):
+@pytest.mark.parametrize("which", ["task", "u", "l"])
+@pytest.mark.parametrize("field", ["indptr", "indices"])
+def test_c_reads_the_blob_not_the_views(triple, which, field):
+    """The loop reads each block's blob: damaged views (a wrong dtype, a
+    strided array) on the Python side change nothing it counts."""
+    blocks = dict(zip(("task", "u", "l"), triple))
+    csr = blocks[which].dcsr.csr
+    good = getattr(csr, field)
+    for bad in (good.astype(np.int32), np.repeat(good, 2)[::2]):
+        setattr(csr, field, bad)
+        assert _run(*triple).triangles == 4
+
+
+@pytest.mark.parametrize("doubly_sparse", [True, False])
+def test_c_counts_row_visits_itself(triple, doubly_sparse):
+    """Row visits come back from the loop: the nonempty task rows (0 and
+    3 here), or every row with the doubly-sparse optimization off."""
+    cfg = TC2DConfig(doubly_sparse=doubly_sparse)
+    st = _run(*triple, cfg)
+    assert st.row_visits == (2 if doubly_sparse else 4)
+    assert triple[0]._dcsr is None  # no view was built to count them
+    assert st == get_backend("row")(*triple, cfg)
+
+
+def test_c_sizes_its_table_by_the_capacity_rule(triple, monkeypatch):
+    """The self-test's constants are what ``row`` counts on the same
+    blobs; the third case's longest U row is 5, so only a table of 8
+    slots — ``max(4, 5)`` rounded up to a power of two — gives them."""
+    from repro.core.kernels import rowwise
+
+    kinds = ("task", "U-row", "L-col")
+    for *blobs, cfg, want in compiled.SELF_TEST_CASES:
+        blocks = []
+        for kind, blob in zip(kinds, blobs):
+            blob = blob.copy()
+            blob[0], blob[4] = _KIND_CODES[kind], 64
+            blob[6] = zlib.crc32(blob[7:])
+            blocks.append(Block.from_blob(blob))
+        assert compiled._call(compiled.load(), *blobs, cfg) == want
+        assert list(astuple(get_backend("row")(*blocks, cfg))) == want
+    *_, cfg, want = compiled.SELF_TEST_CASES[2]
+    assert np.diff(_indptr(compiled.SELF_TEST_CASES[2][1])).max() == 5
+    monkeypatch.setattr(rowwise, "kernel_capacity", lambda u: 16)
+    assert list(astuple(get_backend("row")(*blocks, cfg))) != want
+
+
+def test_c_counts_read_only_mapped_blobs(triple, tmp_path):
+    """Blobs straight out of a read-only map count like built ones."""
+    from repro.core.blocks import read_rank_file, write_rank_file
+
     tb, ub, lb = triple
-    tb.dcsr.nonempty_rows = np.array([0, 9], dtype=np.int64)
-    with pytest.raises(ValueError, match="malformed block"):
-        _run(tb, ub, lb)
-
-
-def test_wrapper_rejects_row_longer_than_table(triple, monkeypatch):
-    """Unreachable through ``kernel_capacity`` (never below the longest
-    row); the loop still refuses rather than probe a full table forever."""
-    monkeypatch.setattr(compiled, "kernel_capacity", lambda u: 1)
-    monkeypatch.setattr(compiled, "table_capacity", lambda cap: 2)
-    with pytest.raises(ValueError, match="exceeds capacity 2"):
-        _run(*triple)
+    path = tmp_path / "rank000.blocks"
+    write_rank_file(path, [0], [ub.as_blob(), lb.as_blob(), tb.as_blob()])
+    u, l, t = read_rank_file(path, 0).blocks
+    assert not t.as_blob().flags.writeable
+    assert _run(t, u, l) == _run(*triple)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -157,9 +158,10 @@ def test_restore_checks_each_crc_once(tmp_path, blocks4, monkeypatch):
     u, l, t = blocks4[3]
     store.save(RankSnapshot.capture(3, 1, 5, u, l, t))
     calls = []
-    real = blocks.blob_payload_crc32
+    real = blocks.zlib.crc32
     monkeypatch.setattr(
-        blocks, "blob_payload_crc32", lambda *a: calls.append(1) or real(*a)
+        blocks, "zlib",
+        SimpleNamespace(crc32=lambda *a: calls.append(1) or real(*a)),
     )
     back = store.load(1, 3)
     restored = back.blocks()
