@@ -60,7 +60,8 @@ def blob_payload_crc32(indptr: np.ndarray, indices: np.ndarray) -> int:
 
     Computed over the raw int64 buffer bytes, so the value is stable
     across processes and restarts — checkpoint manifests record it and
-    :meth:`Block.from_blob` verifies it on every deserialization.
+    :meth:`Block.from_blob` verifies it on every deserialization, as one
+    crc32 over the blob's contiguous payload, which is the same value.
     """
     crc = zlib.crc32(np.ascontiguousarray(indptr, dtype=INDEX_DTYPE).data)
     return zlib.crc32(np.ascontiguousarray(indices, dtype=INDEX_DTYPE).data, crc)
