@@ -67,6 +67,30 @@ def blob_payload_crc32(indptr: np.ndarray, indices: np.ndarray) -> int:
     return zlib.crc32(np.ascontiguousarray(indices, dtype=INDEX_DTYPE).data, crc)
 
 
+def _seal(
+    blob: np.ndarray,
+    kind: str,
+    fixed_residue: int,
+    inner_residue: int,
+    n_rows: int,
+    n_cols: int,
+) -> None:
+    """Finish a pack: write the header of ``blob``, whose ``indptr ++
+    indices`` payload already follows :data:`_HEADER_LEN` free words; the
+    crc32 covers that payload."""
+    if kind not in _KIND_CODES:
+        raise ValueError(f"unknown block kind {kind!r}")
+    blob[:_HEADER_LEN] = (
+        _KIND_CODES[kind],
+        fixed_residue,
+        inner_residue,
+        n_rows,
+        n_cols,
+        len(blob) - _HEADER_LEN - n_rows - 1,
+        zlib.crc32(blob[_HEADER_LEN:]),
+    )
+
+
 class Block:
     """One 2D block with enough metadata to keep shifting honest.
 
@@ -161,14 +185,9 @@ class Block:
         blob = np.empty(split + csr.nnz, dtype=INDEX_DTYPE)
         blob[_HEADER_LEN:split] = csr.indptr
         blob[split:] = csr.indices
-        blob[:_HEADER_LEN] = (
-            _KIND_CODES[self.kind],
-            self.fixed_residue,
-            self.inner_residue,
-            csr.n_rows,
-            csr.n_cols,
-            csr.nnz,
-            zlib.crc32(blob[_HEADER_LEN:]),
+        _seal(
+            blob, self.kind, self.fixed_residue, self.inner_residue,
+            csr.n_rows, csr.n_cols,
         )
         return blob
 
@@ -206,11 +225,24 @@ class Block:
         actual = zlib.crc32(blob[_HEADER_LEN:])
         if actual != crc:
             raise BlobChecksumError(expected=crc, actual=actual)
+        return cls._of_blob(blob, _KIND_NAMES[kind_code], fixed, inner, n_rows, n_cols)
+
+    @classmethod
+    def _of_blob(
+        cls,
+        blob: np.ndarray,
+        kind: str,
+        fixed_residue: int,
+        inner_residue: int,
+        n_rows: int,
+        n_cols: int,
+    ) -> "Block":
+        """A block over a checked blob whose header says these fields."""
         block = cls.__new__(cls)
-        block.kind = _KIND_NAMES[kind_code]
-        block.fixed_residue = fixed
-        block.inner_residue = inner
-        block._shape = (n_rows, n_cols, nnz)
+        block.kind = kind
+        block.fixed_residue = fixed_residue
+        block.inner_residue = inner_residue
+        block._shape = (n_rows, n_cols, len(blob) - _HEADER_LEN - n_rows - 1)
         block._blob = blob
         block._dcsr = None
         block._nbytes = None
@@ -270,20 +302,20 @@ def build_block(
     outer index, which the early-stop optimization requires.  ``n_inner``
     bounds the entry ids (the inner dimension's local extent).
 
-    The block is packed here, once: its blob is what every later user
-    reads — the shifts, the store, the checkpoints and the compiled
-    kernel — and its :attr:`~Block.dcsr` becomes views into that blob,
-    so no second copy of the arrays stays alive.
+    The block is packed here, once: the CSR build writes ``indptr`` and
+    ``indices`` straight into the blob, and the blob is what every later
+    user reads — the shifts, the store, the checkpoints and the compiled
+    kernel.  The block's :attr:`~Block.dcsr` is views into it, so no
+    second copy of the arrays exists.
     """
-    block = Block(
-        kind,
-        fixed_residue,
-        inner_residue,
-        DCSR.from_coo(n_outer, outer_local, inner_local, n_cols=n_inner),
+    n_outer, n_inner = int(n_outer), int(n_inner)
+    blob = np.empty(_HEADER_LEN + n_outer + 1 + len(outer_local), dtype=INDEX_DTYPE)
+    CSR.from_coo(
+        n_outer, outer_local, inner_local, n_cols=n_inner, out=blob[_HEADER_LEN:]
     )
-    block.as_blob()
-    block._dcsr = None
-    return block
+    _seal(blob, kind, fixed_residue, inner_residue, n_outer, n_inner)
+    blob.flags.writeable = False
+    return Block._of_blob(blob, kind, fixed_residue, inner_residue, n_outer, n_inner)
 
 
 def exchange_block(comm, block: Block, dest: int, src: int, blob: bool, tag: int):

@@ -70,10 +70,14 @@ class CSR:
         cols: np.ndarray,
         n_cols: int | None = None,
         dedup: bool = False,
+        out: np.ndarray | None = None,
     ) -> "CSR":
         """Build a CSR from coordinate pairs, sorting each row ascending.
 
         With ``dedup``, duplicate (row, col) pairs collapse to one entry.
+        With ``out`` (``n_rows + 1 + nnz`` int64 words), ``indptr`` and
+        ``indices`` are built into it, back to back, and the CSR's arrays
+        are views of it — how a block is laid out inside its blob.
         """
         rows = np.asarray(rows, dtype=INDEX_DTYPE)
         cols = np.asarray(cols, dtype=INDEX_DTYPE)
@@ -107,7 +111,12 @@ class CSR:
                 )
                 rows, cols = rows[keep], cols[keep]
         counts = np.bincount(rows, minlength=n_rows)
-        indptr = np.zeros(n_rows + 1, dtype=INDEX_DTYPE)
+        if out is None:
+            indptr = np.empty(n_rows + 1, dtype=INDEX_DTYPE)
+        else:
+            indptr, out[n_rows + 1 :] = out[: n_rows + 1], cols
+            cols = out[n_rows + 1 :]
+        indptr[0] = 0
         np.cumsum(counts, out=indptr[1:])
         return cls(n_rows, indptr, cols, n_cols=n_cols)
 

@@ -438,9 +438,11 @@ def test_a_cold_run_packs_each_travelling_block_once(er_graph, monkeypatch, tmp_
 
     p = 16
     want = count_triangles_2d(er_graph, p)
+    from repro.core import blocks
+
     packs = []
-    real = Block.to_blob
-    monkeypatch.setattr(Block, "to_blob", lambda b: packs.append(1) or real(b))
+    real = blocks._seal  # every pack ends here: build_block's and to_blob's
+    monkeypatch.setattr(blocks, "_seal", lambda *a: packs.append(1) or real(*a))
     cold = count_triangles_2d(er_graph, p)
     assert len(packs) == 3 * p
     assert (cold.count, cold.tct_time, cold.counters_tct) == (
