@@ -40,13 +40,13 @@ def _aop_rank_program(ctx: RankContext, chunks: list[OneDChunk]) -> dict[str, An
         remote = needed[(needed < chunk.lo) | (needed >= chunk.hi)]
         owners = chunk.owner_of(remote)
         requests = split_by_owner(owners, remote, comm.size)
-        got_requests = comm.alltoallv(requests)
+        got_requests = comm.alltoall(requests)
         replies = [
             rows_payload(csr, np.asarray(q, dtype=INDEX_DTYPE) - chunk.lo, chunk.lo)
             for q in got_requests
         ]
         ctx.charge("scan", csr.nnz + sum(len(q) for q in got_requests))
-        ghosts = comm.alltoallv(replies)
+        ghosts = comm.alltoall(replies)
         ghost_ids, ghost_indptr, ghost_entries = assemble_row_table(ghosts)
         ghost_bytes = int(ghost_entries.nbytes + ghost_ids.nbytes)
         ctx.charge("csr_build", len(ghost_entries) + len(ghost_ids))

@@ -45,7 +45,7 @@ def _peel_two_core(ctx: RankContext, chunk: OneDChunk) -> np.ndarray:
     # Full degree = out-degree + in-degree; in-degrees need one exchange.
     owners = chunk.owner_of(csr.indices)
     per_owner = split_by_owner(owners, csr.indices, comm.size)
-    got = comm.alltoallv(per_owner)
+    got = comm.alltoall(per_owner)
     indeg = np.zeros(n_local, dtype=INDEX_DTYPE)
     for arr in got:
         if len(arr):
@@ -66,7 +66,7 @@ def _peel_two_core(ctx: RankContext, chunk: OneDChunk) -> np.ndarray:
         axis=1,
     )
     per_owner_pairs = split_by_owner(owners, pairs_out, comm.size)
-    got_pairs = comm.alltoallv(per_owner_pairs)
+    got_pairs = comm.alltoall(per_owner_pairs)
     keep = [g for g in got_pairs if len(g)]
     in_pairs = (
         np.concatenate(keep, axis=0) if keep else np.empty((0, 2), dtype=INDEX_DTYPE)
@@ -97,7 +97,7 @@ def _peel_two_core(ctx: RankContext, chunk: OneDChunk) -> np.ndarray:
         per_owner_n = split_by_owner(
             chunk.owner_of(notified), notified, comm.size
         )
-        got_n = comm.alltoallv(per_owner_n)
+        got_n = comm.alltoall(per_owner_n)
         for arr in got_n:
             if len(arr):
                 deg -= np.bincount(
@@ -147,7 +147,7 @@ def _havoq_rank_program(ctx: RankContext, chunks: list[OneDChunk]) -> dict[str, 
             (0, 2), dtype=INDEX_DTYPE
         )
         per_owner = split_by_owner(owners, queries, comm.size)
-        got = comm.alltoallv(per_owner)
+        got = comm.alltoall(per_owner)
         # Encode the local edge set as sorted a*n+b keys so closure checks
         # are one vectorized searchsorted per query batch.
         n = chunk.n

@@ -59,7 +59,7 @@ def _surrogate_rank_program(
         )
         for r in range(comm.size):
             packages.append(rows_payload(csr, by_dest_rows[r], chunk.lo))
-        pushed = comm.alltoallv(packages)
+        pushed = comm.alltoall(packages)
         row_ids, row_indptr, row_entries = assemble_row_table(pushed)
         ctx.charge("csr_build", len(row_entries) + len(row_ids))
 

@@ -48,7 +48,6 @@ import numpy as np
 from repro.core.arrayutil import (
     segment_lengths_to_offsets,
     segment_sums,
-    split_by_owner,
 )
 from repro.core.blocks import build_block
 from repro.core.cannon import (
@@ -159,7 +158,7 @@ def _ship_pairs(ctx: RankContext, pairs: np.ndarray, q: int) -> np.ndarray:
     matrix cell ``(row % q, col % q)`` — the same routing
     :func:`~repro.core.preprocess.split_and_distribute` uses."""
     dest = (pairs[:, 0] % q) * q + pairs[:, 1] % q
-    return exchange_pairs(ctx.comm, split_by_owner(dest, pairs, ctx.comm.size))
+    return exchange_pairs(ctx.comm, dest, pairs)
 
 
 def coveredge_preprocess(

@@ -34,7 +34,6 @@ from repro.core.arrayutil import (
     multirange,
     owner_order,
     segment_lengths_to_offsets,
-    split_by_owner,
 )
 from repro.core.blocks import Block, build_block
 from repro.core.config import TC2DConfig
@@ -90,12 +89,9 @@ def partition_1d(graph: Graph, p: int) -> list[InputChunk]:
 
 def cyclic_bounds(n: int, p: int) -> np.ndarray:
     """Offsets of the block-contiguous layout after cyclic relabeling:
-    rank r owns the (relabeled) images of ``{v : v % p == r}``."""
-    sizes = np.array(
-        [(n - r + p - 1) // p if r < n else 0 for r in range(p)],
-        dtype=INDEX_DTYPE,
-    )
-    return segment_lengths_to_offsets(sizes)
+    rank r owns the (relabeled) images of ``{v : v % p == r}``, of which
+    there are ``ceil((n - r) / p)`` (none once ``r >= n``)."""
+    return segment_lengths_to_offsets((n - np.arange(p) + p - 1) // p)
 
 
 @dataclass
@@ -157,29 +153,18 @@ def initial_redistribution(ctx: RankContext, chunk: InputChunk) -> LocalRows:
     lens = chunk.csr.row_lengths()
     ctx.charge("relabel", chunk.csr.nnz + chunk.csr.n_rows)
 
-    # Reorder rows by destination, then slice per destination.
+    # Group rows by destination: one send buffer per array plus counts.
     order, row_off = owner_order(owners, p)
     labels_sorted = np.take(new_row_labels, order)
     lens_sorted = np.take(lens, order)
     gather = multirange(np.take(chunk.csr.indptr, order), lens_sorted)
     entries_sorted = np.take(new_entries, gather)
-    ent_off = segment_lengths_to_offsets(lens_sorted).tolist()
-
-    packages = []
-    bounds = row_off.tolist()
-    for rl, rh in zip(bounds, bounds[1:]):
-        packages.append(
-            (
-                labels_sorted[rl:rh],
-                lens_sorted[rl:rh],
-                entries_sorted[ent_off[rl] : ent_off[rh]],
-            )
-        )
-    received = comm.alltoallv(packages)
-
-    labels = np.concatenate([x[0] for x in received])
-    rlens = np.concatenate([x[1] for x in received])
-    ents = np.concatenate([x[2] for x in received])
+    ent_off = segment_lengths_to_offsets(lens_sorted)
+    rows_to = np.diff(row_off)
+    (labels, rlens, ents), _ = comm.alltoallv(
+        (labels_sorted, lens_sorted, entries_sorted),
+        (rows_to, rows_to, np.diff(ent_off[row_off])),
+    )
     lo, hi = int(offsets[comm.rank]), int(offsets[comm.rank + 1])
     # Assemble rows ordered by new label; entries stay per-row contiguous.
     order = _label_order(labels, lo, hi)
@@ -217,18 +202,14 @@ def translate_labels(
     uniq = dense_unique(entries, n)
     # Ownership is by contiguous label ranges, so the sorted unique labels
     # split into per-owner requests at the range bounds.
-    cuts = np.searchsorted(uniq, offsets).tolist()
-    requests = [uniq[a:b] for a, b in zip(cuts[:-1], cuts[1:])]
-    got_requests = comm.alltoallv(requests)
-    my_lo = int(offsets[comm.rank])
-    replies = [my_values[np.asarray(q, dtype=INDEX_DTYPE) - my_lo] for q in got_requests]
-    ctx.charge("scan", sum(len(q) for q in got_requests))
-    got_replies = comm.alltoallv(replies)
-    # Concatenating per-rank replies in rank order re-aligns them with the
-    # sorted unique labels.
-    values = (
-        np.concatenate(got_replies) if uniq.size else np.empty(0, INDEX_DTYPE)
+    asked, asked_counts = comm.alltoallv(
+        uniq, np.diff(np.searchsorted(uniq, offsets))
     )
+    ctx.charge("scan", len(asked))
+    # Replies go back in request order, so in rank order they re-align
+    # with the sorted unique labels.
+    replies = my_values[asked - int(offsets[comm.rank])]
+    values, _ = comm.alltoallv(replies, asked_counts)
     ctx.charge("relabel", len(entries) + len(uniq))
     table = np.empty(n, dtype=values.dtype)
     table[uniq] = values
@@ -347,21 +328,21 @@ def assemble_blocks(
     return u_block, l_block, task_block
 
 
-def exchange_pairs(comm, parts: list[np.ndarray]) -> np.ndarray:
-    """All-to-all ``parts[r]`` — ``(k, 2)`` coordinate pairs — to rank
-    ``r`` and stack what arrives in source-rank order."""
-    got = comm.alltoallv(parts)
-    chunks = [g for g in got if len(g)]
-    if not chunks:
-        return np.empty((0, 2), dtype=INDEX_DTYPE)
-    return np.concatenate(chunks, axis=0)
+def exchange_pairs(comm, dest: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """All-to-all pair ``pairs[i]`` to rank ``dest[i]`` and return the
+    pairs that arrive, in source-rank order (send order within a
+    source)."""
+    order, bounds = owner_order(dest, comm.size)
+    got, _ = comm.alltoallv(np.take(pairs, order, axis=0), np.diff(bounds))
+    return got
 
 
 def ul_parts(
     row_rep: np.ndarray, cols: np.ndarray, upper: np.ndarray, q: int, p: int
-) -> list[np.ndarray]:
-    """Local side of step 3's two exchanges: ``2 * p`` arrays of ``(row,
-    col)`` pairs, the U parts for ranks ``0 .. p-1`` then the L parts.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Local side of step 3's two exchanges: the ``(row, col)`` pairs
+    grouped by owner, with ``2 * p`` counts — the U parts for ranks
+    ``0 .. p-1`` then the L parts.
 
     One owner sort serves both halves: a U entry's owner id is the grid
     rank of its cell ``(i % q, j % q)``, an L entry's that rank plus ``p``;
@@ -370,7 +351,8 @@ def ul_parts(
     """
     dest = (row_rep % q) * q + cols % q
     dest += p * ~upper
-    return split_by_owner(dest, np.stack([row_rep, cols], axis=1), 2 * p)
+    order, bounds = owner_order(dest, 2 * p)
+    return np.stack([row_rep, cols], axis=1)[order], np.diff(bounds)
 
 
 def split_and_distribute(
@@ -395,9 +377,10 @@ def split_and_distribute(
     cols = rows.csr.indices
     ctx.charge("scan", rows.csr.nnz)
 
-    parts = ul_parts(row_rep, cols, cols > row_rep, q, p)
-    u_recv = exchange_pairs(comm, parts[:p])
-    l_recv = exchange_pairs(comm, parts[p:])
+    pairs, counts = ul_parts(row_rep, cols, cols > row_rep, q, p)
+    n_upper = int(counts[:p].sum())
+    u_recv, _ = comm.alltoallv(pairs[:n_upper], counts[:p])
+    l_recv, _ = comm.alltoallv(pairs[n_upper:], counts[p:])
     x, y = grid.coords(comm.rank)
 
     n_rows_local = grid.local_count(x, n)

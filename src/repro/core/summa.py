@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from typing import Any
 
-from repro.core.arrayutil import split_by_owner
 from repro.core.blocks import Block, build_block
 from repro.core.cannon import GridJob, KernelTally, count_blocks, rank_record
 from repro.core.config import TC2DConfig
@@ -81,8 +80,7 @@ def summa_rank_program(
         dest_t = (lk % pr) * pc + lj % pc
 
         def ship(dest, a, b):
-            pairs = np.stack([a, b], axis=1)
-            return exchange_pairs(comm, split_by_owner(dest, pairs, comm.size))
+            return exchange_pairs(comm, dest, np.stack([a, b], axis=1))
 
         u_recv = ship(dest_u, ui, uk)
         l_recv = ship(dest_l, lk, lj)

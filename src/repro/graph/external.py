@@ -376,16 +376,18 @@ class _RankPairFiles:
             256, _budget_rows(chunk_bytes, 2) // max(1, 2 * p)
         )
 
-    def append(self, parts: list[np.ndarray]) -> None:
+    def append(self, pairs: np.ndarray, counts: np.ndarray) -> None:
         """Route one classified chunk, laid out by
-        :func:`~repro.core.preprocess.ul_parts`: part ``r`` goes to rank
-        ``r``'s U file, part ``p + r`` to its L file."""
-        for i, part in enumerate(parts):
-            if not len(part):
+        :func:`~repro.core.preprocess.ul_parts`: the ``counts[r]`` pairs of
+        part ``r`` go to rank ``r``'s U file, part ``p + r`` to its L
+        file."""
+        bounds = np.cumsum(counts).tolist()
+        for i, (lo, hi) in enumerate(zip([0] + bounds, bounds)):
+            if lo == hi:
                 continue
             key = (i % self.p, "ul"[i // self.p])
-            self._bufs[key].append(part)
-            self._buf_rows[key] += len(part)
+            self._bufs[key].append(pairs[lo:hi])
+            self._buf_rows[key] += hi - lo
             if self._buf_rows[key] >= self._flush_rows:
                 self._flush(key)
 
@@ -649,7 +651,7 @@ def _materialize_entry(
         b = keys // n
         fa = keys % n
         fb = join.lookup(b)
-        pair_files.append(ul_parts(fa, fb, fb > fa, q, p))
+        pair_files.append(*ul_parts(fa, fb, fb > fa, q, p))
     join.close()
     pair_files.finish()
     clock.done("translate", spilled=spilled)

@@ -3,11 +3,12 @@
 Mirrors the lowercase (generic Python object) mpi4py interface: ``send`` /
 ``recv`` / ``sendrecv`` plus the collectives the triangle-counting code
 needs (``barrier``, ``bcast``, ``allreduce``, ``allgather``,
-``alltoall[v]``, ``exscan``, with ``reduce``, ``gather`` and ``scan`` as
-their building blocks) and ``split`` for building row/column communicators
-on the processor grid.  That is the whole surface — what the rank programs
-call, nothing kept in stock (``tests/test_public_api.py`` pins it): the
-next method arrives with its caller.
+``alltoall`` and its counts form ``alltoallv``, ``exscan``, with
+``reduce``, ``gather`` and ``scan`` as their building blocks) and
+``split`` for building row/column communicators on the processor grid.
+That is the whole surface — what the rank programs call, nothing kept in
+stock (``tests/test_public_api.py`` pins it): the next method arrives
+with its caller.
 
 Collectives are implemented *on top of* point-to-point messages (binomial
 trees, dissemination barrier, pairwise exchange), so their simulated cost
@@ -22,6 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Sequence
+
+import numpy as np
 
 from repro.simmpi.errors import CollectiveMismatchError, InvalidRankError
 from repro.simmpi.reduceops import ReduceOp
@@ -46,6 +49,52 @@ class Status:
 
     source: int
     tag: int
+
+
+def _send_array(a: Any) -> np.ndarray:
+    """One ``alltoallv`` send array as a plain ndarray of rows."""
+    if not isinstance(a, np.ndarray) or a.ndim == 0:
+        raise TypeError(f"alltoallv sends arrays of rows, not {type(a).__name__}")
+    if a.dtype.hasobject:
+        raise TypeError("alltoallv cannot send an object-dtype array (use alltoall)")
+    return a if type(a) is np.ndarray else np.asarray(a)
+
+
+def _count_table(vectors: Any, arrays: tuple[np.ndarray, ...], size: int) -> np.ndarray:
+    """The ``(len(arrays), size)`` int64 table of per-destination counts,
+    checked against the arrays' rows."""
+    if not isinstance(vectors, (tuple, list)) or len(vectors) != len(arrays):
+        raise ValueError("alltoallv needs one count vector per send array")
+    try:
+        table = np.array(vectors)
+    except ValueError:  # ragged
+        table = np.empty(0)
+    if table.shape != (len(arrays), size):
+        raise ValueError(f"alltoallv needs {size} counts per send array")
+    if table.dtype.kind not in "iu":
+        raise TypeError(f"alltoallv counts must be integers, not {table.dtype}")
+    table = table.astype(np.int64, copy=False)
+    if table.min() < 0:
+        raise ValueError("alltoallv counts must not be negative")
+    sums = table.sum(axis=1).tolist()
+    if sums != [len(a) for a in arrays]:
+        raise ValueError(
+            f"alltoallv counts sum to {sums}, the arrays have "
+            f"{[len(a) for a in arrays]} rows"
+        )
+    return table
+
+
+def _same_layout(item: Any, arrays: tuple[np.ndarray, ...]) -> bool:
+    """Whether a received item is a tuple of rows shaped like ``arrays``."""
+    return (
+        type(item) is tuple
+        and len(item) == len(arrays)
+        and all(
+            type(x) is np.ndarray and x.dtype == a.dtype and x.shape[1:] == a.shape[1:]
+            for x, a in zip(item, arrays)
+        )
+    )
 
 
 def _next_pow2(x: int) -> int:
@@ -291,8 +340,60 @@ class Comm:
             out[src] = self._coll_recv(src, seq, "alltoall")
         return out
 
-    # mpi4py spells the object-interface version of alltoallv the same way.
-    alltoallv = alltoall
+    def alltoallv(self, buf: Any, counts: Any) -> tuple[Any, Any]:
+        """Personalized all-to-all in counts form, as ``MPI_Alltoallv``.
+
+        ``buf`` is an array whose rows (axis 0) are grouped by destination,
+        ``counts[d]`` rows for rank ``d`` — or a tuple of such arrays with a
+        tuple of one count vector per array.  Returns ``(recv,
+        recvcounts)`` of the same shape: the rows received, in source-rank
+        order, and how many came from each source.
+
+        Message ``r -> d`` is by definition the item :meth:`alltoall` would
+        carry: the slice of ``buf`` for ``d`` (a tuple of slices for a
+        tuple).  A fault injector sees exactly those messages, sent by the
+        envelope loop; otherwise the engine sizes them from the counts and
+        runs the exchange as one rendezvous (:meth:`Engine.alltoallv`), to
+        the same virtual outcome and trace records.  As with the slices
+        the object form ships, a sent buffer must not be written in place
+        until every member has returned.
+
+        Raises ``TypeError`` for a non-array or object-dtype buffer,
+        ``ValueError`` for counts that do not fit it, and
+        :class:`CollectiveMismatchError` when members disagree on dtypes,
+        row shapes or tuple arity, or one calls :meth:`alltoall` instead.
+        """
+        single = not isinstance(buf, tuple)
+        arrays = (buf,) if single else buf
+        vectors = (counts,) if single else counts
+        if not arrays:
+            raise ValueError("alltoallv needs at least one send array")
+        arrays = tuple(_send_array(a) for a in arrays)
+        table = _count_table(vectors, arrays, self.size)
+        if not self.engine.observes_envelopes:
+            seq = self._next_seq()
+            return self.engine.alltoallv(self, seq, arrays, table, single)
+        # The definition: cut the messages and run the envelope loop.
+        bounds = np.zeros((len(arrays), self.size + 1), dtype=np.int64)
+        np.cumsum(table, axis=1, out=bounds[:, 1:])
+        offsets = bounds.tolist()
+        cuts = [
+            tuple(a[o[d] : o[d + 1]] for a, o in zip(arrays, offsets))
+            for d in range(self.size)
+        ]
+        got = self.alltoall([c[0] for c in cuts] if single else cuts)
+        parts = [(item,) if single else item for item in got]
+        for src, item in enumerate(parts):
+            if not _same_layout(item, arrays):
+                raise CollectiveMismatchError(
+                    f"alltoallv mismatch on rank {self.rank}: rank {src} sent "
+                    f"rows of another dtype, row shape or arity {_MISMATCH_HINT}"
+                )
+        recv = tuple(np.concatenate(col) for col in zip(*parts))
+        recvcounts = tuple(
+            np.array([len(x) for x in col], dtype=np.int64) for col in zip(*parts)
+        )
+        return (recv[0], recvcounts[0]) if single else (recv, recvcounts)
 
     def scan(self, value: Any, op: ReduceOp) -> Any:
         """Inclusive prefix reduction: rank r gets op-fold of ranks <= r.

@@ -63,6 +63,13 @@ from repro.simmpi.tracing import Tracer
 _NEW, _READY, _RUNNING, _BLOCKED, _FINISHED, _FAILED = range(6)
 
 
+def _describe(layout: tuple) -> str:
+    """An ``alltoallv`` member's send layout, for a mismatch message."""
+    single, arrays = layout
+    parts = ", ".join(f"{dtype}{list(shape)}" for dtype, shape in arrays)
+    return parts if single else f"({parts})"
+
+
 class _Abort(BaseException):
     """Injected into parked rank threads to unwind them after a failure.
 
@@ -92,22 +99,31 @@ class _Message:
 
 
 class _Rendezvous:
-    """One open all-to-all: the send lists deposited so far and, once the
-    last member has arrived, what every member receives."""
+    """One open all-to-all: what the members deposited so far and, once the
+    last member has arrived, what every member receives.
 
-    __slots__ = ("seq", "comm_id", "members", "sends", "recvs")
+    ``form`` is ``"alltoall"``, each deposit a send list, or
+    ``"alltoallv"``, each deposit ``(views, table, layout)``: byte views of
+    the send arrays, their ``(arrays, size)`` count table and ``(single,
+    ((dtype, row shape), ...))``, which every member must agree on.
+    """
 
-    def __init__(self, seq: int, comm_id: Any, members: list[int]):
+    __slots__ = ("seq", "comm_id", "members", "form", "sends", "recvs")
+
+    def __init__(self, seq: int, comm_id: Any, members: list[int], form: str):
         self.seq = seq
         self.comm_id = comm_id
         self.members = members
-        #: Communicator rank -> its send list, in arrival order.
-        self.sends: dict[int, Sequence[Any]] = {}
-        #: Communicator rank -> its receive list; ``None`` while open.
-        self.recvs: list[list[Any]] | None = None
+        self.form = form
+        #: Communicator rank -> its deposit, in arrival order.
+        self.sends: dict[int, Any] = {}
+        #: ``None`` while open.  Then the object form's receive lists, or
+        #: the counts form's ``(incoming, rows, byte_bounds, views)``
+        #: from which every member cuts its own receive.
+        self.recvs: Any = None
 
     def __str__(self) -> str:
-        return f"alltoall#{self.seq}(comm={self.comm_id})"
+        return f"{self.form}#{self.seq}(comm={self.comm_id})"
 
 
 class _RankState:
@@ -852,18 +868,59 @@ class Engine:
         records are those of :meth:`Comm.alltoall`'s envelope loop, bit for
         bit; only valid while nothing :attr:`observes_envelopes`.
         """
+        rv = self._meet(comm, seq, "alltoall", objs)
+        return rv.recvs[comm.rank]
+
+    def alltoallv(
+        self,
+        comm: Comm,
+        seq: int,
+        arrays: tuple[np.ndarray, ...],
+        counts: np.ndarray,
+        single: bool,
+    ) -> tuple[Any, Any]:
+        """:meth:`alltoall` for :meth:`Comm.alltoallv`'s counts form.
+
+        The caller deposits byte views of its (checked) send arrays and
+        its ``(len(arrays), size)`` count table; the last arrival sizes
+        every message from the tables alone (:meth:`_size_counts`).  After
+        the wake-up each member copies its own rows out of the senders'
+        buffers, one ``join`` of memoryview slices per array, in its own
+        thread: no member allocates anyone else's receive.
+        """
+        views = tuple(
+            memoryview(np.ascontiguousarray(a).reshape(-1).view(np.uint8))
+            for a in arrays
+        )
+        layout = (single, tuple((a.dtype, a.shape[1:]) for a in arrays))
+        rv = self._meet(comm, seq, "alltoallv", (views, counts, layout))
+        incoming, rows, byte_bounds, sent = rv.recvs
+        d = comm.rank
+        recv = []
+        for j, (dtype, row_shape) in enumerate(layout[1]):
+            lo, hi = byte_bounds[j][d], byte_bounds[j][d + 1]
+            data = bytearray().join([v[a:b] for v, a, b in zip(sent[j], lo, hi)])
+            got = np.frombuffer(data, dtype=dtype)
+            recv.append(got.reshape((rows[d][j],) + row_shape))
+        if single:
+            return recv[0], incoming[d][0]
+        return tuple(recv), tuple(incoming[d])
+
+    def _meet(self, comm: Comm, seq: int, form: str, deposit: Any) -> _Rendezvous:
+        """Deposit this member's part of ``comm``'s all-to-all ``seq`` and
+        park until the last member has completed the rendezvous."""
         rank = comm.members[comm.rank]
         rv = self._rendezvous.get(comm.comm_id)
         if rv is None:
-            rv = _Rendezvous(seq, comm.comm_id, comm.members)
+            rv = _Rendezvous(seq, comm.comm_id, comm.members, form)
             self._rendezvous[comm.comm_id] = rv
-        elif rv.seq != seq:
+        elif rv.seq != seq or rv.form != form:
             raise CollectiveMismatchError(
-                f"collective mismatch on rank {rank}: entered alltoall#{seq} "
+                f"collective mismatch on rank {rank}: entered {form}#{seq} "
                 f"while rank {rv.members[next(iter(rv.sends))]} waits in {rv} "
                 f"{_MISMATCH_HINT}"
             )
-        rv.sends[comm.rank] = objs
+        rv.sends[comm.rank] = deposit
         if len(rv.sends) == comm.size:
             del self._rendezvous[comm.comm_id]
             self._complete_alltoall(rv)
@@ -881,7 +938,7 @@ class Engine:
                         f"{_MISMATCH_HINT}"
                     )
             self._block(rank, str(rv))
-        return rv.recvs[comm.rank]
+        return rv
 
     def _complete_alltoall(self, rv: _Rendezvous) -> None:
         """Evaluate a full rendezvous: the last arrival runs this.
@@ -904,9 +961,15 @@ class Engine:
         # Each message is the tuple (_ENVELOPE, seq, op, item): its first
         # three items and header are the same for the whole collective.
         head = payload_nbytes((_ENVELOPE, rv.seq, "alltoall"))
-        nbytes = head + np.array([item_sizes(objs) for objs in sends], dtype=np.int64)
+        if rv.form == "alltoall":
+            sizes = [item_sizes(objs) for objs in sends]
+            nbytes = head + np.array(sizes, dtype=np.int64)
+        else:
+            nbytes, plan = self._size_counts(rv, sends, head)
         cost = model.send_overhead + model.beta * nbytes
         ranks = np.arange(p)
+        # src[k, r] = r - k: the rank whose step-k message rank r receives.
+        src = (ranks - ranks[:, None]) % p
         # by_step[k, r]: what rank r's send of step k costs it.
         by_step = cost[ranks, (ranks + ranks[:, None]) % p]
         # at[0]: every rank's clock on entry; at[2k - 1]: after its send of
@@ -922,7 +985,7 @@ class Engine:
         for k in range(1, p):
             sent = np.add(at[2 * k - 2], by_step[k], out=at[2 * k - 1])
             comm += by_step[k]
-            arrival = np.roll(sent + model.alpha, k)  # from rank r - k
+            arrival = (sent + model.alpha)[src[k]]
             comm += np.maximum(arrival - sent, 0.0)
             np.maximum(sent, arrival, out=at[2 * k])
         for clock, t, totals, was in zip(clocks, at[-1].tolist(), comm.T.tolist(), open_comm):
@@ -931,11 +994,60 @@ class Engine:
             self._trace_alltoall(rv.members, at, nbytes)
         for w in rv.members:
             self._sent[w] += p - 1
-        rv.recvs = [list(col) for col in zip(*sends)]
+        if rv.form == "alltoall":
+            rv.recvs = [list(col) for col in zip(*sends)]
+        else:
+            rv.recvs = (*plan, list(zip(*[views for views, _, _ in sends])))
         for w in rv.members:
             st = self._states[w]
             if st.state == _BLOCKED:
                 st.state = _READY
+
+    @staticmethod
+    def _size_counts(
+        rv: _Rendezvous, sends: list[Any], head: int
+    ) -> tuple[np.ndarray, tuple[np.ndarray, list, list]]:
+        """The counts form's size matrix and what each member cuts its
+        receive by: ``(incoming, rows, byte_bounds)``.
+
+        With ``table[r, j, d]`` the rows of array ``j`` member ``r`` sends
+        to ``d``: a message is ``(_ENVELOPE, seq, op, item)`` with ``item``
+        the slice for ``d`` (a tuple of slices when the members passed
+        tuples), so its :func:`payload_nbytes` is ``head``, plus a tuple's
+        header, plus an array's size (its bytes and a constant) per slice.
+        ``incoming[d, j]`` is member ``d``'s receive counts of array ``j``,
+        ``rows[d][j]`` their sum, and ``byte_bounds[j][d][r]`` where
+        ``d``'s bytes start in member ``r``'s array ``j``.  Raises
+        :class:`CollectiveMismatchError` unless every member sent arrays of
+        the same dtypes, row shapes and tuple arity.
+        """
+        layouts = [layout for _, _, layout in sends]
+        for r, layout in enumerate(layouts):
+            if layout != layouts[0]:
+                raise CollectiveMismatchError(
+                    f"alltoallv mismatch in {rv}: rank {rv.members[r]} sends "
+                    f"{_describe(layout)}, rank {rv.members[0]} "
+                    f"{_describe(layouts[0])} {_MISMATCH_HINT}"
+                )
+        single, arrays = layouts[0]
+        row_bytes = np.array(
+            [dtype.itemsize * int(np.prod(shape)) for dtype, shape in arrays],
+            dtype=np.int64,
+        )
+        table = np.stack([counts for _, counts, _ in sends])
+        fixed = head + (0 if single else payload_nbytes(()))
+        fixed += payload_nbytes(np.empty(0)) * len(arrays)
+        nbytes = fixed + row_bytes @ table
+        p = len(sends)
+        byte_bounds = np.zeros((len(arrays), p + 1, p), dtype=np.int64)
+        np.cumsum(
+            table.transpose(1, 2, 0) * row_bytes[:, None, None],
+            axis=1,
+            out=byte_bounds[:, 1:],
+        )
+        incoming = table.transpose(2, 1, 0).copy()
+        rows = incoming.sum(axis=2).tolist()
+        return nbytes, (incoming, rows, byte_bounds.tolist())
 
     def _trace_alltoall(
         self, members: list[int], at: np.ndarray, nbytes: np.ndarray

@@ -31,11 +31,11 @@ def _translate_labels_searchsorted(ctx, entries, offsets, my_values):
     comm = ctx.comm
     uniq = sorted_unique(np.asarray(entries, dtype=np.int64))
     owners = np.searchsorted(offsets, uniq, side="right").astype(np.int64) - 1
-    got_requests = comm.alltoallv(split_by_owner_int64(owners, uniq, comm.size))
+    got_requests = comm.alltoall(split_by_owner_int64(owners, uniq, comm.size))
     my_lo = int(offsets[comm.rank])
     replies = [my_values[np.asarray(q, dtype=np.int64) - my_lo] for q in got_requests]
     ctx.charge("scan", sum(len(q) for q in got_requests))
-    got_replies = comm.alltoallv(replies)
+    got_replies = comm.alltoall(replies)
     values = np.concatenate(got_replies) if uniq.size else np.empty(0, np.int64)
     ctx.charge("relabel", len(entries) + len(uniq))
     return values[np.searchsorted(uniq, entries)]
@@ -76,8 +76,8 @@ def test_translate_labels_matches_searchsorted_oracle(p, n, cyclic, data):
     flips=st.lists(st.booleans(), max_size=80),
 )
 def test_ul_parts_match_per_half_split(q, edges, flips):
-    """The fused U/L owner sort ships exactly the parts the two per-half
-    ``split_by_owner`` calls did (``q`` up to 12 puts ``2 p`` on both
+    """The fused U/L owner sort groups exactly the parts the two per-half
+    ``split_by_owner`` calls did, with their lengths as the counts (``q`` up to 12 puts ``2 p`` on both
     sides of the uint8/uint16 boundary)."""
     p = q * q
     pairs = np.array(edges, dtype=np.int64).reshape(-1, 2)
@@ -86,14 +86,16 @@ def test_ul_parts_match_per_half_split(q, edges, flips):
     # Arbitrary classifications too, like the (degree, label) comparison.
     m = min(len(flips), len(upper))
     upper[:m] ^= np.array(flips[:m], dtype=bool)
-    got = ul_parts(row_rep, cols, upper, q, p)
+    pairs, counts = ul_parts(row_rep, cols, upper, q, p)
     want = []
     for half in (upper, ~upper):
         sel = np.stack([row_rep[half], cols[half]], axis=1)
         dest = (sel[:, 0] % q) * q + sel[:, 1] % q
         want += split_by_owner_int64(dest, sel, p)
-    assert len(got) == len(want) == 2 * p
-    for g, w in zip(got, want):
+    assert counts.tolist() == [len(w) for w in want]
+    bounds = np.cumsum([0, *counts.tolist()])
+    for lo, hi, w in zip(bounds[:-1], bounds[1:], want):
+        g = pairs[lo:hi]
         assert g.dtype == w.dtype and g.shape == w.shape
         assert np.array_equal(g, w)
 
@@ -125,6 +127,30 @@ def test_label_order_rejects_what_sort_compare_rejected(lo, k, data):
         assert _label_order(labels, lo, hi).tolist() == np.argsort(
             labels, kind="stable"
         ).tolist()
+
+
+def _cyclic_bounds_loop(n, p):
+    """``cyclic_bounds`` before it was vectorized: a Python loop over p."""
+    sizes = [(n - r + p - 1) // p if r < n else 0 for r in range(p)]
+    return np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.one_of(st.just(0), st.integers(0, 40), st.integers(0, 5000)),
+    p=st.one_of(st.just(1), st.integers(1, 80)),
+)
+def test_cyclic_bounds_matches_the_loop_it_replaced(n, p):
+    """Same offsets and dtype for ``n = 0``, ``n < p``, ``p = 1`` and the
+    rest."""
+    got = cyclic_bounds(n, p)
+    want = _cyclic_bounds_loop(n, p)
+    assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("n, p", [(0, 1), (0, 7), (3, 8), (1, 1), (9, 1), (8, 8)])
+def test_cyclic_bounds_corner_cases(n, p):
+    assert cyclic_bounds(n, p).tolist() == _cyclic_bounds_loop(n, p).tolist()
 
 
 @settings(max_examples=100, deadline=None)

@@ -120,13 +120,12 @@ class TestWarmCache:
         from repro.simmpi import Engine
 
         alltoalls = []
-        rendezvous = Engine.alltoall
+        for entry in ("alltoall", "alltoallv"):
+            def counting(self, *args, _rendezvous=getattr(Engine, entry)):
+                alltoalls.append(args[1])
+                return _rendezvous(self, *args)
 
-        def counting(self, *args):
-            alltoalls.append(args[1])
-            return rendezvous(self, *args)
-
-        monkeypatch.setattr(Engine, "alltoall", counting)
+            monkeypatch.setattr(Engine, entry, counting)
 
         def served(store):
             svc = TriangleService(ServeConfig(max_inflight=1, store=store))

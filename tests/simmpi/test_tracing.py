@@ -133,7 +133,8 @@ def _occurrences(ctx, rctx, blocks):
         ctx.charge("op", 100 * (r + 1))
         ctx.charge("op", 0)  # a zero charge is not an occurrence
         with ctx.phase("inner"):
-            comm.alltoallv([np.full(1 + (r + j) % 3, r) for j in range(p)])
+            lens = [1 + (r + j) % 3 for j in range(p)]
+            comm.alltoallv(np.full(sum(lens), r), lens)
             comm.alltoall(list(range(p)))
             ctx.charge("op", 10)
         comm.sendrecv(r, dest=(r + 1) % p, source=(r - 1) % p, sendtag=3, recvtag=3)

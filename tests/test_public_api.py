@@ -38,9 +38,12 @@ def test_public_callables_documented(modname):
 
 
 def test_comm_surface_is_what_rank_programs_call():
-    """The rank-program contract: ten methods rank programs call, their
-    three building blocks and the ``alltoall`` spelling.  A new method
-    arrives with a caller — and with an edit here."""
+    """The rank-program contract: the methods rank programs call and
+    their three building blocks; ``alltoallv`` is the counts form, not an
+    alias of ``alltoall``.  A new method arrives with a caller — and with
+    an edit here."""
+    import inspect
+
     from repro.simmpi import Comm, Engine
 
     public = {n for n, v in vars(Comm).items() if callable(v) and n[0] != "_"}
@@ -48,7 +51,10 @@ def test_comm_surface_is_what_rank_programs_call():
         "send recv sendrecv barrier bcast reduce allreduce gather allgather "
         "alltoall alltoallv scan exscan split".split()
     )
-    assert Comm.alltoallv is Comm.alltoall
+    assert list(inspect.signature(Comm.alltoallv).parameters) == [
+        "self", "buf", "counts",
+    ]
+    assert list(inspect.signature(Comm.alltoall).parameters) == ["self", "objs"]
     assert not hasattr(Engine, "probe") and not hasattr(Engine, "context")
 
 
