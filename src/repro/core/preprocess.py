@@ -208,7 +208,7 @@ def translate_labels(
     ctx.charge("scan", len(asked))
     # Replies go back in request order, so in rank order they re-align
     # with the sorted unique labels.
-    replies = my_values[asked - int(offsets[comm.rank])]
+    replies = np.take(my_values, asked - int(offsets[comm.rank]))
     values, _ = comm.alltoallv(replies, asked_counts)
     ctx.charge("relabel", len(entries) + len(uniq))
     table = np.empty(n, dtype=values.dtype)
@@ -352,7 +352,10 @@ def ul_parts(
     dest = (row_rep % q) * q + cols % q
     dest += p * ~upper
     order, bounds = owner_order(dest, 2 * p)
-    return np.stack([row_rep, cols], axis=1)[order], np.diff(bounds)
+    pairs = np.empty((len(order), 2), dtype=np.result_type(row_rep, cols))
+    pairs[:, 0] = np.take(row_rep, order)
+    pairs[:, 1] = np.take(cols, order)
+    return pairs, np.diff(bounds)
 
 
 def split_and_distribute(
