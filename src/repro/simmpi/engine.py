@@ -898,7 +898,7 @@ class Engine:
         d = comm.rank
         recv = []
         for j, (dtype, row_shape) in enumerate(layout[1]):
-            lo, hi = byte_bounds[j][d], byte_bounds[j][d + 1]
+            lo, hi = byte_bounds[j, d : d + 2].tolist()
             data = bytearray().join([v[a:b] for v, a, b in zip(sent[j], lo, hi)])
             got = np.frombuffer(data, dtype=dtype)
             recv.append(got.reshape((rows[d][j],) + row_shape))
@@ -1006,7 +1006,7 @@ class Engine:
     @staticmethod
     def _size_counts(
         rv: _Rendezvous, sends: list[Any], head: int
-    ) -> tuple[np.ndarray, tuple[np.ndarray, list, list]]:
+    ) -> tuple[np.ndarray, tuple[np.ndarray, list, np.ndarray]]:
         """The counts form's size matrix and what each member cuts its
         receive by: ``(incoming, rows, byte_bounds)``.
 
@@ -1016,7 +1016,7 @@ class Engine:
         tuples), so its :func:`payload_nbytes` is ``head``, plus a tuple's
         header, plus an array's size (its bytes and a constant) per slice.
         ``incoming[d, j]`` is member ``d``'s receive counts of array ``j``,
-        ``rows[d][j]`` their sum, and ``byte_bounds[j][d][r]`` where
+        ``rows[d][j]`` their sum, and ``byte_bounds[j, d, r]`` where
         ``d``'s bytes start in member ``r``'s array ``j``.  Raises
         :class:`CollectiveMismatchError` unless every member sent arrays of
         the same dtypes, row shapes and tuple arity.
@@ -1047,7 +1047,7 @@ class Engine:
         )
         incoming = table.transpose(2, 1, 0).copy()
         rows = incoming.sum(axis=2).tolist()
-        return nbytes, (incoming, rows, byte_bounds.tolist())
+        return nbytes, (incoming, rows, byte_bounds)
 
     def _trace_alltoall(
         self, members: list[int], at: np.ndarray, nbytes: np.ndarray
