@@ -63,13 +63,6 @@ from repro.simmpi.tracing import Tracer
 _NEW, _READY, _RUNNING, _BLOCKED, _FINISHED, _FAILED = range(6)
 
 
-def _describe(layout: tuple) -> str:
-    """An ``alltoallv`` member's send layout, for a mismatch message."""
-    single, arrays = layout
-    parts = ", ".join(f"{dtype}{list(shape)}" for dtype, shape in arrays)
-    return parts if single else f"({parts})"
-
-
 class _Abort(BaseException):
     """Injected into parked rank threads to unwind them after a failure.
 
@@ -1025,9 +1018,9 @@ class Engine:
         for r, layout in enumerate(layouts):
             if layout != layouts[0]:
                 raise CollectiveMismatchError(
-                    f"alltoallv mismatch in {rv}: rank {rv.members[r]} sends "
-                    f"{_describe(layout)}, rank {rv.members[0]} "
-                    f"{_describe(layouts[0])} {_MISMATCH_HINT}"
+                    f"alltoallv mismatch in {rv}: ranks {rv.members[0]} and "
+                    f"{rv.members[r]} send rows of another dtype, row shape or "
+                    f"arity {_MISMATCH_HINT}"
                 )
         single, arrays = layouts[0]
         row_bytes = np.array(
