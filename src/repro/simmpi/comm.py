@@ -60,7 +60,9 @@ def _send_array(a: Any) -> np.ndarray:
     return a if type(a) is np.ndarray else np.asarray(a)
 
 
-def _count_table(vectors: Any, arrays: tuple[np.ndarray, ...], size: int) -> np.ndarray:
+def _count_table(
+    vectors: Any, arrays: tuple[np.ndarray, ...], size: int
+) -> np.ndarray:
     """The ``(len(arrays), size)`` int64 table of per-destination counts,
     checked against the arrays' rows."""
     if not isinstance(vectors, (tuple, list)) or len(vectors) != len(arrays):
