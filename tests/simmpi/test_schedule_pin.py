@@ -19,7 +19,9 @@ folded onto one Cannon rotation and one run driver (``core/cannon.py``).
 A refactor of that plumbing must leave it untouched too.  (Re-recorded
 once since, when the warm runs' ``cache`` record lost its
 ``file_serving`` key together with file-backed worker-pool serving;
-nothing else moved.)
+nothing else moved.)  The 1D competitors (AOP, Surrogate, OPT-PSP,
+HavoqGT) joined it before their counting loops became one bulk
+build-and-probe call; those entries were added, none changed.
 
 Kernel spans are labelled ``kernel:<backend>``, and which backend ``auto``
 picks depends on whether the host could build the compiled one.  The pin
@@ -39,6 +41,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.baselines import (
+    count_triangles_aop,
+    count_triangles_havoq,
+    count_triangles_psp,
+    count_triangles_surrogate,
+)
 from repro.core import (
     TC2DConfig,
     count_triangles_2d,
@@ -216,6 +224,23 @@ def _observe_resilient() -> dict:
     }
 
 
+def _competitor(driver, extra: str | None = None) -> dict:
+    """Count, virtual clocks and comm fractions of a 1D competitor at
+    p = 9, plus its own extras record (ghost bytes, wedges)."""
+    res = driver(_circulant_graph(), 9)
+    got = {
+        "count": int(res.count),
+        "ppt_time": res.ppt_time,
+        "tct_time": res.tct_time,
+        "makespan": res.extras["makespan"],
+        "comm_fraction_ppt": res.comm_fraction_ppt,
+        "comm_fraction_tct": res.comm_fraction_tct,
+    }
+    if extra is not None:
+        got[extra] = res.extras[extra]
+    return got
+
+
 #: name -> observer(tmp_dir); every value is compared for exact equality.
 DRIVER_OBSERVERS = {
     "coveredge_p9": lambda tmp: _full(
@@ -234,6 +259,10 @@ DRIVER_OBSERVERS = {
         count_triangles_coveredge, tmp / "coveredge"
     ),
     "resilient_p9_crash_shift1": lambda tmp: _observe_resilient(),
+    "aop_p9": lambda tmp: _competitor(count_triangles_aop, "ghost_bytes_total"),
+    "surrogate_p9": lambda tmp: _competitor(count_triangles_surrogate),
+    "psp_p9": lambda tmp: _competitor(count_triangles_psp),
+    "havoq_p9": lambda tmp: _competitor(count_triangles_havoq, "wedges_total"),
 }
 
 
