@@ -18,14 +18,15 @@ import numpy as np
 from repro.baselines.common import (
     OneDChunk,
     assemble_row_table,
-    partition_dodg,
+    intersect_rows,
     rows_payload,
+    run_1d,
 )
 from repro.core.arrayutil import split_by_owner
 from repro.core.counts import TriangleCountResult
 from repro.graph.csr import INDEX_DTYPE, Graph
-from repro.hashing import BlockHashMap
-from repro.simmpi import SUM, Engine, MachineModel
+from repro.hashing.hashmap import table_capacity
+from repro.simmpi import SUM, MachineModel
 from repro.simmpi.engine import RankContext
 
 
@@ -33,6 +34,7 @@ def _aop_rank_program(ctx: RankContext, chunks: list[OneDChunk]) -> dict[str, An
     comm = ctx.comm
     chunk = chunks[ctx.rank]
     csr = chunk.csr
+    owned = np.arange(csr.n_rows, dtype=INDEX_DTYPE)
 
     with ctx.phase("ppt"):
         # Which remote rows do my edges reference?
@@ -47,45 +49,28 @@ def _aop_rank_program(ctx: RankContext, chunks: list[OneDChunk]) -> dict[str, An
         ]
         ctx.charge("scan", csr.nnz + sum(len(q) for q in got_requests))
         ghosts = comm.alltoall(replies)
-        ghost_ids, ghost_indptr, ghost_entries = assemble_row_table(ghosts)
-        ghost_bytes = int(ghost_entries.nbytes + ghost_ids.nbytes)
-        ctx.charge("csr_build", len(ghost_entries) + len(ghost_ids))
+        # One table of owned and ghost rows, by global id.
+        ids, indptr, entries = assemble_row_table(
+            [rows_payload(csr, owned, chunk.lo), *ghosts]
+        )
+        ghost_words = len(entries) - csr.nnz + len(ids) - csr.n_rows
+        ghost_bytes = ghost_words * entries.itemsize
+        ctx.charge("csr_build", ghost_words)
         comm.barrier()
 
     with ctx.phase("tct"):
-        local = 0
-        max_len = int(np.diff(csr.indptr).max()) if csr.nnz else 0
-        ghost_max = (
-            int(np.diff(ghost_indptr).max()) if len(ghost_ids) else 0
+        # Task (i, j) per out-edge: U_i is hashed, U_j (owned or a ghost
+        # copy) probes it.
+        lens = csr.row_lengths()
+        built = owned[lens > 0]
+        at = np.searchsorted(ids, csr.indices)
+        row_lens = indptr[1:] - indptr[:-1]
+        capacity = table_capacity(2 * max(int(row_lens.max(initial=0)), 1))
+        local, tasks, inserts, probes = intersect_rows(
+            csr, built, entries, indptr[at], row_lens[at],
+            np.repeat(np.arange(len(built), dtype=INDEX_DTYPE), lens[built]),
+            capacity, chunk.n,
         )
-        hm = BlockHashMap(max(4, 2 * max(max_len, ghost_max, 1)))
-        tasks = 0
-        probes = 0
-        inserts = 0
-
-        def partner_row(j: int) -> np.ndarray:
-            if chunk.lo <= j < chunk.hi:
-                return csr.row(j - chunk.lo)
-            k = int(np.searchsorted(ghost_ids, j))
-            if k >= len(ghost_ids) or ghost_ids[k] != j:
-                raise AssertionError(f"ghost row {j} missing on rank {ctx.rank}")
-            return ghost_entries[ghost_indptr[k] : ghost_indptr[k + 1]]
-
-        for i_local in range(csr.n_rows):
-            row_i = csr.row(i_local)
-            if len(row_i) == 0:
-                continue
-            ins0 = hm.stats.insert_steps
-            hm.build(row_i)
-            inserts += hm.stats.insert_steps - ins0
-            for j in row_i.tolist():
-                row_j = partner_row(int(j))
-                if len(row_j) == 0:
-                    continue
-                tasks += 1
-                hits, steps = hm.lookup_many(row_j)
-                probes += steps
-                local += hits
         working_set = csr.nbytes_estimate() + ghost_bytes
         ctx.charge("task", tasks, working_set)
         ctx.charge("hash_insert", inserts, working_set)
@@ -104,32 +89,13 @@ def count_triangles_aop(
     graph: Graph,
     p: int,
     model: MachineModel | None = None,
-    balance: str = "edges",
     dataset: str = "",
 ) -> TriangleCountResult:
-    """Run the AOP baseline on ``p`` simulated ranks.
-
-    ``balance`` picks the partitioning ("edges" reproduces the
-    load-balanced variant the authors recommend; "vertices" is the naive
-    split whose imbalance the paper discusses).
-    """
-    chunks = partition_dodg(graph, p, balance=balance)
-    engine = Engine(p, model=model)
-    run = engine.run(_aop_rank_program, chunks)
-    rets = run.returns
-    count = rets[0]["total"]
-    if sum(r["local"] for r in rets) != count:
-        raise AssertionError("AOP local counts do not sum to the total")
-    result = TriangleCountResult(
-        count=count,
-        p=p,
-        dataset=dataset,
-        algorithm="aop",
-        ppt_time=run.phase_time("ppt"),
-        tct_time=run.phase_time("tct"),
-        comm_fraction_ppt=run.phase_comm_fraction("ppt"),
-        comm_fraction_tct=run.phase_comm_fraction("tct"),
+    """Run the AOP baseline on ``p`` simulated ranks, over the
+    edge-balanced partitioning the authors recommend."""
+    return run_1d(
+        _aop_rank_program, graph, p, model, dataset, algorithm="aop",
+        extras=lambda rets: {
+            "ghost_bytes_total": sum(r["ghost_bytes"] for r in rets)
+        },
     )
-    result.extras["ghost_bytes_total"] = sum(r["ghost_bytes"] for r in rets)
-    result.extras["makespan"] = run.makespan
-    return result

@@ -5,18 +5,23 @@ degree-ordered oriented graph (DODG): vertex ``v``'s out-neighbors are its
 neighbors that come later in the non-decreasing-degree order.  The driver
 prepares that structure once and slices it into contiguous chunks; chunk
 boundaries can balance vertices (naive) or out-edges (the load-balanced
-partitioning Arifuzzaman et al. emphasize).
+partitioning Arifuzzaman et al. emphasize).  :func:`run_1d` is every
+driver's tail: partition, run, check, report.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, Callable
 
 import numpy as np
 
 from repro.baselines.serial import degree_order_upper
-from repro.core.arrayutil import segment_lengths_to_offsets
+from repro.core.arrayutil import multirange, segment_lengths_to_offsets
+from repro.core.counts import TriangleCountResult
 from repro.graph.csr import CSR, INDEX_DTYPE, Graph
+from repro.hashing import build_and_lookup
+from repro.simmpi import Engine, MachineModel
 
 
 @dataclass(frozen=True)
@@ -98,8 +103,6 @@ def partition_dodg(
 def rows_payload(csr: CSR, local_ids: np.ndarray, base: int) -> tuple:
     """Pack selected rows as ``(global_ids, lengths, concatenated entries)``
     for shipping (ghost exchange / push)."""
-    from repro.core.arrayutil import multirange
-
     local_ids = np.asarray(local_ids, dtype=INDEX_DTYPE)
     starts = csr.indptr[local_ids]
     lens = csr.indptr[local_ids + 1] - starts
@@ -122,8 +125,6 @@ def assemble_row_table(
     if len(ids) == 0:
         return ids, np.zeros(1, dtype=INDEX_DTYPE), ents
     order = np.argsort(ids, kind="stable")
-    from repro.core.arrayutil import multirange
-
     starts = segment_lengths_to_offsets(lens)[:-1]
     keep_rows = np.empty(len(ids), dtype=bool)
     sorted_ids = ids[order]
@@ -135,3 +136,78 @@ def assemble_row_table(
     gather = multirange(starts[sel], sel_lens)
     sel_ents = ents[gather] if len(gather) else ents[:0]
     return sel_ids, segment_lengths_to_offsets(sel_lens), sel_ents
+
+
+def intersect_rows(
+    csr: CSR,
+    built: np.ndarray,
+    pool: np.ndarray,
+    starts: np.ndarray,
+    lens: np.ndarray,
+    task_row: np.ndarray,
+    capacity: int,
+    n: int,
+) -> tuple[int, int, int, int]:
+    """Hash every owned row ``built`` of ``csr`` (local ids, ascending)
+    into a map of ``capacity`` slots and probe it, for each task ``t``,
+    with ``pool[starts[t] : starts[t] + lens[t]]`` against row
+    ``built[task_row[t]]`` — a ``BlockHashMap.build`` per built row and a
+    ``lookup_many`` per non-empty window, in one bulk call.
+
+    Returns ``(hits, tasks, insert steps, probe steps)``; a task counts
+    when its window is non-empty, and every id is below ``n``.
+    """
+    row_lens = csr.indptr[built + 1] - csr.indptr[built]
+    found = build_and_lookup(
+        csr.indices[multirange(csr.indptr[built], row_lens)],
+        np.repeat(np.arange(len(built), dtype=INDEX_DTYPE), row_lens),
+        capacity,
+        pool[multirange(starts, lens)],
+        np.repeat(task_row, lens),
+        n,
+        allow_fast=True,
+    )
+    return (
+        int(np.count_nonzero(found.hit)),
+        int(np.count_nonzero(lens)),
+        found.insert_steps_fast + found.insert_steps_slow,
+        found.probe_steps_fast + found.probe_steps_slow,
+    )
+
+
+def run_1d(
+    program: Callable[..., dict[str, Any]],
+    graph: Graph,
+    p: int,
+    model: MachineModel | None,
+    dataset: str,
+    *,
+    algorithm: str,
+    balance: str = "edges",
+    phases: tuple[str, str] = ("ppt", "tct"),
+    extras: Callable[[list[dict[str, Any]]], dict[str, Any]] = lambda rets: {},
+) -> TriangleCountResult:
+    """Run a 1D rank ``program`` on ``p`` ranks over ``graph``'s DODG
+    chunks and report it: the two ``phases`` become the record's ppt and
+    tct columns, ``extras(returns)`` and the makespan its extras.  Each
+    rank returns its ``"local"`` count and the reduced ``"total"``."""
+    chunks = partition_dodg(graph, p, balance=balance)
+    run = Engine(p, model=model).run(program, chunks)
+    rets = run.returns
+    count = rets[0]["total"]
+    if sum(r["local"] for r in rets) != count:
+        raise AssertionError(f"{algorithm} local counts do not sum to the total")
+    first, second = phases
+    result = TriangleCountResult(
+        count=count,
+        p=p,
+        dataset=dataset,
+        algorithm=algorithm,
+        ppt_time=run.phase_time(first),
+        tct_time=run.phase_time(second),
+        comm_fraction_ppt=run.phase_comm_fraction(first),
+        comm_fraction_tct=run.phase_comm_fraction(second),
+    )
+    result.extras.update(extras(rets))
+    result.extras["makespan"] = run.makespan
+    return result

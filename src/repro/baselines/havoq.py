@@ -21,11 +21,11 @@ from typing import Any
 
 import numpy as np
 
-from repro.baselines.common import OneDChunk, partition_dodg
+from repro.baselines.common import OneDChunk, run_1d
 from repro.core.arrayutil import multirange, split_by_owner
 from repro.core.counts import TriangleCountResult
 from repro.graph.csr import INDEX_DTYPE, Graph
-from repro.simmpi import SUM, Engine, MachineModel
+from repro.simmpi import SUM, MachineModel
 from repro.simmpi.engine import RankContext
 
 
@@ -194,23 +194,8 @@ def count_triangles_havoq(
     ``ppt_time`` = 2-core time, ``tct_time`` = directed wedge counting
     time.
     """
-    chunks = partition_dodg(graph, p, balance="edges")
-    engine = Engine(p, model=model)
-    run = engine.run(_havoq_rank_program, chunks)
-    rets = run.returns
-    count = rets[0]["total"]
-    if sum(r["local"] for r in rets) != count:
-        raise AssertionError("Havoq local counts do not sum to the total")
-    result = TriangleCountResult(
-        count=count,
-        p=p,
-        dataset=dataset,
-        algorithm="havoq",
-        ppt_time=run.phase_time("2core"),
-        tct_time=run.phase_time("wedge"),
-        comm_fraction_ppt=run.phase_comm_fraction("2core"),
-        comm_fraction_tct=run.phase_comm_fraction("wedge"),
+    return run_1d(
+        _havoq_rank_program, graph, p, model, dataset, algorithm="havoq",
+        phases=("2core", "wedge"),
+        extras=lambda rets: {"wedges_total": sum(r["wedges"] for r in rets)},
     )
-    result.extras["wedges_total"] = sum(r["wedges"] for r in rets)
-    result.extras["makespan"] = run.makespan
-    return result

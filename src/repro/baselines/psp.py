@@ -18,11 +18,11 @@ from typing import Any
 
 import numpy as np
 
-from repro.baselines.common import OneDChunk, partition_dodg
+from repro.baselines.common import OneDChunk, intersect_rows, run_1d
 from repro.core.counts import TriangleCountResult
-from repro.graph.csr import CSR, INDEX_DTYPE, Graph
-from repro.hashing import BlockHashMap
-from repro.simmpi import SUM, Engine, MachineModel
+from repro.graph.csr import INDEX_DTYPE, Graph
+from repro.hashing.hashmap import table_capacity
+from repro.simmpi import SUM, MachineModel
 from repro.simmpi.engine import RankContext
 
 
@@ -44,47 +44,37 @@ def _psp_rank_program(ctx: RankContext, chunks: list[OneDChunk]) -> dict[str, An
         visiting_lo = chunk.lo
         visiting = (csr.indptr.copy(), csr.indices.copy())
         # Pre-bucket our edges by owner of the partner endpoint so each
-        # round only touches the relevant tasks.
+        # round only touches the relevant tasks (source rows ascending
+        # within a bucket).
         lens = csr.row_lengths()
         src = np.repeat(np.arange(csr.n_rows, dtype=INDEX_DTYPE), lens)
         dst = csr.indices
         owner = chunk.owner_of(dst)
         ctx.charge("scan", csr.nnz)
-        order = np.lexsort((src, owner))
+        order = np.argsort(owner, kind="stable")
         src_o, dst_o = src[order], dst[order]
         counts = np.bincount(owner, minlength=p)
         offs = np.zeros(p + 1, dtype=INDEX_DTYPE)
         np.cumsum(counts, out=offs[1:])
 
-        max_len = int(lens.max()) if csr.nnz else 0
-        hm_local = BlockHashMap(max(4, 2 * max(max_len, 1)))
+        capacity = table_capacity(2 * max(int(lens.max(initial=0)), 1))
 
         for round_idx in range(p):
             owner_rank = (ctx.rank + round_idx) % p
             v_indptr, v_indices = visiting
-            v_lo = visiting_lo
             lo_t, hi_t = int(offs[owner_rank]), int(offs[owner_rank + 1])
-            # Tasks in this bucket are sorted by source row i (lexsort
-            # above), so rows form contiguous runs: hash each U_i once.
-            seg_src = src_o[lo_t:hi_t]
-            seg_dst = dst_o[lo_t:hi_t]
-            uniq_rows, run_starts = np.unique(seg_src, return_index=True)
-            run_bounds = np.append(run_starts, len(seg_src))
-            for u_idx, i_local in enumerate(uniq_rows.tolist()):
-                row_i = csr.row(int(i_local))
-                js = seg_dst[run_bounds[u_idx] : run_bounds[u_idx + 1]]
-                ins0 = hm_local.stats.insert_steps
-                hm_local.build(row_i)
-                inserts += hm_local.stats.insert_steps - ins0
-                for j in js.tolist():
-                    jj = int(j) - v_lo
-                    row_j = v_indices[v_indptr[jj] : v_indptr[jj + 1]]
-                    if len(row_j) == 0:
-                        continue
-                    tasks += 1
-                    hits, steps = hm_local.lookup_many(row_j)
-                    probes += steps
-                    local += hits
+            # Hash each U_i of the bucket once, probe it with every
+            # visiting U_j its tasks name.
+            built, task_row = np.unique(src_o[lo_t:hi_t], return_inverse=True)
+            jj = dst_o[lo_t:hi_t] - visiting_lo
+            hits, n_tasks, n_inserts, n_probes = intersect_rows(
+                csr, built, v_indices, v_indptr[jj],
+                v_indptr[jj + 1] - v_indptr[jj], task_row, capacity, chunk.n,
+            )
+            local += hits
+            tasks += n_tasks
+            inserts += n_inserts
+            probes += n_probes
             if round_idx < p - 1:
                 # Pass the visiting block along the ring.
                 dest = (ctx.rank - 1) % p
@@ -106,26 +96,11 @@ def count_triangles_psp(
     graph: Graph,
     p: int,
     model: MachineModel | None = None,
-    balance: str = "vertices",
     dataset: str = "",
 ) -> TriangleCountResult:
-    """Run the blocked-1D (OPT-PSP-style) baseline on ``p`` ranks."""
-    chunks = partition_dodg(graph, p, balance=balance)
-    engine = Engine(p, model=model)
-    run = engine.run(_psp_rank_program, chunks)
-    rets = run.returns
-    count = rets[0]["total"]
-    if sum(r["local"] for r in rets) != count:
-        raise AssertionError("PSP local counts do not sum to the total")
-    result = TriangleCountResult(
-        count=count,
-        p=p,
-        dataset=dataset,
-        algorithm="opt-psp",
-        ppt_time=run.phase_time("ppt"),
-        tct_time=run.phase_time("tct"),
-        comm_fraction_ppt=run.phase_comm_fraction("ppt"),
-        comm_fraction_tct=run.phase_comm_fraction("tct"),
+    """Run the blocked-1D (OPT-PSP-style) baseline on ``p`` ranks over the
+    vertex-balanced partitioning."""
+    return run_1d(
+        _psp_rank_program, graph, p, model, dataset, algorithm="opt-psp",
+        balance="vertices",
     )
-    result.extras["makespan"] = run.makespan
-    return result

@@ -19,12 +19,18 @@ from typing import Any
 
 import numpy as np
 
-from repro.baselines.common import OneDChunk, assemble_row_table, partition_dodg, rows_payload
+from repro.baselines.common import (
+    OneDChunk,
+    assemble_row_table,
+    intersect_rows,
+    rows_payload,
+    run_1d,
+)
 from repro.core.arrayutil import split_by_owner
 from repro.core.counts import TriangleCountResult
 from repro.graph.csr import INDEX_DTYPE, Graph
-from repro.hashing import BlockHashMap
-from repro.simmpi import SUM, Engine, MachineModel
+from repro.hashing.hashmap import table_capacity
+from repro.simmpi import SUM, MachineModel
 from repro.simmpi.engine import RankContext
 
 
@@ -34,6 +40,7 @@ def _surrogate_rank_program(
     comm = ctx.comm
     chunk = chunks[ctx.rank]
     csr = chunk.csr
+    owned = np.arange(csr.n_rows, dtype=INDEX_DTYPE)
 
     with ctx.phase("ppt"):
         comm.barrier()
@@ -41,9 +48,7 @@ def _surrogate_rank_program(
     with ctx.phase("tct"):
         # Who needs which of my rows?  Edge (i, j): owner(j) needs U_i.
         lens = csr.row_lengths()
-        src_rows = np.repeat(
-            np.arange(csr.n_rows, dtype=INDEX_DTYPE), lens
-        )
+        src_rows = np.repeat(owned, lens)
         dst_owner = chunk.owner_of(csr.indices)
         ctx.charge("scan", csr.nnz)
         # Deduplicate (row, destination) pairs: one copy per destination.
@@ -60,55 +65,26 @@ def _surrogate_rank_program(
         for r in range(comm.size):
             packages.append(rows_payload(csr, by_dest_rows[r], chunk.lo))
         pushed = comm.alltoall(packages)
-        row_ids, row_indptr, row_entries = assemble_row_table(pushed)
-        ctx.charge("csr_build", len(row_entries) + len(row_ids))
+        # One table of my rows and the pushed ones, by global id.
+        ids, indptr, entries = assemble_row_table(
+            [rows_payload(csr, owned, chunk.lo), *pushed]
+        )
+        ctx.charge("csr_build", len(entries) - csr.nnz + len(ids) - csr.n_rows)
 
-        # Count: group incoming edges by their local endpoint j, hash U_j
-        # once, probe with every pushed U_i fragment.
-        local = 0
-        tasks = 0
-        probes = 0
-        inserts = 0
-        max_len = int(np.diff(csr.indptr).max()) if csr.nnz else 0
-        hm = BlockHashMap(max(4, 2 * max(max_len, 1)))
-
-        def row_of(i: int) -> np.ndarray:
-            if chunk.lo <= i < chunk.hi:
-                return csr.row(i - chunk.lo)
-            k = int(np.searchsorted(row_ids, i))
-            if k >= len(row_ids) or row_ids[k] != i:
-                raise AssertionError(f"pushed row {i} missing on rank {ctx.rank}")
-            return row_entries[row_indptr[k] : row_indptr[k + 1]]
-
-        # Incoming edges (i, j) with j local: all edges whose head j lives
-        # here — i.e. every (i_global, j) where j in [lo, hi).  Each rank
-        # discovers them from the pushed rows plus its own rows.
-        edges_by_j: dict[int, list[int]] = {}
-        for r_local in range(csr.n_rows):
-            for j in csr.row(r_local).tolist():
-                if chunk.lo <= j < chunk.hi:
-                    edges_by_j.setdefault(int(j), []).append(chunk.lo + r_local)
-        for k in range(len(row_ids)):
-            i = int(row_ids[k])
-            for j in row_entries[row_indptr[k] : row_indptr[k + 1]].tolist():
-                if chunk.lo <= j < chunk.hi:
-                    edges_by_j.setdefault(int(j), []).append(i)
-
-        for j, sources in edges_by_j.items():
-            row_j = csr.row(j - chunk.lo)
-            if len(row_j) == 0:
-                continue
-            ins0 = hm.stats.insert_steps
-            hm.build(row_j)
-            inserts += hm.stats.insert_steps - ins0
-            for i in sources:
-                row_i = row_of(i)
-                if len(row_i) == 0:
-                    continue
-                tasks += 1
-                hits, steps = hm.lookup_many(row_i)
-                probes += steps
-                local += hits
+        # Count: every edge (i, j) of the table with j local and U_j
+        # non-empty is a task — hash U_j once, probe it with U_i.
+        row_lens = indptr[1:] - indptr[:-1]
+        src = np.repeat(np.arange(len(ids), dtype=INDEX_DTYPE), row_lens)
+        head = entries - chunk.lo
+        into = (head >= 0) & (head < csr.n_rows)
+        into[into] = lens[head[into]] > 0
+        built, task_row = np.unique(head[into], return_inverse=True)
+        src = src[into]
+        capacity = table_capacity(2 * max(int(lens.max(initial=0)), 1))
+        local, tasks, inserts, probes = intersect_rows(
+            csr, built, entries, indptr[src], row_lens[src], task_row,
+            capacity, chunk.n,
+        )
         ctx.charge("task", tasks)
         ctx.charge("hash_insert", inserts)
         ctx.charge("hash_probe", probes)
@@ -121,26 +97,11 @@ def count_triangles_surrogate(
     graph: Graph,
     p: int,
     model: MachineModel | None = None,
-    balance: str = "edges",
     dataset: str = "",
 ) -> TriangleCountResult:
-    """Run the Surrogate (push-based, space-efficient) baseline."""
-    chunks = partition_dodg(graph, p, balance=balance)
-    engine = Engine(p, model=model)
-    run = engine.run(_surrogate_rank_program, chunks)
-    rets = run.returns
-    count = rets[0]["total"]
-    if sum(r["local"] for r in rets) != count:
-        raise AssertionError("Surrogate local counts do not sum to the total")
-    result = TriangleCountResult(
-        count=count,
-        p=p,
-        dataset=dataset,
+    """Run the Surrogate (push-based, space-efficient) baseline over the
+    edge-balanced partitioning."""
+    return run_1d(
+        _surrogate_rank_program, graph, p, model, dataset,
         algorithm="surrogate",
-        ppt_time=run.phase_time("ppt"),
-        tct_time=run.phase_time("tct"),
-        comm_fraction_ppt=run.phase_comm_fraction("ppt"),
-        comm_fraction_tct=run.phase_comm_fraction("tct"),
     )
-    result.extras["makespan"] = run.makespan
-    return result

@@ -181,6 +181,180 @@ def probed_layouts(
     return layout, ((layout - slots) & mask) + 1
 
 
+#: Upper bound on the dense id -> slot scratch :func:`build_and_lookup`
+#: resolves probed rows' membership with (``probed rows x id_bound``
+#: entries); beyond it a row-encoded ``searchsorted`` takes over.
+_DENSE_SLOT_LIMIT = 1 << 22
+
+
+@dataclass(frozen=True)
+class BulkLookup:
+    """What :func:`build_and_lookup` reports: a hit flag per query and the
+    logical counters a per-row :class:`BlockHashMap` loop would have
+    accumulated, split by build path."""
+
+    hit: np.ndarray  # bool per query
+    fast_builds: int  # rows built on the direct-mask path (empty ones too)
+    insert_steps_fast: int
+    insert_steps_slow: int
+    probe_steps_fast: int
+    probe_steps_slow: int
+
+
+def build_and_lookup(
+    keys: np.ndarray,
+    key_row: np.ndarray,
+    capacity: int,
+    queries: np.ndarray,
+    query_row: np.ndarray,
+    id_bound: int,
+    allow_fast: bool,
+) -> BulkLookup:
+    """Many rows' ``BlockHashMap(capacity).build(row_keys, allow_fast)``
+    followed by ``lookup_many(row_queries)``, in a constant number of bulk
+    numpy passes.
+
+    Rows are ``0 .. n - 1`` for the largest id ``n - 1`` in ``key_row`` or
+    ``query_row``.  ``keys`` holds the rows' keys back to back, ascending
+    and distinct within a row, with ``key_row`` non-decreasing; a row
+    without keys is an empty build.  ``queries`` may come in any order,
+    ``query_row`` naming the row each one probes.  Every id is below
+    ``id_bound``.
+
+    Rows whose ``key & mask`` slots are pairwise distinct (with
+    ``allow_fast``) are laid side by side in one flat ``(n x capacity)``
+    arena, so their probes resolve with a single gather-and-compare at one
+    step each.  The other rows get their layouts from one
+    :func:`probed_layouts` call, then resolve their probes with the
+    closed-form linear-probing walk length — no per-row or per-query loop
+    runs here at all.  Rows are independent (the map invalidates by
+    generation stamp), so every row starts from an empty table, as in the
+    map.
+    """
+    cap = table_capacity(capacity)
+    mask = cap - 1
+    n_rows = 1 + max(
+        int(key_row[-1]) if len(key_row) else -1,
+        int(query_row.max()) if len(query_row) else -1,
+    )
+    if allow_fast:
+        # A row builds fast iff its keys' table slots are pairwise
+        # distinct — the same test BlockHashMap.build applies.
+        fast = ~colliding_rows(key_row, keys & mask, cap, n_rows)
+    else:
+        fast = np.ones(n_rows, dtype=bool)
+        fast[key_row] = False
+    fast_key = fast[key_row]
+    fast_probe = fast[query_row]
+
+    hit = np.zeros(len(queries), dtype=bool)
+    fp = np.nonzero(fast_probe)[0]
+    if fp.size:
+        arena = np.full(n_rows * cap, -1, dtype=np.int64)
+        fk = np.nonzero(fast_key)[0]
+        arena[key_row[fk] * cap + (keys[fk] & mask)] = keys[fk]
+        qf = queries[fp]
+        hit[fp] = arena[query_row[fp] * cap + (qf & mask)] == qf
+
+    insert_slow = probe_slow = 0
+    if not fast.all():
+        insert_slow, probe_slow = _probed_lookup(
+            keys, key_row, fast, fast_key, queries, query_row, fast_probe,
+            cap, id_bound, hit,
+        )
+    return BulkLookup(
+        hit=hit,
+        fast_builds=int(np.count_nonzero(fast)),
+        insert_steps_fast=int(np.count_nonzero(fast_key)),
+        insert_steps_slow=insert_slow,
+        probe_steps_fast=int(fp.size),
+        probe_steps_slow=probe_slow,
+    )
+
+
+def _probed_lookup(
+    keys: np.ndarray,
+    key_row: np.ndarray,
+    fast: np.ndarray,
+    fast_key: np.ndarray,
+    queries: np.ndarray,
+    query_row: np.ndarray,
+    fast_probe: np.ndarray,
+    cap: int,
+    id_bound: int,
+    hit: np.ndarray,
+) -> tuple[int, int]:
+    """The probed rows of :func:`build_and_lookup`: fill their queries'
+    entries of ``hit`` and return ``(insert steps, probe steps)``."""
+    mask = cap - 1
+    slow_idx = np.nonzero(~fast)[0]
+    nslow = slow_idx.size
+
+    # Every slow row's insert walk in one call: each slow key's table
+    # slot and insert steps, aligned with ``skeys``.
+    sl = np.nonzero(~fast_key)[0]
+    skeys = keys[sl]
+    shift = fib_shift(cap)
+    key_slot, key_steps = probed_layouts(skeys, key_row[sl], cap, shift)
+    insert_steps = int(key_steps.sum())
+
+    sp = np.nonzero(~fast_probe)[0]
+    if sp.size == 0:
+        return insert_steps, 0
+
+    srow_of_row = np.empty(len(fast), dtype=np.int64)  # row -> compact slow
+    srow_of_row[slow_idx] = np.arange(nslow, dtype=np.int64)
+    skey_row = srow_of_row[key_row[sl]]
+
+    squeries = queries[sp]
+    srow = srow_of_row[query_row[sp]]
+    fibs = fib_hash(squeries, shift)
+
+    # Membership + matched key's table slot: a dense per-slow-row
+    # id -> slot scratch when the id range is small enough (one scatter,
+    # one gather; its element type only has to hold -1 and a slot, which
+    # is int16 up to capacity 32768), else a row-encoded searchsorted.
+    if nslow * id_bound <= _DENSE_SLOT_LIMIT:
+        slot_of_id = np.full(
+            nslow * id_bound, -1, dtype=np.min_scalar_type(-cap)
+        )
+        slot_of_id[skey_row * id_bound + skeys] = key_slot
+        qslot = slot_of_id[srow * id_bound + squeries]
+        is_hit = qslot >= 0
+    else:
+        enc_su = skey_row * id_bound + skeys
+        enc_q = srow * id_bound + squeries
+        kpos = np.minimum(np.searchsorted(enc_su, enc_q), len(enc_su) - 1)
+        is_hit = enc_su[kpos] == enc_q
+        qslot = key_slot[kpos]
+
+    # Linear-probing lookups have a closed-form step count (the table is
+    # never deleted from): a present key is found after walking from its
+    # hash slot to its layout slot — every slot in between was occupied
+    # when the key was inserted and stays occupied — and a missing key
+    # walks to the first empty slot at/after its hash slot (cyclically; a
+    # full table costs the capped capacity+1 rounds of the scalar loop).
+    # ``next_empty[r, s]`` is row r's first empty slot at/after s (cap =
+    # none), by a reversed running minimum over the slow-row tables.
+    used = np.zeros((nslow, cap), dtype=bool)
+    used[skey_row, key_slot] = True
+    slot_or_cap = np.where(used, cap, np.arange(cap, dtype=np.int64)[None, :])
+    next_empty = np.minimum.accumulate(slot_or_cap[:, ::-1], axis=1)[:, ::-1]
+    ne = next_empty[srow, fibs]
+    fe = next_empty[:, 0][srow]  # first empty of the row; cap = full
+    miss_dist = np.where(
+        ne < cap,
+        ne - fibs,
+        np.where(fe < cap, fe + cap - fibs, cap),
+    )
+    # (qslot - fibs) mod cap; bitwise AND is valid for the power-of-two
+    # capacity even when the difference is negative (two's complement).
+    hit_dist = (qslot - fibs) & mask
+    steps = np.where(is_hit, hit_dist, miss_dist) + 1
+    hit[sp] = is_hit
+    return insert_steps, int(steps.sum())
+
+
 class BlockHashMap:
     """Reusable integer-key hash table sized for one block's rows.
 

@@ -24,7 +24,8 @@ from hypothesis import strategies as st
 from repro.core import GRID_DRIVERS, count_triangles_summa
 from repro.core.blocks import Block
 from repro.core.config import TC2DConfig
-from repro.core.kernels import batched, compiled, resolve_backend
+from repro.core.kernels import compiled, resolve_backend
+from repro.hashing import hashmap
 from tests.core.test_intersect import random_case, to_blocks
 
 #: All 2^3 combinations of the kernel-relevant Section 5.2 toggles.
@@ -150,7 +151,7 @@ def test_parity_without_dense_slot_scratch(monkeypatch):
     """Above ``_DENSE_SLOT_LIMIT`` slow-row membership goes through the
     row-encoded ``searchsorted``; a limit of 0 sends every block pair
     there."""
-    monkeypatch.setattr(batched, "_DENSE_SLOT_LIMIT", 0)
+    monkeypatch.setattr(hashmap, "_DENSE_SLOT_LIMIT", 0)
     rng = np.random.default_rng(17)
     for cfg in (TC2DConfig(), TC2DConfig(modified_hashing=False),
                 TC2DConfig(early_stop=False)):
