@@ -61,15 +61,11 @@ def _aop_rank_program(ctx: RankContext, chunks: list[OneDChunk]) -> dict[str, An
     with ctx.phase("tct"):
         # Task (i, j) per out-edge: U_i is hashed, U_j (owned or a ghost
         # copy) probes it.
-        lens = csr.row_lengths()
-        built = owned[lens > 0]
-        at = np.searchsorted(ids, csr.indices)
         row_lens = indptr[1:] - indptr[:-1]
         capacity = table_capacity(2 * max(int(row_lens.max(initial=0)), 1))
         local, tasks, inserts, probes = intersect_rows(
-            csr, built, entries, indptr[at], row_lens[at],
-            np.repeat(np.arange(len(built), dtype=INDEX_DTYPE), lens[built]),
-            capacity, chunk.n,
+            csr, np.repeat(owned, csr.row_lengths()), indptr, entries,
+            np.searchsorted(ids, csr.indices), capacity, chunk.n,
         )
         working_set = csr.nbytes_estimate() + ghost_bytes
         ctx.charge("task", tasks, working_set)

@@ -140,29 +140,32 @@ def assemble_row_table(
 
 def intersect_rows(
     csr: CSR,
-    built: np.ndarray,
-    pool: np.ndarray,
-    starts: np.ndarray,
-    lens: np.ndarray,
-    task_row: np.ndarray,
+    hashed: np.ndarray,
+    indptr: np.ndarray,
+    entries: np.ndarray,
+    probed: np.ndarray,
     capacity: int,
     n: int,
 ) -> tuple[int, int, int, int]:
-    """Hash every owned row ``built`` of ``csr`` (local ids, ascending)
-    into a map of ``capacity`` slots and probe it, for each task ``t``,
-    with ``pool[starts[t] : starts[t] + lens[t]]`` against row
-    ``built[task_row[t]]`` — a ``BlockHashMap.build`` per built row and a
-    ``lookup_many`` per non-empty window, in one bulk call.
+    """Count a batch of tasks: task ``t`` hashes owned row ``hashed[t]`` of
+    ``csr`` (a local id) into a map of ``capacity`` slots and probes it
+    with row ``probed[t]`` of the table ``(indptr, entries)``.
 
-    Returns ``(hits, tasks, insert steps, probe steps)``; a task counts
-    when its window is non-empty, and every id is below ``n``.
+    One ``BlockHashMap.build`` per distinct non-empty hashed row and one
+    ``lookup_many`` per task whose two rows are non-empty, in one bulk
+    call.  Returns ``(hits, tasks, insert steps, probe steps)``, tasks
+    counting only those non-empty pairs; every id is below ``n``.
     """
+    live = csr.indptr[hashed + 1] > csr.indptr[hashed]
+    built, task_row = np.unique(hashed[live], return_inverse=True)
+    starts = indptr[probed[live]]
+    lens = indptr[probed[live] + 1] - starts
     row_lens = csr.indptr[built + 1] - csr.indptr[built]
     found = build_and_lookup(
         csr.indices[multirange(csr.indptr[built], row_lens)],
         np.repeat(np.arange(len(built), dtype=INDEX_DTYPE), row_lens),
         capacity,
-        pool[multirange(starts, lens)],
+        entries[multirange(starts, lens)],
         np.repeat(task_row, lens),
         n,
         allow_fast=True,

@@ -65,11 +65,9 @@ def _psp_rank_program(ctx: RankContext, chunks: list[OneDChunk]) -> dict[str, An
             lo_t, hi_t = int(offs[owner_rank]), int(offs[owner_rank + 1])
             # Hash each U_i of the bucket once, probe it with every
             # visiting U_j its tasks name.
-            built, task_row = np.unique(src_o[lo_t:hi_t], return_inverse=True)
-            jj = dst_o[lo_t:hi_t] - visiting_lo
             hits, n_tasks, n_inserts, n_probes = intersect_rows(
-                csr, built, v_indices, v_indptr[jj],
-                v_indptr[jj + 1] - v_indptr[jj], task_row, capacity, chunk.n,
+                csr, src_o[lo_t:hi_t], v_indptr, v_indices,
+                dst_o[lo_t:hi_t] - visiting_lo, capacity, chunk.n,
             )
             local += hits
             tasks += n_tasks

@@ -71,18 +71,13 @@ def _surrogate_rank_program(
         )
         ctx.charge("csr_build", len(entries) - csr.nnz + len(ids) - csr.n_rows)
 
-        # Count: every edge (i, j) of the table with j local and U_j
-        # non-empty is a task — hash U_j once, probe it with U_i.
-        row_lens = indptr[1:] - indptr[:-1]
-        src = np.repeat(np.arange(len(ids), dtype=INDEX_DTYPE), row_lens)
-        head = entries - chunk.lo
-        into = (head >= 0) & (head < csr.n_rows)
-        into[into] = lens[head[into]] > 0
-        built, task_row = np.unique(head[into], return_inverse=True)
-        src = src[into]
+        # Count: every edge (i, j) of the table with j local is a task —
+        # hash U_j, probe it with U_i.
+        into = (entries >= chunk.lo) & (entries < chunk.hi)
         capacity = table_capacity(2 * max(int(lens.max(initial=0)), 1))
         local, tasks, inserts, probes = intersect_rows(
-            csr, built, entries, indptr[src], row_lens[src], task_row,
+            csr, entries[into] - chunk.lo, indptr, entries,
+            np.repeat(np.arange(len(ids)), indptr[1:] - indptr[:-1])[into],
             capacity, chunk.n,
         )
         ctx.charge("task", tasks)
