@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.hashing import BlockHashMap, probed_layouts
+from repro.hashing import BlockHashMap, build_and_lookup, hashmap, probed_layouts
 from repro.hashing.hashmap import fib_hash, fib_shift
 
 
@@ -256,3 +256,110 @@ def test_probed_layouts_rejects_overfull_row():
     with pytest.raises(ValueError, match="exceeds capacity 4"):
         probed_layouts(np.arange(10), np.array([0] * 5 + [1] * 5), 4,
                        fib_shift(4))
+
+
+# -- build_and_lookup: the bulk build + lookup loop --------------------------
+
+
+@st.composite
+def _bulk_rows(draw):
+    """A capacity and ``(keys, queries)`` per row, in an arbitrary mix of
+    the shapes the bulk form has to get right."""
+    capacity = 1 << draw(st.integers(2, 6))
+    by_slot = _keys_by_slot(capacity)
+    universe = 1 << 13
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(
+            ["random", "one_slot", "one_mask_slot", "full", "empty"]
+        ))
+        if kind == "one_slot":  # every key hashes to one Fibonacci slot
+            pool = by_slot[draw(st.integers(0, capacity - 1))]
+        elif kind == "one_mask_slot":  # every key on one direct-mask slot
+            pool = range(draw(st.integers(0, capacity - 1)), universe, capacity)
+        else:
+            pool = range(universe)
+        size = {"full": capacity, "empty": 0}.get(kind)
+        if size is None:
+            size = draw(st.integers(1, capacity))
+        keys = sorted(draw(st.lists(
+            st.sampled_from(pool), min_size=size, max_size=size, unique=True
+        )))
+        # Present and absent ids alike; an empty list is a row with no
+        # queries, queries on an empty row probe an empty build.
+        candidates = st.integers(0, universe - 1)
+        if keys:
+            candidates = st.one_of(st.sampled_from(keys), candidates)
+        rows.append((keys, draw(st.lists(candidates, max_size=12))))
+    return capacity, rows
+
+
+@settings(
+    # Tier-1 draws 100 cases; a loaded profile brings its own budget (CI:
+    # `--hypothesis-profile=long --hypothesis-seed=0`, 2000 cases).
+    max_examples=(
+        100 if settings.default is settings.get_profile("default")
+        else settings.default.max_examples
+    ),
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    case=_bulk_rows(),
+    allow_fast=st.booleans(),
+    past_dense_scratch=st.booleans(),
+    data=st.data(),
+)
+def test_build_and_lookup_equals_per_row_loop(
+    case, allow_fast, past_dense_scratch, data
+):
+    """Hit mask and all four step counters of the bulk form equal a
+    ``BlockHashMap(capacity).build(row, allow_fast)`` + ``lookup_many``
+    loop over the rows, whatever order the queries come in."""
+    capacity, rows = case
+    keys = np.array([k for ks, _ in rows for k in ks], dtype=np.int64)
+    key_row = np.array([r for r, (ks, _) in enumerate(rows) for _ in ks],
+                       dtype=np.int64)
+    queries = np.array([q for _, qs in rows for q in qs], dtype=np.int64)
+    query_row = np.array([r for r, (_, qs) in enumerate(rows) for _ in qs],
+                         dtype=np.int64)
+    order = np.array(data.draw(st.permutations(range(len(queries)))),
+                     dtype=np.int64)
+    # Past the dense id -> slot scratch even one probed row takes the
+    # row-encoded searchsorted.
+    id_bound = hashmap._DENSE_SLOT_LIMIT + 1 if past_dense_scratch else 1 << 13
+    got = build_and_lookup(keys, key_row, capacity, queries[order],
+                           query_row[order], id_bound, allow_fast)
+
+    want_hit = np.zeros(len(queries), dtype=bool)
+    want = dict.fromkeys(
+        ["fast_builds", "insert_steps_fast", "insert_steps_slow",
+         "probe_steps_fast", "probe_steps_slow"], 0)
+    n_rows = 1 + max(int(key_row.max(initial=-1)),
+                     int(query_row.max(initial=-1)))
+    lo = 0
+    for row_keys, row_queries in rows[:n_rows]:
+        hm = BlockHashMap(capacity)
+        fast = hm.build(np.array(row_keys, dtype=np.int64), allow_fast)
+        path = "fast" if fast else "slow"
+        want["fast_builds"] += fast
+        want[f"insert_steps_{path}"] += hm.stats.insert_steps
+        qs = np.array(row_queries, dtype=np.int64)
+        hits, steps = hm.lookup_many(qs)
+        want[f"probe_steps_{path}"] += steps
+        want_hit[lo : lo + len(qs)] = hm.hit_mask(qs)
+        assert int(want_hit[lo : lo + len(qs)].sum()) == hits
+        lo += len(qs)
+    assert np.array_equal(got.hit, want_hit[order])
+    assert {k: getattr(got, k) for k in want} == want
+
+
+def test_build_and_lookup_full_table_miss_walks_capacity_plus_one():
+    """A row filling its table makes a miss walk every slot and then the
+    capped extra round — capacity + 1 steps, as the map's loop charges."""
+    keys = np.array(_keys_by_slot(4)[3][:4], dtype=np.int64)
+    got = build_and_lookup(keys, np.zeros(4, dtype=np.int64), 4,
+                           np.array([1 << 12], dtype=np.int64),
+                           np.zeros(1, dtype=np.int64), 1 << 13, False)
+    assert got.hit.tolist() == [False] and 1 << 12 not in keys
+    assert got.probe_steps_slow == 5 and got.probe_steps_fast == 0
