@@ -800,6 +800,17 @@ def _add_runtime_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of a rank count: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     from repro.core.config import KERNEL_BACKENDS
 
@@ -828,7 +839,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--graph", help="dataset name/path (alternative to the positional)"
     )
     c.add_argument(
-        "--ranks", "-p", type=int, help="simulated MPI ranks (default: 16)"
+        "--ranks", "-p", type=_positive_int, help="simulated MPI ranks (default: 16)"
     )
     c.add_argument(
         "--algorithm",
@@ -883,7 +894,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--graph", help="dataset name/path (alternative to the positional)"
     )
     pr.add_argument(
-        "--ranks", "-p", type=int, help="simulated MPI ranks (default: 16)"
+        "--ranks", "-p", type=_positive_int, help="simulated MPI ranks (default: 16)"
     )
     pr.add_argument(
         "--algorithm", "-a", choices=["tc2d", "coveredge", "summa"],
@@ -918,7 +929,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("census", help="triangle census / clustering summary")
     s.add_argument("dataset")
-    s.add_argument("--ranks", "-p", type=int, default=4)
+    s.add_argument("--ranks", "-p", type=_positive_int, default=4)
     s.add_argument("--top", type=int, default=5)
     s.add_argument("--seed", type=int, default=0)
     s.set_defaults(fn=_cmd_census)
@@ -960,7 +971,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="dataset to warm (repeatable); registry names only",
     )
     st.add_argument(
-        "--ranks", "-p", type=int, nargs="+", default=[16],
+        "--ranks", "-p", type=_positive_int, nargs="+", default=[16],
         help="rank counts to warm each dataset at (default: 16)",
     )
     st.add_argument("--seed", type=int, default=0)
@@ -1063,7 +1074,7 @@ def build_parser() -> argparse.ArgumentParser:
     sm.add_argument(
         "--kind", choices=["count", "census", "ktruss"], default="count"
     )
-    sm.add_argument("--ranks", "-p", type=int, default=16)
+    sm.add_argument("--ranks", "-p", type=_positive_int, default=16)
     sm.add_argument("--seed", type=int, default=0)
     sm.add_argument("--enumeration", choices=["jik", "ijk"], default="jik")
     sm.add_argument("--k", type=int, default=3, help="k for --kind ktruss")

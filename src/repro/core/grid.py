@@ -15,7 +15,10 @@ from dataclasses import dataclass
 
 
 def exact_sqrt(p: int) -> int:
-    """Integer square root of a perfect square; raises otherwise."""
+    """Integer square root of a perfect square of at least 1; raises
+    otherwise."""
+    if p < 1:
+        raise ValueError(f"the rank count must be at least 1, got p={p}")
     q = math.isqrt(p)
     if q * q != p:
         raise ValueError(

@@ -10,8 +10,8 @@ from repro.core.grid import ProcessorGrid, exact_sqrt
 def test_exact_sqrt():
     assert exact_sqrt(1) == 1
     assert exact_sqrt(169) == 13
-    for bad in (2, 3, 5, 8, 168):
-        with pytest.raises(ValueError):
+    for bad in (2, 3, 5, 8, 168, 0, -4):
+        with pytest.raises(ValueError, match=f"p={bad}"):
             exact_sqrt(bad)
 
 

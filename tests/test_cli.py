@@ -384,6 +384,18 @@ def test_removed_executor_flags_are_argparse_errors(capsys, argv):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["count", "g500-s12", "-p", "0"], ["count", "g500-s12", "-a", "psp", "-p", "-3"]],
+    ids=lambda argv: " ".join(argv),
+)
+def test_rank_count_below_one_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "must be at least 1" in capsys.readouterr().err
+
+
 def test_importing_the_cli_does_not_load_the_pool_module():
     code = "import sys, repro.cli; print('repro.simmpi.parallel' in sys.modules)"
     out = subprocess.run(
