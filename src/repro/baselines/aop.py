@@ -61,11 +61,14 @@ def _aop_rank_program(ctx: RankContext, chunks: list[OneDChunk]) -> dict[str, An
     with ctx.phase("tct"):
         # Task (i, j) per out-edge: U_i is hashed, U_j (owned or a ghost
         # copy) probes it.
+        at = np.searchsorted(ids, csr.indices)
+        if not np.array_equal(ids[np.minimum(at, len(ids) - 1)], csr.indices):
+            raise AssertionError(f"ghost rows missing on rank {ctx.rank}")
         row_lens = indptr[1:] - indptr[:-1]
         capacity = table_capacity(2 * max(int(row_lens.max(initial=0)), 1))
         local, tasks, inserts, probes = intersect_rows(
-            csr, np.repeat(owned, csr.row_lengths()), indptr, entries,
-            np.searchsorted(ids, csr.indices), capacity, chunk.n,
+            csr, np.repeat(owned, csr.row_lengths()), indptr, entries, at,
+            capacity, chunk.n,
         )
         working_set = csr.nbytes_estimate() + ghost_bytes
         ctx.charge("task", tasks, working_set)

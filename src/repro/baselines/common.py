@@ -53,10 +53,6 @@ class OneDChunk:
             - 1
         )
 
-    def row(self, v: int) -> np.ndarray:
-        """Out-neighbors of owned global vertex ``v``."""
-        return self.csr.row(v - self.lo)
-
 
 def partition_dodg(
     graph: Graph, p: int, balance: str = "vertices"

@@ -16,7 +16,6 @@ competitors (AOP, Surrogate, OPT-PSP) count with it.
 
 from repro.hashing.hashmap import (
     BlockHashMap,
-    BulkLookup,
     HashStats,
     build_and_lookup,
     probed_layouts,
@@ -24,7 +23,6 @@ from repro.hashing.hashmap import (
 
 __all__ = [
     "BlockHashMap",
-    "BulkLookup",
     "HashStats",
     "build_and_lookup",
     "probed_layouts",

@@ -258,9 +258,12 @@ def build_and_lookup(
 
     insert_slow = probe_slow = 0
     if not fast.all():
-        insert_slow, probe_slow = _probed_lookup(
-            keys, key_row, fast, fast_key, queries, query_row, fast_probe,
-            cap, id_bound, hit,
+        slow_id = np.cumsum(~fast) - 1  # row -> compact probed-row id
+        sk = np.nonzero(~fast_key)[0]
+        sp = np.nonzero(~fast_probe)[0]
+        hit[sp], insert_slow, probe_slow = _probed_lookup(
+            keys[sk], slow_id[key_row[sk]], queries[sp],
+            slow_id[query_row[sp]], int(slow_id[-1]) + 1, cap, id_bound,
         )
     return BulkLookup(
         hit=hit,
@@ -273,41 +276,25 @@ def build_and_lookup(
 
 
 def _probed_lookup(
-    keys: np.ndarray,
-    key_row: np.ndarray,
-    fast: np.ndarray,
-    fast_key: np.ndarray,
-    queries: np.ndarray,
-    query_row: np.ndarray,
-    fast_probe: np.ndarray,
+    skeys: np.ndarray,
+    skey_row: np.ndarray,
+    squeries: np.ndarray,
+    srow: np.ndarray,
+    nslow: int,
     cap: int,
     id_bound: int,
-    hit: np.ndarray,
-) -> tuple[int, int]:
-    """The probed rows of :func:`build_and_lookup`: fill their queries'
-    entries of ``hit`` and return ``(insert steps, probe steps)``."""
+) -> tuple[np.ndarray, int, int]:
+    """The probed rows of :func:`build_and_lookup`, numbered
+    ``0 .. nslow - 1``: the hit flag of each of their queries, their
+    insert steps and their probe steps."""
     mask = cap - 1
-    slow_idx = np.nonzero(~fast)[0]
-    nslow = slow_idx.size
-
     # Every slow row's insert walk in one call: each slow key's table
     # slot and insert steps, aligned with ``skeys``.
-    sl = np.nonzero(~fast_key)[0]
-    skeys = keys[sl]
     shift = fib_shift(cap)
-    key_slot, key_steps = probed_layouts(skeys, key_row[sl], cap, shift)
+    key_slot, key_steps = probed_layouts(skeys, skey_row, cap, shift)
     insert_steps = int(key_steps.sum())
-
-    sp = np.nonzero(~fast_probe)[0]
-    if sp.size == 0:
-        return insert_steps, 0
-
-    srow_of_row = np.empty(len(fast), dtype=np.int64)  # row -> compact slow
-    srow_of_row[slow_idx] = np.arange(nslow, dtype=np.int64)
-    skey_row = srow_of_row[key_row[sl]]
-
-    squeries = queries[sp]
-    srow = srow_of_row[query_row[sp]]
+    if squeries.size == 0:
+        return np.zeros(0, dtype=bool), insert_steps, 0
     fibs = fib_hash(squeries, shift)
 
     # Membership + matched key's table slot: a dense per-slow-row
@@ -351,8 +338,7 @@ def _probed_lookup(
     # capacity even when the difference is negative (two's complement).
     hit_dist = (qslot - fibs) & mask
     steps = np.where(is_hit, hit_dist, miss_dist) + 1
-    hit[sp] = is_hit
-    return insert_steps, int(steps.sum())
+    return is_hit, insert_steps, int(steps.sum())
 
 
 class BlockHashMap:
