@@ -8,10 +8,11 @@ Figures 1-3 and Tables 3-4.
 
 Set ``REPRO_BENCH_QUICK=1`` to sweep 5 rank counts instead of the paper's
 10; quick artifacts go to the git-ignored ``benchmarks/results/quick/``,
-never over the committed full-sweep ones.  Set ``REPRO_STORE_DIR`` to share the on-disk preprocessing cache
-(:mod:`repro.graph.store`) across benchmark *processes*: the first suite
-run warms it, subsequent runs (and ``repro count``/``profile``/chaos runs
-pointed at the same root) skip the ppt phase with bit-identical results.
+never over the committed full-sweep ones.  Set ``REPRO_STORE_DIR`` to
+share the on-disk preprocessing cache (:mod:`repro.graph.store`) across
+benchmark *processes*: the first suite run warms it, subsequent runs
+(and ``repro count``/``profile``/chaos runs pointed at the same root)
+skip the ppt phase with bit-identical results.
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ def shared_store() -> Path | None:
 
 @pytest.fixture(scope="session")
 def results_dir() -> Path:
-    path = RESULTS_DIR / "quick" if os.environ.get("REPRO_BENCH_QUICK") else RESULTS_DIR
+    quick = os.environ.get("REPRO_BENCH_QUICK")
+    path = RESULTS_DIR / "quick" if quick else RESULTS_DIR
     path.mkdir(parents=True, exist_ok=True)
     return path
 

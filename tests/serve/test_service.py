@@ -48,12 +48,12 @@ class TestNormalize:
             {"kind": "count"},  # no dataset
             {"kind": "count", "dataset": "no-such-dataset"},
             {"kind": "count", "dataset": "g500-s12", "ranks": 7},  # not square
-            {"kind": "count", "dataset": "g500-s12", "ranks": 0},
-            {"kind": "count", "dataset": "g500-s12", "ranks": -4},
             {"kind": "count", "dataset": "g500-s12", "k": 4},  # k w/o ktruss
             {"kind": "ktruss", "dataset": "g500-s12", "k": 1},
             {"kind": "count", "dataset": "g500-s12", "bogus": 1},
             {"kind": "count", "dataset": "g500-s12", "enumeration": "kji"},
+            {"kind": "count", "dataset": "g500-s12", "ranks": 0},
+            {"kind": "count", "dataset": "g500-s12", "ranks": -4},
         ],
     )
     def test_rejects_malformed(self, bad):
