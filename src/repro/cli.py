@@ -18,8 +18,9 @@ Commands
     Regenerate one of the paper's tables/figures
     (table1..table6, fig1, fig2, fig3, ablations).
 ``chaos``
-    Seeded fault-injection sweep with checkpoint/restart recovery
-    (forwards to ``python -m repro.resilience.chaos``).
+    The differential sweep: seeded cells over every algorithm, input
+    path, kernel, toggle and fault plan, each held to the serial count
+    (see docs/resilience.md).
 ``store``
     Manage the content-addressed preprocessing cache
     (``list`` / ``verify`` / ``prune`` / ``warm``; see docs/datasets.md).
@@ -39,7 +40,7 @@ Commands
 
 One ``--seed`` governs everything derived from randomness: the scaled
 dataset generators (via ``--seed`` on ``count``/``profile``/``census``),
-the kernels (via ``TC2DConfig.seed``) and the chaos fault plans.
+the kernels (via ``TC2DConfig.seed``) and the chaos sweep's cells.
 
 ``count`` and ``profile`` also accept ``--trace FILE`` to export a
 Perfetto-loadable Chrome trace-event JSON of the run, and
@@ -445,20 +446,9 @@ def _cmd_census(args: argparse.Namespace) -> int:
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
-    """Delegate to the chaos harness (same as ``python -m
-    repro.resilience.chaos``) so the fault-injection sweep is reachable
-    from the main CLI with the shared ``--seed`` convention.
-
-    Dispatched directly from :func:`main` (before argparse) because
-    ``nargs=REMAINDER`` after a subparser mis-parses leading ``--flags``;
-    this handler only runs for ``repro chaos --help``-style discovery.
-    """
     from repro.resilience.chaos import main as chaos_main
 
-    forwarded = args.chaos_args
-    if forwarded and forwarded[0] == "--":
-        forwarded = forwarded[1:]
-    return chaos_main(forwarded)
+    return chaos_main(args)
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
@@ -936,14 +926,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     ch = sub.add_parser(
         "chaos",
-        help="seeded fault-injection sweep with checkpoint/restart recovery",
-        description="All arguments are forwarded to "
-        "`python -m repro.resilience.chaos` (see its --help).",
+        help="differential sweep of every counting path against the serial count",
+        description="Run seeded cells over algorithms, input paths, kernels, "
+        "toggles, tracing and fault plans, each held to the serial count and "
+        "to its twin's counters and clocks (docs/resilience.md).  Exits 1 on "
+        "any disagreement.",
     )
-    ch.add_argument(
-        "chaos_args", nargs=argparse.REMAINDER,
-        help="arguments for the chaos harness (e.g. --smoke --out DIR)",
-    )
+    ch.add_argument("--seed", type=int, default=0,
+                    help="cell i is drawn from (seed, i) (default 0)")
+    ch.add_argument("--cells", type=_positive_int, default=None,
+                    help="cells to run (default: the tier-1 profile, 85)")
+    ch.add_argument("--max-restarts", type=int, default=8, dest="max_restarts",
+                    help="restart budget of a fault cell (default 8)")
+    ch.add_argument("--out", default=None, metavar="DIR",
+                    help="write chaos_report.json, checkpoint manifests, "
+                    "traces and failed cells' flight recorders here")
+    ch.add_argument("--quiet", action="store_true")
     ch.set_defaults(fn=_cmd_chaos)
 
     st = sub.add_parser(
@@ -1129,15 +1127,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
-    if argv and argv[0] == "chaos":
-        # Forward verbatim (see _cmd_chaos for why argparse is bypassed).
-        from repro.resilience.chaos import main as chaos_main
-
-        rest = argv[1:]
-        if rest and rest[0] == "--":
-            rest = rest[1:]
-        return chaos_main(rest)
     from repro.core.kernels import KernelUnavailableError
     from repro.graph.io import EdgeListError
 

@@ -3,7 +3,7 @@
 Everything the triangle-counting algorithms consume is built here from
 scratch: a compressed-sparse-row adjacency structure (:class:`CSR`), an
 undirected simple-graph wrapper (:class:`Graph`), RMAT/Kronecker and
-social-network-like generators, edge-list/MatrixMarket IO, and the named
+social-network-like generators, edge-list IO, and the named
 scaled-down dataset registry that mirrors the paper's Table 1.  The
 names below load their module on first access (:mod:`repro._lazy`).
 """
@@ -22,7 +22,6 @@ if TYPE_CHECKING:
         configuration_model,
         erdos_renyi_gnm,
         grid_2d,
-        powerlaw_cluster,
         rmat_edges,
         rmat_graph,
         watts_strogatz,
@@ -50,7 +49,6 @@ __all__ = [
     "global_clustering",
     "grid_2d",
     "load_dataset",
-    "powerlaw_cluster",
     "rmat_edges",
     "rmat_graph",
     "triangle_count_linalg",
@@ -64,7 +62,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.graph.dcsr": "DCSR",
     "repro.graph.generators": (
         "barabasi_albert complete_graph configuration_model erdos_renyi_gnm "
-        "grid_2d powerlaw_cluster rmat_edges rmat_graph watts_strogatz"
+        "grid_2d rmat_edges rmat_graph watts_strogatz"
     ),
     "repro.graph.stats": (
         "clustering_coefficients degree_summary global_clustering "

@@ -15,17 +15,17 @@ layers built on the simulated-MPI runtime:
 * :mod:`repro.resilience.recovery` — a restarting driver that reruns
   :func:`~repro.core.tc2d.count_triangles_2d` from the latest complete
   checkpoint after a fault-induced failure, with bounded retry/backoff;
-* :mod:`repro.resilience.chaos` — the chaos harness
-  (``python -m repro.resilience.chaos``) sweeping seeded fault schedules
-  across grid sizes and graph generators and asserting exact-count
-  recovery.
+* :mod:`repro.resilience.chaos` — the differential sweep
+  (``python -m repro chaos``): seeded cells over every algorithm, input
+  path, kernel, toggle and fault plan, each held to the serial count,
+  with exact-count recovery as its fault-plan axis.
 
 Every injected fault is emitted through the PR-1 tracer as a ``"fault"``
 event plus a ``cat="fault"`` span, so faults are visible in exported
 Perfetto traces and attributable next to the comm matrix.
 
 See ``docs/resilience.md`` for the fault taxonomy, the checkpoint
-manifest format and chaos-harness usage.
+manifest format and the sweep's axes and oracle.
 """
 
 from repro.resilience.checkpoint import CheckpointStore, RankSnapshot

@@ -1,12 +1,12 @@
-"""Out-of-core pipeline correctness (ISSUE-9 acceptance surface).
+"""Out-of-core pipeline mechanics.
 
-The external pipeline's whole contract is *bit-parity*: same graph
-digest, same artifact digest, byte-identical per-rank store files, and
-identical triangle counts vs. the in-memory pipeline — across grid
-sizes and both degree-reorder settings.  Plus the serving half: mmap'd
-blobs must still be crc-checked, file-backed resident publication must
-not change counts or virtual clocks, and the bounded-memory primitives
-(spill sort, merge, dense count) must behave on edge cases.
+The external pipeline's contract is *bit-parity* with the in-memory one:
+same graph digest, same artifact digest, byte-identical per-rank store
+files and the same counts.  That parity, on messy text and binary files,
+is the ``ingest`` and ``ooc`` routes of the differential sweep
+(``tests/resilience/test_chaos.py``).  Here: the translate probe, the
+serving half (mmap'd blobs are still crc-checked) and the bounded-memory
+primitives (spill sort, merge, dense count) on edge cases.
 """
 
 from __future__ import annotations
@@ -21,17 +21,14 @@ from repro.graph.external import (
     SpillSorter,
     _DenseCountWriter,
     _iter_i8_blocks,
-    count_triangles_oocore,
     external_preprocess,
 )
 from repro.graph.io import (
     BinaryEdgeWriter,
-    input_vertex_count,
     read_binary_header,
-    write_binary_edges,
     write_edge_list,
 )
-from repro.graph.store import GraphStore, graph_digest
+from repro.graph.store import GraphStore
 from repro.simmpi.errors import BlobChecksumError
 from tests.core.test_blocks import blob_extent
 
@@ -58,76 +55,7 @@ def _inmem_entry(graph, p, cfg, root):
     return store, res
 
 
-# -- parity: the tentpole guarantee ------------------------------------------
-
-
-@pytest.mark.parametrize("p", [4, 9])
-def test_bit_identical_store_entries(graph, edge_file, tmp_path, p):
-    cfg = TC2DConfig()
-    mem_store, mem_res = _inmem_entry(graph, p, cfg, tmp_path / "mem")
-    ext_store = GraphStore(tmp_path / "ext")
-    info = external_preprocess(
-        edge_file, ext_store, p, cfg=cfg, chunk_bytes=CHUNK,
-        workdir=tmp_path,
-    )
-    assert info["graph_sha"] == graph_digest(graph)
-    assert info["digest"] == mem_res.extras["cache"]["digest"]
-    assert not info["reused"]
-    for rank in range(p):
-        a = mem_store.rank_path(info["digest"], rank).read_bytes()
-        b = ext_store.rank_path(info["digest"], rank).read_bytes()
-        assert a == b, f"rank {rank} store file diverged"
-    res = count_triangles_oocore(
-        edge_file, p, cfg=cfg, store=ext_store, chunk_bytes=CHUNK,
-        workdir=tmp_path,
-    )
-    assert res.count == mem_res.count
-    assert res.extras["cache"]["hit"]
-    assert res.extras["out_of_core"]["reused"]
-
-
-def test_binary_and_text_inputs_share_digests(graph, edge_file, tmp_path):
-    redge = tmp_path / "graph.redge"
-    write_binary_edges(redge, graph.n, graph.edge_array())
-    assert read_binary_header(redge) == (graph.n, graph.num_edges)
-    assert input_vertex_count(redge, CHUNK) == graph.n
-    cfg = TC2DConfig()
-    a = external_preprocess(
-        edge_file, GraphStore(tmp_path / "a"), 4, cfg=cfg,
-        chunk_bytes=CHUNK, workdir=tmp_path,
-    )
-    b = external_preprocess(
-        redge, GraphStore(tmp_path / "b"), 4, cfg=cfg,
-        chunk_bytes=CHUNK, workdir=tmp_path,
-    )
-    assert a["digest"] == b["digest"]
-    assert a["graph_sha"] == b["graph_sha"] == graph_digest(graph)
-
-
-def test_messy_input_normalizes(tmp_path):
-    """Self loops drop, duplicates collapse, orientation is free."""
-    edges = np.array([[0, 1], [1, 0], [2, 2], [1, 2], [0, 2], [0, 1]])
-    clean = np.array([[0, 1], [0, 2], [1, 2]])
-    messy_path = tmp_path / "messy.redge"
-    clean_path = tmp_path / "clean.redge"
-    write_binary_edges(messy_path, 3, edges)
-    write_binary_edges(clean_path, 3, clean)
-    cfg = TC2DConfig()
-    a = external_preprocess(
-        messy_path, GraphStore(tmp_path / "a"), 4, cfg=cfg,
-        chunk_bytes=CHUNK, workdir=tmp_path,
-    )
-    b = external_preprocess(
-        clean_path, GraphStore(tmp_path / "b"), 4, cfg=cfg,
-        chunk_bytes=CHUNK, workdir=tmp_path,
-    )
-    assert a["digest"] == b["digest"]
-    assert a["m"] == 3
-    res = count_triangles_oocore(
-        messy_path, 4, store=tmp_path / "a", chunk_bytes=CHUNK,
-        workdir=tmp_path,
-    )
-    assert res.count == 1
+# -- the probe and the store requirement --------------------------------------
 
 
 def test_stop_after_translate_probe_leaves_no_entry(edge_file, tmp_path):

@@ -10,7 +10,6 @@ from repro.graph import (
     configuration_model,
     erdos_renyi_gnm,
     global_clustering,
-    powerlaw_cluster,
     rmat_edges,
     rmat_graph,
 )
@@ -95,13 +94,14 @@ class TestPowerlawCluster:
         hi = powerlaw_cluster_fast(600, 5, 0.9, seed=2)
         assert global_clustering(hi) > global_clustering(lo)
 
-    def test_reference_variant_accepts_params(self):
-        g = powerlaw_cluster(80, 3, 0.5, seed=1)
-        assert g.n == 80 and g.num_edges > 0
+    def test_single_link_attachment_builds_a_tree(self):
+        # m=1 has no seed edge to sample preferentially from.
+        g = powerlaw_cluster_fast(40, 1, 0.5, seed=4)
+        assert g.n == 40 and g.num_edges == 39
 
     def test_param_validation(self):
         with pytest.raises(ValueError):
-            powerlaw_cluster(50, 3, 1.5)
+            powerlaw_cluster_fast(50, 3, 1.5)
         with pytest.raises(ValueError):
             powerlaw_cluster_fast(3, 5, 0.5)
 

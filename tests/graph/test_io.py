@@ -8,10 +8,8 @@ from repro.graph import Graph
 from repro.graph.io import (
     load_npz,
     read_edge_list,
-    read_matrix_market,
     save_npz,
     write_edge_list,
-    write_matrix_market,
 )
 
 
@@ -51,22 +49,6 @@ def test_edge_list_empty_file(tmp_path):
     assert g.n == 3 and g.num_edges == 0
 
 
-def test_matrix_market_roundtrip(tmp_path, er_graph):
-    path = tmp_path / "g.mtx"
-    write_matrix_market(er_graph, path)
-    g2 = read_matrix_market(path)
-    assert g2.adj == er_graph.adj
-
-
-def test_matrix_market_header_check(tmp_path):
-    path = tmp_path / "bad.mtx"
-    path.write_text("not a header\n1 1 0\n")
-    import pytest
-
-    with pytest.raises(ValueError):
-        read_matrix_market(path)
-
-
 def test_npz_roundtrip(tmp_path, rmat_small):
     path = tmp_path / "g.npz"
     save_npz(rmat_small, path)
@@ -79,41 +61,3 @@ def test_npz_roundtrip_empty(tmp_path):
     path = tmp_path / "e.npz"
     save_npz(g, path)
     assert load_npz(path).n == 3
-
-
-def test_metis_roundtrip(er_graph, tmp_path):
-    from repro.graph.io import read_metis, write_metis
-
-    path = tmp_path / "g.metis"
-    write_metis(er_graph, path)
-    assert read_metis(path).adj == er_graph.adj
-
-
-def test_metis_header_counts(tiny_graph, tmp_path):
-    from repro.graph.io import write_metis
-
-    path = tmp_path / "g.metis"
-    write_metis(tiny_graph, path)
-    first = path.read_text().splitlines()[0]
-    assert first == "6 7"
-
-
-def test_metis_malformed_header(tmp_path):
-    import pytest
-
-    from repro.graph.io import read_metis
-
-    path = tmp_path / "bad.metis"
-    path.write_text("7\n")
-    with pytest.raises(ValueError):
-        read_metis(path)
-
-
-def test_metis_isolated_vertices(tiny_graph, tmp_path):
-    from repro.graph.io import read_metis, write_metis
-
-    path = tmp_path / "g.metis"
-    write_metis(tiny_graph, path)
-    g2 = read_metis(path)
-    assert g2.n == 6
-    assert g2.degrees[5] == 0

@@ -1,9 +1,10 @@
 """Cache correctness for the content-addressed graph store.
 
-Covers the ISSUE-5 acceptance surface: hit/miss/invalidation round
-trips, digest stability, corrupted-blob and schema-bump failure paths,
-and the parity guarantee — cached and freshly-preprocessed runs produce
-bit-identical counts, kernel statistics and tct-phase behaviour.
+Hit/miss/invalidation round trips, digest stability, corrupted-blob and
+schema-bump failure paths.  The parity guarantee — cold, warm, resilient
+and faulty runs against a store produce the counts, counters and clocks
+of a run without one — is the cold and warm routes of the differential
+sweep (``tests/resilience/test_chaos.py``).
 """
 
 from __future__ import annotations
@@ -72,71 +73,6 @@ def test_artifact_digest_covers_grid_and_toggles(graph):
 
 
 # -- miss -> hit round trip ---------------------------------------------------
-
-
-def test_cold_run_is_bit_identical_to_uncached_and_stores(graph, store):
-    plain = _run(graph)
-    cold = _run(graph, cache=store)
-    assert cold.extras["cache"] == {
-        "hit": False,
-        "digest": cold.extras["cache"]["digest"],
-        "stored": True,
-    }
-    assert cold.count == plain.count
-    assert cold.ppt_time == plain.ppt_time
-    assert cold.tct_time == plain.tct_time
-    assert cold.counters_ppt == plain.counters_ppt
-    assert cold.counters_tct == plain.counters_tct
-    assert cold.hash_builds == plain.hash_builds
-    assert cold.hash_fast_builds == plain.hash_fast_builds
-    assert [
-        (s.shift, s.rank, s.compute_seconds, s.tasks)
-        for s in cold.shift_records
-    ] == [
-        (s.shift, s.rank, s.compute_seconds, s.tasks)
-        for s in plain.shift_records
-    ]
-    digest = cold.extras["cache"]["digest"]
-    assert store.manifest_path(digest).exists()
-    assert sorted(store.read_manifest(digest)["ranks"]) == [
-        str(r) for r in range(9)
-    ]
-
-
-def test_warm_run_skips_ppt_with_exact_parity(graph, store):
-    cold = _run(graph, cache=store)
-    warm = _run(graph, cache=store, keep_run=True)
-    info = warm.extras["cache"]
-    assert info["hit"] and info["replayed_ppt"]
-    assert info["digest"] == cold.extras["cache"]["digest"]
-
-    # Exact integer parity: counts, kernel stats, per-shift task counts.
-    assert warm.count == cold.count
-    assert warm.counters_tct == cold.counters_tct
-    assert warm.hash_builds == cold.hash_builds
-    assert warm.hash_fast_builds == cold.hash_fast_builds
-    assert [(s.shift, s.rank, s.tasks) for s in warm.shift_records] == [
-        (s.shift, s.rank, s.tasks) for s in cold.shift_records
-    ]
-    # tct-phase traces: same spans, durations equal up to clock-offset ulp.
-    assert warm.tct_time == pytest.approx(cold.tct_time, rel=1e-9)
-    for w, c in zip(warm.shift_records, cold.shift_records):
-        assert w.compute_seconds == pytest.approx(c.compute_seconds, rel=1e-9)
-
-    # Replayed ppt statistics are the cold run's, bit for bit.
-    assert warm.ppt_time == cold.ppt_time
-    assert warm.counters_ppt == cold.counters_ppt
-    assert warm.comm_fraction_ppt == cold.comm_fraction_ppt
-
-    # The live run skipped preprocessing entirely: a cache phase appears,
-    # the ppt phase is empty, and no ppt-kind operation was charged.
-    run = warm.extras["run"]
-    assert "cache" in run.phase_names()
-    for s in run.phase_stats("ppt"):  # per-rank: zero work, zero comm
-        assert s.compute == 0.0 and s.comm == 0.0 and s.end == s.start
-    for kind in ("relabel", "scan", "sort", "csr_build"):
-        assert run.counter_total(kind) == 0.0
-    assert run.counter_total("cache_io") > 0
 
 
 def test_hit_without_recorded_model_still_counts(graph, store):
@@ -242,37 +178,6 @@ def test_cache_as_path_argument(graph, tmp_path):
     assert cold.extras["cache"]["hit"] is False
     assert warm.extras["cache"]["hit"] is True
     assert warm.count == cold.count
-
-
-# -- resilient driver ---------------------------------------------------------
-
-
-def test_resilient_run_uses_and_warms_cache(graph, store):
-    from repro.resilience.recovery import count_triangles_2d_resilient
-
-    plain = _run(graph)
-    cold = count_triangles_2d_resilient(
-        graph, 9, CFG, model=MODEL, cache=store
-    )
-    assert cold.count == plain.count
-    assert cold.extras["cache"]["stored"] is True
-    warm = count_triangles_2d_resilient(
-        graph, 9, CFG, model=MODEL, cache=store
-    )
-    assert warm.count == plain.count
-    assert warm.extras["cache"]["hit"] is True
-
-
-def test_faulty_runs_never_write_the_store(graph, store):
-    from repro.resilience.faults import FaultPlan
-    from repro.resilience.recovery import count_triangles_2d_resilient
-
-    plan = FaultPlan.random(7, 9, 3, n_faults=2)
-    res = count_triangles_2d_resilient(
-        graph, 9, CFG, model=MODEL, fault_plan=plan, cache=store
-    )
-    assert res.count == _run(graph).count
-    assert store.digests() == []  # read-only under fault injection
 
 
 # -- dataset registry ---------------------------------------------------------

@@ -154,8 +154,6 @@ def check_cli(path: Path, text: str, parser: argparse.ArgumentParser) -> list[st
                     f"`repro {sub}`"
                 )
                 continue
-            if sub == "chaos":
-                continue  # REMAINDER: forwards to its own parser
             longs, shorts = _known_flags(commands[sub])
             for tok in tokens[1:]:
                 if tok == "--":
