@@ -1,11 +1,10 @@
 """Cover-edge algorithm: exactness, parity with tc2d, instrumentation.
 
 The contract under test: ``count_triangles_coveredge`` is a drop-in
-second algorithm with the same span/counter/cache/executor machinery,
-plus the cover-edge decomposition record in ``extras["coveredge"]``.
-Its exactness on every graph shape, grid, toggle, kernel and store
-state is a route of the differential sweep (``tests/resilience/
-test_chaos.py``).
+second algorithm — bit-identical counts to ``count_triangles_2d`` and
+the linear-algebra oracle on every graph shape, same span/counter/
+cache/executor machinery, plus the cover-edge decomposition record in
+``extras["coveredge"]``.
 """
 
 from __future__ import annotations
@@ -14,8 +13,57 @@ import numpy as np
 import pytest
 
 from repro.core import TC2DConfig, count_triangles_2d, count_triangles_coveredge
-from repro.graph import Graph
+from repro.graph import Graph, triangle_count_linalg
 from repro.graph.stats import bfs_levels, cover_edge_stats
+
+GRIDS = [1, 4, 9, 16]
+
+
+@pytest.mark.parametrize("p", GRIDS)
+def test_exact_on_er(er_graph, p):
+    want = triangle_count_linalg(er_graph)
+    assert count_triangles_coveredge(er_graph, p).count == want
+
+
+@pytest.mark.parametrize("p", [1, 9, 16])
+def test_exact_on_skewed_rmat(rmat_small, p):
+    want = triangle_count_linalg(rmat_small)
+    assert count_triangles_coveredge(rmat_small, p).count == want
+
+
+@pytest.mark.parametrize("p", [4, 9])
+def test_exact_on_clustered(cluster_graph, p):
+    want = triangle_count_linalg(cluster_graph)
+    assert count_triangles_coveredge(cluster_graph, p).count == want
+
+
+@pytest.mark.parametrize("p", [4, 9])
+def test_exact_on_preferential(ba_graph, p):
+    want = triangle_count_linalg(ba_graph)
+    assert count_triangles_coveredge(ba_graph, p).count == want
+
+
+def test_exact_on_tiny(tiny_graph):
+    assert count_triangles_coveredge(tiny_graph, 4).count == 3
+
+
+def test_empty_graph():
+    g = Graph.from_edges(8, np.empty((0, 2), dtype=np.int64))
+    assert count_triangles_coveredge(g, 4).count == 0
+
+
+def test_triangle_free_cycle():
+    edges = np.array([[i, (i + 1) % 10] for i in range(10)])
+    g = Graph.from_edges(10, edges)
+    assert count_triangles_coveredge(g, 9).count == 0
+
+
+def test_complete_graph():
+    n = 12
+    edges = np.array([(i, j) for i in range(n) for j in range(i + 1, n)])
+    g = Graph.from_edges(n, edges)
+    res = count_triangles_coveredge(g, 4)
+    assert res.count == n * (n - 1) * (n - 2) // 6
 
 
 def test_bipartite_has_no_horizontal_edges():
@@ -29,9 +77,31 @@ def test_bipartite_has_no_horizontal_edges():
     assert res.extras["coveredge"]["horizontal_triangles"] == 0
 
 
+def test_disconnected_components():
+    g = Graph.from_edges(
+        7, np.array([[0, 1], [1, 2], [0, 2], [3, 4], [4, 5], [3, 5], [5, 6]])
+    )
+    assert count_triangles_coveredge(g, 9).count == 2
+
+
 def test_non_square_rank_count_rejected(tiny_graph):
     with pytest.raises(ValueError):
         count_triangles_coveredge(tiny_graph, 10)
+
+
+@pytest.mark.parametrize("p", [1, 9])
+def test_parity_with_tc2d(er_graph, p):
+    assert (
+        count_triangles_coveredge(er_graph, p).count
+        == count_triangles_2d(er_graph, p).count
+    )
+
+
+@pytest.mark.parametrize("name,cfg", list(TC2DConfig.ablations().items()))
+def test_every_ablation_config_is_exact(er_graph, name, cfg):
+    want = triangle_count_linalg(er_graph)
+    res = count_triangles_coveredge(er_graph, 9, cfg=cfg)
+    assert res.count == want
 
 
 def test_count_invariant_under_relabeling(er_graph):
@@ -100,6 +170,22 @@ def test_trace_export_parity(er_graph, tmp_path):
 
 
 # -- cache (content-addressed store) -----------------------------------------
+
+
+def test_cold_then_warm_cache(er_graph, tmp_path):
+    from repro.graph.store import GraphStore
+
+    store = GraphStore(tmp_path / "store")
+    cold = count_triangles_coveredge(er_graph, 9, cache=store)
+    assert cold.extras["cache"]["hit"] is False
+    assert cold.extras["cache"]["stored"] is True
+    warm = count_triangles_coveredge(er_graph, 9, cache=store)
+    assert warm.extras["cache"]["hit"] is True
+    assert warm.count == cold.count
+    assert warm.counters_tct == cold.counters_tct
+    assert warm.counters_ppt == cold.counters_ppt
+    # warm ppt is a recorded replay of the cold run's preprocessing
+    assert warm.ppt_time == cold.ppt_time
 
 
 def test_cache_distinct_from_tc2d_entry(er_graph, tmp_path):

@@ -4,7 +4,7 @@ These drive :class:`~repro.simmpi.parallel.SuperstepPool` directly —
 submit/dispatch round trips, arena reuse, batching, the typed crash
 paths, ``/dev/shm`` hygiene — without an engine attached (but for the
 aborted-run leak case).  Engine integration (parity with the
-sequential executor, a typed worker crash) closes the file.
+sequential executor) lives in ``tests/test_integration_matrix``.
 
 Worker entries used here live at module level so spawned interpreters
 can re-import them by their ``"tests.simmpi.test_parallel:..."`` names.
@@ -12,7 +12,6 @@ can re-import them by their ``"tests.simmpi.test_parallel:..."`` names.
 
 from __future__ import annotations
 
-import math
 import os
 import subprocess
 import sys
@@ -20,8 +19,6 @@ import sys
 import numpy as np
 import pytest
 
-from repro.core import TC2DConfig, count_triangles_2d
-from repro.graph import rmat_graph, triangle_count_linalg
 from repro.simmpi import Engine
 from repro.simmpi.errors import RankFailedError, SimMPIError, WorkerCrashError
 from repro.simmpi.parallel import SuperstepPool, _resolve_entry
@@ -257,114 +254,3 @@ def test_pool_leaves_nothing_in_dev_shm(ending):
         if os.path.isdir("/dev/shm"):
             assert _shm_entries() - before, "the live arena should be listed"
     assert _shm_entries() - before == set()
-
-
-GRAPHS = {"rmat": lambda: rmat_graph(9, edge_factor=8, seed=2)}
-_CACHE: dict = {}
-
-
-def _graph_and_truth(name: str):
-    if name not in _CACHE:
-        g = GRAPHS[name]()
-        _CACHE[name] = (g, triangle_count_linalg(g))
-    return _CACHE[name]
-
-
-# ---------------------------------------------------------------------------
-# Executor parity: the parallel superstep executor must be bit-identical
-# to the sequential engine — counts, simulated times, counters, per-rank
-# per-shift KernelStats, virtual clocks, and the exported trace bytes.
-# ---------------------------------------------------------------------------
-
-PARITY_TOGGLES = {
-    "default": TC2DConfig(),
-    "probed": TC2DConfig(modified_hashing=False),
-    "noearlystop": TC2DConfig(early_stop=False),
-    "ijk": TC2DConfig(enumeration="ijk"),
-}
-PARITY_GRIDS = (4, 9)
-PARITY_WORKERS = (1, 2, 4)
-
-#: Sequential reference runs, computed once per (toggle, p) and compared
-#: against every worker count.
-_SEQ_CACHE: dict = {}
-
-
-@pytest.fixture(scope="module")
-def pools():
-    from repro.simmpi.parallel import SuperstepPool
-
-    ps = {w: SuperstepPool(workers=w) for w in PARITY_WORKERS}
-    yield ps
-    for pool in ps.values():
-        pool.shutdown()
-
-
-def _sequential_reference(toggle: str, p: int):
-    if (toggle, p) not in _SEQ_CACHE:
-        g, truth = _graph_and_truth("rmat")
-        res = count_triangles_2d(
-            g, p, PARITY_TOGGLES[toggle], trace=True, keep_run=True
-        )
-        assert res.count == truth
-        _SEQ_CACHE[toggle, p] = res
-    return _SEQ_CACHE[toggle, p]
-
-
-@pytest.mark.parametrize("workers", PARITY_WORKERS)
-@pytest.mark.parametrize("p", PARITY_GRIDS)
-@pytest.mark.parametrize("toggle", list(PARITY_TOGGLES))
-def test_parallel_executor_parity(toggle, p, workers, pools, monkeypatch):
-    from repro.instrument import dumps_chrome_trace
-
-    g, truth = _graph_and_truth("rmat")
-    seq = _sequential_reference(toggle, p)
-    cfg = PARITY_TOGGLES[toggle].replace(executor="parallel", workers=workers)
-    pool = pools[workers]
-    served = []
-    dispatch = pool.dispatch
-
-    def counting_dispatch(timeout=None):
-        ranks = dispatch(timeout)
-        served.extend(ranks)
-        return ranks
-
-    monkeypatch.setattr(pool, "dispatch", counting_dispatch)
-    par = count_triangles_2d(g, p, cfg, trace=True, keep_run=True, superstep=pool)
-
-    assert par.count == truth == seq.count
-    assert par.extras["executor"] == "parallel"
-    assert par.extras["workers"] == workers
-    # The pool really ran every rank's kernel of every Cannon epoch.
-    assert sorted(served) == sorted(list(range(p)) * math.isqrt(p))
-
-    # Simulated time, counters and per-rank per-shift kernel stats are
-    # bit-identical, not merely close.
-    assert (par.ppt_time, par.tct_time) == (seq.ppt_time, seq.tct_time)
-    assert par.counters_ppt == seq.counters_ppt
-    assert par.counters_tct == seq.counters_tct
-    assert par.shift_records == seq.shift_records
-    assert (par.hash_builds, par.hash_fast_builds) == (
-        seq.hash_builds,
-        seq.hash_fast_builds,
-    )
-
-    run_seq, run_par = seq.extras["run"], par.extras["run"]
-    for cs, cp in zip(run_seq.clocks, run_par.clocks):
-        assert cs.now == cp.now
-    assert len(run_par.tracer.spans) == len(run_seq.tracer.spans)
-    assert dumps_chrome_trace(run_par) == dumps_chrome_trace(run_seq)
-
-
-def test_parallel_worker_crash_is_typed(monkeypatch):
-    from repro.simmpi.errors import WorkerCrashError
-
-    g, _ = _graph_and_truth("rmat")
-    monkeypatch.setattr(
-        "repro.core.cannon.KERNEL_JOB_ENTRY",
-        "repro.simmpi.parallel:_crash_for_tests",
-    )
-    with pytest.raises(WorkerCrashError):
-        count_triangles_2d(
-            g, 4, TC2DConfig(executor="parallel", workers=1)
-        )
