@@ -22,7 +22,7 @@ test:
 	$(PYTHON) -m pytest tests/
 
 test-fast:
-	$(PYTHON) -m pytest tests/ -m "not slow" -x -q
+	$(PYTHON) -m pytest tests/ -m "not slow and not ooc_full" -x -q
 
 bench:          ## full sweeps; regenerates every paper table/figure
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only

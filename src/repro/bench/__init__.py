@@ -7,10 +7,9 @@ Tables 3-4 without re-running) is :mod:`repro.bench.runner`, and the
 machine-model calibration used by all experiments is
 :mod:`repro.bench.calibration`.
 
-The two wall-clock layer suites (``python -m repro.bench.<suite>``:
-oocbench, autotunebench) share one command line, report
-header and history-row shape, all in :mod:`repro.bench.core`; their
-rows land in :mod:`repro.bench.history`.  The names below load their
+The one layer suite, ``python -m repro.bench.autotunebench``, carries
+its own command line; its rows, and the history-row shape every report
+shares, live in :mod:`repro.bench.history`.  The names below load their
 module on first access (:mod:`repro._lazy`), so reading the machine
 model does not import the sweep runner.
 """

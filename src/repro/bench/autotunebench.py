@@ -21,25 +21,28 @@ per measured candidate with a ``virtual_makespan_s`` metric, which is
 precisely the shape :func:`repro.core.autotune.plan_run` consumes via
 ``history=`` to override its model with ground truth.
 
-Run it as ``python -m repro.bench.autotunebench``: the common front of
-:func:`repro.bench.core.bench_main` plus ``--dataset`` / ``--max-p`` /
-``--seed``.
+Run it as ``python -m repro.bench.autotunebench [--smoke] [--out PATH]
+[--check] [--history DB] [--dataset NAME] [--max-p P] [--seed S]``:
+``--out -`` prints the report instead of writing it, ``--history``
+appends its rows, and ``--check`` prints each gate failure once as
+``REGRESSION: ...`` and exits 1.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 import time
+from pathlib import Path
 from typing import Any
 
 from repro.bench.calibration import paper_model
-from repro.bench.core import (
-    TIMING_KEYS, Suite, bench_main, envelope, named_cases, row,
-)
+from repro.bench.history import TIMING_KEYS, RunHistory, named_cases, row
 from repro.core import GRID_DRIVERS, TC2DConfig
 from repro.core.autotune import collect_signals, plan_run
 from repro.graph.datasets import load_dataset
+from repro.instrument.telemetry import host_metadata
 
 #: (datasets, rank candidates) per mode.  Smoke stays small enough for
 #: CI; the full sweep covers the scaled registry at the paper's grids.
@@ -108,8 +111,8 @@ def bench_dataset(
 
 def run_bench(args: argparse.Namespace) -> dict[str, Any]:
     """Plan + measure every dataset of the sweep; returns the report."""
-    head = envelope(SUITE.name, args.smoke, kind="repro-autotune-bench")
-    datasets, max_p = MODES[head["mode"]]
+    mode = "smoke" if args.smoke else "full"
+    datasets, max_p = MODES[mode]
     if args.dataset:
         datasets = tuple(args.dataset)
     if args.max_p:
@@ -126,7 +129,10 @@ def run_bench(args: argparse.Namespace) -> dict[str, Any]:
             file=sys.stderr,
         )
     return {
-        **head,
+        "kind": "repro-autotune-bench",
+        "suite": "autotune",
+        "mode": mode,
+        "host": host_metadata(),
         "config": {
             "max_p": max_p,
             "seed": args.seed,
@@ -147,18 +153,21 @@ def history_rows(report: dict[str, Any]) -> list[dict[str, Any]]:
     for name, case in named_cases(report):
         for key, cand in sorted((case.get("candidates") or {}).items()):
             rows.append(
-                row(SUITE.name, f"{name}-{key}", cand, TIMING_KEYS
+                row("autotune", f"{name}-{key}", cand, TIMING_KEYS
                     + ("count", "virtual_makespan_s", "predicted_s"))
             )
         rows.append(
-            row(SUITE.name, f"{name}-auto", case,
+            row("autotune", f"{name}-auto", case,
                 ("chosen", "best_measured", "ratio_vs_best"))
         )
     return rows
 
 
-def check(report: dict[str, Any], notes: list[str]) -> list[str]:
-    """Gate an autotunebench report; returns human-readable failures."""
+def check(report: Any) -> list[str]:
+    """Gate an autotunebench report; returns human-readable failures.  A
+    report with nothing to gate is a failure, not a pass."""
+    if next(named_cases(report), None) is None:
+        return ["autotune: report has no cases, nothing was gated"]
     failures: list[str] = []
     for name, case in named_cases(report):
         ratio = case.get("ratio_vs_best")
@@ -175,21 +184,46 @@ def check(report: dict[str, Any], notes: list[str]) -> list[str]:
     return failures
 
 
-SUITE = Suite(
-    name="autotune",
-    out="BENCH_autotune.json",
-    flags={
-        "--dataset": dict(action="append", default=[],
-                          help="override the sweep's datasets (repeatable)"),
-        "--max-p": dict(type=int, default=0,
-                        help="override the sweep's largest rank count"),
-        "--seed": dict(type=int, default=0),
-    },
-    run=run_bench,
-    rows=history_rows,
-    check=check,
-)
+def main(argv: list[str] | None = None) -> int:
+    """Run, write, record, gate.  Exits 0, or 1 when ``--check`` found a
+    failure."""
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--smoke", action="store_true",
+                    help="CI-sized inputs instead of the full sweep")
+    ap.add_argument("--out", default="BENCH_autotune.json",
+                    help="report path, '-' for stdout only "
+                    "(default: %(default)s)")
+    ap.add_argument("--check", action="store_true",
+                    help="exit 1 when the gate fails")
+    ap.add_argument("--history", metavar="DB",
+                    help="also append this run's rows to a history JSONL "
+                    "(see `repro history`)")
+    ap.add_argument("--dataset", action="append", default=[],
+                    help="override the sweep's datasets (repeatable)")
+    ap.add_argument("--max-p", type=int, default=0,
+                    help="override the sweep's largest rank count")
+    ap.add_argument("--seed", type=int, default=0)
+    args = ap.parse_args(argv)
+
+    report = run_bench(args)
+    text = json.dumps(report, indent=2) + "\n"
+    if args.out == "-":
+        sys.stdout.write(text)
+    else:
+        Path(args.out).write_text(text)
+        print(f"wrote {args.out}", file=sys.stderr)
+    if args.history:
+        n = RunHistory(args.history).append(history_rows(report))
+        print(f"appended {n} rows to {args.history}", file=sys.stderr)
+    if not args.check:
+        return 0
+    failures = check(report)
+    for line in failures:
+        print(f"REGRESSION: {line}", file=sys.stderr)
+    if not failures:
+        print("check passed: autotune", file=sys.stderr)
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(bench_main(SUITE))
+    sys.exit(main())

@@ -23,12 +23,38 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 
-from repro.bench.core import named_cases, row, suite_of
 from repro.instrument.telemetry import host_metadata
 
 HISTORY_SCHEMA = 1
+
+#: The scalar timing fields a history row takes from a report entry.
+TIMING_KEYS = ("best_s", "best_ms", "wall_s", "peak_rss_bytes")
+
+
+def row(
+    suite: str,
+    case: str,
+    entry: dict[str, Any] | None = None,
+    keys: tuple[str, ...] = TIMING_KEYS,
+    **metrics: Any,
+) -> dict[str, Any]:
+    """One history row: the ``keys`` of ``entry``, then ``metrics`` (which
+    win on a clash); ``None`` values are dropped."""
+    entry = entry or {}
+    found = {k: entry[k] for k in keys if entry.get(k) is not None}
+    found.update((k, v) for k, v in metrics.items() if v is not None)
+    return {"suite": suite, "case": case, "metrics": found}
+
+
+def named_cases(report: Any) -> Iterator[tuple[Any, dict[str, Any]]]:
+    """``(name, case)`` for every well-formed case of a report; a report
+    read from disk may be anything, so malformed parts are skipped."""
+    cases = report.get("cases") if isinstance(report, dict) else None
+    for case in cases if isinstance(cases, list) else []:
+        if isinstance(case, dict) and case.get("name") is not None:
+            yield case["name"], case
 
 
 class RunHistory:
@@ -99,17 +125,16 @@ def row_from_telemetry(record: dict[str, Any]) -> dict[str, Any]:
 def rows_from_bench(report: Any) -> list[dict[str, Any]]:
     """History rows from a ``repro.bench`` report.
 
-    The suite that wrote the report owns its shape: the report's
-    ``suite`` string is looked up in :data:`repro.bench.core.SUITES` and
-    that module's row emitter is used (imported on demand, so appending
-    a kernel report does not import the serve stack).  Anything else — an
-    unregistered suite, a hand-written report — falls back to one row
-    per named case with whatever scalar timing fields are present.
+    An autotunebench report (``suite == "autotune"``) gets that module's
+    row emitter, imported on demand.  Anything else — a hand-written
+    report, one from a retired suite — gets one row per named case with
+    whatever scalar timing fields are present.
     """
-    suite = suite_of(report)
-    if suite is not None:
-        return suite.rows(report)
     doc = report if isinstance(report, dict) else {}
+    if doc.get("suite") == "autotune":
+        from repro.bench.autotunebench import history_rows
+
+        return history_rows(doc)
     name = str(doc.get("suite") or doc.get("kind") or "bench")
     return [
         row(name, str(case_name), case, count=case.get("triangles"))
@@ -124,19 +149,45 @@ def check_history(
     """Gate newest history rows against a baseline; returns failures.
 
     Every baseline entry must have a matching row — a silently missing
-    case is itself a regression (the suite stopped measuring it).
+    case is itself a regression (the suite stopped measuring it).  A
+    baseline is hand-written JSON, so each malformed part of it is a
+    failure line too.
     """
     failures: list[str] = []
     if baseline.get("kind") != "repro-bench-baseline":
         return [f"baseline: unexpected kind {baseline.get('kind')!r}"]
-    for entry in baseline.get("entries") or []:
+    entries = baseline.get("entries") or []
+    if not isinstance(entries, list):
+        return [f"baseline: entries must be a list, not {entries!r}"]
+    for entry in entries:
+        if not isinstance(entry, dict):
+            failures.append(f"baseline: entry {entry!r} is not an object")
+            continue
         suite, case = str(entry.get("suite")), str(entry.get("case"))
+        rules = entry.get("metrics") or {}
+        if not isinstance(rules, dict):
+            failures.append(
+                f"{suite}/{case}: metrics must be an object, not {rules!r}"
+            )
+            continue
         newest = rows.get((suite, case))
         if newest is None:
             failures.append(f"{suite}/{case}: no history row found")
             continue
         measured = newest.get("metrics") or {}
-        for metric, rule in (entry.get("metrics") or {}).items():
+        if not isinstance(measured, dict):
+            failures.append(
+                f"{suite}/{case}: row metrics must be an object, not "
+                f"{measured!r}"
+            )
+            continue
+        for metric, rule in rules.items():
+            if not isinstance(rule, dict):
+                failures.append(
+                    f"{suite}/{case}: rule for {metric!r} must be an "
+                    f"object, not {rule!r}"
+                )
+                continue
             got = measured.get(metric)
             if got is None:
                 failures.append(

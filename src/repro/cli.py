@@ -1017,7 +1017,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     h.add_argument(
         "--bench", action="append", default=[], metavar="FILE",
-        help="repro.bench report to append — oocbench or autotunebench "
+        help="repro.bench report to append, e.g. autotunebench's "
         "(repeatable)",
     )
     h.add_argument(

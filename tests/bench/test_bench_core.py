@@ -1,15 +1,15 @@
-"""The bench core: one front, one row emitter per report shape, and
-committed artifacts that the current code can read and gate."""
+"""The bench front (``python -m repro.bench.autotunebench``), the history
+rows each report shape gives, and committed artifacts that the current
+code can read and gate."""
 
 from __future__ import annotations
 
-import importlib
 import json
 from pathlib import Path
 
 import pytest
 
-from repro.bench.core import SUITES, Suite, bench_main, gate, suite_of
+from repro.bench import autotunebench
 from repro.bench.history import rows_from_bench
 from repro.cli import main as cli_main
 
@@ -46,60 +46,59 @@ def test_rows_reproduce_the_pin(artifact):
 # -- the front ---------------------------------------------------------------
 
 
-def _stub(failures=()):
+def _stub_run(monkeypatch, cases):
     seen = {}
 
     def run(args):
         seen["args"] = args
-        return {"suite": "stub", "cases": [{"name": "c", "wall_s": args.knob}]}
+        return {"suite": "autotune", "cases": cases}
 
-    return seen, Suite(
-        name="stub",
-        out="unused.json",
-        flags={"--knob": dict(type=float, default=1.0)},
-        run=run,
-        rows=lambda report: [{"suite": "stub", "case": "c", "metrics": {"x": 1}}],
-        check=lambda report, notes: notes.append("a note") or list(failures),
-    )
+    monkeypatch.setattr(autotunebench, "run_bench", run)
+    return seen
 
 
 def test_front_contract(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    # --out - prints the report and creates no file; suite flags reach run.
-    seen, suite = _stub()
-    assert bench_main(suite, ["--out", "-", "--knob", "2.5", "--smoke"]) == 0
-    assert json.loads(capsys.readouterr().out)["cases"][0]["wall_s"] == 2.5
-    assert seen["args"].smoke and seen["args"].knob == 2.5
+    good = {"name": "g", "ratio_vs_best": 1.0, "counts_agree": True,
+            "candidates": {"tc2d-p4": {"virtual_makespan_s": 0.5}}}
+    # --out - prints the report and creates no file; every flag reaches run.
+    seen = _stub_run(monkeypatch, [good])
+    argv = ["--out", "-", "--smoke", "--dataset", "a", "--dataset", "b",
+            "--max-p", "4", "--seed", "3"]
+    assert autotunebench.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["cases"] == [good]
+    args = seen["args"]
+    assert args.smoke and args.dataset == ["a", "b"]
+    assert (args.max_p, args.seed) == (4, 3)
     assert list(tmp_path.iterdir()) == []
 
     # --out FILE + --history DB writes both.
-    assert bench_main(suite, ["--out", "r.json", "--history", "h.jsonl"]) == 0
-    assert json.loads(Path("r.json").read_text())["suite"] == "stub"
-    (line,) = Path("h.jsonl").read_text().splitlines()
-    assert json.loads(line)["metrics"] == {"x": 1}
+    assert autotunebench.main(["--out", "r.json", "--history", "h.jsonl"]) == 0
+    assert json.loads(Path("r.json").read_text())["suite"] == "autotune"
+    assert [json.loads(line)["case"]
+            for line in Path("h.jsonl").read_text().splitlines()] == [
+        "g-tc2d-p4", "g-auto"]
 
-    # --check: 0 with the notes, 1 with each failure printed once.
+    # --check: 0 on a pass, 1 with each failure printed once.
     capsys.readouterr()
-    assert bench_main(suite, ["--out", "r.json", "--check"]) == 0
+    assert autotunebench.main(["--out", "r.json", "--check"]) == 0
+    assert "REGRESSION" not in capsys.readouterr().err
+    _stub_run(monkeypatch, [{**good, "ratio_vs_best": 2.0,
+                             "counts_agree": False}])
+    assert autotunebench.main(["--out", "r.json", "--check"]) == 1
     err = capsys.readouterr().err
-    assert "NOTE: a note" in err and "REGRESSION" not in err
-    _, bad = _stub(failures=["too slow", "wrong count"])
-    assert bench_main(bad, ["--out", "r.json", "--check"]) == 1
-    err = capsys.readouterr().err
-    assert err.count("REGRESSION: too slow") == 1
-    assert err.count("REGRESSION: wrong count") == 1
+    assert err.count("REGRESSION: g: auto plan") == 1
+    assert err.count("REGRESSION: g: candidates disagree") == 1
 
 
-# -- every suite's gate and rows on malformed input --------------------------
+# -- the gate and rows on malformed input ------------------------------------
 
 
-@pytest.mark.parametrize("name", sorted(SUITES))
+@pytest.mark.parametrize("name", ["autotune"])
 def test_malformed_reports_fail_the_gate_without_raising(name):
-    suite = importlib.import_module(SUITES[name]).SUITE
-    assert suite.name == name
     for bad in (None, [], {}, {"suite": name, "cases": []},
                 {"suite": name, "cases": [{}, "x", {"name": None}]}):
-        (failure,) = gate(suite, bad, [])
+        (failure,) = autotunebench.check(bad)
         assert name in failure
         assert rows_from_bench(bad) == []
 
@@ -107,7 +106,6 @@ def test_malformed_reports_fail_the_gate_without_raising(name):
 def test_unregistered_suite_gets_the_generic_row():
     report = {"suite": "homemade", "cases": [
         {"name": "a", "wall_s": 1.5, "triangles": 7, "other": "x"}, {"no": 1}]}
-    assert suite_of(report) is None
     assert rows_from_bench(report) == [
         {"suite": "homemade", "case": "a",
          "metrics": {"wall_s": 1.5, "count": 7}}
@@ -119,23 +117,15 @@ def test_unregistered_suite_gets_the_generic_row():
 
 @pytest.mark.parametrize("artifact", ARTIFACTS)
 def test_committed_artifact_is_current(artifact, tmp_path):
-    """Every committed artifact reads and passes its suite's gate under
-    the current code; one with a committed baseline also passes
+    """Every committed artifact reads and passes the autotunebench gate
+    under the current code; one with a committed baseline also passes
     ``repro history append --bench`` + ``repro history check`` on a fresh
     history db."""
     report = json.loads((REPO / artifact).read_text())
-    suite = suite_of(report)
-    assert suite is not None, report.get("suite")
-    schema = getattr(importlib.import_module(SUITES[suite.name]), "SCHEMA", None)
-    assert report.get("schema") == schema
-    assert key_paths(report) == set(PIN["smoke_key_paths"][suite.name])
-
-    notes: list[str] = []
-    assert gate(suite, report, notes) == []
-    assert all("SKIPPED" in n for n in notes)
-
-    rows = suite.rows(report)
-    assert rows
+    assert report.get("suite") == "autotune"
+    assert key_paths(report) == set(PIN["smoke_key_paths"]["autotune"])
+    assert autotunebench.check(report) == []
+    assert autotunebench.history_rows(report)
     baseline = REPO / artifact.replace(".json", "_baseline.json")
     if baseline.exists():
         db = str(tmp_path / "history.jsonl")

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-from pathlib import Path
 
 from repro.bench.history import (
     HISTORY_SCHEMA,
@@ -11,10 +10,7 @@ from repro.bench.history import (
     check_history,
     load_baseline,
     row_from_telemetry,
-    rows_from_bench,
 )
-
-REPO = Path(__file__).resolve().parents[2]
 
 
 def _db(tmp_path):
@@ -73,29 +69,6 @@ def test_row_from_telemetry():
         "virtual_makespan_s": 0.01,
         "peak_rss_bytes": 1000,
     }
-
-
-def test_rows_from_oocbench_report_carry_what_the_gates_read():
-    """Against the committed artifact: the ratio case becomes one row per
-    measured child, each with its RSS delta next to its ceiling."""
-    report = json.loads((REPO / "BENCH_outofcore.json").read_text())
-    rows = {r["case"]: r for r in rows_from_bench(report)}
-    ratio = "ratio-n1048576-m4194304-p9"
-    assert {c for c in rows if c.startswith(ratio)} == {
-        f"{ratio}-stream", f"{ratio}-preprocess", f"{ratio}-count"
-    }
-    assert sum(c.startswith("parity-") for c in rows) == 2  # p = 4 and 9
-    for stage in ("stream", "preprocess", "count"):
-        m = rows[f"{ratio}-{stage}"]["metrics"]
-        child = report["cases"][-1][stage]
-        assert m["rss_delta_bytes"] == child["rss_delta_bytes"]
-        assert m["ceiling_bytes"] == child["ceiling_bytes"]
-        assert m["peak_rss_bytes"] == child["peak_rss_bytes"]  # the real peak
-        assert ("graph_to_rss_ratio" in m) == (stage == "stream")
-        assert ("store_hit" in m) == (stage == "count")
-    assert rows[f"{ratio}-stream"]["metrics"]["graph_to_rss_ratio"] == 64.0
-    assert rows[f"{ratio}-count"]["metrics"]["store_hit"] is True
-    assert rows[f"{ratio}-count"]["metrics"]["count"] == 5473
 
 
 def _baseline(entries):
@@ -164,6 +137,27 @@ def test_check_rejects_unknown_rule_and_bad_kind():
         (failure,) = check_history(_rows(chosen="tc2d-p9"), base)
         assert "s/c" in failure and "chosen='tc2d-p9'" in failure
         assert rule["rule"] in failure
+
+
+def test_check_reports_a_malformed_baseline_without_raising():
+    """A hand-written baseline may hold anything: each malformed part is a
+    failure line naming it, and the well-formed entries are still gated."""
+    good = {"suite": "s", "case": "c",
+            "metrics": {"count": {"rule": "equal", "value": 1}}}
+    for entries, named in (
+        (["x", good], "'x'"),
+        ({"suite": "s"}, "entries must be a list"),
+        ([{"suite": "s", "case": "c", "metrics": [1]}, good], "[1]"),
+        ([{"suite": "s", "case": "c", "metrics": {"count": 5}}, good], "5"),
+    ):
+        failures = check_history(_rows(count=2), _baseline(entries))
+        assert any(named in f for f in failures), failures
+        if isinstance(entries, list):  # the good entry is still gated
+            assert any("count=2 != expected 1" in f for f in failures)
+    # ... and so may a hand-edited history row.
+    rows = {("s", "c"): {"suite": "s", "case": "c", "metrics": [2]}}
+    (failure,) = check_history(rows, _baseline([good]))
+    assert "row metrics must be an object" in failure
 
 
 def test_load_baseline_roundtrip(tmp_path):

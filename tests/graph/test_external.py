@@ -166,40 +166,3 @@ def test_iter_i8_blocks_covers_whole_file(tmp_path):
     chunks = list(_iter_i8_blocks(path, chunk_rows=2))
     assert [len(c) for c in chunks] == [2, 2, 1]  # short tail block kept
     assert np.array_equal(np.concatenate(chunks), keys)
-
-
-def test_oocbench_report_gates():
-    """The bench's gate logic trips on each kind of regression."""
-    from repro.bench.oocbench import check
-
-    def report(**over):
-        case = {
-            "name": "ratio-x",
-            "p": 4,
-            "m": 1 << 20,
-            "graph_bytes": 16 << 20,
-            "chunk_bytes": 1 << 19,
-            "store_bytes": 8 << 20,
-            "count_match": True,
-            "stream": {"rss_delta_bytes": 1 << 20,
-                       "ceiling_bytes": 28 << 20},
-            "preprocess": {"rss_delta_bytes": 4 << 20,
-                           "ceiling_bytes": 132 << 20},
-            "count": {"rss_delta_bytes": 100 << 20,
-                      "ceiling_bytes": 170 << 20, "store_hit": True},
-        }
-        case.update(over)
-        return {"schema": 2, "suite": "outofcore", "cases": [case]}
-
-    assert check(report(), []) == []
-    assert check(report(count_match=False), [])
-    assert check(
-        report(stream={"rss_delta_bytes": 60 << 20,
-                       "ceiling_bytes": 28 << 20}), []
-    )
-    assert check(report(graph_bytes=1 << 20), [])  # ratio collapses
-    assert check(
-        report(count={"rss_delta_bytes": 200 << 20,
-                      "ceiling_bytes": 170 << 20, "store_hit": True}), []
-    )
-    assert check({"schema": 2, "cases": []}, [])  # no ratio case
