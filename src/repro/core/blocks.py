@@ -20,7 +20,7 @@ the compiled kernel counts from it.  The block's :class:`DCSR` is views
 into that blob, built on first access (only the ``row``/``batch``
 kernels and the listing path make them).  Every arrival reads the header
 once and checks the crc with one pass over the payload.
-:func:`exchange_block` falls back to one-message-per-array when the
+:func:`exchange_blocks` falls back to one-message-per-array when the
 optimization is disabled.
 
 The same blobs are what a rank's state looks like **on disk**: the
@@ -318,14 +318,20 @@ def build_block(
     return Block._of_blob(blob, kind, fixed_residue, inner_residue, n_outer, n_inner)
 
 
-def exchange_block(comm, block: Block, dest: int, src: int, blob: bool, tag: int):
-    """Send ``block`` to ``dest`` and receive the incoming block from
-    ``src`` (one Cannon skew or shift step for one operand).
+def exchange_blocks(
+    comm, moves: Sequence[tuple[Block, int, int, int]], blob: bool
+) -> list[Block]:
+    """One Cannon skew or shift step: for each ``(block, dest, src, tag)``
+    of ``moves``, in order, send ``block`` to ``dest`` and receive the
+    incoming block from ``src``.  Returns the received blocks.
 
-    With ``blob`` the block travels as a single message; without it, the
-    metadata, indptr and indices arrays travel as three separate messages,
-    each paying its own latency and envelope — the cost the Section 5.2
-    blob optimization removes.
+    Every member of ``comm`` steps at once, so the whole step is one
+    collective (:meth:`~repro.simmpi.comm.Comm.exchange`), and its messages
+    are those of a ``sendrecv`` per move.  With ``blob`` a block travels
+    as a single message; without it, the metadata, indptr and indices
+    arrays travel as three separate messages (tags ``tag`` to ``tag +
+    2``), each paying its own latency and envelope — the cost the Section
+    5.2 blob optimization removes.
 
     Pack once, check on every arrival: the message is the buffer the
     block was built or arrived in (:meth:`Block.as_blob`), whose header
@@ -335,26 +341,36 @@ def exchange_block(comm, block: Block, dest: int, src: int, blob: bool, tag: int
     corrupted copy is a new array, so the next receiver checks that one.
     """
     if blob:
-        out = block.as_blob()
-        incoming = comm.sendrecv(out, dest=dest, source=src, sendtag=tag, recvtag=tag)
-        return Block.from_blob(incoming)
-    csr = block.dcsr.csr
-    comm.send(
-        (
+        rounds = [
+            ([(block.as_blob(), dest, tag)], [(src, tag)])
+            for block, dest, src, tag in moves
+        ]
+        return comm.exchange(rounds, _block_of_blob)
+    rounds = []
+    for block, dest, src, tag in moves:
+        csr = block.dcsr.csr
+        head = (
             _KIND_CODES[block.kind],
             block.fixed_residue,
             block.inner_residue,
             csr.n_rows,
             csr.n_cols,
-        ),
-        dest,
-        tag=tag,
-    )
-    comm.send(csr.indptr, dest, tag=tag + 1)
-    comm.send(csr.indices, dest, tag=tag + 2)
-    kind_code, fixed, inner, n_rows, n_cols = comm.recv(source=src, tag=tag)
-    indptr = comm.recv(source=src, tag=tag + 1)
-    indices = comm.recv(source=src, tag=tag + 2)
+        )
+        parts = (head, csr.indptr, csr.indices)
+        rounds.append((
+            [(part, dest, tag + i) for i, part in enumerate(parts)],
+            [(src, tag + i) for i in range(3)],
+        ))
+    return comm.exchange(rounds, _block_of_parts)
+
+
+def _block_of_blob(got: tuple) -> Block:
+    (incoming,) = got
+    return Block.from_blob(incoming)
+
+
+def _block_of_parts(got: tuple) -> Block:
+    (kind_code, fixed, inner, n_rows, n_cols), indptr, indices = got
     return Block(
         kind=_KIND_NAMES[kind_code],
         fixed_residue=fixed,

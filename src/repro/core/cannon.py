@@ -35,7 +35,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from repro.core.blocks import Block, exchange_block
+from repro.core.blocks import Block, exchange_blocks
 from repro.core.config import TC2DConfig
 from repro.core.counts import ShiftRecord, TriangleCountResult
 from repro.core.grid import ProcessorGrid
@@ -43,6 +43,7 @@ from repro.core.kernels import KernelStats, prepare_backend, resolve_backend
 from repro.core.preprocess import partition_1d
 from repro.core.superstep import KERNEL_JOB_ENTRY
 from repro.graph.csr import Graph
+from repro.instrument.counters import counters_diff
 from repro.simmpi import Engine, MachineModel, RunResult
 from repro.simmpi.engine import RankContext
 
@@ -163,7 +164,8 @@ def exchange_operands(
 ) -> None:
     """One communication step of the rotation: Cannon's initial alignment
     (``skew``) or a unit shift — U along the grid row, then L along the
-    grid column.  Replaces ``ops.u`` and ``ops.l`` by the received blocks."""
+    grid column, as one collective over the whole grid.  Replaces
+    ``ops.u`` and ``ops.l`` by the received blocks."""
     x, y = grid.coords(ctx.rank)
     if skew:
         (du, su), (dl, sl) = grid.skew_u(x, y), grid.skew_l(x, y)
@@ -181,9 +183,13 @@ def exchange_operands(
         ctx.alloc_mem(new.nbytes_estimate())
         return new
 
-    blob = cfg.blob_serialization
-    ops.u = swap(ops.u, exchange_block(ctx.comm, ops.u, du, su, blob, tag_u))
-    ops.l = swap(ops.l, exchange_block(ctx.comm, ops.l, dl, sl, blob, tag_l))
+    u, l = exchange_blocks(
+        ctx.comm,
+        [(ops.u, du, su, tag_u), (ops.l, dl, sl, tag_l)],
+        cfg.blob_serialization,
+    )
+    ops.u = swap(ops.u, u)
+    ops.l = swap(ops.l, l)
 
 
 def load_warm_blocks(ctx: RankContext, caches: Sequence[Any]) -> list[Operands]:
@@ -246,22 +252,43 @@ def cannon_pass(
 
     ``resilience`` (a :class:`~repro.resilience.recovery.ResilienceContext`)
     snapshots the travelling blocks + partial count at every epoch
-    boundary; ``snap`` is the snapshot to resume from — its blocks are
-    already skewed and shifted, so the pass re-enters the loop at
-    ``snap.epoch`` with ``snap.local_count``.  ``hits`` (a list) collects
-    the triangles the pass counts, as :func:`count_blocks` lists them.
+    boundary, with the counters and ``tally`` the pass has charged so far;
+    ``snap`` is the snapshot to resume from — its blocks are already
+    skewed and shifted, so the pass re-enters the loop at ``snap.epoch``
+    with ``snap.local_count``, and its counters and tally seed the rank's.
+    ``hits`` (a list) collects the triangles the pass counts, as
+    :func:`count_blocks` lists them.
     """
     q = grid.q
     x, y = grid.coords(ctx.rank)
     site = f"{prefix}:shift" if prefix else "shift"
     who = f"rank {ctx.rank} {prefix}".rstrip()
 
+    # What a snapshot records as this pass's counters: the rank's counters
+    # less those it entered the pass with.
+    entry = dict(ctx.counters) if resilience is not None else {}
+
+    def save(epoch: int) -> None:
+        if resilience is not None:
+            resilience.save(
+                ctx, epoch, local_sum, *ops.blocks(),
+                counters_diff(ctx.counters, entry), tally,
+            )
+
     local_sum, start_z = (0, 0) if snap is None else (snap.local_count, snap.epoch)
     if snap is None:
         if q > 1:
             exchange_operands(ctx, grid, cfg, ops, tags, skew=True)
-        if resilience is not None:
-            resilience.save(ctx, 0, local_sum, *ops.blocks())
+        save(0)
+    else:
+        # Resume with the work the epochs before the snapshot did.
+        for kind, count in snap.counters.items():
+            ctx.counters[kind] = ctx.counters.get(kind, 0.0) + count
+        tally.shifts.extend(snap.tally.shifts)
+        tally.hash_builds += snap.tally.hash_builds
+        tally.hash_fast_builds += snap.tally.hash_fast_builds
+        for name, uses in snap.tally.backend_uses.items():
+            tally.backend_uses[name] = tally.backend_uses.get(name, 0) + uses
 
     for z in range(start_z, q):
         ctx.fault_point(f"{site}:{z}")
@@ -305,8 +332,7 @@ def cannon_pass(
                     f"(U={ops.u.inner_residue}, L={ops.l.inner_residue}), "
                     f"expected {nxt} (stale or misrouted delivery)"
                 )
-        if resilience is not None:
-            resilience.save(ctx, z + 1, local_sum, *ops.blocks())
+        save(z + 1)
 
     # Cannon's memory property per pass: exactly one U and one L block
     # live; release this pass's working set before the next begins.
@@ -327,8 +353,6 @@ def rank_record(
     reduced and local counts, the ppt/tct split of the rank's logical
     counters (``counters_ppt`` is the snapshot taken when preprocessing
     ended), the kernel tally, plus algorithm-specific ``extra`` keys."""
-    from repro.instrument import counters_diff
-
     return {
         "total": int(total),
         "local": int(local),

@@ -96,8 +96,20 @@ def peak_rss_bytes() -> int:
     """Lifetime peak resident-set size of this process in bytes.
 
     Monotone (the kernel high-water mark never resets), so per-run deltas
-    need a baseline taken at run begin.  Returns 0 when unavailable.
+    need a baseline taken at run begin.  Read from ``VmHWM`` in
+    ``/proc/self/status``: Linux starts a spawned process's ``ru_maxrss``
+    at the peak of the process that spawned it, so that figure is a
+    launcher's whenever a larger process starts this one.  Where there is
+    no ``/proc`` it falls back to ``ru_maxrss``; returns 0 when neither
+    is available.
     """
+    try:
+        with open("/proc/self/status") as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return 1024 * int(line.split()[1])
+    except (OSError, ValueError, IndexError):
+        pass
     try:
         import resource
 

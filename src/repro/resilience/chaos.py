@@ -251,8 +251,7 @@ def _twin_cfg(cfg: TC2DConfig) -> TC2DConfig:
     return cfg.replace(kernel_backend="batch" if cfg.kernel_backend == "row" else "row")
 
 
-def _agree(c, res, twin, clocks: bool = False, ppt: bool = True,
-           counters: bool = True) -> None:
+def _agree(c, res, twin, clocks: bool = False, ppt: bool = True) -> None:
     """Hold one run to the oracle and to ``twin``: its logical counters
     (``ppt``: it has a preprocessing record) and, with ``clocks``, its
     virtual clocks.  ``checkpoint_io`` is bookkeeping, not work."""
@@ -268,8 +267,8 @@ def _agree(c, res, twin, clocks: bool = False, ppt: bool = True,
             "clocks": (r.ppt_time, r.tct_time, [s.compute_seconds for s in shifts]),
         }
 
-    keys = ["counters_tct", "hash_builds", "shift_tasks"] if counters else []
-    keys += ["counters_ppt"] * (counters and ppt) + ["clocks"] * clocks
+    keys = ["counters_tct", "hash_builds", "shift_tasks"]
+    keys += ["counters_ppt"] * ppt + ["clocks"] * clocks
     a, b = view(res), view(twin)
     _expect(all(a[k] == b[k] for k in keys),
             f"differs from the twin in {[k for k in keys if a[k] != b[k]]}")
@@ -344,10 +343,11 @@ def _memory_or_store(c):
     if cell.traced:
         phases = {s.name for s in res.extras["run"].tracer.spans if s.cat == "phase"}
         _expect({"ppt", "tct"} <= phases, f"the trace has phases {sorted(phases)}")
-    # A run resumed from a checkpoint reports its last attempt's work only.
+    # A run resumed from a checkpoint read it instead of preprocessing: its
+    # ppt record is that read.  Its tct counters are the whole run's.
     attempts = c.row.get("attempts") or [{"restored_epoch": None}]
     _agree(c, res, c.twin, clocks=plain and cell.path != "warm",
-           counters=attempts[-1]["restored_epoch"] is None)
+           ppt=attempts[-1]["restored_epoch"] is None)
     return res
 
 

@@ -2,12 +2,15 @@
 
 The Cannon pipeline makes snapshots cheap: a rank's entire counting state
 is one resident task block, one travelling U block, one travelling L
-block, a partial count and the shift index.  Blocks are serialized with
+block, a partial count and the shift index — plus what the rank has
+counted so far: its tct logical counters and its kernel tally, so a
+resumed run reports the whole run's work.  Blocks are serialized with
 the same crc-protected single-buffer blob format they travel the wire in
 (:meth:`~repro.core.blocks.Block.as_blob`: the buffer a block was built
 or arrived in is saved as is, not packed again), so a snapshot is three int64
-arrays plus two integers — on disk, the same flat rank file the
-preprocessing store keeps (:func:`~repro.core.blocks.write_rank_file`).
+arrays, two integers and a small JSON record of the counters — on disk,
+the same flat rank file the preprocessing store keeps
+(:func:`~repro.core.blocks.write_rank_file`).
 
 Epoch semantics: *epoch e* is the state at the start of shift step ``e``
 (operand blocks in position for step ``e``, ``local_count`` covering steps
@@ -22,7 +25,8 @@ On-disk layout (all writes are atomic via temp-file + rename)::
 
     <root>/
       manifest.json              # schema, p, q, per-epoch file map + crc32s
-      ep0000/rank000.blocks      # [rank, epoch, local_count] + u/l/task blobs
+      ep0000/rank000.blocks      # [rank, epoch, local_count, schema, n]
+                                 # + counters JSON (n bytes) + u/l/task blobs
       ep0000/rank001.blocks
       ...
 
@@ -34,7 +38,7 @@ writes never leaves the manifest pointing at half-written state.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -47,9 +51,17 @@ from repro.core.blocks import (
     read_rank_file,
     write_rank_file,
 )
+from repro.core.cannon import KernelTally
 
-#: Manifest schema version (bump on layout changes; 2 = flat rank files).
-SCHEMA_VERSION = 2
+#: Checkpoint schema version, in the manifest and in every rank file (bump
+#: on layout changes; 2 = flat rank files, 3 = counters and kernel tally).
+SCHEMA_VERSION = 3
+
+
+class CheckpointVersionError(RankFileError):
+    """A checkpoint written under another :data:`SCHEMA_VERSION`.  A
+    restore never resumes from it: the state it lacks (the counters of
+    schema 2) would make the run's report wrong."""
 
 
 @dataclass
@@ -58,7 +70,10 @@ class RankSnapshot:
 
     ``u_blob``/``l_blob``/``task_blob`` are the crc-protected blob forms
     of the three blocks; :meth:`blocks` deserializes (and thereby
-    checksum-verifies) them.  A snapshot read back by
+    checksum-verifies) them.  ``counters`` are the rank's logical
+    counters charged in the tct phase before this epoch and ``tally`` its
+    :class:`~repro.core.cannon.KernelTally`; a restore seeds both, so the
+    resumed rank reports the whole run's work.  A snapshot read back by
     :meth:`CheckpointStore.load` carries the blocks its reader already
     verified in ``verified``, so a restore checks each crc once.
     """
@@ -69,6 +84,8 @@ class RankSnapshot:
     u_blob: np.ndarray
     l_blob: np.ndarray
     task_blob: np.ndarray
+    counters: dict[str, float] = field(default_factory=dict)
+    tally: KernelTally = field(default_factory=KernelTally)
     verified: tuple[Block, Block, Block] | None = field(
         default=None, repr=False, compare=False
     )
@@ -77,7 +94,11 @@ class RankSnapshot:
     def capture(
         cls, rank: int, epoch: int, local_count: int,
         u_block: Block, l_block: Block, task_block: Block,
+        counters: dict[str, float] | None = None,
+        tally: KernelTally | None = None,
     ) -> "RankSnapshot":
+        """Snapshot the given state; ``counters`` and ``tally`` are copied."""
+        tally = tally if tally is not None else KernelTally()
         return cls(
             rank=rank,
             epoch=epoch,
@@ -85,7 +106,20 @@ class RankSnapshot:
             u_blob=u_block.as_blob(),
             l_blob=l_block.as_blob(),
             task_blob=task_block.as_blob(),
+            counters=dict(counters or {}),
+            tally=KernelTally(
+                shifts=list(tally.shifts),
+                hash_builds=tally.hash_builds,
+                hash_fast_builds=tally.hash_fast_builds,
+                backend_uses=dict(tally.backend_uses),
+            ),
         )
+
+    def record(self) -> bytes:
+        """``counters`` and ``tally`` as the JSON a rank file carries (a
+        float's ``repr`` round-trips, so they come back bit for bit)."""
+        doc = {"counters": self.counters, "tally": asdict(self.tally)}
+        return json.dumps(doc, separators=(",", ":")).encode()
 
     def blocks(self) -> tuple[Block, Block, Block]:
         """The three blocks: deserialized (and crc-verified) here, unless
@@ -136,12 +170,17 @@ class CheckpointStore:
     # -- save / load --------------------------------------------------------
 
     def save(self, snap: RankSnapshot) -> int:
-        """Persist one rank snapshot atomically; returns bytes written."""
+        """Persist one rank snapshot atomically; returns the bytes of its
+        blocks (what a restore reads back and pays ``checkpoint_io`` for)."""
         path = self.rank_path(snap.epoch, snap.rank)
+        record = snap.record()
+        words = np.zeros(-(-len(record) // 8), dtype="<i8")
+        words.view(np.uint8)[: len(record)] = np.frombuffer(record, np.uint8)
         write_rank_file(
             path,
-            [snap.rank, snap.epoch, snap.local_count],
+            [snap.rank, snap.epoch, snap.local_count, SCHEMA_VERSION, len(record)],
             [snap.u_blob, snap.l_blob, snap.task_blob],
+            extra=words,
         )
         self._log[(snap.epoch, snap.rank)] = {
             "file": str(path.relative_to(self.root)),
@@ -155,16 +194,41 @@ class CheckpointStore:
         """Map one snapshot back in.  The blobs are read-only views into
         the file, crc-verified here once (the snapshot keeps the verified
         blocks); a file that is not this rank's snapshot of this epoch
-        raises :class:`~repro.core.blocks.RankFileError`."""
+        raises :class:`~repro.core.blocks.RankFileError`, one written under
+        another schema :class:`CheckpointVersionError`."""
         path = self.rank_path(epoch, rank)
         served = read_rank_file(path, rank)
-        if len(served.meta) != 3 or int(served.meta[1]) != epoch:
-            raise RankFileError(
-                f"{path}: claims meta {served.meta.tolist()}, expected epoch {epoch}"
+        meta = served.meta.tolist()
+        claims = RankFileError(f"{path}: claims meta {meta}, expected epoch {epoch}")
+        if len(meta) == 3:  # schema 2: [rank, epoch, local_count], no counters
+            version = 2
+        elif len(meta) == 5:
+            version = meta[3]
+        else:
+            raise claims
+        if version != SCHEMA_VERSION:
+            raise CheckpointVersionError(
+                f"{path}: checkpoint schema {version}, this build reads "
+                f"schema {SCHEMA_VERSION}; start the run in a fresh directory"
             )
+        n_record = meta[4]
+        if meta[1] != epoch or not 0 <= n_record <= 8 * len(served.extra):
+            raise claims
+        try:
+            doc = json.loads(served.extra.view(np.uint8)[:n_record].tobytes())
+            tally = doc["tally"]
+            tally = KernelTally(
+                shifts=[tuple(s) for s in tally["shifts"]],
+                hash_builds=tally["hash_builds"],
+                hash_fast_builds=tally["hash_fast_builds"],
+                backend_uses=tally["backend_uses"],
+            )
+            counters = doc["counters"]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise RankFileError(f"{path}: unreadable counter record ({exc})") from exc
         return RankSnapshot(
-            rank, epoch, int(served.meta[2]), *(b.as_blob() for b in served.blocks),
-            verified=served.blocks,
+            rank, epoch, meta[2], *(b.as_blob() for b in served.blocks),
+            counters=counters, tally=tally, verified=served.blocks,
         )
 
     # -- epoch bookkeeping --------------------------------------------------

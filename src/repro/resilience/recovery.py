@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.core.blocks import Block
-from repro.core.cannon import GridJob
+from repro.core.cannon import GridJob, KernelTally
 from repro.core.config import TC2DConfig
 from repro.core.counts import TriangleCountResult
 from repro.core.grid import ProcessorGrid
@@ -132,8 +132,11 @@ class ResilienceContext:
         u_block: Block,
         l_block: Block,
         task_block: Block,
+        counters: dict[str, float] | None = None,
+        tally: KernelTally | None = None,
     ) -> None:
-        """Snapshot one rank at one epoch boundary (honoring ``interval``).
+        """Snapshot one rank at one epoch boundary (honoring ``interval``),
+        with the tct ``counters`` and kernel ``tally`` it has so far.
 
         The final epoch (no outstanding shifts) is always saved so a crash
         during the closing reduction never replays counting work.
@@ -142,7 +145,8 @@ class ResilienceContext:
         if epoch % self.interval != 0 and epoch != q:
             return
         snap = RankSnapshot.capture(
-            ctx.rank, epoch, local_count, u_block, l_block, task_block
+            ctx.rank, epoch, local_count, u_block, l_block, task_block,
+            counters, tally,
         )
         nbytes = self.store.save(snap)
         t0 = ctx.clock.now

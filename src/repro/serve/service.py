@@ -764,7 +764,7 @@ class TriangleService:
             "served": "cold",
         }
         if spec["kind"] == "count":
-            result.update(self._run_count(job, graph, p, cfg, spec))
+            result.update(self._run_count(job, graph, graph_sha, p, cfg, spec))
         elif spec["kind"] == "census":
             result.update(self._run_census(graph, p, cfg))
         else:
@@ -773,10 +773,19 @@ class TriangleService:
         return result
 
     def _run_count(
-        self, job: Job, graph: Any, p: int, cfg: Any, spec: dict[str, Any]
+        self, job: Job, graph: Any, graph_sha: str, p: int, cfg: Any,
+        spec: dict[str, Any],
     ) -> dict[str, Any]:
         from repro.core.tc2d import count_triangles_2d
 
+        cache = None
+        if self._store is not None:
+            # The entry opens from the identity already in hand, so the
+            # job hashes its graph once (in _graph_for).
+            cache = self._store._open_entry(
+                (graph_sha, int(graph.n), int(graph.num_edges)), p, cfg,
+                model=self._model, source=spec["dataset"],
+            )
         res = count_triangles_2d(
             graph,
             p,
@@ -785,7 +794,7 @@ class TriangleService:
             trace=_JobTracer(job),
             dataset=spec["dataset"],
             keep_run=True,  # for note_run's imbalance gauges
-            cache=self._store,
+            cache=cache,
         )
         self.metrics.note_run(res)
         out = {

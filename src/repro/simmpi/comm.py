@@ -4,25 +4,31 @@ Mirrors the lowercase (generic Python object) mpi4py interface: ``send`` /
 ``recv`` / ``sendrecv`` plus the collectives the triangle-counting code
 needs (``barrier``, ``bcast``, ``allreduce``, ``allgather``,
 ``alltoall`` and its counts form ``alltoallv``, ``exscan``, with
-``reduce``, ``gather`` and ``scan`` as their building blocks) and
-``split`` for building row/column communicators on the processor grid.
-That is the whole surface — what the rank programs call, nothing kept in
-stock (``tests/test_public_api.py`` pins it): the next method arrives
-with its caller.
+``reduce``, ``gather`` and ``scan`` as their building blocks), Cannon's
+skew/shift ``exchange``, and ``split`` for building row/column
+communicators on the processor grid.  That is the whole surface — what
+the rank programs call, nothing kept in stock
+(``tests/test_public_api.py`` pins it): the next method arrives with its
+caller.
 
-Collectives are implemented *on top of* point-to-point messages (binomial
-trees, dissemination barrier, pairwise exchange), so their simulated cost
-emerges from the same alpha-beta model as everything else instead of being
-a separate formula.  Every internal message carries a small envelope
-``(op-name, sequence-number)`` that is verified on receipt, turning
-mismatched collective calls into a :class:`CollectiveMismatchError` instead
-of silent corruption.
+Collectives are defined *as* point-to-point messages (binomial trees,
+dissemination barrier, pairwise exchange, recursive-doubling scan), so
+their simulated cost emerges from the same alpha-beta model as everything
+else instead of being a separate formula.  Each one is written once, as a
+generator of this member's sends and receives.  Under a fault injector
+the member steps it message by message, and every internal message
+carries a small envelope ``(op-name, sequence-number)`` that is verified
+on receipt, turning mismatched collective calls into a
+:class:`CollectiveMismatchError` instead of silent corruption.  Otherwise
+the engine completes the collective as one rendezvous that steps every
+member's generator (:meth:`Engine.collective`), to the same clocks and
+trace records, and a mismatch is caught when the members meet.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 import numpy as np
 
@@ -194,25 +200,64 @@ class Comm:
     # ------------------------------------------------------------------
     # collective plumbing
     # ------------------------------------------------------------------
+    #
+    # Every collective is written once, as a generator of its messages in
+    # this member's program order: it yields ``(dest, tag, payload, name)``
+    # to send ``payload`` to communicator rank ``dest`` and ``(source,
+    # tag)`` to receive, and is resumed with the received payload.
+    # ``name`` is the collective a send record is attributed to (``None``
+    # for a plain send).  Tree-collective payloads are envelopes
+    # (:meth:`_env`, checked by :meth:`_open`).  Two drivers execute a
+    # generator, to the same virtual outcome and the same trace records:
+    # :meth:`_step` here, message by message (what a fault injector must
+    # see), or the engine's rendezvous (:meth:`Engine.collective`), which
+    # steps every member's generator at once.
 
-    def _coll_send(self, dest: int, seq: int, op: str, data: Any) -> None:
-        # Scans suffix the op with the round distance ("scan1", "scan2", ...)
-        # for matching; strip digits so accounting groups by the user-facing
-        # collective name.  Only the tracer reads that name.
-        base_op = op.rstrip("0123456789") if self.engine.tracer.enabled else None
-        self.engine.post_send(
-            self._world_rank,
-            self.members[dest],
-            _COLL_TAG,
-            self.comm_id,
-            (_ENVELOPE, seq, op, data),
-            coll_op=base_op,
-        )
+    def _next_seq(self) -> int:
+        self._coll_seq += 1
+        return self._coll_seq
 
-    def _coll_recv(self, source: int, seq: int, op: str) -> Any:
-        payload, src_world, _tag = self.engine.wait_recv(
-            self._world_rank, self.members[source], _COLL_TAG, self.comm_id
-        )
+    def _collective(self, form: str, body: Any, *args: Any) -> Any:
+        """Run ``body(seq, *args)``, a collective's message generator,
+        under the driver this engine calls for."""
+        seq = self._next_seq()
+        gen = body(seq, *args)
+        if self.engine.observes_envelopes:
+            return self._step(gen)
+        return self.engine.collective(self, seq, form, gen)
+
+    def _step(self, gen: Any) -> Any:
+        """Drive a message generator from this member's own thread: one
+        engine send or blocking receive per yielded message."""
+        engine, me, members = self.engine, self._world_rank, self.members
+        got = None
+        try:
+            while True:
+                msg = gen.send(got)
+                if len(msg) == 4:
+                    dest, tag, payload, name = msg
+                    engine.post_send(
+                        me, members[dest], tag, self.comm_id, payload, coll_op=name
+                    )
+                    got = None
+                else:
+                    source, tag = msg
+                    got = engine.wait_recv(me, members[source], tag, self.comm_id)[0]
+        except StopIteration as stop:
+            return stop.value
+
+    @staticmethod
+    def _env(dest: int, seq: int, op: str, data: Any) -> tuple:
+        """The send of ``data`` to ``dest`` inside collective ``op`` number
+        ``seq``, wrapped in its checked envelope.  Scans suffix ``op`` with
+        the round distance (``"scan1"``, ``"scan2"``, ...) for matching;
+        send records drop the digits, so accounting groups by the
+        user-facing collective name."""
+        return dest, _COLL_TAG, (_ENVELOPE, seq, op, data), op
+
+    def _open(self, payload: Any, source: int, seq: int, op: str) -> Any:
+        """Unwrap ``source``'s envelope of collective ``op`` number ``seq``,
+        received by yielding ``(source, _COLL_TAG)``."""
         if (
             not isinstance(payload, tuple)
             or len(payload) != 4
@@ -220,20 +265,119 @@ class Comm:
         ):
             raise CollectiveMismatchError(
                 f"rank {self.rank} received a non-collective message from rank "
-                f"{self.members.index(src_world)} inside collective {op!r}"
+                f"{source} inside collective {op!r}"
             )
         _, got_seq, got_op, data = payload
         if got_op != op or got_seq != seq:
             raise CollectiveMismatchError(
                 f"collective mismatch on rank {self.rank}: expected "
                 f"{op!r}#{seq}, got {got_op!r}#{got_seq} from rank "
-                f"{self.members.index(src_world)} {_MISMATCH_HINT}"
+                f"{source} {_MISMATCH_HINT}"
             )
         return data
 
-    def _next_seq(self) -> int:
-        self._coll_seq += 1
-        return self._coll_seq
+    # ------------------------------------------------------------------
+    # the message generators
+    # ------------------------------------------------------------------
+
+    def _barrier(self, seq: int) -> Any:
+        k = 1
+        while k < self.size:
+            yield self._env((self.rank + k) % self.size, seq, "barrier", None)
+            src = (self.rank - k) % self.size
+            self._open((yield (src, _COLL_TAG)), src, seq, "barrier")
+            k <<= 1
+
+    def _bcast(self, seq: int, obj: Any, root: int) -> Any:
+        vr = (self.rank - root) % self.size
+        if vr != 0:
+            lsb = vr & (-vr)
+            parent = ((vr - lsb) + root) % self.size
+            obj = self._open((yield (parent, _COLL_TAG)), parent, seq, "bcast")
+        else:
+            lsb = _next_pow2(self.size)
+        k = lsb >> 1
+        while k >= 1:
+            if vr + k < self.size:
+                yield self._env((vr + k + root) % self.size, seq, "bcast", obj)
+            k >>= 1
+        return obj
+
+    def _reduce(self, seq: int, value: Any, op: ReduceOp, root: int) -> Any:
+        vr = (self.rank - root) % self.size
+        lsb = (vr & (-vr)) if vr != 0 else _next_pow2(self.size)
+        acc = value
+        k = 1
+        while k < lsb and vr + k < self.size:
+            child = (vr + k + root) % self.size
+            acc = op(acc, self._open((yield (child, _COLL_TAG)), child, seq, "reduce"))
+            k <<= 1
+        if vr != 0:
+            yield self._env(((vr - lsb) + root) % self.size, seq, "reduce", acc)
+            return None
+        return acc
+
+    def _allreduce(self, seq: int, value: Any, op: ReduceOp) -> Any:
+        acc = yield from self._reduce(seq, value, op, 0)
+        return (yield from self._bcast(seq, acc, 0))
+
+    def _gather(self, seq: int, obj: Any, root: int) -> Any:
+        if self.rank != root:
+            yield self._env(root, seq, "gather", obj)
+            return None
+        out: list[Any] = [None] * self.size
+        out[root] = obj
+        for r in range(self.size):
+            if r != root:
+                out[r] = self._open((yield (r, _COLL_TAG)), r, seq, "gather")
+        return out
+
+    def _allgather(self, seq: int, obj: Any) -> Any:
+        gathered = yield from self._gather(seq, obj, 0)
+        return (yield from self._bcast(seq, gathered, 0))
+
+    def _alltoall(self, seq: int, objs: Sequence[Any]) -> Any:
+        out: list[Any] = [None] * self.size
+        out[self.rank] = objs[self.rank]
+        for k in range(1, self.size):
+            dst = (self.rank + k) % self.size
+            src = (self.rank - k) % self.size
+            yield self._env(dst, seq, "alltoall", objs[dst])
+            out[src] = self._open((yield (src, _COLL_TAG)), src, seq, "alltoall")
+        return out
+
+    def _scan(self, seq: int, value: Any, op: ReduceOp) -> Any:
+        partial = value
+        k = 1
+        while k < self.size:
+            if self.rank + k < self.size:
+                yield self._env(self.rank + k, seq, f"scan{k}", partial)
+            if self.rank - k >= 0:
+                src = self.rank - k
+                incoming = self._open((yield (src, _COLL_TAG)), src, seq, f"scan{k}")
+                partial = op(incoming, partial)
+            k <<= 1
+        return partial
+
+    def _exscan(self, seq: int, value: Any, op: ReduceOp) -> Any:
+        partial = yield from self._scan(seq, value, op)
+        if self.rank < self.size - 1:
+            yield self._env(self.rank + 1, seq, "exscan-shift", partial)
+        if self.rank > 0:
+            src = self.rank - 1
+            return self._open((yield (src, _COLL_TAG)), src, seq, "exscan-shift")
+        return None
+
+    def _exchange(self, seq: int, rounds: Any, decode: Any) -> Any:
+        out = []
+        for sends, sources in rounds:
+            for obj, dest, tag in sends:
+                yield dest, tag, obj, None
+            got = []
+            for source, tag in sources:
+                got.append((yield source, tag))
+            out.append(tuple(got) if decode is None else decode(tuple(got)))
+        return out
 
     # ------------------------------------------------------------------
     # collectives
@@ -241,16 +385,8 @@ class Comm:
 
     def barrier(self) -> None:
         """Dissemination barrier: log2(size) rounds of pairwise tokens."""
-        if self.size == 1:
-            return
-        seq = self._next_seq()
-        k = 1
-        while k < self.size:
-            dst = (self.rank + k) % self.size
-            src = (self.rank - k) % self.size
-            self._coll_send(dst, seq, "barrier", None)
-            self._coll_recv(src, seq, "barrier")
-            k <<= 1
+        if self.size > 1:
+            self._collective("barrier", self._barrier)
 
     def bcast(self, obj: Any, root: int = 0) -> Any:
         """Binomial-tree broadcast from ``root``; returns the object on
@@ -258,63 +394,25 @@ class Comm:
         self._check_rank("root", root)
         if self.size == 1:
             return obj
-        seq = self._next_seq()
-        vr = (self.rank - root) % self.size
-        if vr != 0:
-            lsb = vr & (-vr)
-            parent = ((vr - lsb) + root) % self.size
-            obj = self._coll_recv(parent, seq, "bcast")
-        else:
-            lsb = _next_pow2(self.size)
-        k = lsb >> 1
-        while k >= 1:
-            child = vr + k
-            if child < self.size:
-                self._coll_send((child + root) % self.size, seq, "bcast", obj)
-            k >>= 1
-        return obj
+        return self._collective("bcast", self._bcast, obj, root)
 
     def reduce(self, value: Any, op: ReduceOp, root: int = 0) -> Any:
         """Binomial-tree reduction to ``root``; non-roots return ``None``."""
         self._check_rank("root", root)
-        seq = self._next_seq()
-        vr = (self.rank - root) % self.size
-        lsb = (vr & (-vr)) if vr != 0 else _next_pow2(self.size)
-        acc = value
-        k = 1
-        while k < lsb and vr + k < self.size:
-            child_acc = self._coll_recv((vr + k + root) % self.size, seq, "reduce")
-            acc = op(acc, child_acc)
-            k <<= 1
-        if vr != 0:
-            parent = ((vr - lsb) + root) % self.size
-            self._coll_send(parent, seq, "reduce", acc)
-            return None
-        return acc
+        return self._collective("reduce", self._reduce, value, op, root)
 
     def allreduce(self, value: Any, op: ReduceOp) -> Any:
         """Reduce to rank 0, then broadcast the result to everyone."""
-        acc = self.reduce(value, op, root=0)
-        return self.bcast(acc, root=0)
+        return self._collective("allreduce", self._allreduce, value, op)
 
     def gather(self, obj: Any, root: int = 0) -> list[Any] | None:
         """Gather one object per rank into a rank-ordered list at ``root``."""
         self._check_rank("root", root)
-        seq = self._next_seq()
-        if self.rank != root:
-            self._coll_send(root, seq, "gather", obj)
-            return None
-        out: list[Any] = [None] * self.size
-        out[root] = obj
-        for r in range(self.size):
-            if r != root:
-                out[r] = self._coll_recv(r, seq, "gather")
-        return out
+        return self._collective("gather", self._gather, obj, root)
 
     def allgather(self, obj: Any) -> list[Any]:
         """Gather at rank 0 then broadcast the full list."""
-        gathered = self.gather(obj, root=0)
-        return self.bcast(gathered, root=0)
+        return self._collective("allgather", self._allgather, obj)
 
     def alltoall(self, objs: Sequence[Any]) -> list[Any]:
         """Personalized all-to-all: rank ``i`` sends ``objs[j]`` to rank
@@ -323,24 +421,16 @@ class Comm:
         Defined as ``size - 1`` pairwise exchange steps, matching the
         paper's description of the preprocessing all-to-all as point-to-point
         send/receive pairs (its ``p + m/p`` term in the cost analysis).
-        The loop below runs only when a fault injector acts on the
-        individual envelopes; otherwise the engine evaluates the same
-        exchange in one rendezvous (:meth:`Engine.alltoall`), to the same
-        virtual outcome and, when traced, the same trace records.
+        A fault injector sees those messages; otherwise the engine
+        evaluates the same exchange as one vectorised recurrence
+        (:meth:`Engine.alltoall`), to the same virtual outcome and, when
+        traced, the same trace records.
         """
         if len(objs) != self.size:
             raise ValueError(f"alltoall needs exactly {self.size} send items")
-        seq = self._next_seq()
-        if not self.engine.observes_envelopes:
-            return self.engine.alltoall(self, seq, objs)
-        out: list[Any] = [None] * self.size
-        out[self.rank] = objs[self.rank]
-        for k in range(1, self.size):
-            dst = (self.rank + k) % self.size
-            src = (self.rank - k) % self.size
-            self._coll_send(dst, seq, "alltoall", objs[dst])
-            out[src] = self._coll_recv(src, seq, "alltoall")
-        return out
+        if self.engine.observes_envelopes:
+            return self._collective("alltoall", self._alltoall, objs)
+        return self.engine.alltoall(self, self._next_seq(), objs)
 
     def alltoallv(self, buf: Any, counts: Any) -> tuple[Any, Any]:
         """Personalized all-to-all in counts form, as ``MPI_Alltoallv``.
@@ -404,17 +494,7 @@ class Comm:
         counting-sort offset computation costs ``dmax * log p`` — the term
         the paper's preprocessing analysis (Section 5.4) assumes.
         """
-        seq = self._next_seq()
-        partial = value
-        k = 1
-        while k < self.size:
-            if self.rank + k < self.size:
-                self._coll_send(self.rank + k, seq, f"scan{k}", partial)
-            if self.rank - k >= 0:
-                incoming = self._coll_recv(self.rank - k, seq, f"scan{k}")
-                partial = op(incoming, partial)
-            k <<= 1
-        return partial
+        return self._collective("scan", self._scan, value, op)
 
     def exscan(self, value: Any, op: ReduceOp) -> Any:
         """Exclusive prefix reduction: rank r gets op-fold of ranks < r.
@@ -423,13 +503,41 @@ class Comm:
         undefined).  Implemented as an inclusive scan followed by a
         single-hop shift, keeping the log-depth of :meth:`scan`.
         """
-        partial = self.scan(value, op)
-        seq = self._next_seq()
-        if self.rank < self.size - 1:
-            self._coll_send(self.rank + 1, seq, "exscan-shift", partial)
-        if self.rank > 0:
-            return self._coll_recv(self.rank - 1, seq, "exscan-shift")
-        return None
+        return self._collective("exscan", self._exscan, value, op)
+
+    def exchange(
+        self,
+        rounds: Sequence[
+            tuple[Sequence[tuple[Any, int, int]], Sequence[tuple[int, int]]]
+        ],
+        decode: Callable[[tuple], Any] | None = None,
+    ) -> list[Any]:
+        """Point-to-point exchanges that every member makes at once, as
+        one collective: Cannon's skew and shifts.
+
+        ``rounds`` is a sequence of ``(sends, sources)``: each round sends
+        every ``(obj, dest, tag)`` of ``sends``, in order, then receives
+        one message per ``(source, tag)`` of ``sources``.  The messages
+        are plain sends with user tags (``>= 0``), exactly what the same
+        ``send``/``recv`` calls would put on the wire.  Returns one entry
+        per round: the tuple of payloads it received, or ``decode`` of
+        that tuple.  ``decode`` runs in this member's own thread, right
+        after the round's last receive when a fault injector watches the
+        messages, after the collective otherwise; it must not communicate.
+        """
+        for sends, sources in rounds:
+            for _obj, dest, tag in sends:
+                self._check_rank("dest", dest)
+                if tag < 0:
+                    raise ValueError("user message tags must be >= 0")
+            for source, tag in sources:
+                self._check_rank("source", source)
+                if tag < 0:
+                    raise ValueError("user message tags must be >= 0")
+        if self.engine.observes_envelopes:
+            return self._collective("exchange", self._exchange, rounds, decode)
+        got = self._collective("exchange", self._exchange, rounds, None)
+        return got if decode is None else [decode(r) for r in got]
 
     # ------------------------------------------------------------------
     # communicator management

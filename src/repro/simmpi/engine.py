@@ -92,16 +92,17 @@ class _Message:
 
 
 class _Rendezvous:
-    """One open all-to-all: what the members deposited so far and, once the
+    """One open collective: what the members deposited so far and, once the
     last member has arrived, what every member receives.
 
-    ``form`` is ``"alltoall"``, each deposit a send list, or
-    ``"alltoallv"``, each deposit ``(views, table, layout)``: byte views of
-    the send arrays, their ``(arrays, size)`` count table and ``(single,
-    ((dtype, row shape), ...))``, which every member must agree on.
+    ``form`` names the collective.  For ``"alltoall"`` each deposit is a
+    send list; for ``"alltoallv"`` it is ``(views, table, layout)``: byte
+    views of the send arrays, their ``(arrays, size)`` count table and
+    ``(single, ((dtype, row shape), ...))``, which every member must agree
+    on.  For every other form it is the member's message generator.
     """
 
-    __slots__ = ("seq", "comm_id", "members", "form", "sends", "recvs")
+    __slots__ = ("seq", "comm_id", "members", "form", "sends", "recvs", "label")
 
     def __init__(self, seq: int, comm_id: Any, members: list[int], form: str):
         self.seq = seq
@@ -110,13 +111,16 @@ class _Rendezvous:
         self.form = form
         #: Communicator rank -> its deposit, in arrival order.
         self.sends: dict[int, Any] = {}
-        #: ``None`` while open.  Then the object form's receive lists, or
-        #: the counts form's ``(incoming, rows, byte_bounds, views)``
-        #: from which every member cuts its own receive.
+        #: ``None`` while open.  Then the object form's receive lists, the
+        #: counts form's ``(incoming, rows, byte_bounds, views)`` from which
+        #: every member cuts its own receive, or what each member's
+        #: generator returned.
         self.recvs: Any = None
+        #: What a member parked here is blocked on.
+        self.label = f"{form}#{seq}(comm={comm_id})"
 
     def __str__(self) -> str:
-        return f"{self.form}#{self.seq}(comm={self.comm_id})"
+        return self.label
 
 
 class _RankState:
@@ -455,7 +459,7 @@ class Engine:
         self._seq = itertools.count()
         #: Wire messages each world rank has sent this run (see _trace_seq).
         self._sent: list[int] = []
-        #: Open all-to-all rendezvous by communicator id (a communicator
+        #: Open collective rendezvous by communicator id (a communicator
         #: has at most one).  Owned by whoever holds the execution token.
         self._rendezvous: dict[Any, _Rendezvous] = {}
         #: Where the scheduler thread parks (same protocol as a rank's
@@ -726,16 +730,19 @@ class Engine:
         so trace consumers can attribute wire traffic to
         ``bcast``/``alltoall``/... instead of raw sends.
         """
-        ctx = self._ctxs[src]
+        clock = self._ctxs[src].clock
         nbytes = payload_nbytes(payload)
-        t0 = ctx.clock.now
-        ctx.clock.advance_comm(self.model.send_overhead + self.model.beta * nbytes)
-        arrival = ctx.clock.now + self.model.alpha
-        seq = next(self._seq)
+        t0 = clock.now
+        clock.advance_comm(self.model.send_overhead + self.model.beta * nbytes)
+        arrival = clock.now + self.model.alpha
         trace_seq = self._trace_seq(src)
+        msg = _Message(
+            next(self._seq), trace_seq, src, dst, tag, comm_id, payload,
+            nbytes, arrival,
+        )
         copies = 1
         fault = (
-            self.faults.on_send(src, dst, tag, comm_id, nbytes, payload)
+            self.faults.on_send(src, dst, tag, comm_id, msg.nbytes, payload)
             if self.faults is not None
             else None
         )
@@ -744,33 +751,32 @@ class Engine:
             # its point of view the send succeeded, the network misbehaves.
             if self.tracer.enabled:
                 self.tracer.span_point(
-                    t0, ctx.clock.now, src, "fault", f"fault:{fault.kind}",
-                    site="send", dst=dst, nbytes=nbytes, tag=tag,
+                    t0, self._ctxs[src].clock.now, src, "fault",
+                    f"fault:{fault.kind}",
+                    site="send", dst=dst, nbytes=msg.nbytes, tag=tag,
                 )
             if fault.kind == "drop":
                 return  # vanished on the wire; no delivery
             if fault.kind == "delay":
-                arrival += fault.delay
+                msg.arrival += fault.delay
             elif fault.kind == "corrupt":
-                payload = fault.payload
+                msg.payload = fault.payload
             elif fault.kind == "dup":
                 copies = 2
             else:
                 raise SimMPIError(f"unknown message-fault kind {fault.kind!r}")
         dst_state = self._states[dst]
-        for i in range(copies):
+        dst_state.mailbox.append(msg)
+        if copies == 2:
             dst_state.mailbox.append(
                 _Message(
-                    seq if i == 0 else next(self._seq),
-                    trace_seq if i == 0 else self._trace_seq(src),
-                    src, dst, tag, comm_id, payload, nbytes, arrival,
+                    next(self._seq), self._trace_seq(src), src, dst, tag,
+                    comm_id, msg.payload, msg.nbytes, msg.arrival,
                 )
             )
         if self.tracer.enabled:
-            self.tracer.span_point(
-                t0, ctx.clock.now, src, "comm",
-                coll_op if coll_op is not None else "send",
-                dst=dst, nbytes=nbytes, tag=tag, arrival=arrival, seq=trace_seq,
+            self._record_send(
+                t0, src, dst, tag, msg.nbytes, msg.arrival, trace_seq, coll_op
             )
         # A parked receiver might now have a match; let it re-check.
         if dst_state.state == _BLOCKED:
@@ -787,19 +793,14 @@ class Engine:
         message's wire arrival) is charged as communication.
         """
         st = self._states[rank]
-        ctx = self._ctxs[rank]
         while True:
             idx = self._match(st.mailbox, source, tag, comm_id)
             if idx is not None:
                 msg = st.mailbox.pop(idx)
-                waited = ctx.clock.wait_until(msg.arrival)
+                waited = self._ctxs[rank].clock.wait_until(msg.arrival)
                 if self.tracer.enabled:
-                    # One wait record per completed receive; a message that
-                    # was already there is a zero-length wait.
-                    self.tracer.span_point(
-                        ctx.clock.now - waited, ctx.clock.now, rank,
-                        "comm", "wait", src=msg.src, nbytes=msg.nbytes,
-                        tag=msg.tag, waited=waited, seq=msg.trace_seq,
+                    self._record_wait(
+                        rank, waited, msg.src, msg.tag, msg.nbytes, msg.trace_seq
                     )
                 return msg.payload, msg.src, msg.tag
             self._block(
@@ -807,6 +808,31 @@ class Engine:
                 f"recv(source={'ANY' if source == ANY_SOURCE else source}, "
                 f"tag={'ANY' if tag == ANY_TAG else tag}, comm={comm_id})",
             )
+
+    def _record_send(
+        self, t0: float, src: int, dst: int, tag: int, nbytes: int,
+        arrival: float, trace_seq: int, coll_op: str | None,
+    ) -> None:
+        """The send record of a message ``src`` injected from ``t0`` on.  A
+        scan's round suffix (``"scan4"``) is dropped from the collective's
+        name."""
+        self.tracer.span_point(
+            t0, self._ctxs[src].clock.now, src, "comm",
+            "send" if coll_op is None else coll_op.rstrip("0123456789"),
+            dst=dst, nbytes=nbytes, tag=tag, arrival=arrival, seq=trace_seq,
+        )
+
+    def _record_wait(
+        self, rank: int, waited: float, src: int, tag: int, nbytes: int,
+        trace_seq: int,
+    ) -> None:
+        """The wait record of ``rank``'s receive that just waited
+        ``waited`` (zero for a message that was already there)."""
+        now = self._ctxs[rank].clock.now
+        self.tracer.span_point(
+            now - waited, now, rank, "comm", "wait", src=src, nbytes=nbytes,
+            tag=tag, waited=waited, seq=trace_seq,
+        )
 
     def _trace_seq(self, src: int) -> int:
         """Number ``src``'s next wire message for the trace.
@@ -838,7 +864,7 @@ class Engine:
         return best
 
     # ------------------------------------------------------------------
-    # all-to-all as one rendezvous (called from rank threads via Comm)
+    # collectives as one rendezvous (called from rank threads via Comm)
     # ------------------------------------------------------------------
 
     @property
@@ -850,17 +876,25 @@ class Engine:
         the rendezvous records what the messages would have."""
         return self.faults is not None
 
-    def alltoall(self, comm: Comm, seq: int, objs: Sequence[Any]) -> list[Any]:
-        """Execute ``comm``'s all-to-all number ``seq`` as one rendezvous.
+    def collective(self, comm: Comm, seq: int, form: str, gen: Any) -> Any:
+        """Execute ``comm``'s collective number ``seq`` as one rendezvous.
 
-        The caller deposits its send list and parks; the last member to
-        arrive evaluates the whole pairwise exchange
-        (:meth:`_complete_alltoall`) and wakes the others, so a collective
-        costs ``size - 1`` hand-offs instead of one per blocked receive.
-        Virtual time, phase accounting, the returned objects and the trace
-        records are those of :meth:`Comm.alltoall`'s envelope loop, bit for
-        bit; only valid while nothing :attr:`observes_envelopes`.
+        ``gen`` is the caller's message generator (see :class:`Comm`).
+        The caller deposits it and parks; the last member to arrive steps
+        every member's generator (:meth:`_complete_steps`) and wakes the
+        others, so a collective costs ``size - 1`` hand-offs and no
+        point-to-point message.  Returns what the caller's generator
+        returned.  Virtual time, phase accounting, the handed-over objects
+        and the trace records are those of stepping the generator message
+        by message, bit for bit; only valid while nothing
+        :attr:`observes_envelopes`.
         """
+        return self._meet(comm, seq, form, gen).recvs[comm.rank]
+
+    def alltoall(self, comm: Comm, seq: int, objs: Sequence[Any]) -> list[Any]:
+        """:meth:`collective` for :meth:`Comm.alltoall`, evaluated by a
+        vectorised recurrence (:meth:`_complete_alltoall`) instead of by
+        stepping ``p`` generators of ``p - 1`` steps each."""
         rv = self._meet(comm, seq, "alltoall", objs)
         return rv.recvs[comm.rank]
 
@@ -900,7 +934,7 @@ class Engine:
         return tuple(recv), tuple(incoming[d])
 
     def _meet(self, comm: Comm, seq: int, form: str, deposit: Any) -> _Rendezvous:
-        """Deposit this member's part of ``comm``'s all-to-all ``seq`` and
+        """Deposit this member's part of ``comm``'s collective ``seq`` and
         park until the last member has completed the rendezvous."""
         rank = comm.members[comm.rank]
         rv = self._rendezvous.get(comm.comm_id)
@@ -916,22 +950,111 @@ class Engine:
         rv.sends[comm.rank] = deposit
         if len(rv.sends) == comm.size:
             del self._rendezvous[comm.comm_id]
-            self._complete_alltoall(rv)
-        mailbox = self._states[rank].mailbox
+            if form in ("alltoall", "alltoallv"):
+                self._complete_alltoall(rv)
+            else:
+                self._complete_steps(rv)
+            for w in rv.members:
+                st = self._states[w]
+                if st.state == _BLOCKED:
+                    st.state = _READY
+        # An eager point-to-point send may wake this rank early.
         while rv.recvs is None:
-            # An eager send may wake this rank early.  Nothing of this
-            # communicator's collectives can legitimately be in flight to a
-            # member that is inside one, so such an envelope means the
-            # sender is in a different collective.
-            for m in mailbox:
-                if m.tag == _COLL_TAG and m.comm_id == comm.comm_id:
-                    raise CollectiveMismatchError(
-                        f"collective mismatch on rank {rank}: waiting in {rv}, "
-                        f"got {m.payload[2]!r}#{m.payload[1]} from rank {m.src} "
-                        f"{_MISMATCH_HINT}"
-                    )
-            self._block(rank, str(rv))
+            self._block(rank, rv.label)
         return rv
+
+    def _complete_steps(self, rv: _Rendezvous) -> None:
+        """Evaluate a full generator rendezvous: the last arrival runs this.
+
+        Every member's generator is stepped in turn until it finishes or
+        waits for a message not yet sent.  A send charges its sender
+        exactly as :meth:`post_send` does and queues the message under
+        ``(source, destination, tag)``; a receive takes the oldest message
+        of its queue and charges the receiver exactly as :meth:`wait_recv`
+        does.  Each clock and open phase therefore takes its own member's
+        floating-point operations in that member's order, whatever order
+        the members are stepped in; traced, each member's send and wait
+        records come out in its own order, with the ``seq`` numbers its
+        sends take (:meth:`_trace_seq`).  Payloads pass by reference.
+        Raises :class:`CollectiveMismatchError` when the members' messages
+        do not pair up (say, two members name different roots).
+        """
+        members = rv.members
+        p = len(members)
+        gens = [rv.sends[i] for i in range(p)]
+        clocks = [self._ctxs[w].clock for w in members]
+        results: list[Any] = [None] * p
+        overhead, beta, alpha = (
+            self.model.send_overhead, self.model.beta, self.model.alpha
+        )
+        sent, n = self._sent, self.num_ranks
+        traced = self.tracer.enabled
+        #: (source, destination, tag) in communicator ranks -> the queued
+        #: ``(payload, nbytes, arrival, trace seq)`` messages, oldest first.
+        queues: dict[tuple[int, int, int], list] = {}
+        #: The receive a member parked on, and who waits on which queue.
+        pending: list[Any] = [None] * p
+        parked: dict[tuple[int, int, int], int] = {}
+        ready = list(range(p))
+        left = p
+        while ready:
+            i = ready.pop()
+            step, me, clock = gens[i].send, members[i], clocks[i]
+            msg, got, pending[i] = pending[i], None, None
+            try:
+                while True:
+                    if msg is None:
+                        msg = step(got)
+                    if len(msg) == 4:
+                        # post_send's charge, in its floating-point order.
+                        dest, tag, payload, name = msg
+                        nbytes = payload_nbytes(payload)
+                        t0 = clock.now
+                        clock.advance_comm(overhead + beta * nbytes)
+                        arrival = clock.now + alpha
+                        seq = sent[me] * n + me  # as _trace_seq numbers it
+                        sent[me] += 1
+                        if traced:
+                            self._record_send(
+                                t0, me, members[dest], tag, nbytes, arrival, seq, name
+                            )
+                        key = (i, dest, tag)
+                        queue = queues.get(key)
+                        if queue is None:
+                            queues[key] = [(payload, nbytes, arrival, seq)]
+                        else:
+                            queue.append((payload, nbytes, arrival, seq))
+                        if parked and key in parked:
+                            ready.append(parked.pop(key))
+                        got = None
+                    else:
+                        source, tag = msg
+                        key = (source, i, tag)
+                        queue = queues.get(key)
+                        if not queue:
+                            pending[i] = msg
+                            parked[key] = i
+                            break
+                        # wait_recv's charge.
+                        got, nbytes, arrival, seq = queue.pop(0)
+                        waited = clock.wait_until(arrival)
+                        if traced:
+                            self._record_wait(
+                                me, waited, members[source], tag, nbytes, seq
+                            )
+                    msg = None
+            except StopIteration as stop:
+                results[i] = stop.value
+                left -= 1
+        unreceived = sum(map(len, queues.values()))
+        if left or unreceived:
+            stuck = sorted(members[i] for i in parked.values())
+            raise CollectiveMismatchError(
+                f"collective mismatch in {rv}: the members' messages do not "
+                f"pair up (ranks {stuck} wait for a message nobody sends, "
+                f"{unreceived} sent are never received) {_MISMATCH_HINT}"
+            )
+        rv.recvs = results
 
     def _complete_alltoall(self, rv: _Rendezvous) -> None:
         """Evaluate a full rendezvous: the last arrival runs this.
@@ -991,10 +1114,6 @@ class Engine:
             rv.recvs = [list(col) for col in zip(*sends)]
         else:
             rv.recvs = (*plan, list(zip(*[views for views, _, _ in sends])))
-        for w in rv.members:
-            st = self._states[w]
-            if st.state == _BLOCKED:
-                st.state = _READY
 
     @staticmethod
     def _size_counts(

@@ -19,7 +19,7 @@ from repro.core.blocks import (
     RankFileError,
     blob_payload_crc32,
     build_block,
-    exchange_block,
+    exchange_blocks,
     read_rank_file,
     write_rank_file,
 )
@@ -121,7 +121,7 @@ def test_exchange_block_sender_cannot_write_a_sent_block():
             inner_local=np.array([ctx.rank, ctx.rank + 2]),
         )
         dest = src = (ctx.rank + 1) % 2
-        got = exchange_block(comm, b, dest, src, blob=True, tag=7)
+        got = exchange_blocks(comm, [(b, dest, src, 7)], blob=True)[0]
         before = got.dcsr.csr.indices.copy()
         with pytest.raises(ValueError, match="read-only"):
             b.dcsr.csr.indices[:] = -99  # sender tries to clobber its block
@@ -150,7 +150,7 @@ def test_exchange_block_ring(blob):
         )
         dest = (ctx.rank + 1) % comm.size
         src = (ctx.rank - 1) % comm.size
-        got = exchange_block(comm, b, dest, src, blob, tag=40)
+        (got,) = exchange_blocks(comm, [(b, dest, src, 40)], blob)
         return (got.fixed_residue, got.inner_residue, got.dcsr.row(src % 3).tolist())
 
     res = Engine(4).run(program)
@@ -163,7 +163,7 @@ def test_exchange_block_nonblob_uses_more_messages():
     def program(ctx, blob):
         b = make_block()
         dest = src = (ctx.rank + 1) % 2
-        exchange_block(ctx.comm, b, dest, src, blob, tag=5)
+        exchange_blocks(ctx.comm, [(b, dest, src, 5)], blob)
         return None
 
     blob_run = Engine(2, trace=True)

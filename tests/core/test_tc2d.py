@@ -191,3 +191,29 @@ def test_p_larger_than_interesting_rows():
         7, np.array([[0, 1], [1, 2], [0, 2], [3, 4], [4, 5], [3, 5], [5, 6]])
     )
     assert count_triangles_2d(g, 25).count == 2
+
+
+def test_a_sparse_p64_count_sends_no_message_and_meets_18_times():
+    """The e2e ``sparse_wide`` op: untraced, without a fault injector,
+    every synchronisation is one rendezvous of 64 ranks (63 hand-offs).
+    There are 18: five counts-form all-to-alls, three allreduces, an
+    exscan and a barrier in preprocessing and Cannon's skew and 7 shifts,
+    and no point-to-point message at all."""
+    from unittest import mock
+
+    from repro.graph.generators import configuration_model
+    from repro.simmpi import Engine
+
+    sent = []
+    real = Engine.post_send
+
+    def counting(self, *args, **kwargs):
+        sent.append(args)
+        return real(self, *args, **kwargs)
+
+    g = configuration_model(10000, 2.4, 3)
+    with mock.patch.object(Engine, "post_send", counting):
+        res = count_triangles_2d(g, 64, keep_run=True)
+    assert res.count == 816
+    assert sent == []
+    assert res.extras["run"].yields <= 18 * 63 == 1134

@@ -9,7 +9,8 @@ adds one rank's O(m/p) working set.  Counting simulates all p ranks in
 one process over mmap views of the store files, so it is charged one
 store size, never a second in-heap copy of the blocks.
 
-Every reading is a child interpreter's own high-water mark (``VmHWM``),
+Every reading is a child interpreter's own high-water mark
+(:func:`~repro.instrument.telemetry.peak_rss_bytes`),
 reported as a delta over a control child that performs the same imports
 and touches no graph.  The ``smoke`` size runs in tier-1; ``full`` is
 deselected there and run by CI with ``pytest -m ooc_full``.
@@ -85,13 +86,7 @@ import json, sys
 from pathlib import Path
 from repro.graph.external import count_triangles_oocore, external_preprocess
 from repro.graph.store import GraphStore
-
-
-def own_peak_rss():
-    # ru_maxrss starts at the peak of the process that spawned this one
-    # (pytest, hundreds of MiB into a run); VmHWM is this process's own.
-    with open("/proc/self/status") as fh:
-        return 1024 * int(next(l for l in fh if l.startswith("VmHWM:")).split()[1])
+from repro.instrument.telemetry import peak_rss_bytes
 
 
 mode, kw = sys.argv[1], json.loads(sys.argv[2])
@@ -115,7 +110,7 @@ elif mode == "inmem":
 
     out = {"count": int(count_triangles_2d(read_edge_list(kw["graph"]),
                                            kw["p"]).count)}
-out["peak_rss_bytes"] = own_peak_rss()
+out["peak_rss_bytes"] = peak_rss_bytes()
 print(json.dumps(out))
 """
 

@@ -81,6 +81,41 @@ def test_host_and_rss_helpers():
     assert peak_rss_bytes() >= rss_bytes() // 2  # same order of magnitude
 
 
+#: Run by a parent interpreter that holds 200 MiB: it prints its own peak,
+#: then the peak a ``python -c`` child of it reports for itself.
+_SPAWNER = """
+import subprocess, sys
+import numpy as np
+from repro.instrument.telemetry import peak_rss_bytes
+
+held = np.ones(200 * 2**20 // 8)  # every page touched
+child = "from repro.instrument.telemetry import peak_rss_bytes as f; print(f())"
+out = subprocess.run([sys.executable, "-c", child], capture_output=True,
+                     text=True, check=True).stdout
+print(peak_rss_bytes(), int(out), int(held[-1]))
+"""
+
+
+def test_a_spawned_child_reports_its_own_peak_not_its_parents():
+    """Linux starts a spawned process's ``ru_maxrss`` at its parent's
+    peak; the reading is this process's own ``VmHWM``."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", _SPAWNER], capture_output=True, text=True,
+        check=True, env=env,
+    ).stdout
+    parent, child, _ = map(int, out.split())
+    assert parent >= 200 * 2**20
+    assert 0 < child < 100 * 2**20
+
+
 # -- session records ----------------------------------------------------------
 
 

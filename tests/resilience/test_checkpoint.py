@@ -116,7 +116,7 @@ def test_manifest(tmp_path, blocks4):
     store.save(RankSnapshot.capture(0, 1, 40, u, l, t))
     path = store.write_manifest(p, 2, extra={"note": "test"})
     doc = json.loads(path.read_text())
-    assert doc["version"] == SCHEMA_VERSION == 2
+    assert doc["version"] == SCHEMA_VERSION == 3
     assert doc["p"] == p and doc["q"] == 2
     assert doc["note"] == "test"
     assert doc["epochs"]["0"]["complete"] is True
@@ -175,3 +175,33 @@ def test_restore_checks_each_crc_once(tmp_path, blocks4, monkeypatch):
     path.write_bytes(bytes(raw))
     with pytest.raises(BlobChecksumError):
         store.load(1, 3)
+
+
+def test_counters_and_tally_come_back_bit_for_bit(tmp_path, blocks4):
+    from repro.core.cannon import KernelTally
+
+    store = CheckpointStore(tmp_path)
+    counters = {"task": 936.0, "hash_probe": 0.1 + 0.2, "checkpoint_io": 3e-300}
+    tally = KernelTally(
+        shifts=[(0, 1.41517524142524e-06, 76), (1, 0.1 + 0.7, 12)],
+        hash_builds=5, hash_fast_builds=3, backend_uses={"batch": 2, "c": 1},
+    )
+    store.save(RankSnapshot.capture(3, 2, 40, *blocks4[3], counters, tally))
+    back = store.load(2, 3)
+    assert back.counters == counters and back.tally == tally
+    assert [type(s) for s in back.tally.shifts] == [tuple, tuple]
+
+
+def test_a_schema_2_checkpoint_is_refused_by_version(tmp_path, blocks4):
+    from repro.core.blocks import write_rank_file
+    from repro.resilience.checkpoint import CheckpointVersionError
+
+    store = CheckpointStore(tmp_path)
+    u, l, t = blocks4[0]
+    # What schema 2 wrote: [rank, epoch, local_count] and the blobs.
+    write_rank_file(
+        store.rank_path(1, 0), [0, 1, 7], [b.as_blob() for b in (u, l, t)]
+    )
+    assert SCHEMA_VERSION == 3
+    with pytest.raises(CheckpointVersionError, match="schema 2"):
+        store.load(1, 0)

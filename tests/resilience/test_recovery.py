@@ -190,3 +190,27 @@ def test_traced_attempts_exported(er_graph, baseline9):
     assert ckpts and all(s.name.startswith("checkpoint:") for s in ckpts)
     assert all(s.detail["nbytes"] > 0 and s.end > s.begin for s in ckpts)
     assert run.tracer.faults() == []
+
+
+def test_a_run_resumed_mid_rotation_reports_the_whole_runs_work():
+    """A checkpoint carries the tct counters and kernel tally of the
+    epochs before it, so a run resumed from epoch 1 reports what the
+    fault-free run does (it reported ``task`` 615 of 936 when the restore
+    dropped them)."""
+    from repro.bench.calibration import paper_model
+    from repro.graph.generators import rmat_graph
+
+    g, model = rmat_graph(7, edge_factor=6, seed=1), paper_model()
+    plan = FaultPlan.random(3, 9, 3, n_faults=4)
+    res = count_triangles_2d_resilient(g, 9, model=model, fault_plan=plan)
+    want = count_triangles_2d(g, 9, model=model)
+    assert [a.restored_epoch for a in res.extras["attempts"]][-1] == 1
+
+    def work(r):
+        tct = {k: v for k, v in r.counters_tct.items() if k != "checkpoint_io"}
+        shifts = [(s.shift, s.rank, s.tasks) for s in r.shift_records]
+        uses = r.extras["kernel_backend_uses"]
+        return r.count, tct, r.hash_builds, r.hash_fast_builds, shifts, uses
+
+    assert work(res) == work(want)
+    assert res.counters_tct["task"] == 936 and res.counters_tct["hash_probe"] == 259

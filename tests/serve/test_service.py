@@ -356,3 +356,52 @@ def test_malformed_file_fails_the_job_not_the_service(service, graph_file, tmp_p
     assert j2.wait(120) and j2.state == "done", j2.error
     want = count_triangles_2d(read_edge_list(graph_file), 4).count
     assert j2.result["count"] == want
+
+
+def test_a_cold_job_hashes_its_graph_once(graph_file, tmp_path):
+    """The service digests the graph to key the job and opens the store
+    entry from that identity; nothing hashes the edges a second time."""
+    from unittest import mock
+
+    from repro.graph import store as store_mod
+    from repro.graph.io import read_edge_list
+
+    calls = []
+    real = store_mod.graph_digest
+
+    def counting(g):
+        calls.append(g)
+        return real(g)
+
+    cfg = ServeConfig(max_inflight=1, max_queue=4, store=tmp_path / "store")
+    svc = TriangleService(cfg)
+    try:
+        with mock.patch.object(store_mod, "graph_digest", counting):
+            cold = svc.submit(_req(graph_file))
+            assert cold.wait(120) and cold.state == "done", cold.error
+        assert len(calls) == 1
+    finally:
+        svc.close()
+    info = cold.result["store"]
+    assert info["hit"] is False and info["stored"]
+    # The entry is the one a run that hashes the graph itself opens.
+    from repro.core.config import TC2DConfig
+
+    g = read_edge_list(graph_file)
+    opened = store_mod.GraphStore(tmp_path / "store").open_run(
+        g, 4, TC2DConfig(), writable=False
+    )
+    assert opened.digest == info["digest"] and opened.hit
+    # A fresh service replays it warm from the store, to the same numbers.
+    svc = TriangleService(cfg)
+    try:
+        warm = svc.submit(_req(graph_file))
+        assert warm.wait(120) and warm.state == "done", warm.error
+    finally:
+        svc.close()
+    assert warm.result["store"]["hit"] is True
+    for key in ("count", "digest", "counters"):
+        assert warm.result[key] == cold.result[key]
+    # ppt is replayed exactly; tct starts from another clock reading on a
+    # store-warm run, so it may round differently in the last place.
+    assert warm.result["virtual"]["ppt_s"] == cold.result["virtual"]["ppt_s"]

@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.resilience import FaultPlan
+from repro.resilience.faults import FaultInjector
 from repro.simmpi import (
     BAND,
     BOR,
@@ -211,37 +213,52 @@ def test_collective_sequence_mismatch_raises():
         Engine(2).run(program)
 
 
-def test_alltoall_entered_at_a_different_sequence_number_raises():
+def test_a_member_a_collective_ahead_fails_where_the_members_meet():
     def program(ctx):
         if ctx.rank == 2:
-            ctx.comm.gather("extra", root=0)  # one collective ahead of its peers
+            ctx.comm.gather("extra", root=0)  # its peers skip this one
         ctx.comm.alltoall([ctx.rank] * 3)
 
-    # Untraced, so the all-to-all is the engine's rendezvous: rank 2 deposits
-    # for alltoall#2 while ranks 0 and 1 wait in alltoall#1.
+    # Every collective is a rendezvous: rank 2 enters gather#1 while ranks
+    # 0 and 1 wait in alltoall#1, and the arrival that does not match fails.
     with pytest.raises(RankFailedError) as ei:
         Engine(3).run(program)
     assert ei.value.rank == 2
     assert isinstance(ei.value.original, CollectiveMismatchError)
     msg = str(ei.value.original)
-    assert "rank 2" in msg and "alltoall#2" in msg
+    assert "rank 2" in msg and "gather#1" in msg
     assert "rank 0" in msg and "alltoall#1" in msg
 
 
-def test_peer_in_another_collective_fails_a_parked_alltoall_member():
+def test_peer_entering_another_collective_fails_at_the_rendezvous():
     def program(ctx):
         if ctx.rank == 0:
             ctx.comm.alltoall([0, 0])
         else:
-            ctx.comm.barrier()  # its envelope lands on the parked rank 0
+            ctx.comm.barrier()  # rank 0 already waits in the all-to-all
 
     with pytest.raises(RankFailedError) as ei:
         Engine(2).run(program)
-    assert ei.value.rank == 0
+    assert ei.value.rank == 1
     assert isinstance(ei.value.original, CollectiveMismatchError)
     msg = str(ei.value.original)
+    assert "rank 1" in msg and "barrier#1" in msg
     assert "rank 0" in msg and "alltoall#1" in msg
-    assert "rank 1" in msg and "'barrier'#1" in msg
+    # Under a fault injector the barrier's envelope reaches rank 0's loop.
+    with pytest.raises(RankFailedError) as ei:
+        Engine(2, fault_injector=FaultInjector(FaultPlan([]))).run(program)
+    assert isinstance(ei.value.original, CollectiveMismatchError)
+    assert "'barrier'#1" in str(ei.value.original)
+
+
+def test_members_naming_different_roots_fail_the_rendezvous():
+    def program(ctx):
+        ctx.comm.bcast(ctx.rank, root=ctx.rank % 2)
+
+    with pytest.raises(RankFailedError) as ei:
+        Engine(4).run(program)
+    assert isinstance(ei.value.original, CollectiveMismatchError)
+    assert "bcast#1" in str(ei.value.original)
 
 
 def test_invalid_root_raises():

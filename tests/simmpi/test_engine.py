@@ -112,6 +112,20 @@ def test_alltoall_that_cannot_fill_is_reported_with_its_arrival_count():
     }
 
 
+def test_tree_collective_that_cannot_fill_is_reported_with_its_arrival_count():
+    def program(ctx):
+        ctx.comm.barrier()
+        if ctx.rank != 0:
+            ctx.comm.allreduce(ctx.rank, SUM)
+
+    with pytest.raises(DeadlockError) as ei:
+        Engine(3).run(program)
+    assert ei.value.blocked == {
+        1: "allreduce#2(comm=0) 2 of 3 arrived",
+        2: "allreduce#2(comm=0) 2 of 3 arrived",
+    }
+
+
 def test_run_aborted_inside_an_alltoall_leaks_no_deposit_into_the_next():
     eng = Engine(3)
 
@@ -296,6 +310,42 @@ def test_run_result_counts_yields_and_scheduler_wakeups():
     assert len(traced.tracer.sends()) == 16 * 15
     assert traced.yields == 15
     assert traced.scheduler_wakeups == 1
+
+
+#: One call of every collective on a 16-rank world, by name.
+_EVERY_COLLECTIVE = {
+    "barrier": lambda c: c.barrier(),
+    "bcast": lambda c: c.bcast(c.rank, root=5),
+    "reduce": lambda c: c.reduce(c.rank, SUM, root=3),
+    "allreduce": lambda c: c.allreduce(c.rank, SUM),
+    "gather": lambda c: c.gather(c.rank, root=7),
+    "allgather": lambda c: c.allgather(c.rank),
+    "scan": lambda c: c.scan(c.rank, SUM),
+    "exscan": lambda c: c.exscan(c.rank, SUM),
+    "alltoall": lambda c: c.alltoall(list(range(c.size))),
+    "alltoallv": lambda c: c.alltoallv(np.arange(c.size), [1] * c.size),
+    "exchange": lambda c: c.exchange(
+        [([(c.rank, (c.rank + 1) % c.size, 3)], [((c.rank - 1) % c.size, 3)])]
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EVERY_COLLECTIVE))
+@pytest.mark.parametrize("trace", [False, True], ids=["untraced", "traced"])
+def test_every_collective_is_one_rendezvous(name, trace):
+    """Each collective costs p - 1 hand-offs, traced or not: every member
+    but the last parks once, and nothing goes through a mailbox."""
+    sent = []
+
+    class Counting(Engine):
+        def post_send(self, *args, **kwargs):
+            sent.append(args)
+            return super().post_send(*args, **kwargs)
+
+    res = Counting(16, trace=trace).run(lambda ctx: _EVERY_COLLECTIVE[name](ctx.comm))
+    assert res.yields == 15 and res.scheduler_wakeups == 1
+    assert sent == []
+    assert bool(res.tracer.sends()) == trace
 
 
 def test_rank_that_never_yields_is_reported_as_wedged():

@@ -24,6 +24,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.blocks import Block, build_block, exchange_blocks
 from repro.instrument import (
     CommMatrix,
     critical_path,
@@ -34,7 +35,7 @@ from repro.instrument import (
 from repro.instrument.telemetry import Telemetry
 from repro.resilience import FaultPlan
 from repro.resilience.faults import FaultInjector
-from repro.simmpi import Engine
+from repro.simmpi import MAX, MIN, SUM, Engine
 from repro.simmpi.costmodel import payload_nbytes
 from repro.simmpi.errors import CollectiveMismatchError, RankFailedError
 
@@ -492,3 +493,163 @@ def test_completing_a_counts_rendezvous_copies_no_payload():
     # O(p²) bookkeeping: a few hundred bytes per (source, destination)
     # pair, far below one member's receive, let alone all p of them.
     assert peak < 400 * p * p < per_receiver
+
+
+# ---------------------------------------------------------------------------
+# every collective, and Cannon's exchange in both forms
+# ---------------------------------------------------------------------------
+
+_KINDS = [
+    "barrier", "bcast", "reduce", "allreduce", "gather", "allgather",
+    "scan", "exscan", "alltoall", "alltoallv", "exchange-blob", "exchange-parts",
+]
+_OPS = [SUM, MAX, MIN]
+
+
+@dataclass
+class MCase:
+    """One generated program of mixed collectives."""
+
+    p: int
+    layout: str  # the collectives' communicator, as in :class:`Case`
+    steps: list[tuple[str, int]]  # (collective, its argument)
+    pool: list[Any]  # bcast / gather / alltoall payloads
+    depth: list[int]  # phases open around the whole program, per rank
+    inner: list[bool]  # whether the rank wraps each step in a phase
+    work: list[int]  # operations charged before each step, per rank
+    p2p_on_sub: bool
+
+    color = Case.color
+
+    def obj(self, step: int, rank: int, salt: int = 0) -> Any:
+        return self.pool[(3 * step + 5 * rank + salt) % len(self.pool)]
+
+    def value(self, step: int, rank: int, arg: int) -> Any:
+        """A reduction operand: an int, or an array every member agrees
+        on the shape of."""
+        if arg % 2:
+            return np.arange(3, dtype=np.int64) * (rank + 1) - step
+        return (rank * 7 + step * 3 + arg) % 11 - 5
+
+
+@st.composite
+def mcases(draw) -> MCase:
+    p = draw(st.integers(1, 17))
+    per_rank = lambda elem: draw(st.lists(elem, min_size=p, max_size=p))  # noqa: E731
+    return MCase(
+        p=p,
+        layout=draw(st.sampled_from(["world", "row", "col", "uneven"])),
+        steps=draw(st.lists(
+            st.tuples(st.sampled_from(_KINDS), st.integers(0, 50)),
+            min_size=1, max_size=6,
+        )),
+        pool=draw(st.lists(_payload, min_size=1, max_size=4)),
+        depth=per_rank(st.integers(0, 2)),
+        inner=per_rank(st.booleans()),
+        work=per_rank(st.integers(0, 5000)),
+        p2p_on_sub=draw(st.booleans()),
+    )
+
+
+def _block_of(me: int, step: int, size: int):
+    """A small block that says who built it."""
+    return build_block(
+        "U-row", fixed_residue=me, inner_residue=(me + step) % 5, n_outer=4,
+        n_inner=6, outer_local=np.array([me % 4, (me + step) % 4, 3]),
+        inner_local=np.array([(me + 1) % 6, step % 6, size % 6]),
+    )
+
+
+def _one(comm, case: MCase, kind: str, arg: int, step: int, me: int) -> Any:
+    """Rank ``me``'s call of collective ``kind``, with what it returned."""
+    root = arg % comm.size
+    op = _OPS[arg % len(_OPS)]
+    if kind == "barrier":
+        return comm.barrier()
+    if kind == "bcast":
+        return comm.bcast(case.obj(step, me), root=root)
+    if kind == "reduce":
+        return comm.reduce(case.value(step, me, arg), op, root=root)
+    if kind == "allreduce":
+        return comm.allreduce(case.value(step, me, arg), op)
+    if kind == "gather":
+        return comm.gather(case.obj(step, me), root=root)
+    if kind == "allgather":
+        return comm.allgather(case.obj(step, me))
+    if kind == "scan":
+        return comm.scan(case.value(step, me, arg), op)
+    if kind == "exscan":
+        return comm.exscan(case.value(step, me, arg), op)
+    if kind == "alltoall":
+        return comm.alltoall([case.obj(step, me, d) for d in range(comm.size)])
+    if kind == "alltoallv":
+        counts = [(arg + me + d) % 3 for d in range(comm.size)]
+        return comm.alltoallv(np.arange(sum(counts), dtype=np.int64) + me, counts)
+    # Cannon's step: two operands, each shifted around the communicator.
+    r, n = comm.rank, comm.size
+    moves = [
+        (_block_of(me, step, n), (r + arg) % n, (r - arg) % n, 100),
+        (_block_of(me + 1, step, n), (r - 1) % n, (r + 1) % n, 110),
+    ]
+    return exchange_blocks(comm, moves, blob=kind == "exchange-blob")
+
+
+def _m_program(ctx, case: MCase):
+    """The steps in order, each after uneven compute and an eager send
+    that lands on a rank already parked in the collective."""
+    me = ctx.rank
+    comm = ctx.comm
+    if case.layout != "world":
+        comm = ctx.comm.split(case.color(me), key=-me)  # reversed order
+    side = comm if case.p2p_on_sub else ctx.comm
+    nxt, prv = (side.rank + 1) % side.size, (side.rank - 1) % side.size
+    got = []
+    with ExitStack() as outer:
+        for d in range(case.depth[me]):
+            outer.enter_context(ctx.phase(f"outer{d}"))
+        for step, (kind, arg) in enumerate(case.steps):
+            with ExitStack() as inner:
+                if case.inner[me]:
+                    inner.enter_context(ctx.phase(kind))
+                ctx.charge("op", case.work[me] * (step + 1))
+                side.send(("note", me, step), dest=nxt, tag=step)
+                got.append(_one(comm, case, kind, arg, step, me))
+                assert side.recv(source=prv, tag=step)[2] == step
+    return got
+
+
+def _plain(x: Any) -> Any:
+    """A returned value in comparable form: blocks, arrays, sequences and
+    scalars by content and type, anything else (a payload of the case's
+    pool, passed on by reference) by identity."""
+    if isinstance(x, Block):
+        csr = x.dcsr.csr
+        return ("block", x.kind, x.fixed_residue, x.inner_residue,
+                csr.indptr.tolist(), csr.indices.tolist())
+    if type(x) is np.ndarray:
+        return ("array", x.dtype.str, x.shape, x.tolist())
+    if isinstance(x, (list, tuple)):
+        return (type(x).__name__, [_plain(v) for v in x])
+    if x is None or isinstance(x, (int, float, str, np.generic)):
+        return (type(x).__name__, repr(x))
+    return ("id", id(x))
+
+
+@settings(
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    derandomize=settings.default is settings.get_profile("default"),
+)
+@given(case=mcases())
+def test_every_collective_rendezvous_agrees_with_its_message_loop(case):
+    fast = Engine(case.p).run(_m_program, case)
+    traced = Engine(case.p, trace=True).run(_m_program, case)
+    loop = Engine(
+        case.p, trace=True, fault_injector=FaultInjector(FaultPlan([]))
+    ).run(_m_program, case)
+
+    assert _virtual_state(fast) == _virtual_state(traced) == _virtual_state(loop)
+    assert _records(traced) == _records(loop)
+    assert _analyses(traced) == _analyses(loop)
+    for runs in zip(fast.returns, traced.returns, loop.returns):
+        assert _plain(runs[0]) == _plain(runs[1]) == _plain(runs[2])

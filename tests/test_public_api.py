@@ -40,8 +40,8 @@ def test_public_callables_documented(modname):
 def test_comm_surface_is_what_rank_programs_call():
     """The rank-program contract: the methods rank programs call and
     their three building blocks; ``alltoallv`` is the counts form, not an
-    alias of ``alltoall``.  A new method arrives with a caller — and with
-    an edit here."""
+    alias of ``alltoall``, and ``exchange`` is Cannon's skew/shift step.
+    A new method arrives with a caller — and with an edit here."""
     import inspect
 
     from repro.simmpi import Comm, Engine
@@ -49,8 +49,11 @@ def test_comm_surface_is_what_rank_programs_call():
     public = {n for n, v in vars(Comm).items() if callable(v) and n[0] != "_"}
     assert public == set(
         "send recv sendrecv barrier bcast reduce allreduce gather allgather "
-        "alltoall alltoallv scan exscan split".split()
+        "alltoall alltoallv scan exscan exchange split".split()
     )
+    assert list(inspect.signature(Comm.exchange).parameters) == [
+        "self", "rounds", "decode",
+    ]
     assert list(inspect.signature(Comm.alltoallv).parameters) == [
         "self", "buf", "counts",
     ]
