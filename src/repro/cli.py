@@ -57,28 +57,39 @@ from pathlib import Path
 from repro.graph.csr import Graph
 
 
-def _load_graph(spec: str, seed: int) -> Graph:
-    """A registry dataset by name, else the edge-list file ``spec``.
+def _input_file(spec: str) -> Path | None:
+    """The edge-list file ``spec`` names, or ``None`` for a registry
+    dataset.
 
     Registry names are bare words (no ``.``, no path separator), so a
-    spec with a suffix or a directory part is read as a file without
-    loading the registry; any other spec is looked up there first.
+    spec with a suffix or a directory part is a file without loading the
+    registry; any other spec is looked up there first.
     """
-    from repro.graph.io import read_edge_list
-
     path = Path(spec)
     if (path.suffix or len(path.parts) > 1) and path.exists():
-        return read_edge_list(path)
-    from repro.graph.datasets import REGISTRY, load_dataset
+        return path
+    from repro.graph.datasets import REGISTRY
 
     if spec in REGISTRY:
-        return load_dataset(spec, seed=seed)
+        return None
     if path.exists():
-        return read_edge_list(path)
+        return path
     raise SystemExit(
         f"unknown dataset {spec!r} (not in the registry and not a file); "
         f"registered: {', '.join(REGISTRY)}"
     )
+
+
+def _load_graph(spec: str, seed: int) -> Graph:
+    """A registry dataset by name, else the edge-list file ``spec``."""
+    path = _input_file(spec)
+    if path is not None:
+        from repro.graph.io import read_edge_list
+
+        return read_edge_list(path)
+    from repro.graph.datasets import load_dataset
+
+    return load_dataset(spec, seed=seed)
 
 
 def _cmd_datasets(_args: argparse.Namespace) -> int:
@@ -290,6 +301,15 @@ def _cmd_count(args: argparse.Namespace) -> int:
         real_timeout=args.real_timeout,
         seed=args.seed,
     )
+    cache = _cache_arg(args)
+    # A tc2d count of a file through a store goes by the file's input
+    # record, and reads the graph only when the record cannot serve it.
+    file = None
+    if (
+        g is None and cache is not None and args.algorithm == "tc2d"
+        and not (args.out_of_core or args.verify)
+    ):
+        file = _input_file(spec)
     if args.out_of_core:
         # The graph is never materialized in this process, so nothing
         # that needs the whole graph applies.
@@ -307,19 +327,28 @@ def _cmd_count(args: argparse.Namespace) -> int:
                 "--out-of-core needs an edge-list file path "
                 "(registry datasets are generated in memory anyway)"
             )
-    elif g is None:
+    elif g is None and file is None:
         g = _load_graph(spec, args.seed)
     if args.command == "count" and g is not None:
         print(f"{spec}: {degree_summary(g)}")
     model = paper_model()
-    cache = _cache_arg(args)
     if cache is not None and args.algorithm not in GRID_DRIVERS:
         raise SystemExit(
             "--cache/--store are implemented for -a tc2d and "
             "-a coveredge only"
         )
     tele = _start_telemetry(args)
-    if args.out_of_core:
+    if file is not None:
+        from repro.core.tc2d import count_file_2d
+
+        res, summary = count_file_2d(
+            file, args.ranks, cfg, store=cache, model=model, trace=trace_on,
+            dataset=spec, telemetry=tele,
+        )
+        if args.command == "count":
+            print(f"{spec}: {summary}")
+        _print_cache_status(res)
+    elif args.out_of_core:
         from repro.graph.external import DEFAULT_CHUNK_BYTES, count_triangles_oocore
 
         res = count_triangles_oocore(
@@ -801,26 +830,26 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _add_kernel_flag(p: argparse.ArgumentParser) -> None:
+    """``--kernel``, shared by ``count`` and ``profile``."""
     from repro.core.config import KERNEL_BACKENDS
 
-    kernel_flag = dict(
+    p.add_argument(
+        "--kernel",
         choices=KERNEL_BACKENDS,
         help="intersection-kernel backend (default: auto; identical "
         "results, wall time only; c = the compiled loop, an error on a "
         "host that cannot build it)",
     )
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="2D parallel triangle counting (Tom & Karypis, ICPP 2019) "
-        "on a simulated distributed-memory machine",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
 
+
+def _add_datasets(sub: "argparse._SubParsersAction") -> None:
     sub.add_parser("datasets", help="list registered datasets").set_defaults(
         fn=_cmd_datasets
     )
 
+
+def _add_count(sub: "argparse._SubParsersAction") -> None:
     c = sub.add_parser("count", help="count triangles of a dataset/file")
     c.add_argument(
         "dataset", nargs="?", help="registry name or edge-list file path"
@@ -850,7 +879,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="largest rank count --auto may plan (default: 64)",
     )
     c.add_argument("--enumeration", choices=["jik", "ijk"], default="jik")
-    c.add_argument("--kernel", **kernel_flag)
+    _add_kernel_flag(c)
     c.add_argument("--no-doubly-sparse", action="store_true")
     c.add_argument("--no-modified-hashing", action="store_true")
     c.add_argument("--no-early-stop", action="store_true")
@@ -874,6 +903,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_ooc_flags(c)
     c.set_defaults(fn=_cmd_count)
 
+
+def _add_profile(sub: "argparse._SubParsersAction") -> None:
     pr = sub.add_parser(
         "profile", help="traced run + full observability report"
     )
@@ -890,7 +921,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--algorithm", "-a", choices=["tc2d", "coveredge", "summa"],
         help="counting algorithm (default: tc2d)",
     )
-    pr.add_argument("--kernel", **kernel_flag)
+    _add_kernel_flag(pr)
     pr.add_argument("--seed", type=int, default=0)
     pr.add_argument(
         "--trace",
@@ -917,6 +948,8 @@ def build_parser() -> argparse.ArgumentParser:
         no_early_stop=False, no_blob=False,
     )
 
+
+def _add_census(sub: "argparse._SubParsersAction") -> None:
     s = sub.add_parser("census", help="triangle census / clustering summary")
     s.add_argument("dataset")
     s.add_argument("--ranks", "-p", type=_positive_int, default=4)
@@ -924,6 +957,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--seed", type=int, default=0)
     s.set_defaults(fn=_cmd_census)
 
+
+def _add_chaos(sub: "argparse._SubParsersAction") -> None:
     ch = sub.add_parser(
         "chaos",
         help="differential sweep of every counting path against the serial count",
@@ -944,6 +979,8 @@ def build_parser() -> argparse.ArgumentParser:
     ch.add_argument("--quiet", action="store_true")
     ch.set_defaults(fn=_cmd_chaos)
 
+
+def _add_store(sub: "argparse._SubParsersAction") -> None:
     st = sub.add_parser(
         "store",
         help="manage the content-addressed preprocessing cache",
@@ -984,6 +1021,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     st.set_defaults(fn=_cmd_store)
 
+
+def _add_diff(sub: "argparse._SubParsersAction") -> None:
     d = sub.add_parser(
         "diff",
         help="compare two telemetry records",
@@ -999,6 +1038,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     d.set_defaults(fn=_cmd_diff)
 
+
+def _add_history(sub: "argparse._SubParsersAction") -> None:
     h = sub.add_parser(
         "history",
         help="append-only benchmark run database + regression gate",
@@ -1026,6 +1067,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     h.set_defaults(fn=_cmd_history)
 
+
+def _add_serve(sub: "argparse._SubParsersAction") -> None:
     sv = sub.add_parser(
         "serve",
         help="run the async triangle-counting service",
@@ -1062,6 +1105,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sv.set_defaults(fn=_cmd_serve)
 
+
+def _add_submit(sub: "argparse._SubParsersAction") -> None:
     sm = sub.add_parser(
         "submit",
         help="submit one job to a running `repro serve`",
@@ -1089,6 +1134,8 @@ def build_parser() -> argparse.ArgumentParser:
     sm.add_argument("--json", action="store_true")
     sm.set_defaults(fn=_cmd_submit)
 
+
+def _add_bench(sub: "argparse._SubParsersAction") -> None:
     b = sub.add_parser("bench", help="regenerate a paper table/figure")
     b.add_argument(
         "experiment",
@@ -1096,6 +1143,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     b.set_defaults(fn=_cmd_bench)
 
+
+def _add_autotune(sub: "argparse._SubParsersAction") -> None:
     at = sub.add_parser(
         "autotune",
         help="cost-model plan (algorithm × grid × kernel) for a dataset",
@@ -1123,6 +1172,44 @@ def build_parser() -> argparse.ArgumentParser:
     )
     at.set_defaults(fn=_cmd_autotune)
 
+
+#: Every sub-command, in the order ``repro --help`` lists them, and the
+#: function that adds it to the parser.
+_COMMANDS = {
+    "datasets": _add_datasets,
+    "count": _add_count,
+    "profile": _add_profile,
+    "census": _add_census,
+    "chaos": _add_chaos,
+    "store": _add_store,
+    "diff": _add_diff,
+    "history": _add_history,
+    "serve": _add_serve,
+    "submit": _add_submit,
+    "bench": _add_bench,
+    "autotune": _add_autotune,
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``repro`` argument parser.
+
+    With ``command``, only that sub-command's parser is built (what
+    :func:`main` runs on); the top-level usage still names every
+    sub-command, so help and usage errors read as the whole tree's.
+    """
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="2D parallel triangle counting (Tom & Karypis, ICPP 2019) "
+        "on a simulated distributed-memory machine",
+    )
+    # The whole tree's usage lists its choices; a one-command tree names
+    # them all in its metavar instead.
+    metavar = None if command is None else "{%s}" % ",".join(_COMMANDS)
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, add in _COMMANDS.items():
+        if command in (None, name):
+            add(sub)
     return parser
 
 
@@ -1130,7 +1217,9 @@ def main(argv: list[str] | None = None) -> int:
     from repro.core.kernels import KernelUnavailableError
     from repro.graph.io import EdgeListError
 
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.fn(args)
     # --kernel c without a compiler; a malformed edge-list file.

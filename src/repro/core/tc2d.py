@@ -36,7 +36,7 @@ from repro.core.config import TC2DConfig
 from repro.core.counts import TriangleCountResult
 from repro.core.grid import ProcessorGrid
 from repro.core.preprocess import InputChunk, preprocess, preprocess_with_labels
-from repro.graph.csr import Graph
+from repro.graph.csr import DegreeSummary, Graph, degree_summary
 from repro.simmpi import SUM, MachineModel, Tracer
 from repro.simmpi.engine import RankContext
 
@@ -186,6 +186,57 @@ def count_triangles_2d(
             tc2d_rank_program, job.cfg, None, job.caches[0] if job.caches else None
         )
         return job.finish(run, _label(job.cfg), keep_run)
+
+
+def count_file_2d(
+    path: Any,
+    p: int,
+    cfg: TC2DConfig | None = None,
+    store: Any = True,
+    model: MachineModel | None = None,
+    trace: bool | Tracer = False,
+    dataset: str = "",
+    telemetry: Any = None,
+) -> tuple[TriangleCountResult, DegreeSummary]:
+    """Count the edge-list file ``path`` with the 2D algorithm through
+    ``store`` (``True``, a path or a ``GraphStore``), reading the graph
+    only when the store cannot stand in for it.
+
+    When the store holds a well-formed record of the file's bytes whose
+    entry exists for this grid and config
+    (:meth:`~repro.graph.store.GraphStore.recorded_entry`), the count
+    runs off that entry and the file is only hashed.  Otherwise the file
+    is read once (:func:`~repro.graph.io.read_keyed_edge_list`), counted
+    as ``count_triangles_2d(graph, cache=store)`` counts it, and its
+    record written for next time (left out if it cannot be written).
+    Either way the result is the same, down to ``extras["cache"]``;
+    ``extras["input"]`` says ``"recorded"`` or ``"read"``.
+
+    Returns the result and the graph's degree summary.
+    """
+    from repro.graph.io import read_keyed_edge_list
+    from repro.graph.store import InputRecord, resolve_store
+
+    cfg = cfg if cfg is not None else TC2DConfig()
+    if cfg.algorithm != "tc2d":
+        cfg = cfg.replace(algorithm="tc2d")
+    store = resolve_store(store)
+    kw = dict(model=model, trace=trace, dataset=dataset, telemetry=telemetry)
+    recorded = store.recorded_entry(path, p, cfg, model=model, source=dataset)
+    if recorded is not None:
+        cache, summary = recorded
+        result = count_triangles_2d(None, p, cfg, cache=cache, **kw)
+    else:
+        graph, key = read_keyed_edge_list(path)
+        summary = degree_summary(graph)
+        cache = store.open_run(graph, p, cfg, model=model, source=dataset)
+        try:
+            result = count_triangles_2d(graph, p, cfg, cache=cache, **kw)
+        finally:
+            cache.close()
+        store.write_input(key, InputRecord(cache.graph_sha, summary))
+    result.extras["input"] = "recorded" if recorded is not None else "read"
+    return result, summary
 
 
 def _label(cfg: TC2DConfig) -> str:

@@ -20,6 +20,10 @@ INDEX_DTYPE = np.int64
 #: room to spare); larger shapes take the two-key ``lexsort``.
 _SINGLE_KEY_LIMIT = 2**62
 
+#: Up to this ``n_rows * n_cols`` every key fits ``uint32``: the same sort
+#: over half the bytes.
+_KEY32_LIMIT = 2**32
+
 
 class CSR:
     """A compressed-sparse-row pattern matrix (no values, structure only).
@@ -89,16 +93,19 @@ class CSR:
         if len(cols) and (cols.min() < 0 or cols.max() >= ncol):
             raise ValueError("col index out of range")
         stride = max(ncol, 1)
-        if int(n_rows) * stride < _SINGLE_KEY_LIMIT:
+        if (shape := int(n_rows) * stride) < _SINGLE_KEY_LIMIT:
             # Row-major order is the order of the single key
             # ``row * stride + col``: one sort of one array, then split.
-            key = np.sort(rows * stride + cols)
+            key = rows * stride + cols
+            if shape <= _KEY32_LIMIT:
+                key = key.astype(np.uint32)
+            key = np.sort(key)
             if dedup and len(key):
                 keep = np.empty(len(key), dtype=bool)
                 keep[0] = True
                 np.not_equal(key[1:], key[:-1], out=keep[1:])
                 key = key[keep]
-            rows = key // stride
+            rows = key // INDEX_DTYPE(stride)  # int64, whatever the key
             cols = key - rows * stride
         else:  # the key would overflow int64: two-key sort
             order = np.lexsort((cols, rows))

@@ -63,8 +63,8 @@ from typing import Any, Iterator
 
 import numpy as np
 
-from repro.graph.csr import INDEX_DTYPE
-from repro.graph.io import _iter_edges, input_vertex_count
+from repro.graph.csr import INDEX_DTYPE, DegreeSummary
+from repro.graph.io import _iter_edges, _Reading, input_vertex_count
 
 #: Default spill-chunk budget (bytes) when the caller sets none.
 DEFAULT_CHUNK_BYTES = 64 * 1024 * 1024
@@ -451,6 +451,12 @@ def external_preprocess(
     digest, same rank-file bytes), so it serves both pipelines' warm
     runs interchangeably.
 
+    A file the store holds an input record of
+    (:meth:`~repro.graph.store.GraphStore.recorded_entry`) whose entry
+    exists costs one hashing pass: no ingest, no spill.  Otherwise the
+    ingest pass hashes the bytes it parses, and a materialized entry
+    leaves the file's record behind.
+
     ``stop_after="translate"`` is a measurement probe: run every
     *streaming* stage (ingest, digest, degrees, reorder, translate +
     route) but skip the per-rank assembly and write **no** store entry.
@@ -466,7 +472,7 @@ def external_preprocess(
         counting_sort_placement,
         cyclic_bounds,
     )
-    from repro.graph.store import resolve_store
+    from repro.graph.store import InputRecord, resolve_store
 
     path = Path(path)
     cfg = cfg if cfg is not None else TC2DConfig()
@@ -481,6 +487,23 @@ def external_preprocess(
     q = grid.q
     clock = _StageClock()
 
+    def report(cache: Any, reused: bool, spilled: int) -> dict:
+        n, m = cache.graph_stats
+        return {
+            "digest": cache.digest, "graph_sha": cache.graph_sha, "n": n,
+            "m": m, "p": p, "q": q, "chunk_bytes": chunk_bytes,
+            "reused": reused, "spilled_bytes": spilled, "stages": clock.stages,
+        }
+
+    source = source or str(path)
+    recorded = None
+    if stop_after is None:
+        recorded = store.recorded_entry(path, p, cfg, source=source)
+    if recorded is not None:
+        cache, _ = recorded
+        clock.done("input_key")
+        return report(cache, True, 0)
+
     read_bytes = 16 * _budget_rows(chunk_bytes, 2)
     n = input_vertex_count(path, read_bytes)
     if n > MAX_ENCODABLE_N:
@@ -493,7 +516,8 @@ def external_preprocess(
     try:
         # -- 1+2: ingest + merge -> canonical sorted unique u < v keys --
         sorter = SpillSorter(tmp_root, chunk_bytes, dedup=True, tag="e")
-        for pairs in _iter_edges(path, n, read_bytes):
+        seen = _Reading(hashed=True)
+        for pairs in _iter_edges(path, n, read_bytes, seen):
             lo = pairs.min(axis=1)
             hi = pairs.max(axis=1)
             keep = lo != hi  # drop self loops
@@ -515,44 +539,45 @@ def external_preprocess(
         clock.done("digest")
 
         # No in-memory fallback here: wait out a concurrent writer.
-        cache = store._open_entry(
-            (graph_sha, n, m), p, cfg, source=source or str(path), wait=True
-        )
-        info: dict[str, Any] = {
-            "digest": cache.digest,
-            "graph_sha": graph_sha,
-            "n": n,
-            "m": m,
-            "p": p,
-            "q": q,
-            "chunk_bytes": chunk_bytes,
-            "reused": cache.hit,
-        }
-        if not cache.hit:  # a miss holds the writer lock until close()
-            try:
-                _materialize_entry(
-                    cache, edges_path, n, m, p, q, cfg, chunk_bytes, tmp_root,
-                    clock, grid, cyclic_bounds, counting_sort_placement,
-                    assemble_blocks,
-                    stop_after=stop_after,
+        cache = store._open_entry((graph_sha, n, m), p, cfg, source=source, wait=True)
+        if cache.hit:
+            return report(cache, True, spilled)
+        try:  # a miss holds the writer lock until close()
+            hist = _materialize_entry(
+                cache, edges_path, n, m, p, q, cfg, chunk_bytes, tmp_root,
+                clock, grid, cyclic_bounds, counting_sort_placement,
+                assemble_blocks,
+                stop_after=stop_after,
+            )
+            spilled += int(clock.stages["translate"]["spilled"])
+            if stop_after is not None:
+                # Probe mode: leave no partial entry behind.
+                store.invalidate(cache.digest)
+                return {**report(cache, False, spilled), "partial": stop_after}
+            if not cache.finalize(None):
+                raise RuntimeError(
+                    "external preprocessing failed to finalize "
+                    f"{cache.digest[:12]}"
                 )
-                spilled += int(clock.stages["translate"]["spilled"])
-                if stop_after is not None:
-                    # Probe mode: leave no partial entry behind.
-                    store.invalidate(cache.digest)
-                    info["partial"] = stop_after
-                elif not cache.finalize(None):
-                    raise RuntimeError(
-                        "external preprocessing failed to finalize "
-                        f"{cache.digest[:12]}"
-                    )
-            finally:
-                cache.close()
-        info["spilled_bytes"] = spilled
-        info["stages"] = clock.stages
-        return info
+        finally:
+            cache.close()
+        if seen.n == n:  # else the file changed between the two passes
+            summary = _degree_summary(n, m, hist)
+            store.write_input(seen.key, InputRecord(graph_sha, summary))
+        return report(cache, False, spilled)
     finally:
         shutil.rmtree(tmp_root, ignore_errors=True)
+
+
+def _degree_summary(n: int, m: int, hist: np.ndarray) -> DegreeSummary:
+    """:func:`~repro.graph.csr.degree_summary` from the degree histogram
+    (``hist[d]`` vertices of degree ``d``, isolated ones included): the
+    mean of the degrees is ``2m / n``, exactly as ``np.mean`` rounds it."""
+    if n == 0:
+        return DegreeSummary(0, 0, 0.0, 0, 0)
+    return DegreeSummary(
+        n, m, 2 * m / n, len(hist) - 1, int(np.flatnonzero(hist)[0])
+    )
 
 
 def _materialize_entry(
@@ -571,8 +596,9 @@ def _materialize_entry(
     counting_sort_placement: Any,
     assemble_blocks: Any,
     stop_after: str | None = None,
-) -> None:
-    """Stages 3-6: degrees, reorder, translate+route, assemble."""
+) -> np.ndarray:
+    """Stages 3-6: degrees, reorder, translate+route, assemble.  Returns
+    the degree histogram."""
     from repro.core.preprocess import ul_parts
 
     key_rows = _budget_rows(chunk_bytes, 2)
@@ -656,7 +682,7 @@ def _materialize_entry(
     pair_files.finish()
     clock.done("translate", spilled=spilled)
     if stop_after == "translate":
-        return
+        return hist
 
     # -- 6: per-rank assembly through the engine's own block builder ----
     n_inner = (n + q - 1) // q
@@ -681,6 +707,7 @@ def _materialize_entry(
             labels = np.fromfile(fh, dtype=INDEX_DTYPE, count=hi - lo)
         cache.save_rank(rank, u_block, l_block, task_block, lo, labels)
     clock.done("assemble")
+    return hist
 
 
 def count_triangles_oocore(

@@ -25,7 +25,11 @@ persists the pipeline's output once and replays it on demand:
   can report the exact preprocessing cost it skipped (the simulation is
   deterministic: the recorded numbers *are* what a re-run would measure);
 * a schema bump or half-written entry raises :class:`StoreVersionError`,
-  which :meth:`GraphStore.open_run` turns into automatic invalidation.
+  which :meth:`GraphStore.open_run` turns into automatic invalidation;
+* one small record per input file, keyed by the file's bytes
+  (:func:`~repro.graph.io.input_key`), names the graph those bytes read
+  as, so a warm count of a known file opens its entry without reading
+  the graph (:meth:`GraphStore.recorded_entry`).
 
 On-disk layout (all writes are atomic via temp-file + rename)::
 
@@ -35,6 +39,7 @@ On-disk layout (all writes are atomic via temp-file + rename)::
       objects/<digest>/rank001.blocks
       ...
       graphs/<key>.npz                   # generated-dataset graph cache
+      inputs/<key>.json                  # input file bytes -> graph identity
 
 The default root is ``$REPRO_STORE_DIR`` or ``~/.cache/repro/store``.
 See ``docs/datasets.md`` for the full digest/invalidation rules and the
@@ -48,7 +53,7 @@ import io
 import json
 import os
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, NamedTuple
 
 import numpy as np
 
@@ -59,7 +64,7 @@ from repro.core.blocks import (
     read_rank_file,
     write_rank_file,
 )
-from repro.graph.csr import Graph
+from repro.graph.csr import DegreeSummary, Graph
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.core.config import TC2DConfig
@@ -199,6 +204,47 @@ def graph_digest(graph: Graph) -> str:
     h.update(np.array([graph.n, edges.shape[0]], dtype=np.int64).tobytes())
     h.update(edges.tobytes())
     return h.hexdigest()
+
+
+_HEX_DIGITS = frozenset("0123456789abcdef")
+
+
+class InputRecord(NamedTuple):
+    """What the store knows of one input file's bytes
+    (``inputs/<key>.json``): the digest of the graph they read as, and
+    its degree summary (the line ``repro count`` prints)."""
+
+    graph_sha: str
+    summary: DegreeSummary
+
+    @property
+    def identity(self) -> tuple[str, int, int]:
+        """The graph's ``(graph_digest, n, m)``."""
+        return self.graph_sha, self.summary.n, self.summary.m
+
+
+def _count_field(value: Any) -> int:
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{value!r} is not a count")
+    return value
+
+
+def _input_record(key: str, doc: Any) -> InputRecord:
+    """Validate a parsed ``inputs/<key>.json``; raises ``ValueError``,
+    ``TypeError`` or ``KeyError`` on anything but a well-formed record
+    of ``key``."""
+    if doc["key"] != key:
+        raise ValueError(f"claims key {str(doc['key'])[:12]}")
+    sha, summary = doc["graph_sha256"], doc["summary"]
+    if not isinstance(sha, str) or len(sha) != 64 or set(sha) - _HEX_DIGITS:
+        raise ValueError(f"graph digest {sha!r}")
+    if type(summary["d_avg"]) is not float:
+        raise ValueError(f"d_avg {summary['d_avg']!r}")
+    return InputRecord(sha, DegreeSummary(
+        _count_field(summary["n"]), _count_field(summary["m"]),
+        summary["d_avg"], _count_field(summary["d_max"]),
+        _count_field(summary["d_min"]),
+    ))
 
 
 def artifact_digest(
@@ -415,6 +461,7 @@ class GraphStore:
         self.root = Path(root) if root is not None else default_store_root()
         self.objects_dir = self.root / "objects"
         self.graphs_dir = self.root / "graphs"
+        self.inputs_dir = self.root / "inputs"
 
     # -- paths --------------------------------------------------------------
 
@@ -518,7 +565,8 @@ class GraphStore:
         """Deep-check entries: manifest schema, file presence, and a full
         crc-verified deserialization of every blob — through the reader
         warm runs use — cross-checked against the crc32s the manifest
-        recorded.  Returns a list of problem strings (empty = healthy)."""
+        recorded; without ``digest``, every input record's form too.
+        Returns a list of problem strings (empty = healthy)."""
         problems = []
         targets = [digest] if digest is not None else self.digests()
         for d in targets:
@@ -544,6 +592,12 @@ class GraphStore:
                             f"{d[:12]} rank {rank}: {key} crc32 differs "
                             "from manifest"
                         )
+        if digest is None and self.inputs_dir.is_dir():
+            for path in sorted(self.inputs_dir.glob("*.json")):
+                try:
+                    _input_record(path.stem, json.loads(path.read_text()))
+                except (OSError, ValueError, TypeError, KeyError) as exc:
+                    problems.append(f"input {path.stem[:12]}: malformed record ({exc})")
         return problems
 
     def invalidate(self, digest: str) -> None:
@@ -555,8 +609,9 @@ class GraphStore:
             shutil.rmtree(d)
 
     def prune(self, digest: str | None = None) -> int:
-        """Remove one entry (or, with ``None``, every entry and every
-        cached graph blob).  Returns the number of entries removed."""
+        """Remove one entry (or, with ``None``, every entry, every cached
+        graph blob and every input record).  Returns the number of entries
+        removed."""
         if digest is not None:
             existed = self.entry_dir(digest).is_dir()
             self.invalidate(digest)
@@ -565,11 +620,71 @@ class GraphStore:
         for d in self.digests():
             self.invalidate(d)
             count += 1
-        if self.graphs_dir.is_dir():
-            import shutil
+        import shutil
 
-            shutil.rmtree(self.graphs_dir)
+        for extra in (self.graphs_dir, self.inputs_dir):
+            if extra.is_dir():
+                shutil.rmtree(extra)
         return count
+
+    # -- input records ------------------------------------------------------
+
+    def input_path(self, key: str) -> Path:
+        """Path of the record of the input file whose key is ``key``."""
+        return self.inputs_dir / f"{key}.json"
+
+    def read_input(self, key: str) -> InputRecord | None:
+        """The record of input key ``key``, or ``None`` when there is none
+        or it is malformed (a miss either way, never an error)."""
+        try:
+            return _input_record(key, json.loads(self.input_path(key).read_text()))
+        except (OSError, ValueError, TypeError, KeyError):
+            return None
+
+    def write_input(self, key: str, record: InputRecord) -> bool:
+        """Record what the input bytes keyed ``key`` read as (atomic).  A
+        record that cannot be written is left out: returns False, never
+        raises."""
+        n, m, d_avg, d_max, d_min = record.summary
+        doc = {
+            "key": key,
+            "graph_sha256": record.graph_sha,
+            "summary": {
+                "n": int(n), "m": int(m), "d_avg": float(d_avg),
+                "d_max": int(d_max), "d_min": int(d_min),
+            },
+        }
+        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        try:
+            atomic_write(self.input_path(key), [text.encode()])
+        except OSError:
+            return False
+        return True
+
+    def recorded_entry(
+        self,
+        path: str | Path,
+        p: int,
+        cfg: "TC2DConfig",
+        model: "MachineModel | None" = None,
+        source: str = "",
+    ) -> "tuple[RunCache, DegreeSummary] | None":
+        """The warm entry of the input file ``path`` (read-only) and its
+        recorded degree summary, found by hashing the file once — or
+        ``None`` when the file has no well-formed record or the recorded
+        graph has no entry for this grid and config (the caller then
+        reads the file)."""
+        if not self.inputs_dir.is_dir():
+            return None
+        from repro.graph.io import input_key
+
+        record = self.read_input(input_key(path))
+        if record is None:
+            return None
+        cache = self._open_entry(
+            record.identity, p, cfg, model=model, source=source, writable=False
+        )
+        return (cache, record.summary) if cache.hit else None
 
     # -- run integration ----------------------------------------------------
 

@@ -340,6 +340,8 @@ def _memory_or_store(c):
                 run.counter_total(k) == 0.0 for k in ("relabel", "scan", "sort", "csr_build")
             ), "the warm run preprocessed")
             _agree(c, res, _drive(c, _twin_cfg(c.cfg), cache=store), clocks=True)
+        if cell.algorithm == "tc2d":
+            _through_the_record(c, store)
     if cell.traced:
         phases = {s.name for s in res.extras["run"].tracer.spans if s.cat == "phase"}
         _expect({"ppt", "tct"} <= phases, f"the trace has phases {sorted(phases)}")
@@ -349,6 +351,23 @@ def _memory_or_store(c):
     _agree(c, res, c.twin, clocks=plain and cell.path != "warm",
            ppt=attempts[-1]["restored_epoch"] is None)
     return res
+
+
+def _through_the_record(c, store) -> None:
+    """The cell's file counted twice through ``store`` (which holds its
+    entry): the first count reads the file and records it, the second
+    goes by the record; each is held to the oracle and to the warm
+    twin's clocks."""
+    from repro.core.tc2d import count_file_2d
+    from repro.graph.csr import degree_summary
+
+    twin = _drive(c, _twin_cfg(c.cfg), cache=store)
+    for how in ("read", "recorded"):
+        res, summary = count_file_2d(c.file, c.cell.p, c.cfg, store=store, model=_MODEL)
+        _expect(res.extras["input"] == how, f"the file was {res.extras['input']}, not {how}")
+        _expect(res.extras["cache"]["hit"], f"the {how} file missed the entry")
+        _expect(summary == degree_summary(c.graph), f"the {how} file's summary is {summary}")
+        _agree(c, res, twin, clocks=True)
 
 
 def _served(c, svc) -> dict:
@@ -376,6 +395,13 @@ def _judge_files(c):
         _expect((info["n"], info["m"], info["graph_sha"]) == want,
                 f"out-of-core read n={info['n']} m={info['m']}, not {want[:2]}")
         _agree(c, res, twin, ppt=False)
+        # A second count goes by the input record the first one wrote.
+        res = count_triangles_oocore(c.file, cell.p, c.cfg, store=tmp / "ooc", **ooc)
+        info = res.extras["out_of_core"]
+        _expect(info["reused"] and info["spilled_bytes"] == 0
+                and list(info["stages"]) == ["input_key"],
+                f"the second out-of-core count did not go by the record: {info}")
+        _agree(c, res, _drive(c, _twin_cfg(c.cfg), cache=tmp / "ooc"), clocks=True)
         return res
     if cell.path == "ingest":
         store, mem = GraphStore(tmp / "ingest"), GraphStore(tmp / "twin")
@@ -455,7 +481,8 @@ def _judge(c) -> None:
 
     cell = c.cell
     c.row["oracle"] = c.oracle = count_triangles_node_iterator(c.graph)
-    if cell.path in ("ingest", "ooc", "serve", "malformed"):
+    if cell.path in ("ingest", "ooc", "serve", "malformed") or (
+        cell.algorithm, cell.path) == ("tc2d", "warm"):
         c.row["file"] = write_messy_file(
             c.file, c.graph.n, c.edges,
             np.random.default_rng([cell.seed, cell.index, 2]), cell.defect)

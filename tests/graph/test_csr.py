@@ -142,12 +142,18 @@ def _lexsort_from_coo(n_rows, rows, cols, dedup):
 @st.composite
 def _coo_inputs(draw):
     n_rows = draw(st.integers(0, 12))
-    n_cols = draw(st.one_of(st.none(), st.integers(0, 40)))
+    # Small widths, and widths that put the shape just below, at or just
+    # above 2**32, where the sort key changes from uint32 to int64.
+    wide = 2**32 // max(n_rows, 1)
+    n_cols = draw(st.one_of(
+        st.none(), st.integers(0, 40), st.integers(wide - 2, wide + 2)
+    ))
     width = n_rows if n_cols is None else n_cols
     if n_rows == 0 or width == 0:
         return n_rows, n_cols, [], []
+    col = st.one_of(st.integers(0, width - 1), st.integers(max(0, width - 3), width - 1))
     pairs = draw(st.lists(
-        st.tuples(st.integers(0, n_rows - 1), st.integers(0, width - 1)),
+        st.tuples(st.integers(0, n_rows - 1), col),
         max_size=60,
     ))
     return n_rows, n_cols, [r for r, _ in pairs], [c for _, c in pairs]
@@ -156,8 +162,9 @@ def _coo_inputs(draw):
 @settings(max_examples=200, deadline=None)
 @given(_coo_inputs(), st.booleans())
 def test_from_coo_equals_lexsort_formulation(case, dedup):
-    """Rectangular, zero-width, empty and duplicate-laden inputs all give
-    the arrays the two-key sort gave."""
+    """Rectangular, zero-width, empty and duplicate-laden inputs, with
+    shapes on both sides of the uint32 key's 2**32, all give the arrays
+    the two-key sort gave."""
     n_rows, n_cols, rows, cols = case
     got = CSR.from_coo(n_rows, rows, cols, n_cols=n_cols, dedup=dedup)
     indptr, indices = _lexsort_from_coo(n_rows, rows, cols, dedup)

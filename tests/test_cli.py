@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import argparse
 import subprocess
 import sys
 
 import pytest
 
-from repro.cli import main
+from repro.cli import _COMMANDS, build_parser, main
 
 
 def test_count_tc2d_verified(capsys):
@@ -409,6 +410,7 @@ def test_importing_the_cli_does_not_load_the_pool_module():
     "argv",
     [
         ["count", "{f}"],
+        ["count", "{f}", "--store", "{d}"],
         ["count", "{f}", "--out-of-core", "--store", "{d}"],
         ["profile", "{f}", "-p", "4"],
         ["census", "{f}"],
@@ -430,3 +432,38 @@ def test_malformed_edge_list_is_a_clean_error(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(path) in err
     assert GraphStore(store).digests() == []
+    assert not GraphStore(store).inputs_dir.exists()
+
+
+# -- one sub-command's parser --------------------------------------------------
+
+
+def _parse_outcome(parse, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--help"]]
+    + [[cmd, "--help"] for cmd in _COMMANDS]
+    + [["count", "g500-s12", "--bogus"], ["store", "nosuch"], ["count", "-p", "0"]],
+    ids=lambda argv: " ".join(argv),
+)
+def test_main_parses_as_the_whole_tree(capsys, monkeypatch, argv):
+    """``main`` builds only the invoked sub-command's parser; its help
+    and its usage errors are byte for byte the whole tree's."""
+    monkeypatch.setenv("COLUMNS", "100")
+    whole = _parse_outcome(build_parser().parse_args, argv, capsys)
+    assert _parse_outcome(main, argv, capsys) == whole
+
+
+def test_a_one_command_parser_holds_one_sub_parser():
+    def sub_parsers(parser):
+        [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        return list(sub.choices)
+
+    assert sub_parsers(build_parser()) == list(_COMMANDS)
+    assert sub_parsers(build_parser("count")) == ["count"]
