@@ -12,9 +12,8 @@ import numpy as np
 import pytest
 
 from repro.core.blocks import Block, build_block
-from repro.core.config import TC2DConfig
+from repro.core.config import KERNEL_BACKENDS, TC2DConfig
 from repro.core.kernels import (
-    available_backends,
     compiled,
     get_backend,
     resolve_backend,
@@ -123,7 +122,7 @@ def test_backend_parity_on_bench_input(block_triple):
     t_blk, u_blk, l_blk = block_triple
     cfg = TC2DConfig()
     st_row = get_backend("row")(t_blk, u_blk, l_blk, cfg)
-    for other in available_backends():
+    for other in KERNEL_BACKENDS:
         if other in ("row", "auto") or (other == "c" and not compiled.available()):
             continue
         st = get_backend(other)(t_blk, u_blk, l_blk, cfg)

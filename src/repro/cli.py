@@ -57,32 +57,11 @@ from pathlib import Path
 from repro.graph.csr import Graph
 
 
-def _input_file(spec: str) -> Path | None:
-    """The edge-list file ``spec`` names, or ``None`` for a registry
-    dataset.
-
-    Registry names are bare words (no ``.``, no path separator), so a
-    spec with a suffix or a directory part is a file without loading the
-    registry; any other spec is looked up there first.
-    """
-    path = Path(spec)
-    if (path.suffix or len(path.parts) > 1) and path.exists():
-        return path
-    from repro.graph.datasets import REGISTRY
-
-    if spec in REGISTRY:
-        return None
-    if path.exists():
-        return path
-    raise SystemExit(
-        f"unknown dataset {spec!r} (not in the registry and not a file); "
-        f"registered: {', '.join(REGISTRY)}"
-    )
-
-
 def _load_graph(spec: str, seed: int) -> Graph:
     """A registry dataset by name, else the edge-list file ``spec``."""
-    path = _input_file(spec)
+    from repro.graph.store import input_file
+
+    path = input_file(spec)
     if path is not None:
         from repro.graph.io import read_edge_list
 
@@ -302,18 +281,16 @@ def _cmd_count(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     cache = _cache_arg(args)
-    # A tc2d count of a file through a store goes by the file's input
-    # record, and reads the graph only when the record cannot serve it.
-    file = None
-    if (
+    # A tc2d count through a store goes by its input's record, and reads
+    # or generates the graph only when the record cannot serve it.
+    by_record = (
         g is None and cache is not None and args.algorithm == "tc2d"
         and not (args.out_of_core or args.verify)
-    ):
-        file = _input_file(spec)
+    )
     if args.out_of_core:
         # The graph is never materialized in this process, so nothing
         # that needs the whole graph applies.
-        from repro.graph.datasets import REGISTRY
+        from repro.graph.store import input_file
 
         if args.algorithm != "tc2d":
             raise SystemExit("--out-of-core is implemented for -a tc2d only")
@@ -322,12 +299,12 @@ def _cmd_count(args: argparse.Namespace) -> int:
                 "--verify materializes the whole graph in memory; "
                 "it cannot be combined with --out-of-core"
             )
-        if spec in REGISTRY or not Path(spec).exists():
+        if input_file(spec) is None:
             raise SystemExit(
                 "--out-of-core needs an edge-list file path "
                 "(registry datasets are generated in memory anyway)"
             )
-    elif g is None and file is None:
+    elif g is None and not by_record:
         g = _load_graph(spec, args.seed)
     if args.command == "count" and g is not None:
         print(f"{spec}: {degree_summary(g)}")
@@ -338,11 +315,11 @@ def _cmd_count(args: argparse.Namespace) -> int:
             "-a coveredge only"
         )
     tele = _start_telemetry(args)
-    if file is not None:
-        from repro.core.tc2d import count_file_2d
+    if by_record:
+        from repro.core.tc2d import count_input_2d
 
-        res, summary = count_file_2d(
-            file, args.ranks, cfg, store=cache, model=model, trace=trace_on,
+        res, summary = count_input_2d(
+            spec, args.ranks, cfg, store=cache, model=model, trace=trace_on,
             dataset=spec, telemetry=tele,
         )
         if args.command == "count":
@@ -569,17 +546,19 @@ def _cmd_store(args: argparse.Namespace) -> int:
         if not args.dataset:
             raise SystemExit("store warm needs at least one --dataset")
         from repro.bench.calibration import paper_model
-        from repro.graph.datasets import REGISTRY, DatasetRegistry
+        from repro.core.config import TC2DConfig
+        from repro.core.tc2d import count_input_2d
 
-        registry = DatasetRegistry(REGISTRY, store=store)
-        model = paper_model()
+        cfg, model = TC2DConfig(seed=args.seed), paper_model()
         for name in args.dataset:
             for p in args.ranks:
-                res = registry.warm(name, p, model=model, seed=args.seed)
-                info = res.extras.get("cache", {})
-                state = "hit (already warm)" if info.get("hit") else "stored"
+                res, _ = count_input_2d(
+                    name, p, cfg, store=store, model=model, dataset=name
+                )
+                info = res.extras["cache"]
+                state = "hit (already warm)" if info["hit"] else "stored"
                 print(
-                    f"warm {name} p={p}: {info.get('digest', '')[:12]} "
+                    f"warm {name} p={p}: {info['digest'][:12]} "
                     f"{state}; {res.count:,} triangles"
                 )
         return 0
@@ -1216,12 +1195,15 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     from repro.core.kernels import KernelUnavailableError
     from repro.graph.io import EdgeListError
+    from repro.graph.store import UnknownInputError
 
     argv = sys.argv[1:] if argv is None else argv
     command = argv[0] if argv and argv[0] in _COMMANDS else None
     args = build_parser(command).parse_args(argv)
     try:
         return args.fn(args)
+    except UnknownInputError as exc:
+        raise SystemExit(str(exc)) from None
     # --kernel c without a compiler; a malformed edge-list file.
     except (KernelUnavailableError, EdgeListError) as exc:
         print(f"error: {exc}", file=sys.stderr)

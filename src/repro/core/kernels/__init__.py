@@ -1,8 +1,9 @@
-"""Intersection-kernel backend registry (Section 5.2's hot loop).
+"""Intersection-kernel backends (Section 5.2's hot loop).
 
 The per-shift compute step — intersecting U fragments with L probe
-windows for every task of a block pair — is the algorithm's hot loop, and
-this package makes its implementation pluggable:
+windows for every task of a block pair — is the algorithm's hot loop,
+and this package holds its implementations, one per name in
+:data:`~repro.core.config.KERNEL_BACKENDS`:
 
 * ``"row"`` (:mod:`~repro.core.kernels.rowwise`) — the reference per-row
   loop, a direct transcription of the paper;
@@ -24,16 +25,6 @@ and bit-identical logical :class:`~repro.core.kernels.common.KernelStats`
 depend on which implementation ran.  Only wall time may differ.  The one
 exception is listing on ``"c"``: the compiled loop only counts, so
 :func:`resolve_backend` hands a listing call to ``"batch"``.
-
-Registering a backend::
-
-    from repro.core import kernels
-
-    def my_kernel(task_block, u_block, l_block, cfg, hits_out=None):
-        ...
-        return KernelStats(...)
-
-    kernels.register_backend("mine", my_kernel)
 
 Callers resolve ``cfg.kernel_backend`` with :func:`resolve_backend` and
 call the function it returns.
@@ -69,7 +60,7 @@ class KernelFn(Protocol):
     ) -> KernelStats: ...
 
 
-# A registry value is the function, or for a built-in not yet used its
+# Each concrete backend's function, or before its first use its
 # ``"module:name"`` target: the pure-Python kernels load on first use, so
 # a run on the compiled backend never imports them.
 _REGISTRY: dict[str, KernelFn | str] = {
@@ -77,24 +68,6 @@ _REGISTRY: dict[str, KernelFn | str] = {
     "batch": "repro.core.kernels.batched:count_block_pair_batch",
     "c": count_block_pair_c,
 }
-
-
-def register_backend(name: str, fn: KernelFn, replace: bool = False) -> None:
-    """Register a kernel backend; it must honour ``hits_out`` like the
-    built-ins.
-
-    ``name`` must not be ``"auto"`` (that name is the dispatcher's).
-    """
-    if name == "auto":
-        raise ValueError('"auto" is reserved for the shape-based dispatcher')
-    if name in _REGISTRY and not replace:
-        raise ValueError(f"kernel backend {name!r} is already registered")
-    _REGISTRY[name] = fn
-
-
-def available_backends() -> tuple[str, ...]:
-    """Registered backend names plus ``"auto"``."""
-    return tuple(sorted(_REGISTRY)) + ("auto",)
 
 
 def get_backend(name: str) -> KernelFn:
@@ -111,7 +84,7 @@ def get_backend(name: str) -> KernelFn:
     except KeyError:
         raise ValueError(
             f"unknown kernel backend {name!r}; available: "
-            f"{', '.join(available_backends())}"
+            f"{', '.join(KERNEL_BACKENDS)}"
         ) from None
     if isinstance(fn, str):
         fn = _REGISTRY[name] = resolve(fn)
@@ -159,7 +132,6 @@ __all__ = [
     "KernelFn",
     "KernelStats",
     "KernelUnavailableError",
-    "available_backends",
     "block_shape_stats",
     "choose_backend",
     "count_block_pair_batch",
@@ -168,7 +140,6 @@ __all__ = [
     "get_backend",
     "kernel_capacity",
     "prepare_backend",
-    "register_backend",
     "require_aligned",
     "resolve_backend",
 ]

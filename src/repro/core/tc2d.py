@@ -21,6 +21,7 @@ Equation 6 of the paper.
 
 from __future__ import annotations
 
+from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 from repro.core.cannon import (
@@ -188,8 +189,8 @@ def count_triangles_2d(
         return job.finish(run, _label(job.cfg), keep_run)
 
 
-def count_file_2d(
-    path: Any,
+def count_input_2d(
+    spec: str | Path,
     p: int,
     cfg: TC2DConfig | None = None,
     store: Any = True,
@@ -198,36 +199,53 @@ def count_file_2d(
     dataset: str = "",
     telemetry: Any = None,
 ) -> tuple[TriangleCountResult, DegreeSummary]:
-    """Count the edge-list file ``path`` with the 2D algorithm through
-    ``store`` (``True``, a path or a ``GraphStore``), reading the graph
-    only when the store cannot stand in for it.
+    """Count the input ``spec`` — an edge-list file or a registry dataset
+    name (:func:`~repro.graph.store.input_file` tells which) — with the
+    2D algorithm through ``store`` (``True``, a path or a
+    ``GraphStore``), reading or generating the graph only when the store
+    cannot stand in for it.
 
-    When the store holds a well-formed record of the file's bytes whose
-    entry exists for this grid and config
+    The input's key is the file's :func:`~repro.graph.io.input_key`, or
+    the name's :func:`~repro.graph.datasets.registry_key` under
+    ``cfg.seed`` (the seed the dataset is generated with).  When the
+    store holds a well-formed record of that key whose entry exists for
+    this grid and config
     (:meth:`~repro.graph.store.GraphStore.recorded_entry`), the count
-    runs off that entry and the file is only hashed.  Otherwise the file
-    is read once (:func:`~repro.graph.io.read_keyed_edge_list`), counted
-    as ``count_triangles_2d(graph, cache=store)`` counts it, and its
-    record written for next time (left out if it cannot be written).
-    Either way the result is the same, down to ``extras["cache"]``;
-    ``extras["input"]`` says ``"recorded"`` or ``"read"``.
+    runs off that entry.  Otherwise the file is read once
+    (:func:`~repro.graph.io.read_keyed_edge_list`) or the dataset
+    generated, counted as ``count_triangles_2d(graph, cache=store)``
+    counts it, and its record written for next time (left out if it
+    cannot be written).  Either way the result is the same, down to
+    ``extras["cache"]``; ``extras["input"]`` says ``"recorded"`` or
+    ``"read"``.
 
     Returns the result and the graph's degree summary.
     """
-    from repro.graph.io import read_keyed_edge_list
-    from repro.graph.store import InputRecord, resolve_store
+    from repro.graph.store import InputRecord, input_file, resolve_store
 
     cfg = cfg if cfg is not None else TC2DConfig()
     if cfg.algorithm != "tc2d":
         cfg = cfg.replace(algorithm="tc2d")
     store = resolve_store(store)
     kw = dict(model=model, trace=trace, dataset=dataset, telemetry=telemetry)
-    recorded = store.recorded_entry(path, p, cfg, model=model, source=dataset)
+    path = input_file(spec)
+    if path is None:
+        from repro.graph.datasets import load_dataset, registry_key
+
+        key = registry_key(spec, cfg.seed)
+    else:
+        from repro.graph.io import input_key, read_keyed_edge_list
+
+        key = input_key(path)
+    recorded = store.recorded_entry(key, p, cfg, model=model, source=dataset)
     if recorded is not None:
         cache, summary = recorded
         result = count_triangles_2d(None, p, cfg, cache=cache, **kw)
     else:
-        graph, key = read_keyed_edge_list(path)
+        if path is None:
+            graph = load_dataset(spec, seed=cfg.seed)
+        else:
+            graph, key = read_keyed_edge_list(path)
         summary = degree_summary(graph)
         cache = store.open_run(graph, p, cfg, model=model, source=dataset)
         try:

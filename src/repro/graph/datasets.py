@@ -12,22 +12,26 @@ twitter-like     twitter [11]           power-law, triangle-rich social net
 friendster-like  friendster [17]        power-law, almost triangle-free
 ===============  =====================  ====================================
 
-Graphs are generated on demand and cached in-process; a
-:class:`DatasetRegistry` constructed with a
-:class:`~repro.graph.store.GraphStore` additionally persists generated
-graphs on disk (keyed by name/seed/scale/registry version) and can warm
-the store's preprocessed artifacts (:meth:`DatasetRegistry.warm`), so the
-CLI, the benchmark suite and the chaos harness share one warm store.  The
-environment variable ``REPRO_DATASET_SCALE`` (a float, default 1.0)
-scales dataset sizes globally: 0.5 halves vertex counts for quick runs,
-2.0 doubles them for longer, higher-fidelity sweeps.
+Graphs are generated on demand and cached in-process
+(:func:`load_dataset`).  A count through a
+:class:`~repro.graph.store.GraphStore` records which graph a name
+generates under :func:`registry_key`, so a warm count of a name neither
+generates nor digests its graph
+(:func:`~repro.core.tc2d.count_input_2d`).  The environment variable
+``REPRO_DATASET_SCALE`` (a float, default 1.0) scales dataset sizes
+globally: 0.5 halves vertex counts for quick runs, 2.0 doubles them for
+longer, higher-fidelity sweeps.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable
+from typing import Callable
+
+import numpy as np
 
 from repro.graph.csr import Graph
 from repro.graph.generators import (
@@ -36,12 +40,9 @@ from repro.graph.generators import (
     rmat_graph,
 )
 
-if TYPE_CHECKING:  # pragma: no cover - type-only import
-    from repro.graph.store import GraphStore
-
 #: Bump when a generator change alters the graphs a registry name
-#: produces; on-disk graph blobs cached under the old version then miss
-#: instead of serving stale bytes.
+#: produces; the store's records of the old graphs then miss instead of
+#: serving them (:func:`registry_key`).
 REGISTRY_VERSION = 1
 
 #: Paper Table 1 ground truth, for side-by-side reporting in EXPERIMENTS.md.
@@ -181,115 +182,40 @@ REGISTRY: dict[str, DatasetSpec] = {
     ),
 }
 
-class DatasetRegistry:
-    """Named access to the scaled paper analogues, optionally store-backed.
-
-    Wraps a ``name -> DatasetSpec`` mapping with three layers of reuse:
-
-    1. an in-process graph cache keyed by ``(name, seed, scale)``;
-    2. when constructed with (or later given) a
-       :class:`~repro.graph.store.GraphStore`, an on-disk graph-blob
-       cache, so expensive generators run once per machine rather than
-       once per process;
-    3. :meth:`warm`, which preprocesses a named dataset into the store so
-       subsequent counting runs skip the ppt phase entirely.
-    """
-
-    def __init__(
-        self,
-        specs: dict[str, DatasetSpec] | None = None,
-        store: "GraphStore | None" = None,
-    ):
-        self.specs = dict(specs) if specs is not None else dict(REGISTRY)
-        self.store = store
-        self._cache: dict[tuple[str, int, float], Graph] = {}
-
-    def names(self) -> list[str]:
-        """All registered dataset names."""
-        return list(self.specs)
-
-    def spec(self, name: str) -> DatasetSpec:
-        """The :class:`DatasetSpec` for ``name`` (KeyError if unknown)."""
-        if name not in self.specs:
-            raise KeyError(
-                f"unknown dataset {name!r}; available: "
-                f"{', '.join(self.specs)}"
-            )
-        return self.specs[name]
-
-    def provenance(self, name: str, seed: int = 0) -> dict[str, Any]:
-        """How a graph was (or would be) produced: generator identity,
-        seed, global scale and registry version — the store records this
-        next to cached artifacts."""
-        spec = self.spec(name)
-        return {
-            "dataset": spec.name,
-            "paper_name": spec.paper_name,
-            "seed": int(seed),
-            "scale": _scale(),
-            "registry_version": REGISTRY_VERSION,
-        }
-
-    def load(self, name: str, seed: int = 0) -> Graph:
-        """Build (or fetch from the in-process / on-disk cache) a dataset."""
-        spec = self.spec(name)
-        key = (name, seed, _scale())
-        if key in self._cache:
-            return self._cache[key]
-        graph = None
-        store_key = None
-        if self.store is not None:
-            store_key = self.store.graph_key(
-                "dataset", REGISTRY_VERSION, name, seed, _scale()
-            )
-            graph = self.store.load_graph(store_key)
-        if graph is None:
-            graph = spec.builder(seed, _scale())
-            if self.store is not None:
-                self.store.save_graph(store_key, graph)
-        self._cache[key] = graph
-        return graph
-
-    def warm(
-        self,
-        name: str,
-        p: int,
-        cfg: Any = None,
-        model: Any = None,
-        seed: int = 0,
-    ) -> Any:
-        """Preprocess ``name`` at ``p`` ranks into the store (a cold cached
-        run) and return the :class:`~repro.core.counts.TriangleCountResult`.
-        Requires a store; a no-op beyond the count if the artifact is
-        already warm."""
-        if self.store is None:
-            raise ValueError("DatasetRegistry.warm needs a GraphStore")
-        from repro.core.tc2d import count_triangles_2d
-
-        graph = self.load(name, seed=seed)
-        return count_triangles_2d(
-            graph, p, cfg=cfg, model=model, dataset=name, cache=self.store
-        )
-
-    def clear_cache(self) -> None:
-        """Drop the in-process graph cache (on-disk blobs are kept)."""
-        self._cache.clear()
-
-
-#: Default registry instance behind the module-level helpers.
-DEFAULT_REGISTRY = DatasetRegistry(REGISTRY)
-
 
 def dataset_names() -> list[str]:
     """All registered dataset names."""
-    return DEFAULT_REGISTRY.names()
+    return list(REGISTRY)
+
+
+#: Graphs built in this process, by ``(name, seed, scale)``.
+_BUILT: dict[tuple[str, int, float], Graph] = {}
 
 
 def load_dataset(name: str, seed: int = 0) -> Graph:
-    """Build (or fetch from cache) the named dataset."""
-    return DEFAULT_REGISTRY.load(name, seed=seed)
+    """Build (or fetch from the in-process cache) the named dataset."""
+    if name not in REGISTRY:
+        raise KeyError(
+            f"unknown dataset {name!r}; available: {', '.join(REGISTRY)}"
+        )
+    key = (name, seed, _scale())
+    if key not in _BUILT:
+        _BUILT[key] = REGISTRY[name].builder(seed, _scale())
+    return _BUILT[key]
+
+
+def registry_key(name: str, seed: int = 0) -> str:
+    """The input key of a registry dataset (the store's record of it is
+    ``inputs/<key>.json``): the sha256 of :data:`REGISTRY_VERSION`, the
+    name, the seed, the effective ``REPRO_DATASET_SCALE`` and numpy's
+    version — the generators draw from ``np.random.default_rng``, whose
+    streams numpy does not promise to keep across versions."""
+    parts = ["repro-registry", REGISTRY_VERSION, name, int(seed), _scale(),
+             np.__version__]
+    blob = json.dumps(parts, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 def clear_cache() -> None:
-    """Drop all cached datasets (mostly for tests)."""
-    DEFAULT_REGISTRY.clear_cache()
+    """Drop the in-process graph cache (mostly for tests)."""
+    _BUILT.clear()

@@ -64,7 +64,7 @@ from typing import Any, Iterator
 import numpy as np
 
 from repro.graph.csr import INDEX_DTYPE, DegreeSummary
-from repro.graph.io import _iter_edges, _Reading, input_vertex_count
+from repro.graph.io import _iter_edges, _Reading, input_key, input_vertex_count
 
 #: Default spill-chunk budget (bytes) when the caller sets none.
 DEFAULT_CHUNK_BYTES = 64 * 1024 * 1024
@@ -454,8 +454,10 @@ def external_preprocess(
     A file the store holds an input record of
     (:meth:`~repro.graph.store.GraphStore.recorded_entry`) whose entry
     exists costs one hashing pass: no ingest, no spill.  Otherwise the
-    ingest pass hashes the bytes it parses, and a materialized entry
-    leaves the file's record behind.
+    ingest pass hashes the bytes it parses, and the run leaves the
+    file's record behind — also when it finds the entry already there
+    (written by an in-memory run, the serve layer or an older build):
+    the degree stages then run for the record's summary alone.
 
     ``stop_after="translate"`` is a measurement probe: run every
     *streaming* stage (ingest, digest, degrees, reorder, translate +
@@ -498,7 +500,7 @@ def external_preprocess(
     source = source or str(path)
     recorded = None
     if stop_after is None:
-        recorded = store.recorded_entry(path, p, cfg, source=source)
+        recorded = store.recorded_entry(input_key(path), p, cfg, source=source)
     if recorded is not None:
         cache, _ = recorded
         clock.done("input_key")
@@ -540,31 +542,35 @@ def external_preprocess(
 
         # No in-memory fallback here: wait out a concurrent writer.
         cache = store._open_entry((graph_sha, n, m), p, cfg, source=source, wait=True)
-        if cache.hit:
-            return report(cache, True, spilled)
+        reused = cache.hit
         try:  # a miss holds the writer lock until close()
-            hist = _materialize_entry(
-                cache, edges_path, n, m, p, q, cfg, chunk_bytes, tmp_root,
-                clock, grid, cyclic_bounds, counting_sort_placement,
-                assemble_blocks,
-                stop_after=stop_after,
+            directed_path, deg_path, hist = _degree_stages(
+                edges_path, n, m, p, chunk_bytes, tmp_root, clock, cyclic_bounds
             )
-            spilled += int(clock.stages["translate"]["spilled"])
-            if stop_after is not None:
-                # Probe mode: leave no partial entry behind.
-                store.invalidate(cache.digest)
-                return {**report(cache, False, spilled), "partial": stop_after}
-            if not cache.finalize(None):
-                raise RuntimeError(
-                    "external preprocessing failed to finalize "
-                    f"{cache.digest[:12]}"
+            if not reused:
+                _materialize_entry(
+                    cache, directed_path, deg_path, hist, n, p, q, cfg,
+                    chunk_bytes, tmp_root, clock, grid, cyclic_bounds,
+                    counting_sort_placement, assemble_blocks,
+                    stop_after=stop_after,
                 )
+                spilled += int(clock.stages["translate"]["spilled"])
+                if stop_after is not None:
+                    # Probe mode: leave no partial entry behind.
+                    store.invalidate(cache.digest)
+                    return {**report(cache, False, spilled), "partial": stop_after}
+                if not cache.finalize(None):
+                    raise RuntimeError(
+                        "external preprocessing failed to finalize "
+                        f"{cache.digest[:12]}"
+                    )
         finally:
             cache.close()
-        if seen.n == n:  # else the file changed between the two passes
+        # Not when the file changed between the two passes, nor in a probe.
+        if seen.n == n and stop_after is None:
             summary = _degree_summary(n, m, hist)
             store.write_input(seen.key, InputRecord(graph_sha, summary))
-        return report(cache, False, spilled)
+        return report(cache, reused, spilled)
     finally:
         shutil.rmtree(tmp_root, ignore_errors=True)
 
@@ -580,30 +586,21 @@ def _degree_summary(n: int, m: int, hist: np.ndarray) -> DegreeSummary:
     )
 
 
-def _materialize_entry(
-    cache: Any,
+def _degree_stages(
     edges_path: Path,
     n: int,
     m: int,
     p: int,
-    q: int,
-    cfg: Any,
     chunk_bytes: int,
     tmp_root: Path,
     clock: _StageClock,
-    grid: Any,
     cyclic_bounds: Any,
-    counting_sort_placement: Any,
-    assemble_blocks: Any,
-    stop_after: str | None = None,
-) -> np.ndarray:
-    """Stages 3-6: degrees, reorder, translate+route, assemble.  Returns
-    the degree histogram."""
-    from repro.core.preprocess import ul_parts
-
+) -> tuple[Path, Path, np.ndarray]:
+    """Stages 3a-3b: the directed occurrences in cyclic (lambda1) label
+    space sorted by source, and the dense degree table.  Returns their
+    two paths and the degree histogram."""
     key_rows = _budget_rows(chunk_bytes, 2)
-    offsets = cyclic_bounds(n, p)
-    offs_by_res = offsets[:-1]  # lambda1(v) = offs[v % p] + v // p
+    offs_by_res = cyclic_bounds(n, p)[:-1]  # lambda1(v) = offs[v % p] + v // p
 
     def lam(v: np.ndarray) -> np.ndarray:
         return offs_by_res[v % p] + v // p
@@ -638,8 +635,35 @@ def _materialize_entry(
                 [hist, np.zeros(len(c) - len(hist), dtype=INDEX_DTYPE)]
             )
         hist[: len(c)] += c.astype(INDEX_DTYPE)
+    clock.done("degrees", dmax=len(hist) - 1)
+    return directed_path, deg_path, hist
+
+
+def _materialize_entry(
+    cache: Any,
+    directed_path: Path,
+    deg_path: Path,
+    hist: np.ndarray,
+    n: int,
+    p: int,
+    q: int,
+    cfg: Any,
+    chunk_bytes: int,
+    tmp_root: Path,
+    clock: _StageClock,
+    grid: Any,
+    cyclic_bounds: Any,
+    counting_sort_placement: Any,
+    assemble_blocks: Any,
+    stop_after: str | None = None,
+) -> None:
+    """Stages 4-6 off :func:`_degree_stages`' output: reorder,
+    translate+route, assemble."""
+    from repro.core.preprocess import ul_parts
+
+    key_rows = _budget_rows(chunk_bytes, 2)
+    offsets = cyclic_bounds(n, p)
     dmax = len(hist) - 1
-    clock.done("degrees", dmax=dmax)
 
     # -- 4: final labels via the streamed counting sort ------------------
     final_path = tmp_root / "final.i8"
@@ -682,7 +706,7 @@ def _materialize_entry(
     pair_files.finish()
     clock.done("translate", spilled=spilled)
     if stop_after == "translate":
-        return hist
+        return
 
     # -- 6: per-rank assembly through the engine's own block builder ----
     n_inner = (n + q - 1) // q
@@ -707,7 +731,6 @@ def _materialize_entry(
             labels = np.fromfile(fh, dtype=INDEX_DTYPE, count=hi - lo)
         cache.save_rank(rank, u_block, l_block, task_block, lo, labels)
     clock.done("assemble")
-    return hist
 
 
 def count_triangles_oocore(

@@ -26,10 +26,11 @@ persists the pipeline's output once and replays it on demand:
   deterministic: the recorded numbers *are* what a re-run would measure);
 * a schema bump or half-written entry raises :class:`StoreVersionError`,
   which :meth:`GraphStore.open_run` turns into automatic invalidation;
-* one small record per input file, keyed by the file's bytes
-  (:func:`~repro.graph.io.input_key`), names the graph those bytes read
-  as, so a warm count of a known file opens its entry without reading
-  the graph (:meth:`GraphStore.recorded_entry`).
+* one small record per input, keyed by a file's bytes
+  (:func:`~repro.graph.io.input_key`) or by what generates a registry
+  dataset (:func:`~repro.graph.datasets.registry_key`), names the graph
+  the input is, so a warm count of a known input opens its entry without
+  reading or generating the graph (:meth:`GraphStore.recorded_entry`).
 
 On-disk layout (all writes are atomic via temp-file + rename)::
 
@@ -38,8 +39,7 @@ On-disk layout (all writes are atomic via temp-file + rename)::
       objects/<digest>/rank000.blocks    # [rank, lo] + labels + u/l/task blobs
       objects/<digest>/rank001.blocks
       ...
-      graphs/<key>.npz                   # generated-dataset graph cache
-      inputs/<key>.json                  # input file bytes -> graph identity
+      inputs/<key>.json                  # input -> graph identity + summary
 
 The default root is ``$REPRO_STORE_DIR`` or ``~/.cache/repro/store``.
 See ``docs/datasets.md`` for the full digest/invalidation rules and the
@@ -49,7 +49,6 @@ See ``docs/datasets.md`` for the full digest/invalidation rules and the
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import os
 from pathlib import Path
@@ -210,9 +209,9 @@ _HEX_DIGITS = frozenset("0123456789abcdef")
 
 
 class InputRecord(NamedTuple):
-    """What the store knows of one input file's bytes
-    (``inputs/<key>.json``): the digest of the graph they read as, and
-    its degree summary (the line ``repro count`` prints)."""
+    """What the store knows of one input — a file's bytes or a registry
+    dataset (``inputs/<key>.json``): the digest of its graph, and the
+    graph's degree summary (the line ``repro count`` prints)."""
 
     graph_sha: str
     summary: DegreeSummary
@@ -245,6 +244,35 @@ def _input_record(key: str, doc: Any) -> InputRecord:
         summary["d_avg"], _count_field(summary["d_max"]),
         _count_field(summary["d_min"]),
     ))
+
+
+class UnknownInputError(ValueError):
+    """A spec that names neither a registry dataset nor a file."""
+
+
+def input_file(spec: "str | Path") -> Path | None:
+    """The edge-list file ``spec`` names, or ``None`` for a registry
+    dataset name — the one rule by which every counting entry point
+    tells the two kinds of input apart.
+
+    Registry names are bare words (no ``.``, no path separator), so a
+    spec with a suffix or a directory part that exists is a file without
+    loading the registry; any other spec is looked up there first.
+    Raises :class:`UnknownInputError` for a spec that is neither.
+    """
+    path = Path(spec)
+    if (path.suffix or len(path.parts) > 1) and path.exists():
+        return path
+    from repro.graph.datasets import REGISTRY
+
+    if spec in REGISTRY:
+        return None
+    if path.exists():
+        return path
+    raise UnknownInputError(
+        f"unknown dataset {str(spec)!r} (not in the registry and not a file); "
+        f"registered: {', '.join(REGISTRY)}"
+    )
 
 
 def artifact_digest(
@@ -453,14 +481,12 @@ class GraphStore:
 
     One store serves any number of (graph, grid, config) artifacts; the
     CLI (``repro store``), the benchmark runner, the chaos harness and the
-    dataset registry can all point at the same root and share warm
-    entries.
+    serve layer can all point at the same root and share warm entries.
     """
 
     def __init__(self, root: str | Path | None = None):
         self.root = Path(root) if root is not None else default_store_root()
         self.objects_dir = self.root / "objects"
-        self.graphs_dir = self.root / "graphs"
         self.inputs_dir = self.root / "inputs"
 
     # -- paths --------------------------------------------------------------
@@ -609,9 +635,8 @@ class GraphStore:
             shutil.rmtree(d)
 
     def prune(self, digest: str | None = None) -> int:
-        """Remove one entry (or, with ``None``, every entry, every cached
-        graph blob and every input record).  Returns the number of entries
-        removed."""
+        """Remove one entry (or, with ``None``, every entry and every
+        input record).  Returns the number of entries removed."""
         if digest is not None:
             existed = self.entry_dir(digest).is_dir()
             self.invalidate(digest)
@@ -622,7 +647,8 @@ class GraphStore:
             count += 1
         import shutil
 
-        for extra in (self.graphs_dir, self.inputs_dir):
+        # ``graphs/`` is the generated-graph cache an older build kept.
+        for extra in (self.root / "graphs", self.inputs_dir):
             if extra.is_dir():
                 shutil.rmtree(extra)
         return count
@@ -663,22 +689,19 @@ class GraphStore:
 
     def recorded_entry(
         self,
-        path: str | Path,
+        key: str,
         p: int,
         cfg: "TC2DConfig",
         model: "MachineModel | None" = None,
         source: str = "",
     ) -> "tuple[RunCache, DegreeSummary] | None":
-        """The warm entry of the input file ``path`` (read-only) and its
-        recorded degree summary, found by hashing the file once — or
-        ``None`` when the file has no well-formed record or the recorded
-        graph has no entry for this grid and config (the caller then
-        reads the file)."""
-        if not self.inputs_dir.is_dir():
-            return None
-        from repro.graph.io import input_key
-
-        record = self.read_input(input_key(path))
+        """The warm entry (read-only) of the input keyed ``key`` and the
+        input's recorded degree summary — or ``None`` when there is no
+        well-formed record of ``key`` or the recorded graph has no entry
+        for this grid and config (the caller then reads or generates the
+        graph).  ``key`` is a file's :func:`~repro.graph.io.input_key` or
+        a registry dataset's :func:`~repro.graph.datasets.registry_key`."""
+        record = self.read_input(key)
         if record is None:
             return None
         cache = self._open_entry(
@@ -788,39 +811,6 @@ class GraphStore:
             writable=writable,
             lock=lock,
         )
-
-    # -- generated-graph cache ----------------------------------------------
-
-    def graph_key(self, *parts: Any) -> str:
-        """Content key for a cached generated graph (hash of ``parts``)."""
-        blob = json.dumps([str(p) for p in parts], separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()
-
-    def graph_path(self, key: str) -> Path:
-        """Path of one cached graph blob."""
-        return self.graphs_dir / f"{key}.npz"
-
-    def load_graph(self, key: str) -> Graph | None:
-        """Fetch a cached generated graph, or ``None`` on miss."""
-        from repro.graph.io import load_npz
-
-        path = self.graph_path(key)
-        if not path.exists():
-            return None
-        try:
-            return load_npz(path)
-        except Exception:
-            # A truncated blob is a miss, not an error: regenerate.
-            path.unlink(missing_ok=True)
-            return None
-
-    def save_graph(self, key: str, graph: Graph) -> None:
-        """Persist a generated graph under ``key`` (atomic)."""
-        from repro.graph.io import save_npz
-
-        buf = io.BytesIO()
-        save_npz(graph, buf)
-        atomic_write(self.graph_path(key), [buf.getbuffer()])
 
 
 def resolve_store(cache: Any) -> "GraphStore | None":

@@ -358,12 +358,12 @@ def _through_the_record(c, store) -> None:
     entry): the first count reads the file and records it, the second
     goes by the record; each is held to the oracle and to the warm
     twin's clocks."""
-    from repro.core.tc2d import count_file_2d
+    from repro.core.tc2d import count_input_2d
     from repro.graph.csr import degree_summary
 
     twin = _drive(c, _twin_cfg(c.cfg), cache=store)
     for how in ("read", "recorded"):
-        res, summary = count_file_2d(c.file, c.cell.p, c.cfg, store=store, model=_MODEL)
+        res, summary = count_input_2d(c.file, c.cell.p, c.cfg, store=store, model=_MODEL)
         _expect(res.extras["input"] == how, f"the file was {res.extras['input']}, not {how}")
         _expect(res.extras["cache"]["hit"], f"the {how} file missed the entry")
         _expect(summary == degree_summary(c.graph), f"the {how} file's summary is {summary}")

@@ -349,13 +349,14 @@ def _write_checkpoint_manifest(root: Path) -> Path:
     return CheckpointStore(root / "ckpt").write_manifest(4, 2)
 
 
-def _write_store_graph(root: Path) -> Path:
-    from repro.graph import Graph
-    from repro.graph.store import GraphStore
+def _write_input_record(root: Path) -> Path:
+    from repro.graph.csr import DegreeSummary
+    from repro.graph.store import GraphStore, InputRecord
 
     store = GraphStore(root)
-    store.save_graph("g", Graph.from_edges(3, np.array([[0, 1], [1, 2]])))
-    return store.graph_path("g")
+    record = InputRecord("ab" * 32, DegreeSummary(3, 2, 4 / 3, 2, 1))
+    assert store.write_input("cd" * 32, record)
+    return store.input_path("cd" * 32)
 
 
 class _DiesMidWrite:
@@ -381,9 +382,9 @@ class _DiesMidWrite:
         _write_rank_file,
         _write_store_manifest,
         _write_checkpoint_manifest,
-        _write_store_graph,
+        _write_input_record,
     ],
-    ids=["rank_file", "store_manifest", "checkpoint_manifest", "store_graph"],
+    ids=["rank_file", "store_manifest", "checkpoint_manifest", "input_record"],
 )
 def test_atomic_writers_share_no_temp_and_leave_none_behind(
     write, tmp_path, monkeypatch

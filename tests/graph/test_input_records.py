@@ -10,15 +10,17 @@ routes hold record-served counts to the oracle.)
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from repro.cli import main
 from repro.core import TC2DConfig, count_triangles_2d
-from repro.core.tc2d import count_file_2d
+from repro.core.tc2d import count_input_2d
 from repro.graph import Graph, rmat_graph
-from repro.graph import external, io, store as store_module
+from repro.graph import datasets, external, io, store as store_module
 from repro.graph.csr import degree_summary
 from repro.graph.external import count_triangles_oocore, external_preprocess
 from repro.graph.io import input_key, read_edge_list, write_edge_list
@@ -44,7 +46,7 @@ def store(tmp_path):
 
 
 def _count(path, store):
-    return count_file_2d(path, P, TC2DConfig(), store=store)
+    return count_input_2d(path, P, TC2DConfig(), store=store)
 
 
 def _cli(capsys, *argv) -> str:
@@ -108,6 +110,63 @@ def test_read_then_recorded(edge_file, store):
     assert second.count == first.count
     record = store.read_input(input_key(edge_file))
     assert record.identity[1:] == (s1.n, s1.m)
+
+
+# -- registry names --------------------------------------------------------------
+
+
+def test_a_warm_registry_count_neither_generates_nor_digests(tmp_path, capsys, monkeypatch):
+    argv = ("g500-s12", "-p", "4", "--store", tmp_path / "st")
+    cold = _cli(capsys, *argv)
+    datasets.clear_cache()
+
+    def no_build(seed, scale):
+        raise AssertionError("a recorded registry name was generated")
+
+    calls: list[str] = []
+    with monkeypatch.context() as m:
+        spec = dataclasses.replace(datasets.REGISTRY["g500-s12"], builder=no_build)
+        m.setitem(datasets.REGISTRY, "g500-s12", spec)
+        digest = _counting(calls, "graph_digest", store_module.graph_digest)
+        m.setattr(store_module, "graph_digest", digest)
+        warm = _cli(capsys, *argv)
+    assert calls == []
+    assert "cache: hit" in warm
+    assert warm.splitlines()[0] == cold.splitlines()[0]  # the summary line
+    assert warm.splitlines()[-1] == cold.splitlines()[-1]  # count, clocks
+
+
+@pytest.fixture()
+def quarter_scale(monkeypatch):
+    monkeypatch.setenv("REPRO_DATASET_SCALE", "0.25")
+
+
+@pytest.mark.parametrize("change", ["seed", "scale", "registry-version", "numpy-version"])
+def test_what_generates_a_registry_graph_keys_its_record(
+    store, monkeypatch, quarter_scale, change
+):
+    cfg = TC2DConfig()
+    firsts = [count_input_2d("g500-s12", P, cfg, store=store)[0] for _ in range(2)]
+    assert [r.extras["input"] for r in firsts] == ["read", "recorded"]
+    if change == "seed":
+        cfg = cfg.replace(seed=1)
+    elif change == "scale":
+        monkeypatch.setenv("REPRO_DATASET_SCALE", "0.5")
+    elif change == "registry-version":
+        monkeypatch.setattr(datasets, "REGISTRY_VERSION", datasets.REGISTRY_VERSION + 1)
+    else:
+        monkeypatch.setattr(np, "__version__", np.__version__ + "+other")
+    again, _ = count_input_2d("g500-s12", P, cfg, store=store)
+    assert again.extras["input"] == "read"
+
+
+def test_store_warm_records_the_dataset(tmp_path, quarter_scale):
+    root = tmp_path / "st"
+    warm = ["store", "warm", "--dataset", "g500-s12", "-p", "4", "--dir", str(root)]
+    assert main(warm) == 0
+    res, summary = count_input_2d("g500-s12", 4, store=root)
+    assert res.extras["input"] == "recorded" and res.extras["cache"]["hit"]
+    assert summary == degree_summary(datasets.load_dataset("g500-s12"))
 
 
 # -- misses --------------------------------------------------------------------
@@ -257,3 +316,18 @@ def test_a_file_edited_between_the_two_out_of_core_passes_leaves_no_record(tmp_p
         info = external_preprocess(path, store, P, chunk_bytes=CHUNK)
     assert not info["reused"] and info["n"] == 3
     assert not any(store.inputs_dir.glob("*.json"))
+
+
+def test_an_entry_written_without_a_record_gains_one_on_its_first_out_of_core_count(
+    edge_file, store
+):
+    """An entry a library run wrote (no record): the first out-of-core
+    count reuses it and records the file, the second goes by the record."""
+    graph = read_edge_list(edge_file)
+    count_triangles_2d(graph, P, cache=store)
+    first = _ooc(edge_file, store).extras["out_of_core"]
+    assert first["reused"] and "directed" in first["stages"]
+    assert store.read_input(input_key(edge_file)).summary == degree_summary(graph)
+    second = _ooc(edge_file, store).extras["out_of_core"]
+    assert second["reused"] and second["spilled_bytes"] == 0
+    assert list(second["stages"]) == ["input_key"]

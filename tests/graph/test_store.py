@@ -17,8 +17,8 @@ import pytest
 from repro.bench.calibration import paper_model
 from repro.core import TC2DConfig, count_triangles_2d
 from repro.core.blocks import read_rank_file
-from repro.graph import rmat_graph
-from repro.graph.datasets import REGISTRY, DatasetRegistry
+from repro.core.tc2d import count_input_2d
+from repro.graph import load_dataset, rmat_graph
 from repro.graph.store import (
     BLOB_FORMAT_VERSION,
     STORE_SCHEMA_VERSION,
@@ -183,37 +183,15 @@ def test_cache_as_path_argument(graph, tmp_path):
 # -- dataset registry ---------------------------------------------------------
 
 
-def test_registry_graph_blob_cache_round_trip(tmp_path):
-    store = GraphStore(tmp_path / "store")
-    reg = DatasetRegistry(REGISTRY, store=store)
-    g1 = reg.load("g500-s12", seed=1)
-    assert store.graphs_dir.is_dir()
-    reg.clear_cache()
-    g2 = reg.load("g500-s12", seed=1)  # served from the on-disk blob
-    assert g1.n == g2.n
-    assert np.array_equal(g1.edge_array(), g2.edge_array())
-    assert graph_digest(g1) == graph_digest(g2)
-
-
 def test_registry_warm_then_count_hits(tmp_path):
     store = GraphStore(tmp_path / "store")
-    reg = DatasetRegistry(REGISTRY, store=store)
-    warm = reg.warm("g500-s12", 4, model=MODEL, seed=1)
+    cfg = TC2DConfig(seed=1)
+    warm, _ = count_input_2d("g500-s12", 4, cfg, store=store, model=MODEL)
     assert warm.extras["cache"]["stored"] is True
-    g = reg.load("g500-s12", seed=1)
+    g = load_dataset("g500-s12", seed=1)
     res = count_triangles_2d(g, 4, model=MODEL, cache=store)
     assert res.extras["cache"]["hit"] is True
     assert res.count == warm.count
-
-
-def test_registry_provenance():
-    reg = DatasetRegistry(REGISTRY)
-    prov = reg.provenance("twitter-like", seed=5)
-    assert prov["paper_name"] == "twitter"
-    assert prov["seed"] == 5
-    assert prov["registry_version"] >= 1
-    with pytest.raises(KeyError):
-        reg.provenance("nope")
 
 
 def test_manifest_records_versions_and_provenance(graph, store):
