@@ -13,6 +13,22 @@ Parking is one raw ``_thread`` lock per rank, allocated held: ``acquire``
 parks, a ``release`` from the thread passing the token wakes, and the woken
 ``acquire`` leaves the lock held for the next park.
 
+Rank threads outlive a run.  One process-wide set of them is grown lazily
+to the largest ``p`` asked for (nothing starts at import); a run takes
+``p`` idle threads under a lock, so two engines running at once (``repro
+serve``) never share one, and gives them back when it ends.  A rank's park
+lock is its thread's own lock: an idle thread is parked on it, so the
+run's first resume of the rank starts it, with no extra hand-off.  At run
+end :meth:`Engine.run` waits up to ``real_timeout`` for each thread's
+end-of-job signal; a thread that misses it (wedged) is abandoned, never
+handed a later run, and exits once it unwinds.  An idle thread keeps no
+reference to its last run.  Why: ``p`` fresh threads per run each landed
+on whichever glibc per-thread arena was free, and the heap grew op after
+op.  Over repeated ``rmat_dense`` ops (p = 16) in one process, VmRSS after
+ops 0/1/2/5/10/16 read 98/118/126/145/161/153 MiB with fresh threads and
+98/112/115/116/116/116 MiB with long-lived ones; the gauge's
+``peak_rss_mb`` went 197 -> 162 MiB (2-CPU x86_64 host).
+
 The scheduler thread (the caller of :meth:`Engine.run`) holds the token only
 when there is something to decide: at start-up, when **no rank is runnable**
 (every rank finished: return; a superstep batch is pending: dispatch it;
@@ -126,19 +142,105 @@ class _Rendezvous:
 class _RankState:
     """Book-keeping for one virtual rank."""
 
-    def __init__(self, rank: int):
+    def __init__(self, rank: int, park: Any):
         self.rank = rank
         self.state = _NEW
-        #: Parking lock, held whenever the rank is not being woken: the
-        #: rank parks by acquiring it, the token passer wakes it by
-        #: releasing it.
-        self.park = _thread.allocate_lock()
-        self.park.acquire()
-        self.thread: threading.Thread | None = None
+        #: Parking lock (the carrying thread's, see :class:`_RankThread`),
+        #: held whenever the rank is not being woken: the rank parks by
+        #: acquiring it, the token passer wakes it by releasing it.
+        self.park = park
         self.mailbox: list[_Message] = []
         self.blocked_on: str = ""
         self.result: Any = None
         self.error: BaseException | None = None
+
+
+class _RankThread:
+    """One long-lived OS thread of :data:`_RANK_THREADS`; it carries one
+    rank of one run at a time.
+
+    ``park`` is the carried rank's parking lock and is held whenever the
+    thread is not running: an idle thread waits on it for the run that
+    set ``job`` to resume its rank.  ``done`` is released at the end of
+    each job, the signal :meth:`_RankThreads.give_back` waits for.
+    """
+
+    __slots__ = ("index", "park", "done", "job", "abandoned", "thread")
+
+    def __init__(self, index: int):
+        self.index = index
+        self.park = _thread.allocate_lock()
+        self.park.acquire()
+        self.done = _thread.allocate_lock()
+        self.done.acquire()
+        #: ``(engine, state, program, args, kwargs)`` of the rank to carry;
+        #: ``None`` once taken, so an idle thread refers to no run.
+        self.job: tuple | None = None
+        self.abandoned = False
+        self.thread = threading.Thread(
+            target=self._main, name=f"simmpi-rank-{index}", daemon=True
+        )
+        self.thread.start()
+
+    def _main(self) -> None:
+        while True:
+            self.park.acquire()
+            engine, st, program, args, kwargs = self.job
+            self.job = None
+            engine._run_rank(st, program, args, kwargs)
+            engine = st = program = args = kwargs = None
+            # On a wedge the scheduler aborts while a rank still passes the
+            # token, and a wake racing the abort can leave the lock
+            # released; the next job must find it held.
+            self.park.acquire(False)
+            if _RANK_THREADS.finish(self):
+                return
+
+
+class _RankThreads:
+    """The process-wide set of rank threads: idle ones, lowest index first
+    (so sequential runs keep rank ``r`` on thread ``r``), handed out under
+    a lock and grown on demand."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._idle: list[_RankThread] = []
+        self._started = 0
+
+    def take(self, n: int) -> list[_RankThread]:
+        """``n`` threads no other run holds, starting those missing."""
+        with self._lock:
+            got = self._idle[:n]
+            del self._idle[:n]
+            first = self._started
+            self._started += n - len(got)
+        return got + [_RankThread(i) for i in range(first, first + n - len(got))]
+
+    def finish(self, t: _RankThread) -> bool:
+        """``t``'s end-of-job signal; true if ``t`` was abandoned and exits."""
+        with self._lock:
+            t.done.release()
+            return t.abandoned
+
+    def give_back(self, threads: list[_RankThread], timeout: float) -> None:
+        """Wait up to ``timeout`` for each thread's end-of-job signal and
+        return the threads that gave it to the idle set; the others are
+        abandoned."""
+        back = []
+        for t in threads:
+            if not t.done.acquire(timeout=timeout):
+                with self._lock:
+                    if not t.done.acquire(False):
+                        t.abandoned = True
+                        continue
+            back.append(t)
+        with self._lock:
+            self._idle += back
+            self._idle.sort(key=lambda t: t.index)
+
+
+#: Every engine's rank threads.
+_RANK_THREADS = _RankThreads()
 
 
 @dataclass
@@ -393,8 +495,9 @@ class Engine:
         after which the scheduler thread declares the run wedged: it
         checks once per ``real_timeout`` window, so a rank that never
         yields is reported after at most twice that long.  Also bounds one
-        superstep dispatch and the final join of each rank thread.  This
-        is a safety net for engine bugs, not part of the simulation.
+        superstep dispatch and the wait for each rank thread's end-of-job
+        signal (a thread that misses it is abandoned).  This is a safety
+        net for engine bugs, not part of the simulation.
     fault_injector:
         Optional deterministic fault injector (duck-typed; see
         :class:`~repro.resilience.faults.FaultInjector` for the reference
@@ -486,7 +589,6 @@ class Engine:
         rank program raised, or :class:`DeadlockError` if all unfinished
         ranks blocked with no message able to unblock them.
         """
-        self._states = [_RankState(r) for r in range(self.num_ranks)]
         self._ctxs = [RankContext(self, r) for r in range(self.num_ranks)]
         self._aborting = False
         self._failed = False
@@ -502,24 +604,18 @@ class Engine:
             # Jobs of an aborted earlier run must not leak into this one.
             self.superstep.reset()
 
-        for st in self._states:
-            st.thread = threading.Thread(
-                target=self._thread_main,
-                args=(st, program, args, kwargs),
-                name=f"simmpi-rank-{st.rank}",
-                daemon=True,
-            )
+        threads = _RANK_THREADS.take(self.num_ranks)
+        self._states = [_RankState(r, t.park) for r, t in enumerate(threads)]
+        for st, t in zip(self._states, threads):
             st.state = _READY
-            st.thread.start()
+            t.job = (self, st, program, args, kwargs)
 
         try:
             self._schedule_loop()
         finally:
             if any(st.state not in (_FINISHED, _FAILED) for st in self._states):
                 self._abort_parked_ranks()
-            for st in self._states:
-                if st.thread is not None:
-                    st.thread.join(timeout=self.real_timeout)
+            _RANK_THREADS.give_back(threads, self.real_timeout)
 
         failed = [st for st in self._states if st.state == _FAILED]
         if failed:
@@ -594,17 +690,17 @@ class Engine:
                 )
 
     def _abort_parked_ranks(self) -> None:
-        """Wake every unfinished rank so that it unwinds with ``_Abort``.
+        """Wake every parked rank so that it unwinds with ``_Abort``.
 
         Normally called with the token in hand.  On a wedge (or an
         interrupt) one rank is still running; it sees ``_aborting`` at its
-        next yield and unwinds too.
+        next yield and unwinds too.  A woken rank is marked running, so a
+        second call before it records its exit does not wake it twice.
         """
         self._aborting = True
         for st in self._states:
-            # locked(): a rank woken by an earlier abort call may not have
-            # recorded its exit yet, and releasing twice is an error.
-            if st.state not in (_FINISHED, _FAILED) and st.park.locked():
+            if st.state in (_READY, _BLOCKED):
+                st.state = _RUNNING
                 st.park.release()
 
     # ------------------------------------------------------------------
@@ -650,15 +746,15 @@ class Engine:
     # rank-thread side
     # ------------------------------------------------------------------
 
-    def _thread_main(
+    def _run_rank(
         self,
         st: _RankState,
         program: Callable[..., Any],
         args: tuple,
         kwargs: dict,
     ) -> None:
-        # Park until someone hands us the execution token.
-        st.park.acquire()
+        """Run rank ``st`` on its thread, which was just handed the
+        execution token (or woken to unwind)."""
         if self._aborting:
             st.state = _FINISHED
             return

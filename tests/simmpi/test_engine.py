@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import sys
+import threading
 import time
 
 import numpy as np
@@ -17,6 +18,7 @@ from repro.simmpi import (
     SUM,
     Tracer,
 )
+from repro.simmpi.engine import _RANK_THREADS
 
 
 def test_single_rank_runs_and_returns():
@@ -350,8 +352,10 @@ def test_every_collective_is_one_rendezvous(name, trace):
 
 def test_rank_that_never_yields_is_reported_as_wedged():
     timeout = 0.2
+    carriers = {}
 
     def program(ctx):
+        carriers[ctx.rank] = threading.current_thread()
         ctx.comm.barrier()
         if ctx.rank == 2:
             time.sleep(2.5 * timeout)
@@ -365,8 +369,12 @@ def test_rank_that_never_yields_is_reported_as_wedged():
     # Noticed in the first window without a hand-off (so after at most two);
     # run() then waits, up to one more timeout, for the sleeper to unwind.
     assert timeout <= elapsed < 5 * timeout
-    for st in eng._states:
-        assert not st.thread.is_alive()
+    # No thread of the run is left running ranks: each is idle in the set
+    # again, or was abandoned and has exited.
+    idle = {t.thread for t in _RANK_THREADS._idle}
+    assert len(carriers) == 4
+    for t in carriers.values():
+        assert t in idle or not t.is_alive()
 
     res = eng.run(lambda ctx: ctx.comm.allreduce(ctx.rank, SUM))
     assert res.returns == [6] * 4

@@ -14,25 +14,40 @@ from repro.simmpi import (
     RankFailedError,
     SUM,
 )
+from repro.simmpi.engine import _RANK_THREADS
 
 
 class TestFailureInjection:
     def test_failure_mid_collective_unwinds_all_threads(self):
-        before = threading.active_count()
+        entered, unwound = set(), set()
 
         def program(ctx):
-            if ctx.rank == 1:
-                raise RuntimeError("injected")
-            ctx.comm.allreduce(1, SUM)
-            ctx.comm.barrier()
+            entered.add(ctx.rank)
+            try:
+                if ctx.rank == 1:
+                    raise RuntimeError("injected")
+                ctx.comm.allreduce(1, SUM)
+                ctx.comm.barrier()
+            finally:
+                unwound.add(ctx.rank)
+
+        def carrier(ctx):
+            return threading.current_thread()
 
         eng = Engine(6)
+        carriers = eng.run(carrier).returns
+        before = threading.active_count()
+        idle_before = len(_RANK_THREADS._idle)
         with pytest.raises(RankFailedError):
             eng.run(program)
-        for st in eng._states:
-            st.thread.join(timeout=5)
-            assert not st.thread.is_alive()
-        assert threading.active_count() <= before + 1
+        # Every rank that started unwound, and every thread is idle again.
+        assert entered and unwound == entered
+        assert len(_RANK_THREADS._idle) == idle_before
+        assert threading.active_count() <= before
+        # The next run is correct, on the same threads.
+        assert eng.run(carrier).returns == carriers
+        res = eng.run(lambda ctx: ctx.comm.allreduce(1, SUM))
+        assert res.returns == [6] * 6
 
     def test_failure_after_partial_sends_reports_first_failure(self):
         def program(ctx):
