@@ -1,5 +1,5 @@
-"""Graph serialization: whitespace edge lists (text or the binary REDGE
-format) and a compact NumPy binary format.
+"""Graph serialization: whitespace edge lists, text or the binary REDGE
+format.
 
 The paper's pipeline converts every input to an undirected simple graph
 before counting; the readers here do the same via
@@ -337,18 +337,3 @@ def read_keyed_edge_list(path: str | Path) -> tuple[Graph, str]:
     the file changes on disk meanwhile."""
     seen = _Reading(hashed=True)
     return _read_whole(path, None, seen), seen.key
-
-
-def save_npz(g: Graph, file: str | Path | BinaryIO) -> None:
-    """Save in the compact binary format (CSR arrays in an ``.npz``) to a
-    path or an open binary file."""
-    np.savez_compressed(file, n=g.n, indptr=g.adj.indptr, indices=g.adj.indices)
-
-
-def load_npz(path: str | Path) -> Graph:
-    """Load a graph previously written by :func:`save_npz`."""
-    from repro.graph.csr import CSR
-
-    with np.load(Path(path)) as z:
-        n = int(z["n"])
-        return Graph(CSR(n, z["indptr"], z["indices"]))

@@ -4,18 +4,14 @@ from __future__ import annotations
 
 import struct
 
-import numpy as np
 import pytest
 
-from repro.graph import Graph
 from repro.graph.io import (
     BINARY_EDGE_MAGIC,
     READER_VERSION,
     input_key,
-    load_npz,
     read_edge_list,
     read_keyed_edge_list,
-    save_npz,
     write_edge_list,
 )
 from repro.graph.store import graph_digest
@@ -55,20 +51,6 @@ def test_edge_list_empty_file(tmp_path):
     path.write_text("# nothing\n")
     g = read_edge_list(path, n=3)
     assert g.n == 3 and g.num_edges == 0
-
-
-def test_npz_roundtrip(tmp_path, rmat_small):
-    path = tmp_path / "g.npz"
-    save_npz(rmat_small, path)
-    g2 = load_npz(path)
-    assert g2.adj == rmat_small.adj
-
-
-def test_npz_roundtrip_empty(tmp_path):
-    g = Graph.from_edges(3, np.empty((0, 2), dtype=np.int64))
-    path = tmp_path / "e.npz"
-    save_npz(g, path)
-    assert load_npz(path).n == 3
 
 
 # -- the reader-version pin -----------------------------------------------------
