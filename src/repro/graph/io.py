@@ -57,8 +57,23 @@ class EdgeListError(ValueError):
     :func:`read_edge_list`); the message names the file."""
 
 
+#: Most edge rows :func:`write_edge_list` renders into one write, which
+#: bounds the text it holds at once whatever the graph's size.
+WRITE_CHUNK_ROWS = 1 << 16
+
+
 def write_edge_list(g: Graph, path: str | Path, comments: str | None = None) -> None:
-    """Write one ``u v`` line per undirected edge (u < v), 0-based ids."""
+    """Write ``g`` as a text edge list with 0-based ids.
+
+    The bytes are exactly: ``# repro edge list: n=<n> m=<m>``, then
+    ``# <line>`` for each line of ``comments`` (``str.splitlines``), then
+    one ``u v`` line per undirected edge with ``u < v``, in ascending
+    ``(u, v)`` order (:meth:`Graph.edge_array`); every line ends in
+    ``\n``.  Input records key files by these bytes, so a change to them
+    turns every recorded input into a miss (``tests/graph/test_io.py``
+    pins one file's key).  Rows are rendered and written
+    :data:`WRITE_CHUNK_ROWS` at a time.
+    """
     path = Path(path)
     edges = g.edge_array()
     with path.open("w") as fh:
@@ -66,7 +81,9 @@ def write_edge_list(g: Graph, path: str | Path, comments: str | None = None) -> 
         if comments:
             for line in comments.splitlines():
                 fh.write(f"# {line}\n")
-        np.savetxt(fh, edges, fmt="%d")
+        for start in range(0, len(edges), WRITE_CHUNK_ROWS):
+            chunk = edges[start:start + WRITE_CHUNK_ROWS]
+            fh.write("%d %d\n" * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
 class BinaryEdgeWriter:

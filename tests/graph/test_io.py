@@ -3,12 +3,18 @@
 from __future__ import annotations
 
 import struct
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.graph import Graph, rmat_graph
 from repro.graph.io import (
     BINARY_EDGE_MAGIC,
     READER_VERSION,
+    WRITE_CHUNK_ROWS,
     input_key,
     read_edge_list,
     read_keyed_edge_list,
@@ -101,3 +107,114 @@ def test_reader_version_pins_what_files_read_as(name, tmp_path):
     )
     assert graph_digest(read_edge_list(path)) == want
     assert key == input_key(path)
+
+
+# -- the writer's bytes ---------------------------------------------------------
+
+#: ``input_key`` of ``write_edge_list(rmat_graph(12, seed=1), path)`` (the
+#: file CI's store-smoke job counts), taken before the writer rendered rows
+#: a chunk at a time.
+PINNED_WRITTEN_KEY = "e39b1afabd50270cb6e85613f7e525788f2fabff7ebd5060ad2e501c71c22965"
+
+
+def _reference_bytes(g, comments=None) -> bytes:
+    """What ``write_edge_list`` must write, rendered one row at a time."""
+    lines = [f"# repro edge list: n={g.n} m={g.num_edges}\n"]
+    lines += [f"# {line}\n" for line in (comments or "").splitlines()]
+    lines += [f"{u} {v}\n" for u, v in g.edge_array().tolist()]
+    return "".join(lines).encode()
+
+
+def test_written_file_keeps_its_input_key(tmp_path):
+    """Input records key files by their bytes: a writer that moves one
+    byte turns every recorded input into a silent store miss."""
+    path = tmp_path / "edges.txt"
+    write_edge_list(rmat_graph(12, seed=1), path)
+    assert input_key(path) == PINNED_WRITTEN_KEY, (
+        "write_edge_list writes other bytes than it did: every store input "
+        "record of a written file would miss; keep the bytes or re-pin knowingly"
+    )
+
+
+class _EdgeSet:
+    """A stand-in for a :class:`Graph` too wide to build (ids up to 2**40):
+    the three things ``write_edge_list`` reads."""
+
+    def __init__(self, n: int, edges: np.ndarray) -> None:
+        self.n, self.num_edges, self._edges = n, len(edges), edges
+
+    def edge_array(self) -> np.ndarray:
+        return self._edges
+
+
+@st.composite
+def _written_graphs(draw):
+    """A graph (or, past 2**20 ids, an ``_EdgeSet``) with ids below a drawn
+    ceiling, isolated vertices above it, and sometimes one row either side
+    of a whole number of write chunks."""
+    top = draw(st.sampled_from([1, 2, 12, 1 << 20, 1 << 40]))
+    near_chunk = top >= 1 << 20 and draw(st.integers(0, 7)) == 0
+    m = (draw(st.sampled_from([-1, 0, 1, WRITE_CHUNK_ROWS + 1])) + WRITE_CHUNK_ROWS
+         if near_chunk else draw(st.integers(0, 40)))
+    m = min(m, top * (top - 1) // 2)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    edges = np.empty((0, 2), dtype=np.int64)
+    while len(edges) < m:
+        pairs = np.sort(rng.integers(0, top, size=(2 * m, 2)), axis=1)
+        pairs = pairs[pairs[:, 0] < pairs[:, 1]]
+        edges = np.concatenate([edges, pairs])
+        edges = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
+        edges = edges[np.diff(edges, axis=0, prepend=[[-1, -1]]).any(axis=1)]
+    edges = edges[np.sort(rng.choice(len(edges), size=m, replace=False))]
+    n = top + draw(st.integers(0, 3))
+    return Graph.from_edges(n, edges) if top <= 1 << 20 else _EdgeSet(n, edges)
+
+
+_COMMENTS = st.none() | st.text(
+    st.characters(min_codepoint=9, max_codepoint=126), max_size=30
+)
+
+
+@settings(deadline=None)
+@given(g=_written_graphs(), comments=_COMMENTS)
+def test_writer_matches_a_row_at_a_time_rendering(g, comments, tmp_path_factory):
+    """The header, the comment lines, then ``u v`` per ``edge_array`` row:
+    on the empty graph, isolated vertices, ids up to 2**40 and sizes either
+    side of a chunk; and a built graph reads back as itself."""
+    path = tmp_path_factory.mktemp("written") / "g.txt"
+    write_edge_list(g, path, comments=comments)
+    assert path.read_bytes() == _reference_bytes(g, comments)
+    if isinstance(g, Graph):
+        back, key = read_keyed_edge_list(path)
+        assert graph_digest(back) == graph_digest(g)
+        assert key == input_key(path)
+
+
+def test_writer_holds_one_chunk_of_rows_at_a_time(tmp_path, monkeypatch):
+    """Each write gets at most ``WRITE_CHUNK_ROWS`` lines, so a graph of
+    10**8 edges is never rendered (or tupled) whole."""
+    m = 2 * WRITE_CHUNK_ROWS + 5
+    g = Graph.from_edges(m + 1, np.stack([np.arange(m), np.arange(1, m + 1)], 1))
+    lines_per_write = []
+    real_open = Path.open
+
+    class Recording:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def write(self, text):
+            lines_per_write.append(text.count("\n"))
+            return self.fh.write(text)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+    monkeypatch.setattr(Path, "open", lambda self, *a, **k: Recording(real_open(self, *a, **k)))
+    write_edge_list(g, tmp_path / "g.txt")
+    monkeypatch.undo()
+    assert max(lines_per_write) <= WRITE_CHUNK_ROWS
+    assert sum(lines_per_write) == m + 1
+    assert (tmp_path / "g.txt").read_bytes() == _reference_bytes(g)
