@@ -69,7 +69,7 @@ def write_edge_list(g: Graph, path: str | Path, comments: str | None = None) -> 
     ``# <line>`` for each line of ``comments`` (``str.splitlines``), then
     one ``u v`` line per undirected edge with ``u < v``, in ascending
     ``(u, v)`` order (:meth:`Graph.edge_array`); every line ends in
-    ``\n``.  Input records key files by these bytes, so a change to them
+    ``\\n``.  Input records key files by these bytes, so a change to them
     turns every recorded input into a miss (``tests/graph/test_io.py``
     pins one file's key).  Rows are rendered and written
     :data:`WRITE_CHUNK_ROWS` at a time.
