@@ -16,7 +16,6 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.baselines.serial import degree_order_upper
 from repro.core.arrayutil import multirange, segment_lengths_to_offsets
 from repro.core.counts import TriangleCountResult
 from repro.graph.csr import CSR, INDEX_DTYPE, Graph
@@ -63,7 +62,7 @@ def partition_dodg(
     picks boundaries so each chunk holds roughly the same number of
     out-edges (the partitioning that keeps AOP's local work even).
     """
-    U = degree_order_upper(graph)
+    U = graph.degree_order_upper()
     n = graph.n
     if balance == "vertices":
         base, extra = divmod(n, p)

@@ -21,31 +21,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graph.csr import CSR, INDEX_DTYPE, Graph
+from repro.graph.csr import Graph
 from repro.hashing import BlockHashMap
-
-
-def degree_order_upper(g: Graph) -> CSR:
-    """U after relabeling vertices in non-decreasing degree.
-
-    Row ``v`` holds the neighbors that come after ``v`` in the degree
-    order, which is the directed (DODG) form every serial counter uses.
-    """
-    order = np.argsort(g.degrees, kind="stable")
-    rank_of = np.empty(g.n, dtype=INDEX_DTYPE)
-    rank_of[order] = np.arange(g.n, dtype=INDEX_DTYPE)
-    edges = g.edge_array()
-    a = rank_of[edges[:, 0]]
-    b = rank_of[edges[:, 1]]
-    lo = np.minimum(a, b)
-    hi = np.maximum(a, b)
-    return CSR.from_coo(g.n, lo, hi)
 
 
 def count_triangles_list_based(g: Graph) -> int:
     """Merge-based counting: for each U edge (i, j), jointly walk the two
     sorted rows and count common entries."""
-    U = degree_order_upper(g)
+    U = g.degree_order_upper()
     indptr, indices = U.indptr, U.indices
     total = 0
     for i in range(U.n_rows):
@@ -73,7 +56,7 @@ def count_triangles_list_based(g: Graph) -> int:
 def count_triangles_map_based(g: Graph) -> int:
     """Map-based counting with the ``<j,i,k>``-style map reuse: hash each
     row once and probe it with all of its edges' partner rows."""
-    U = degree_order_upper(g)
+    U = g.degree_order_upper()
     indptr, indices = U.indptr, U.indices
     max_len = int(np.diff(indptr).max()) if U.nnz else 0
     hm = BlockHashMap(max(4, 2 * max_len))
@@ -97,7 +80,7 @@ def count_triangles_node_iterator(g: Graph) -> int:
     For each vertex ``i`` in degree order, mark its U row in a dense flag
     array and sum flag hits over its neighbors' U rows.
     """
-    U = degree_order_upper(g)
+    U = g.degree_order_upper()
     indptr, indices = U.indptr, U.indices
     marks = np.zeros(U.n_rows, dtype=bool)
     total = 0

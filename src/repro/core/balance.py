@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.grid import ProcessorGrid
-from repro.graph.csr import INDEX_DTYPE, Graph
+from repro.graph.csr import Graph
 
 SCHEMES = ("cyclic", "block")
 
@@ -73,14 +73,11 @@ def task_distribution_stats(
     tasks are the non-zeros of L, i.e. each edge (i, j) with j the later
     endpoint produces the task at matrix cell (j, i).
     """
-    # Imported here: importing this module must not load the baselines.
-    from repro.baselines.serial import degree_order_upper
-
     if scheme not in SCHEMES:
         raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
     grid = ProcessorGrid.for_ranks(p)
     q = grid.q
-    U = degree_order_upper(graph)
+    U = graph.degree_order_upper()
     rows, cols = U.to_coo()  # (i, j) with i < j in degree order
     # Task cell = (j, i) in L.
     tj, ti = cols, rows

@@ -283,6 +283,23 @@ class Graph:
         keep = rows > cols
         return CSR.from_coo(self.n, rows[keep], cols[keep])
 
+    def degree_order_upper(self) -> CSR:
+        """U after relabeling vertices in non-decreasing (degree, id) order.
+
+        Row ``r`` is the vertex of rank ``r`` and holds the ranks of its
+        neighbors that come later in the order: the degree-ordered
+        directed graph (DODG) that the serial counters, the 1D baselines,
+        the load-balance statistics and the linear-algebra oracle share.
+        No row is longer than ``sqrt(2 m)``.
+        """
+        order = np.argsort(self.degrees, kind="stable")
+        rank_of = np.empty(self.n, dtype=INDEX_DTYPE)
+        rank_of[order] = np.arange(self.n, dtype=INDEX_DTYPE)
+        edges = self.edge_array()
+        a = rank_of[edges[:, 0]]
+        b = rank_of[edges[:, 1]]
+        return CSR.from_coo(self.n, np.minimum(a, b), np.maximum(a, b))
+
     def nbytes_estimate(self) -> int:
         """Approximate resident bytes of the adjacency structure."""
         return self.adj.nbytes_estimate()

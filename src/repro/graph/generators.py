@@ -136,51 +136,51 @@ def powerlaw_cluster_fast(n: int, m: int, p_triad: float, seed: int = 0) -> Grap
     rng = np.random.default_rng(seed)
     adj: list[list[int]] = [[] for _ in range(n)]
     repeated: list[int] = []
-    edges: list[tuple[int, int]] = []
-
-    def add_edge(u: int, w: int) -> bool:
-        if u == w or w in adj[u]:
-            return False
-        adj[u].append(w)
-        adj[w].append(u)
-        repeated.extend((u, w))
-        edges.append((u, w))
-        return True
-
+    us: list[int] = []
+    ws: list[int] = []
     for u in range(m):
         for w in range(u + 1, m):
-            add_edge(u, w)
+            adj[u].append(w)
+            adj[w].append(u)
+            repeated += (u, w)
+            us.append(u)
+            ws.append(w)
 
-    rand_cache = rng.random(4 * n * m + 16)
+    # Uniform draws come from a cache of ``size`` values, refilled with
+    # ``size`` fresh ones by the first draw that finds it used up.
+    size = 4 * n * m + 16
+    cache = rng.random(size).tolist()
     ri = 0
-
-    def nextrand() -> float:
-        nonlocal ri, rand_cache
-        if ri >= len(rand_cache):
-            rand_cache = rng.random(len(rand_cache))
-            ri = 0
-        x = rand_cache[ri]
-        ri += 1
-        return x
-
     for v in range(m, n):
+        adj_v = adj[v]
         count = 0
         prev_target = -1
         guard = 0
         while count < m and guard < 50 * m:
             guard += 1
-            if prev_target >= 0 and adj[prev_target] and nextrand() < p_triad:
-                nbrs = adj[prev_target]
-                target = nbrs[int(nextrand() * len(nbrs))]
-            else:
-                # With m == 1 there is no seed edge: attach uniformly
-                # until the first edge gives preferential sampling mass.
-                pool = repeated or range(v)
-                target = pool[int(nextrand() * len(pool))]
-            if add_edge(v, target):
+            # prev_target gained v as a neighbor: its list is never empty.
+            triad = False
+            if prev_target >= 0:
+                if ri == size:
+                    cache, ri = rng.random(size).tolist(), 0
+                triad = cache[ri] < p_triad
+                ri += 1
+            # With m == 1 there is no seed edge: attach uniformly until the
+            # first edge gives preferential sampling mass.
+            pool = adj[prev_target] if triad else (repeated or range(v))
+            if ri == size:
+                cache, ri = rng.random(size).tolist(), 0
+            target = pool[int(cache[ri] * len(pool))]
+            ri += 1
+            if target != v and target not in adj_v:
+                adj_v.append(target)
+                adj[target].append(v)
+                repeated += (v, target)
+                us.append(v)
+                ws.append(target)
                 count += 1
                 prev_target = target
-    return Graph.from_edges(n, np.array(edges, dtype=INDEX_DTYPE))
+    return Graph.from_edges(n, np.array([us, ws], dtype=INDEX_DTYPE).T)
 
 
 def configuration_model(

@@ -1,10 +1,11 @@
 """Graph statistics: degrees, wedges, clustering, linear-algebra triangle
 count.
 
-:func:`triangle_count_linalg` implements the paper's Equation 4 literally
-(``C[U] = U @ L`` masked by the non-zeros of ``U``) with scipy sparse
-matrices.  It is the fast, independent reference against which every
-distributed algorithm in this repository is validated.
+:func:`triangle_count_linalg` forms the paper's masked product (Equations
+1-4) over the degree-ordered graph, as the paper does after its
+reordering, with scipy sparse matrices.  It is the fast, independent
+reference against which every distributed algorithm in this repository is
+validated.
 """
 
 from __future__ import annotations
@@ -19,15 +20,20 @@ from repro.graph.csr import DegreeSummary, Graph, degree_summary  # noqa: F401
 def triangle_count_linalg(g: Graph) -> int:
     """Exact global triangle count via sparse matrix algebra.
 
-    With ``U`` the strict upper triangle of the adjacency matrix,
-    ``(U @ U)[i, j]`` counts the wedges ``i < k < j`` and masking by
-    ``U``'s pattern keeps only closed ones, counting each triangle exactly
-    once (at its ordered (i, j) edge) — Equations 1-4 of the paper.
+    With ``U`` the degree-ordered upper triangle
+    (:meth:`~repro.graph.csr.Graph.degree_order_upper`: an edge points
+    from the lower to the higher (degree, id) rank), ``(U.T @ U)[b, c]``
+    counts the vertices ``a`` ordered before both ``b`` and ``c`` that
+    are adjacent to both; masking by ``U``'s pattern keeps the cells
+    where ``b`` precedes ``c`` and is adjacent to it, so a triangle
+    ``a < b < c`` is counted exactly once, at ``(b, c)``, through its
+    lowest vertex.  The product's work is the sum over ``k`` of
+    ``outdeg(k)**2``, and no out-degree exceeds ``sqrt(2 m)``.
     """
-    U = g.upper_csr().to_scipy()
+    U = g.degree_order_upper().to_scipy()
     if U.nnz == 0:
         return 0
-    return int((U @ U).multiply(U).sum())
+    return int((U.T @ U).multiply(U).sum())
 
 
 def triangles_per_vertex(g: Graph) -> np.ndarray:

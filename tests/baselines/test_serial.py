@@ -10,7 +10,6 @@ from repro.baselines import (
     count_triangles_map_based,
     count_triangles_node_iterator,
 )
-from repro.baselines.serial import degree_order_upper
 from repro.graph import Graph, triangle_count_linalg
 
 ALGOS = [
@@ -48,7 +47,7 @@ def test_complete_k5(algo):
 
 
 def test_degree_order_upper_is_dodg(er_graph):
-    U = degree_order_upper(er_graph)
+    U = er_graph.degree_order_upper()
     assert U.nnz == er_graph.num_edges
     rows, cols = U.to_coo()
     assert np.all(rows < cols)
@@ -61,8 +60,9 @@ def test_degree_order_upper_is_dodg(er_graph):
 
 def test_degree_order_out_degrees_bounded(rmat_small):
     # The whole point of the ordering: hubs end up with small out-degree.
-    U = degree_order_upper(rmat_small)
+    U = rmat_small.degree_order_upper()
     out_deg = U.row_lengths()
     assert out_deg.max() <= rmat_small.degrees.max()
+    assert int(out_deg.max()) ** 2 <= 2 * rmat_small.num_edges
     # Out-degree of the last (highest-degree) vertex is 0 by construction.
     assert out_deg[-1] == 0

@@ -14,6 +14,7 @@ from repro.graph import (
     rmat_graph,
 )
 from repro.graph.generators import powerlaw_cluster_fast
+from repro.graph.store import graph_digest
 
 
 class TestRmat:
@@ -104,6 +105,60 @@ class TestPowerlawCluster:
             powerlaw_cluster_fast(50, 3, 1.5)
         with pytest.raises(ValueError):
             powerlaw_cluster_fast(3, 5, 0.5)
+
+    @pytest.mark.parametrize(
+        "args, digest",
+        [
+            ((40, 1, 0.5, 4),
+             "4870c3f77d5e615e08d83e7d007065afed1787729f845841fbd8921c73be0acf"),
+            ((200, 3, 0.0, 1),
+             "fc54bcaf8f2bf534cfedddf47c43a12bad117bf8896bde1dc89036cb23be670e"),
+            ((200, 3, 1.0, 2),
+             "3c1556735baead3ddd11cadef6dc59f50c5bdd827439053fab98ee51c8a76cbb"),
+            ((9000, 12, 0.45, 7000),
+             "d030594dc4b759fcc8b5596128e17e04fc1f950319738f36f7d71bc8c8acb86e"),
+        ],
+        ids=["m1", "p_triad0", "p_triad1", "cli_warm"],
+    )
+    def test_graph_digest_is_pinned(self, args, digest):
+        # Every registry input record and stored entry of a Holme-Kim
+        # graph is keyed by these bits: a rewrite of the loop must keep
+        # the draw order to the last draw.
+        n, m, p_triad, seed = args
+        assert graph_digest(powerlaw_cluster_fast(n, m, p_triad, seed=seed)) == digest
+
+    @pytest.mark.parametrize(
+        "p_triad, calls, digest",
+        [
+            (0.0, 19,
+             "3b7c4edb0217b4c453acc733f09d218087da30506eeac65a017b4c87db61cb40"),
+            (1.0, 6,
+             "cd8d9b9eb411a9359ff32ea1bdeca6480abef86ac7209b15336a3ab62ec2e330"),
+        ],
+        ids=["p_triad0", "p_triad1"],
+    )
+    def test_the_draw_cache_refills_when_a_draw_finds_it_used_up(
+        self, monkeypatch, p_triad, calls, digest
+    ):
+        # Real draws never use up the 4 n m + 16 cache (about 0.55 of it
+        # at most), so a generator whose draws are only 0 or 0.5 forces
+        # the rejections: attempts run into the guard and refill it.
+        real = np.random.default_rng
+
+        class Coarse:
+            calls = 0
+
+            def __init__(self, seed):
+                self.rng = real(seed)
+
+            def random(self, size):
+                Coarse.calls += 1
+                return np.floor(self.rng.random(size) * 2) / 2
+
+        monkeypatch.setattr(np.random, "default_rng", Coarse)
+        g = powerlaw_cluster_fast(30, 4, p_triad, seed=0)
+        assert Coarse.calls == calls
+        assert graph_digest(g) == digest
 
 
 class TestConfigurationModel:
